@@ -276,9 +276,14 @@ trap 'rm -f "$trace" "$timings" "$j1" "$j4" "$faulted" "$ckpt" "$resumed"; rm -r
 cmp -s "$tdir/tj1.txt" "$tdir/tj4.txt" \
   || { echo "FAIL: tenants output differs between --jobs 1 and --jobs 4"; \
        diff -u "$tdir/tj1.txt" "$tdir/tj4.txt" | head -20; exit 1; }
+# Intern ids follow pool scheduling, so the stores' bytes also guard
+# the rank-ordered row renderer against interning order leaking out.
+diff -r "$tdir/tj1/users-300" "$tdir/tj4/users-300" > /dev/null \
+  || { echo "FAIL: tenants store bytes differ between --jobs 1 and --jobs 4"; \
+       diff -r "$tdir/tj1/users-300" "$tdir/tj4/users-300" | head -5; exit 1; }
 "$spamlab" db verify "$tdir/tj4/users-300" > /dev/null \
   || { echo "FAIL: tenants store does not verify"; exit 1; }
-echo "tenants: jobs 1 == jobs 4; store verifies"
+echo "tenants: jobs 1 == jobs 4 (stdout, store bytes); store verifies"
 # Tenant scoring routes through the store's shared prior cache +
 # per-overlay dirty set; killing the cache must not move a byte.
 SPAMLAB_NO_PROB_CACHE=1 "$spamlab" tenants --users 300 --scale 0.05 --jobs 1 \

@@ -307,10 +307,14 @@ let note_publish_result t ~ok =
    a crash here loses only unacknowledged training, and the on-disk
    state is the previous publish (the client replay contract).  With a
    tenant store, a publish is also its durability point: every
-   journaled op is committed before the shared filter advances. *)
+   journaled op is committed before the shared filter advances.  The
+   intern freeze comes first, so every id the commit, the save and a
+   following compaction serialize is rank-covered and their row order
+   costs int compares only. *)
 let publish t =
   match
     Fault.check "serve.publish";
+    Intern.freeze ();
     Option.iter Store.commit t.store;
     Filter.save_file t.delta t.config.db_path
   with
@@ -323,9 +327,8 @@ let publish t =
       t.baseline <- Token_db.copy (Filter.db t.delta);
       t.seq <- t.seq + 1;
       t.pending <- 0;
-      Intern.freeze ();
-      (* Fresh single-generation cache over the new snapshot
-         (post-freeze, so it covers tokens trained since the last
+      (* Fresh single-generation cache over the new snapshot (sized to
+         the intern table, so it covers tokens trained since the last
          publish). *)
       t.baseline_cache <-
         Prob_cache.create ~shared:true t.config.options t.baseline;

@@ -250,35 +250,147 @@ let to_string id =
 
 (* Lexicographic ranks: [rank id] = the position of [to_string id] in
    the byte-sorted vocabulary as of the last {!freeze}, or -1 for ids
-   interned since.  Classify's clue tie-break is byte order on the
-   token string; for covered ids that is one int compare instead of a
-   byte compare — which matters because token probabilities cluster
-   (every hapax of a class scores the same), so sorting clues compares
-   a lot of equal-strength pairs.  Built only on explicit [freeze]
+   interned since.  Classify's clue tie-break and the save renderers
+   order by token bytes; for covered ids that is one int compare
+   instead of a byte compare.  Ids are dense, so the covered ids are
+   exactly [0, Array.length ranks).  Built only on explicit [freeze]
    (the "vocabulary is stable now" signal), never on the automatic
-   snapshot refresh: interning storms must not pay O(V log V) each
-   refresh.  Published by [Atomic] like [frozen]; the array is never
-   mutated after publication. *)
+   snapshot refresh.  Published by [Atomic] like [frozen]; the array is
+   never mutated after publication. *)
 let ranks : int array Atomic.t = Atomic.make [||]
-
-let build_ranks_locked () =
-  let n = st.count in
-  let names = st.names in
-  let order = Array.init n (fun i -> i) in
-  Array.sort (fun a b -> String.compare names.(a) names.(b)) order;
-  let rk = Array.make n 0 in
-  for pos = 0 to n - 1 do
-    rk.(order.(pos)) <- pos
-  done;
-  Atomic.set ranks rk
 
 let[@inline] rank id =
   let rk = Atomic.get ranks in
   if id >= 0 && id < Array.length rk then Array.unsafe_get rk id else -1
 
+(* Merge [fresh] into [old], both sorted by [name] and disjoint in
+   names, calling [f i x] with each element [x] of the merged order and
+   its position [i].  Each fresh element gallops (doubling probes, then
+   bisection) over [old] from where its predecessor landed, so k fresh
+   elements cost O(k log (n/k + 1)) byte compares against n old ones. *)
+let merge_into name old fresh f =
+  let n = Array.length old in
+  let p = ref 0 and w = ref 0 in
+  let emit x =
+    f !w x;
+    incr w
+  in
+  let take_old upto =
+    while !p < upto do
+      emit (Array.unsafe_get old !p);
+      incr p
+    done
+  in
+  Array.iter
+    (fun x ->
+      let s = name x in
+      let before i = String.compare (name (Array.unsafe_get old i)) s < 0 in
+      let lo = ref !p and step = ref 1 in
+      while !lo + !step <= n && before (!lo + !step - 1) do
+        lo := !lo + !step;
+        step := 2 * !step
+      done;
+      let hi = ref (min n (!lo + !step - 1)) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if before mid then lo := mid + 1 else hi := mid
+      done;
+      take_old !lo;
+      emit x)
+    fresh;
+  take_old n
+
+(* Incremental: the previous ranks are inverted into the byte-sorted id
+   order (O(V), no compares), only the k ids interned since are sorted,
+   and the two are merged — ranks identical to a full sort for O(V)
+   array work and O(k log V) byte compares under the mutex instead of
+   O(V log V). *)
 let freeze () =
   Mutex.protect st.mutex (fun () ->
       Atomic.set frozen (Array.copy st.slots);
-      build_ranks_locked ())
+      let old = Atomic.get ranks in
+      let covered = Array.length old and n = st.count in
+      if n > covered then begin
+        let names = st.names in
+        let name id = Array.unsafe_get names id in
+        let order = Array.make covered 0 in
+        Array.iteri (fun id r -> Array.unsafe_set order r id) old;
+        let fresh = Array.init (n - covered) (fun i -> covered + i) in
+        Array.stable_sort (fun a b -> String.compare (name a) (name b)) fresh;
+        let rk = Array.make n 0 in
+        merge_into name order fresh (fun pos id -> Array.unsafe_set rk id pos);
+        Atomic.set ranks rk
+      end)
+
+(* Keys carry a rank above bit 31 and a position below it.  LSD radix
+   sort on the rank field, one byte per pass over [bits] bits: O(n)
+   per pass with no compare at all.  Returns whichever of [keys] and
+   its scratch twin holds the result. *)
+let radix_sort_ranks keys bits =
+  let n = Array.length keys in
+  let src = ref keys and dst = ref (Array.make n 0) in
+  let count = Array.make 257 0 in
+  let shift = ref 31 in
+  while !shift < 31 + bits do
+    let s = !src and d = !dst and sh = !shift in
+    Array.fill count 0 257 0;
+    for i = 0 to n - 1 do
+      let b = ((Array.unsafe_get s i lsr sh) land 255) + 1 in
+      Array.unsafe_set count b (Array.unsafe_get count b + 1)
+    done;
+    for b = 1 to 256 do
+      count.(b) <- count.(b) + count.(b - 1)
+    done;
+    for i = 0 to n - 1 do
+      let key = Array.unsafe_get s i in
+      let b = (key lsr sh) land 255 in
+      Array.unsafe_set d (Array.unsafe_get count b) key;
+      Array.unsafe_set count b (Array.unsafe_get count b + 1)
+    done;
+    src := d;
+    dst := s;
+    shift := sh + 8
+  done;
+  !src
+
+(* Covered positions sort on the int key [rank lsl 31 lor pos] (ranks
+   and positions both stay below 2^31), uncovered ones by bytes; the
+   two runs then merge by galloping, so byte compares are O(k log n)
+   for k uncovered ids among n. *)
+let byte_order ids n =
+  if n < 0 || n > Array.length ids then invalid_arg "Intern.byte_order";
+  let rk = Atomic.get ranks in
+  let covered = Array.length rk in
+  let is_covered pos =
+    let id = Array.unsafe_get ids pos in
+    id >= 0 && id < covered
+  in
+  let nk = ref 0 in
+  for pos = 0 to n - 1 do
+    if is_covered pos then incr nk
+  done;
+  let keys = Array.make !nk 0 and late = Array.make (n - !nk) 0 in
+  let k = ref 0 and l = ref 0 in
+  for pos = 0 to n - 1 do
+    if is_covered pos then begin
+      keys.(!k) <- (rk.(ids.(pos)) lsl 31) lor pos;
+      incr k
+    end
+    else begin
+      late.(!l) <- pos;
+      incr l
+    end
+  done;
+  let rec bits x = if x = 0 then 0 else 1 + bits (x lsr 1) in
+  let runs = radix_sort_ranks keys (bits (max 0 (covered - 1))) in
+  Array.iteri (fun i key -> runs.(i) <- key land ((1 lsl 31) - 1)) runs;
+  if !l = 0 then runs
+  else begin
+    let name pos = to_string (Array.unsafe_get ids pos) in
+    Array.stable_sort (fun a b -> String.compare (name a) (name b)) late;
+    let out = Array.make n 0 in
+    merge_into name runs late (fun i pos -> out.(i) <- pos);
+    out
+  end
 
 let size () = st.count

@@ -44,10 +44,12 @@
 
     Id {e values} depend on interning order and are therefore
     schedule-dependent under parallel fan-out.  They never reach any
-    output: scores depend only on counts, clue ordering ties break on
-    the token {e string}, and {!Token_db.save} resolves ids back to
-    strings and sorts.  Nothing downstream may compare or order ids
-    across runs. *)
+    output: scores depend only on counts, and both clue ordering ties
+    and every saved row order ({!Token_db.to_string}, store segments)
+    follow the byte order of the token {e strings}, read off {!rank}
+    (a pure function of the set of interned strings) or compared
+    directly.  Nothing downstream may compare or order raw ids across
+    runs. *)
 
 val id : string -> int
 (** Intern one string (assigning a fresh id on first sight). *)
@@ -100,8 +102,12 @@ val freeze : unit -> unit
     any time, from any domain, any number of times.  (The snapshot also
     refreshes itself automatically once the table has grown well past
     it, so omitting the call costs amortized-O(1) extra work, not
-    correctness.)  Also rebuilds the {!rank} table (O(V log V), only
-    here — never on the automatic refresh). *)
+    correctness.)  Also extends the {!rank} table to the ids interned
+    since the previous freeze: only those k ids are sorted, then merged
+    into the previous byte order, so a freeze costs O(V) array work
+    plus O(k log k) byte compares for the sort and O(k log (V/k + 1))
+    for the merge (k = V for the first one) — only here, never on the
+    automatic refresh. *)
 
 val rank : int -> int
 (** The position of [to_string id] in the byte-sorted vocabulary as of
@@ -110,6 +116,15 @@ val rank : int -> int
     exactly with [String.compare (to_string a) (to_string b)] — the
     int-compare form of Classify's clue tie-break.  Distinct ids hold
     distinct strings, so distinct covered ids never share a rank. *)
+
+val byte_order : int array -> int -> int array
+(** [byte_order ids n] is the permutation of the positions [0 .. n-1]
+    that lists [ids.(0 .. n-1)] in [String.compare] order of their
+    strings — the row order of every saved format.  Positions of
+    rank-covered ids sort on an int key; only ids interned since the
+    last {!freeze} cost byte compares.  [ids] must be assigned and
+    distinct.
+    @raise Invalid_argument if [n] is outside [0 .. Array.length ids]. *)
 
 val size : unit -> int
 (** Number of distinct strings interned so far. *)

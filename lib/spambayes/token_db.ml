@@ -240,62 +240,108 @@ let untrain_ids t label ids =
 
 let untrain t label tokens = untrain_ids t label (Intern.intern_array tokens)
 
-(* Iteration skips combined-zero entries, so the observable contents
-   match the old hashtable representation (which removed emptied
-   tokens).  Order is unspecified, as before; all callers either sort
-   (save, good-word ranking) or fold commutatively. *)
+(* Every id with a non-zero combined count, with its counts, in one
+   pass: overlay cells first (marking their base slots), then the
+   unmarked base slots — no per-slot overlay lookup.  Skipping
+   combined-zero entries keeps the observable contents those of the
+   old hashtable representation (which removed emptied tokens).  Order
+   is unspecified; every caller sorts (save, good-word ranking) or
+   folds commutatively. *)
+let iter_counts f t =
+  let len = Array.length t.base_spam in
+  let overlaid =
+    Bytes.make (if Hashtbl.length t.delta = 0 then 0 else len) '\000'
+  in
+  Hashtbl.iter
+    (fun id c ->
+      let i = id - t.off in
+      if i >= 0 && i < len then Bytes.unsafe_set overlaid i '\001';
+      if c.spam <> 0 || c.ham <> 0 then f id ~spam:c.spam ~ham:c.ham)
+    t.delta;
+  let marked = Bytes.length overlaid > 0 in
+  for i = 0 to len - 1 do
+    let spam = Array.unsafe_get t.base_spam i
+    and ham = Array.unsafe_get t.base_ham i in
+    if
+      (spam <> 0 || ham <> 0)
+      && not (marked && Bytes.unsafe_get overlaid i <> '\000')
+    then f (t.off + i) ~spam ~ham
+  done
+
 let fold f init t =
   let acc = ref init in
-  let len = Array.length t.base_spam in
-  let use_delta = Hashtbl.length t.delta > 0 in
-  for i = 0 to len - 1 do
-    let id = t.off + i in
-    let spam, ham =
-      if use_delta then
-        match Hashtbl.find_opt t.delta id with
-        | Some c -> (c.spam, c.ham)
-        | None -> (t.base_spam.(i), t.base_ham.(i))
-      else (t.base_spam.(i), t.base_ham.(i))
-    in
-    if spam <> 0 || ham <> 0 then acc := f !acc (Intern.to_string id) ~spam ~ham
-  done;
-  if use_delta then
-    Hashtbl.iter
-      (fun id c ->
-        if
-          (id < t.off || id >= t.off + len) && (c.spam <> 0 || c.ham <> 0)
-        then acc := f !acc (Intern.to_string id) ~spam:c.spam ~ham:c.ham)
-      t.delta;
+  iter_counts
+    (fun id ~spam ~ham -> acc := f !acc (Intern.to_string id) ~spam ~ham)
+    t;
   !acc
 
-let iter f t = fold (fun () token ~spam ~ham -> f token ~spam ~ham) () t
+let iter f t =
+  iter_counts (fun id ~spam ~ham -> f (Intern.to_string id) ~spam ~ham) t
 
 (* Tokens come straight from attacker-controlled email bodies, so they
    can contain the format's own delimiters.  Version 2 escapes exactly
    the characters the line format gives meaning to: backslash, tab,
-   newline, carriage return. *)
-let escape_token token =
-  let needs_escaping = ref false in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' | '\t' | '\n' | '\r' -> needs_escaping := true
-      | _ -> ())
-    token;
-  if not !needs_escaping then token
+   newline, carriage return.  Unescaped runs are copied whole. *)
+let add_escaped b s =
+  let start = ref 0 in
+  for i = 0 to String.length s - 1 do
+    match String.unsafe_get s i with
+    | ('\\' | '\t' | '\n' | '\r') as c ->
+        Buffer.add_substring b s !start (i - !start);
+        Buffer.add_char b '\\';
+        Buffer.add_char b
+          (match c with '\t' -> 't' | '\n' -> 'n' | '\r' -> 'r' | c -> c);
+        start := i + 1
+    | _ -> ()
+  done;
+  Buffer.add_substring b s !start (String.length s - !start)
+
+(* [Printf "%d"] without the format interpreter or a temporary string. *)
+let rec add_int b n =
+  if n < 0 then Buffer.add_string b (string_of_int n)
   else begin
-    let buf = Buffer.create (String.length token + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | c -> Buffer.add_char buf c)
-      token;
-    Buffer.contents buf
+    if n >= 10 then add_int b (n / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
   end
+
+(* The one row writer behind the v3 db and the store segments: collect
+   ids and counts in the caller's single pass, order the ids by
+   [Intern.byte_order] (int keys for rank-covered ids), write each row
+   as [escaped token \t spam \t ham \n].  Rendering is the bulk of a
+   publish, so the scratch arrays are sized once from [capacity]
+   instead of doubling their way there, and [head] lets a caller put a
+   row-counting line in front without a second buffer. *)
+let render_rows ?(head = ignore) b ~capacity iter =
+  let cap = max 16 capacity in
+  let ids = ref (Array.make cap 0) and counts = ref (Array.make (2 * cap) 0) in
+  let n = ref 0 in
+  iter (fun id ~spam ~ham ->
+      if !n = Array.length !ids then begin
+        let grow a =
+          let bigger = Array.make (2 * Array.length a) 0 in
+          Array.blit a 0 bigger 0 (Array.length a);
+          bigger
+        in
+        ids := grow !ids;
+        counts := grow !counts
+      end;
+      Array.unsafe_set !ids !n id;
+      Array.unsafe_set !counts (2 * !n) spam;
+      Array.unsafe_set !counts ((2 * !n) + 1) ham;
+      incr n);
+  let ids = !ids and counts = !counts and n = !n in
+  let order = Intern.byte_order ids n in
+  head n;
+  Array.iter
+    (fun pos ->
+      add_escaped b (Intern.to_string (Array.unsafe_get ids pos));
+      Buffer.add_char b '\t';
+      add_int b (Array.unsafe_get counts (2 * pos));
+      Buffer.add_char b '\t';
+      add_int b (Array.unsafe_get counts ((2 * pos) + 1));
+      Buffer.add_char b '\n')
+    order;
+  n
 
 let unescape_token s =
   if not (String.contains s '\\') then Ok s
@@ -389,12 +435,8 @@ let set_message_counts t ~nspam ~nham =
 let overlay_size t = Hashtbl.length t.delta
 let overlay_mem t id = Hashtbl.mem t.delta id
 
-let fold_overlay f init t =
-  let acc = ref init in
-  Hashtbl.iter
-    (fun id c -> acc := f !acc id ~spam:c.spam ~ham:c.ham)
-    t.delta;
-  !acc
+let iter_overlay f t =
+  Hashtbl.iter (fun id c -> f id ~spam:c.spam ~ham:c.ham) t.delta
 
 (* CRC-32 (IEEE 802.3, polynomial 0xedb88320), table-driven.  The v3
    footer checksums the header and every entry line, so a truncated or
@@ -414,37 +456,40 @@ let crc_finish reg = reg lxor 0xffffffff
 
 let crc_feed reg s =
   let reg = ref reg in
-  String.iter
-    (fun ch ->
-      reg := crc_table.((!reg lxor Char.code ch) land 0xff) lxor (!reg lsr 8))
-    s;
+  for i = 0 to String.length s - 1 do
+    reg :=
+      Array.unsafe_get crc_table
+        ((!reg lxor Char.code (String.unsafe_get s i)) land 0xff)
+      lxor (!reg lsr 8)
+  done;
   !reg
+
+(* 1 KiB slices: each is a short-lived minor-heap string, so a
+   multi-MB rendering is never copied out whole just to be summed. *)
+let crc_feed_buffer ?(pos = 0) reg b =
+  let rec go reg pos =
+    if pos >= Buffer.length b then reg
+    else
+      let len = min 1024 (Buffer.length b - pos) in
+      go (crc_feed reg (Buffer.sub b pos len)) (pos + len)
+  in
+  go reg pos
 
 let footer_prefix = "#spamlab-db-footer "
 
-let entries_sorted t =
-  (* Sorted output makes the format canonical and diffable — and
-     independent of id assignment order, so saves are byte-identical
-     across runs and jobs settings. *)
-  let entries =
-    fold (fun acc token ~spam ~ham -> (token, spam, ham) :: acc) [] t
-  in
-  List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) entries
-
+(* Rows in token byte order make the format canonical and diffable —
+   and independent of id assignment order, so saves are byte-identical
+   across runs and jobs settings. *)
 let to_string t =
-  let buf = Buffer.create 4096 in
+  let buf = Buffer.create (4096 + (24 * t.distinct)) in
   Buffer.add_string buf
     (Printf.sprintf "spamlab-token-db 3 %d %d\n" t.nspam t.nham);
-  let entries = entries_sorted t in
-  List.iter
-    (fun (token, spam, ham) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s\t%d\t%d\n" (escape_token token) spam ham))
-    entries;
-  let crc = crc_finish (crc_feed crc_init (Buffer.contents buf)) in
+  let entries =
+    render_rows buf ~capacity:t.distinct (fun emit -> iter_counts emit t)
+  in
+  let crc = crc_finish (crc_feed_buffer crc_init buf) in
   Buffer.add_string buf
-    (Printf.sprintf "%scrc32=%08x entries=%d\n" footer_prefix crc
-       (List.length entries));
+    (Printf.sprintf "%scrc32=%08x entries=%d\n" footer_prefix crc entries);
   Buffer.contents buf
 
 let save oc t = output_string oc (to_string t)

@@ -123,9 +123,9 @@ val overlay_mem : t -> int -> bool
     counts as the shared prior, so (when the message totals also agree)
     its cached prior probability is valid for the tenant. *)
 
-val fold_overlay : ('a -> int -> spam:int -> ham:int -> 'a) -> 'a -> t -> 'a
-(** Fold over {e only} the copy-on-write overlay cells: each visited id
-    was touched since the last share, and [spam]/[ham] are its current
+val iter_overlay : (int -> spam:int -> ham:int -> unit) -> t -> unit
+(** Visit {e only} the copy-on-write overlay cells: each visited id was
+    touched since the last share, and [spam]/[ham] are its current
     absolute counts (possibly equal to the shared base's, possibly
     0/0).  Order is unspecified.  This is how the sharded store
     extracts a tenant's delta-vs-prior in O(|touched|) without walking
@@ -146,9 +146,11 @@ val to_string : t -> string
     — so truncation and bit flips are detectable on load.  Backslash,
     tab, newline, and carriage return inside tokens are escaped as
     [\\], [\t], [\n], [\r] — tokens come from attacker-controlled email
-    bodies, so they can contain the format's own delimiters.  Ids are
-    resolved back to strings and sorted, so the bytes are independent
-    of interning order. *)
+    bodies, so they can contain the format's own delimiters.  Rows are
+    written by {!render_rows}, in [String.compare] order of the token
+    strings, so the bytes are independent of interning order; ids
+    covered by the last {!Intern.freeze} are ordered by their int
+    {!Intern.rank}, and only ids interned since cost byte compares. *)
 
 val save : out_channel -> t -> unit
 (** [output_string oc (to_string t)].  For atomic on-disk persistence
@@ -199,15 +201,32 @@ val salvage_string : string -> (salvage, string) result
 (** {2 Format plumbing}
 
     The sharded store's segment and journal files reuse this module's
-    escaping and checksum conventions so every on-disk format in the
-    tree shares one dialect (and one set of tests). *)
+    row renderer, escaping and checksum conventions so every on-disk
+    format in the tree shares one dialect (and one set of tests). *)
 
-val escape_token : string -> string
-(** Escape backslash, tab, newline, carriage return as [\\], [\t],
-    [\n], [\r] (identity when none occur — no allocation). *)
+val render_rows :
+  ?head:(int -> unit) ->
+  Buffer.t ->
+  capacity:int ->
+  ((int -> spam:int -> ham:int -> unit) -> unit) ->
+  int
+(** [render_rows b ~capacity iter] calls [iter emit] once; [iter] hands
+    [emit] every row as an id with its two counts (distinct ids, any
+    order).  The rows are then appended to [b] as
+    [token<TAB>spam<TAB>ham] lines, token escaped by {!add_escaped}, in
+    [String.compare] order of the token strings ({!Intern.byte_order}).
+    Returns the row count.  [head] (default: nothing) is called with
+    the row count after collection and before the first row is
+    written, so a caller can prefix a line that counts them.
+    [capacity] sizes the scratch arrays: pass the expected row count
+    (more rows still work, at the cost of a regrow). *)
+
+val add_escaped : Buffer.t -> string -> unit
+(** Append a token with backslash, tab, newline, carriage return
+    escaped as [\\], [\t], [\n], [\r]. *)
 
 val unescape_token : string -> (string, string) result
-(** Inverse of {!escape_token}; [Error] on a dangling or unknown
+(** Inverse of {!add_escaped}; [Error] on a dangling or unknown
     escape. *)
 
 val crc_init : int
@@ -215,6 +234,10 @@ val crc_init : int
 
 val crc_feed : int -> string -> int
 (** Feed bytes through the CRC register. *)
+
+val crc_feed_buffer : ?pos:int -> int -> Buffer.t -> int
+(** {!crc_feed} over a buffer's contents from [pos] (default 0) to its
+    end, without copying them out whole. *)
 
 val crc_finish : int -> int
 (** Finalize the register into the checksum value. *)

@@ -64,16 +64,23 @@ let fsync_dir dir =
         (fun () -> try Unix.fsync dirfd with Unix.Unix_error _ -> ())
 
 (* Crash-safe file replacement, same shape as [Filter.save_file]:
-   temp + fsync + rename + best-effort directory fsync. *)
-let atomic_write path data =
+   temp + fsync + rename + best-effort directory fsync.  [write] puts
+   the contents on the temp file's channel, so a segment goes out of
+   its render buffer without first being copied into one string. *)
+let atomic_write path write =
   let tmp = path ^ ".tmp" in
   let write () =
-    let fd = Unix.openfile tmp [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
+    let oc =
+      open_out_gen
+        [ Open_wronly; Open_creat; Open_trunc; Open_binary ]
+        0o644 tmp
+    in
     Fun.protect
-      ~finally:(fun () -> Unix.close fd)
+      ~finally:(fun () -> close_out_noerr oc)
       (fun () ->
-        Io.really_write_string fd data 0 (String.length data);
-        Unix.fsync fd)
+        write oc;
+        flush oc;
+        Unix.fsync (Unix.descr_of_out_channel oc))
   in
   (match write () with
   | () -> ()
@@ -116,11 +123,14 @@ type op = {
   op_tokens : string array;
 }
 
-let op_line kind user label k tokens =
-  let b = Buffer.create 128 in
+(* Append one op record to [b] (the shard's pending buffer) in place:
+   a dictionary-attack record runs to hundreds of KB, so it is written
+   once and its CRC is taken where it lies. *)
+let add_op_line b kind user label k tokens =
+  let start = Buffer.length b in
   Buffer.add_string b (match kind with `Train -> "T" | `Untrain -> "U");
   Buffer.add_char b '\t';
-  Buffer.add_string b (Token_db.escape_token user);
+  Token_db.add_escaped b user;
   Buffer.add_char b '\t';
   Buffer.add_char b (match label with Label.Spam -> 's' | Label.Ham -> 'h');
   (match kind with
@@ -131,11 +141,14 @@ let op_line kind user label k tokens =
   Array.iter
     (fun tok ->
       Buffer.add_char b '\t';
-      Buffer.add_string b (Token_db.escape_token tok))
+      Token_db.add_escaped b tok)
     tokens;
   Buffer.add_char b '\t';
-  let prefix = Buffer.contents b in
-  Printf.sprintf "%scrc=%08x\n" prefix (crc_of prefix)
+  let crc =
+    Token_db.crc_finish
+      (Token_db.crc_feed_buffer ~pos:start Token_db.crc_init b)
+  in
+  Printf.bprintf b "crc=%08x\n" crc
 
 let commit_line = Printf.sprintf "C\tcrc=%08x\n" (crc_of "C\t")
 
@@ -501,7 +514,7 @@ let init_shard t sh =
       let hdr =
         jrn_header ~shard:sh.sh_id ~nshards:t.t_nshards ~seg_crc:sh.sh_seg_crc
       in
-      atomic_write jpath hdr;
+      atomic_write jpath (fun oc -> output_string oc hdr);
       sh.sh_jhdr <- String.length hdr;
       sh.sh_jlen <- String.length hdr;
       sh.sh_last_commit <- String.length hdr
@@ -664,39 +677,30 @@ let overlay t sh user =
    no generation counters or timestamps, so independent runs that
    performed the same ops compact to identical files. *)
 
-let user_block prior db user =
-  let rows =
-    Token_db.fold_overlay
-      (fun acc id ~spam ~ham ->
-        let ps = Token_db.spam_count_id prior id
-        and ph = Token_db.ham_count_id prior id in
-        if spam <> ps || ham <> ph then
-          (Intern.to_string id, spam, ham) :: acc
-        else acc)
-      [] db
-  in
-  let rows =
-    List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) rows
-  in
+(* Append [user]'s block to [body] — its totals line, then a row for
+   every token whose counts differ from the prior's — and return the
+   row count.  A user that does not diverge from the prior at all (no
+   row, same totals) appends nothing. *)
+let add_user_block body prior db user =
   let nspam = Token_db.nspam db and nham = Token_db.nham db in
-  if
-    rows = []
-    && nspam = Token_db.nspam prior
-    && nham = Token_db.nham prior
-  then None
-  else begin
-    let b = Buffer.create 256 in
-    Buffer.add_string b
-      (Printf.sprintf "u\t%s\t%d\t%d\t%d\n"
-         (Token_db.escape_token user)
-         nspam nham (List.length rows));
-    List.iter
-      (fun (tok, spam, ham) ->
-        Buffer.add_string b
-          (Printf.sprintf "%s\t%d\t%d\n" (Token_db.escape_token tok) spam ham))
-      rows;
-    Some (Buffer.contents b, List.length rows)
-  end
+  let same_totals =
+    nspam = Token_db.nspam prior && nham = Token_db.nham prior
+  in
+  Token_db.render_rows body ~capacity:(Token_db.overlay_size db)
+    ~head:(fun nrows ->
+      if nrows > 0 || not same_totals then begin
+        Buffer.add_string body "u\t";
+        Token_db.add_escaped body user;
+        Printf.bprintf body "\t%d\t%d\t%d\n" nspam nham nrows
+      end)
+    (fun emit ->
+      Token_db.iter_overlay
+        (fun id ~spam ~ham ->
+          if
+            spam <> Token_db.spam_count_id prior id
+            || ham <> Token_db.ham_count_id prior id
+          then emit id ~spam ~ham)
+        db)
 
 let compact_shard t sh =
   Fault.check "store.compact";
@@ -708,54 +712,62 @@ let compact_shard t sh =
   let sorted =
     List.sort String.compare (Hashtbl.fold (fun u () acc -> u :: acc) users [])
   in
-  let blocks =
-    List.filter_map
-      (fun user ->
-        let db =
-          match Hashtbl.find_opt sh.sh_cache user with
-          | Some n -> n.n_db
-          | None -> materialize t sh user
-        in
-        Option.map
-          (fun (block, rows) -> (user, block, rows))
-          (user_block t.t_prior db user))
-      sorted
-  in
-  let header =
-    Printf.sprintf "%s 1 %d %d %d\n" seg_magic sh.sh_id t.t_nshards
-      (List.length blocks)
-  in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b header;
-  let new_index = Hashtbl.create (List.length blocks) in
-  let rows_total = ref 0 in
+  (* Blocks render straight into the body, sized for the old segment
+     plus the journal being folded in; the header (which counts them)
+     is known only afterwards, so extents are body-relative. *)
+  let body = Buffer.create (4096 + sh.sh_seg_len + sh.sh_jlen - sh.sh_jhdr) in
+  let blocks = ref [] and rows_total = ref 0 in
   List.iter
-    (fun (user, block, rows) ->
-      Hashtbl.replace new_index user
-        { e_off = Buffer.length b; e_len = String.length block };
-      Buffer.add_string b block;
-      rows_total := !rows_total + rows)
-    blocks;
-  let crc = crc_of (Buffer.contents b) in
-  Buffer.add_string b
-    (Printf.sprintf "%scrc32=%08x users=%d rows=%d\n" seg_footer_prefix crc
-       (List.length blocks) !rows_total);
-  let seg = Buffer.contents b in
+    (fun user ->
+      let db =
+        match Hashtbl.find_opt sh.sh_cache user with
+        | Some n -> n.n_db
+        | None -> materialize t sh user
+      in
+      let off = Buffer.length body in
+      let nrows = add_user_block body t.t_prior db user in
+      if Buffer.length body > off then begin
+        blocks := (user, off, Buffer.length body - off) :: !blocks;
+        rows_total := !rows_total + nrows
+      end)
+    sorted;
+  let nusers = List.length !blocks in
+  let header =
+    Printf.sprintf "%s 1 %d %d %d\n" seg_magic sh.sh_id t.t_nshards nusers
+  in
+  let crc =
+    Token_db.crc_finish
+      (Token_db.crc_feed_buffer
+         (Token_db.crc_feed Token_db.crc_init header)
+         body)
+  in
+  let footer =
+    Printf.sprintf "%scrc32=%08x users=%d rows=%d\n" seg_footer_prefix crc
+      nusers !rows_total
+  in
   let spath = seg_path dir sh.sh_id in
-  atomic_write spath seg;
+  atomic_write spath (fun oc ->
+      output_string oc header;
+      Buffer.output_buffer oc body;
+      output_string oc footer);
   (* Window: new segment on disk, old journal (stale seg_crc) still in
      place — recovered by the staleness check on open. *)
   let hdr = jrn_header ~shard:sh.sh_id ~nshards:t.t_nshards ~seg_crc:crc in
-  atomic_write (jrn_path dir sh.sh_id) hdr;
+  atomic_write (jrn_path dir sh.sh_id) (fun oc -> output_string oc hdr);
   Option.iter Unix.close sh.sh_sfd;
   sh.sh_sfd <- Some (Unix.openfile spath [ O_RDONLY ] 0);
   Option.iter Unix.close sh.sh_jfd;
   sh.sh_jfd <- Some (Unix.openfile (jrn_path dir sh.sh_id) [ O_RDWR ] 0o644);
   Hashtbl.reset sh.sh_index;
-  Hashtbl.iter (fun u e -> Hashtbl.replace sh.sh_index u e) new_index;
+  let hlen = String.length header in
+  List.iter
+    (fun (u, off, len) ->
+      Hashtbl.replace sh.sh_index u { e_off = hlen + off; e_len = len })
+    !blocks;
   Hashtbl.reset sh.sh_pending;
   sh.sh_seg_crc <- crc;
-  sh.sh_seg_len <- String.length seg;
+  sh.sh_seg_len <-
+    String.length header + Buffer.length body + String.length footer;
   sh.sh_jhdr <- String.length hdr;
   sh.sh_jlen <- String.length hdr;
   sh.sh_last_commit <- String.length hdr;
@@ -848,9 +860,10 @@ let open_store ?(options = Options.default) ?prior cfg =
                 let prior =
                   match prior with Some p -> p | None -> Token_db.create ()
                 in
-                atomic_write (prior_path dir) (Token_db.to_string prior);
-                atomic_write (manifest_path dir)
-                  (Printf.sprintf "%s 1 %d\n" manifest_magic cfg.shards);
+                atomic_write (prior_path dir) (fun oc ->
+                    output_string oc (Token_db.to_string prior));
+                atomic_write (manifest_path dir) (fun oc ->
+                    Printf.fprintf oc "%s 1 %d\n" manifest_magic cfg.shards);
                 Ok (mk (Some dir) prior cfg.shards)
             | exception Unix.Unix_error (e, _, _) ->
                 Error
@@ -899,10 +912,10 @@ let sharded_op t user op =
   with_shard t user (fun sh ->
       let db = overlay t sh user in
       Fault.check "store.journal.append";
-      let line = op_line op.op_kind user op.op_label op.op_k op.op_tokens in
       let blen = Buffer.length sh.sh_buf in
-      let ext = { e_off = sh.sh_jlen + blen; e_len = String.length line - 1 } in
-      Buffer.add_string sh.sh_buf line;
+      add_op_line sh.sh_buf op.op_kind user op.op_label op.op_k op.op_tokens;
+      let len = Buffer.length sh.sh_buf - blen in
+      let ext = { e_off = sh.sh_jlen + blen; e_len = len - 1 } in
       let exts =
         match Hashtbl.find_opt sh.sh_pending user with
         | Some r -> r
@@ -922,9 +935,9 @@ let sharded_op t user op =
           if !exts = [] then Hashtbl.remove sh.sh_pending user;
           raise exn);
       Atomic.incr t.s_journal_ops;
-      ignore (Atomic.fetch_and_add t.s_journal_bytes (String.length line));
+      ignore (Atomic.fetch_and_add t.s_journal_bytes len);
       Obs.incr c_journal_ops;
-      Obs.add c_journal_bytes (String.length line);
+      Obs.add c_journal_bytes len;
       if Buffer.length sh.sh_buf > buf_flush_threshold then flush_shard sh)
 
 let mem_op t user op =
@@ -940,32 +953,26 @@ let run_op t user op =
    count-vs-totals invariant relies on it.  Pipeline callers already
    pass unique tokens ([Tokenizer.unique_tokens], [with_unique_ids]);
    normalize here so direct API users cannot journal duplicates.  The
-   common already-distinct case allocates nothing. *)
+   pipeline's form — strictly ascending, as [unique_tokens] sorts — is
+   returned untouched after one compare per token and no allocation;
+   any other input keeps its first occurrence of each token, in order. *)
 let distinct tokens =
   let n = Array.length tokens in
-  let dup = ref false in
-  (try
-     let seen = Hashtbl.create (2 * n) in
-     Array.iter
-       (fun tok ->
-         if Hashtbl.mem seen tok then begin
-           dup := true;
-           raise Exit
-         end
-         else Hashtbl.add seen tok ())
-       tokens
-   with Exit -> ());
-  if not !dup then tokens
+  let rec ascending i =
+    i >= n
+    || (String.compare tokens.(i - 1) tokens.(i) < 0 && ascending (i + 1))
+  in
+  if ascending 1 then tokens
   else begin
     let seen = Hashtbl.create (2 * n) in
     Array.of_list
       (List.filter
          (fun tok ->
-           if Hashtbl.mem seen tok then false
-           else begin
-             Hashtbl.add seen tok ();
-             true
-           end)
+           (not (Hashtbl.mem seen tok))
+           && begin
+                Hashtbl.add seen tok ();
+                true
+              end)
          (Array.to_list tokens))
   end
 

@@ -61,10 +61,13 @@
     {2 Determinism}
 
     Nothing wall-clock or schedule-dependent reaches the files: no
-    timestamps, no generation counters, tokens resolved to strings and
-    sorted.  Two runs that performed the same committed ops and then
+    timestamps, no generation counters, users and rows in byte order of
+    their strings (rows through
+    {!Spamlab_spambayes.Token_db.render_rows}, whatever the interning
+    order).  Two runs that performed the same committed ops and then
     compacted hold byte-identical segments, journals, manifest, and
-    prior — the property ci.sh's crash-and-replay gate checks. *)
+    prior — the property ci.sh's crash-and-replay and cross-jobs gates
+    check. *)
 
 module Token_db := Spamlab_spambayes.Token_db
 

@@ -74,6 +74,17 @@ let intern_tests =
           (Intern.id "intern-test-post-freeze");
         check_str "to_string after freeze" "intern-test-post-freeze"
           (Intern.to_string post));
+    test_case "byte_order lists positions in token byte order" (fun () ->
+        let covered = Intern.intern_array [| "bo-m"; "bo-a"; "bo-z" |] in
+        Intern.freeze ();
+        let late = Intern.intern_array [| "bo-b"; "bo-"; "bo-y" |] in
+        let ids = Array.append covered late in
+        let order = Intern.byte_order ids (Array.length ids) in
+        check_str "merged order" "bo- bo-a bo-b bo-m bo-y bo-z"
+          (String.concat " "
+             (Array.to_list
+                (Array.map (fun pos -> Intern.to_string ids.(pos)) order)));
+        check_int "prefix only" 2 (Array.length (Intern.byte_order ids 2)));
     test_case "to_string rejects unknown ids" (fun () ->
         Alcotest.check_raises "negative"
           (Invalid_argument "Intern.to_string: unknown id") (fun () ->
@@ -81,6 +92,69 @@ let intern_tests =
         Alcotest.check_raises "past the end"
           (Invalid_argument "Intern.to_string: unknown id") (fun () ->
             ignore (Intern.to_string (Intern.size () + 1_000_000))));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Incremental freeze: ranks equal a from-scratch sort                 *)
+
+(* Short strings over an alphabet holding the save format's delimiters,
+   bytes >= 0x80 and NUL: draws share prefixes, include the empty
+   string, and keep producing strings the table has not seen yet. *)
+let gen_name =
+  QCheck2.Gen.(
+    string_size
+      ~gen:
+        (oneofa [| 'a'; 'b'; '\t'; '\n'; '\\'; '\r'; '\x80'; '\xff'; '\000' |])
+      (int_range 0 5))
+
+type intern_op = Intern_names of string list | Freeze
+
+let gen_intern_ops =
+  QCheck2.Gen.(
+    list_size (int_range 1 12)
+      (frequency
+         [
+           ( 3,
+             map
+               (fun l -> Intern_names l)
+               (list_size (int_range 0 8) gen_name) );
+           (1, pure Freeze);
+         ]))
+
+(* Every assigned id, ranked from scratch: its position in a
+   [String.compare] sort of the whole table. *)
+let ranks_from_scratch () =
+  let n = Intern.size () in
+  let order = Array.init n Fun.id in
+  Array.sort
+    (fun a b -> String.compare (Intern.to_string a) (Intern.to_string b))
+    order;
+  let rk = Array.make n 0 in
+  Array.iteri (fun pos id -> rk.(id) <- pos) order;
+  rk
+
+let rank_tests =
+  [
+    qtest ~count:100 "freeze: incremental ranks equal a full sort"
+      gen_intern_ops (fun ops ->
+        let frozen_size = ref (-1) in
+        List.for_all
+          (function
+            | Freeze ->
+                Intern.freeze ();
+                frozen_size := Intern.size ();
+                let want = ranks_from_scratch () in
+                Array.for_all Fun.id
+                  (Array.mapi (fun id r -> Intern.rank id = r) want)
+            | Intern_names names ->
+                let ids = Intern.intern_array (Array.of_list names) in
+                (* Ids interned since the last freeze are not ranked. *)
+                Array.for_all
+                  (fun id ->
+                    !frozen_size < 0 || id < !frozen_size
+                    || Intern.rank id = -1)
+                  ids)
+          (ops @ [ Freeze ]));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -259,16 +333,18 @@ let gen_ops =
 
 (* Messages honor the documented contract (deduplicated token arrays);
    duplicate-token behavior is pinned separately above. *)
-let resolve idx =
+let resolve ?(rename = Fun.id) idx =
   Array.to_list idx
-  |> List.map (fun i -> universe.(i))
+  |> List.map (fun i -> rename universe.(i))
   |> List.sort_uniq String.compare
   |> Array.of_list
 
 (* Applies a trace to both implementations.  Untrains only ever target a
    message recorded as trained (and still un-untrained), so both sides
-   stay on the defined part of the API. *)
-let apply_trace ops db rdb =
+   stay on the defined part of the API.  [rename] maps the universe
+   onto the token strings actually trained. *)
+let apply_trace ?rename ops db rdb =
+  let resolve = resolve ?rename in
   let trained = ref [] in
   List.iter
     (fun op ->
@@ -297,12 +373,13 @@ let apply_trace ops db rdb =
                 List.filteri (fun j _ -> j <> i mod n) l))
     ops
 
-let agree db rdb =
+let agree ?(rename = Fun.id) db rdb =
   Token_db.nspam db = rdb.Ref_db.nspam
   && Token_db.nham db = rdb.Ref_db.nham
   && Token_db.distinct_tokens db = Ref_db.distinct rdb
   && Array.for_all
        (fun tok ->
+         let tok = rename tok in
          Token_db.spam_count db tok = Ref_db.spam_count rdb tok
          && Token_db.ham_count db tok = Ref_db.ham_count rdb tok)
        universe
@@ -329,6 +406,16 @@ let scores_agree db rdb =
       && got.Classify.clues = want.Classify.clues)
     probes
 
+(* Every other universe token, with a suffix no earlier call produced:
+   trained after a freeze, those strings are interned late (unranked)
+   and sort in between the ranked universe tokens. *)
+let late_rename =
+  let calls = ref 0 in
+  fun () ->
+    incr calls;
+    let suffix = Printf.sprintf "\x01late%d" !calls in
+    fun tok -> if String.length tok mod 2 = 0 then tok else tok ^ suffix
+
 let differential_tests =
   [
     qtest ~count:200 "trace: counts, distinct, saved bytes match reference"
@@ -337,6 +424,22 @@ let differential_tests =
         let db = Token_db.create () and rdb = Ref_db.create () in
         apply_trace ops db rdb;
         agree db rdb);
+    qtest ~count:100 "save: bytes match reference, every id rank-covered"
+      gen_ops
+      (fun ops ->
+        let db = Token_db.create () and rdb = Ref_db.create () in
+        apply_trace ops db rdb;
+        Intern.freeze ();
+        agree db rdb);
+    qtest ~count:100 "save: bytes match reference, ids interned after freeze"
+      gen_ops
+      (fun ops ->
+        ignore (Intern.intern_array universe);
+        Intern.freeze ();
+        let rename = late_rename () in
+        let db = Token_db.create () and rdb = Ref_db.create () in
+        apply_trace ~rename ops db rdb;
+        agree ~rename db rdb);
     qtest ~count:100 "trace: classification matches reference scoring"
       gen_ops
       (fun ops ->
@@ -419,6 +522,7 @@ let () =
   Alcotest.run "spamlab_intern"
     [
       ("intern", intern_tests);
+      ("ranks", rank_tests);
       ("untrain-duplicates", untrain_duplicate_tests);
       ("differential", differential_tests);
       ("cow", cow_tests);

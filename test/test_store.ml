@@ -75,15 +75,15 @@ let user u = Printf.sprintf "user-%d" u
 type op = Train of string * Label.gold * string array * int
         | Untrain of string * Label.gold * string array
 
-let ops_of_seeds ~users seeds =
+let ops_of_seeds ?(msgs = messages) ?(name = user) ~users seeds =
   let trained = Hashtbl.create 16 in
   let push u x =
     Hashtbl.replace trained u (x :: (try Hashtbl.find trained u with Not_found -> []))
   in
   List.filter_map
     (fun (a, b, c) ->
-      let u = user (a mod users) in
-      let msg = messages.(b mod Array.length messages) in
+      let u = name (a mod users) in
+      let msg = msgs.(b mod Array.length msgs) in
       let label = if b mod 2 = 0 then Label.Spam else Label.Ham in
       match c mod 4 with
       | 3 -> (
@@ -191,6 +191,152 @@ let differential_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Segment bytes against a reference renderer. *)
+
+(* Tokens and users carrying every byte the line format escapes, the
+   empty token, and a duplicated token. *)
+let nasty_messages =
+  [|
+    [| ""; "tab\there"; "plain" |];
+    [| "cr\rhere"; "nl\nhere"; "back\\slash" |];
+    [| "plain"; ""; "back\\slash"; "\\t-literal" |];
+    [| "tab\there"; "tab\there"; "nl\nhere" |];
+    [| "zz"; "cr\rhere" |];
+  |]
+
+let nasty_users = [| "user-0"; "tab\tuser"; "back\\slash-user"; "nl\nuser" |]
+
+let make_nasty_prior () =
+  let db = Token_db.create () in
+  Token_db.train db Label.Spam [| "plain"; "tab\there" |];
+  Token_db.train db Label.Ham [| ""; "nl\nhere"; "zz" |];
+  db
+
+(* Bitwise CRC-32, independent of the table-driven one in the library. *)
+let crc32 s =
+  let c = ref 0xffffffff in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+      done)
+    s;
+  !c lxor 0xffffffff
+
+let escape tok =
+  String.concat ""
+    (List.map
+       (function
+         | '\\' -> "\\\\"
+         | '\t' -> "\\t"
+         | '\n' -> "\\n"
+         | '\r' -> "\\r"
+         | c -> String.make 1 c)
+       (List.of_seq (String.to_seq tok)))
+
+(* The block compaction must write for [user]: its totals line, then
+   every token whose counts differ from the prior's, sorted with
+   [String.compare] and rendered with [Printf]; [None] when the user
+   does not diverge at all. *)
+let reference_block ~prior db user =
+  let tokens d =
+    Token_db.fold (fun acc tok ~spam:_ ~ham:_ -> tok :: acc) [] d
+  in
+  let counts d tok = (Token_db.spam_count d tok, Token_db.ham_count d tok) in
+  let rows =
+    List.sort_uniq String.compare (tokens db @ tokens prior)
+    |> List.filter (fun tok -> counts db tok <> counts prior tok)
+  in
+  let nspam = Token_db.nspam db and nham = Token_db.nham db in
+  if rows = [] && nspam = Token_db.nspam prior && nham = Token_db.nham prior
+  then None
+  else begin
+    let b = Buffer.create 256 in
+    Printf.bprintf b "u\t%s\t%d\t%d\t%d\n" (escape user) nspam nham
+      (List.length rows);
+    List.iter
+      (fun tok ->
+        let spam, ham = counts db tok in
+        Printf.bprintf b "%s\t%d\t%d\n" (escape tok) spam ham)
+      rows;
+    Some (Buffer.contents b)
+  end
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+  really_input_string ic (in_channel_length ic)
+
+(* Every user block of every segment in [dir], as its bytes. *)
+let segment_blocks dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".seg")
+  |> List.concat_map (fun f ->
+         let lines =
+           String.split_on_char '\n' (read_file (Filename.concat dir f))
+         in
+         let rec blocks acc = function
+           | uline :: rest when String.starts_with ~prefix:"u\t" uline ->
+               let nrows =
+                 int_of_string (List.nth (String.split_on_char '\t' uline) 4)
+               in
+               let rows = List.filteri (fun i _ -> i < nrows) rest in
+               let block =
+                 String.concat "" (List.map (fun l -> l ^ "\n") (uline :: rows))
+               in
+               blocks (block :: acc) (List.filteri (fun i _ -> i >= nrows) rest)
+           | _ -> acc
+         in
+         blocks [] (List.tl lines))
+
+let segment_tests =
+  let runs = ref 0 in
+  let prop seeds =
+    with_tmp_dir @@ fun dir ->
+    (* Odd-length tokens get a suffix no earlier run used, and the
+       intern table freezes halfway through the trace: the compacted
+       rows mix rank-ordered ids with ids interned after the freeze. *)
+    incr runs;
+    let late tok =
+      if String.length tok mod 2 = 1 then Printf.sprintf "%s\x01run%d" tok !runs
+      else tok
+    in
+    let msgs = Array.map (Array.map late) nasty_messages in
+    let ops =
+      ops_of_seeds ~msgs ~name:(Array.get nasty_users)
+        ~users:(Array.length nasty_users) seeds
+    in
+    let mem = open_exn ~prior:(make_nasty_prior ()) mem_config in
+    let sh = open_exn ~prior:(make_nasty_prior ()) (sharded_config dir) in
+    Fun.protect ~finally:(fun () -> Store.close sh) @@ fun () ->
+    List.iteri
+      (fun i op ->
+        if i = List.length ops / 2 then Spamlab_spambayes.Intern.freeze ();
+        apply mem op;
+        apply sh op)
+      ops;
+    Store.compact_all sh;
+    let want =
+      Array.to_list nasty_users
+      |> List.filter_map (fun u ->
+             Store.with_user mem u (fun db ->
+                 reference_block ~prior:(Store.prior mem) db u))
+      |> List.sort String.compare
+    in
+    Alcotest.(check (list string))
+      "compacted user blocks" want
+      (List.sort String.compare (segment_blocks dir));
+    true
+  in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:30
+         ~name:"segment blocks == reference renderer (escapes, late ids)"
+         seeds_gen prop);
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Crash edges. *)
 
 let journal_files dir =
@@ -198,11 +344,6 @@ let journal_files dir =
   |> List.filter (fun f -> Filename.check_suffix f ".journal")
   |> List.sort compare
   |> List.map (Filename.concat dir)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
-  really_input_string ic (in_channel_length ic)
 
 let write_file path data =
   let oc = open_out_bin path in
@@ -367,6 +508,37 @@ let semantics_tests =
         check_bool "ops journaled" true (s.Store.journal_ops >= 8);
         check_bool "bytes journaled" true (s.Store.journal_bytes > 0);
         check_bool "evictions under pressure" true (s.Store.evictions > 0));
+    test_case "duplicate tokens collapse in order; journal bytes pinned"
+      (fun () ->
+        with_tmp_dir @@ fun dir ->
+        let cfg =
+          { (sharded_config dir) with Store.shards = 1; compact_ratio = 1e9 }
+        in
+        let sh = open_exn cfg in
+        Store.train sh ~user:"alice" Label.Spam [| "b"; "a"; "b"; "c"; "a" |];
+        Store.train sh ~user:"alice" Label.Ham [| "a"; "b"; "c" |];
+        Store.train_many sh ~user:"alice" Label.Spam
+          [| "tab\tx"; ""; "tab\tx" |]
+          2;
+        Store.with_user sh "alice" (fun db ->
+            check_int "a duplicate counts once" 1 (Token_db.spam_count db "b");
+            check_int "once per message of k" 2
+              (Token_db.spam_count db "tab\tx"));
+        Store.close sh;
+        let record fields =
+          let prefix = String.concat "\t" fields ^ "\t" in
+          Printf.sprintf "%scrc=%08x\n" prefix (crc32 prefix)
+        in
+        check_string "journal bytes"
+          (String.concat ""
+             [
+               "spamlab-store-journal 1 0 1 seg_crc=00000000\n";
+               record [ "T"; "alice"; "s"; "1"; "b"; "a"; "c" ];
+               record [ "T"; "alice"; "h"; "1"; "a"; "b"; "c" ];
+               record [ "T"; "alice"; "s"; "2"; "tab\\tx"; "" ];
+               record [ "C" ];
+             ])
+          (read_file (Filename.concat dir "shard-0000.journal")));
     test_case "is_store_dir sniffs manifests only" (fun () ->
         with_tmp_dir @@ fun dir ->
         check_bool "plain dir" false (Store.is_store_dir dir);
@@ -379,6 +551,7 @@ let () =
   Alcotest.run "store"
     [
       ("differential", differential_tests);
+      ("segment", segment_tests);
       ("crash", crash_tests);
       ("semantics", semantics_tests);
     ]
