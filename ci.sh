@@ -197,16 +197,17 @@ start_daemon() { # tag jobs [extra serve args...]
   wait_ready "$tag"
 }
 
-run_leg() { # tag jobs
-  start_daemon "$1" "$2"
-  "$spamlab" client load --socket "$sdir/$1.sock" --seed 7 \
-    > "$sdir/$1.client.txt" 2> "$sdir/$1.client.log" \
-    || { echo "FAIL: $1 client load failed"; cat "$sdir/$1.client.log"; exit 1; }
-  "$spamlab" client stats --socket "$sdir/$1.sock" \
-    | grep -v '^latency\.' > "$sdir/$1.stats.txt"
+run_leg() { # tag jobs [extra serve args...]
+  leg=$1; lj=$2; shift 2
+  start_daemon "$leg" "$lj" "$@"
+  "$spamlab" client load --socket "$sdir/$leg.sock" --seed 7 \
+    > "$sdir/$leg.client.txt" 2> "$sdir/$leg.client.log" \
+    || { echo "FAIL: $leg client load failed"; cat "$sdir/$leg.client.log"; exit 1; }
+  "$spamlab" client stats --socket "$sdir/$leg.sock" \
+    | grep -v '^latency\.' > "$sdir/$leg.stats.txt"
   kill -TERM "$daemon_pid"
   wait "$daemon_pid" \
-    || { echo "FAIL: $1 daemon exited nonzero on SIGTERM"; exit 1; }
+    || { echo "FAIL: $leg daemon exited nonzero on SIGTERM"; exit 1; }
 }
 
 run_leg sj1 1
@@ -232,6 +233,24 @@ cmp -s "$sdir/sj1.stats.txt" "$sdir/sj4.stats.txt" \
 cmp -s "$sdir/sj1.db" "$sdir/sj4.db" \
   || { echo "FAIL: published db differs between daemon --jobs 1 and 4"; exit 1; }
 echo "serve: daemon jobs 1 == jobs 4 (client stdout, STATS, db)"
+
+say "serve soak: cross-jobs determinism, bogofilter tokenizer"
+# Bogofilter mines every header, so it is the tokenizer that shows
+# what TRAIN ingests: the headers CLASSIFY's raw ingest suppresses
+# (Date, Message-ID, ...) must never be learned either.
+run_leg bj1 1 --tokenizer bogofilter
+run_leg bj4 4 --tokenizer bogofilter
+for f in client.txt stats.txt db; do
+  cmp -s "$sdir/bj1.$f" "$sdir/bj4.$f" \
+    || { echo "FAIL: bogofilter $f differs between daemon --jobs 1 and 4"; \
+         diff -u "$sdir/bj1.$f" "$sdir/bj4.$f" | head -20; exit 1; }
+done
+grep -q '^subject:' "$sdir/bj1.db" \
+  || { echo "FAIL: bogofilter db holds no mined subject: row"; exit 1; }
+if grep -n -e '^date:' -e '^message-id:' "$sdir/bj1.db" | head -5 | grep .; then
+  echo "FAIL: bogofilter db holds suppressed-header rows (above)"; exit 1
+fi
+echo "serve (bogofilter): daemon jobs 1 == jobs 4 (client stdout, STATS, db); no date:/message-id: rows"
 
 say "serve soak: crash mid-TRAIN, restart, replay"
 # The second publish crashes the daemon (exit 70) partway through the

@@ -7,7 +7,6 @@ module Intern = Spamlab_spambayes.Intern
 module Token_db = Spamlab_spambayes.Token_db
 module Prob_cache = Spamlab_spambayes.Prob_cache
 module Tokenizer = Spamlab_tokenizer.Tokenizer
-module Mbox = Spamlab_email.Mbox
 module Fault = Spamlab_fault
 module Obs = Spamlab_obs.Obs
 module Clock = Spamlab_obs.Clock
@@ -430,20 +429,40 @@ let train_ack t ~key ?user_msgs n dropped =
        | _ -> "")
        (if publish_failed then " publish_error=1" else ""))
 
+(* TRAIN/UNTRAIN bodies come in exactly as CLASSIFY's do: raw mbox
+   chunks to distinct ids, ignored headers suppressed, so the daemon
+   learns the very tokens it looks up.  Every chunk is tokenized before
+   any is applied, so a failure while tokenizing (an injected
+   [intern.grow] fault) answers ERR with nothing trained.  Malformed
+   chunks are skipped and counted. *)
+let ingest_ids t body =
+  let dropped = ref 0 in
+  let msgs =
+    List.filter_map
+      (fun (off, len) ->
+        match Ingest.unique_ids_raw t.config.tokenizer body ~off ~len with
+        | Some (ids, _raw) -> Some ids
+        | None ->
+            incr dropped;
+            None)
+      (Array.to_list (Ingest.raw_message_chunks body))
+  in
+  (msgs, !dropped)
+
 let train t cls body =
-  let msgs, dropped = Mbox.parse_lenient body in
-  List.iter (Filter.train t.delta cls) msgs;
+  let msgs, dropped = ingest_ids t body in
+  List.iter (Filter.train_ids t.delta cls) msgs;
   let n = List.length msgs in
   t.stats.train_msgs <- t.stats.train_msgs + n;
   t.stats.train_malformed <- t.stats.train_malformed + dropped;
   train_ack t ~key:"trained" n dropped
 
 let untrain t cls body =
-  let msgs, dropped = Mbox.parse_lenient body in
+  let msgs, dropped = ingest_ids t body in
   (* Token_db.untrain validates before mutating, so each message is
      all-or-nothing; an impossible untrain aborts the rest of the
      batch with the already-valid prefix applied. *)
-  List.iter (Filter.untrain t.delta cls) msgs;
+  List.iter (Filter.untrain_ids t.delta cls) msgs;
   let n = List.length msgs in
   t.stats.untrain_msgs <- t.stats.untrain_msgs + n;
   t.stats.untrain_malformed <- t.stats.untrain_malformed + dropped;
@@ -460,22 +479,20 @@ let tenant_msgs t st user =
            Token_db.nspam db + Token_db.nham db))
   else None
 
-(* Tenant training journals per-message ops against the user's overlay;
-   the shared delta is only consulted for tokenization.  A fault partway
-   through the batch (e.g. an injected journal-append failure) would
-   otherwise leave a silently-applied prefix behind an [Err] ack — the
-   client could neither drop nor retry the request safely — so the
-   applied prefix is rolled back (untrain is the exact inverse of
-   train) and the whole request is all-or-nothing. *)
+(* Tenant training journals per-message ops against the user's overlay.
+   A fault partway through the batch (e.g. an injected journal-append
+   failure) would otherwise leave a silently-applied prefix behind an
+   [Err] ack — the client could neither drop nor retry the request
+   safely — so the applied prefix is rolled back (untrain is the exact
+   inverse of train) and the whole request is all-or-nothing. *)
 let tenant_train t st user cls body =
-  let msgs, dropped = Mbox.parse_lenient body in
+  let msgs, dropped = ingest_ids t body in
   let applied = ref [] in
   (match
      List.iter
-       (fun m ->
-         let features = Filter.features t.delta m in
-         Store.train st ~user cls features;
-         applied := features :: !applied)
+       (fun ids ->
+         Store.train_ids st ~user cls ids;
+         applied := ids :: !applied)
        msgs
    with
   | () -> ()
@@ -483,10 +500,10 @@ let tenant_train t st user cls body =
       (* The undo ops traverse the same fault sites; retry transients
          hard — an abandoned undo would leave the partial prefix the
          rollback exists to prevent. *)
-      let rec undo tries features =
-        try Store.untrain st ~user cls features
+      let rec undo tries ids =
+        try Store.untrain_ids st ~user cls ids
         with exn when Fault.is_transient exn && tries < 8 ->
-          undo (tries + 1) features
+          undo (tries + 1) ids
       in
       List.iter (undo 0) !applied;
       raise e);
@@ -497,12 +514,10 @@ let tenant_train t st user cls body =
   train_ack t ~key:"trained" ?user_msgs n dropped
 
 let tenant_untrain t st user cls body =
-  let msgs, dropped = Mbox.parse_lenient body in
-  (* Store.untrain validates before journaling, so each message is
+  let msgs, dropped = ingest_ids t body in
+  (* Store.untrain_ids validates before journaling, so each message is
      all-or-nothing on disk as well as in memory. *)
-  List.iter
-    (fun m -> Store.untrain st ~user cls (Filter.features t.delta m))
-    msgs;
+  List.iter (Store.untrain_ids st ~user cls) msgs;
   let n = List.length msgs in
   t.stats.untrain_msgs <- t.stats.untrain_msgs + n;
   t.stats.untrain_malformed <- t.stats.untrain_malformed + dropped;

@@ -3,11 +3,16 @@
 
     {2 Data plane}
 
-    Classification reads an {e immutable baseline} token DB — the
-    state as of the last publish — through the zero-copy ingest path,
-    fanned across the shared domain pool ({!Spamlab_parallel}) over
-    the process-global frozen intern snapshot.  [TRAIN]/[UNTRAIN]
-    mutate a separate {e delta} filter (a copy-on-write
+    Every verb ingests its body the same way: raw mbox chunks are
+    tokenized by offsets straight to distinct interned ids, with
+    SpamAssassin's ignored headers suppressed
+    ({!Spamlab_spambayes.Ingest}), so the daemon learns exactly the
+    tokens it looks up.  Classification reads an {e immutable
+    baseline} token DB — the state as of the last publish — fanned
+    across the shared domain pool ({!Spamlab_parallel}) over the
+    process-global frozen intern snapshot.  [TRAIN]/[UNTRAIN] tokenize
+    every chunk of the request before applying any, then apply the id
+    sets to a separate {e delta} filter (a copy-on-write
     [Token_db.copy] of the baseline's lineage, so deltas cost
     O(|changes|)).  Every [publish_every] trained messages — or on an
     explicit [PUBLISH] — the delta is persisted to the crash-safe v3
@@ -21,7 +26,11 @@
     With [config.store] set, requests carrying a [User] header are
     routed to that user's per-tenant Bayes state in a
     {!Spamlab_store.Store} (created with the shared filter state as
-    its global prior).  A publish is also the store's durability point
+    its global prior), through the store's id form
+    ({!Spamlab_store.Store.train_ids}).  A tenant [TRAIN] is
+    all-or-nothing: if any message fails to apply, those already
+    applied are untrained before the [Err] answer.  A publish is also
+    the store's durability point
     ({!Spamlab_store.Store.commit}); an explicit [PUBLISH] further
     compacts every shard to its canonical bytes.  Tenant classify
     probes the same frozen intern snapshot as the shared path, so

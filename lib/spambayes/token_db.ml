@@ -3,28 +3,39 @@ module Obs = Spamlab_obs.Obs
 let db_copies = Obs.counter "spambayes.db_copies"
 let db_copy_delta_entries = Obs.counter "spambayes.db_copy_delta_entries"
 
-type counts = { mutable spam : int; mutable ham : int }
-
 (* Counts live in int arrays indexed by interned token id, offset by
    [off] so a filter that only ever sees late-interned ids (RONI trains
    thousands of tiny throwaway filters after the corpus has interned
    its whole vocabulary) does not allocate the dense prefix.
 
    Copy-on-write: [copy] shares the base arrays physically and marks
-   both sides [shared]; from then on every write goes through [delta],
-   a small id-keyed overlay holding the {e absolute} counts of touched
-   ids.  Reads consult delta first, base second.  Invariants:
-   - [shared = false] implies [delta] is empty (writes hit the arrays);
+   both sides [shared]; from then on every write goes through the
+   overlay [ov], which holds the {e absolute} counts of touched ids.
+   Reads consult the overlay first, base second.  Invariants:
+   - [shared = false] implies the overlay is empty (writes hit the
+     arrays);
    - once shared, a [t] stays shared (another copy may still hold the
      arrays), so base slots are immutable from that point on;
    - [distinct] counts ids whose combined count is non-zero, maintained
-     on every 0-to-positive / positive-to-0 transition. *)
+     on every 0-to-positive / positive-to-0 transition.
+
+   The overlay is a flat open-addressing table with linear probing:
+   slot [i] is the three ints [ov.(3i)] (the id, or [empty]),
+   [ov.(3i+1)] (spam count) and [ov.(3i+2)] (ham count), so a probe
+   and the counts it finds share a cache line, the GC has no pointer
+   to trace, and copying the table is one array blit.  Entries are
+   never removed: an id whose counts return to those of the base (or
+   to 0/0) keeps its slot.  The capacity is a power of two and doubles
+   before the load passes 3/4, so an entry costs 3 words per slot at a
+   load between 3/8 and 3/4: 4 to 8 words. *)
 type t = {
   mutable base_spam : int array;
   mutable base_ham : int array;
   mutable off : int;
   mutable shared : bool;
-  delta : (int, counts) Hashtbl.t;
+  mutable ov : int array;  (* 3 ints per slot; [||] until the first write *)
+  mutable ov_mask : int;  (* slot count - 1 *)
+  mutable ov_size : int;  (* occupied slots *)
   mutable nspam : int;
   mutable nham : int;
   mutable distinct : int;
@@ -45,32 +56,29 @@ let create () =
     base_ham = [||];
     off = 0;
     shared = false;
-    delta = Hashtbl.create 16;
+    ov = [||];
+    ov_mask = -1;
+    ov_size = 0;
     nspam = 0;
     nham = 0;
     distinct = 0;
     generation = 1;
   }
 
+(* The overlay holds plain ints, so a blit is a complete copy: no cell
+   of one side can be reached from the other. *)
 let copy t =
   t.shared <- true;
   Obs.incr db_copies;
-  Obs.add db_copy_delta_entries (Hashtbl.length t.delta);
-  (* The overlay cells are mutable records, so [Hashtbl.copy] alone
-     would leave both sides sharing them — a later [bump] on either db
-     would mutate the other's counts in place, silently (no generation
-     bump on the victim), which breaks every cache keyed on its
-     generation.  Each cell is cloned. *)
-  let delta = Hashtbl.create (max 16 (Hashtbl.length t.delta)) in
-  Hashtbl.iter
-    (fun id c -> Hashtbl.add delta id { spam = c.spam; ham = c.ham })
-    t.delta;
+  Obs.add db_copy_delta_entries t.ov_size;
   {
     base_spam = t.base_spam;
     base_ham = t.base_ham;
     off = t.off;
     shared = true;
-    delta;
+    ov = Array.copy t.ov;
+    ov_mask = t.ov_mask;
+    ov_size = t.ov_size;
     nspam = t.nspam;
     nham = t.nham;
     distinct = t.distinct;
@@ -95,19 +103,74 @@ let[@inline] base_ham_read t id =
   if i >= 0 && i < Array.length t.base_ham then Array.unsafe_get t.base_ham i
   else 0
 
-let spam_count_id t id =
-  if Hashtbl.length t.delta = 0 then base_spam_read t id
+(* ------------------------------------------------------------------ *)
+(* Overlay table. *)
+
+let empty = -1
+
+(* Multiplicative hashing, the product's high half folded into the low
+   bits the mask keeps: interned ids are dense, and this spreads runs
+   of consecutive ids over the whole table. *)
+let[@inline] home id mask =
+  let h = id * 0x9e3779b97f4a7c1 in
+  (h lxor (h lsr 32)) land mask
+
+(* The slot holding [id], or the empty slot that ends its probe run.
+   The load bound leaves an empty slot, so the probe terminates. *)
+let[@inline] find_slot ov mask id =
+  let rec go i =
+    let k = Array.unsafe_get ov (3 * i) in
+    if k = id || k = empty then i else go ((i + 1) land mask)
+  in
+  go (home id mask)
+
+(* The overlay slot of [id], or -1 when [id] has none. *)
+let[@inline] overlay_slot t id =
+  if t.ov_size = 0 then -1
   else
-    match Hashtbl.find_opt t.delta id with
-    | Some c -> c.spam
-    | None -> base_spam_read t id
+    let i = find_slot t.ov t.ov_mask id in
+    if Array.unsafe_get t.ov (3 * i) = id then i else -1
+
+let grow_overlay t =
+  let old = t.ov in
+  let slots = max 16 (2 * (t.ov_mask + 1)) in
+  let ov = Array.make (3 * slots) 0 in
+  for i = 0 to slots - 1 do
+    Array.unsafe_set ov (3 * i) empty
+  done;
+  let mask = slots - 1 in
+  for j = 0 to (Array.length old / 3) - 1 do
+    let id = Array.unsafe_get old (3 * j) in
+    if id <> empty then begin
+      let i = find_slot ov mask id in
+      Array.blit old (3 * j) ov (3 * i) 3
+    end
+  done;
+  t.ov <- ov;
+  t.ov_mask <- mask
+
+(* The write-side slot for [id] on the shared path: absolute counts,
+   initialized from base on first touch. *)
+let write_slot t id =
+  let i = overlay_slot t id in
+  if i >= 0 then i
+  else begin
+    if 4 * (t.ov_size + 1) > 3 * (t.ov_mask + 1) then grow_overlay t;
+    let i = find_slot t.ov t.ov_mask id in
+    Array.unsafe_set t.ov (3 * i) id;
+    Array.unsafe_set t.ov ((3 * i) + 1) (base_spam_read t id);
+    Array.unsafe_set t.ov ((3 * i) + 2) (base_ham_read t id);
+    t.ov_size <- t.ov_size + 1;
+    i
+  end
+
+let spam_count_id t id =
+  let i = overlay_slot t id in
+  if i < 0 then base_spam_read t id else Array.unsafe_get t.ov ((3 * i) + 1)
 
 let ham_count_id t id =
-  if Hashtbl.length t.delta = 0 then base_ham_read t id
-  else
-    match Hashtbl.find_opt t.delta id with
-    | Some c -> c.ham
-    | None -> base_ham_read t id
+  let i = overlay_slot t id in
+  if i < 0 then base_ham_read t id else Array.unsafe_get t.ov ((3 * i) + 2)
 
 (* String lookups go through [Intern.find], which never interns:
    querying an arbitrary string must not grow the global table. *)
@@ -141,28 +204,20 @@ let ensure_base t id =
     end
   end
 
-(* The write-side cell for [id] on the shared path: absolute counts,
-   initialized from base on first touch. *)
-let delta_cell t id =
-  match Hashtbl.find_opt t.delta id with
-  | Some c -> c
-  | None ->
-      let c = { spam = base_spam_read t id; ham = base_ham_read t id } in
-      Hashtbl.replace t.delta id c;
-      c
+(* Track [distinct] across a combined count going [was] -> [now]. *)
+let[@inline] note_transition t ~was ~now =
+  if was = 0 && now > 0 then t.distinct <- t.distinct + 1
+  else if was > 0 && now = 0 then t.distinct <- t.distinct - 1
 
-(* Add [k] (possibly negative) to one class count of [id], maintaining
-   [distinct] across zero transitions. *)
+(* Add [k] (possibly negative) to one class count of [id]. *)
 let bump t label id k =
   if t.shared then begin
-    let c = delta_cell t id in
-    let was = c.spam + c.ham in
-    (match label with
-    | Label.Spam -> c.spam <- c.spam + k
-    | Label.Ham -> c.ham <- c.ham + k);
-    let now = c.spam + c.ham in
-    if was = 0 && now > 0 then t.distinct <- t.distinct + 1
-    else if was > 0 && now = 0 then t.distinct <- t.distinct - 1
+    let s = (3 * write_slot t id) + 1 in
+    let ov = t.ov in
+    let was = Array.unsafe_get ov s + Array.unsafe_get ov (s + 1) in
+    let c = match label with Label.Spam -> s | Label.Ham -> s + 1 in
+    Array.unsafe_set ov c (Array.unsafe_get ov c + k);
+    note_transition t ~was ~now:(was + k)
   end
   else begin
     ensure_base t id;
@@ -172,9 +227,7 @@ let bump t label id k =
     in
     let was = t.base_spam.(i) + t.base_ham.(i) in
     arr.(i) <- arr.(i) + k;
-    let now = t.base_spam.(i) + t.base_ham.(i) in
-    if was = 0 && now > 0 then t.distinct <- t.distinct + 1
-    else if was > 0 && now = 0 then t.distinct <- t.distinct - 1
+    note_transition t ~was ~now:(was + k)
   end
 
 let train_ids t label ids =
@@ -209,29 +262,34 @@ let untrain_ids t label ids =
      The check is occurrence-aware: an id appearing m times in [ids]
      needs a count of at least m — checking mere presence per distinct
      id would let the decrement loop drive a duplicated token negative
-     (and previously raised Not_found mid-loop, after mutation). *)
+     (and previously raised Not_found mid-loop, after mutation).  The
+     error names the byte-least short token, so it does not depend on
+     the order of [ids] (id order follows interning order). *)
   let mult = Hashtbl.create (Array.length ids) in
   Array.iter
     (fun id ->
       Hashtbl.replace mult id
         (1 + Option.value ~default:0 (Hashtbl.find_opt mult id)))
     ids;
-  Array.iter
-    (fun id ->
-      match Hashtbl.find_opt mult id with
-      | None -> () (* later duplicate of an already-validated id *)
-      | Some m ->
-          Hashtbl.remove mult id;
-          let have =
-            match label with
-            | Label.Spam -> spam_count_id t id
-            | Label.Ham -> ham_count_id t id
-          in
-          if have < m then
-            invalid_arg
-              (Printf.sprintf "Token_db.untrain: token %S was never trained"
-                 (Intern.to_string id)))
-    ids;
+  let short = ref None in
+  Hashtbl.iter
+    (fun id m ->
+      let have =
+        match label with
+        | Label.Spam -> spam_count_id t id
+        | Label.Ham -> ham_count_id t id
+      in
+      if have < m then
+        let tok = Intern.to_string id in
+        match !short with
+        | Some s when String.compare s tok <= 0 -> ()
+        | _ -> short := Some tok)
+    mult;
+  Option.iter
+    (fun tok ->
+      invalid_arg
+        (Printf.sprintf "Token_db.untrain: token %S was never trained" tok))
+    !short;
   touch t;
   (match label with
   | Label.Spam -> t.nspam <- t.nspam - 1
@@ -240,24 +298,32 @@ let untrain_ids t label ids =
 
 let untrain t label tokens = untrain_ids t label (Intern.intern_array tokens)
 
+let iter_overlay f t =
+  let ov = t.ov in
+  for i = 0 to t.ov_mask do
+    let id = Array.unsafe_get ov (3 * i) in
+    if id <> empty then
+      f id
+        ~spam:(Array.unsafe_get ov ((3 * i) + 1))
+        ~ham:(Array.unsafe_get ov ((3 * i) + 2))
+  done
+
 (* Every id with a non-zero combined count, with its counts, in one
-   pass: overlay cells first (marking their base slots), then the
-   unmarked base slots — no per-slot overlay lookup.  Skipping
+   pass: overlay slots first (marking their base slots), then the
+   unmarked base slots — no per-slot overlay probe.  Skipping
    combined-zero entries keeps the observable contents those of the
    old hashtable representation (which removed emptied tokens).  Order
    is unspecified; every caller sorts (save, good-word ranking) or
    folds commutatively. *)
 let iter_counts f t =
   let len = Array.length t.base_spam in
-  let overlaid =
-    Bytes.make (if Hashtbl.length t.delta = 0 then 0 else len) '\000'
-  in
-  Hashtbl.iter
-    (fun id c ->
+  let overlaid = Bytes.make (if t.ov_size = 0 then 0 else len) '\000' in
+  iter_overlay
+    (fun id ~spam ~ham ->
       let i = id - t.off in
       if i >= 0 && i < len then Bytes.unsafe_set overlaid i '\001';
-      if c.spam <> 0 || c.ham <> 0 then f id ~spam:c.spam ~ham:c.ham)
-    t.delta;
+      if spam <> 0 || ham <> 0 then f id ~spam ~ham)
+    t;
   let marked = Bytes.length overlaid > 0 in
   for i = 0 to len - 1 do
     let spam = Array.unsafe_get t.base_spam i
@@ -400,13 +466,12 @@ let set_counts_id t id ~spam ~ham =
     invalid_arg "Token_db.set_counts_id: negative count";
   touch t;
   if t.shared then begin
-    let c = delta_cell t id in
-    let was = c.spam + c.ham in
-    c.spam <- spam;
-    c.ham <- ham;
-    let now = spam + ham in
-    if was = 0 && now > 0 then t.distinct <- t.distinct + 1
-    else if was > 0 && now = 0 then t.distinct <- t.distinct - 1
+    let s = (3 * write_slot t id) + 1 in
+    let ov = t.ov in
+    let was = Array.unsafe_get ov s + Array.unsafe_get ov (s + 1) in
+    Array.unsafe_set ov s spam;
+    Array.unsafe_set ov (s + 1) ham;
+    note_transition t ~was ~now:(spam + ham)
   end
   else begin
     let len = Array.length t.base_spam in
@@ -419,9 +484,7 @@ let set_counts_id t id ~spam ~ham =
       let was = t.base_spam.(i) + t.base_ham.(i) in
       t.base_spam.(i) <- spam;
       t.base_ham.(i) <- ham;
-      let now = spam + ham in
-      if was = 0 && now > 0 then t.distinct <- t.distinct + 1
-      else if was > 0 && now = 0 then t.distinct <- t.distinct - 1
+      note_transition t ~was ~now:(spam + ham)
     end
   end
 
@@ -432,11 +495,8 @@ let set_message_counts t ~nspam ~nham =
   t.nspam <- nspam;
   t.nham <- nham
 
-let overlay_size t = Hashtbl.length t.delta
-let overlay_mem t id = Hashtbl.mem t.delta id
-
-let iter_overlay f t =
-  Hashtbl.iter (fun id c -> f id ~spam:c.spam ~ham:c.ham) t.delta
+let overlay_size t = t.ov_size
+let overlay_mem t id = overlay_slot t id >= 0
 
 (* CRC-32 (IEEE 802.3, polynomial 0xedb88320), table-driven.  The v3
    footer checksums the header and every entry line, so a truncated or

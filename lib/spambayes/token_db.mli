@@ -17,9 +17,17 @@
     the id path; both views are always coherent.
 
     {!copy} is copy-on-write: the copy shares the base count arrays and
-    both sides write subsequent changes into a small per-instance
-    overlay, so copying costs O(|changes since the last copy|) — O(1)
-    for the ubiquitous copy-then-poison pattern — instead of O(|DB|).
+    both sides write subsequent changes into a per-instance overlay, so
+    copying costs O(|ids touched since the base arrays were shared|) —
+    O(1) for the ubiquitous copy-then-poison pattern — instead of
+    O(|DB|).
+
+    The overlay is a flat open-addressing table over ids (linear
+    probing, power-of-two capacity, doubled before the load passes
+    3/4): each slot is three ints — the id and its absolute spam and
+    ham counts — in one int array.  A read probes it only when it is
+    non-empty; a write is an array slot, not an allocated cell; and an
+    entry costs 4 to 8 words.  Entries are never removed.
 
     One representational consequence: an entry whose counts return to
     0/0 (or is loaded as 0/0) is indistinguishable from an absent one.
@@ -33,10 +41,12 @@ val create : unit -> t
 
 val copy : t -> t
 (** Logically-deep copy: mutations of the copy never affect the
-    original, and vice versa.  O(|delta|) where delta is the set of
-    tokens either side touched since the arrays were last materially
-    copied — O(1) in the RONI / poisoning pattern (copy a freshly
-    trained base, then train candidates into the copy). *)
+    original, and vice versa.  The copy shares the base arrays and
+    blits the overlay table, so it costs O(overlay capacity): O(1) in
+    the RONI / poisoning pattern (copy a freshly trained base, then
+    train candidates into the copy), and one array copy of at most
+    [8 × overlay_size] words otherwise.  The table holds only ints, so
+    no state can be shared between the two sides. *)
 
 val nspam : t -> int
 (** Number of spam messages trained. *)
@@ -92,7 +102,8 @@ val untrain : t -> Label.gold -> string array -> unit
     recorded count of at least m — and happens entirely before any
     mutation, so a failed untrain leaves the database intact.
     @raise Invalid_argument if it would drive any count negative
-    (indicates the message was never trained). *)
+    (indicates the message was never trained); the message names the
+    byte-least such token, whatever the order of the array. *)
 
 val untrain_ids : t -> Label.gold -> int array -> unit
 
@@ -117,14 +128,15 @@ val overlay_size : t -> int
 
 val overlay_mem : t -> int -> bool
 (** [overlay_mem t id] is true when [id] has a copy-on-write overlay
-    cell — i.e. was touched since this instance last shared its base
-    arrays.  O(1).  The tenant scoring fast path uses this as the
+    slot — i.e. was touched since this instance last shared its base
+    arrays.  One probe of the overlay table; no probe at all while the
+    overlay is empty.  The tenant scoring fast path uses this as the
     per-overlay dirty set: an id {e not} in the overlay reads the same
     counts as the shared prior, so (when the message totals also agree)
     its cached prior probability is valid for the tenant. *)
 
 val iter_overlay : (int -> spam:int -> ham:int -> unit) -> t -> unit
-(** Visit {e only} the copy-on-write overlay cells: each visited id was
+(** Visit {e only} the copy-on-write overlay slots: each visited id was
     touched since the last share, and [spam]/[ham] are its current
     absolute counts (possibly equal to the shared base's, possibly
     0/0).  Order is unspecified.  This is how the sharded store

@@ -116,33 +116,38 @@ let next_line data pos =
    The CRC covers every byte of the line up to and including the tab
    that precedes it. *)
 
-type op = {
+(* One op record.  The write path carries interned ids ([int op]) from
+   the entry point to the journal; the journal parser yields strings
+   ([string op]), which replay interns once. *)
+type 'tok op = {
   op_kind : [ `Train | `Untrain ];
   op_label : Label.gold;
   op_k : int;
-  op_tokens : string array;
+  op_tokens : 'tok array;
 }
 
 (* Append one op record to [b] (the shard's pending buffer) in place:
    a dictionary-attack record runs to hundreds of KB, so it is written
-   once and its CRC is taken where it lies. *)
-let add_op_line b kind user label k tokens =
+   once and its CRC is taken where it lies.  Tokens go out in the
+   order of [op.op_tokens]. *)
+let add_op_line b user op =
   let start = Buffer.length b in
-  Buffer.add_string b (match kind with `Train -> "T" | `Untrain -> "U");
+  Buffer.add_string b (match op.op_kind with `Train -> "T" | `Untrain -> "U");
   Buffer.add_char b '\t';
   Token_db.add_escaped b user;
   Buffer.add_char b '\t';
-  Buffer.add_char b (match label with Label.Spam -> 's' | Label.Ham -> 'h');
-  (match kind with
+  Buffer.add_char b
+    (match op.op_label with Label.Spam -> 's' | Label.Ham -> 'h');
+  (match op.op_kind with
   | `Train ->
       Buffer.add_char b '\t';
-      Buffer.add_string b (string_of_int k)
+      Buffer.add_string b (string_of_int op.op_k)
   | `Untrain -> ());
   Array.iter
-    (fun tok ->
+    (fun id ->
       Buffer.add_char b '\t';
-      Token_db.add_escaped b tok)
-    tokens;
+      Token_db.add_escaped b (Intern.to_string id))
+    op.op_tokens;
   Buffer.add_char b '\t';
   let crc =
     Token_db.crc_finish
@@ -157,7 +162,9 @@ let parse_label = function
   | "h" -> Some Label.Ham
   | _ -> None
 
-(* Parse one journal line (without its newline). *)
+(* Parse one journal line (without its newline).  Tokens stay strings:
+   the scans on open and in [verify_dir] only need the user, and
+   replay interns them once. *)
 let parse_op_line line =
   let n = String.length line in
   (* ...\tcrc=XXXXXXXX — 13 tail bytes including the tab. *)
@@ -461,10 +468,9 @@ let apply_block db block =
           done)
 
 let apply_op db op =
-  let ids = Intern.intern_array op.op_tokens in
   match op.op_kind with
-  | `Train -> Token_db.train_many_ids db op.op_label ids op.op_k
-  | `Untrain -> Token_db.untrain_ids db op.op_label ids
+  | `Train -> Token_db.train_many_ids db op.op_label op.op_tokens op.op_k
+  | `Untrain -> Token_db.untrain_ids db op.op_label op.op_tokens
 
 (* ------------------------------------------------------------------ *)
 (* Shard open: read the segment into an extent index, then recover the
@@ -629,7 +635,9 @@ let materialize t sh user =
       List.iter
         (fun e ->
           match parse_op_line (pread jfd e.e_off e.e_len) with
-          | `Op (_, op) -> apply_op db op
+          | `Op (_, op) ->
+              apply_op db
+                { op with op_tokens = Intern.intern_array op.op_tokens }
           | `Commit | `Bad _ ->
               raise
                 (Sys_error
@@ -913,7 +921,7 @@ let sharded_op t user op =
       let db = overlay t sh user in
       Fault.check "store.journal.append";
       let blen = Buffer.length sh.sh_buf in
-      add_op_line sh.sh_buf op.op_kind user op.op_label op.op_k op.op_tokens;
+      add_op_line sh.sh_buf user op;
       let len = Buffer.length sh.sh_buf - blen in
       let ext = { e_off = sh.sh_jlen + blen; e_len = len - 1 } in
       let exts =
@@ -976,24 +984,40 @@ let distinct tokens =
          (Array.to_list tokens))
   end
 
-let train t ~user label tokens =
-  run_op t user
-    { op_kind = `Train; op_label = label; op_k = 1; op_tokens = distinct tokens }
+(* The string forms intern once, up front, and journal the tokens in
+   the order [distinct] leaves them. *)
+let string_op kind label k tokens =
+  {
+    op_kind = kind;
+    op_label = label;
+    op_k = k;
+    op_tokens = Intern.intern_array (distinct tokens);
+  }
+
+(* The id form lists its distinct ids in byte order of their strings:
+   the order the string form journals the sorted tokens of the
+   tokenizers, so the record bytes do not depend on the form, on id
+   order, or on interning order. *)
+let id_op kind label ids =
+  let order = Intern.byte_order ids (Array.length ids) in
+  {
+    op_kind = kind;
+    op_label = label;
+    op_k = 1;
+    op_tokens = Array.map (fun pos -> Array.unsafe_get ids pos) order;
+  }
+
+let train t ~user label tokens = run_op t user (string_op `Train label 1 tokens)
 
 let train_many t ~user label tokens k =
   if k < 0 then invalid_arg "Store.train_many: negative count";
-  if k > 0 then
-    run_op t user
-      {
-        op_kind = `Train;
-        op_label = label;
-        op_k = k;
-        op_tokens = distinct tokens;
-      }
+  if k > 0 then run_op t user (string_op `Train label k tokens)
 
 let untrain t ~user label tokens =
-  run_op t user
-    { op_kind = `Untrain; op_label = label; op_k = 1; op_tokens = distinct tokens }
+  run_op t user (string_op `Untrain label 1 tokens)
+
+let train_ids t ~user label ids = run_op t user (id_op `Train label ids)
+let untrain_ids t ~user label ids = run_op t user (id_op `Untrain label ids)
 
 let iter_inited_shards t f =
   Array.iter

@@ -133,11 +133,31 @@ val with_user_engine :
     bit-identical to scoring the overlay db uncached.  Same locking
     contract as {!with_user}; the engine must not escape [f]. *)
 
+val train_ids :
+  t -> user:string -> Spamlab_spambayes.Label.gold -> int array -> unit
+(** Journal and apply one training message for [user], given as the
+    message's {e distinct} interned ids in any order (as
+    {!Spamlab_spambayes.Ingest.unique_ids_raw} yields them) — the
+    daemon's write path.  The record lists the tokens in byte order of
+    their strings ({!Spamlab_spambayes.Intern.byte_order}), so its
+    bytes equal those {!train} journals for the same message's sorted
+    tokens, whatever the ids' order or interning history.  Ops mutate
+    only the user's overlay, never the prior. *)
+
+val untrain_ids :
+  t -> user:string -> Spamlab_spambayes.Label.gold -> int array -> unit
+(** Inverse of {!train_ids}.  Validation precedes any mutation {e and}
+    any journaling, so a failed untrain leaves both memory and disk
+    untouched.
+    @raise Invalid_argument if the message was never trained. *)
+
 val train : t -> user:string -> Spamlab_spambayes.Label.gold -> string array -> unit
-(** Journal and apply one training message for [user].  [tokens] are
-    the message's distinct tokens; duplicates are collapsed (a message
-    contributes each token once, whatever its occurrence count).  Ops
-    mutate only the user's overlay, never the prior. *)
+(** {!train_ids} on token strings, interned once up front.
+    Duplicates are collapsed (a message contributes each token once,
+    whatever its occurrence count); the record lists the tokens in
+    the order given, first occurrences only — strictly ascending
+    input, the tokenizers' [unique_tokens] form, journals exactly as
+    {!train_ids} does. *)
 
 val train_many :
   t -> user:string -> Spamlab_spambayes.Label.gold -> string array -> int -> unit
@@ -146,9 +166,7 @@ val train_many :
 
 val untrain :
   t -> user:string -> Spamlab_spambayes.Label.gold -> string array -> unit
-(** Inverse of {!train}.  Validation precedes any mutation {e and} any
-    journaling, so a failed untrain leaves both memory and disk
-    untouched.
+(** Inverse of {!train}, validated like {!untrain_ids}.
     @raise Invalid_argument if the message was never trained. *)
 
 val commit : t -> unit

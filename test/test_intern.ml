@@ -312,15 +312,22 @@ let universe =
     "back\\slash"; "cr\rinside"; "unicode-é";
   |]
 
+(* A few thousand more: an overlay trained from this universe outgrows
+   its first table several times over. *)
+let big_universe =
+  Array.append universe (Array.init 3000 (Printf.sprintf "grown-%04d"))
+
 type op =
-  | Train of Label.gold * int array  (* indices into [universe] *)
+  | Train of Label.gold * int array  (* indices into the universe *)
   | Train_many of Label.gold * int array * int
   | Untrain of int  (* index into the list of previously trained msgs *)
 
-let gen_ops =
+let gen_ops_in ?(max_msg = 6) universe =
   let open QCheck2.Gen in
   let label = map (fun b -> if b then Label.Spam else Label.Ham) bool in
-  let msg = array_size (int_range 0 6) (int_range 0 (Array.length universe - 1)) in
+  let msg =
+    array_size (int_range 0 max_msg) (int_range 0 (Array.length universe - 1))
+  in
   let op =
     frequency
       [
@@ -331,9 +338,11 @@ let gen_ops =
   in
   list_size (int_range 0 40) op
 
+let gen_ops = gen_ops_in universe
+
 (* Messages honor the documented contract (deduplicated token arrays);
    duplicate-token behavior is pinned separately above. *)
-let resolve ?(rename = Fun.id) idx =
+let resolve ?(universe = universe) ?(rename = Fun.id) idx =
   Array.to_list idx
   |> List.map (fun i -> rename universe.(i))
   |> List.sort_uniq String.compare
@@ -342,13 +351,14 @@ let resolve ?(rename = Fun.id) idx =
 (* Applies a trace to both implementations.  Untrains only ever target a
    message recorded as trained (and still un-untrained), so both sides
    stay on the defined part of the API.  [rename] maps the universe
-   onto the token strings actually trained. *)
-let apply_trace ?rename ops db rdb =
-  let resolve = resolve ?rename in
+   onto the token strings actually trained; [after] runs after each
+   op with its index. *)
+let apply_trace ?universe ?rename ?(after = fun _ -> ()) ops db rdb =
+  let resolve = resolve ?universe ?rename in
   let trained = ref [] in
-  List.iter
-    (fun op ->
-      match op with
+  List.iteri
+    (fun step op ->
+      (match op with
       | Train (label, idx) ->
           let tokens = resolve idx in
           Token_db.train db label tokens;
@@ -370,10 +380,11 @@ let apply_trace ?rename ops db rdb =
               Token_db.untrain db label tokens;
               Ref_db.untrain rdb label tokens;
               trained :=
-                List.filteri (fun j _ -> j <> i mod n) l))
+                List.filteri (fun j _ -> j <> i mod n) l));
+      after step)
     ops
 
-let agree ?(rename = Fun.id) db rdb =
+let agree ?(universe = universe) ?(rename = Fun.id) db rdb =
   Token_db.nspam db = rdb.Ref_db.nspam
   && Token_db.nham db = rdb.Ref_db.nham
   && Token_db.distinct_tokens db = Ref_db.distinct rdb
@@ -468,25 +479,43 @@ let differential_tests =
 (* ------------------------------------------------------------------ *)
 (* Copy-on-write vs deep copy                                          *)
 
+(* Either the small universe, or the big one with long messages, whose
+   overlays cross several table resizes. *)
 let gen_three_traces =
   let open QCheck2.Gen in
-  triple gen_ops gen_ops gen_ops
+  let traces universe ops =
+    map (fun (a, b, c) -> (universe, a, b, c)) (triple ops ops ops)
+  in
+  oneof
+    [
+      traces universe gen_ops;
+      traces big_universe (gen_ops_in ~max_msg:200 big_universe);
+    ]
 
 let cow_tests =
   [
     qtest ~count:100 "overlay copy behaves exactly like a deep copy"
       gen_three_traces
-      (fun (base_ops, a_ops, b_ops) ->
+      (fun (universe, base_ops, a_ops, b_ops) ->
         (* CoW world: one base, one copy, divergent mutations. *)
         let db = Token_db.create () and rdb = Ref_db.create () in
-        apply_trace base_ops db rdb;
+        apply_trace ~universe base_ops db rdb;
         let db_copy = Token_db.copy db in
         let rdb_copy = Ref_db.copy rdb in
-        apply_trace a_ops db rdb;
-        apply_trace b_ops db_copy rdb_copy;
+        (* Copies of the growing side, taken between its growth steps,
+           must keep what they held while it resizes on. *)
+        let snapshots = ref [] in
+        let after i =
+          if i mod 8 = 7 then
+            snapshots := (Token_db.copy db, Ref_db.copy rdb) :: !snapshots
+        in
+        apply_trace ~universe ~after a_ops db rdb;
+        apply_trace ~universe b_ops db_copy rdb_copy;
         (* Each side must match a reference that was deep-copied, i.e.
            neither side's mutations may leak into the other. *)
-        agree db rdb && agree db_copy rdb_copy
+        agree ~universe db rdb
+        && agree ~universe db_copy rdb_copy
+        && List.for_all (fun (s, r) -> agree ~universe s r) !snapshots
         && scores_agree db rdb
         && scores_agree db_copy rdb_copy);
     test_case "copy chains stay independent" (fun () ->

@@ -11,6 +11,11 @@ module Filter = Spamlab_spambayes.Filter
 module Header = Spamlab_email.Header
 module Message = Spamlab_email.Message
 module Mbox = Spamlab_email.Mbox
+module Tokenizer = Spamlab_tokenizer.Tokenizer
+module Ingest = Spamlab_spambayes.Ingest
+module Intern = Spamlab_spambayes.Intern
+module Token_db = Spamlab_spambayes.Token_db
+module Store = Spamlab_store.Store
 
 let test_case name f = Alcotest.test_case name `Quick f
 
@@ -468,29 +473,45 @@ let protocol_tests =
 (* ------------------------------------------------------------------ *)
 (* serve_connection: framing errors answer once and close              *)
 
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter
+      (fun name -> remove_tree (Filename.concat path name))
+      (Sys.readdir path);
+    try Unix.rmdir path with Unix.Unix_error _ -> ()
+  end
+  else try Sys.remove path with Sys_error _ -> ()
+
 let with_temp_dir f =
   let dir = Filename.temp_file "spamlab_serve" ".dir" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter
-        (fun name -> try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
-        (Sys.readdir dir);
-      try Unix.rmdir dir with Unix.Unix_error _ -> ())
-  @@ fun () -> f dir
+  Fun.protect ~finally:(fun () -> remove_tree dir) @@ fun () -> f dir
 
-let with_daemon_state ?(publish_every = 4) f =
+(* A daemon without a socket, in a fresh directory [dir]: its db is
+   [dir/db.bin] and, with [~store:true], its tenant store [dir/store]. *)
+let with_daemon_state ?(publish_every = 4) ?(tokenizer = Tokenizer.spambayes)
+    ?(store = false) f =
   with_temp_dir @@ fun dir ->
   let config =
     {
       (Daemon.default_config ~db_path:(Filename.concat dir "db.bin") ()) with
       Daemon.publish_every;
+      tokenizer;
+      store =
+        (if store then
+           Some
+             {
+               Store.default_config with
+               Store.backend = `Sharded (Filename.concat dir "store");
+             }
+         else None);
     }
   in
   match Daemon.create config with
   | Error e -> Alcotest.fail e
-  | Ok t -> Fun.protect ~finally:(fun () -> Daemon.shutdown t) @@ fun () -> f t
+  | Ok t ->
+      Fun.protect ~finally:(fun () -> Daemon.shutdown t) @@ fun () -> f t dir
 
 (* Feed raw bytes into serve_connection over a socketpair; return the
    daemon's raw reply bytes. *)
@@ -519,7 +540,7 @@ let count_lines_with prefix s =
 let connection_tests =
   [
     test_case "malformed frame: exactly one ERR line, then close" (fun () ->
-        with_daemon_state @@ fun t ->
+        with_daemon_state @@ fun t _ ->
         List.iter
           (fun raw ->
             let reply = converse t raw in
@@ -534,7 +555,7 @@ let connection_tests =
           ]);
     test_case "valid pipeline after which garbage: replies then one ERR"
       (fun () ->
-        with_daemon_state @@ fun t ->
+        with_daemon_state @@ fun t _ ->
         let wire =
           Protocol.render_request { Protocol.verb = Protocol.Ping; body = ""; user = None }
           ^ Protocol.render_request { Protocol.verb = Protocol.Ping; body = ""; user = None }
@@ -547,12 +568,12 @@ let connection_tests =
       QCheck2.Gen.(
         string_size ~gen:(map Char.chr (int_range 0 255)) (int_range 0 300))
       (fun junk ->
-        with_daemon_state @@ fun t ->
+        with_daemon_state @@ fun t _ ->
         (* Must terminate and never raise; reply shape is free. *)
         ignore (converse t junk);
         true);
     test_case "valid frames survive serve.read transient faults" (fun () ->
-        with_daemon_state @@ fun t ->
+        with_daemon_state @@ fun t _ ->
         (match Fault.configure "serve.read:transient@1+2+5" with
         | Ok () -> ()
         | Error e -> Alcotest.fail e);
@@ -943,6 +964,136 @@ let e2e_tests =
         check_string "summaries" unarmed armed);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The write path: TRAIN ingests like CLASSIFY, tenant TRAIN rolls back *)
+
+let local t ?user verb body = Daemon.handle_request t { Protocol.verb; body; user }
+
+let local_ok t ?user verb body =
+  match local t ?user verb body with
+  | Protocol.Ok p -> p
+  | Protocol.Err e -> Alcotest.failf "daemon error: %s" e
+  | Protocol.Busy -> Alcotest.fail "unexpected BUSY"
+
+(* Headers SpamAssassin's Bayes ignores (delivery bookkeeping, another
+   filter's verdict) beside the ones the tokenizers mine. *)
+let bookkeeping_mail =
+  msg
+    ~headers:
+      [
+        ("From", "Alice <alice@example.com>");
+        ("Subject", "cheap pills offer");
+        ("Date", "Thu, 1 Jan 2004 10:00:00 +0000");
+        ("Message-ID", "<20040101.abc123@mail.example.com>");
+        ("X-Spam-Status", "No, score=-2.6 required=5.0 tests=none");
+      ]
+    "buy cheap pills now\nlimited offer, reply today\n"
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Every published row as (token, spam, ham), sorted. *)
+let db_rows db_path =
+  match Token_db.of_string (read_file db_path) with
+  | Error e -> Alcotest.fail e
+  | Ok db ->
+      List.sort compare
+        (Token_db.fold (fun acc tok ~spam ~ham -> (tok, spam, ham) :: acc) [] db)
+
+let stat_line payload name =
+  List.find_opt
+    (String.starts_with ~prefix:(name ^ " "))
+    (String.split_on_char '\n' payload)
+
+let dir_files dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.map (fun f -> (f, read_file (Filename.concat dir f)))
+
+let write_path_tests =
+  [
+    test_case "TRAIN learns exactly the ids CLASSIFY's ingest reads"
+      (fun () ->
+        let body = mbox [ bookkeeping_mail ] in
+        (* Publish one TRAIN of [body] and return the db's rows. *)
+        let trained tokenizer =
+          with_daemon_state ~publish_every:0 ~tokenizer @@ fun t dir ->
+          ignore (local_ok t (Protocol.Train Label.Spam) body);
+          ignore (local_ok t Protocol.Publish "");
+          db_rows (Filename.concat dir "db.bin")
+        in
+        (* Bogofilter mines every header, so the string path used to
+           learn date:/message-id: tokens no CLASSIFY ever looks up. *)
+        let rows = trained Tokenizer.bogofilter in
+        let has prefix =
+          List.exists (fun (tok, _, _) -> String.starts_with ~prefix tok) rows
+        in
+        check_bool "mined headers are learned" true (has "subject:");
+        List.iter
+          (fun prefix -> check_bool ("no " ^ prefix ^ " row") false (has prefix))
+          [ "date:"; "message-id:"; "x-spam-status:" ];
+        List.iter
+          (fun (name, tokenizer) ->
+            let want =
+              match Ingest.raw_message_chunks body with
+              | [| (off, len) |] -> (
+                  match Ingest.unique_ids_raw tokenizer body ~off ~len with
+                  | Some (ids, _raw) ->
+                      List.sort compare
+                        (Array.to_list
+                           (Array.map (fun id -> (Intern.to_string id, 1, 0)) ids))
+                  | None -> Alcotest.fail "chunk is malformed")
+              | _ -> Alcotest.fail "expected one chunk"
+            in
+            Alcotest.(check (list (triple string int int)))
+              (name ^ ": rows TRAIN added") want (trained tokenizer))
+          Tokenizer.all);
+    test_case "tenant TRAIN failing mid-batch is rolled back whole" (fun () ->
+        let user = "carol" in
+        let mail i =
+          msg
+            ~headers:[ ("Subject", Printf.sprintf "quarterly numbers %d" i) ]
+            (Printf.sprintf "agenda for friday meeting item%d\n" i)
+        in
+        let eval = spam_mbox 2 ^ mbox [ mail 9 ] in
+        (* A tenant warmed up with two messages, then [f], then an
+           explicit PUBLISH; returns the store directory's files. *)
+        let run f =
+          with_daemon_state ~publish_every:0 ~store:true @@ fun t dir ->
+          ignore
+            (local_ok t ~user (Protocol.Train Label.Ham) (mbox [ mail 0; mail 1 ]));
+          f t;
+          ignore (local_ok t Protocol.Publish "");
+          dir_files (Filename.concat dir "store")
+        in
+        let untouched = run ignore in
+        let faulted =
+          run (fun t ->
+              let stats () = Daemon.stats_payload t in
+              let classify () = local_ok t ~user Protocol.Classify eval in
+              let stats_before = stats () and verdicts_before = classify () in
+              (match Fault.configure "store.journal.append:fatal@3" with
+              | Ok () -> ()
+              | Error e -> Alcotest.fail e);
+              (match
+                 Fun.protect ~finally:Fault.disable (fun () ->
+                     local t ~user (Protocol.Train Label.Spam)
+                       (mbox [ mail 2; mail 3; mail 4; mail 5 ]))
+               with
+              | Protocol.Err _ -> ()
+              | _ -> Alcotest.fail "a TRAIN whose third append fails must answer ERR");
+              List.iter
+                (fun name ->
+                  Alcotest.(check (option string))
+                    name
+                    (stat_line stats_before name)
+                    (stat_line (stats ()) name))
+                [ "train.messages"; "train.pending" ];
+              check_string "the tenant's overlay scores as before"
+                verdicts_before (classify ()))
+        in
+        Alcotest.(check (list (pair string string)))
+          "store after PUBLISH" untouched faulted);
+  ]
+
 let () =
   Alcotest.run "serve"
     [
@@ -950,4 +1101,5 @@ let () =
       ("protocol", protocol_tests);
       ("connection", connection_tests);
       ("e2e", e2e_tests);
+      ("write path", write_path_tests);
     ]

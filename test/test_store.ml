@@ -8,6 +8,7 @@
 module Store = Spamlab_store.Store
 module Token_db = Spamlab_spambayes.Token_db
 module Label = Spamlab_spambayes.Label
+module Intern = Spamlab_spambayes.Intern
 
 let check_string = Alcotest.(check string)
 let check_bool = Alcotest.(check bool)
@@ -337,6 +338,109 @@ let segment_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* The id form journals exactly what the string form does. *)
+
+(* Every byte the line format escapes, the empty token, a literal
+   backslash-t, and bytes >= 0x80 (which sort after ASCII). *)
+let id_form_vocab =
+  [|
+    ""; "tab\tin"; "cr\rin"; "nl\nin"; "back\\in"; "\\t-literal";
+    "caf\xc3\xa9"; "\xff\xfe"; "\x80"; "plain"; "zz"; "a b";
+  |]
+
+let dir_files dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.map (fun f -> (f, read_file (Filename.concat dir f)))
+
+let id_form_tests =
+  let runs = ref 0 in
+  let prop seeds =
+    incr runs;
+    let rng = Random.State.make [| !runs; Hashtbl.hash seeds |] in
+    let shuffle a =
+      let a = Array.copy a in
+      for i = Array.length a - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let x = a.(i) in
+        a.(i) <- a.(j);
+        a.(j) <- x
+      done;
+      a
+    in
+    (* Even positions are interned before the freeze; odd ones get a
+       suffix no earlier run used and are interned after it, in
+       shuffled order, so [Intern.byte_order] byte-compares them and
+       their ids follow neither byte order nor the trace. *)
+    let vocab =
+      Array.mapi
+        (fun i tok ->
+          if i mod 2 = 1 then Printf.sprintf "%s\x01id%d" tok !runs else tok)
+        id_form_vocab
+    in
+    let half r =
+      Array.of_list (List.filteri (fun i _ -> i mod 2 = r) (Array.to_list vocab))
+    in
+    let prior () =
+      let db = Token_db.create () in
+      Token_db.train db Label.Spam [| vocab.(0); vocab.(2) |];
+      Token_db.train db Label.Ham [| vocab.(4); vocab.(10) |];
+      db
+    in
+    ignore (Intern.intern_array (half 0));
+    Intern.freeze ();
+    ignore (Intern.intern_array (shuffle (half 1)));
+    (* Messages as the tokenizers hand them over: distinct, sorted. *)
+    let msgs =
+      Array.init 6 (fun _ ->
+          Array.to_list vocab
+          |> List.filter (fun _ -> Random.State.bool rng)
+          |> List.sort_uniq String.compare |> Array.of_list)
+    in
+    let ops =
+      ops_of_seeds ~msgs ~users:3 seeds
+      |> List.concat_map (function
+           | Train (u, label, msg, k) ->
+               List.init k (fun _ -> Train (u, label, msg, 1))
+           | op -> [ op ])
+    in
+    with_tmp_dir @@ fun sdir ->
+    with_tmp_dir @@ fun idir ->
+    let config dir = { (sharded_config dir) with Store.compact_ratio = 1e9 } in
+    let by_string = open_exn ~prior:(prior ()) (config sdir) in
+    let by_id = open_exn ~prior:(prior ()) (config idir) in
+    let ids msg = shuffle (Intern.intern_array msg) in
+    List.iter
+      (fun op ->
+        apply by_string op;
+        match op with
+        | Train (u, label, msg, _) -> Store.train_ids by_id ~user:u label (ids msg)
+        | Untrain (u, label, msg) -> Store.untrain_ids by_id ~user:u label (ids msg))
+      ops;
+    Store.commit by_string;
+    Store.commit by_id;
+    let same what =
+      Alcotest.(check (list (pair string string))) what (dir_files sdir)
+        (dir_files idir)
+    in
+    same "journals";
+    Store.compact_all by_string;
+    Store.compact_all by_id;
+    same "compacted store";
+    for u = 0 to 2 do
+      check_string "overlay" (snapshot by_string (user u)) (snapshot by_id (user u))
+    done;
+    Store.close by_string;
+    Store.close by_id;
+    true
+  in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:30
+         ~name:"id form journals, compacts and replays as the string form"
+         seeds_gen prop);
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Crash edges. *)
 
 let journal_files dir =
@@ -552,6 +656,7 @@ let () =
     [
       ("differential", differential_tests);
       ("segment", segment_tests);
+      ("id form", id_form_tests);
       ("crash", crash_tests);
       ("semantics", semantics_tests);
     ]
