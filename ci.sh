@@ -476,4 +476,23 @@ if grep -q '"seconds":0\.000000' "$timings" \
 fi
 echo "bench classify OK"
 
+say "perfbench correctness checks"
+# The benchmark checks its own results: daemon verdicts against an
+# in-process reference, and (train-poisoned) the db and store bytes
+# against a replay.  A short run of each workload must report
+# "correct": true with no failed operation.
+for workload in classify-bulk train-poisoned; do
+  python3 perfbench/run.py --workload "$workload" --seed 3 --seconds 2 \
+    --trace 0 > "$sdir/perfbench.$workload.txt" \
+    || { echo "FAIL: perfbench $workload exited nonzero"; \
+         cat "$sdir/perfbench.$workload.txt"; exit 1; }
+  tail -n 1 "$sdir/perfbench.$workload.txt" | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
+    || { echo "FAIL: perfbench $workload result is not correct with 0 failed:"; \
+         tail -n 1 "$sdir/perfbench.$workload.txt"; exit 1; }
+  echo "perfbench $workload: correct, 0 failed"
+done
+
 say "ci.sh: all checks passed"

@@ -1,6 +1,6 @@
 type t = (string * string) list
 (* Stored in field order; names keep their original spelling, lookups
-   normalize. *)
+   compare case-insensitively. *)
 
 let normalize = String.lowercase_ascii
 
@@ -12,23 +12,37 @@ let to_list t = t
 
 let add t name value = t @ [ (name, value) ]
 
-let find t name =
-  let key = normalize name in
-  List.find_map
-    (fun (n, v) -> if normalize n = key then Some v else None)
-    t
+(* Case-insensitive name equality without lowercasing either side:
+   lookups run per message in every tokenizer, so they allocate
+   nothing beyond their result. *)
+let same_name a b =
+  let n = String.length a in
+  n = String.length b
+  &&
+  let i = ref 0 in
+  while
+    !i < n
+    && Char.lowercase_ascii (String.unsafe_get a !i)
+       = Char.lowercase_ascii (String.unsafe_get b !i)
+  do
+    incr i
+  done;
+  !i = n
 
-let find_all t name =
-  let key = normalize name in
-  List.filter_map
-    (fun (n, v) -> if normalize n = key then Some v else None)
-    t
+let rec find t name =
+  match t with
+  | [] -> None
+  | (n, v) :: rest -> if same_name n name then Some v else find rest name
+
+let rec find_all t name =
+  match t with
+  | [] -> []
+  | (n, v) :: rest ->
+      if same_name n name then v :: find_all rest name else find_all rest name
 
 let mem t name = Option.is_some (find t name)
 
-let remove t name =
-  let key = normalize name in
-  List.filter (fun (n, _) -> normalize n <> key) t
+let remove t name = List.filter (fun (n, _) -> not (same_name n name)) t
 
 let replace t name value = add (remove t name) name value
 
@@ -48,5 +62,5 @@ let canonical_name name =
 let equal a b =
   List.length a = List.length b
   && List.for_all2
-       (fun (n1, v1) (n2, v2) -> normalize n1 = normalize n2 && v1 = v2)
+       (fun (n1, v1) (n2, v2) -> same_name n1 n2 && v1 = v2)
        a b

@@ -376,10 +376,11 @@ let classify t body =
 
 (* Tenant classification reads the user's overlay under the shard lock,
    scoring through the store's shared prior cache plus the overlay's
-   dirty set.  Like the shared path, it probes the frozen intern
-   snapshot: tokens a tenant trained since the last publish read as
-   unseen until the next publish refreezes — the same published-state
-   contract. *)
+   dirty set.  Ingest resolves a token the frozen intern snapshot lacks
+   through the live table, so a token the tenant trained since the last
+   publish maps to the id its overlay counts: the tenant's own
+   unpublished training scores at once, before and after the next
+   publish alike. *)
 let tenant_classify t st user body =
   Store.with_user_engine st user (fun engine -> classify_engine t engine body)
 

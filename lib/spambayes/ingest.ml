@@ -7,159 +7,28 @@ let ingest_msgs = Obs.counter "ingest.msgs"
 let ingest_bytes = Obs.counter "ingest.bytes"
 
 (* ------------------------------------------------------------------ *)
-(* Per-domain id scratch.  One growable int buffer per domain: the
-   span sink pushes every raw token id into it, then it is sorted and
-   deduplicated in place.  Nothing per-message is allocated on the
-   steady-state path — not the token strings (interned slices), not
-   the id array (reused), not the sort (in place). *)
+(* One batch per message: the tokenizer's sinks append every token to
+   the domain's {!Intern.keys} buffer, one {!Intern.resolve} looks the
+   whole message up, and {!Intern.sort_uniq} leaves the distinct ids
+   ascending at the front of the resolved array.  The sinks are two
+   closures per message; nothing is allocated per token. *)
 
-type scratch = {
-  mutable ids : int array;
-  (* Tokens the frozen intern snapshot did not know, waiting for one
-     batched [Intern.intern_batch] at end of message: the string, the
-     position in [ids] holding its placeholder, and a reused output
-     buffer for the resolved ids.  Kept in lockstep. *)
-  mutable miss : string array;
-  mutable miss_pos : int array;
-  mutable miss_ids : int array;
-}
+let ids_of_keys k f =
+  let raw = Intern.key_count k in
+  let ids = Intern.resolve k in
+  f ids (Intern.sort_uniq ids raw) raw
 
-let scratch_key : scratch Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        ids = Array.make 4_096 0;
-        miss = Array.make 256 "";
-        miss_pos = Array.make 256 0;
-        miss_ids = Array.make 256 0;
-      })
-
-(* In-place quicksort over ids.(lo..hi), insertion sort for short
-   runs.  [Array.sort] would need a [Array.sub] copy to sort a prefix;
-   this avoids the per-message allocation. *)
-let rec sort_range (a : int array) lo hi =
-  if hi - lo < 16 then
-    for i = lo + 1 to hi do
-      let v = a.(i) in
-      let j = ref (i - 1) in
-      while !j >= lo && a.(!j) > v do
-        a.(!j + 1) <- a.(!j);
-        decr j
-      done;
-      a.(!j + 1) <- v
-    done
-  else begin
-    (* Median-of-three pivot, guards against sorted/duplicate runs. *)
-    let mid = lo + ((hi - lo) / 2) in
-    let swap i j =
-      let t = a.(i) in
-      a.(i) <- a.(j);
-      a.(j) <- t
-    in
-    if a.(mid) < a.(lo) then swap mid lo;
-    if a.(hi) < a.(lo) then swap hi lo;
-    if a.(hi) < a.(mid) then swap hi mid;
-    let pivot = a.(mid) in
-    let i = ref lo and j = ref hi in
-    while !i <= !j do
-      while a.(!i) < pivot do
-        incr i
-      done;
-      while a.(!j) > pivot do
-        decr j
-      done;
-      if !i <= !j then begin
-        swap !i !j;
-        incr i;
-        decr j
-      end
-    done;
-    sort_range a lo !j;
-    sort_range a !i hi
-  end
-
-(* Sort ids.(0..n-1) and compact out duplicates; returns the distinct
-   count.  Distinct ids end up in ascending id order — a set
-   representation, deliberately not the string-sorted order of
-   [Dataset.example] (nothing downstream of this path orders by
-   token). *)
-let sort_dedup_prefix (a : int array) n =
-  if n = 0 then 0
-  else begin
-    sort_range a 0 (n - 1);
-    let w = ref 1 in
-    for i = 1 to n - 1 do
-      if a.(i) <> a.(!w - 1) then begin
-        a.(!w) <- a.(i);
-        incr w
-      end
-    done;
-    !w
-  end
-
-let with_sink f =
-  let sc = Domain.DLS.get scratch_key in
-  let n = ref 0 in
-  let m = ref 0 in
-  let push id =
-    let arr = sc.ids in
-    let cap = Array.length arr in
-    if !n = cap then begin
-      let bigger = Array.make (2 * cap) 0 in
-      Array.blit arr 0 bigger 0 cap;
-      sc.ids <- bigger
-    end;
-    sc.ids.(!n) <- id;
-    incr n
-  in
-  (* A snapshot miss materializes the token (the first-sighting
-     contract already pays that allocation) and queues it; the whole
-     queue resolves through one lock in [Intern.intern_batch] below,
-     so fresh-token storms — corpus construction fanned over the pool
-     — cost one mutex acquisition per message, not per token. *)
-  let push_miss tok =
-    let cap = Array.length sc.miss in
-    if !m = cap then begin
-      let miss = Array.make (2 * cap) "" in
-      Array.blit sc.miss 0 miss 0 cap;
-      sc.miss <- miss;
-      let pos = Array.make (2 * cap) 0 in
-      Array.blit sc.miss_pos 0 pos 0 cap;
-      sc.miss_pos <- pos;
-      sc.miss_ids <- Array.make (2 * cap) 0
-    end;
-    sc.miss.(!m) <- tok;
-    sc.miss_pos.(!m) <- !n;
-    incr m;
-    push (-1)
-  in
-  f
-    ~span:(fun buf off len ->
-      match Intern.probe_frozen_sub buf off len with
-      | id when id >= 0 -> push id
-      | _ -> push_miss (String.sub buf off len))
-    ~token:(fun tok ->
-      match Intern.probe_frozen_sub tok 0 (String.length tok) with
-      | id when id >= 0 -> push id
-      | _ -> push_miss tok);
-  if !m > 0 then begin
-    Intern.intern_batch sc.miss !m sc.miss_ids;
-    for i = 0 to !m - 1 do
-      sc.ids.(sc.miss_pos.(i)) <- sc.miss_ids.(i);
-      sc.miss.(i) <- ""
-    done
-  end;
-  (sc, !n)
-
-let with_unique_ids tokenizer msg f =
-  let sc, raw = with_sink (fun ~span ~token ->
-      Tok.iter_spans tokenizer msg ~span ~token)
-  in
-  let distinct = sort_dedup_prefix sc.ids raw in
+let count_msg bytes =
   if Obs.enabled () then begin
     Obs.incr ingest_msgs;
-    Obs.add ingest_bytes (Message.size_bytes msg)
-  end;
-  f sc.ids distinct raw
+    Obs.add ingest_bytes bytes
+  end
+
+let with_unique_ids tokenizer msg f =
+  let k = Intern.keys () in
+  Tok.iter_spans tokenizer msg ~span:(Intern.add_sub k) ~token:(Intern.add k);
+  count_msg (Message.size_bytes msg);
+  ids_of_keys k f
 
 let unique_ids tokenizer msg =
   with_unique_ids tokenizer msg (fun ids n raw -> (Array.sub ids 0 n, raw))
@@ -240,13 +109,17 @@ let fold_lower c = if c >= 'A' && c <= 'Z' then Char.chr (Char.code c + 32) else
 let name_eq_sub s off len lit =
   String.length lit = len
   &&
-  let rec go i =
-    i >= len || (fold_lower s.[off + i] = lit.[i] && go (i + 1))
-  in
-  go 0
+  let i = ref 0 in
+  while !i < len && fold_lower s.[off + !i] = lit.[!i] do
+    incr i
+  done;
+  !i = len
 
-let ignored_slice s off len =
-  List.exists (fun lit -> name_eq_sub s off len lit) ignored_headers
+let rec ignored_in s off len = function
+  | [] -> false
+  | lit :: rest -> name_eq_sub s off len lit || ignored_in s off len rest
+
+let ignored_slice s off len = ignored_in s off len ignored_headers
 
 let ignored_header name = ignored_slice name 0 (String.length name)
 
@@ -263,21 +136,30 @@ let is_sep_at buf pos limit =
   && buf.[pos + 3] = 'm'
   && buf.[pos + 4] = ' '
 
+(* The offset of the '\n' ending the line that starts at [pos], or
+   [stop] when none comes before it.  A loop, so scanning a body line
+   by line allocates nothing. *)
+let line_end buf pos stop =
+  let i = ref pos in
+  while !i < stop && String.unsafe_get buf !i <> '\n' do
+    incr i
+  done;
+  !i
+
 let iter_raw_messages buf f =
   let n = String.length buf in
   let flush start stop = if stop > start then f ~off:start ~len:(stop - start) in
   let rec go line_start chunk_start =
     if line_start >= n then flush chunk_start n
-    else if is_sep_at buf line_start n then begin
-      flush chunk_start line_start;
-      match String.index_from_opt buf line_start '\n' with
-      | None -> ()
-      | Some nl -> go (nl + 1) (nl + 1)
+    else begin
+      let nl = line_end buf line_start n in
+      if is_sep_at buf line_start n then begin
+        flush chunk_start line_start;
+        if nl < n then go (nl + 1) (nl + 1)
+      end
+      else if nl < n then go (nl + 1) chunk_start
+      else flush chunk_start n
     end
-    else
-      match String.index_from_opt buf line_start '\n' with
-      | None -> flush chunk_start n
-      | Some nl -> go (nl + 1) chunk_start
   in
   (* [Mbox.parse_lenient] treats an all-whitespace mbox as empty; an
      early-exit scan avoids [String.trim]'s copy of the buffer. *)
@@ -300,36 +182,28 @@ type parsed =
   | Malformed
 
 let needs_unquote_at buf pos lstop =
-  let rec skip i = if i < lstop && buf.[i] = '>' then skip (i + 1) else i in
-  let i = skip pos in
-  i > pos && i + 5 <= lstop && is_sep_at buf i lstop
+  let i = ref pos in
+  while !i < lstop && buf.[!i] = '>' do
+    incr i
+  done;
+  !i > pos && !i + 5 <= lstop && is_sep_at buf !i lstop
 
 (* Body fixups mirror [Rfc2822.parse] + [Mbox.parse_chunk]: every line
    loses a trailing '\r', and ">+From " lines lose one '>'. *)
 let body_needs_fixup buf bstart bend =
-  let rec scan pos =
-    pos < bend
-    &&
-    let lend =
-      match String.index_from_opt buf pos '\n' with
-      | Some nl when nl < bend -> nl
-      | _ -> bend
-    in
-    (lend > pos && buf.[lend - 1] = '\r')
-    || needs_unquote_at buf pos lend
-    || scan (lend + 1)
-  in
-  scan bstart
+  let pos = ref bstart and found = ref false in
+  while (not !found) && !pos < bend do
+    let lend = line_end buf !pos bend in
+    found := (lend > !pos && buf.[lend - 1] = '\r') || needs_unquote_at buf !pos lend;
+    pos := lend + 1
+  done;
+  !found
 
 let fixup_body buf bstart bend =
   let out = Buffer.create (bend - bstart) in
   let rec go pos =
     if pos <= bend then begin
-      let lend =
-        match String.index_from_opt buf pos '\n' with
-        | Some nl when nl < bend -> nl
-        | _ -> bend
-      in
+      let lend = line_end buf pos bend in
       let lstop = if lend > pos && buf.[lend - 1] = '\r' then lend - 1 else lend in
       let pos = if needs_unquote_at buf pos lstop then pos + 1 else pos in
       Buffer.add_substring out buf pos (lstop - pos);
@@ -372,11 +246,7 @@ let parse_raw buf ~off ~len =
   let rec headers pos =
     if pos >= stop then (flush (); stop)
     else begin
-      let lend =
-        match String.index_from_opt buf pos '\n' with
-        | Some nl when nl < stop -> nl
-        | _ -> stop
-      in
+      let lend = line_end buf pos stop in
       let lstop = if lend > pos && buf.[lend - 1] = '\r' then lend - 1 else lend in
       if lstop = pos then (flush (); lend + 1)  (* blank line: body next *)
       else if buf.[pos] = ' ' || buf.[pos] = '\t' then begin
@@ -435,21 +305,15 @@ let parse_raw buf ~off ~len =
 let with_unique_ids_raw tokenizer buf ~off ~len f =
   match parse_raw buf ~off ~len with
   | Malformed -> None
-  | Complex msg ->
-      Some
-        (with_unique_ids tokenizer msg (fun ids n raw -> f ids n raw))
+  | Complex msg -> Some (with_unique_ids tokenizer msg f)
   | Simple { fields; body_off; body_len } ->
       let hdr_msg = Message.make ~headers:(Header.of_list fields) "" in
-      let sc, raw = with_sink (fun ~span ~token ->
-          Tok.iter_spans tokenizer hdr_msg ~span ~token;
-          Tok.iter_body_spans tokenizer buf body_off body_len ~span ~token)
-      in
-      let distinct = sort_dedup_prefix sc.ids raw in
-      if Obs.enabled () then begin
-        Obs.incr ingest_msgs;
-        Obs.add ingest_bytes len
-      end;
-      Some (f sc.ids distinct raw)
+      let k = Intern.keys () in
+      let span = Intern.add_sub k and token = Intern.add k in
+      Tok.iter_spans tokenizer hdr_msg ~span ~token;
+      Tok.iter_body_spans tokenizer buf body_off body_len ~span ~token;
+      count_msg len;
+      Some (ids_of_keys k f)
 
 let unique_ids_raw tokenizer buf ~off ~len =
   with_unique_ids_raw tokenizer buf ~off ~len (fun ids n raw ->

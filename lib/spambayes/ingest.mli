@@ -1,13 +1,25 @@
 (** Zero-copy ingest: raw message bytes to interned id sets.
 
     The hot path of every experiment is tokenize → look up token
-    probabilities → score.  This module is the allocation-free form of
-    the first step: tokenizers push byte {e slices}
-    ({!Spamlab_tokenizer.Tokenizer.S.iter_spans}) which are hashed
-    straight into the intern table ({!Intern.intern_sub}), ids
-    accumulate in one per-domain scratch buffer, and the distinct set
-    is produced by an in-place sort — on the steady state (every token
-    already interned) nothing per-message is allocated.
+    probabilities → score.  This module is the batched form of the
+    first step: tokenizers push byte {e slices}
+    ({!Spamlab_tokenizer.Tokenizer.S.iter_spans}) into the domain's
+    {!Intern.keys} buffer, one {!Intern.resolve} looks the whole
+    message up, and {!Intern.sort_uniq} leaves the distinct ids at the
+    front of the resolved array.
+
+    {2 What allocates}
+
+    Once the per-domain buffers have grown to the message size, the
+    body words of a simple raw message (see below) whose tokens the
+    frozen intern snapshot holds allocate nothing: the minor words a
+    call allocates do not depend on how many such words the body has.
+    Still allocated per message: the header fields and a header-only
+    [Message.t], every meta token (prefixed header words, [skip:],
+    [url:], [8bit%], address and Received tokens), a few closures
+    per call, one closure for the intern lock when any token misses
+    the snapshot, the string of each brand-new token, and the whole of
+    a message that needs MIME decoding or body fixups.
 
     Ids come out sorted by {e id value}, a set representation; this is
     deliberately not the string-sorted order of [Dataset.example]

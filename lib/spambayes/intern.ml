@@ -14,26 +14,32 @@ let unset = Bytes.unsafe_to_string (Bytes.create 0)
    negative probes cheap (no rehash, one int compare before the byte
    compare). *)
 
-(* FNV-1a over the slice (offset basis truncated to OCaml's 63-bit
-   int).  Native-int arithmetic wraps, which is all a hash needs;
-   [land max_int] keeps the masked index non-negative. *)
+(* FNV-1a (offset basis truncated to OCaml's 63-bit int).  Native-int
+   arithmetic wraps, which is all a hash needs; [land max_int] keeps
+   the masked index non-negative.  Only this module hashes: callers
+   hand over bytes ({!add_sub}), never hash values. *)
+let fnv_basis = 0x3bf29ce484222325
 let fnv_prime = 0x100000001b3
+let[@inline] fnv_step h c = (h lxor Char.code c) * fnv_prime
 
 let hash_sub s off len =
-  let h = ref 0x3bf29ce484222325 in
+  let h = ref fnv_basis in
   for i = off to off + len - 1 do
-    h := (!h lxor Char.code (String.unsafe_get s i)) * fnv_prime
+    h := fnv_step !h (String.unsafe_get s i)
   done;
   !h land max_int
 
+(* The build has no flambda, so a local [let rec] that captures
+   variables allocates a closure on every call; the lookup helpers
+   below are loops or top-level functions for that reason. *)
 let eq_sub name s off len =
   String.length name = len
   &&
-  let rec go i =
-    i >= len
-    || String.unsafe_get name i = String.unsafe_get s (off + i) && go (i + 1)
-  in
-  go 0
+  let i = ref 0 in
+  while !i < len && String.unsafe_get name !i = String.unsafe_get s (off + !i) do
+    incr i
+  done;
+  !i = len
 
 type state = {
   mutex : Mutex.t;
@@ -58,33 +64,34 @@ let st =
    publication.  [Atomic] gives the publication edge; every id a
    snapshot can name had its [names]/[hashes] slot written before the
    snapshot was taken, so probing a snapshot against [st.names] is safe
-   from any domain (the same write-once argument as [to_string]). *)
+   from any domain (the same write-once argument as [to_string]).  Read
+   [names]/[hashes] only {e after} the snapshot: they are then either
+   the arrays of its time or later copies, both valid for its ids. *)
 let frozen : int array Atomic.t = Atomic.make (Array.make 1 0)
 
-(* Probe [slots] for the slice [s.[off .. off+len-1]] with hash [h].
-   Returns the id, or -1 when absent.  Linear probing; the table never
-   exceeds half full, so runs terminate on an empty slot. *)
+(* Linear probe of [slots] from slot [i] for the slice
+   [s.[off .. off+len-1]] with hash [h]: the id, or -1 when absent.
+   The table never exceeds half full, so runs end on an empty slot. *)
+let rec probe_from slots mask names hashes h s off len i =
+  match Array.unsafe_get slots i with
+  | 0 -> -1
+  | v ->
+      let id = v - 1 in
+      if Array.unsafe_get hashes id = h && eq_sub (Array.unsafe_get names id) s off len
+      then id
+      else probe_from slots mask names hashes h s off len ((i + 1) land mask)
+
 let probe slots h s off len =
   let mask = Array.length slots - 1 in
-  let names = st.names in
-  let hashes = st.hashes in
-  let rec go i =
-    match Array.unsafe_get slots i with
-    | 0 -> -1
-    | v ->
-        let id = v - 1 in
-        if Array.unsafe_get hashes id = h && eq_sub names.(id) s off len then
-          id
-        else go ((i + 1) land mask)
-  in
-  go (h land mask)
+  probe_from slots mask st.names st.hashes h s off len (h land mask)
 
 let insert_slot slots h id =
   let mask = Array.length slots - 1 in
-  let rec go i =
-    if slots.(i) = 0 then slots.(i) <- id + 1 else go ((i + 1) land mask)
-  in
-  go (h land mask)
+  let i = ref (h land mask) in
+  while Array.unsafe_get slots !i <> 0 do
+    i := (!i + 1) land mask
+  done;
+  slots.(!i) <- id + 1
 
 (* Double the slot table.  The fault site fires before any mutation, so
    an injected transient here leaves the table untouched and the
@@ -102,8 +109,8 @@ let grow_locked () =
    explicitly.  Geometric threshold keeps the copies amortized O(1) per
    interned string; the factor is deliberately small (1/4 growth per
    refresh) because every token interned since the last refresh costs
-   its callers a snapshot miss — materialize, queue, resolve under the
-   mutex — until the next one.  Only touched under [st.mutex]. *)
+   its callers a snapshot miss — a second lookup under the mutex —
+   until the next one.  Only touched under [st.mutex]. *)
 let next_refresh = ref 1_024
 
 let refresh_locked () =
@@ -112,10 +119,12 @@ let refresh_locked () =
     next_refresh := st.count + (st.count / 4) + 1_024
   end
 
-(* [make_name] materializes the key only on a genuine first sighting —
-   the zero-copy contract: an already-known slice costs one probe and
-   zero allocations. *)
-let intern_locked h s off len make_name =
+(* Look the slice up in the live table, assigning the next id on a
+   miss.  [~copy:true] means [s] is someone else's buffer: the key is
+   materialized with [String.sub] — the zero-copy contract's only
+   allocation, on a genuine first sighting — and counted as one.
+   [~copy:false] stores [s] itself ([off = 0], [len] its length). *)
+let intern_locked h s off len ~copy =
   match probe st.slots h s off len with
   | id when id >= 0 -> id
   | _ ->
@@ -133,12 +142,20 @@ let intern_locked h s off len make_name =
         st.hashes <- bigger_h;
         st.names <- bigger
       end;
-      st.names.(id) <- make_name ();
+      st.names.(id) <-
+        (if copy then begin
+           Spamlab_obs.Obs.incr first_sighting;
+           String.sub s off len
+         end
+         else s);
       st.hashes.(id) <- h;
       insert_slot st.slots h id;
       st.count <- id + 1;
       Spamlab_obs.Obs.incr interned_tokens;
       id
+
+let check_slice fn s off len =
+  if off < 0 || len < 0 || off + len > String.length s then invalid_arg fn
 
 let id s =
   let len = String.length s in
@@ -147,58 +164,20 @@ let id s =
   | id when id >= 0 -> id
   | _ ->
       Mutex.protect st.mutex (fun () ->
-          let id = intern_locked h s 0 len (fun () -> s) in
+          let id = intern_locked h s 0 len ~copy:false in
           refresh_locked ();
           id)
 
 let intern_sub s off len =
-  if off < 0 || len < 0 || off + len > String.length s then
-    invalid_arg "Intern.intern_sub";
+  check_slice "Intern.intern_sub" s off len;
   let h = hash_sub s off len in
   match probe (Atomic.get frozen) h s off len with
   | id when id >= 0 -> id
   | _ ->
       Mutex.protect st.mutex (fun () ->
-          let id =
-            intern_locked h s off len (fun () ->
-                Spamlab_obs.Obs.incr first_sighting;
-                String.sub s off len)
-          in
+          let id = intern_locked h s off len ~copy:true in
           refresh_locked ();
           id)
-
-(* Snapshot-only probe: never takes the lock, so a miss may be stale
-   (the live table can already hold the slice).  Callers collect such
-   misses and resolve them in one [intern_batch] — one lock per
-   message instead of one per first-sighting token, which is what
-   keeps multi-domain corpus construction off the mutex. *)
-let probe_frozen_sub s off len =
-  if off < 0 || len < 0 || off + len > String.length s then
-    invalid_arg "Intern.probe_frozen_sub";
-  probe (Atomic.get frozen) (hash_sub s off len) s off len
-
-let intern_batch strs n out =
-  if n > Array.length strs || n > Array.length out then
-    invalid_arg "Intern.intern_batch";
-  if n > 0 then begin
-    (* Hash outside the lock: with several domains feeding fresh-token
-       storms (cold corpus construction), the hold time of the mutex is
-       what serializes them, so the critical section is probe+insert
-       only. *)
-    let hs = Array.make n 0 in
-    for i = 0 to n - 1 do
-      hs.(i) <- hash_sub strs.(i) 0 (String.length strs.(i))
-    done;
-    Mutex.protect st.mutex (fun () ->
-        for i = 0 to n - 1 do
-          let s = strs.(i) in
-          out.(i) <-
-            intern_locked hs.(i) s 0 (String.length s) (fun () ->
-                Spamlab_obs.Obs.incr first_sighting;
-                s)
-        done;
-        refresh_locked ())
-  end
 
 let intern_array tokens =
   let snapshot = Atomic.get frozen in
@@ -218,15 +197,156 @@ let intern_array tokens =
           if out.(i) < 0 then begin
             let s = tokens.(i) in
             let len = String.length s in
-            out.(i) <- intern_locked (hash_sub s 0 len) s 0 len (fun () -> s)
+            out.(i) <- intern_locked (hash_sub s 0 len) s 0 len ~copy:false
           end
         done;
         refresh_locked ());
   out
 
+(* ------------------------------------------------------------------ *)
+(* Batched lookup.  A message's keys are appended to one per-domain
+   buffer — bytes back to back in [arena], hashed as they are copied —
+   and then looked up together in phases over the whole batch, so the
+   cache misses of different keys overlap instead of chaining slot ->
+   [names.(id)] -> string bytes one key at a time. *)
+
+type keys = {
+  mutable arena : Bytes.t;
+  (* Key [i] is [arena.[starts.(i) .. starts.(i+1) - 1]]: [starts] has
+     [n + 1] live entries, [starts.(0) = 0]. *)
+  mutable starts : int array;
+  mutable key_hash : int array;
+  (* [resolve]'s output, and its per-phase state before that. *)
+  mutable ids : int array;
+  mutable n : int;
+}
+
+let keys_key : keys Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      {
+        arena = Bytes.create 16_384;
+        starts = Array.make 2_049 0;
+        key_hash = Array.make 2_048 0;
+        ids = Array.make 2_048 0;
+        n = 0;
+      })
+
+let keys () =
+  let k = Domain.DLS.get keys_key in
+  k.n <- 0;
+  k
+
+let key_count k = k.n
+
+let grow_keys k =
+  let cap = 2 * Array.length k.key_hash in
+  let widen a len =
+    let b = Array.make len 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  in
+  k.starts <- widen k.starts (cap + 1);
+  k.key_hash <- widen k.key_hash cap;
+  k.ids <- Array.make cap 0
+
+let grow_arena k need =
+  let cap = ref (2 * Bytes.length k.arena) in
+  while !cap < need do
+    cap := 2 * !cap
+  done;
+  let bigger = Bytes.create !cap in
+  Bytes.blit k.arena 0 bigger 0 (Array.unsafe_get k.starts k.n);
+  k.arena <- bigger
+
+let add_sub k s off len =
+  check_slice "Intern.add_sub" s off len;
+  let n = k.n in
+  if n = Array.length k.key_hash then grow_keys k;
+  let pos = Array.unsafe_get k.starts n in
+  if pos + len > Bytes.length k.arena then grow_arena k (pos + len);
+  let arena = k.arena in
+  let h = ref fnv_basis in
+  for i = 0 to len - 1 do
+    let c = String.unsafe_get s (off + i) in
+    Bytes.unsafe_set arena (pos + i) c;
+    h := fnv_step !h c
+  done;
+  Array.unsafe_set k.key_hash n (!h land max_int);
+  Array.unsafe_set k.starts (n + 1) (pos + len);
+  k.n <- n + 1
+
+let add k s = add_sub k s 0 (String.length s)
+
+(* Phase markers in [ids] between phases: a home slot that is empty
+   (the snapshot does not hold the key) or that holds another key
+   (probe on).  Candidate ids are >= 0. *)
+let absent = -1
+let probe_on = -2
+
+(* Snapshot misses, in key order — so a never-seen key gets its id in
+   first-occurrence order — through the live table, which may already
+   hold keys interned since the snapshot. *)
+let resolve_misses_locked k =
+  let arena = Bytes.unsafe_to_string k.arena in
+  for i = 0 to k.n - 1 do
+    if k.ids.(i) < 0 then begin
+      let off = k.starts.(i) in
+      k.ids.(i) <-
+        intern_locked k.key_hash.(i) arena off (k.starts.(i + 1) - off) ~copy:true
+    end
+  done;
+  refresh_locked ()
+
+let resolve k =
+  let n = k.n and ids = k.ids and starts = k.starts and key_hash = k.key_hash in
+  let slots = Atomic.get frozen in
+  let mask = Array.length slots - 1 in
+  let names = st.names and hashes = st.hashes in
+  (* Phase 1: every key's home slot. *)
+  for i = 0 to n - 1 do
+    Array.unsafe_set ids i
+      (Array.unsafe_get slots (Array.unsafe_get key_hash i land mask))
+  done;
+  (* Phase 2: each home occupant's hash, then its name's length — the
+     load that brings the name's first bytes in for phase 3. *)
+  for i = 0 to n - 1 do
+    let v = Array.unsafe_get ids i in
+    Array.unsafe_set ids i
+      (if v = 0 then absent
+       else
+         let id = v - 1 in
+         if
+           Array.unsafe_get hashes id = Array.unsafe_get key_hash i
+           && String.length (Array.unsafe_get names id)
+              = Array.unsafe_get starts (i + 1) - Array.unsafe_get starts i
+         then id
+         else probe_on)
+  done;
+  (* Phase 3: byte compares; a key whose home slot holds another key
+     probes on from the next slot. *)
+  let arena = Bytes.unsafe_to_string k.arena in
+  let missed = ref false in
+  for i = 0 to n - 1 do
+    let c = Array.unsafe_get ids i in
+    if c <> absent then begin
+      let off = Array.unsafe_get starts i in
+      let len = Array.unsafe_get starts (i + 1) - off in
+      if not (c >= 0 && eq_sub (Array.unsafe_get names c) arena off len) then begin
+        let h = Array.unsafe_get key_hash i in
+        let id =
+          probe_from slots mask names hashes h arena off len
+            ((h + 1) land mask)
+        in
+        Array.unsafe_set ids i id
+      end
+    end;
+    if Array.unsafe_get ids i < 0 then missed := true
+  done;
+  if !missed then Mutex.protect st.mutex (fun () -> resolve_misses_locked k);
+  ids
+
 let find_sub s off len =
-  if off < 0 || len < 0 || off + len > String.length s then
-    invalid_arg "Intern.find_sub";
+  check_slice "Intern.find_sub" s off len;
   let h = hash_sub s off len in
   match probe (Atomic.get frozen) h s off len with
   | id when id >= 0 -> Some id
@@ -322,36 +442,77 @@ let freeze () =
         Atomic.set ranks rk
       end)
 
-(* Keys carry a rank above bit 31 and a position below it.  LSD radix
-   sort on the rank field, one byte per pass over [bits] bits: O(n)
-   per pass with no compare at all.  Returns whichever of [keys] and
-   its scratch twin holds the result. *)
-let radix_sort_ranks keys bits =
-  let n = Array.length keys in
-  let src = ref keys and dst = ref (Array.make n 0) in
-  let count = Array.make 257 0 in
-  let shift = ref 31 in
-  while !shift < 31 + bits do
-    let s = !src and d = !dst and sh = !shift in
+(* The one radix sort: LSD over the key bits [shift, shift + bits),
+   one byte per pass, stable, O(n) per pass with no compare at all.
+   Sorts [src.(0 .. n-1)] using [tmp] (length >= n) as the other
+   buffer and [count] (length >= 257) as the digit histogram, and
+   returns whichever of [src] and [tmp] holds the result.  A pass
+   whose digit is the same for every key would move nothing, so it is
+   skipped. *)
+let radix_sort src tmp count n ~shift ~bits =
+  let src = ref src and dst = ref tmp in
+  let sh = ref shift in
+  while !sh < shift + bits do
+    let s = !src and d = !dst and sh' = !sh in
     Array.fill count 0 257 0;
     for i = 0 to n - 1 do
-      let b = ((Array.unsafe_get s i lsr sh) land 255) + 1 in
+      let b = ((Array.unsafe_get s i lsr sh') land 255) + 1 in
       Array.unsafe_set count b (Array.unsafe_get count b + 1)
     done;
-    for b = 1 to 256 do
-      count.(b) <- count.(b) + count.(b - 1)
-    done;
-    for i = 0 to n - 1 do
-      let key = Array.unsafe_get s i in
-      let b = (key lsr sh) land 255 in
-      Array.unsafe_set d (Array.unsafe_get count b) key;
-      Array.unsafe_set count b (Array.unsafe_get count b + 1)
-    done;
-    src := d;
-    dst := s;
-    shift := sh + 8
+    if n > 0 && count.(((s.(0) lsr sh') land 255) + 1) < n then begin
+      for b = 1 to 256 do
+        count.(b) <- count.(b) + count.(b - 1)
+      done;
+      for i = 0 to n - 1 do
+        let key = Array.unsafe_get s i in
+        let b = (key lsr sh') land 255 in
+        Array.unsafe_set d (Array.unsafe_get count b) key;
+        Array.unsafe_set count b (Array.unsafe_get count b + 1)
+      done;
+      src := d;
+      dst := s
+    end;
+    sh := sh' + 8
   done;
   !src
+
+let rec bit_width x = if x = 0 then 0 else 1 + bit_width (x lsr 1)
+
+(* Per-domain radix buffers for [sort_uniq], grown geometrically, so
+   deduplicating a message's ids allocates nothing at steady state. *)
+type radix_scratch = { mutable tmp : int array; count : int array }
+
+let radix_key : radix_scratch Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      { tmp = Array.make 2_048 0; count = Array.make 257 0 })
+
+let sort_uniq a n =
+  if n < 0 || n > Array.length a then invalid_arg "Intern.sort_uniq";
+  let top = ref 0 in
+  for i = 0 to n - 1 do
+    let x = Array.unsafe_get a i in
+    if x < 0 then invalid_arg "Intern.sort_uniq: negative";
+    if x > !top then top := x
+  done;
+  if n = 0 then 0
+  else begin
+    let sc = Domain.DLS.get radix_key in
+    if Array.length sc.tmp < n then
+      sc.tmp <- Array.make (max n (2 * Array.length sc.tmp)) 0;
+    let sorted = radix_sort a sc.tmp sc.count n ~shift:0 ~bits:(bit_width !top) in
+    (* Compact out duplicates into [a]; [w <= i], so this is safe when
+       the sort ended in [a] itself. *)
+    Array.unsafe_set a 0 (Array.unsafe_get sorted 0);
+    let w = ref 1 in
+    for i = 1 to n - 1 do
+      let x = Array.unsafe_get sorted i in
+      if x <> Array.unsafe_get a (!w - 1) then begin
+        Array.unsafe_set a !w x;
+        incr w
+      end
+    done;
+    !w
+  end
 
 (* Covered positions sort on the int key [rank lsl 31 lor pos] (ranks
    and positions both stay below 2^31), uncovered ones by bytes; the
@@ -381,8 +542,10 @@ let byte_order ids n =
       incr l
     end
   done;
-  let rec bits x = if x = 0 then 0 else 1 + bits (x lsr 1) in
-  let runs = radix_sort_ranks keys (bits (max 0 (covered - 1))) in
+  let runs =
+    radix_sort keys (Array.make !nk 0) (Array.make 257 0) !nk ~shift:31
+      ~bits:(bit_width (max 0 (covered - 1)))
+  in
   Array.iteri (fun i key -> runs.(i) <- key land ((1 lsl 31) - 1)) runs;
   if !l = 0 then runs
   else begin

@@ -14,14 +14,27 @@
     directly: the slice is hashed and compared in place against the
     stored strings, and a substring is materialized only on the first
     sighting of a brand-new token ([intern.first_sighting] counter).
-    The steady state of ingest — every token already known — allocates
-    nothing.
+    The hash function is private to this module.
+
+    {2 Batched lookup}
+
+    Ingest resolves a whole message at once through a per-domain
+    {!keys} buffer: {!add_sub} copies each slice into the buffer's
+    arena and hashes it as it copies, and {!resolve} looks every key up
+    in the frozen snapshot in phases over the batch — all home slots,
+    then each occupant's [names] entry, then the byte compares — so the
+    cache misses of different keys overlap instead of chaining.  Keys
+    the snapshot lacks resolve under one lock through the live table.
+    Looking up keys the snapshot already holds allocates nothing once
+    the buffer has grown to the message size; a brand-new key costs
+    its string, and a batch with any snapshot miss one closure for the
+    lock.
 
     {2 Domain safety}
 
     Interning is thread-safe: new assignments take a mutex (one lock per
-    {!intern_array} call, not per token).  {!freeze} publishes a
-    lock-free snapshot of the current table, so lookups of
+    {!intern_array} or {!resolve} call, not per token).  {!freeze}
+    publishes a lock-free snapshot of the current table, so lookups of
     already-interned strings or slices — the entire steady state of an
     experiment after its corpus is built — cost one table probe with no
     lock.  Interning {e after} a freeze is still correct (misses fall
@@ -66,21 +79,47 @@ val intern_array : string array -> int array
 (** Intern a batch elementwise — at most one lock acquisition for all
     misses together. *)
 
-val probe_frozen_sub : string -> int -> int -> int
-(** Lock-free probe of the published snapshot only: the slice's id, or
-    [-1] when the snapshot does not hold it.  A miss is {e tentative} —
-    the live table may already have the string (interned since the last
-    refresh) — so callers must resolve misses through {!intern_batch}
-    (or {!intern_sub}), never treat them as "absent".
-    @raise Invalid_argument on a bad slice. *)
+type keys
+(** A batch of byte-string keys: one buffer per domain, reused by
+    every batch that domain builds. *)
 
-val intern_batch : string array -> int -> int array -> unit
-(** [intern_batch strs n out] interns [strs.(0 .. n-1)] under a single
-    lock acquisition and writes the ids to [out.(0 .. n-1)].  The
-    companion of {!probe_frozen_sub}: collect snapshot misses for a
-    whole message, then resolve them all here — one lock per message,
-    not one per brand-new token.
-    @raise Invalid_argument if [n] exceeds either array's length. *)
+val keys : unit -> keys
+(** The calling domain's key buffer, emptied.  Any buffer obtained
+    earlier on the same domain is the same one and is emptied too, so
+    finish a batch before starting the next. *)
+
+val add_sub : keys -> string -> int -> int -> unit
+(** [add_sub k buf off len] appends the slice [buf.[off .. off+len-1]]
+    as the next key: its bytes are copied into [k] and hashed as they
+    are copied, so [buf] may change once the call returns.
+    @raise Invalid_argument if [off]/[len] do not denote a slice of
+    [buf]. *)
+
+val add : keys -> string -> unit
+(** [add k s] is [add_sub k s 0 (String.length s)]. *)
+
+val key_count : keys -> int
+
+val resolve : keys -> int array
+(** [resolve k] interns every key of [k] and returns an array whose
+    first [key_count k] entries are their ids, in key order: each id
+    equals [id] of the key's string.  Keys the frozen snapshot holds
+    are found lock-free; the rest resolve through the live table under
+    one lock, in key order, so never-seen keys get fresh ids in
+    first-occurrence order.  The array belongs to [k]: valid until the
+    next batch on this domain.  [k] itself is left intact, so a resolve
+    that raises (an injected ["intern.grow"] fault) can be retried and
+    returns the same ids. *)
+
+val sort_uniq : int array -> int -> int
+(** [sort_uniq a n] sorts [a.(0 .. n-1)] ascending and compacts out
+    duplicates in place, returning the number of distinct values.
+    LSD radix sort, one byte per pass, as many passes as the largest
+    value needs — the same routine that orders {!byte_order}'s rank
+    keys.  Its scratch is per-domain, so at steady state it allocates
+    nothing.
+    @raise Invalid_argument if [n] is outside [0 .. Array.length a] or
+    a value is negative. *)
 
 val find : string -> int option
 (** Lookup without interning — never mutates, so read-only paths
@@ -123,7 +162,7 @@ val byte_order : int array -> int -> int array
     strings — the row order of every saved format.  Positions of
     rank-covered ids sort on an int key; only ids interned since the
     last {!freeze} cost byte compares.  [ids] must be assigned and
-    distinct.
+    distinct.  The rank keys sort with {!sort_uniq}'s radix routine.
     @raise Invalid_argument if [n] is outside [0 .. Array.length ids]. *)
 
 val size : unit -> int

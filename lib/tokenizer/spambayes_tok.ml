@@ -187,8 +187,11 @@ let tokenize msg =
    words, the overwhelming bulk of the stream, travel as slices. *)
 
 let contains_at s off len c =
-  let rec go i = i < len && (s.[off + i] = c || go (i + 1)) in
-  go 0
+  let i = ref 0 in
+  while !i < len && s.[off + !i] <> c do
+    incr i
+  done;
+  !i < len
 
 let iter_body_spans' emit_span emit_tok buf off len =
   Text.iter_word_spans buf off len (fun wbuf woff wlen ->

@@ -42,57 +42,65 @@ let is_upper c = c >= 'A' && c <= 'Z'
 let lower_scratch : Bytes.t ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref (Bytes.create 256))
 
+(* Deliver the word [s.[lo .. hi]] (inclusive, non-empty, word chars at
+   both ends) to [f], lowercased: as a slice of [s] when it holds no
+   uppercase byte, else copied into the scratch, which is only ever
+   read through this slice before the next word overwrites it. *)
+let emit_word scratch s lo hi f =
+  let wlen = hi - lo + 1 in
+  let j = ref lo in
+  while !j <= hi && not (is_upper (String.unsafe_get s !j)) do
+    incr j
+  done;
+  if !j > hi then f s lo wlen
+  else begin
+    if Bytes.length !scratch < wlen then begin
+      let cap = ref (2 * Bytes.length !scratch) in
+      while !cap < wlen do
+        cap := 2 * !cap
+      done;
+      scratch := Bytes.create !cap
+    end;
+    let b = !scratch in
+    Bytes.blit_string s lo b 0 (!j - lo);
+    for i = !j - lo to wlen - 1 do
+      let c = String.unsafe_get s (lo + i) in
+      Bytes.unsafe_set b i
+        (if is_upper c then Char.unsafe_chr (Char.code c + 32) else c)
+    done;
+    f (Bytes.unsafe_to_string b) 0 wlen
+  end
+
 (* Span form of [words]: every canonical word (lowercased, punctuation
    stripped, non-empty) of [s.[off .. off+len-1]] is delivered as a
-   slice [(buf, woff, wlen)] instead of an allocated string.  Lowercasing
-   cannot change whether a byte is a word character, so punctuation can
-   be stripped on the raw buffer by offsets; only a word that actually
-   contains an uppercase byte is copied (into the per-domain scratch,
-   valid just for the duration of the callback). *)
+   slice [(buf, woff, wlen)] instead of an allocated string.
+   Lowercasing cannot change whether a byte is a word character, so
+   punctuation is stripped on the raw buffer by offsets.  Loops, not
+   local [let rec]s: without flambda each of those would allocate a
+   closure per word. *)
 let iter_word_spans s off len f =
+  if off < 0 || len < 0 || off + len > String.length s then
+    invalid_arg "Text.iter_word_spans";
   let limit = off + len in
   let scratch = Domain.DLS.get lower_scratch in
-  let emit lo hi =
-    (* [lo..hi] inclusive, non-empty, all word chars at the ends. *)
-    let wlen = hi - lo + 1 in
-    let rec has_up i = i <= hi && (is_upper s.[i] || has_up (i + 1)) in
-    if not (has_up lo) then f s lo wlen
-    else begin
-      if Bytes.length !scratch < wlen then begin
-        let cap = ref (2 * Bytes.length !scratch) in
-        while !cap < wlen do
-          cap := 2 * !cap
-        done;
-        scratch := Bytes.create !cap
-      end;
-      let b = !scratch in
-      for i = 0 to wlen - 1 do
-        let c = String.unsafe_get s (lo + i) in
-        Bytes.unsafe_set b i
-          (if is_upper c then Char.unsafe_chr (Char.code c + 32) else c)
-      done;
-      (* The scratch is only ever read through this slice before the
-         next word overwrites it, so exposing it as a string is safe. *)
-      f (Bytes.unsafe_to_string b) 0 wlen
-    end
-  in
-  let rec skip_space i = if i < limit && is_space s.[i] then skip_space (i + 1) else i in
-  let rec word_end i = if i < limit && not (is_space s.[i]) then word_end (i + 1) else i in
-  let rec go i =
-    let start = skip_space i in
-    if start < limit then begin
-      let stop = word_end start in
-      let rec first i = if i < stop && not (is_word_char s.[i]) then first (i + 1) else i in
-      let rec last i = if i >= start && not (is_word_char s.[i]) then last (i - 1) else i in
-      let lo = first start in
-      let hi = last (stop - 1) in
-      if hi >= lo then emit lo hi;
-      go stop
-    end
-  in
-  if off < 0 || len < 0 || limit > String.length s then
-    invalid_arg "Text.iter_word_spans";
-  go off
+  let i = ref off in
+  while !i < limit do
+    while !i < limit && is_space (String.unsafe_get s !i) do
+      incr i
+    done;
+    let start = !i in
+    while !i < limit && not (is_space (String.unsafe_get s !i)) do
+      incr i
+    done;
+    let lo = ref start and hi = ref (!i - 1) in
+    while !lo <= !hi && not (is_word_char (String.unsafe_get s !lo)) do
+      incr lo
+    done;
+    while !hi >= !lo && not (is_word_char (String.unsafe_get s !hi)) do
+      decr hi
+    done;
+    if !hi >= !lo then emit_word scratch s !lo !hi f
+  done
 
 let has_high_bit s = String.exists (fun c -> Char.code c >= 0x80) s
 

@@ -24,7 +24,10 @@ val iter_word_spans :
     stripped by offsets on the raw buffer, and a word is copied (into a
     per-domain scratch, lowercased) only when it actually contains an
     uppercase byte.  The slice is valid only for the duration of the
-    callback — intern it or copy it before returning.
+    callback — intern it or copy it before returning.  Beyond what
+    [f] allocates, a call allocates nothing per word: its minor words
+    do not depend on the slice (the scratch only grows, to the longest
+    capitalized word seen).
     @raise Invalid_argument if [off]/[len] do not denote a slice of
     [s]. *)
 

@@ -17,31 +17,36 @@ let looks_like_url w =
 
 (* Slice form of [looks_like_url] for the zero-copy span path.  The
    span word iterator only hands out canonical (already lowercased)
-   slices, so no case folding is needed here. *)
+   slices, so no case folding is needed here.  Called on every body
+   word, so it allocates nothing: loops and top-level recursion only
+   (a local [let rec] would allocate a closure per call). *)
 let eq_at s off lit =
   let n = String.length lit in
-  let rec go i = i >= n || (s.[off + i] = lit.[i] && go (i + 1)) in
-  go 0
+  let i = ref 0 in
+  while !i < n && s.[off + !i] = lit.[!i] do
+    incr i
+  done;
+  !i = n
+
+let rec known_scheme_at s off len = function
+  | [] -> false
+  | sch :: rest ->
+      (String.length sch = len && eq_at s off sch)
+      || known_scheme_at s off len rest
 
 let looks_like_url_sub s off len =
-  let scheme_ok =
-    (* Mirror [scheme_of]: first ':' followed by "//" and a known
-       scheme before it. *)
-    let rec colon i =
-      if i >= len then -1 else if s.[off + i] = ':' then i else colon (i + 1)
-    in
-    match colon 0 with
-    | i
-      when i >= 0
-           && i + 2 < len
-           && s.[off + i + 1] = '/'
-           && s.[off + i + 2] = '/' ->
-        List.exists
-          (fun sch -> String.length sch = i && eq_at s off sch)
-          known_schemes
-    | _ -> false
-  in
-  scheme_ok || (len > 4 && eq_at s off "www.")
+  (* Mirror [scheme_of]: first ':' followed by "//" and a known
+     scheme before it. *)
+  let i = ref 0 in
+  while !i < len && s.[off + !i] <> ':' do
+    incr i
+  done;
+  let i = !i in
+  (i + 2 < len
+  && s.[off + i + 1] = '/'
+  && s.[off + i + 2] = '/'
+  && known_scheme_at s off i known_schemes)
+  || (len > 4 && eq_at s off "www.")
 
 let split_on_chars chars s =
   let is_sep c = List.mem c chars in

@@ -373,6 +373,53 @@ let edge_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Allocation: body words of a Simple chunk cost no minor words         *)
+
+(* A Simple chunk (no MIME headers, no CRLF, no ">From") whose body is
+   [n] in-range words for every tokenizer, half of them capitalized,
+   ten to a line. *)
+let simple_chunk n =
+  let word i =
+    let w = Printf.sprintf "quietword%02d" (i mod 53) in
+    if i mod 2 = 0 then String.capitalize_ascii w else w
+  in
+  let line l =
+    String.concat " " (List.init (min 10 (n - (10 * l))) (fun j -> word ((10 * l) + j)))
+  in
+  "Subject: steady state\n\n"
+  ^ String.concat "\n" (List.init ((n + 9) / 10) line)
+  ^ "\n"
+
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let alloc_tests =
+  List.map
+    (fun tokenizer ->
+      test_case
+        (Tokenizer.name tokenizer ^ ": body words allocate nothing")
+        (fun () ->
+          let small = simple_chunk 50 and big = simple_chunk 5_000 in
+          let ingest chunk () =
+            ignore
+              (Ingest.with_unique_ids_raw tokenizer chunk ~off:0
+                 ~len:(String.length chunk) (fun _ids distinct _raw -> distinct))
+          in
+          let run_small = ingest small and run_big = ingest big in
+          (* Intern every token and publish the snapshot, then grow the
+             per-domain scratch to the big message once. *)
+          run_big ();
+          Intern.freeze ();
+          run_big ();
+          let at_50 = minor_words_of run_small in
+          let at_5000 = minor_words_of run_big in
+          Alcotest.(check (float 0.))
+            "minor words at N = 50 and N = 5,000" at_50 at_5000))
+    all_tokenizers
+
+(* ------------------------------------------------------------------ *)
 (* Batched classify                                                    *)
 
 let classify_tests =
@@ -418,5 +465,6 @@ let () =
       ("raw-mbox", raw_tests);
       ("suppression", suppression_tests);
       ("edge-divergence", edge_tests);
+      ("allocation", alloc_tests);
       ("classify", classify_tests);
     ]

@@ -158,6 +158,193 @@ let rank_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Batched lookup: Intern.resolve against Intern.id                    *)
+
+module Fault = Spamlab_fault
+
+(* Key tails over an alphabet with NUL and 0xff, including the empty
+   tail, so keys share prefixes and differ only in their last bytes. *)
+let gen_tail =
+  QCheck2.Gen.(
+    string_size ~gen:(oneofa [| 'a'; 'b'; '\000'; '\xff' |]) (int_range 0 4))
+
+type pick = Pre of int | Post of int | Fresh of int | Empty
+
+let gen_batch =
+  QCheck2.Gen.(
+    let tails = list_size (int_range 1 12) gen_tail in
+    quad tails tails tails
+      (list_size (int_range 0 80)
+         (frequency
+            [
+              (3, map (fun i -> Pre i) nat);
+              (3, map (fun i -> Post i) nat);
+              (3, map (fun i -> Fresh i) nat);
+              (1, pure Empty);
+            ])))
+
+let batch_run = ref 0
+
+let resolved keys =
+  let k = Intern.keys () in
+  List.iter (Intern.add k) keys;
+  Array.sub (Intern.resolve k) 0 (Intern.key_count k)
+
+(* Every key resolves to [Intern.id] of its string, and the keys the
+   table had never seen get [size_before], [size_before + 1], ... in
+   the order of their first occurrence. *)
+let check_resolved ~size_before ~is_fresh keys ids =
+  let next = ref size_before and seen = Hashtbl.create 16 in
+  List.iteri
+    (fun i key ->
+      if is_fresh key && not (Hashtbl.mem seen key) then begin
+        Hashtbl.add seen key ();
+        if ids.(i) <> !next then
+          Alcotest.failf "fresh key %S: id %d, want %d" key ids.(i) !next;
+        incr next
+      end;
+      if ids.(i) <> Intern.id key then
+        Alcotest.failf "key %S: resolved %d, Intern.id %d" key ids.(i)
+          (Intern.id key))
+    keys;
+  check_int "table grew by the fresh keys" !next (Intern.size ())
+
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let resolve_tests =
+  [
+    qtest ~count:300 "resolve agrees with id; fresh keys in first-occurrence order"
+      gen_batch (fun (pre, post, fresh, picks) ->
+        incr batch_run;
+        let key cat tails i =
+          Printf.sprintf "batch-%s-%d-%s" cat !batch_run
+            (List.nth tails (i mod List.length tails))
+        in
+        let pre_keys = List.map (key "pre" pre) (List.init (List.length pre) Fun.id) in
+        List.iter (fun k -> ignore (Intern.id k)) ("" :: pre_keys);
+        Intern.freeze ();
+        (* Interned after the freeze: the live table holds these, the
+           snapshot (barring an automatic refresh) does not. *)
+        List.iter
+          (fun i -> ignore (Intern.id (key "post" post i)))
+          (List.init (List.length post) Fun.id);
+        (* A batch the snapshot holds whole never takes the live path,
+           not even for keys whose home slot holds another key: it
+           allocates nothing, where the lock costs a closure. *)
+        let k = Intern.keys () in
+        let empty = minor_words_of (fun () -> ignore (Intern.resolve k)) in
+        List.iter (Intern.add k) pre_keys;
+        let words = minor_words_of (fun () -> ignore (Intern.resolve k)) in
+        Alcotest.(check (float 0.)) "minor words resolving pre-freeze keys"
+          empty words;
+        let pre_ids = Intern.resolve k in
+        List.iteri
+          (fun i key -> check_int key (Intern.id key) pre_ids.(i))
+          pre_keys;
+        let keys =
+          List.map
+            (function
+              | Pre i -> key "pre" pre i
+              | Post i -> key "post" post i
+              | Fresh i -> key "new" fresh i
+              | Empty -> "")
+            picks
+        in
+        let size_before = Intern.size () in
+        let prefix = Printf.sprintf "batch-new-%d-" !batch_run in
+        check_resolved ~size_before
+          ~is_fresh:(String.starts_with ~prefix)
+          keys (resolved keys);
+        true);
+    test_case "a resolve that grows the table retries to the same ids"
+      (fun () ->
+        let pre = List.init 50 (Printf.sprintf "grow-pre-%d\000") in
+        List.iter (fun k -> ignore (Intern.id k)) pre;
+        Intern.freeze ();
+        let post = List.init 50 (Printf.sprintf "grow-post-%d\xff") in
+        List.iter (fun k -> ignore (Intern.id k)) post;
+        (* Past the next doubling of the slot table, whatever its size:
+           it holds at most half as many keys as slots, and has at
+           least 2^17 slots. *)
+        let n_fresh = max 65_537 (Intern.size () + 1) in
+        let keys =
+          List.concat
+            [
+              pre;
+              List.init n_fresh (Printf.sprintf "grow-new-%d\xff\000");
+              post;
+              [ ""; "grow-new-0\xff\000" ];
+              pre;
+            ]
+        in
+        ignore (Intern.id "");
+        let size_before = Intern.size () in
+        let k = Intern.keys () in
+        List.iter (Intern.add k) keys;
+        (match Fault.configure "intern.grow:transient@1" with
+        | Ok () -> ()
+        | Error e -> Alcotest.fail e);
+        (match Fun.protect ~finally:Fault.disable (fun () -> Intern.resolve k) with
+        | exception Fault.Injected { site = "intern.grow"; _ } -> ()
+        | _ -> Alcotest.fail "the resolve did not grow the table");
+        check_bool "the fault left a prefix interned" true
+          (Intern.size () > size_before);
+        let ids = Array.sub (Intern.resolve k) 0 (Intern.key_count k) in
+        check_resolved ~size_before
+          ~is_fresh:(String.starts_with ~prefix:"grow-new-")
+          keys ids);
+    test_case "add_sub validates slices" (fun () ->
+        let k = Intern.keys () in
+        Alcotest.check_raises "negative off"
+          (Invalid_argument "Intern.add_sub") (fun () ->
+            Intern.add_sub k "abc" (-1) 2);
+        Alcotest.check_raises "past end" (Invalid_argument "Intern.add_sub")
+          (fun () -> Intern.add_sub k "abc" 2 2);
+        check_int "nothing added" 0 (Intern.key_count k));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* The radix routine behind sort_uniq and byte_order                   *)
+
+let sort_uniq_list l =
+  let a = Array.of_list l in
+  let n = Intern.sort_uniq a (Array.length a) in
+  Array.to_list (Array.sub a 0 n)
+
+let radix_tests =
+  [
+    qtest ~count:500 "sort_uniq equals List.sort_uniq compare"
+      QCheck2.Gen.(
+        (* One to four byte-wide digit passes. *)
+        oneofl [ 255; 65_535; (1 lsl 24) - 1; 1 lsl 30 ] >>= fun top ->
+        list_size (int_range 0 300)
+          (frequency [ (4, int_range 0 top); (1, int_range 0 7) ]))
+      (fun l -> sort_uniq_list l = List.sort_uniq compare l);
+    test_case "sort_uniq edge cases" (fun () ->
+        let check name l =
+          Alcotest.(check (list int)) name (List.sort_uniq compare l)
+            (sort_uniq_list l)
+        in
+        check "empty" [];
+        check "one" [ 1 lsl 30 ];
+        check "zero" [ 0 ];
+        check "all duplicates" (List.init 1_000 (fun _ -> 70_000));
+        check "descending" (List.init 600 (fun i -> (600 - i) * 4_099));
+        let a = [| 5; 3; 5; 1 |] in
+        check_int "prefix only" 2 (Intern.sort_uniq a 2);
+        Alcotest.(check (array int)) "tail untouched" [| 3; 5; 5; 1 |] a;
+        Alcotest.check_raises "negative"
+          (Invalid_argument "Intern.sort_uniq: negative") (fun () ->
+            ignore (Intern.sort_uniq [| 1; -1 |] 2));
+        Alcotest.check_raises "n past the end"
+          (Invalid_argument "Intern.sort_uniq") (fun () ->
+            ignore (Intern.sort_uniq [| 1 |] 2)));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Occurrence-aware untrain (regression: duplicate tokens)             *)
 
 let untrain_duplicate_tests =
@@ -552,6 +739,8 @@ let () =
     [
       ("intern", intern_tests);
       ("ranks", rank_tests);
+      ("resolve", resolve_tests);
+      ("radix", radix_tests);
       ("untrain-duplicates", untrain_duplicate_tests);
       ("differential", differential_tests);
       ("cow", cow_tests);

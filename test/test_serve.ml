@@ -1046,6 +1046,25 @@ let write_path_tests =
             Alcotest.(check (list (triple string int int)))
               (name ^ ": rows TRAIN added") want (trained tokenizer))
           Tokenizer.all);
+    test_case "a tenant's unpublished TRAIN scores at once" (fun () ->
+        (* Ingest resolves tokens the frozen intern snapshot lacks
+           through the live table, so a token only this tenant has
+           trained, never published, already carries its counts. *)
+        with_daemon_state ~publish_every:0 ~store:true @@ fun t _dir ->
+        let probe = mbox [ msg "freshtokenqq" ] in
+        let untrained = local_ok t ~user:"dave" Protocol.Classify probe in
+        ignore
+          (local_ok t ~user:"erin" (Protocol.Train Label.Spam)
+             (mbox
+                (List.init 3 (fun i ->
+                     msg (Printf.sprintf "freshtokenqq pills%d" i)))));
+        let before = local_ok t ~user:"erin" Protocol.Classify probe in
+        ignore (local_ok t Protocol.Publish "");
+        let after = local_ok t ~user:"erin" Protocol.Classify probe in
+        check_string "trained, before PUBLISH" "0 spam 0.934783\n" before;
+        check_string "trained, after PUBLISH" before after;
+        check_bool "an untrained tenant reads it differently" true
+          (untrained <> before));
     test_case "tenant TRAIN failing mid-batch is rolled back whole" (fun () ->
         let user = "carol" in
         let mail i =
