@@ -19,6 +19,7 @@
 open Cmdliner
 module Corpus = Spamlab_corpus
 module Filter = Spamlab_spambayes.Filter
+module Ingest = Spamlab_spambayes.Ingest
 module Label = Spamlab_spambayes.Label
 module Classify = Spamlab_spambayes.Classify
 module Options = Spamlab_spambayes.Options
@@ -149,21 +150,41 @@ let corpus_cmd =
 (* --------------------------------------------------------------- *)
 (* train                                                            *)
 
+(* Offline training ingests each mbox exactly as daemon TRAIN does: raw
+   chunks straight to distinct ids, ignored headers suppressed
+   ([Ingest.unique_ids_raw]), so the db written here is the one a
+   daemon publishes after TRAINing the same mail.  A malformed chunk is
+   quarantined: skipped and counted. *)
 let train_cmd =
   let quarantined_counter = Obs.counter "train.quarantined" in
+  let read_mbox what path =
+    match In_channel.with_open_bin path In_channel.input_all with
+    | text -> Ok text
+    | exception Sys_error e -> Error (what ^ " mbox: " ^ e)
+  in
   let run ham spam db tokenizer () =
     setup_logs ();
-    match Corpus.Trec.of_mbox_files_lenient ~ham_path:ham ~spam_path:spam with
-    | Error e -> fail "%s" e
-    | Ok (corpus, quarantined) ->
-        if quarantined > 0 then begin
-          Obs.add quarantined_counter quarantined;
+    match (read_mbox "ham" ham, read_mbox "spam" spam) with
+    | Error e, _ | _, Error e -> fail "%s" e
+    | Ok ham_text, Ok spam_text ->
+        let filter = Filter.create ~tokenizer () in
+        let quarantined = ref 0 in
+        let train_mbox label text =
+          Array.iter
+            (fun (off, len) ->
+              match Ingest.unique_ids_raw tokenizer text ~off ~len with
+              | Some (ids, _raw) -> Filter.train_ids filter label ids
+              | None -> incr quarantined)
+            (Ingest.raw_message_chunks text)
+        in
+        train_mbox Label.Ham ham_text;
+        train_mbox Label.Spam spam_text;
+        if !quarantined > 0 then begin
+          Obs.add quarantined_counter !quarantined;
           Logs.warn (fun m ->
               m "quarantined %d unparseable message(s); training on the rest"
-                quarantined)
+                !quarantined)
         end;
-        let filter = Filter.create ~tokenizer () in
-        Array.iter (fun (label, msg) -> Filter.train filter label msg) corpus;
         Filter.save_file filter db;
         let dbv = Filter.db filter in
         Logs.info (fun m ->

@@ -252,6 +252,37 @@ if grep -n -e '^date:' -e '^message-id:' "$sdir/bj1.db" | head -5 | grep .; then
 fi
 echo "serve (bogofilter): daemon jobs 1 == jobs 4 (client stdout, STATS, db); no date:/message-id: rows"
 
+say "offline train == daemon publish"
+# Offline `spamlab train` ingests raw mail exactly as daemon TRAIN does,
+# so training the same two mboxes either way must leave byte-identical
+# databases under every tokenizer — bogofilter included, whose header
+# mining would expose any suppressed header the offline path learned.
+"$spamlab" corpus --size 200 --ham "$sdir/otr.ham.mbox" \
+  --spam "$sdir/otr.spam.mbox" 2> /dev/null
+for tok in spambayes bogofilter spamassassin; do
+  "$spamlab" train --tokenizer "$tok" --ham "$sdir/otr.ham.mbox" \
+    --spam "$sdir/otr.spam.mbox" --db "$sdir/otr-$tok.offline.db" 2> /dev/null \
+    || { echo "FAIL: offline $tok train failed"; exit 1; }
+  start_daemon "otr-$tok" 1 --tokenizer "$tok" --publish-every 0
+  for class in ham spam; do
+    "$spamlab" client train --socket "$sdir/otr-$tok.sock" --class "$class" \
+      "$sdir/otr.$class.mbox" > /dev/null \
+      || { echo "FAIL: $tok daemon $class TRAIN failed"; exit 1; }
+  done
+  "$spamlab" client publish --socket "$sdir/otr-$tok.sock" > /dev/null
+  kill -TERM "$daemon_pid"
+  wait "$daemon_pid" \
+    || { echo "FAIL: otr-$tok daemon exited nonzero on SIGTERM"; exit 1; }
+  cmp -s "$sdir/otr-$tok.offline.db" "$sdir/otr-$tok.db" \
+    || { echo "FAIL: $tok offline train db differs from the daemon's publish"; \
+         diff "$sdir/otr-$tok.offline.db" "$sdir/otr-$tok.db" | head -10; exit 1; }
+done
+if grep -n -e '^date:' -e '^message-id:' "$sdir/otr-bogofilter.offline.db" \
+    | head -5 | grep .; then
+  echo "FAIL: offline bogofilter db holds suppressed-header rows (above)"; exit 1
+fi
+echo "offline train == daemon publish (spambayes, bogofilter, spamassassin); no date:/message-id: rows"
+
 say "serve soak: crash mid-TRAIN, restart, replay"
 # The second publish crashes the daemon (exit 70) partway through the
 # TRAIN schedule.  The client reconnect-retries, replaying its

@@ -19,8 +19,9 @@ let payload tokenizer t = Attack_email.payload_tokens tokenizer (email t)
 
 let raw_token_count tokenizer t =
   let n = ref 0 in
-  Spamlab_tokenizer.Tokenizer.iter_tokens tokenizer (email t) (fun _ ->
-      incr n);
+  Spamlab_tokenizer.Tokenizer.iter_spans tokenizer (email t)
+    ~span:(fun _ _ _ -> incr n)
+    ~token:(fun _ -> incr n);
   !n
 
 let train filter tokenizer t ~count =

@@ -39,10 +39,11 @@ let measure tokenizer corpus =
       (match label with
       | Label.Ham -> incr ham
       | Label.Spam -> incr spam);
-      let stream = Tokenizer.tokenize tokenizer msg in
-      raw_tokens := !raw_tokens + List.length stream;
-      let uniques = Tokenizer.unique_of_list stream in
-      lengths.(i) <- float_of_int (List.length stream);
+      let uniques, stream_length =
+        Tokenizer.unique_counted_tokens tokenizer msg
+      in
+      raw_tokens := !raw_tokens + stream_length;
+      lengths.(i) <- float_of_int stream_length;
       Array.iter
         (fun token ->
           let info =

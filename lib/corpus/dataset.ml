@@ -19,8 +19,8 @@ module Ingest = Spamlab_spambayes.Ingest
 (* Zero-copy path: tokenizers push byte slices which intern in place
    (Ingest.with_unique_ids); only the distinct tokens are ever
    materialized as strings — shared with the intern table, not
-   allocated per message.  The string-sorted [tokens]/[ids] order of
-   the legacy pipeline is preserved: attack construction and the roni
+   allocated per message.  [tokens]/[ids] keep the string-sorted order
+   [Tokenizer.unique_tokens] returns: attack construction and the roni
    defense iterate [tokens] and rely on it.
 
    The sort runs over an int permutation, never over boxed pairs: a

@@ -32,8 +32,8 @@ val of_message :
 (** Zero-copy message → example: tokenizers push byte slices which
     intern in place ({!Spamlab_spambayes.Ingest.with_unique_ids}); the
     distinct tokens are materialized as strings shared with the intern
-    table, sorted, and paired with their ids — same [tokens]/[ids]
-    arrays as the legacy string pipeline, without per-token
+    table, sorted, and paired with their ids — the same [tokens] as
+    {!Spamlab_tokenizer.Tokenizer.unique_tokens}, without per-token
     allocation. *)
 
 val tokenize_ids :

@@ -78,17 +78,3 @@ let of_mbox_files ~ham_path ~spam_path =
            (Array.of_list (List.map (fun m -> (Label.Spam, m)) spams)))
   | Error e, _ -> Error ("ham mbox: " ^ e)
   | _, Error e -> Error ("spam mbox: " ^ e)
-
-let of_mbox_files_lenient ~ham_path ~spam_path =
-  match
-    ( Spamlab_email.Mbox.read_file_lenient ham_path,
-      Spamlab_email.Mbox.read_file_lenient spam_path )
-  with
-  | Ok (hams, ham_dropped), Ok (spams, spam_dropped) ->
-      Ok
-        ( Array.append
-            (Array.of_list (List.map (fun m -> (Label.Ham, m)) hams))
-            (Array.of_list (List.map (fun m -> (Label.Spam, m)) spams)),
-          ham_dropped + spam_dropped )
-  | Error e, _ -> Error ("ham mbox: " ^ e)
-  | _, Error e -> Error ("spam mbox: " ^ e)

@@ -36,11 +36,3 @@ val to_mbox_files :
 
 val of_mbox_files :
   ham_path:string -> spam_path:string -> (labeled array, string) result
-
-val of_mbox_files_lenient :
-  ham_path:string ->
-  spam_path:string ->
-  (labeled array * int, string) result
-(** Like {!of_mbox_files} but unparseable messages are quarantined
-    (dropped) rather than failing the load; the [int] is how many were
-    dropped across both files.  Missing files are still [Error]. *)

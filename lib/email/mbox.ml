@@ -113,4 +113,3 @@ let with_contents path f =
         (fun () -> f (In_channel.input_all ic))
 
 let read_file path = with_contents path parse
-let read_file_lenient path = with_contents path (fun s -> Ok (parse_lenient s))

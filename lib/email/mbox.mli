@@ -21,7 +21,3 @@ val parse_lenient : string -> Message.t list * int
 (** Like {!parse}, but a chunk that fails RFC 2822 parsing is dropped
     instead of failing the whole mailbox.  Returns the surviving
     messages and the number of dropped (quarantined) chunks. *)
-
-val read_file_lenient : string -> (Message.t list * int, string) result
-(** {!parse_lenient} over a file's contents; [Error] only on I/O
-    failure. *)

@@ -33,9 +33,11 @@
     the store's durability point
     ({!Spamlab_store.Store.commit}); an explicit [PUBLISH] further
     compacts every shard to its canonical bytes.  Tenant classify
-    probes the same frozen intern snapshot as the shared path, so
-    tokens a tenant trained become visible at the next publish — the
-    same published-state contract.  [User]-routed requests without a
+    reads the user's overlay directly, and ingest resolves a token the
+    frozen intern snapshot lacks through the live table, so a tenant's
+    own unpublished TRAIN scores at once, before the next publish and
+    after it alike — unlike the shared path, which classifies against
+    the last published baseline.  [User]-routed requests without a
     configured store answer a request-level [Err].
 
     {2 Overload hardening}

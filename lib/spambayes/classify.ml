@@ -270,11 +270,6 @@ let score_engine_sub e ids n =
 let score_engine e ids = score_engine_sub e ids (Array.length ids)
 let score_ids options db ids = score_engine (engine options db) ids
 
-(* Length-limited form for callers that reuse one scratch id buffer
-   across messages (Ingest.classify_many): scores ids.(0..n-1) without
-   slicing the array. *)
-let score_ids_sub options db ids n = score_engine_sub (engine options db) ids n
-
 let score_tokens options db tokens =
   score_ids options db (Intern.intern_array tokens)
 

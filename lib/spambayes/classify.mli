@@ -41,8 +41,6 @@ val engine_overlay : Prob_cache.t -> Token_db.t -> engine
     not be mutated while the engine is in use; build a fresh engine
     per locked access. *)
 
-val engine_options : engine -> Options.t
-
 val score_engine : engine -> int array -> result
 (** Full pipeline on pre-interned distinct-token ids through an
     engine.  [score_ids options db] ≡ [score_engine (engine options
@@ -75,12 +73,6 @@ val score_tokens : Options.t -> Token_db.t -> string array -> result
 val score_ids : Options.t -> Token_db.t -> int array -> result
 (** Full pipeline on pre-interned distinct-token ids — the hot path for
     datasets that carry id arrays ([Dataset.example]). *)
-
-val score_ids_sub : Options.t -> Token_db.t -> int array -> int -> result
-(** [score_ids_sub options db ids n] is [score_ids] on
-    [Array.sub ids 0 n] without the copy — the batched-classify path
-    ({!Ingest.classify_many}) reuses one per-domain scratch buffer
-    across messages. *)
 
 val score_clues : Options.t -> clue list -> result
 (** The scoring pipeline on candidate clues whose f(w) was computed by

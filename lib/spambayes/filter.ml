@@ -22,7 +22,6 @@ let set_options t options = make options t.tokenizer t.db
 let tokenizer t = t.tokenizer
 let db t = t.db
 let copy t = make t.options t.tokenizer (Token_db.copy t.db)
-let with_db t db = make t.options t.tokenizer db
 let engine t = Classify.engine_cached t.cache
 
 let features t msg = Spamlab_tokenizer.Tokenizer.unique_tokens t.tokenizer msg
@@ -31,7 +30,6 @@ let train_tokens t label tokens = Token_db.train t.db label tokens
 let train_tokens_many t label tokens k = Token_db.train_many t.db label tokens k
 let untrain_tokens t label tokens = Token_db.untrain t.db label tokens
 let train_ids t label ids = Token_db.train_ids t.db label ids
-let train_ids_many t label ids k = Token_db.train_many_ids t.db label ids k
 let untrain_ids t label ids = Token_db.untrain_ids t.db label ids
 
 let train t label msg = train_tokens t label (features t msg)

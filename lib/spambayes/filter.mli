@@ -20,19 +20,6 @@ val copy : t -> t
 (** Logically-deep copy (independent database) — O(1) via the token
     DB's copy-on-write snapshot (see {!Token_db.copy}). *)
 
-val with_db : t -> Token_db.t -> t
-(** Functional update swapping in another database under the same
-    options and tokenizer — the tenant-scoped view: the sharded store
-    hands out per-user overlay databases, and [with_db] dresses one as
-    a full filter for classify/train entry points. *)
-
-val engine : t -> Classify.engine
-(** The filter's scoring engine: probabilities served from its
-    generation-stamped {!Prob_cache} (training invalidates it via the
-    db generation; no explicit flush needed).  Single-domain, like the
-    filter itself.  Every [classify*] entry point below scores through
-    this. *)
-
 val features : t -> Spamlab_email.Message.t -> string array
 (** Distinct tokens of a message under this filter's tokenizer. *)
 
@@ -53,7 +40,6 @@ val train_ids : t -> Label.gold -> int array -> unit
     {!Intern.intern_array}) — the hot path for [Dataset.example]s,
     which carry their id arrays. *)
 
-val train_ids_many : t -> Label.gold -> int array -> int -> unit
 val untrain_ids : t -> Label.gold -> int array -> unit
 
 val train_corpus :
@@ -66,8 +52,8 @@ val classify_ids : t -> int array -> Classify.result
 val classify_many :
   t -> Spamlab_email.Message.t array -> Classify.result array
 (** Batched classification through the zero-copy ingest path (see
-    {!Ingest.classify_many}): one per-domain scratch buffer across the
-    batch, no per-message arrays. *)
+    {!Ingest.classify_many_engine}): one per-domain scratch buffer
+    across the batch, no per-message arrays. *)
 
 val classify_raw :
   t -> string -> off:int -> len:int -> Classify.result option

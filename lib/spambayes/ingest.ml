@@ -339,13 +339,7 @@ let classify_mbox_engine e tokenizer buf =
     (fun (off, len) -> classify_raw_engine e tokenizer buf ~off ~len)
     (raw_message_chunks buf)
 
-(* (options, db) forms: the uncached reference engine.  Filter and the
+(* (options, db) form: the uncached reference engine.  Filter and the
    daemon pass their cached engines through the [_engine] variants. *)
-let classify_many options db tokenizer msgs =
-  classify_many_engine (Classify.engine options db) tokenizer msgs
-
 let classify_raw options db tokenizer buf ~off ~len =
   classify_raw_engine (Classify.engine options db) tokenizer buf ~off ~len
-
-let classify_mbox options db tokenizer buf =
-  classify_mbox_engine (Classify.engine options db) tokenizer buf

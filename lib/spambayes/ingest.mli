@@ -39,9 +39,12 @@
     malformed message (header line without a colon) is dropped, as in
     [Mbox.parse_lenient].
 
-    Raw-path tokens are exactly what the string pipeline produces
-    after the ignored headers are removed — the differential tests
-    hold the two equal.
+    Raw-path tokens are exactly what
+    {!Spamlab_tokenizer.Tokenizer.iter_spans} produces on the leniently
+    parsed message after the ignored headers are removed — the
+    differential tests hold the two equal.  Every verb of the daemon
+    and the offline [spamlab train] ingest mail this way, so what is
+    learned is what is looked up.
 
     {2 Counters}
 
@@ -67,27 +70,17 @@ val unique_ids :
 (** Materialized form of {!with_unique_ids}:
     [(distinct ids, raw count)]. *)
 
-val classify_many :
-  Options.t ->
-  Token_db.t ->
-  Spamlab_tokenizer.Tokenizer.t ->
-  Spamlab_email.Message.t array ->
-  Classify.result array
-(** Batched classification: every message goes span-tokenize →
-    dedup-in-scratch → {!Classify.score_engine_sub}, reusing one
-    per-domain id buffer across the whole batch.  Results are
-    positionally aligned with the input.  This form scores through the
-    uncached reference engine; cached callers use
-    {!classify_many_engine}. *)
-
 val classify_many_engine :
   Classify.engine ->
   Spamlab_tokenizer.Tokenizer.t ->
   Spamlab_email.Message.t array ->
   Classify.result array
-(** {!classify_many} scoring through an explicit {!Classify.engine}
-    (per-filter probability cache, daemon snapshot cache, tenant
-    overlay) — output is bit-identical to the uncached form. *)
+(** Batched classification: every message goes span-tokenize →
+    dedup-in-scratch → {!Classify.score_engine_sub} through an
+    explicit {!Classify.engine} (per-filter probability cache, daemon
+    snapshot cache, tenant overlay), reusing one per-domain id buffer
+    across the whole batch.  Results are positionally aligned with the
+    input and bit-identical whichever engine scores them. *)
 
 (** {1 Raw mail} *)
 
@@ -106,7 +99,7 @@ val iter_raw_messages : string -> (off:int -> len:int -> unit) -> unit
 val raw_message_chunks : string -> (int * int) array
 (** Materialized [(off, len)] chunk list of a raw mbox buffer — the
     fan-out unit for pool workers ([Pool.map_array] over chunks, each
-    worker calling {!classify_raw}). *)
+    worker calling {!classify_raw_engine}). *)
 
 val with_unique_ids_raw :
   Spamlab_tokenizer.Tokenizer.t ->
@@ -136,16 +129,6 @@ val classify_raw :
   Classify.result option
 (** Classify one raw message chunk; [None] if malformed. *)
 
-val classify_mbox :
-  Options.t ->
-  Token_db.t ->
-  Spamlab_tokenizer.Tokenizer.t ->
-  string ->
-  Classify.result option array
-(** Classify every message of a raw mbox buffer in order ([None] for
-    malformed chunks).  Single-domain; for pool fan-out compose
-    {!raw_message_chunks} with {!classify_raw}. *)
-
 val classify_raw_engine :
   Classify.engine ->
   Spamlab_tokenizer.Tokenizer.t ->
@@ -161,4 +144,7 @@ val classify_mbox_engine :
   Spamlab_tokenizer.Tokenizer.t ->
   string ->
   Classify.result option array
-(** {!classify_mbox} through an explicit engine. *)
+(** Classify every message of a raw mbox buffer in order, through an
+    explicit engine ([None] for malformed chunks).  Single-domain; for
+    pool fan-out compose {!raw_message_chunks} with
+    {!classify_raw_engine}. *)

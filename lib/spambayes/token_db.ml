@@ -341,9 +341,6 @@ let fold f init t =
     t;
   !acc
 
-let iter f t =
-  iter_counts (fun id ~spam ~ham -> f (Intern.to_string id) ~spam ~ham) t
-
 (* Tokens come straight from attacker-controlled email bodies, so they
    can contain the format's own delimiters.  Version 2 escapes exactly
    the characters the line format gives meaning to: backslash, tab,

@@ -31,7 +31,7 @@
 
     One representational consequence: an entry whose counts return to
     0/0 (or is loaded as 0/0) is indistinguishable from an absent one.
-    {!distinct_tokens}, {!iter}, {!fold} and {!save} all treat such
+    {!distinct_tokens}, {!fold} and {!save} all treat such
     entries as absent, exactly as the previous implementation removed
     emptied tokens from its table. *)
 
@@ -142,10 +142,6 @@ val iter_overlay : (int -> spam:int -> ham:int -> unit) -> t -> unit
     0/0).  Order is unspecified.  This is how the sharded store
     extracts a tenant's delta-vs-prior in O(|touched|) without walking
     the full base arrays. *)
-
-val iter : (string -> spam:int -> ham:int -> unit) -> t -> unit
-(** Visit every token with a non-zero combined count, in unspecified
-    order. *)
 
 val fold : ('a -> string -> spam:int -> ham:int -> 'a) -> 'a -> t -> 'a
 

@@ -3,34 +3,10 @@ let name = "bogofilter"
 let min_word_length = 3
 let max_word_length = 30
 
-let keep w =
-  let n = String.length w in
-  n >= min_word_length && n <= max_word_length
-
-(* Emit form; [tokenize] is derived from it.  This also removes the old
-   quadratic [acc @ toks] accumulation over header fields. *)
-let iter_tokens msg f =
-  let open Spamlab_email in
-  Header.fold
-    (fun () name value ->
-      let prefix = String.lowercase_ascii name ^ ":" in
-      List.iter (fun w -> if keep w then f (prefix ^ w)) (Text.words value))
-    ()
-    (Message.headers msg);
-  List.iter (fun w -> if keep w then f w) (Text.words (Message.body msg))
-
-let tokenize msg =
-  let acc = ref [] in
-  iter_tokens msg (fun t -> acc := t :: !acc);
-  List.rev !acc
-
-(* Zero-copy span path, written against [Text.iter_word_spans] rather
-   than delegating to [iter_tokens] so the differential tests compare
-   independent implementations.  Header tokens are prefixed and so
-   inherently allocate; body words — the bulk — travel as slices. *)
-
 let keep_len n = n >= min_word_length && n <= max_word_length
 
+(* Header tokens are prefixed and so inherently allocate; body words —
+   the bulk — travel as slices. *)
 let iter_body_spans buf off len ~span ~token:_ =
   Text.iter_word_spans buf off len (fun wbuf woff wlen ->
       if keep_len wlen then span wbuf woff wlen)

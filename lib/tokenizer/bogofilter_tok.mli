@@ -5,16 +5,15 @@
     identical — the paper's footnote 1 scenario. *)
 
 val name : string
-val tokenize : Spamlab_email.Message.t -> string list
-val iter_tokens : Spamlab_email.Message.t -> (string -> unit) -> unit
 
 val iter_spans :
   Spamlab_email.Message.t ->
   span:(string -> int -> int -> unit) ->
   token:(string -> unit) ->
   unit
-(** Zero-copy form of {!iter_tokens}: body words as byte slices through
-    [span], prefixed header tokens through [token]. *)
+(** The token stream in document order: every header's words, prefixed
+    with the lowercased field name, through [token]; then body words as
+    byte slices through [span]. *)
 
 val iter_body_spans :
   string ->

@@ -8,45 +8,18 @@ let stem w =
   if String.length w <= max_word_length then w
   else "sk:" ^ String.sub w 0 5
 
-let body_word w =
-  if Url.looks_like_url w then
-    (* Keep only the hostname as a single token. *)
-    match Url.crack w with
-    | _proto :: host :: _ -> [ host ]
-    | tokens -> tokens
-  else if String.length w < 3 then []
-  else [ stem w ]
+(* A URL keeps only its hostname as a single token. *)
+let url_tokens w =
+  match Url.crack w with
+  | _proto :: host :: _ -> [ host ]
+  | tokens -> tokens
 
-(* Emit form; [tokenize] is derived from it. *)
-let iter_tokens msg f =
-  let open Spamlab_email in
-  List.iter
-    (fun field ->
-      match Header.find (Message.headers msg) field with
-      | None -> ()
-      | Some value ->
-          let prefix = "h" ^ field ^ ":" in
-          List.iter
-            (fun w -> if String.length w >= 3 then f (prefix ^ stem w))
-            (Text.words value))
-    scanned_headers;
-  List.iter
-    (fun w -> List.iter f (body_word w))
-    (Text.words (Message.body msg))
-
-let tokenize msg =
-  let acc = ref [] in
-  iter_tokens msg (fun t -> acc := t :: !acc);
-  List.rev !acc
-
-(* Zero-copy span path (independent of [iter_tokens]; see the
-   differential tests).  Short-enough body words travel as slices; URL
-   hosts and sk: stems are computed strings and still allocate. *)
-
+(* Short-enough body words travel as slices; URL hosts and sk: stems
+   are computed strings and allocate. *)
 let iter_body_spans buf off len ~span ~token =
   Text.iter_word_spans buf off len (fun wbuf woff wlen ->
       if Url.looks_like_url_sub wbuf woff wlen then
-        List.iter token (body_word (String.sub wbuf woff wlen))
+        List.iter token (url_tokens (String.sub wbuf woff wlen))
       else if wlen < 3 then ()
       else if wlen <= max_word_length then span wbuf woff wlen
       else token ("sk:" ^ String.sub wbuf woff 5))

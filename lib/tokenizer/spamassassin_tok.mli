@@ -5,16 +5,15 @@
     hostname token. *)
 
 val name : string
-val tokenize : Spamlab_email.Message.t -> string list
-val iter_tokens : Spamlab_email.Message.t -> (string -> unit) -> unit
 
 val iter_spans :
   Spamlab_email.Message.t ->
   span:(string -> int -> int -> unit) ->
   token:(string -> unit) ->
   unit
-(** Zero-copy form of {!iter_tokens}: short-enough body words as byte
-    slices through [span], header/stem/url tokens through [token]. *)
+(** The token stream in document order: scanned header words through
+    [token], then short-enough body words as byte slices through
+    [span] and stem/url tokens through [token]. *)
 
 val iter_body_spans :
   string ->

@@ -22,19 +22,15 @@
       ["received:<part>"] and IP /16 prefixes as ["received:ip:a.b"]. *)
 
 val name : string
-val tokenize : Spamlab_email.Message.t -> string list
-val iter_tokens : Spamlab_email.Message.t -> (string -> unit) -> unit
 
 val iter_spans :
   Spamlab_email.Message.t ->
   span:(string -> int -> int -> unit) ->
   token:(string -> unit) ->
   unit
-(** Zero-copy form of {!iter_tokens}: plain body words are delivered as
-    byte slices through [span]; computed meta tokens (skip:, url:,
-    email, subject:, 8bit%, …) still arrive as strings through [token].
-    Same multiset of tokens as {!iter_tokens} (implemented
-    independently; see the differential tests). *)
+(** The token stream in document order: plain body words are delivered
+    as byte slices through [span]; computed meta tokens (skip:, url:,
+    email, subject:, 8bit%, …) arrive as strings through [token]. *)
 
 val iter_body_spans :
   string ->
@@ -46,10 +42,6 @@ val iter_body_spans :
 (** Body tokens of a {e simple} message (single part, no transfer
     encoding) straight from a raw body slice — what {!iter_spans}
     emits for the body of such a message. *)
-
-val tokenize_body_text : string -> string list
-(** Body tokenization only (used by attack construction to predict which
-    tokens an attack email will contribute). *)
 
 val max_word_length : int
 (** Words longer than this become skip tokens (12, as in SpamBayes). *)

@@ -1,38 +1,10 @@
 let is_space c = c = ' ' || c = '\t' || c = '\n' || c = '\r'
 
-let split_whitespace s =
-  let n = String.length s in
-  let rec scan i start acc =
-    if i >= n then
-      if i > start then String.sub s start (i - start) :: acc else acc
-    else if is_space s.[i] then
-      let acc =
-        if i > start then String.sub s start (i - start) :: acc else acc
-      in
-      scan (i + 1) (i + 1) acc
-    else scan (i + 1) start acc
-  in
-  List.rev (scan 0 0 [])
-
 let is_ascii_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
 let is_digit c = c >= '0' && c <= '9'
 
 let is_word_char c =
   is_ascii_alpha c || is_digit c || c = '\'' || c = '$' || c = '-'
-
-let strip_punctuation s =
-  let n = String.length s in
-  let rec first i = if i < n && not (is_word_char s.[i]) then first (i + 1) else i in
-  let rec last i = if i >= 0 && not (is_word_char s.[i]) then last (i - 1) else i in
-  let lo = first 0 in
-  let hi = last (n - 1) in
-  if hi < lo then "" else String.sub s lo (hi - lo + 1)
-
-let words s =
-  split_whitespace s
-  |> List.filter_map (fun w ->
-         let w = strip_punctuation (String.lowercase_ascii w) in
-         if w = "" then None else Some w)
 
 let is_upper c = c >= 'A' && c <= 'Z'
 
@@ -71,9 +43,9 @@ let emit_word scratch s lo hi f =
     f (Bytes.unsafe_to_string b) 0 wlen
   end
 
-(* Span form of [words]: every canonical word (lowercased, punctuation
-   stripped, non-empty) of [s.[off .. off+len-1]] is delivered as a
-   slice [(buf, woff, wlen)] instead of an allocated string.
+(* Every canonical word (lowercased, punctuation stripped, non-empty)
+   of [s.[off .. off+len-1]] is delivered as a slice
+   [(buf, woff, wlen)] instead of an allocated string.
    Lowercasing cannot change whether a byte is a word character, so
    punctuation is stripped on the raw buffer by offsets.  Loops, not
    local [let rec]s: without flambda each of those would allocate a
@@ -102,11 +74,16 @@ let iter_word_spans s off len f =
     if !hi >= !lo then emit_word scratch s !lo !hi f
   done
 
+let words s =
+  let acc = ref [] in
+  iter_word_spans s 0 (String.length s) (fun buf off len ->
+      acc := String.sub buf off len :: !acc);
+  List.rev !acc
+
 let has_high_bit s = String.exists (fun c -> Char.code c >= 0x80) s
 
-(* [eight_bit_stats_sub s off len] counts high bytes in a slice without
-   touching anything else — the span path's replacement for scanning a
-   materialized body string. *)
+(* Bytes >= 0x80 in a slice: 8-bit accounting over a raw body without
+   materializing it. *)
 let count_high_sub s off len =
   let acc = ref 0 in
   for i = off to off + len - 1 do

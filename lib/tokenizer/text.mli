@@ -1,25 +1,18 @@
-(** Low-level text splitting shared by every tokenizer variant. *)
-
-val split_whitespace : string -> string list
-(** Split on runs of spaces, tabs, newlines and carriage returns;
-    never returns empty strings. *)
-
-val strip_punctuation : string -> string
-(** Remove leading and trailing characters outside [A-Za-z0-9'$-]
-    (apostrophes, dollar signs and hyphens are meaningful inside spam
-    tokens: ["don't"], ["$99"], ["v-i-a-g-r-a"]). *)
-
-val words : string -> string list
-(** [split_whitespace] then [strip_punctuation] then drop empties;
-    lowercases everything. *)
+(** Low-level text splitting shared by every tokenizer variant.  A word
+    is a maximal run of bytes other than space, tab, newline and
+    carriage return, lowercased, with leading and trailing characters
+    outside [A-Za-z0-9'$-] stripped (apostrophes, dollar signs and
+    hyphens are meaningful inside spam tokens: ["don't"], ["$99"],
+    ["v-i-a-g-r-a"]); a run that strips to nothing is no word.
+    {!iter_word_spans} is the one splitter; {!words} collects it. *)
 
 val is_ascii_alpha : char -> bool
 val is_digit : char -> bool
 
 val iter_word_spans :
   string -> int -> int -> (string -> int -> int -> unit) -> unit
-(** [iter_word_spans s off len f] delivers every word {!words} would
-    produce for [String.sub s off len] as a byte slice
+(** [iter_word_spans s off len f] delivers every word of
+    [String.sub s off len], in order, as a byte slice
     [f buf woff wlen] instead of an allocated string: punctuation is
     stripped by offsets on the raw buffer, and a word is copied (into a
     per-domain scratch, lowercased) only when it actually contains an
@@ -30,6 +23,10 @@ val iter_word_spans :
     capitalized word seen).
     @raise Invalid_argument if [off]/[len] do not denote a slice of
     [s]. *)
+
+val words : string -> string list
+(** Every word of a string, in order, as fresh strings:
+    {!iter_word_spans} collected. *)
 
 val has_high_bit : string -> bool
 (** True if any byte is >= 0x80 (8-bit character heuristic used by

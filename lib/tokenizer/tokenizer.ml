@@ -1,7 +1,5 @@
 module type S = sig
   val name : string
-  val tokenize : Spamlab_email.Message.t -> string list
-  val iter_tokens : Spamlab_email.Message.t -> (string -> unit) -> unit
 
   val iter_spans :
     Spamlab_email.Message.t ->
@@ -21,47 +19,33 @@ end
 type t = (module S)
 
 let name (module T : S) = T.name
-let tokenize (module T : S) msg = T.tokenize msg
-let iter_tokens (module T : S) msg f = T.iter_tokens msg f
 let iter_spans (module T : S) msg ~span ~token = T.iter_spans msg ~span ~token
 
 let iter_body_spans (module T : S) buf off len ~span ~token =
   T.iter_body_spans buf off len ~span ~token
 
-let unique_of_list tokens =
-  let sorted = List.sort_uniq String.compare tokens in
-  Array.of_list sorted
+(* The string API, for every tokenizer at once: a slice becomes its
+   string, a meta token passes through.  No interning — feature
+   extraction and attack payloads must not grow the intern table. *)
+let iter_tokens (module T : S) msg f =
+  T.iter_spans msg ~span:(fun buf off len -> f (String.sub buf off len)) ~token:f
 
-(* Dedup in place after one materializing traversal, so callers that
-   also want the raw stream length (Dataset.of_message) pay a single
-   pass over the list instead of sort_uniq + List.length. *)
-let unique_counted tokens =
-  let arr = Array.of_list tokens in
-  let n = Array.length arr in
-  if n = 0 then ([||], 0)
-  else begin
-    Array.sort String.compare arr;
-    let w = ref 1 in
-    for i = 1 to n - 1 do
-      if not (String.equal arr.(i) arr.(!w - 1)) then begin
-        arr.(!w) <- arr.(i);
-        incr w
-      end
-    done;
-    ((if !w = n then arr else Array.sub arr 0 !w), n)
-  end
+let tokenize t msg =
+  let acc = ref [] in
+  iter_tokens t msg (fun tok -> acc := tok :: !acc);
+  List.rev !acc
 
-(* Per-domain scratch for the fused path: the token stream is pushed
-   into a reusable growable buffer, then sorted and deduplicated in
-   place — no intermediate list cells.  One buffer per domain keeps the
-   path safe under the parallel pool without locking. *)
+(* Per-domain scratch: the token stream is pushed into a reusable
+   growable buffer, then sorted and deduplicated in place — no
+   intermediate list cells.  One buffer per domain keeps the path safe
+   under the parallel pool without locking. *)
 let scratch : string array ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref (Array.make 1024 ""))
 
-let unique_counted_tokens (module T : S) msg =
+let unique_counted_tokens t msg =
   let buf = Domain.DLS.get scratch in
   let n = ref 0 in
-  T.iter_tokens msg (fun tok ->
+  iter_tokens t msg (fun tok ->
       let arr = !buf in
       let cap = Array.length arr in
       if !n = cap then begin

@@ -4,32 +4,28 @@
     SpamAssassin's Bayes component share the learning algorithm and
     differ primarily in tokenization; the laboratory therefore treats the
     tokenizer as a pluggable component so attacks can be evaluated across
-    filter styles. *)
+    filter styles.
+
+    A tokenizer is written once, as a span pass ({!S.iter_spans}).
+    The string-level API below ({!iter_tokens}, {!tokenize},
+    {!unique_tokens}, {!unique_counted_tokens}) is derived from it here,
+    generically, so every consumer — interning ingest, feature
+    extraction, attack construction, corpus statistics — sees the same
+    token stream. *)
 
 module type S = sig
   val name : string
-
-  val tokenize : Spamlab_email.Message.t -> string list
-  (** Token stream in document order, possibly with repeats. *)
-
-  val iter_tokens : Spamlab_email.Message.t -> (string -> unit) -> unit
-  (** Push the same stream, in the same order, through a callback
-      without materializing the list.  Implementations derive
-      [tokenize] from this, so the two cannot disagree. *)
 
   val iter_spans :
     Spamlab_email.Message.t ->
     span:(string -> int -> int -> unit) ->
     token:(string -> unit) ->
     unit
-  (** Zero-copy pass: plain words are delivered as [span buf off len]
-      byte slices (valid only for the duration of the callback), while
+  (** The token stream of a message, in document order, possibly with
+      repeats.  Plain words are delivered as [span buf off len] byte
+      slices (valid only for the duration of the callback), while
       computed meta tokens (prefixes, skip:, url:, …) arrive as
-      strings through [token].  Emits the same {e multiset} of tokens
-      as {!iter_tokens} — document order may differ in where meta
-      tokens land, which is irrelevant to the set-of-tokens model.
-      Implemented independently of {!iter_tokens}; the differential
-      test suite holds the two equal. *)
+      strings through [token]. *)
 
   val iter_body_spans :
     string ->
@@ -40,7 +36,7 @@ module type S = sig
     unit
   (** [iter_body_spans buf off len] pushes the tokens the body of a
       {e simple} message (single-part, identity transfer encoding)
-      with raw body [buf.[off..off+len-1]] would contribute to
+      with raw body [buf.[off..off+len-1]] contributes to
       {!iter_spans} — the fully zero-copy path raw-mbox ingest takes
       when a message needs no MIME processing. *)
 end
@@ -48,9 +44,6 @@ end
 type t = (module S)
 
 val name : t -> string
-val tokenize : t -> Spamlab_email.Message.t -> string list
-
-val iter_tokens : t -> Spamlab_email.Message.t -> (string -> unit) -> unit
 
 val iter_spans :
   t ->
@@ -68,25 +61,25 @@ val iter_body_spans :
   token:(string -> unit) ->
   unit
 
+val iter_tokens : t -> Spamlab_email.Message.t -> (string -> unit) -> unit
+(** {!S.iter_spans} as strings: each slice is copied out with
+    [String.sub], meta tokens pass through unchanged.  Same tokens,
+    same order.  Nothing is interned. *)
+
+val tokenize : t -> Spamlab_email.Message.t -> string list
+(** {!iter_tokens} collected into a list. *)
+
+val unique_counted_tokens : t -> Spamlab_email.Message.t -> string array * int
+(** [unique_counted_tokens t msg] is the distinct tokens of
+    [tokenize t msg], sorted, and the length of that stream — without
+    building the list: {!iter_tokens} streams into a per-domain
+    reusable buffer which is sorted and deduplicated in place.  Safe
+    to call from pool workers. *)
+
 val unique_tokens : t -> Spamlab_email.Message.t -> string array
 (** Distinct tokens of a message, sorted.  SpamBayes both trains and
     classifies on the {e set} of tokens in a message, so this is the
     canonical feature extraction. *)
-
-val unique_of_list : string list -> string array
-(** Sort-and-dedup helper shared by attack construction. *)
-
-val unique_counted : string list -> string array * int
-(** [unique_counted stream] is [(unique_of_list stream, List.length
-    stream)] in a single traversal of the list — the token-volume
-    accounting path (§4.2) runs this per generated message. *)
-
-val unique_counted_tokens : t -> Spamlab_email.Message.t -> string array * int
-(** [unique_counted_tokens t msg] is
-    [unique_counted (tokenize t msg)] without building the token list:
-    {!S.iter_tokens} streams into a per-domain reusable buffer which is
-    sorted and deduplicated in place.  The fused-ingest fast path —
-    safe to call from pool workers. *)
 
 val spambayes : t
 val bogofilter : t

@@ -10,16 +10,11 @@ let scheme_of w =
       Some (String.sub w 0 i, String.sub w (i + 3) (String.length w - i - 3))
   | _ -> None
 
-let looks_like_url w =
-  let w = String.lowercase_ascii w in
-  Option.is_some (scheme_of w)
-  || (String.length w > 4 && String.sub w 0 4 = "www.")
-
-(* Slice form of [looks_like_url] for the zero-copy span path.  The
-   span word iterator only hands out canonical (already lowercased)
-   slices, so no case folding is needed here.  Called on every body
-   word, so it allocates nothing: loops and top-level recursion only
-   (a local [let rec] would allocate a closure per call). *)
+(* The URL-shape test, on a slice.  The span word iterator only hands
+   out canonical (already lowercased) slices, so no case folding is
+   needed here.  Called on every body word, so it allocates nothing:
+   loops and top-level recursion only (a local [let rec] would allocate
+   a closure per call). *)
 let eq_at s off lit =
   let n = String.length lit in
   let i = ref 0 in
@@ -47,6 +42,10 @@ let looks_like_url_sub s off len =
   && s.[off + i + 2] = '/'
   && known_scheme_at s off i known_schemes)
   || (len > 4 && eq_at s off "www.")
+
+let looks_like_url w =
+  let w = String.lowercase_ascii w in
+  looks_like_url_sub w 0 (String.length w)
 
 let split_on_chars chars s =
   let is_sep c = List.mem c chars in

@@ -3,13 +3,14 @@
     [url:path-word]) so that campaign infrastructure shows up as
     high-signal features regardless of the surrounding prose. *)
 
-val looks_like_url : string -> bool
-(** True for [scheme://...] and for bare [www.]-prefixed hosts. *)
-
 val looks_like_url_sub : string -> int -> int -> bool
-(** [looks_like_url_sub s off len] is [looks_like_url] on the slice
-    without allocating, assuming the slice is already lowercased (the
-    span word iterator guarantees this). *)
+(** [looks_like_url_sub s off len]: the slice is [scheme://...] for a
+    known scheme (http, https, ftp, mailto) or a bare [www.]-prefixed
+    host.  Allocates nothing; assumes the slice is already lowercased
+    (the span word iterator guarantees this). *)
+
+val looks_like_url : string -> bool
+(** {!looks_like_url_sub} on a whole string, case-insensitively. *)
 
 val crack : string -> string list
 (** [crack w] is the token list for a URL-like word; [w] itself

@@ -302,6 +302,45 @@ let robustness_tests =
               + Spamlab_spambayes.Token_db.nspam
                   (Spamlab_spambayes.Filter.db filter))
         | Error e -> Alcotest.fail e);
+    test_case "train skips suppressed headers, as daemon TRAIN does"
+      (fun () ->
+        (* Bogofilter mines every header, so an offline db shows whether
+           delivery bookkeeping (Date, Message-Id) was learned; the
+           daemon's raw ingest never learns it. *)
+        let message i =
+          Spamlab_email.Message.make
+            ~headers:
+              (Spamlab_email.Header.of_list
+                 [
+                   ("Date", Printf.sprintf "Thu, %d Jan 1970 00:00:00 +0000" (i + 1));
+                   ("Message-Id", Printf.sprintf "<msg%d@bookkeeping.example>" i);
+                   ("Subject", "quarterly numbers");
+                 ])
+            "the numbers look good this quarter"
+        in
+        let mbox name =
+          let path = in_tmp name in
+          Spamlab_email.Mbox.write_file path (List.init 3 message);
+          path
+        in
+        let ham = mbox "hdr_ham.mbox" and spam = mbox "hdr_spam.mbox" in
+        let db = in_tmp "hdr.db" in
+        check_int "exit" 0
+          (run_command
+             [ "train"; "--tokenizer"; "bogofilter"; "--ham"; ham; "--spam";
+               spam; "--db"; db ]);
+        let rows =
+          String.split_on_char '\n'
+            (In_channel.with_open_bin db In_channel.input_all)
+        in
+        let starts prefix row =
+          String.length row >= String.length prefix
+          && String.sub row 0 (String.length prefix) = prefix
+        in
+        check_bool "subject: mined" true (List.exists (starts "subject:") rows);
+        check_bool "no date: rows" false (List.exists (starts "date:") rows);
+        check_bool "no message-id: rows" false
+          (List.exists (starts "message-id:") rows));
     test_case "experiment rejects a malformed --fault-spec" (fun () ->
         check_bool "nonzero exit" true
           (run_command

@@ -8,6 +8,7 @@ module Label = Spamlab_spambayes.Label
 module Message = Spamlab_email.Message
 module Header = Spamlab_email.Header
 module Tokenizer = Spamlab_tokenizer.Tokenizer
+module Oracle = Spamlab_oracle
 
 let check_str = Alcotest.(check string)
 let check_int = Alcotest.(check int)
@@ -589,8 +590,7 @@ let substrate_tests =
           (fun i msg ->
             let ids, raw = Dataset.tokenize_ids Tokenizer.spambayes msg in
             let tokens, raw_ref =
-              Tokenizer.unique_counted
-                (Tokenizer.tokenize Tokenizer.spambayes msg)
+              Oracle.unique_counted (Oracle.Spambayes.tokenize msg)
             in
             let ids_ref = Spamlab_spambayes.Intern.intern_array tokens in
             check_int (Printf.sprintf "raw count %d" i) raw_ref raw;
@@ -608,7 +608,7 @@ let substrate_tests =
         in
         let fused, raw = Tokenizer.unique_counted_tokens Tokenizer.spambayes msg in
         let listed, raw_ref =
-          Tokenizer.unique_counted (Tokenizer.tokenize Tokenizer.spambayes msg)
+          Oracle.unique_counted (Oracle.Spambayes.tokenize msg)
         in
         raw = raw_ref && fused = listed);
     test_case "word_prob is safe and consistent under domains" (fun () ->

@@ -1,10 +1,11 @@
-(* Differential tests for the zero-copy ingest path (PR 6): the span
-   pipeline (Tokenizer.iter_spans → Intern.intern_sub → Ingest) must
-   agree with the legacy string pipeline on every registered tokenizer,
-   and the raw-mbox path must agree with parse-then-tokenize after
-   header suppression. *)
+(* Differential tests for the zero-copy ingest path: the span tokenizers
+   (and the string API derived from them) must agree with the
+   hand-written string tokenizers of the test oracle on every registered
+   tokenizer, token for token, and the raw-mbox path must agree with
+   parse-then-tokenize after header suppression. *)
 
 open Spamlab_tokenizer
+module Oracle = Spamlab_oracle
 module Header = Spamlab_email.Header
 module Message = Spamlab_email.Message
 module Mime = Spamlab_email.Mime
@@ -46,31 +47,24 @@ let gen_message n =
   if n mod 2 = 0 then Generator.ham config rng else Generator.spam config rng
 
 (* ------------------------------------------------------------------ *)
-(* Span path vs legacy string path                                     *)
+(* Span path vs the oracle's string tokenizers                         *)
 
-(* Collect the span stream as strings (materializing each slice). *)
-let span_stream tokenizer m =
-  let acc = ref [] in
-  Tokenizer.iter_spans tokenizer m
-    ~span:(fun buf off len -> acc := String.sub buf off len :: !acc)
-    ~token:(fun t -> acc := t :: !acc);
-  List.rev !acc
-
-let same_multiset a b =
-  List.sort String.compare a = List.sort String.compare b
-
+(* [Tokenizer.tokenize] is the span stream with each slice copied out;
+   it must be the oracle's stream as a sequence, not just a multiset. *)
 let check_spans_match tokenizer m =
-  let legacy = Tokenizer.tokenize tokenizer m in
-  let spans = span_stream tokenizer m in
-  if not (same_multiset legacy spans) then
-    Alcotest.failf "%s: span stream differs from tokenize\nlegacy: %s\nspans: %s"
+  let oracle = Oracle.tokenize tokenizer m in
+  let spans = Tokenizer.tokenize tokenizer m in
+  if oracle <> spans then
+    Alcotest.failf "%s: span stream differs from the oracle\noracle: %s\nspans: %s"
       (Tokenizer.name tokenizer)
-      (String.concat " | " legacy)
+      (String.concat " | " oracle)
       (String.concat " | " spans)
 
-(* Ingest-level: (unique ids, raw count) vs the legacy pipeline. *)
+(* Ingest-level: (unique ids, raw count) vs the oracle's list pipeline. *)
 let check_ids_match tokenizer m =
-  let tokens, raw_legacy = Tokenizer.unique_counted_tokens tokenizer m in
+  let tokens, raw_legacy =
+    Oracle.unique_counted (Oracle.tokenize tokenizer m)
+  in
   let legacy_ids = Intern.intern_array tokens in
   Array.sort compare legacy_ids;
   let ids, raw_span = Ingest.unique_ids tokenizer m in
@@ -115,12 +109,12 @@ let span_vs_legacy_tests =
     (fun tokenizer ->
       let tname = Tokenizer.name tokenizer in
       [
-        test_case (tname ^ ": fixtures, span stream = tokenize") (fun () ->
+        test_case (tname ^ ": fixtures, span stream = oracle tokenize") (fun () ->
             List.iter (check_spans_match tokenizer) fixture_messages);
         test_case (tname ^ ": fixtures, unique ids = legacy ids") (fun () ->
             List.iter (check_ids_match tokenizer) fixture_messages);
         qtest ~count:60
-          (tname ^ ": generated corpus, span stream = tokenize")
+          (tname ^ ": generated corpus, span stream = oracle tokenize")
           QCheck2.Gen.(int_range 0 10_000)
           (fun n ->
             let m = gen_message n in

@@ -4,8 +4,8 @@
 open Spamlab_tokenizer
 module Header = Spamlab_email.Header
 module Message = Spamlab_email.Message
+module Oracle = Spamlab_oracle
 
-let check_str = Alcotest.(check string)
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_list = Alcotest.(check (list string))
@@ -16,21 +16,51 @@ let qtest ?(count = 200) name gen prop =
 
 let contains token tokens = List.mem token tokens
 
+(* Random text over every byte class the splitter and the URL test
+   distinguish: lower and upper case, digits, the kept punctuation
+   '$-, other punctuation, whitespace including CR/LF/tab, 8-bit
+   bytes, and URL-shaped fragments. *)
+let text_gen =
+  QCheck2.Gen.(
+    let byte =
+      oneof
+        [
+          char_range 'a' 'z';
+          char_range 'A' 'Z';
+          char_range '0' '9';
+          oneofl [ '\''; '$'; '-' ];
+          oneofl [ '.'; ','; '!'; '?'; ':'; '/'; '@'; '('; ')'; '"'; '_' ];
+          oneofl [ ' '; '\t'; '\n'; '\r' ];
+          map Char.chr (int_range 128 255);
+          map Char.chr (int_range 0 255);
+        ]
+    in
+    let piece =
+      oneof
+        [
+          map (String.make 1) byte;
+          oneofl
+            [ "http"; "HTTP"; "https"; "Ftp"; "mailto"; "gopher"; "://";
+              ":"; "/"; "www."; "WWW."; "wWw" ];
+        ]
+    in
+    map (String.concat "") (list_size (int_range 0 30) piece))
+
 (* ------------------------------------------------------------------ *)
 (* Text                                                                *)
 
 let text_tests =
   [
-    test_case "split_whitespace" (fun () ->
+    test_case "words split on whitespace" (fun () ->
         check_list "split" [ "a"; "bb"; "c" ]
-          (Text.split_whitespace "  a\tbb\n c\r\n");
-        check_list "empty" [] (Text.split_whitespace " \t\n"));
-    test_case "strip_punctuation keeps word chars" (fun () ->
-        check_str "parens" "word" (Text.strip_punctuation "(word)");
-        check_str "inner apostrophe" "don't" (Text.strip_punctuation "don't!");
-        check_str "dollar" "$99" (Text.strip_punctuation "$99,");
-        check_str "hyphen" "v-i-a-g-r-a" (Text.strip_punctuation "v-i-a-g-r-a.");
-        check_str "all punct" "" (Text.strip_punctuation "..!?"));
+          (Text.words "  a\tbb\n c\r\n");
+        check_list "empty" [] (Text.words " \t\n"));
+    test_case "words strip edge punctuation" (fun () ->
+        check_list "parens" [ "word" ] (Text.words "(word)");
+        check_list "inner apostrophe" [ "don't" ] (Text.words "don't!");
+        check_list "dollar" [ "$99" ] (Text.words "$99,");
+        check_list "hyphen" [ "v-i-a-g-r-a" ] (Text.words "v-i-a-g-r-a.");
+        check_list "all punct" [] (Text.words "..!?"));
     test_case "words lowercases and cleans" (fun () ->
         check_list "words" [ "hello"; "world" ] (Text.words "Hello, WORLD!"));
     test_case "has_high_bit" (fun () ->
@@ -38,6 +68,8 @@ let text_tests =
         check_bool "8bit" true (Text.has_high_bit "caf\xc3\xa9"));
     test_case "count_occurrences" (fun () ->
         check_int "count" 3 (Text.count_occurrences 'a' "banana"));
+    qtest ~count:1000 "words = oracle words on random bytes" text_gen
+      (fun s -> Text.words s = Oracle.Text.words s);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -73,6 +105,8 @@ let url_tests =
     test_case "crack drops short path fragments" (fun () ->
         let tokens = Url.crack "http://a.b/x" in
         check_bool "no 1-char path token" false (contains "url:x" tokens));
+    qtest ~count:1000 "looks_like_url = oracle on random bytes" text_gen
+      (fun s -> Url.looks_like_url s = Oracle.Url.looks_like_url s);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -81,24 +115,28 @@ let url_tests =
 let msg ?(headers = []) body =
   Message.make ~headers:(Header.of_list headers) body
 
+(* The token stream of a header-less plain-text message is its body
+   text's tokens (ASCII bodies carry no 8bit% token). *)
+let sb_body text = Tokenizer.tokenize Tokenizer.spambayes (msg text)
+
 let sb_tests =
   [
     test_case "keeps words of length 3..12" (fun () ->
-        let tokens = Spambayes_tok.tokenize_body_text "ab abc twelveletter abcdefghijkl" in
+        let tokens = sb_body "ab abc twelveletter abcdefghijkl" in
         check_bool "2 dropped" false (contains "ab" tokens);
         check_bool "3 kept" true (contains "abc" tokens);
         check_bool "12 kept" true (contains "abcdefghijkl" tokens);
         check_bool "13 not kept raw" false (contains "twelveletters" tokens));
     test_case "long words become skip tokens" (fun () ->
-        let tokens = Spambayes_tok.tokenize_body_text "supercalifragilistic" in
+        let tokens = sb_body "supercalifragilistic" in
         check_list "skip" [ "skip:s 20" ] tokens);
     test_case "email addresses crack into parts" (fun () ->
-        let tokens = Spambayes_tok.tokenize_body_text "mail bob@corp.example.com now" in
+        let tokens = sb_body "mail bob@corp.example.com now" in
         check_bool "name" true (contains "email name:bob" tokens);
         check_bool "domain part" true (contains "email addr:corp" tokens);
         check_bool "tld" true (contains "email addr:com" tokens));
     test_case "urls crack in bodies" (fun () ->
-        let tokens = Spambayes_tok.tokenize_body_text "visit http://spam.biz/offer today" in
+        let tokens = sb_body "visit http://spam.biz/offer today" in
         check_bool "proto" true (contains "proto:http" tokens);
         check_bool "host" true (contains "url:spam" tokens));
     test_case "subject words emitted prefixed and bare" (fun () ->
@@ -118,14 +156,15 @@ let sb_tests =
         check_bool "display name" true (contains "from:name:eve" tokens));
     test_case "8-bit body yields meta token" (fun () ->
         let tokens =
-          Spambayes_tok.tokenize (msg "caf\xc3\xa9 caf\xc3\xa9 caf\xc3\xa9")
+          Tokenizer.tokenize Tokenizer.spambayes
+            (msg "caf\xc3\xa9 caf\xc3\xa9 caf\xc3\xa9")
         in
         check_bool "has 8bit token" true
           (List.exists
              (fun t -> String.length t > 5 && String.sub t 0 5 = "8bit%")
              tokens));
     test_case "ascii body has no 8bit token" (fun () ->
-        let tokens = Spambayes_tok.tokenize (msg "plain words only") in
+        let tokens = Tokenizer.tokenize Tokenizer.spambayes (msg "plain words only") in
         check_bool "none" false
           (List.exists
              (fun t -> String.length t > 5 && String.sub t 0 5 = "8bit%")
@@ -190,18 +229,37 @@ let unique_tests =
     test_case "unique_tokens deduplicates and sorts" (fun () ->
         let u = Tokenizer.unique_tokens Tokenizer.spambayes (msg "bbb aaa bbb aaa ccc") in
         Alcotest.(check (array string)) "sorted" [| "aaa"; "bbb"; "ccc" |] u);
-    qtest "unique_of_list is sorted and distinct"
+    qtest "unique_tokens: sorted oracle set"
       QCheck2.Gen.(
         list_size (int_range 0 50)
-          (string_size ~gen:(char_range 'a' 'e') (int_range 1 3)))
-      (fun tokens ->
-        let u = Tokenizer.unique_of_list tokens in
+          (string_size ~gen:(char_range 'a' 'e') (int_range 1 5)))
+      (fun words ->
+        let m = msg (String.concat " " words) in
+        let u = Tokenizer.unique_tokens Tokenizer.spambayes m in
         let ok_sorted = ref true in
         Array.iteri
           (fun i t -> if i > 0 && String.compare u.(i - 1) t >= 0 then ok_sorted := false)
           u;
         !ok_sorted
-        && List.sort_uniq String.compare tokens = Array.to_list u);
+        && List.sort_uniq String.compare (Oracle.Spambayes.tokenize m)
+           = Array.to_list u);
+    test_case "the string API interns nothing" (fun () ->
+        (* Feature extraction and attack payloads run on words no mail
+           has carried; they must not grow the process-wide table. *)
+        let module Intern = Spamlab_spambayes.Intern in
+        let m =
+          msg
+            ~headers:[ ("Subject", "Zqxvunseen Subjectword") ]
+            "zqxvfresh Wqplunseen http://zqxv.example/path \
+             zq@unseen.example supercalifragilisticzqxv"
+        in
+        let before = Intern.size () in
+        List.iter
+          (fun (_, t) ->
+            ignore (Tokenizer.unique_tokens t m);
+            ignore (Tokenizer.tokenize t m))
+          Tokenizer.all;
+        check_int "intern size" before (Intern.size ()));
     qtest "tokenize then unique never exceeds stream length"
       QCheck2.Gen.(string_size ~gen:(char_range 'a' 'z') (int_range 0 80))
       (fun body ->
