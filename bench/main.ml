@@ -159,6 +159,7 @@ let run_ingest lab ~jobs =
       let options = SB.Filter.options filter in
       let db = SB.Filter.db filter in
       let chunks = SB.Ingest.raw_message_chunks text in
+      let engine = SB.Classify.engine options db in
       let legacy () =
         let msgs, _ = Spamlab_email.Mbox.parse_lenient text in
         List.iter
@@ -171,14 +172,14 @@ let run_ingest lab ~jobs =
       let zerocopy () =
         Array.iter
           (fun (off, len) ->
-            ignore (SB.Ingest.classify_raw options db tokenizer text ~off ~len))
+            ignore (SB.Ingest.classify_raw_engine engine tokenizer text ~off ~len))
           chunks
       in
       let fanned () =
         ignore
           (Spamlab_parallel.Pool.map_array pool
              (fun (off, len) ->
-               SB.Ingest.classify_raw options db tokenizer text ~off ~len)
+               SB.Ingest.classify_raw_engine engine tokenizer text ~off ~len)
              chunks)
       in
       (* ids-only variants isolate the ingest cost itself: scoring is the
@@ -602,10 +603,11 @@ let run_classify lab ~jobs =
   (* Hot published snapshot: one shared single-generation cache across
      the pool fan-out (the daemon CLASSIFY shape), the uncached engine
      (same scratch-array selection, probabilities recomputed — the
-     kill-switch/fault-fallback path), and the verbatim pre-cache
-     scoring code ([score_ids_reference]) as the baseline.  The
-     headline speedup is cached vs baseline: what this PR buys over
-     the previous binary on the same workload. *)
+     kill-switch/fault-fallback path), and the pre-cache list scoring
+     code the test oracle keeps ([score_ids_reference]) as the
+     baseline.  The headline speedup is cached vs baseline: what the
+     cache and the scratch-array selection buy over the list pipeline
+     on the same workload. *)
   let shared_cache = Prob_cache.create ~shared:true options snapshot in
   let cached_engine = Classify.engine_cached shared_cache in
   let uncached_engine = Classify.engine options snapshot in
@@ -620,7 +622,7 @@ let run_classify lab ~jobs =
   let base =
     measure "classify-hot-baseline" ~fanned:true (fun i ->
         ignore
-          (Classify.score_ids_reference options snapshot
+          (Spamlab_oracle.Scoring.score_ids_reference options snapshot
              eval_set.(i).Dataset.ids))
   in
   Printf.printf "  %-28s %10.2fx\n" "cached speedup vs baseline" (hot /. base);
@@ -920,9 +922,9 @@ let perf_tests () =
              Spamlab_spambayes.Label.Spam payload 100));
     Test.make ~name:"fisher-indicator-150-clues"
       (let fs =
-         List.init 150 (fun i -> 0.01 +. (0.98 *. float_of_int i /. 149.0))
+         Array.init 150 (fun i -> 0.01 +. (0.98 *. float_of_int i /. 149.0))
        in
-       Staged.stage (fun () -> Spamlab_stats.Fisher.indicator fs));
+       Staged.stage (fun () -> Spamlab_stats.Fisher.indicator fs 150));
     (* The fused message->ids ingest against the pre-PR 4 reference
        pipeline (token list, then sort_uniq-style dedup, then intern). *)
     Test.make_grouped ~name:"tokenize-to-ids"

@@ -649,7 +649,7 @@ let experiment_cmd =
     let doc =
       "Deterministic fault injection spec (also read from SPAMLAB_FAULTS): \
        comma-separated $(i,site:kind@occ+occ...) or \
-       $(i,site:kind~prob) clauses, e.g. 'pool.task:transient\\@3+97'. \
+       $(i,site:kind~prob) clauses, e.g. 'pool.task:transient@3+97'. \
        Kinds: transient, fatal, crash."
     in
     Arg.(value & opt (some string) None & info [ "fault-spec" ] ~docv:"SPEC" ~doc)

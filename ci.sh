@@ -19,6 +19,27 @@ else
   echo "ocamlformat not installed; skipping (formatting is advisory)"
 fi
 
+say "CLI help pages"
+# cmdliner reports a doc-string markup error on stderr and still exits
+# 0, printing the page with the offending text mangled.  Every command
+# and subcommand page must render with nothing on stderr.
+spamlab_commands() { # [command...]: the COMMANDS section's names
+  ./_build/default/bin/spamlab.exe "$@" --help=plain 2> /dev/null \
+    | sed -n '/^COMMANDS$/,/^[A-Z]/s/^       \([a-z][a-z0-9-]*\).*/\1/p'
+}
+pages=0
+for cmd in $(spamlab_commands); do
+  for sub in "" $(spamlab_commands "$cmd"); do
+    err=$(./_build/default/bin/spamlab.exe $cmd $sub --help=plain 2>&1 > /dev/null)
+    test -z "$err" \
+      || { echo "FAIL: spamlab $cmd $sub --help=plain wrote to stderr:"; \
+           echo "$err"; exit 1; }
+    pages=$((pages + 1))
+  done
+done
+test "$pages" -ge 20 || { echo "FAIL: found only $pages help pages"; exit 1; }
+echo "help OK: $pages pages, nothing on stderr"
+
 say "traced smoke experiment"
 trace=$(mktemp /tmp/spamlab-ci-trace.XXXXXX.jsonl)
 trap 'rm -f "$trace"' EXIT
@@ -76,11 +97,12 @@ say "cross-jobs determinism"
 # corpus substrate splits one rng child per message index, so the
 # domain count can never leak into results.  fig1 exercises the
 # dictionary-attack path through the zero-copy ingest pipeline, fig2
-# the focused-attack path, roni the defense path.
+# the focused-attack path, fig5 the dynamic-threshold path (the second
+# Poison.sweep caller), roni the defense path.
 j1=$(mktemp /tmp/spamlab-ci-jobs1.XXXXXX.txt)
 j4=$(mktemp /tmp/spamlab-ci-jobs4.XXXXXX.txt)
 trap 'rm -f "$trace" "$timings" "$j1" "$j4"' EXIT
-for exp in fig1 fig2 roni; do
+for exp in fig1 fig2 fig5 roni; do
   ./_build/default/bin/spamlab.exe experiment "$exp" \
     --scale 0.05 --jobs 1 > "$j1"
   ./_build/default/bin/spamlab.exe experiment "$exp" \

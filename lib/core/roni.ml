@@ -35,43 +35,40 @@ let ham_as_ham filter validation =
    spam+1 and the spam total reads nspam+1 — so each validation message
    is scored from the baseline's counts with that adjustment applied
    arithmetically.  [Score.smoothed_counts] performs the exact float
-   sequence of the DB-lookup path and [Classify.score_clues] orders
-   clues by a total order independent of arrival order, so verdicts are
-   bit-identical to classifying a copy trained on the candidate (the
-   same argument as [Poison.sweep]) — at none of the per-trial cost of
-   training a dictionary-sized candidate into the copy. *)
+   sequence of the DB-lookup path and [Classify.score_probs] is the
+   served selection/Fisher stage, so verdicts are bit-identical to
+   classifying a copy trained on the candidate (the same argument as
+   [Poison.sweep]) — at none of the per-trial cost of training a
+   dictionary-sized candidate into the copy. *)
 let ham_as_ham_with_candidate filter ~candidate_member validation =
   let module Score = Spamlab_spambayes.Score in
-  let module Options = Spamlab_spambayes.Options in
   let module Token_db = Spamlab_spambayes.Token_db in
   let options = Filter.options filter in
   let db = Filter.db filter in
   let nspam = Token_db.nspam db + 1 in
   let nham = Token_db.nham db in
-  let min_strength = options.Options.minimum_prob_strength in
+  let probs =
+    Array.make
+      (Array.fold_left
+         (fun m (e : Dataset.example) -> max m (Array.length e.ids))
+         0 validation)
+      0.0
+  in
   Array.fold_left
     (fun acc (e : Dataset.example) ->
       if e.label = Label.Ham then begin
-        let candidates =
-          Array.fold_left
-            (fun acc id ->
-              let spam =
-                Token_db.spam_count_id db id
-                + (if candidate_member id then 1 else 0)
-              in
-              let ham = Token_db.ham_count_id db id in
-              let score =
-                Score.smoothed_counts options ~spam ~ham ~nspam ~nham
-              in
-              if Float.abs (score -. 0.5) >= min_strength then
-                { Classify.token = Spamlab_spambayes.Intern.to_string id;
-                  score }
-                :: acc
-              else acc)
-            [] e.ids
-        in
+        let n = Array.length e.ids in
+        for i = 0 to n - 1 do
+          let id = e.ids.(i) in
+          let spam =
+            Token_db.spam_count_id db id
+            + if candidate_member id then 1 else 0
+          in
+          let ham = Token_db.ham_count_id db id in
+          probs.(i) <- Score.smoothed_counts options ~spam ~ham ~nspam ~nham
+        done;
         if
-          (Classify.score_clues options candidates).Classify.verdict
+          (Classify.score_probs options e.ids probs n).Classify.verdict
           = Label.Ham_v
         then acc + 1
         else acc

@@ -52,17 +52,15 @@ let sweep filter ~payload ~counts test =
      and score every grid point as pure arithmetic over those cached
      counts — no [Filter.copy], no retraining, and no hashtable access
      in the per-count loop.  [Score.smoothed_counts] performs the exact
-     float sequence of [Score.smoothed], so each grid point's scores
-     are bit-identical to scoring a fresh copy of [filter] trained with
+     float sequence of [Score.smoothed] and [Classify.score_probs] is
+     the served selection/Fisher stage, so each grid point's scores are
+     bit-identical to scoring a fresh copy of [filter] trained with
      that count. *)
   let options = Filter.options filter in
   let db = Filter.db filter in
   let nspam0 = Token_db.nspam db in
   let nham = Token_db.nham db in
-  let min_strength = options.Options.minimum_prob_strength in
-  (* Base counts and payload membership are looked up by interned id —
-     [e.ids] is [e.tokens] interned elementwise, so index [i] of both
-     arrays names the same token. *)
+  (* Base counts and payload membership are looked up by interned id. *)
   let payload_ids = Spamlab_spambayes.Intern.intern_array payload in
   let in_payload =
     let set = Hashtbl.create (2 * Array.length payload_ids) in
@@ -74,8 +72,8 @@ let sweep filter ~payload ~counts test =
      smoothed probability thousands of times.  Instead, index the
      distinct test-fold ids into compact slots, rewrite each message as
      slot indices, and per grid point fill one unboxed float table with
-     each distinct token's score — messages then classify by reading
-     floats out of that table. *)
+     each distinct token's score — messages then classify by copying
+     their floats out of that table into one reused [probs] buffer. *)
   let slot_of_id = Hashtbl.create 4096 in
   let distinct = ref [] in
   let nslots = ref 0 in
@@ -92,7 +90,7 @@ let sweep filter ~payload ~counts test =
   let prepped =
     Array.map
       (fun (e : Dataset.example) ->
-        (e.Dataset.label, e.Dataset.tokens, Array.map slot_of e.Dataset.ids))
+        (e.Dataset.label, e.Dataset.ids, Array.map slot_of e.Dataset.ids))
       test
   in
   let distinct = Array.of_list (List.rev !distinct) in
@@ -101,6 +99,13 @@ let sweep filter ~payload ~counts test =
   let ham0 = Array.map (fun id -> Token_db.ham_count_id db id) distinct in
   let payload_member = Array.map in_payload distinct in
   let slot_score = Array.make nslots 0.5 in
+  let probs =
+    Array.make
+      (Array.fold_left
+         (fun m (e : Dataset.example) -> max m (Array.length e.Dataset.ids))
+         0 test)
+      0.0
+  in
   List.map
     (fun count ->
       Obs.span "poison.sweep.point" @@ fun () ->
@@ -113,19 +118,14 @@ let sweep filter ~payload ~counts test =
           Score.smoothed_counts options ~spam ~ham:ham0.(s) ~nspam ~nham
       done;
       Array.map
-        (fun (label, tokens, slots) ->
+        (fun (label, ids, slots) ->
+          let n = Array.length slots in
           Obs.incr messages_classified;
-          Obs.add tokens_scored (Array.length slots);
-          let candidates = ref [] in
-          Array.iteri
-            (fun i s ->
-              let score = slot_score.(s) in
-              if Float.abs (score -. 0.5) >= min_strength then
-                candidates :=
-                  { Classify.token = tokens.(i); score } :: !candidates)
-            slots;
-          ( (Classify.score_clues options !candidates).Classify.indicator,
-            label ))
+          Obs.add tokens_scored n;
+          for i = 0 to n - 1 do
+            probs.(i) <- slot_score.(slots.(i))
+          done;
+          ((Classify.score_probs options ids probs n).Classify.indicator, label))
         prepped)
     counts
 

@@ -686,7 +686,7 @@ let handle_request t (req : Protocol.request) =
   resp
 
 (* ------------------------------------------------------------------ *)
-(* Connection loop                                                     *)
+(* Responses                                                           *)
 
 let send_response ?deadline fd resp =
   let s = Protocol.render_response resp in
@@ -695,32 +695,6 @@ let send_response ?deadline fd resp =
 
 let send_best_effort ?deadline fd resp =
   try send_response ?deadline fd resp with _ -> ()
-
-let serve_connection t fd =
-  let reader = Spamlab_io.reader ~site:"serve.read" fd in
-  let rec loop () =
-    match Protocol.recv_request ~max_body:t.config.max_body reader with
-    | `Eof -> ()
-    | `Error e ->
-        (* Framing is gone; answer once and drop the connection. *)
-        t.stats.protocol_errors <- t.stats.protocol_errors + 1;
-        Obs.incr c_protocol_errors;
-        send_best_effort fd (Protocol.Err e)
-    | `Request req -> (
-        let resp = handle_request t req in
-        match send_response fd resp with
-        | () -> loop ()
-        | exception (Unix.Unix_error _ | Sys_error _) ->
-            t.stats.io_errors <- t.stats.io_errors + 1)
-  in
-  try loop () with
-  | End_of_file | Unix.Unix_error _ | Sys_error _ ->
-      t.stats.io_errors <- t.stats.io_errors + 1
-  | Fault.Injected _ as e ->
-      (* A fatal injected read fault (transients were already retried
-         by Spamlab_io): degrade to one ERR, drop the connection. *)
-      t.stats.io_errors <- t.stats.io_errors + 1;
-      send_best_effort fd (Protocol.Err (Printexc.to_string e))
 
 (* ------------------------------------------------------------------ *)
 (* Accept loop                                                         *)

@@ -166,12 +166,6 @@ val handle_request : t -> Protocol.request -> Protocol.response
     injected transient/fatal faults and semantic failures (impossible
     UNTRAIN, unwritable store) become [Err]; crash faults exit. *)
 
-val serve_connection : t -> Unix.file_descr -> unit
-(** Run the request/response loop on one connected descriptor until
-    EOF or a framing error (answered with one [Err] line, then
-    close).  Never raises on protocol or peer misbehaviour; does not
-    close [fd]. *)
-
 val stats_payload : t -> string
 (** The [STATS] payload, rendered from the current counters. *)
 

@@ -8,47 +8,6 @@ type result = {
   clues : clue list;
 }
 
-let by_strength_desc a b =
-  let sa = Float.abs (a.score -. 0.5) in
-  let sb = Float.abs (b.score -. 0.5) in
-  match Float.compare sb sa with
-  | 0 -> String.compare a.token b.token
-  | c -> c
-
-let rec take n = function
-  | [] -> []
-  | _ when n = 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
-
-(* The comparator is a total order on distinct tokens, so the selection
-   does not depend on the order candidates arrive in. *)
-let select_scored (options : Options.t) candidates =
-  let scored =
-    List.filter
-      (fun c -> Float.abs (c.score -. 0.5) >= options.minimum_prob_strength)
-      candidates
-  in
-  take options.max_discriminators (List.sort by_strength_desc scored)
-
-(* Candidate accumulation iterates the token array directly: scoring
-   allocates nothing per rejected token, which matters because most
-   tokens fall inside the strength band.  Accumulation order is
-   irrelevant — [select_scored] sorts by a total order on distinct
-   tokens. *)
-let select_discriminators (options : Options.t) db tokens =
-  let candidates = ref [] in
-  Array.iter
-    (fun token ->
-      let score = Score.smoothed options db token in
-      if Float.abs (score -. 0.5) >= options.minimum_prob_strength then
-        candidates := { token; score } :: !candidates)
-    tokens;
-  select_scored options !candidates
-
-let indicator_of_clues = function
-  | [] -> 0.5
-  | clues -> Fisher.indicator (List.map (fun c -> c.score) clues)
-
 (* SpamBayes boundary semantics: a score at a cutoff takes the more
    severe class — I >= theta1 is spam, theta0 <= I < theta1 is unsure,
    I < theta0 is ham.  (Nelson et al. report accuracy at the theta1
@@ -62,8 +21,8 @@ let verdict_of_indicator (options : Options.t) indicator =
 (* The scoring engine: where each interned id's smoothed probability
    comes from.  Every way the stack scores — straight off a db, through
    a per-filter probability cache, or through the tenant fast path
-   (shared prior cache + overlay dirty set) — is one of these, so the
-   selection/Fisher pipeline below has exactly one implementation and
+   (shared prior cache + overlay dirty set) — is one of these, and all
+   of them feed the one selection/Fisher pipeline, [score_probs], so
    the variants can be differentially tested against each other.  A
    variant rather than a closure: the scoring loop dispatches once per
    message and runs a monomorphic per-token loop, instead of paying an
@@ -104,7 +63,7 @@ let engine_options = function
    instead of recomputing [Float.abs] — which matters because selection,
    not probability lookup, is most of a message's scoring time. *)
 type scratch = {
-  mutable s_raw : float array;  (* per-token probabilities, 0..n-1 *)
+  mutable s_raw : float array;  (* stage-one probabilities, then winners *)
   mutable s_ids : int array;
   mutable s_probs : float array;
   mutable s_str : float array;
@@ -131,8 +90,8 @@ let ensure_scratch sc n =
     sc.s_idx <- Array.make cap 0
   end
 
-(* The selection order is the total order [by_strength_desc] imposes:
-   stronger first, ties by token bytes ascending.  Ties are common —
+(* The selection order is a total order on distinct tokens: stronger
+   first, ties by token bytes ascending.  Ties are common —
    token probabilities cluster (every hapax of a class scores the
    same), so a lot of comparisons fall through to the tie-break — and
    byte-comparing tokens there is what used to dominate scoring.  For
@@ -227,17 +186,23 @@ let fill_raw e ids n raw =
         Array.unsafe_set raw i p
       done
 
-let score_engine_sub e ids n =
-  let options = engine_options e in
-  let min_strength = options.Options.minimum_prob_strength in
+(* Stage two, the one δ(E) selection and Fisher fold in the stack:
+   candidates at or beyond the strength band are copied into the
+   scratch, their index permutation is sorted, the first
+   [max_discriminators] win.  [probs] is only read, and only before
+   the sort, so stage one's [s_raw] can be passed in and then reused
+   as the winner-score buffer Fisher folds over — the same scores in
+   the same order as the clue list, no list of floats in between. *)
+let score_probs (options : Options.t) ids probs n =
+  if n < 0 || n > Array.length ids || n > Array.length probs then
+    invalid_arg "Classify.score_probs: prefix length out of bounds";
+  let min_strength = options.minimum_prob_strength in
   let sc = Domain.DLS.get scratch_key in
   ensure_scratch sc n;
-  let raw = sc.s_raw in
-  fill_raw e ids n raw;
   let c = ref 0 in
   for i = 0 to n - 1 do
     let id = Array.unsafe_get ids i in
-    let p = Array.unsafe_get raw i in
+    let p = Array.unsafe_get probs i in
     let s = Float.abs (p -. 0.5) in
     if s >= min_strength then begin
       let k = !c in
@@ -251,46 +216,25 @@ let score_engine_sub e ids n =
   let c = !c in
   sort_cands sc c;
   (* Winners materialized back-to-front so the clue list comes out in
-     sort order; losers never become records.  [raw] is done carrying
-     per-token probabilities by now, so its prefix doubles as the
-     winner-score buffer Fisher folds over — the same scores in the
-     same order as the clue list, no list of floats in between. *)
-  let w = min options.Options.max_discriminators c in
+     sort order; losers never become records. *)
+  let w = min options.max_discriminators c in
+  let winners = sc.s_raw in
   let clues = ref [] in
   for k = w - 1 downto 0 do
     let p = sc.s_idx.(k) in
     let score = Array.unsafe_get sc.s_probs p in
-    Array.unsafe_set raw k score;
+    Array.unsafe_set winners k score;
     clues := { token = Intern.to_string sc.s_ids.(p); score } :: !clues
   done;
   let clues = !clues in
-  let indicator = Fisher.indicator_sub raw w in
+  let indicator = Fisher.indicator winners w in
   { indicator; verdict = verdict_of_indicator options indicator; clues }
+
+let score_engine_sub e ids n =
+  let sc = Domain.DLS.get scratch_key in
+  ensure_scratch sc n;
+  fill_raw e ids n sc.s_raw;
+  score_probs (engine_options e) ids sc.s_raw n
 
 let score_engine e ids = score_engine_sub e ids (Array.length ids)
 let score_ids options db ids = score_engine (engine options db) ids
-
-let score_tokens options db tokens =
-  score_ids options db (Intern.intern_array tokens)
-
-let score_clues options candidates =
-  let clues = select_scored options candidates in
-  let indicator = indicator_of_clues clues in
-  { indicator; verdict = verdict_of_indicator options indicator; clues }
-
-(* The pre-cache scoring path, kept verbatim: uncached probabilities,
-   eager per-candidate clue materialization, list filter/sort/take
-   selection.  The differential suite holds every engine bit-identical
-   to this, and [bench classify] measures it as the baseline the
-   cached hot path is compared against. *)
-let score_ids_reference (options : Options.t) db ids =
-  let candidates = ref [] in
-  Array.iter
-    (fun id ->
-      let score = Score.smoothed_id options db id in
-      if Float.abs (score -. 0.5) >= options.minimum_prob_strength then
-        candidates := { token = Intern.to_string id; score } :: !candidates)
-    ids;
-  let clues = select_scored options !candidates in
-  let indicator = indicator_of_clues clues in
-  { indicator; verdict = verdict_of_indicator options indicator; clues }

@@ -18,9 +18,10 @@ type result = {
 
 type engine
 (** A scoring engine: options plus a way to obtain each interned
-    token's smoothed probability.  The selection/Fisher pipeline is
-    implemented once over this; all variants are bit-identical in
-    output, differing only in where the per-token float comes from. *)
+    token's smoothed probability.  Every engine feeds the one
+    selection/Fisher pipeline, {!score_probs}; all variants are
+    bit-identical in output, differing only in where the per-token
+    float comes from. *)
 
 val engine : Options.t -> Token_db.t -> engine
 (** The uncached reference: every probability recomputed from counts
@@ -51,41 +52,26 @@ val score_engine_sub : engine -> int array -> int -> result
 (** [score_engine_sub e ids n] is {!score_engine} on
     [Array.sub ids 0 n] without the copy. *)
 
-val select_discriminators :
-  Options.t -> Token_db.t -> string array -> clue list
-(** δ(E) for a distinct-token array: filters by minimum strength, sorts
-    by descending strength (ties broken by token name for
-    reproducibility), truncates to [max_discriminators]. *)
-
-val indicator_of_clues : clue list -> float
-(** I(E) from selected clues; 0.5 for an empty δ(E) (no evidence). *)
-
 val verdict_of_indicator : Options.t -> float -> Label.verdict
 (** Thresholding with SpamBayes boundary semantics — a score exactly at
     a cutoff takes the more severe class: I < θ0 ham, θ0 ≤ I < θ1
     unsure, I ≥ θ1 spam. *)
 
-val score_tokens : Options.t -> Token_db.t -> string array -> result
-(** Full pipeline on a distinct-token array.  Interns the tokens (one
-    batch) and defers to {!score_ids}; results are identical either
-    way. *)
-
 val score_ids : Options.t -> Token_db.t -> int array -> result
 (** Full pipeline on pre-interned distinct-token ids — the hot path for
     datasets that carry id arrays ([Dataset.example]). *)
 
-val score_clues : Options.t -> clue list -> result
-(** The scoring pipeline on candidate clues whose f(w) was computed by
-    the caller (e.g. from cached counts via {!Score.smoothed_counts}):
-    filters by minimum strength, selects, Fisher-combines.  Candidates
-    may arrive in any order and may or may not be pre-filtered — the
-    result is identical to [score_tokens] on the same token → score
-    mapping. *)
-
-val score_ids_reference : Options.t -> Token_db.t -> int array -> result
-(** The pre-cache scoring path, kept verbatim: uncached probabilities,
-    eager per-candidate clue materialization, list-based selection.
-    Semantically ≡ {!score_ids}; exists so the differential test suite
-    and [bench classify] compare every engine (and the scratch-array
-    selection) against unchanged baseline code rather than against
-    themselves. *)
+val score_probs : Options.t -> int array -> float array -> int -> result
+(** [score_probs options ids probs n] is the selection/Fisher stage on
+    its own, for callers that compute each token's f(w) themselves
+    (RONI and the poisoning sweep score what-if counts through
+    {!Score.smoothed_counts}): [probs.(i)] is the probability of
+    [ids.(i)] for [i < n].  It keeps the tokens with
+    |f − 0.5| ≥ [minimum_prob_strength], orders them by descending
+    strength with ties broken by token bytes, takes the first
+    [max_discriminators] and Fisher-combines them in that order; an
+    empty δ(E) scores 0.5.  Equal ids must carry equal
+    probabilities.  [probs] is read, never written.
+    [score_engine_sub e ids n] ≡ [score_probs] over the probabilities
+    [e] yields for [ids].
+    @raise Invalid_argument if [n] exceeds either array's length. *)

@@ -56,16 +56,9 @@ let classify_ids t ids =
 
 let classify t msg = classify_tokens t (features t msg)
 
-(* Batched/raw entry points ride the zero-copy ingest path, scoring
+(* Raw mbox classification rides the zero-copy ingest path, scoring
    through the filter's cache. *)
-let classify_many t msgs = Ingest.classify_many_engine (engine t) t.tokenizer msgs
-
-let classify_raw t buf ~off ~len =
-  Ingest.classify_raw_engine (engine t) t.tokenizer buf ~off ~len
-
 let classify_mbox t buf = Ingest.classify_mbox_engine (engine t) t.tokenizer buf
-
-let score t msg = (classify t msg).Classify.indicator
 
 let token_score t token = Score.smoothed t.options t.db token
 

@@ -49,23 +49,10 @@ val classify : t -> Spamlab_email.Message.t -> Classify.result
 val classify_tokens : t -> string array -> Classify.result
 val classify_ids : t -> int array -> Classify.result
 
-val classify_many :
-  t -> Spamlab_email.Message.t array -> Classify.result array
-(** Batched classification through the zero-copy ingest path (see
-    {!Ingest.classify_many_engine}): one per-domain scratch buffer
-    across the batch, no per-message arrays. *)
-
-val classify_raw :
-  t -> string -> off:int -> len:int -> Classify.result option
-(** Classify one raw mbox message chunk straight from the buffer
-    (header suppression per {!Ingest.ignored_header}); [None] if the
-    chunk is malformed. *)
-
 val classify_mbox : t -> string -> Classify.result option array
-(** Classify every message of a raw mbox buffer, in order. *)
-
-val score : t -> Spamlab_email.Message.t -> float
-(** Just I(E). *)
+(** Classify every message of a raw mbox buffer, in order, through the
+    zero-copy ingest path (header suppression per
+    {!Ingest.ignored_header}); [None] for a malformed chunk. *)
 
 val token_score : t -> string -> float
 (** f(w) under this filter's current state. *)

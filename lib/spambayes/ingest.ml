@@ -320,15 +320,8 @@ let unique_ids_raw tokenizer buf ~off ~len =
       (Array.sub ids 0 n, raw))
 
 (* ------------------------------------------------------------------ *)
-(* Batched classification: one scratch buffer per domain across the
-   whole batch, no per-message arrays. *)
-
-let classify_many_engine e tokenizer msgs =
-  Array.map
-    (fun msg ->
-      with_unique_ids tokenizer msg (fun ids n _raw ->
-          Classify.score_engine_sub e ids n))
-    msgs
+(* Raw classification: one scratch buffer per domain across the whole
+   batch, no per-message arrays. *)
 
 let classify_raw_engine e tokenizer buf ~off ~len =
   with_unique_ids_raw tokenizer buf ~off ~len (fun ids n _raw ->
@@ -338,8 +331,3 @@ let classify_mbox_engine e tokenizer buf =
   Array.map
     (fun (off, len) -> classify_raw_engine e tokenizer buf ~off ~len)
     (raw_message_chunks buf)
-
-(* (options, db) form: the uncached reference engine.  Filter and the
-   daemon pass their cached engines through the [_engine] variants. *)
-let classify_raw options db tokenizer buf ~off ~len =
-  classify_raw_engine (Classify.engine options db) tokenizer buf ~off ~len

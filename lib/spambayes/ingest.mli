@@ -70,18 +70,6 @@ val unique_ids :
 (** Materialized form of {!with_unique_ids}:
     [(distinct ids, raw count)]. *)
 
-val classify_many_engine :
-  Classify.engine ->
-  Spamlab_tokenizer.Tokenizer.t ->
-  Spamlab_email.Message.t array ->
-  Classify.result array
-(** Batched classification: every message goes span-tokenize →
-    dedup-in-scratch → {!Classify.score_engine_sub} through an
-    explicit {!Classify.engine} (per-filter probability cache, daemon
-    snapshot cache, tenant overlay), reusing one per-domain id buffer
-    across the whole batch.  Results are positionally aligned with the
-    input and bit-identical whichever engine scores them. *)
-
 (** {1 Raw mail} *)
 
 val ignored_header : string -> bool
@@ -119,16 +107,6 @@ val unique_ids_raw :
   len:int ->
   (int array * int) option
 
-val classify_raw :
-  Options.t ->
-  Token_db.t ->
-  Spamlab_tokenizer.Tokenizer.t ->
-  string ->
-  off:int ->
-  len:int ->
-  Classify.result option
-(** Classify one raw message chunk; [None] if malformed. *)
-
 val classify_raw_engine :
   Classify.engine ->
   Spamlab_tokenizer.Tokenizer.t ->
@@ -136,8 +114,11 @@ val classify_raw_engine :
   off:int ->
   len:int ->
   Classify.result option
-(** {!classify_raw} through an explicit engine — the daemon's CLASSIFY
-    fan-out path (shared snapshot cache across pool workers). *)
+(** Classify one raw message chunk through an explicit engine:
+    span-tokenize → dedup-in-scratch → {!Classify.score_engine_sub},
+    reusing the per-domain id buffer.  [None] if the chunk is
+    malformed.  The daemon's CLASSIFY fan-out path (shared snapshot
+    cache across pool workers). *)
 
 val classify_mbox_engine :
   Classify.engine ->

@@ -5,48 +5,26 @@ let epsilon = 1e-12
 
 let clamp p = Float.max epsilon (Float.min (1.0 -. epsilon) p)
 
-let statistic ps =
-  if ps = [] then invalid_arg "Fisher.statistic: empty p-value list";
-  List.fold_left
-    (fun acc p ->
-      if p < 0.0 || p > 1.0 then
-        invalid_arg "Fisher.statistic: p-value outside [0,1]";
-      acc -. (2.0 *. log (clamp p)))
-    0.0 ps
-
-let combine ps =
-  let n = List.length ps in
-  Special.chi2_sf ~df:(2 * n) (statistic ps)
-
-let spambayes_h fs = if fs = [] then 1.0 else combine fs
-
-let spambayes_s fs =
-  if fs = [] then 1.0 else combine (List.map (fun f -> 1.0 -. f) fs)
-
-let indicator fs =
-  let h = spambayes_h fs in
-  let s = spambayes_s fs in
-  (1.0 +. h -. s) /. 2.0
-
-(* Array-prefix form of [indicator], for the scoring hot path: the same
-   float operations in the same order as the list pipeline — validate,
-   clamp, log, fold left, one chi-square tail per direction — without
-   materializing the score list, its 1−f complement, or the fold
-   closures.  Bit-identical to [indicator] on the same scores. *)
-let combine_sub fs n ~flip =
+(* One direction of the fold over [fs.(0 .. n-1)]: validate, clamp,
+   accumulate -2 ln p left to right, then one chi-square tail at 2n
+   degrees of freedom.  [~flip] folds the complements 1 - f instead,
+   without materializing them. *)
+let combine fs n ~flip =
   let acc = ref 0.0 in
   for i = 0 to n - 1 do
     let f = Array.unsafe_get fs i in
     let p = if flip then 1.0 -. f else f in
     if p < 0.0 || p > 1.0 then
-      invalid_arg "Fisher.statistic: p-value outside [0,1]";
+      invalid_arg "Fisher.indicator: p-value outside [0,1]";
     acc := !acc -. (2.0 *. log (clamp p))
   done;
   Special.chi2_sf ~df:(2 * n) !acc
 
-let indicator_sub fs n =
+let indicator fs n =
+  if n < 0 || n > Array.length fs then
+    invalid_arg "Fisher.indicator: prefix length out of bounds";
   if n = 0 then 0.5
   else
-    let h = combine_sub fs n ~flip:false in
-    let s = combine_sub fs n ~flip:true in
+    let h = combine fs n ~flip:false in
+    let s = combine fs n ~flip:true in
     (1.0 +. h -. s) /. 2.0

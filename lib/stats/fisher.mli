@@ -4,37 +4,18 @@
     Given n p-values p_i from independent tests of the same null
     hypothesis, the statistic −2 Σ ln p_i is chi-square distributed with
     2n degrees of freedom under the null.  SpamBayes applies it twice per
-    message — once to the token scores f(w) and once to their complements
-    1 − f(w) — and combines the two tails (paper Eq. 3–4). *)
+    message — once to the token scores f(w), giving H(E), and once to
+    their complements 1 − f(w), giving S(E) — and combines the two tails
+    (paper Eq. 3–4). *)
 
-val statistic : float list -> float
-(** [statistic ps] = −2 Σ ln p_i.  Probabilities are clamped away from 0
-    to keep the statistic finite (a token score of exactly 0 or 1 carries
-    unbounded evidence; SpamBayes never produces one, but attack code
-    paths may).  @raise Invalid_argument on an empty list or a value
-    outside [0,1]. *)
-
-val combine : float list -> float
-(** [combine ps] is the combined p-value: the chi-square survival
-    function of {!statistic} at 2n degrees of freedom.  Small values
-    reject the null. *)
-
-val spambayes_h : float list -> float
-(** [spambayes_h fs] is the paper's H(E) (Eq. 4) applied to token scores
-    [fs]: 1 − χ²_{2n}(−2 Σ ln f(w)) — i.e. the survival function of the
-    statistic.  Returns 1.0 on an empty list (no evidence). *)
-
-val spambayes_s : float list -> float
-(** The paper's S(E): {!spambayes_h} with every f(w) replaced by
-    1 − f(w). *)
-
-val indicator : float list -> float
-(** [indicator fs] is the message score I(E) = (1 + H − S)/2 ∈ [0,1]
-    (Eq. 3).  0 is maximally hammy, 1 maximally spammy, 0.5 neutral. *)
-
-val indicator_sub : float array -> int -> float
-(** [indicator_sub fs n] = [indicator] of [fs.(0 .. n-1)] — same float
-    operations in the same order, bit-identical results — without
-    materializing any list.  The scoring hot path
-    ({!Spamlab_spambayes.Classify}) feeds it the selected clue scores
-    straight from its scratch buffer.  0.5 when [n = 0]. *)
+val indicator : float array -> int -> float
+(** [indicator fs n] is the message score I(E) = (1 + H − S)/2 ∈ [0,1]
+    (Eq. 3) of the token scores [fs.(0 .. n-1)], folded left to right:
+    0 is maximally hammy, 1 maximally spammy, and 0.5 when [n = 0] (no
+    evidence).  Each score is clamped away from 0 and 1 before its
+    logarithm, so a score of exactly 0 or 1 (SpamBayes never produces
+    one, attack code paths may) keeps the statistic finite.  The
+    scoring pipeline ({!Spamlab_spambayes.Classify}) feeds it the
+    selected clue scores straight from its scratch buffer.
+    @raise Invalid_argument if [n] is outside [0, Array.length fs] or a
+    score lies outside [0,1]. *)

@@ -1,12 +1,18 @@
-(* Reference string tokenizers: the hand-written list/string forms of
-   the SpamBayes, BogoFilter and SpamAssassin tokenizers, kept as a
-   differential oracle for the span tokenizers in lib/tokenizer.  They
-   share nothing with the span path except the pieces that exist only
-   once (URL cracking, HTML deconstruction, MIME decoding, header and
-   address parsing): word splitting, punctuation stripping, the URL
-   shape test and every tokenizer rule are written out again here, on
-   allocated strings.  The tests compare [Tokenizer.tokenize] with
-   these streams as sequences, token for token. *)
+(* Reference implementations kept as differential oracles for lib/.
+   Each is the hand-written list/string form a lib/ path replaced, and
+   shares as little as possible with it.
+
+   The string tokenizers: the SpamBayes, BogoFilter and SpamAssassin
+   tokenizers on allocated strings, an oracle for the span tokenizers
+   in lib/tokenizer.  They share nothing with the span path except the
+   pieces that exist only once (URL cracking, HTML deconstruction, MIME
+   decoding, header and address parsing): word splitting, punctuation
+   stripping, the URL shape test and every tokenizer rule are written
+   out again here.  The tests compare [Tokenizer.tokenize] with these
+   streams as sequences, token for token.
+
+   The list scoring pipeline: list Fisher and list δ(E) selection, an
+   oracle for [Fisher.indicator] and [Classify.score_probs]. *)
 
 module Html = Spamlab_tokenizer.Html
 
@@ -343,3 +349,121 @@ let tokenize tokenizer msg =
    must agree with. *)
 let unique_counted tokens =
   (Array.of_list (List.sort_uniq String.compare tokens), List.length tokens)
+
+(* ------------------------------------------------------------------ *)
+(* Fisher's method, list form                                          *)
+
+(* Fisher's method over score lists: statistic, combined p-value and
+   the H/S tails built from them.  [Spamlab_stats.Fisher.indicator fs n]
+   must equal [indicator] of the same n scores bit for bit. *)
+module Fisher = struct
+  module Special = Spamlab_stats.Special
+
+  let epsilon = 1e-12
+
+  let clamp p = Float.max epsilon (Float.min (1.0 -. epsilon) p)
+
+  let statistic ps =
+    if ps = [] then invalid_arg "Fisher.statistic: empty p-value list";
+    List.fold_left
+      (fun acc p ->
+        if p < 0.0 || p > 1.0 then
+          invalid_arg "Fisher.statistic: p-value outside [0,1]";
+        acc -. (2.0 *. log (clamp p)))
+      0.0 ps
+
+  let combine ps =
+    let n = List.length ps in
+    Special.chi2_sf ~df:(2 * n) (statistic ps)
+
+  let spambayes_h fs = if fs = [] then 1.0 else combine fs
+
+  let spambayes_s fs =
+    if fs = [] then 1.0 else combine (List.map (fun f -> 1.0 -. f) fs)
+
+  let indicator fs =
+    let h = spambayes_h fs in
+    let s = spambayes_s fs in
+    (1.0 +. h -. s) /. 2.0
+end
+
+(* ------------------------------------------------------------------ *)
+(* Discriminator selection, list form                                  *)
+
+(* δ(E) over boxed candidate clues: [List.filter] by strength,
+   [List.sort] by a comparator that breaks strength ties on token
+   bytes, [take], then the list Fisher above.  It shares nothing with
+   [Classify.score_probs] but the result type, so the differential
+   tests hold the scratch-array selection — and every engine feeding
+   it — to this. *)
+module Scoring = struct
+  module Classify = Spamlab_spambayes.Classify
+  module Intern = Spamlab_spambayes.Intern
+  module Options = Spamlab_spambayes.Options
+  module Score = Spamlab_spambayes.Score
+
+  let by_strength_desc (a : Classify.clue) (b : Classify.clue) =
+    let sa = Float.abs (a.score -. 0.5) in
+    let sb = Float.abs (b.score -. 0.5) in
+    match Float.compare sb sa with
+    | 0 -> String.compare a.token b.token
+    | c -> c
+
+  let rec take n = function
+    | [] -> []
+    | _ when n = 0 -> []
+    | x :: rest -> x :: take (n - 1) rest
+
+  (* The comparator is a total order on distinct tokens, so the
+     selection does not depend on the order candidates arrive in. *)
+  let select_scored (options : Options.t) candidates =
+    let scored =
+      List.filter
+        (fun (c : Classify.clue) ->
+          Float.abs (c.score -. 0.5) >= options.minimum_prob_strength)
+        candidates
+    in
+    take options.max_discriminators (List.sort by_strength_desc scored)
+
+  (* δ(E) of a distinct-token array, probabilities looked up by
+     string. *)
+  let select_discriminators (options : Options.t) db tokens =
+    let candidates = ref [] in
+    Array.iter
+      (fun token ->
+        let score = Score.smoothed options db token in
+        if Float.abs (score -. 0.5) >= options.minimum_prob_strength then
+          candidates := { Classify.token; score } :: !candidates)
+      tokens;
+    select_scored options !candidates
+
+  let indicator_of_clues = function
+    | [] -> 0.5
+    | clues -> Fisher.indicator (List.map (fun (c : Classify.clue) -> c.score) clues)
+
+  let result_of_clues options clues =
+    let indicator = indicator_of_clues clues in
+    { Classify.indicator; verdict = Classify.verdict_of_indicator options indicator; clues }
+
+  (* Candidates may arrive in any order and may or may not be
+     pre-filtered by strength. *)
+  let score_clues options candidates =
+    result_of_clues options (select_scored options candidates)
+
+  let score_tokens options db tokens =
+    result_of_clues options (select_discriminators options db tokens)
+
+  (* The pre-cache scoring path: uncached probabilities by id, eager
+     per-candidate clue materialization, list selection.  [bench
+     classify] also times it as the baseline the cached hot path is
+     compared against. *)
+  let score_ids_reference (options : Options.t) db ids =
+    let candidates = ref [] in
+    Array.iter
+      (fun id ->
+        let score = Score.smoothed_id options db id in
+        if Float.abs (score -. 0.5) >= options.minimum_prob_strength then
+          candidates := { Classify.token = Intern.to_string id; score } :: !candidates)
+      ids;
+    score_clues options !candidates
+end

@@ -231,6 +231,14 @@ let cli_tests =
         check_bool "some counters recorded" true (counters1 <> []);
         check_bool "counter lines identical across jobs" true
           (counters1 = counters4));
+    test_case "experiment --help renders cleanly" (fun () ->
+        check_int "exit" 0 (run_command [ "experiment"; "--help=plain" ]);
+        let err =
+          In_channel.with_open_text (in_tmp "stderr") In_channel.input_all
+        in
+        Alcotest.(check string) "nothing on stderr" "" err;
+        check_bool "fault-spec example keeps its @" true
+          (contains (read_output ()) "transient@3+97"));
   ]
 
 (* Fault tolerance at the CLI boundary: db verify, graceful errors,

@@ -106,6 +106,57 @@ let roni_tests =
         let a2 = Roni.assess (Rng.create 8) ~pool ~candidate:ordinary_spam in
         Alcotest.(check (float 1e-12))
           "same impact" a1.Roni.mean_ham_impact a2.Roni.mean_ham_impact);
+    test_case "assess equals one trained copy per trial" (fun () ->
+        (* [assess] scores the with-candidate side arithmetically from
+           the baseline's counts.  The naive twin makes the same rng
+           draws, trains a copy of the baseline on the candidate and
+           classifies with it: every trial's impact must agree. *)
+        let config = { Roni.default_config with Roni.trials = 4 } in
+        let ham_as_ham filter validation =
+          Array.fold_left
+            (fun acc (e : Dataset.example) ->
+              if
+                e.label = Label.Ham
+                && (Dataset.classify filter e).Spamlab_spambayes.Classify.verdict
+                   = Label.Ham_v
+              then acc + 1
+              else acc)
+            0 validation
+        in
+        let naive rng candidate =
+          let needed = config.train_size + config.validation_size in
+          Array.init config.trials (fun _ ->
+              let sample = Rng.sample_without_replacement rng needed pool in
+              let train = Array.sub sample 0 config.train_size in
+              let validation =
+                Array.sub sample config.train_size config.validation_size
+              in
+              let baseline = Filter.create () in
+              Dataset.train_filter baseline train;
+              let with_candidate = Filter.copy baseline in
+              Filter.train_tokens with_candidate Label.Spam candidate;
+              float_of_int
+                (ham_as_ham baseline validation
+                - ham_as_ham with_candidate validation))
+        in
+        List.iter
+          (fun (name, candidate) ->
+            let candidate =
+              Array.of_list
+                (List.sort_uniq String.compare (Array.to_list candidate))
+            in
+            let got =
+              (Roni.assess ~config (Rng.create 21) ~pool ~candidate).Roni.per_trial
+            in
+            check_bool name true (got = naive (Rng.create 21) candidate);
+            if name = "dictionary-style" then
+              check_bool "the attack flips validation ham" true
+                (Array.exists (fun d -> d > 0.0) got))
+          [
+            ("dictionary-style", ham_covering_attack);
+            ("ordinary spam", ordinary_spam);
+            ("unseen tokens", [| "roni-twin-unseen-a"; "roni-twin-unseen-b" |]);
+          ]);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -427,7 +427,15 @@ let classify_tests =
         in
         Filter.train_corpus filter train;
         let test_msgs = Array.init 40 gen_message in
-        let batched = Filter.classify_many filter test_msgs in
+        (* The span ingest path's ids, scored through the filter's
+           cache, against the string features path. *)
+        let batched =
+          Array.map
+            (fun m ->
+              Filter.classify_ids filter
+                (fst (Ingest.unique_ids (Filter.tokenizer filter) m)))
+            test_msgs
+        in
         Array.iteri
           (fun i m ->
             let single = Filter.classify filter m in

@@ -467,25 +467,20 @@ module Ref_db = struct
       (Hashtbl.length t.counts);
     Buffer.contents buf
 
-  (* Classification from reference counts: strength-filter every token's
-     smoothed score, then reuse the real selection/Fisher pipeline
-     ([Classify.score_clues] is pure in the counts). *)
+  (* Classification from reference counts: every token's smoothed
+     score from the reference counts, then the real selection/Fisher
+     stage ([Classify.score_probs] is pure in the probabilities). *)
   let score options t tokens =
     let nspam = t.nspam and nham = t.nham in
-    let min_strength = options.Options.minimum_prob_strength in
-    let candidates =
-      Array.fold_left
-        (fun acc tok ->
-          let score =
-            Score.smoothed_counts options ~spam:(spam_count t tok)
-              ~ham:(ham_count t tok) ~nspam ~nham
-          in
-          if Float.abs (score -. 0.5) >= min_strength then
-            { Classify.token = tok; score } :: acc
-          else acc)
-        [] tokens
+    let probs =
+      Array.map
+        (fun tok ->
+          Score.smoothed_counts options ~spam:(spam_count t tok)
+            ~ham:(ham_count t tok) ~nspam ~nham)
+        tokens
     in
-    Classify.score_clues options candidates
+    Classify.score_probs options (Intern.intern_array tokens) probs
+      (Array.length tokens)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -597,7 +592,7 @@ let scores_agree db rdb =
   in
   List.for_all
     (fun probe ->
-      let got = Classify.score_tokens options db probe in
+      let got = Classify.score_ids options db (Intern.intern_array probe) in
       let want = Ref_db.score options rdb probe in
       got.Classify.indicator = want.Classify.indicator
       && got.Classify.verdict = want.Classify.verdict

@@ -1,14 +1,16 @@
-(* Differential tests for the generation-stamped probability cache
-   (PR 9): every scoring engine — private per-filter cache, shared
-   snapshot cache, tenant overlay over the store's prior cache — must
-   be bit-identical to the verbatim pre-cache scoring path
-   [Classify.score_ids_reference] under arbitrary interleavings of
-   training, untraining and classification, including forced store
-   evictions, daemon publish cycles, and injected cache-fill faults. *)
+(* Differential tests for the generation-stamped probability cache:
+   every scoring engine — private per-filter cache, shared snapshot
+   cache, tenant overlay over the store's prior cache — must be
+   bit-identical to the pre-cache list scoring path kept in the oracle
+   ([score_ids_reference]) under arbitrary interleavings of training,
+   untraining and classification, including forced store evictions,
+   daemon publish cycles, and injected cache-fill faults. *)
 
 open Spamlab_spambayes
 module Store = Spamlab_store.Store
 module Fault = Spamlab_fault
+
+let score_ids_reference = Spamlab_oracle.Scoring.score_ids_reference
 
 let check_bool = Alcotest.(check bool)
 let test_case name f = Alcotest.test_case name `Quick f
@@ -101,7 +103,7 @@ let filter_differential ops =
           let db = Filter.db filter in
           let cached = Filter.classify_ids filter ids in
           let uncached = Classify.score_engine (Classify.engine options db) ids in
-          let reference = Classify.score_ids_reference options db ids in
+          let reference = score_ids_reference options db ids in
           same_result cached reference && same_result uncached reference)
     ops
 
@@ -159,7 +161,7 @@ let store_differential ops =
               in
               let reference =
                 Store.with_user st user (fun db ->
-                    Classify.score_ids_reference options db ids)
+                    score_ids_reference options db ids)
               in
               same_result fast reference)
         ops
@@ -202,7 +204,7 @@ let publish_cycle_differential ops =
               let ids = Intern.intern_array (msg_of_indices ixs) in
               let cached = Classify.score_engine engine ids in
               let reference =
-                Classify.score_ids_reference options snapshot ids
+                score_ids_reference options snapshot ids
               in
               same_result cached reference)
         (List.rev round))
@@ -229,7 +231,7 @@ let tie_break_tests =
         let ids = Intern.intern_array cluster in
         let options = Options.default in
         let fast = Classify.score_ids options db ids in
-        let reference = Classify.score_ids_reference options db ids in
+        let reference = score_ids_reference options db ids in
         check_bool "bit-identical" true (same_result fast reference);
         let tokens = List.map (fun c -> c.Classify.token) fast.Classify.clues in
         check_bool "clues sorted by byte order within the tie" true
@@ -246,7 +248,7 @@ let tie_break_tests =
         let ids = Intern.intern_array (Array.append covered fresh) in
         let options = Options.default in
         let fast = Classify.score_ids options db ids in
-        let reference = Classify.score_ids_reference options db ids in
+        let reference = score_ids_reference options db ids in
         check_bool "bit-identical" true (same_result fast reference));
     test_case "winner truncation happens after the tie-break" (fun () ->
         (* More equal-strength candidates than max_discriminators: which
@@ -258,7 +260,7 @@ let tie_break_tests =
         let options = { Options.default with Options.max_discriminators = 7 } in
         let ids = Intern.intern_array cluster in
         let fast = Classify.score_ids options db ids in
-        let reference = Classify.score_ids_reference options db ids in
+        let reference = score_ids_reference options db ids in
         check_bool "bit-identical" true (same_result fast reference);
         check_bool "truncated" true (List.length fast.Classify.clues = 7));
   ]
@@ -280,7 +282,7 @@ let fault_tests =
         let options = Filter.options filter in
         let ids = Intern.intern_array (msg_of_indices [ 0; 1; 3; 4; 8 ]) in
         let reference =
-          Classify.score_ids_reference options (Filter.db filter) ids
+          score_ids_reference options (Filter.db filter) ids
         in
         (* Every fill attempt faults: the cache never warms, every read
            falls through to the uncached compute, output unchanged. *)

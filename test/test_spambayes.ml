@@ -528,40 +528,104 @@ let training_db () =
   done;
   db
 
+(* δ(E) as the served pipeline selects it. *)
+let clues_of options db tokens =
+  (Classify.score_ids options db (Intern.intern_array tokens)).Classify.clues
+
+let score_tokens options db tokens =
+  Classify.score_ids options db (Intern.intern_array tokens)
+
+(* Differential inputs for [Classify.score_probs]: a universe interned
+   and ranked by one [Intern.freeze], beside strings interned after it
+   (fresh per call, so never ranked when scored) that sort in between
+   the ranked ones — ties across the two fall back to byte order. *)
+let ranked_universe =
+  lazy
+    (let ids = Intern.intern_array (Array.init 40 (Printf.sprintf "sp-%02d")) in
+     Intern.freeze ();
+     ids)
+
+let late_calls = ref 0
+
+let probe_ids () =
+  incr late_calls;
+  let late =
+    Intern.intern_array
+      (Array.init 20 (fun i -> Printf.sprintf "sp-%02d~late%d" (2 * i) !late_calls))
+  in
+  Array.append (Lazy.force ranked_universe) late
+
+let probe_options =
+  [|
+    Options.default;
+    { Options.default with Options.max_discriminators = 5 };
+    (* A power-of-two band: |p - 0.5| lands exactly on it for p = 0.375
+       and 0.625. *)
+    { Options.default with Options.minimum_prob_strength = 0.125; max_discriminators = 3 };
+    { Options.default with Options.minimum_prob_strength = 0.0 };
+  |]
+
+(* Probabilities cluster on a few values, so equal strengths are
+   common, and include both sides of every band edge used above. *)
+let gen_prob =
+  QCheck2.Gen.(
+    frequency
+      [
+        (3, oneofl [ 0.0; 1.0; 0.5; 0.375; 0.625; 0.4; 0.6; 0.9; 0.1; 0.99; 0.01 ]);
+        (1, float_range 0.0 1.0);
+      ])
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
 let classify_tests =
   [
     test_case "discriminators exclude the neutral band" (fun () ->
         let db = training_db () in
-        let clues =
-          Classify.select_discriminators Options.default db
-            [| "viagra"; "common"; "meeting" |]
-        in
+        let clues = clues_of Options.default db [| "viagra"; "common"; "meeting" |] in
         let tokens = List.map (fun c -> c.Classify.token) clues in
         check_bool "viagra in" true (List.mem "viagra" tokens);
         check_bool "meeting in" true (List.mem "meeting" tokens);
-        check_bool "common excluded" false (List.mem "common" tokens));
+        check_bool "common excluded" false (List.mem "common" tokens);
+        check_bool "every clue outside the band" true
+          (List.for_all
+             (fun c ->
+               Float.abs (c.Classify.score -. 0.5)
+               >= Options.default.Options.minimum_prob_strength)
+             clues));
     test_case "discriminators sorted by strength" (fun () ->
         let db = training_db () in
         Token_db.train db Label.Spam [| "weakish" |];
         Token_db.train db Label.Ham [| "weakish" |];
         Token_db.train db Label.Spam [| "weakish" |];
-        let clues =
-          Classify.select_discriminators Options.default db
-            [| "weakish"; "viagra" |]
-        in
-        match clues with
+        (match clues_of Options.default db [| "weakish"; "viagra" |] with
         | first :: _ -> check_str "strongest first" "viagra" first.Classify.token
         | [] -> Alcotest.fail "no clues");
+        (* The whole list: strength descending, ties by token bytes. *)
+        let clues =
+          clues_of Options.default db
+            [| "viagra"; "cheap"; "offer"; "meeting"; "report"; "sale3"; "note7" |]
+        in
+        let rec sorted = function
+          | a :: (b :: _ as rest) ->
+              let sa = Float.abs (a.Classify.score -. 0.5)
+              and sb = Float.abs (b.Classify.score -. 0.5) in
+              (sa > sb || (sa = sb && String.compare a.Classify.token b.Classify.token < 0))
+              && sorted rest
+          | _ -> true
+        in
+        check_int "all seven selected" 7 (List.length clues);
+        check_bool "strength desc, ties by bytes" true (sorted clues));
     test_case "max_discriminators caps the clue list" (fun () ->
         let db = Token_db.create () in
         let tokens = Array.init 300 (fun i -> "tok" ^ string_of_int i) in
         Token_db.train db Label.Spam tokens;
         Token_db.train db Label.Ham [| "other" |];
         let options = { Options.default with Options.max_discriminators = 7 } in
-        let clues = Classify.select_discriminators options db tokens in
-        check_int "capped" 7 (List.length clues));
+        check_int "capped" 7 (List.length (clues_of options db tokens));
+        check_int "capped at the paper's 150" 150
+          (List.length (clues_of Options.default db tokens)));
     test_case "no evidence scores 0.5 and lands unsure" (fun () ->
-        let r = Classify.score_tokens Options.default (Token_db.create ()) [| "a"; "b" |] in
+        let r = score_tokens Options.default (Token_db.create ()) [| "a"; "b" |] in
         check_float "indicator" 0.5 r.Classify.indicator;
         check_bool "unsure" true (r.Classify.verdict = Label.Unsure_v));
     test_case "verdict thresholds at the boundaries" (fun () ->
@@ -587,28 +651,68 @@ let classify_tests =
     test_case "spammy tokens classify spam, hammy ham" (fun () ->
         let db = training_db () in
         let spam_result =
-          Classify.score_tokens Options.default db [| "viagra"; "cheap"; "offer" |]
+          score_tokens Options.default db [| "viagra"; "cheap"; "offer" |]
         in
         let ham_result =
-          Classify.score_tokens Options.default db [| "meeting"; "report"; "budget" |]
+          score_tokens Options.default db [| "meeting"; "report"; "budget" |]
         in
         check_bool "spam" true (spam_result.Classify.verdict = Label.Spam_v);
         check_bool "ham" true (ham_result.Classify.verdict = Label.Ham_v);
         check_bool "order" true
           (spam_result.Classify.indicator > ham_result.Classify.indicator));
     test_case "indicator_of_clues empty is 0.5" (fun () ->
-        check_float "empty" 0.5 (Classify.indicator_of_clues []));
+        check_float "oracle" 0.5 (Spamlab_oracle.Scoring.indicator_of_clues []);
+        (* Empty δ(E) on the served stage: nothing at all, and nothing
+           outside the band. *)
+        let ids = Intern.intern_array [| "a"; "b" |] in
+        let none = Classify.score_probs Options.default ids [| 0.5; 0.55 |] 0 in
+        check_float "n = 0" 0.5 none.Classify.indicator;
+        check_bool "no clues" true (none.Classify.clues = []);
+        let banded = Classify.score_probs Options.default ids [| 0.5; 0.55 |] 2 in
+        check_float "all in the band" 0.5 banded.Classify.indicator;
+        check_bool "unsure" true (banded.Classify.verdict = Label.Unsure_v));
     qtest "indicator always in [0,1]"
       QCheck2.Gen.(
         list_size (int_range 1 30) (float_range 0.01 0.99))
       (fun scores ->
-        let clues =
-          List.mapi
-            (fun i score -> { Classify.token = "t" ^ string_of_int i; score })
-            scores
+        let ids =
+          Intern.intern_array
+            (Array.of_list (List.mapi (fun i _ -> "t" ^ string_of_int i) scores))
         in
-        let i = Classify.indicator_of_clues clues in
+        let i =
+          (Classify.score_probs Options.default ids (Array.of_list scores)
+             (Array.length ids))
+            .Classify.indicator
+        in
         i >= 0.0 && i <= 1.0);
+    qtest ~count:300 "score_probs equals the list oracle"
+      QCheck2.Gen.(
+        triple
+          (int_range 0 (Array.length probe_options - 1))
+          (list_size (int_range 0 200) (int_range 0 59))
+          (array_size (return 60) gen_prob))
+      (fun (o, picks, prob_of) ->
+        (* Duplicate picks repeat an id with its one probability, as
+           every caller's probabilities are a function of the id. *)
+        let options = probe_options.(o) in
+        let universe = probe_ids () in
+        let ids = Array.of_list (List.map (fun k -> universe.(k)) picks) in
+        let probs = Array.of_list (List.map (fun k -> prob_of.(k)) picks) in
+        let n = Array.length ids in
+        (* Backing arrays longer than the prefix: only [0, n) counts. *)
+        let ids_arr = Array.append ids [| universe.(0) |] in
+        let probs_arr = Array.append probs [| 0.99 |] in
+        let before = Array.copy probs_arr in
+        let got = Classify.score_probs options ids_arr probs_arr n in
+        let want =
+          Spamlab_oracle.Scoring.score_clues options
+            (List.init n (fun i ->
+                 { Classify.token = Intern.to_string ids.(i); score = probs.(i) }))
+        in
+        bits_equal got.Classify.indicator want.Classify.indicator
+        && got.Classify.verdict = want.Classify.verdict
+        && got.Classify.clues = want.Classify.clues
+        && Array.for_all2 bits_equal before probs_arr);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -627,8 +731,9 @@ let filter_tests =
           Filter.train filter Label.Ham
             (mk_msg "budget meeting" "quarterly budget review meeting notes")
         done;
-        let spam_score = Filter.score filter (mk_msg "pills" "cheap pills online") in
-        let ham_score = Filter.score filter (mk_msg "meeting" "budget meeting notes") in
+        let score m = (Filter.classify filter m).Classify.indicator in
+        let spam_score = score (mk_msg "pills" "cheap pills online") in
+        let ham_score = score (mk_msg "meeting" "budget meeting notes") in
         check_bool "spam high" true (spam_score > 0.9);
         check_bool "ham low" true (ham_score < 0.15));
     test_case "filter copy is independent" (fun () ->
@@ -676,8 +781,8 @@ let filter_tests =
             | Error e -> Alcotest.fail e
             | Ok loaded ->
                 let probe = mk_msg "win" "win money fast" in
-                check_close 1e-12 "same score" (Filter.score filter probe)
-                  (Filter.score loaded probe)));
+                let score f = (Filter.classify f probe).Classify.indicator in
+                check_close 1e-12 "same score" (score filter) (score loaded)));
     test_case "token_score of unknown is the prior" (fun () ->
         let filter = Filter.create () in
         check_float "prior" 0.5 (Filter.token_score filter "unseen"));
@@ -709,16 +814,11 @@ let property_tests =
     qtest "adding a spammy clue never lowers the indicator" ~count:100
       QCheck2.Gen.(list_size (int_range 1 20) (float_range 0.05 0.95))
       (fun scores ->
-        let clues =
-          List.mapi
-            (fun i score -> { Classify.token = "t" ^ string_of_int i; score })
-            scores
-        in
-        let with_spammy =
-          { Classify.token = "spammy"; score = 0.99 } :: clues
-        in
-        Classify.indicator_of_clues with_spammy
-        >= Classify.indicator_of_clues clues -. 1e-9);
+        let clues = Array.of_list scores in
+        let n = Array.length clues in
+        let with_spammy = Array.append [| 0.99 |] clues in
+        Spamlab_stats.Fisher.indicator with_spammy (n + 1)
+        >= Spamlab_stats.Fisher.indicator clues n -. 1e-9);
     qtest "train_many k equals k trains for random token sets" ~count:50
       QCheck2.Gen.(
         pair
@@ -799,8 +899,13 @@ let property_tests =
         let tokens =
           Array.of_list (List.sort_uniq compare message)
         in
-        let r = Classify.score_tokens Options.default db tokens in
-        r.Classify.indicator >= 0.0 && r.Classify.indicator <= 1.0);
+        let r = score_tokens Options.default db tokens in
+        (* The served pipeline also agrees with the string-keyed list
+           pipeline on every random db. *)
+        let want = Spamlab_oracle.Scoring.score_tokens Options.default db tokens in
+        r.Classify.indicator >= 0.0 && r.Classify.indicator <= 1.0
+        && bits_equal r.Classify.indicator want.Classify.indicator
+        && r.Classify.clues = want.Classify.clues);
   ]
 
 let () =

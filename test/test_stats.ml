@@ -202,49 +202,66 @@ let special_tests =
 (* ------------------------------------------------------------------ *)
 (* Fisher                                                              *)
 
+(* [Fisher.indicator] folds over an array prefix; the list-typed
+   statistic/combine/H/S it replaced live on in the oracle, which the
+   first tests below pin and the last property ties the fold to. *)
+module Ref_fisher = Spamlab_oracle.Fisher
+
+let indicator_of_list fs = Fisher.indicator (Array.of_list fs) (List.length fs)
+
 let fisher_tests =
   [
     test_case "statistic of all-ones is ~0" (fun () ->
-        check_close 1e-6 "stat" 0.0 (Fisher.statistic [ 1.0; 1.0; 1.0 ]));
+        check_close 1e-6 "stat" 0.0 (Ref_fisher.statistic [ 1.0; 1.0; 1.0 ]));
     test_case "statistic rejects empty" (fun () ->
         Alcotest.check_raises "empty"
           (Invalid_argument "Fisher.statistic: empty p-value list") (fun () ->
-            ignore (Fisher.statistic [])));
+            ignore (Ref_fisher.statistic [])));
     test_case "statistic rejects out-of-range" (fun () ->
         Alcotest.check_raises "p>1"
           (Invalid_argument "Fisher.statistic: p-value outside [0,1]")
-          (fun () -> ignore (Fisher.statistic [ 1.5 ])));
+          (fun () -> ignore (Ref_fisher.statistic [ 1.5 ]));
+        Alcotest.check_raises "array fold, p>1"
+          (Invalid_argument "Fisher.indicator: p-value outside [0,1]")
+          (fun () -> ignore (Fisher.indicator [| 0.5; 1.5 |] 2));
+        Alcotest.check_raises "array fold, p<0 in the complement pass"
+          (Invalid_argument "Fisher.indicator: p-value outside [0,1]")
+          (fun () -> ignore (Fisher.indicator [| -0.5 |] 1)));
     test_case "statistic finite at p=0 (clamped)" (fun () ->
-        check_bool "finite" true (Float.is_finite (Fisher.statistic [ 0.0 ])));
+        check_bool "finite" true (Float.is_finite (Ref_fisher.statistic [ 0.0 ]));
+        let i = Fisher.indicator [| 0.0; 1.0 |] 2 in
+        check_bool "array fold finite" true (Float.is_finite i && i >= 0.0 && i <= 1.0));
     test_case "combine of strong evidence is small" (fun () ->
-        check_bool "small" true (Fisher.combine [ 1e-6; 1e-6; 1e-6 ] < 1e-6));
+        check_bool "small" true (Ref_fisher.combine [ 1e-6; 1e-6; 1e-6 ] < 1e-6));
     test_case "combine of weak evidence is large" (fun () ->
-        check_bool "large" true (Fisher.combine [ 0.9; 0.8; 0.95 ] > 0.5));
+        check_bool "large" true (Ref_fisher.combine [ 0.9; 0.8; 0.95 ] > 0.5));
     test_case "single p-value roundtrips through chi2" (fun () ->
         (* combine [p] = SF(-2 ln p, 2) = exp(ln p) = p *)
         List.iter
-          (fun p -> check_close 1e-9 "identity" p (Fisher.combine [ p ]))
+          (fun p -> check_close 1e-9 "identity" p (Ref_fisher.combine [ p ]))
           [ 0.05; 0.2; 0.5; 0.9 ]);
     test_case "empty H and S are 1" (fun () ->
-        check_float "H" 1.0 (Fisher.spambayes_h []);
-        check_float "S" 1.0 (Fisher.spambayes_s []));
+        check_float "H" 1.0 (Ref_fisher.spambayes_h []);
+        check_float "S" 1.0 (Ref_fisher.spambayes_s []);
+        (* (1 + H - S) / 2 with both at 1: the array fold's empty prefix. *)
+        check_float "empty prefix" 0.5 (Fisher.indicator [| 0.99 |] 0));
     test_case "indicator extremes" (fun () ->
         check_bool "spammy" true
-          (Fisher.indicator [ 0.99; 0.99; 0.99; 0.99 ] > 0.95);
+          (indicator_of_list [ 0.99; 0.99; 0.99; 0.99 ] > 0.95);
         check_bool "hammy" true
-          (Fisher.indicator [ 0.01; 0.01; 0.01; 0.01 ] < 0.05));
+          (indicator_of_list [ 0.01; 0.01; 0.01; 0.01 ] < 0.05));
     test_case "indicator of neutral scores is 0.5" (fun () ->
-        check_close 1e-9 "neutral" 0.5 (Fisher.indicator [ 0.5; 0.5; 0.5 ]));
+        check_close 1e-9 "neutral" 0.5 (indicator_of_list [ 0.5; 0.5; 0.5 ]));
     qtest "indicator in [0,1]"
       QCheck2.Gen.(list_size (int_range 1 40) (float_range 0.001 0.999))
       (fun fs ->
-        let i = Fisher.indicator fs in
+        let i = indicator_of_list fs in
         i >= 0.0 && i <= 1.0);
     qtest "indicator symmetric under complement"
       QCheck2.Gen.(list_size (int_range 1 20) (float_range 0.01 0.99))
       (fun fs ->
-        let i = Fisher.indicator fs in
-        let i' = Fisher.indicator (List.map (fun f -> 1.0 -. f) fs) in
+        let i = indicator_of_list fs in
+        let i' = indicator_of_list (List.map (fun f -> 1.0 -. f) fs) in
         Float.abs (i +. i' -. 1.0) < 1e-9);
     qtest "indicator monotone in each score"
       QCheck2.Gen.(
@@ -257,8 +274,31 @@ let fisher_tests =
         match fs with
         | [] -> true
         | f :: rest ->
-            Fisher.indicator ((f +. bump) :: rest)
-            >= Fisher.indicator (f :: rest) -. 1e-12);
+            indicator_of_list ((f +. bump) :: rest)
+            >= indicator_of_list (f :: rest) -. 1e-12);
+    test_case "array fold rejects a prefix beyond the array" (fun () ->
+        List.iter
+          (fun n ->
+            Alcotest.check_raises "prefix"
+              (Invalid_argument "Fisher.indicator: prefix length out of bounds")
+              (fun () -> ignore (Fisher.indicator [| 0.5; 0.5 |] n)))
+          [ -1; 3 ]);
+    qtest "array fold equals the list oracle bit for bit"
+      QCheck2.Gen.(
+        pair
+          (list_size (int_range 0 160)
+             (oneof
+                [ float_range 0.0 1.0; oneofl [ 0.0; 1.0; 0.5; 1e-13; 0.4; 0.6 ] ]))
+          (int_range 0 5))
+      (fun (fs, slack) ->
+        (* A longer backing array than the prefix: the fold must stop
+           at n. *)
+        let n = List.length fs in
+        let arr = Array.append (Array.of_list fs) (Array.make slack 0.25) in
+        let want = if fs = [] then 0.5 else Ref_fisher.indicator fs in
+        Int64.equal
+          (Int64.bits_of_float (Fisher.indicator arr n))
+          (Int64.bits_of_float want));
   ]
 
 (* ------------------------------------------------------------------ *)
