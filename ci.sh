@@ -274,13 +274,20 @@ if grep -n -e '^date:' -e '^message-id:' "$sdir/bj1.db" | head -5 | grep .; then
 fi
 echo "serve (bogofilter): daemon jobs 1 == jobs 4 (client stdout, STATS, db); no date:/message-id: rows"
 
-say "offline train == daemon publish"
+say "offline train == daemon publish; a failed UNTRAIN applies nothing"
 # Offline `spamlab train` ingests raw mail exactly as daemon TRAIN does,
 # so training the same two mboxes either way must leave byte-identical
 # databases under every tokenizer — bogofilter included, whose header
 # mining would expose any suppressed header the offline path learned.
+# Before the publish, an UNTRAIN of every trained ham message followed
+# by one never-trained message must answer ERR and apply nothing: the
+# same byte comparison proves no message was untrained.
 "$spamlab" corpus --size 200 --ham "$sdir/otr.ham.mbox" \
   --spam "$sdir/otr.spam.mbox" 2> /dev/null
+{ cat "$sdir/otr.ham.mbox"
+  printf 'From spamlab@localhost Thu Jan  1 00:00:00 1970\n'
+  printf 'Subject: zqxv never trained\n\nqwzzyx plorbni vextrulm\n\n'
+} > "$sdir/otr.untrain.mbox"
 for tok in spambayes bogofilter spamassassin; do
   "$spamlab" train --tokenizer "$tok" --ham "$sdir/otr.ham.mbox" \
     --spam "$sdir/otr.spam.mbox" --db "$sdir/otr-$tok.offline.db" 2> /dev/null \
@@ -291,6 +298,13 @@ for tok in spambayes bogofilter spamassassin; do
       "$sdir/otr.$class.mbox" > /dev/null \
       || { echo "FAIL: $tok daemon $class TRAIN failed"; exit 1; }
   done
+  if "$spamlab" client untrain --socket "$sdir/otr-$tok.sock" --class ham \
+      "$sdir/otr.untrain.mbox" > /dev/null 2> "$sdir/otr-$tok.untrain.err"; then
+    echo "FAIL: $tok UNTRAIN with a never-trained message succeeded"; exit 1
+  fi
+  grep -q 'daemon error: Token_db.untrain' "$sdir/otr-$tok.untrain.err" \
+    || { echo "FAIL: $tok UNTRAIN failed for another reason:"; \
+         cat "$sdir/otr-$tok.untrain.err"; exit 1; }
   "$spamlab" client publish --socket "$sdir/otr-$tok.sock" > /dev/null
   kill -TERM "$daemon_pid"
   wait "$daemon_pid" \
@@ -303,7 +317,7 @@ if grep -n -e '^date:' -e '^message-id:' "$sdir/otr-bogofilter.offline.db" \
     | head -5 | grep .; then
   echo "FAIL: offline bogofilter db holds suppressed-header rows (above)"; exit 1
 fi
-echo "offline train == daemon publish (spambayes, bogofilter, spamassassin); no date:/message-id: rows"
+echo "offline train == daemon publish (spambayes, bogofilter, spamassassin); no date:/message-id: rows; failed UNTRAIN applied nothing"
 
 say "serve soak: crash mid-TRAIN, restart, replay"
 # The second publish crashes the daemon (exit 70) partway through the

@@ -193,24 +193,23 @@ type load_state = {
   cfg : load_config;
   (* Unpublished TRAIN/UNTRAIN requests, in send order, each tagged
      with the publish seq it was acknowledged under and — for tenant
-     TRAINs against a limits-armed daemon — the tenant's total message
-     count after the apply ([user.msgs=] in the ack).  Items acked
-     before the daemon's current seq have been incorporated by a
-     publish and are dropped lazily as later acks reveal it; the
-     recorded count lets a post-restart replay skip entries that a
-     publish this client never observed made durable. *)
+     TRAINs — the tenant's total message count after the apply
+     ([user.msgs=] in the ack).  Items acked before the daemon's
+     current seq have been incorporated by a publish and are dropped
+     lazily as later acks reveal it; the recorded count lets a
+     post-restart replay skip entries that a publish this client never
+     observed made durable. *)
   mutable unpublished : (int * int option * Protocol.request) list;
   mutable reconnects : int;
   mutable seq : int;
   mutable busy_waits : int;  (* BUSY responses absorbed by backoff *)
   mutable degraded_waits : int;  (* DEGRADED refusals absorbed *)
-  mutable restarts : int;  (* daemon restarts detected by seq regression *)
+  mutable restarts : int;  (* daemon restarts detected by a boot change *)
   mutable boot : int option;
-      (* Daemons with limits armed stamp mutation acks with their
-         process id ([boot=]).  Once seen, a changed id is the restart
-         signal — exact where seq regression is blind (before the first
-         publish, 0 = 0) — and transport errors stop triggering blind
-         replays (a reaped or shed connection is not a state loss). *)
+      (* The daemon's process id, from the [boot=] on every mutation
+         and PUBLISH ack.  A changed id is the restart signal.  It is
+         recorded before [note_ack] can buffer anything, so the buffer
+         is empty while it is unknown. *)
   mutable draws : int;  (* deterministic jitter counter *)
 }
 
@@ -271,9 +270,9 @@ let reconnect_backoff st attempt =
    has incorporated every unpublished request (including this one);
    otherwise stale entries (acked under an older seq that a publish
    has since passed) are dropped and this request joins the buffer.
-   [Err]/[Busy] never reach here — {!send} retries them, and a TRAIN
-   answered [Err] was not applied (the daemon rolls back partial
-   batches), so there is nothing to buffer. *)
+   [Err]/[Busy] never reach here — {!send} retries them, and a
+   TRAIN/UNTRAIN answered [Err] was not applied (the daemon rolls back
+   partial batches), so there is nothing to buffer. *)
 let note_ack st (req : Protocol.request) (resp : Protocol.response) =
   match (req.verb, resp) with
   | (Protocol.Train _ | Protocol.Untrain _), Protocol.Ok payload -> (
@@ -306,21 +305,22 @@ let degraded_refusal msg =
 
 (* One logical request with full recovery:
 
-   - transport failure → wait (errno-dependent backoff), replay the
-     unpublished buffer in order, then retry;
+   - transport failure → wait (errno-dependent backoff) and retry.  A
+     torn connection alone is not evidence of state loss — deadline
+     reaping and admission shedding tear connections too, and a blind
+     replay would double-train;
    - [BUSY] → shed backoff and retry (the request was not executed);
    - [ERR DEGRADED] on a mutation → nudge recovery with a PUBLISH,
      back off, retry;
-   - any other [ERR] → bounded retry: TRAINs are all-or-nothing on the
-     daemon, every other verb is idempotent, so a fault-injected error
-     is safe to re-issue (a genuinely semantic error just burns the
-     small error budget before surfacing);
-   - an [Ok] ack whose seq {e regressed} → the daemon restarted
-     between round-trips (no transport error to trip on): the buffer
-     was lost with the delta, so replay it.  The current request
-     landed first on the new epoch — acceptable, because training
-     effects are count-commutative and verdicts are only compared
-     after the schedule's own PUBLISH.
+   - any other [ERR] → bounded retry: TRAIN and UNTRAIN are
+     all-or-nothing on the daemon, every other verb is idempotent, so
+     a fault-injected error is safe to re-issue (a genuinely semantic
+     error just burns the small error budget before surfacing);
+   - an [Ok] ack whose [boot=] changed → the daemon restarted, whether
+     or not a transport error showed it: the buffer was lost with the
+     delta, so replay it.  The current request landed first on the new
+     boot — acceptable, because training effects are count-commutative
+     and verdicts are only compared after the schedule's own PUBLISH.
 
    [tries] bounds the total recovery budget across the whole tree. *)
 let rec send st tries (req : Protocol.request) =
@@ -360,21 +360,16 @@ let rec send st tries (req : Protocol.request) =
         | Protocol.Ok payload -> ack_field payload key
         | _ -> None
       in
-      let acked_seq = field "seq" in
       let acked_boot = field "boot" in
-      (* A changed boot id is the exact restart signal; without one
-         (older daemon, or no limit armed) fall back to the seq
-         regression heuristic, which is blind before the first
-         publish. *)
       let restarted =
         match (acked_boot, st.boot) with
-        | Some b, Some b0 when b <> b0 -> true
-        | _ -> ( match acked_seq with Some s -> s < st.seq | None -> false)
+        | Some b, Some b0 -> b <> b0
+        | _ -> false
       in
       (match acked_boot with Some b -> st.boot <- Some b | None -> ());
       if restarted then begin
         st.restarts <- st.restarts + 1;
-        st.seq <- (match acked_seq with Some s -> s | None -> 0);
+        st.seq <- Option.value ~default:0 (field "seq");
         let buffered = st.unpublished in
         st.unpublished <- [];
         note_ack st req resp;
@@ -418,38 +413,13 @@ let rec send st tries (req : Protocol.request) =
       if (not err.recoverable) || tries >= st.cfg.reconnect_attempts then
         Error
           (Printf.sprintf "%s (after %d attempts)" (error_message err) tries)
-      else if st.boot <> None then begin
-        (* The daemon stamps acks with its boot id, so a torn
-           connection alone is not evidence of state loss — it may be
-           deadline reaping or admission shedding, where a blind replay
-           would double-train.  Just retry: if the daemon really did
-           restart, the next ack's boot change triggers the replay,
-           exactly once. *)
+      else begin
         st.reconnects <- st.reconnects + 1;
         Unix.sleepf (reconnect_backoff st tries);
         send st (tries + 1) req
       end
-      else begin
-        st.reconnects <- st.reconnects + 1;
-        Unix.sleepf (reconnect_backoff st tries);
-        let buffered = List.map (fun (_, _, r) -> r) st.unpublished in
-        st.unpublished <- [];
-        let rec replay = function
-          | [] -> send st (tries + 1) req
-          | r :: rest -> (
-              match send st (tries + 1) r with
-              | Ok _ -> replay rest
-              | Error _ as e ->
-                  (* Keep what was not replayed for the next attempt. *)
-                  st.unpublished <-
-                    st.unpublished
-                    @ List.map (fun r -> (st.seq, None, r)) (r :: rest);
-                  e)
-        in
-        replay buffered
-      end
 
-(* Replay after an {e observed} restart (boot change / seq regression):
+(* Replay after an {e observed} restart (a boot change):
    reconcile against the survivor instead of re-sending blindly.  A
    buffered tenant TRAIN may already be durable — a publish commits
    {e every} client's journaled ops, and only the publishing client's
@@ -464,8 +434,7 @@ let rec send st tries (req : Protocol.request) =
    is written by one client: per tenant, what survives a crash is a
    prefix of the dead boot's journal order, and the buffered counts
    are cumulative positions in that same order.  Entries without a
-   recorded count (no tenant, UNTRAIN, unarmed daemon) replay blindly
-   as before.
+   recorded count (no tenant, UNTRAIN) replay blindly.
 
    The probe cache holds each tenant's durable count {e at replay
    start} and is never advanced by our own resends (they open a new

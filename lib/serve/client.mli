@@ -6,25 +6,26 @@
 
     The daemon only persists state at a publish; a crash loses the
     training delta since the last one.  The load generator therefore
-    keeps every [TRAIN] request whose acknowledgement showed
+    keeps every [TRAIN]/[UNTRAIN] request whose acknowledgement showed
     [pending > 0] in an {e unpublished buffer}, cleared when an ack
     shows [pending = 0] (a publish incorporated everything so far).
-    When a request fails at the transport level (daemon killed), the
-    generator reconnect-retries and first {e replays} the buffer in
-    original order, then the failed request — so the multiset and
-    order of effective training is identical to an uninterrupted run,
-    and the final published database is byte-identical.
+    When an ack reveals a daemon restart, the generator {e replays}
+    the buffer in original order — so the multiset of effective
+    training is identical to an uninterrupted run, and the final
+    published database is byte-identical.
 
-    PR 10 hardens this for overloaded and repeatedly-crashing daemons:
+    This holds for overloaded and repeatedly-crashing daemons:
 
     {ul
-    {- {b Restart detection.}  With limits armed, every mutation ack
-       carries a [boot=] id; a changed boot is the exact restart
-       signal, covering restarts that fall {e between} round-trips
-       (no transport error to trip on).  A torn connection alone no
-       longer triggers replay — it may be deadline reaping or
-       admission shedding, where a blind replay would double-train —
-       the client just retries and lets the next ack's boot decide.}
+    {- {b Restart detection.}  Every [TRAIN]/[UNTRAIN]/[PUBLISH] ack
+       carries the daemon's [boot=] id; a changed boot is the one
+       restart signal, covering restarts that fall {e between}
+       round-trips (no transport error to trip on).  The first
+       mutation ack records the boot before anything is buffered, so
+       nothing is lost while it is unknown.  A torn connection alone
+       never triggers replay — it may be deadline reaping or admission
+       shedding, where a blind replay would double-train — the client
+       just retries and lets the next ack's boot decide.}
     {- {b Reconciled replay.}  A publish commits {e every} client's
        journaled ops, so a buffered request may already be durable
        (another client published; we never saw [pending = 0]) and
@@ -103,10 +104,9 @@ type load_config = {
           Default [""] — the historical names, byte for byte. *)
   reconnect_attempts : int;
       (** Total recovery budget per logical request: transport
-          reconnects (replaying the unpublished buffer first), [BUSY]
-          and [ERR DEGRADED] backoffs all draw from it.  Backoff
-          delays are capped-exponential with seed-derived
-          deterministic jitter. *)
+          reconnects, [BUSY] and [ERR DEGRADED] backoffs all draw
+          from it.  Backoff delays are capped-exponential with
+          seed-derived deterministic jitter. *)
   reconnect_delay_s : float;
 }
 

@@ -34,14 +34,6 @@ let default_limits =
     degraded_after = 0;
   }
 
-(* Whether any robustness knob is armed.  Gates the new STATS lines so
-   an unarmed daemon's STATS stays byte-identical to earlier releases
-   (the standing disabled-path invariant); [drain_s] alone does not
-   count — it only matters once a drain is actually underway. *)
-let limits_armed l =
-  l.read_timeout_s > 0.0 || l.write_timeout_s > 0.0 || l.idle_timeout_s > 0.0
-  || l.max_conns > 0 || l.max_inflight > 0 || l.degraded_after > 0
-
 type config = {
   addr : addr;
   db_path : string;
@@ -125,8 +117,6 @@ let verb_index : Protocol.verb -> int = function
 let verb_stat_name =
   [| "ping"; "stats"; "publish"; "classify"; "train"; "untrain"; "health" |]
 
-let health_verb_index = 6
-
 type stats = {
   mutable connections : int;
   mutable protocol_errors : int;
@@ -143,8 +133,7 @@ type stats = {
   mutable untrain_msgs : int;
   mutable untrain_malformed : int;
   (* Robustness counters (PR 10).  All timing- or load-dependent, so
-     their STATS lines render in the nondeterministic tail, and only
-     when limits are armed or the counter is nonzero. *)
+     their STATS lines render in the nondeterministic tail. *)
   mutable shed_conns : int;  (* connections refused with BUSY *)
   mutable shed_requests : int;  (* requests answered BUSY over quota *)
   mutable timeout_read : int;
@@ -205,6 +194,11 @@ type t = {
   mutable degraded : bool;
   mutable publish_fault_streak : int;
   mutable draining : bool;
+  (* Process id, stamped on every mutation and PUBLISH ack: a client
+     that slept through a crash-and-restart sees no transport error, so
+     a changed boot is its cue that buffered training was lost and must
+     be replayed. *)
+  boot : int;
   stats : stats;
 }
 
@@ -273,6 +267,7 @@ let create config =
                   degraded = false;
                   publish_fault_streak = 0;
                   draining = false;
+                  boot = Unix.getpid ();
                   stats = make_stats ();
                 }))
 
@@ -358,31 +353,45 @@ let render_classify t results =
     results;
   Buffer.contents b
 
-(* The engine is captured in the task closure before the fan-out, so
-   workers see it through the pool's own synchronization rather than
-   re-reading the mutable [baseline_cache] field mid-flight. *)
-let classify_engine t engine body =
+(* The state a CLASSIFY/TRAIN/UNTRAIN addresses: the shared delta
+   filter, whose CLASSIFY reads the published snapshot, or one tenant
+   of the store. *)
+type target = Shared | Tenant of Store.t * string
+
+(* User-routed requests address per-tenant state; without a store that
+   routing cannot be honoured, and silently serving the shared filter
+   instead would be wrong, so it is a request-level error. *)
+let target_of t (req : Protocol.request) =
+  match (req.user, t.store) with
+  | None, _ -> Ok Shared
+  | Some user, Some st -> Ok (Tenant (st, user))
+  | Some _, None ->
+      Error "User routing requires a tenant store (serve --store-dir)"
+
+(* Shared classification scores the published snapshot through its
+   cache.  Tenant classification reads the user's overlay under the
+   shard lock, through the store's shared prior cache plus the
+   overlay's dirty set; ingest resolves a token the frozen intern
+   snapshot lacks through the live table, so a token the tenant trained
+   since the last publish maps to the id its overlay counts and the
+   tenant's own unpublished training scores at once.  The engine is
+   captured in the task closure before the fan-out, so workers see it
+   through the pool's own synchronization rather than re-reading the
+   mutable [baseline_cache] field mid-flight. *)
+let classify t target body =
   let chunks = Ingest.raw_message_chunks body in
-  let results =
+  let score engine =
     Pool.map_array t.pool
       (fun (off, len) ->
         Ingest.classify_raw_engine engine t.config.tokenizer body ~off ~len)
       chunks
   in
+  let results =
+    match target with
+    | Shared -> score (Classify.engine_cached t.baseline_cache)
+    | Tenant (st, user) -> Store.with_user_engine st user score
+  in
   Protocol.Ok (render_classify t results)
-
-let classify t body =
-  classify_engine t (Classify.engine_cached t.baseline_cache) body
-
-(* Tenant classification reads the user's overlay under the shard lock,
-   scoring through the store's shared prior cache plus the overlay's
-   dirty set.  Ingest resolves a token the frozen intern snapshot lacks
-   through the live table, so a token the tenant trained since the last
-   publish maps to the id its overlay counts: the tenant's own
-   unpublished training scores at once, before and after the next
-   publish alike. *)
-let tenant_classify t st user body =
-  Store.with_user_engine st user (fun engine -> classify_engine t engine body)
 
 (* Shared tail of every TRAIN/UNTRAIN: pending drives the auto-publish
    cadence (tenant ops included — a publish is the store's durability
@@ -393,26 +402,23 @@ let tenant_classify t st user body =
    train.  Instead the ack stays [Ok] with [pending] still nonzero (so
    the client keeps the batch buffered for replay against the
    still-unpublished state) plus a [publish_error=1] marker; the
-   failure itself feeds the degraded budget inside [publish].  On the
-   disabled path publishes never fail, so ack bytes are unchanged. *)
-(* Restart beacon: with any limit armed, mutation acks also carry the
-   daemon's process id.  A client that slept through a crash-and-restart
-   sees no transport error, and before the first publish a seq of 0
-   gives no regression signal either — the boot id changing is the only
-   reliable cue that buffered training was lost and must be replayed.
-   Unarmed daemons keep the historical ack bytes. *)
-let boot_field t =
-  if limits_armed t.config.limits then
-    Printf.sprintf " boot=%d" (Unix.getpid ())
-  else ""
+   failure itself feeds the degraded budget inside [publish].
 
-(* [user_msgs]: tenant acks (limits armed) also carry the tenant's
-   total message count after the apply.  The count is durable with the
-   overlay itself, so a restarted daemon reports exactly how much of a
-   tenant's history survived — the client's replay reconciles against
-   it instead of re-training batches that some publish (possibly
-   another client's, whose ack it never saw) already made durable. *)
-let train_ack t ~key ?user_msgs n dropped =
+   Tenant acks also carry [user.msgs=], the tenant's total message
+   count after the apply.  The count is durable with the overlay itself,
+   so a restarted daemon reports exactly how much of a tenant's history
+   survived — the client's replay reconciles against it instead of
+   re-training batches that some publish (possibly another client's,
+   whose ack it never saw) already made durable. *)
+let train_ack t target ~key n dropped =
+  let user_msgs =
+    match target with
+    | Shared -> ""
+    | Tenant (st, user) ->
+        Printf.sprintf " user.msgs=%d"
+          (Store.with_user st user (fun db ->
+               Token_db.nspam db + Token_db.nham db))
+  in
   t.pending <- t.pending + n;
   let publish_failed =
     if t.config.publish_every > 0 && t.pending >= t.config.publish_every then
@@ -422,21 +428,31 @@ let train_ack t ~key ?user_msgs n dropped =
     else false
   in
   Protocol.Ok
-    (Printf.sprintf "%s=%d malformed=%d pending=%d seq=%d%s%s%s\n" key n dropped
-       t.pending t.seq (boot_field t)
-       (match user_msgs with
-       | Some m when limits_armed t.config.limits ->
-           Printf.sprintf " user.msgs=%d" m
-       | _ -> "")
+    (Printf.sprintf "%s=%d malformed=%d pending=%d seq=%d boot=%d%s%s\n" key n
+       dropped t.pending t.seq t.boot user_msgs
        (if publish_failed then " publish_error=1" else ""))
+
+let apply t target kind cls ids =
+  match (target, kind) with
+  | Shared, `Train -> Filter.train_ids t.delta cls ids
+  | Shared, `Untrain -> Filter.untrain_ids t.delta cls ids
+  | Tenant (st, user), `Train -> Store.train_ids st ~user cls ids
+  | Tenant (st, user), `Untrain -> Store.untrain_ids st ~user cls ids
 
 (* TRAIN/UNTRAIN bodies come in exactly as CLASSIFY's do: raw mbox
    chunks to distinct ids, ignored headers suppressed, so the daemon
    learns the very tokens it looks up.  Every chunk is tokenized before
    any is applied, so a failure while tokenizing (an injected
-   [intern.grow] fault) answers ERR with nothing trained.  Malformed
-   chunks are skipped and counted. *)
-let ingest_ids t body =
+   [intern.grow] fault) answers ERR with nothing applied.  Malformed
+   chunks are skipped and counted.
+
+   The request is all-or-nothing on either target.  A message that
+   fails to apply (an impossible untrain, an injected journal-append
+   fault) would otherwise leave a silently-applied prefix behind an
+   [Err] ack, which the client could neither drop nor retry safely; so
+   the applied prefix is undone with the inverse kind (train and
+   untrain are exact inverses) before the error propagates. *)
+let mutate t target kind cls body =
   let dropped = ref 0 in
   let msgs =
     List.filter_map
@@ -448,51 +464,11 @@ let ingest_ids t body =
             None)
       (Array.to_list (Ingest.raw_message_chunks body))
   in
-  (msgs, !dropped)
-
-let train t cls body =
-  let msgs, dropped = ingest_ids t body in
-  List.iter (Filter.train_ids t.delta cls) msgs;
-  let n = List.length msgs in
-  t.stats.train_msgs <- t.stats.train_msgs + n;
-  t.stats.train_malformed <- t.stats.train_malformed + dropped;
-  train_ack t ~key:"trained" n dropped
-
-let untrain t cls body =
-  let msgs, dropped = ingest_ids t body in
-  (* Token_db.untrain validates before mutating, so each message is
-     all-or-nothing; an impossible untrain aborts the rest of the
-     batch with the already-valid prefix applied. *)
-  List.iter (Filter.untrain_ids t.delta cls) msgs;
-  let n = List.length msgs in
-  t.stats.untrain_msgs <- t.stats.untrain_msgs + n;
-  t.stats.untrain_malformed <- t.stats.untrain_malformed + dropped;
-  train_ack t ~key:"untrained" n dropped
-
-(* The [user.msgs=] reconciliation count for tenant acks.  Computed
-   only when limits are armed: the extra overlay read would otherwise
-   perturb the unarmed daemon's store.* STATS counters, which the
-   disabled-path byte-compatibility contract pins. *)
-let tenant_msgs t st user =
-  if limits_armed t.config.limits then
-    Some
-      (Store.with_user st user (fun db ->
-           Token_db.nspam db + Token_db.nham db))
-  else None
-
-(* Tenant training journals per-message ops against the user's overlay.
-   A fault partway through the batch (e.g. an injected journal-append
-   failure) would otherwise leave a silently-applied prefix behind an
-   [Err] ack — the client could neither drop nor retry the request
-   safely — so the applied prefix is rolled back (untrain is the exact
-   inverse of train) and the whole request is all-or-nothing. *)
-let tenant_train t st user cls body =
-  let msgs, dropped = ingest_ids t body in
   let applied = ref [] in
   (match
      List.iter
        (fun ids ->
-         Store.train_ids st ~user cls ids;
+         apply t target kind cls ids;
          applied := ids :: !applied)
        msgs
    with
@@ -501,29 +477,27 @@ let tenant_train t st user cls body =
       (* The undo ops traverse the same fault sites; retry transients
          hard — an abandoned undo would leave the partial prefix the
          rollback exists to prevent. *)
+      let inverse = match kind with `Train -> `Untrain | `Untrain -> `Train in
       let rec undo tries ids =
-        try Store.untrain_ids st ~user cls ids
+        try apply t target inverse cls ids
         with exn when Fault.is_transient exn && tries < 8 ->
           undo (tries + 1) ids
       in
       List.iter (undo 0) !applied;
       raise e);
-  let n = List.length msgs in
-  t.stats.train_msgs <- t.stats.train_msgs + n;
-  t.stats.train_malformed <- t.stats.train_malformed + dropped;
-  let user_msgs = tenant_msgs t st user in
-  train_ack t ~key:"trained" ?user_msgs n dropped
-
-let tenant_untrain t st user cls body =
-  let msgs, dropped = ingest_ids t body in
-  (* Store.untrain_ids validates before journaling, so each message is
-     all-or-nothing on disk as well as in memory. *)
-  List.iter (Store.untrain_ids st ~user cls) msgs;
-  let n = List.length msgs in
-  t.stats.untrain_msgs <- t.stats.untrain_msgs + n;
-  t.stats.untrain_malformed <- t.stats.untrain_malformed + dropped;
-  let user_msgs = tenant_msgs t st user in
-  train_ack t ~key:"untrained" ?user_msgs n dropped
+  let n = List.length msgs and s = t.stats in
+  let key =
+    match kind with
+    | `Train ->
+        s.train_msgs <- s.train_msgs + n;
+        s.train_malformed <- s.train_malformed + !dropped;
+        "trained"
+    | `Untrain ->
+        s.untrain_msgs <- s.untrain_msgs + n;
+        s.untrain_malformed <- s.untrain_malformed + !dropped;
+        "untrained"
+  in
+  train_ack t target ~key n !dropped
 
 let stats_payload t =
   let s = t.stats in
@@ -541,14 +515,8 @@ let stats_payload t =
     (* verb indices in lexicographic order of their stat names *)
     [| 3; 6; 0; 2; 1; 4; 5 |]
   in
-  (* [requests.health] only renders once HEALTH has been used (or any
-     robustness knob is armed): a daemon run with none of the new
-     machinery keeps the exact STATS bytes of earlier releases. *)
-  let armed = limits_armed t.config.limits in
   Array.iter
-    (fun i ->
-      if i <> health_verb_index || armed || s.requests.(i) > 0 then
-        line ("requests." ^ verb_stat_name.(i)) s.requests.(i))
+    (fun i -> line ("requests." ^ verb_stat_name.(i)) s.requests.(i))
     sorted_verbs;
   line "train.malformed" s.train_malformed;
   line "train.messages" s.train_msgs;
@@ -586,24 +554,17 @@ let stats_payload t =
       line "store.overlay_misses" ss.Store.misses);
   (* Robustness counters: load- and timing-dependent (how many BUSYs a
      client sees depends on scheduling), so they live with the other
-     nondeterministic tails and only when armed or nonzero — filter
-     the "shed."/"timeout."/"degraded."/"drain." prefixes along with
-     "latency."/"store." for deterministic consumption. *)
-  if
-    limits_armed t.config.limits
-    || s.shed_conns > 0 || s.shed_requests > 0 || s.timeout_read > 0
-    || s.timeout_write > 0 || s.timeout_idle > 0 || s.degraded_entered > 0
-    || s.drain_aborted > 0
-  then begin
-    line "degraded.entered" s.degraded_entered;
-    line "degraded.recovered" s.degraded_recovered;
-    line "drain.aborted" s.drain_aborted;
-    line "shed.connections" s.shed_conns;
-    line "shed.requests" s.shed_requests;
-    line "timeout.idle" s.timeout_idle;
-    line "timeout.read" s.timeout_read;
-    line "timeout.write" s.timeout_write
-  end;
+     nondeterministic tails — filter the "shed."/"timeout."/"degraded."/
+     "drain." prefixes along with "latency."/"store." for deterministic
+     consumption. *)
+  line "degraded.entered" s.degraded_entered;
+  line "degraded.recovered" s.degraded_recovered;
+  line "drain.aborted" s.drain_aborted;
+  line "shed.connections" s.shed_conns;
+  line "shed.requests" s.shed_requests;
+  line "timeout.idle" s.timeout_idle;
+  line "timeout.read" s.timeout_read;
+  line "timeout.write" s.timeout_write;
   Buffer.contents b
 
 let health_payload t =
@@ -619,16 +580,6 @@ let health_payload t =
     t.publish_fault_streak
 
 let exec t (req : Protocol.request) =
-  (* User-routed requests address per-tenant state; without a store
-     that routing cannot be honoured and silently training the shared
-     filter instead would be wrong, so it is a request-level error. *)
-  let tenant f g =
-    match (req.user, t.store) with
-    | None, _ -> f ()
-    | Some user, Some st -> g user st
-    | Some _, None ->
-        Protocol.Err "User routing requires a tenant store (serve --store-dir)"
-  in
   match req.verb with
   | Protocol.Ping -> Protocol.Ok "pong\n"
   | Protocol.Stats -> Protocol.Ok (stats_payload t)
@@ -638,11 +589,7 @@ let exec t (req : Protocol.request) =
       (* An explicit PUBLISH also folds every journal into its segment
          — the canonical on-disk form the crash gate byte-compares. *)
       Option.iter Store.compact_all t.store;
-      Protocol.Ok (Printf.sprintf "published seq=%d%s\n" t.seq (boot_field t))
-  | Protocol.Classify ->
-      tenant
-        (fun () -> classify t req.body)
-        (fun user st -> tenant_classify t st user req.body)
+      Protocol.Ok (Printf.sprintf "published seq=%d boot=%d\n" t.seq t.boot)
   | Protocol.Train _ | Protocol.Untrain _ when t.degraded ->
       (* Refused before any state is touched, so a degraded-mode TRAIN
          is safely retryable once a publish recovers.  The "DEGRADED"
@@ -651,14 +598,12 @@ let exec t (req : Protocol.request) =
         "DEGRADED: mutations suspended after repeated publish failures; \
          classify still serves the last published snapshot (PUBLISH to \
          recover)"
-  | Protocol.Train cls ->
-      tenant
-        (fun () -> train t cls req.body)
-        (fun user st -> tenant_train t st user cls req.body)
-  | Protocol.Untrain cls ->
-      tenant
-        (fun () -> untrain t cls req.body)
-        (fun user st -> tenant_untrain t st user cls req.body)
+  | Protocol.Classify | Protocol.Train _ | Protocol.Untrain _ -> (
+      match (target_of t req, req.verb) with
+      | Error e, _ -> Protocol.Err e
+      | Ok target, Protocol.Train cls -> mutate t target `Train cls req.body
+      | Ok target, Protocol.Untrain cls -> mutate t target `Untrain cls req.body
+      | Ok target, _ -> classify t target req.body)
 
 let handle_request t (req : Protocol.request) =
   let vi = verb_index req.verb in

@@ -27,9 +27,11 @@
     routed to that user's per-tenant Bayes state in a
     {!Spamlab_store.Store} (created with the shared filter state as
     its global prior), through the store's id form
-    ({!Spamlab_store.Store.train_ids}).  A tenant [TRAIN] is
-    all-or-nothing: if any message fails to apply, those already
-    applied are untrained before the [Err] answer.  A publish is also
+    ({!Spamlab_store.Store.train_ids}).  Every [TRAIN]/[UNTRAIN],
+    shared or tenant, is all-or-nothing: if any message fails to apply
+    (an impossible untrain, an injected fault), those already applied
+    are undone with the inverse operation before the [Err] answer, so
+    an [Err] always means nothing was applied.  A publish is also
     the store's durability point
     ({!Spamlab_store.Store.commit}); an explicit [PUBLISH] further
     compacts every shard to its canonical bytes.  Tenant classify
@@ -70,14 +72,13 @@
       recovers.  [HEALTH] reports
       [state=READY|DEGRADED|DRAINING] plus transition counters.
 
-    With any limit armed, mutation acks additionally carry two
-    recovery beacons: [boot=] (a per-process id, so a client can tell
-    a daemon restart from mere connection loss — reaping and shedding
-    tear connections without losing state) and, on tenant
-    TRAIN/UNTRAIN, [user.msgs=] (the tenant's total message count
-    after the request, durable exactly as far as the training itself —
-    the anchor for the client's exactly-once replay reconciliation).
-    Unarmed, acks keep their historical bytes.
+    Every TRAIN/UNTRAIN and PUBLISH ack carries the recovery beacon
+    [boot=] (a per-process id, so a client can tell a daemon restart
+    from mere connection loss — reaping and shedding tear connections
+    without losing state), and every tenant TRAIN/UNTRAIN ack also
+    [user.msgs=] (the tenant's total message count after the request,
+    durable exactly as far as the training itself — the anchor for
+    the client's exactly-once replay reconciliation).
 
     {2 Fault sites}
 
@@ -100,10 +101,13 @@
     {2 Statistics}
 
     The [STATS] verb renders request/verdict/train counters followed
-    by per-verb latency histogram lines (prefixed ["latency."]).  The
-    counters are a pure function of the request stream — identical at
-    every [--jobs] — while latency lines describe real time and are
-    not; deterministic consumers filter the ["latency."] prefix. *)
+    by per-verb latency histogram lines (prefixed ["latency."]), the
+    tenant store's ["store."] counters when a store is configured, and
+    the robustness counters (["degraded."], ["drain."], ["shed."],
+    ["timeout."]), which render whatever the limits.  The leading counters
+    are a pure function of the request stream — identical at every
+    [--jobs] — while the tail describes real time and load and is
+    not; deterministic consumers filter those prefixes. *)
 
 type limits = {
   read_timeout_s : float;
@@ -122,10 +126,7 @@ type limits = {
 }
 
 val default_limits : limits
-(** Everything off (all zeroes) except [drain_s = 5.0].  With default
-    limits and no faults armed the daemon's observable behaviour —
-    responses, STATS bytes, published db — is identical to the
-    pre-hardening releases. *)
+(** Everything off (all zeroes) except [drain_s = 5.0]. *)
 
 type config = {
   addr : addr;

@@ -126,6 +126,16 @@ let recv_request ?(max_body = default_max_body) reader =
           let content_length = ref None in
           let msg_class = ref None in
           let user = ref None in
+          (* A repeated header is ambiguous outside input, and these
+             decide the body length, the class and the tenant: refuse
+             it rather than let the last copy win. *)
+          let set name field v =
+            match !field with
+            | Some _ -> Error (Printf.sprintf "duplicate header %S" name)
+            | None ->
+                field := Some v;
+                Ok ()
+          in
           let rec headers () =
             match Spamlab_io.read_line reader ~max:max_line with
             | `Eof -> Error "unexpected EOF in request headers"
@@ -134,30 +144,23 @@ let recv_request ?(max_body = default_max_body) reader =
             | `Line line -> (
                 match split_header line with
                 | Error e -> Error e
-                | Ok ("content-length", v) -> (
+                | Ok (("content-length" as name), v) -> (
                     match parse_content_length v with
                     | Error e -> Error e
                     | Ok n when n > max_body ->
                         Error
                           (Printf.sprintf
                              "Content-Length %d exceeds limit %d" n max_body)
-                    | Ok n ->
-                        content_length := Some n;
-                        headers ())
-                | Ok ("message-class", v) -> (
+                    | Ok n -> Result.bind (set name content_length n) headers)
+                | Ok (("message-class" as name), v) -> (
                     match Label.gold_of_string v with
                     | Error e -> Error e
-                    | Ok c ->
-                        msg_class := Some c;
-                        headers ())
-                | Ok ("user", v) ->
+                    | Ok c -> Result.bind (set name msg_class c) headers)
+                | Ok (("user" as name), v) ->
                     (* spamc-style per-user routing.  Empty would mean
                        "the anonymous tenant" ambiguously — reject. *)
                     if v = "" then Error "User: empty value"
-                    else begin
-                      user := Some v;
-                      headers ()
-                    end
+                    else Result.bind (set name user v) headers
                 | Ok (name, _) ->
                     Error (Printf.sprintf "unknown header %S" name))
           in

@@ -20,7 +20,8 @@
     v}
 
     Lines may be terminated CRLF or bare LF (a trailing CR is
-    stripped).  [CLASSIFY]/[TRAIN]/[UNTRAIN] require [Content-Length]
+    stripped).  Each header may appear at most once; a repeat is a
+    framing error.  [CLASSIFY]/[TRAIN]/[UNTRAIN] require [Content-Length]
     (0 is legal); [TRAIN]/[UNTRAIN] require [Message-Class]; [PING],
     [STATS], [PUBLISH] and [HEALTH] carry no body.  An [ERR] response
     has no body and the daemon closes the connection after a {e
@@ -84,9 +85,9 @@ val recv_request :
   [ `Request of request | `Eof | `Error of string ]
 (** Read one request off the wire.  [`Eof] is a clean close at a frame
     boundary; [`Error] is a framing violation (malformed verb line or
-    header, [Content-Length] missing/overflowing/over the cap, torn
-    body, missing blank line) — one line of explanation, after which
-    the caller should answer [Err] and close. *)
+    header, a repeated header, [Content-Length] missing/overflowing/over
+    the cap, torn body, missing blank line) — one line of explanation,
+    after which the caller should answer [Err] and close. *)
 
 val recv_response :
   ?max_body:int ->

@@ -372,6 +372,12 @@ let protocol_tests =
             ("bad class", "TRAIN SPAMLAB/1.0\r\nMessage-Class: eggs\r\nContent-Length: 0\r\n\r\n");
             ("missing length", "CLASSIFY SPAMLAB/1.0\r\n\r\n");
             ("EOF in headers", "PING SPAMLAB/1.0\r\n");
+            ( "repeated Content-Length",
+              "CLASSIFY SPAMLAB/1.0\r\nContent-Length: 0\r\nContent-Length: 5\r\n\r\nhello" );
+            ( "repeated Message-Class",
+              "TRAIN SPAMLAB/1.0\r\nMessage-Class: ham\r\nMessage-Class: spam\r\nContent-Length: 0\r\n\r\n" );
+            ( "repeated User",
+              "CLASSIFY SPAMLAB/1.0\r\nUser: alice\r\nUser: bob\r\nContent-Length: 0\r\n\r\n" );
             ( "oversized verb line",
               String.make 4_000 'A' ^ " SPAMLAB/1.0\r\n\r\n" );
           ]);
@@ -816,25 +822,35 @@ let e2e_tests =
                 (Client.roundtrip addr { Protocol.verb = Classify; body = eval; user = None }))
         in
         check_string "verdicts identical across restart" first second);
-    test_case "HEALTH answers READY; unarmed STATS keeps its byte shape"
+    test_case "HEALTH answers READY; STATS renders every family"
       (fun () ->
         with_daemon @@ fun addr _ _ ->
         ignore
           (ok_payload
              (Client.roundtrip addr { Protocol.verb = Ping; body = ""; user = None }));
-        (* Before any HEALTH request, an unarmed daemon's STATS must
-           not grow new families — the disabled-path byte-compat
-           contract with pre-hardening releases. *)
+        (* Under default limits and before any HEALTH request, every
+           family already renders, at zero. *)
         let stats () =
           ok_payload
             (Client.roundtrip addr { Protocol.verb = Stats; body = ""; user = None })
         in
         let s = stats () in
         List.iter
-          (fun prefix ->
-            check_int (Printf.sprintf "no %s lines" prefix) 0
-              (count_lines_with prefix s))
-          [ "shed."; "timeout."; "degraded."; "requests.health" ];
+          (fun line -> check_int line 1 (count_lines_with line s))
+          [
+            "requests.health 0";
+            "shed.connections 0";
+            "timeout.read 0";
+            "degraded.entered 0";
+            "drain.aborted 0";
+          ];
+        let requests =
+          List.filter
+            (String.starts_with ~prefix:"requests.")
+            (String.split_on_char '\n' s)
+        in
+        Alcotest.(check (list string))
+          "requests.* in name order" (List.sort compare requests) requests;
         let h =
           ok_payload
             (Client.roundtrip addr { Protocol.verb = Health; body = ""; user = None })
@@ -1134,6 +1150,46 @@ let write_path_tests =
         in
         Alcotest.(check (list (pair string string)))
           "store after PUBLISH" untouched faulted);
+    test_case "a failed UNTRAIN applies nothing, shared or tenant" (fun () ->
+        let trained = msg ~headers:[ ("Subject", "offer 0") ] "buy cheap pills now" in
+        let never = msg ~headers:[ ("Subject", "minutes") ] "agenda for friday" in
+        List.iter
+          (fun user ->
+            with_daemon_state ~publish_every:0 ~store:true @@ fun t _dir ->
+            ignore (local_ok t ?user (Protocol.Train Label.Spam) (mbox [ trained ]));
+            let stats_before = Daemon.stats_payload t in
+            (match local t ?user (Protocol.Untrain Label.Spam) (mbox [ trained; never ]) with
+            | Protocol.Err _ -> ()
+            | _ -> Alcotest.fail "UNTRAIN of a never-trained message must answer ERR");
+            List.iter
+              (fun name ->
+                Alcotest.(check (option string))
+                  name
+                  (stat_line stats_before name)
+                  (stat_line (Daemon.stats_payload t) name))
+              [ "untrain.messages"; "train.pending" ];
+            ignore (local_ok t ?user (Protocol.Untrain Label.Spam) (mbox [ trained ])))
+          [ None; Some "grace" ]);
+    test_case "every mutation and PUBLISH ack carries boot=" (fun () ->
+        with_daemon_state ~publish_every:0 ~store:true @@ fun t _dir ->
+        let boot = Unix.getpid () in
+        let user = "frank" in
+        check_string "shared TRAIN"
+          (Printf.sprintf "trained=2 malformed=0 pending=2 seq=0 boot=%d\n" boot)
+          (local_ok t (Protocol.Train Label.Spam) (spam_mbox 2));
+        check_string "PUBLISH"
+          (Printf.sprintf "published seq=1 boot=%d\n" boot)
+          (local_ok t Protocol.Publish "");
+        (* A fresh tenant over an empty prior: user.msgs= counts its own
+           messages. *)
+        check_string "tenant TRAIN"
+          (Printf.sprintf
+             "trained=3 malformed=0 pending=3 seq=1 boot=%d user.msgs=3\n" boot)
+          (local_ok t ~user (Protocol.Train Label.Spam) (spam_mbox 3));
+        check_string "tenant UNTRAIN"
+          (Printf.sprintf
+             "untrained=1 malformed=0 pending=4 seq=1 boot=%d user.msgs=2\n" boot)
+          (local_ok t ~user (Protocol.Untrain Label.Spam) (spam_mbox 1)));
   ]
 
 let () =
