@@ -319,6 +319,38 @@ if grep -n -e '^date:' -e '^message-id:' "$sdir/otr-bogofilter.offline.db" \
 fi
 echo "offline train == daemon publish (spambayes, bogofilter, spamassassin); no date:/message-id: rows; failed UNTRAIN applied nothing"
 
+say "read traffic does not grow the vocabulary"
+# CLASSIFY looks tokens up without interning them.  Scoring the paper's
+# aspell dictionary-attack mail against sj1's published db, on the
+# shared target and on a tenant, must leave STATS intern.size as it
+# was; a TRAIN of the same mail must grow it.
+cp "$sdir/sj1.db" "$sdir/voc.db"
+start_daemon voc 1 --store-dir "$sdir/voc.store"
+"$spamlab" attack dictionary --variant aspell --words 98568 --count 1 \
+  --out "$sdir/voc.attack.mbox" 2> /dev/null
+intern_size() {
+  "$spamlab" client stats --socket "$sdir/voc.sock" | sed -n 's/^intern\.size //p'
+}
+before=$(intern_size)
+"$spamlab" client classify --socket "$sdir/voc.sock" "$sdir/voc.attack.mbox" \
+  > /dev/null || { echo "FAIL: shared CLASSIFY of the attack mail failed"; exit 1; }
+"$spamlab" client classify --socket "$sdir/voc.sock" --user mallory \
+  "$sdir/voc.attack.mbox" > /dev/null \
+  || { echo "FAIL: tenant CLASSIFY of the attack mail failed"; exit 1; }
+after=$(intern_size)
+[ -n "$before" ] && [ "$before" = "$after" ] \
+  || { echo "FAIL: CLASSIFY moved intern.size from '$before' to '$after'"; exit 1; }
+"$spamlab" client train --socket "$sdir/voc.sock" --class spam \
+  "$sdir/voc.attack.mbox" > /dev/null \
+  || { echo "FAIL: TRAIN of the attack mail failed"; exit 1; }
+trained=$(intern_size)
+[ "$trained" -gt "$after" ] \
+  || { echo "FAIL: TRAIN did not grow intern.size ($after -> $trained)"; exit 1; }
+kill -TERM "$daemon_pid"
+wait "$daemon_pid" \
+  || { echo "FAIL: voc daemon exited nonzero on SIGTERM"; exit 1; }
+echo "serve: CLASSIFY of the aspell attack left intern.size at $after (shared, tenant); TRAIN grew it to $trained"
+
 say "serve soak: crash mid-TRAIN, restart, replay"
 # The second publish crashes the daemon (exit 70) partway through the
 # TRAIN schedule.  The client reconnect-retries, replaying its

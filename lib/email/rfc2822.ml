@@ -37,7 +37,9 @@ let parse_field line =
 let parse text =
   let lines = String.split_on_char '\n' text in
   (* Accumulate header fields until the first blank line; the remainder
-     (joined back with newlines) is the body. *)
+     (joined back with newlines) is the body.  A field carries its
+     trimmed pieces in reverse and is unfolded once, at the end, so
+     folding costs linear time in its continuation lines. *)
   let rec headers acc = function
     | [] -> Ok (List.rev acc, [])
     | "" :: rest -> Ok (List.rev acc, rest)
@@ -47,20 +49,17 @@ let parse text =
         else if is_continuation line then
           match acc with
           | [] -> Error "continuation line before any header field"
-          | (name, value) :: older ->
-              headers ((name, value ^ "\n" ^ String.trim line) :: older) rest
+          | (name, pieces) :: older ->
+              headers ((name, String.trim line :: pieces) :: older) rest
         else
-          Result.bind (parse_field line) (fun field ->
-              headers (field :: acc) rest)
+          Result.bind (parse_field line) (fun (name, value) ->
+              headers ((name, [ value ]) :: acc) rest)
   in
   match headers [] lines with
   | Error e -> Error e
   | Ok (fields, body_lines) ->
       let unfolded =
-        List.map
-          (fun (n, v) ->
-            (n, String.concat " " (String.split_on_char '\n' v)))
-          fields
+        List.map (fun (n, pieces) -> (n, String.concat " " (List.rev pieces))) fields
       in
       let body = String.concat "\n" (List.map strip_cr body_lines) in
       Ok (Message.make ~headers:(Header.of_list unfolded) body)

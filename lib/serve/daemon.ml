@@ -371,10 +371,11 @@ let target_of t (req : Protocol.request) =
 (* Shared classification scores the published snapshot through its
    cache.  Tenant classification reads the user's overlay under the
    shard lock, through the store's shared prior cache plus the
-   overlay's dirty set; ingest resolves a token the frozen intern
-   snapshot lacks through the live table, so a token the tenant trained
-   since the last publish maps to the id its overlay counts and the
-   tenant's own unpublished training scores at once.  The engine is
+   overlay's dirty set; ingest looks up a token the frozen intern
+   snapshot lacks in the live table once the table has grown since the
+   snapshot, so a token the tenant trained since the last publish maps
+   to the id its overlay counts and the tenant's own unpublished
+   training scores at once.  The engine is
    captured in the task closure before the fan-out, so workers see it
    through the pool's own synchronization rather than re-reading the
    mutable [baseline_cache] field mid-flight. *)
@@ -508,6 +509,7 @@ let stats_payload t =
   line "classify.malformed" s.classify_malformed;
   line "classify.messages" s.classify_msgs;
   line "connections" s.connections;
+  line "intern.size" (Intern.size ());
   line "io.errors" s.io_errors;
   line "protocol.errors" s.protocol_errors;
   line "publish.seq" t.seq;

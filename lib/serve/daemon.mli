@@ -7,7 +7,9 @@
     tokenized by offsets straight to distinct interned ids, with
     SpamAssassin's ignored headers suppressed
     ({!Spamlab_spambayes.Ingest}), so the daemon learns exactly the
-    tokens it looks up.  Classification reads an {e immutable
+    tokens it looks up.  Only [TRAIN]/[UNTRAIN] intern; [CLASSIFY]
+    drops the tokens no table holds, so read traffic never grows the
+    intern table.  Classification reads an {e immutable
     baseline} token DB — the state as of the last publish — fanned
     across the shared domain pool ({!Spamlab_parallel}) over the
     process-global frozen intern snapshot.  [TRAIN]/[UNTRAIN] tokenize
@@ -35,12 +37,15 @@
     the store's durability point
     ({!Spamlab_store.Store.commit}); an explicit [PUBLISH] further
     compacts every shard to its canonical bytes.  Tenant classify
-    reads the user's overlay directly, and ingest resolves a token the
-    frozen intern snapshot lacks through the live table, so a tenant's
-    own unpublished TRAIN scores at once, before the next publish and
-    after it alike — unlike the shared path, which classifies against
-    the last published baseline.  [User]-routed requests without a
-    configured store answer a request-level [Err].
+    reads the user's overlay directly.  Classify looks tokens up
+    without interning them ({!Spamlab_spambayes.Intern.lookup}); a
+    token the frozen intern snapshot lacks is looked for in the live
+    table whenever the table has grown since the snapshot, so a
+    token only a tenant's unpublished TRAIN interned is found, and
+    that TRAIN scores at once, before the next publish and after it
+    alike — unlike the shared path, which classifies against the last
+    published baseline.  [User]-routed requests without a configured
+    store answer a request-level [Err].
 
     {2 Overload hardening}
 
@@ -100,8 +105,9 @@
 
     {2 Statistics}
 
-    The [STATS] verb renders request/verdict/train counters followed
-    by per-verb latency histogram lines (prefixed ["latency."]), the
+    The [STATS] verb renders request/verdict/train counters and the
+    intern table's size ([intern.size]), followed by per-verb latency
+    histogram lines (prefixed ["latency."]), the
     tenant store's ["store."] counters when a store is configured, and
     the robustness counters (["degraded."], ["drain."], ["shed."],
     ["timeout."]), which render whatever the limits.  The leading counters

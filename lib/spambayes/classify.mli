@@ -42,6 +42,9 @@ val engine_overlay : Prob_cache.t -> Token_db.t -> engine
     not be mutated while the engine is in use; build a fresh engine
     per locked access. *)
 
+val engine_options : engine -> Options.t
+(** The options the engine scores under. *)
+
 val score_engine : engine -> int array -> result
 (** Full pipeline on pre-interned distinct-token ids through an
     engine.  [score_ids options db] ≡ [score_engine (engine options

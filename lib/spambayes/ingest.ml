@@ -8,15 +8,31 @@ let ingest_bytes = Obs.counter "ingest.bytes"
 
 (* ------------------------------------------------------------------ *)
 (* One batch per message: the tokenizer's sinks append every token to
-   the domain's {!Intern.keys} buffer, one {!Intern.resolve} looks the
-   whole message up, and {!Intern.sort_uniq} leaves the distinct ids
-   ascending at the front of the resolved array.  The sinks are two
-   closures per message; nothing is allocated per token. *)
+   the domain's {!Intern.keys} buffer, one {!Intern.resolve} (or
+   {!Intern.lookup}) looks the whole message up, and {!Intern.sort_uniq}
+   leaves the distinct ids ascending at the front of the resolved
+   array.  The sinks are two closures per message; nothing is
+   allocated per token.  [~intern:false] compacts the keys no table
+   holds out before the dedup instead of interning them. *)
 
-let ids_of_keys k f =
+let ids_of_keys ~intern k f =
   let raw = Intern.key_count k in
-  let ids = Intern.resolve k in
-  f ids (Intern.sort_uniq ids raw) raw
+  if intern then begin
+    let ids = Intern.resolve k in
+    f ids (Intern.sort_uniq ids raw) raw
+  end
+  else begin
+    let ids = Intern.lookup k in
+    let known = ref 0 in
+    for i = 0 to raw - 1 do
+      let id = Array.unsafe_get ids i in
+      if id >= 0 then begin
+        Array.unsafe_set ids !known id;
+        incr known
+      end
+    done;
+    f ids (Intern.sort_uniq ids !known) raw
+  end
 
 let count_msg bytes =
   if Obs.enabled () then begin
@@ -24,11 +40,13 @@ let count_msg bytes =
     Obs.add ingest_bytes bytes
   end
 
-let with_unique_ids tokenizer msg f =
+let ingest_message ~intern tokenizer msg f =
   let k = Intern.keys () in
   Tok.iter_spans tokenizer msg ~span:(Intern.add_sub k) ~token:(Intern.add k);
   count_msg (Message.size_bytes msg);
-  ids_of_keys k f
+  ids_of_keys ~intern k f
+
+let with_unique_ids tokenizer msg f = ingest_message ~intern:true tokenizer msg f
 
 let unique_ids tokenizer msg =
   with_unique_ids tokenizer msg (fun ids n raw -> (Array.sub ids 0 n, raw))
@@ -225,19 +243,24 @@ let is_mime_header buf off len =
    [Mbox.parse_chunk] semantics: one trailing blank line is dropped,
    header values are trimmed and unfolded with spaces, a header line
    without a colon (or with a malformed name) poisons the whole
-   message. *)
+   message.  A field's trimmed pieces are joined once, when it is
+   flushed, so unfolding costs linear time in its continuation
+   lines. *)
 let parse_raw buf ~off ~len =
   (* Drop the trailing newline [Mbox.print] adds after each body. *)
   let stop = if len > 0 && buf.[off + len - 1] = '\n' then off + len - 1 else off + len in
   let fields = ref [] in
-  (* (name, value) of the field being accumulated, or None.  [keep]
-     distinguishes a suppressed field (continuations also dropped). *)
+  (* (name, trimmed pieces in reverse) of the field being accumulated,
+     or None.  [keep] distinguishes a suppressed field (continuations
+     also dropped). *)
   let current = ref None in
   let keep_current = ref true in
   let has_mime = ref false in
   let flush () =
     (match !current with
-    | Some f when !keep_current -> fields := f :: !fields
+    | Some (name, [ value ]) when !keep_current -> fields := (name, value) :: !fields
+    | Some (name, pieces) when !keep_current ->
+        fields := (name, String.concat " " (List.rev pieces)) :: !fields
     | _ -> ());
     current := None;
     keep_current := true
@@ -252,10 +275,10 @@ let parse_raw buf ~off ~len =
       else if buf.[pos] = ' ' || buf.[pos] = '\t' then begin
         (match !current with
         | None -> raise Bad
-        | Some (name, value) ->
+        | Some (name, pieces) ->
             if !keep_current then
               current :=
-                Some (name, value ^ " " ^ String.trim (String.sub buf pos (lstop - pos))));
+                Some (name, String.trim (String.sub buf pos (lstop - pos)) :: pieces));
         headers (lend + 1)
       end
       else begin
@@ -278,12 +301,12 @@ let parse_raw buf ~off ~len =
              parses the field first and strips it afterwards, so a
              continuation after an ignored header is well-formed. *)
           keep_current := false;
-          current := Some ("", "")
+          current := Some ("", [])
         end
         else begin
           let name = String.sub buf pos nlen in
           let value = String.trim (String.sub buf (colon + 1) (lstop - colon - 1)) in
-          current := Some (name, value)
+          current := Some (name, [ value ])
         end;
         headers (lend + 1)
       end
@@ -302,10 +325,10 @@ let parse_raw buf ~off ~len =
              ~headers:(Header.of_list fields)
              (fixup_body buf bstart stop))
 
-let with_unique_ids_raw tokenizer buf ~off ~len f =
+let ingest_raw ~intern tokenizer buf ~off ~len f =
   match parse_raw buf ~off ~len with
   | Malformed -> None
-  | Complex msg -> Some (with_unique_ids tokenizer msg f)
+  | Complex msg -> Some (ingest_message ~intern tokenizer msg f)
   | Simple { fields; body_off; body_len } ->
       let hdr_msg = Message.make ~headers:(Header.of_list fields) "" in
       let k = Intern.keys () in
@@ -313,7 +336,10 @@ let with_unique_ids_raw tokenizer buf ~off ~len f =
       Tok.iter_spans tokenizer hdr_msg ~span ~token;
       Tok.iter_body_spans tokenizer buf body_off body_len ~span ~token;
       count_msg len;
-      Some (ids_of_keys k f)
+      Some (ids_of_keys ~intern k f)
+
+let with_unique_ids_raw tokenizer buf ~off ~len f =
+  ingest_raw ~intern:true tokenizer buf ~off ~len f
 
 let unique_ids_raw tokenizer buf ~off ~len =
   with_unique_ids_raw tokenizer buf ~off ~len (fun ids n raw ->
@@ -321,10 +347,14 @@ let unique_ids_raw tokenizer buf ~off ~len =
 
 (* ------------------------------------------------------------------ *)
 (* Raw classification: one scratch buffer per domain across the whole
-   batch, no per-message arrays. *)
+   batch, no per-message arrays.  Scoring looks tokens up unless the
+   engine's options let a token with no counts be a clue; then it must
+   be interned to score (and to name its clue), exactly as training
+   would. *)
 
 let classify_raw_engine e tokenizer buf ~off ~len =
-  with_unique_ids_raw tokenizer buf ~off ~len (fun ids n _raw ->
+  let intern = Options.unknown_word_is_clue (Classify.engine_options e) in
+  ingest_raw ~intern tokenizer buf ~off ~len (fun ids n _raw ->
       Classify.score_engine_sub e ids n)
 
 let classify_mbox_engine e tokenizer buf =

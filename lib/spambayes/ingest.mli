@@ -4,22 +4,41 @@
     probabilities → score.  This module is the batched form of the
     first step: tokenizers push byte {e slices}
     ({!Spamlab_tokenizer.Tokenizer.S.iter_spans}) into the domain's
-    {!Intern.keys} buffer, one {!Intern.resolve} looks the whole
-    message up, and {!Intern.sort_uniq} leaves the distinct ids at the
-    front of the resolved array.
+    {!Intern.keys} buffer, one {!Intern.resolve} or {!Intern.lookup}
+    looks the whole message up, and {!Intern.sort_uniq} leaves the
+    distinct ids at the front of the resolved array.
+
+    {2 Training interns, scoring looks up}
+
+    The training entry points ({!with_unique_ids},
+    {!with_unique_ids_raw}, {!unique_ids_raw}) resolve tokens with
+    {!Intern.resolve}, interning every token they have never seen.
+    Scoring ({!classify_raw_engine}, {!classify_mbox_engine}) looks
+    them up with {!Intern.lookup} and drops the tokens no table holds
+    before the dedup.  Such a token has no counts, so it would score
+    exactly [unknown_word_prob]; where the options keep that out of
+    δ(E) ({!Options.unknown_word_is_clue} false, as under
+    {!Options.default}), dropping it changes no score, verdict or clue,
+    and read traffic never grows the intern table.  Under options where
+    an unseen token can be a clue, scoring resolves like training, so
+    the token is interned, scores and names its clue.
 
     {2 What allocates}
 
     Once the per-domain buffers have grown to the message size, the
-    body words of a simple raw message (see below) whose tokens the
-    frozen intern snapshot holds allocate nothing: the minor words a
+    body words of a simple raw message (see below) allocate nothing
+    when scored, whether or not any table holds them, and nothing when
+    trained if the frozen intern snapshot holds them: the minor words a
     call allocates do not depend on how many such words the body has.
-    Still allocated per message: the header fields and a header-only
-    [Message.t], every meta token (prefixed header words, [skip:],
-    [url:], [8bit%], address and Received tokens), a few closures
-    per call, one closure for the intern lock when any token misses
-    the snapshot, the string of each brand-new token, and the whole of
-    a message that needs MIME decoding or body fixups.
+    Scoring never allocates or interns a token string; training
+    allocates the string of each brand-new token.  Still allocated per
+    message: the header fields and a header-only [Message.t], every
+    meta token (prefixed header words, [skip:], [url:], [8bit%],
+    address and Received tokens), a few closures per call, one closure
+    for the intern lock when a batch goes to the live table (any
+    snapshot miss when training; when scoring, only a snapshot miss
+    after the table has grown since the snapshot), and the whole of a
+    message that needs MIME decoding or body fixups.
 
     Ids come out sorted by {e id value}, a set representation; this is
     deliberately not the string-sorted order of [Dataset.example]
@@ -115,10 +134,14 @@ val classify_raw_engine :
   len:int ->
   Classify.result option
 (** Classify one raw message chunk through an explicit engine:
-    span-tokenize → dedup-in-scratch → {!Classify.score_engine_sub},
-    reusing the per-domain id buffer.  [None] if the chunk is
-    malformed.  The daemon's CLASSIFY fan-out path (shared snapshot
-    cache across pool workers). *)
+    span-tokenize → {!Intern.lookup} → drop the tokens no table holds
+    → dedup-in-scratch → {!Classify.score_engine_sub}, reusing the
+    per-domain id buffer, so nothing is interned.  When the engine's
+    options let an unseen token be a clue
+    ({!Options.unknown_word_is_clue}), tokens are resolved as in
+    training instead.  [None] if the chunk is malformed.  The daemon's
+    CLASSIFY fan-out path (shared snapshot cache across pool
+    workers). *)
 
 val classify_mbox_engine :
   Classify.engine ->

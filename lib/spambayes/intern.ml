@@ -46,7 +46,10 @@ type state = {
   mutable slots : int array;  (* live; only touched under [mutex] *)
   mutable names : string array;  (* id -> string; slots written once *)
   mutable hashes : int array;  (* id -> hash; written with [names] *)
-  mutable count : int;
+  count : int Atomic.t;
+      (* Written only under [mutex], after the id's slot; atomic so a
+         lookup can tell without the lock whether the table has grown
+         since its snapshot. *)
 }
 
 let initial_capacity = 131_072  (* power of two; load factor <= 1/2 *)
@@ -57,17 +60,29 @@ let st =
     slots = Array.make initial_capacity 0;
     names = Array.make 1_024 unset;
     hashes = Array.make 1_024 0;
-    count = 0;
+    count = Atomic.make 0;
   }
 
 (* Lock-free lookup snapshot: a copy of [st.slots], never mutated after
-   publication.  [Atomic] gives the publication edge; every id a
-   snapshot can name had its [names]/[hashes] slot written before the
-   snapshot was taken, so probing a snapshot against [st.names] is safe
-   from any domain (the same write-once argument as [to_string]).  Read
-   [names]/[hashes] only {e after} the snapshot: they are then either
-   the arrays of its time or later copies, both valid for its ids. *)
-let frozen : int array Atomic.t = Atomic.make (Array.make 1 0)
+   publication, with the table size it copied.  [Atomic] gives the
+   publication edge; every id a snapshot can name had its
+   [names]/[hashes] slot written before the snapshot was taken, so
+   probing a snapshot against [st.names] is safe from any domain (the
+   same write-once argument as [to_string]).  Read [names]/[hashes]
+   only {e after} the snapshot: they are then either the arrays of its
+   time or later copies, both valid for its ids.  The table is
+   append-only, so while the live count still equals [snap_count] the
+   snapshot holds every key: a snapshot miss is then a definite
+   absence, and a lookup needs no lock to say so. *)
+type snapshot = { snap_slots : int array; snap_count : int }
+
+let frozen = Atomic.make { snap_slots = Array.make 1 0; snap_count = 0 }
+
+let snapshot_locked () =
+  Atomic.set frozen
+    { snap_slots = Array.copy st.slots; snap_count = Atomic.get st.count }
+
+let[@inline] grown_since snap = Atomic.get st.count > snap.snap_count
 
 (* Linear probe of [slots] from slot [i] for the slice
    [s.[off .. off+len-1]] with hash [h]: the id, or -1 when absent.
@@ -99,7 +114,7 @@ let insert_slot slots h id =
 let grow_locked () =
   Spamlab_fault.check "intern.grow";
   let bigger = Array.make (2 * Array.length st.slots) 0 in
-  for id = 0 to st.count - 1 do
+  for id = 0 to Atomic.get st.count - 1 do
     insert_slot bigger st.hashes.(id) id
   done;
   st.slots <- bigger
@@ -114,9 +129,10 @@ let grow_locked () =
 let next_refresh = ref 1_024
 
 let refresh_locked () =
-  if st.count >= !next_refresh then begin
-    Atomic.set frozen (Array.copy st.slots);
-    next_refresh := st.count + (st.count / 4) + 1_024
+  let count = Atomic.get st.count in
+  if count >= !next_refresh then begin
+    snapshot_locked ();
+    next_refresh := count + (count / 4) + 1_024
   end
 
 (* Look the slice up in the live table, assigning the next id on a
@@ -128,8 +144,8 @@ let intern_locked h s off len ~copy =
   match probe st.slots h s off len with
   | id when id >= 0 -> id
   | _ ->
-      if 2 * (st.count + 1) > Array.length st.slots then grow_locked ();
-      let id = st.count in
+      let id = Atomic.get st.count in
+      if 2 * (id + 1) > Array.length st.slots then grow_locked ();
       if id >= Array.length st.names then begin
         let cap = Array.length st.names in
         let bigger = Array.make (2 * cap) unset in
@@ -150,7 +166,7 @@ let intern_locked h s off len ~copy =
          else s);
       st.hashes.(id) <- h;
       insert_slot st.slots h id;
-      st.count <- id + 1;
+      Atomic.set st.count (id + 1);
       Spamlab_obs.Obs.incr interned_tokens;
       id
 
@@ -160,7 +176,7 @@ let check_slice fn s off len =
 let id s =
   let len = String.length s in
   let h = hash_sub s 0 len in
-  match probe (Atomic.get frozen) h s 0 len with
+  match probe (Atomic.get frozen).snap_slots h s 0 len with
   | id when id >= 0 -> id
   | _ ->
       Mutex.protect st.mutex (fun () ->
@@ -171,7 +187,7 @@ let id s =
 let intern_sub s off len =
   check_slice "Intern.intern_sub" s off len;
   let h = hash_sub s off len in
-  match probe (Atomic.get frozen) h s off len with
+  match probe (Atomic.get frozen).snap_slots h s off len with
   | id when id >= 0 -> id
   | _ ->
       Mutex.protect st.mutex (fun () ->
@@ -180,7 +196,7 @@ let intern_sub s off len =
           id)
 
 let intern_array tokens =
-  let snapshot = Atomic.get frozen in
+  let snapshot = (Atomic.get frozen).snap_slots in
   let n = Array.length tokens in
   let out = Array.make n (-1) in
   let missing = ref false in
@@ -283,23 +299,11 @@ let add k s = add_sub k s 0 (String.length s)
 let absent = -1
 let probe_on = -2
 
-(* Snapshot misses, in key order — so a never-seen key gets its id in
-   first-occurrence order — through the live table, which may already
-   hold keys interned since the snapshot. *)
-let resolve_misses_locked k =
-  let arena = Bytes.unsafe_to_string k.arena in
-  for i = 0 to k.n - 1 do
-    if k.ids.(i) < 0 then begin
-      let off = k.starts.(i) in
-      k.ids.(i) <-
-        intern_locked k.key_hash.(i) arena off (k.starts.(i + 1) - off) ~copy:true
-    end
-  done;
-  refresh_locked ()
-
-let resolve k =
+(* Phases 1–3, shared by {!resolve} and {!lookup}: each key of [k]
+   looked up in the snapshot [slots], leaving its id in [k.ids] or
+   [absent].  True when any key missed. *)
+let probe_snapshot k slots =
   let n = k.n and ids = k.ids and starts = k.starts and key_hash = k.key_hash in
-  let slots = Atomic.get frozen in
   let mask = Array.length slots - 1 in
   let names = st.names and hashes = st.hashes in
   (* Phase 1: every key's home slot. *)
@@ -342,18 +346,48 @@ let resolve k =
     end;
     if Array.unsafe_get ids i < 0 then missed := true
   done;
-  if !missed then Mutex.protect st.mutex (fun () -> resolve_misses_locked k);
-  ids
+  !missed
+
+(* The snapshot misses of [k], in key order, through the live table:
+   [f h buf off len] gives each one's id, or -1. *)
+let live_misses_locked k f =
+  let arena = Bytes.unsafe_to_string k.arena in
+  for i = 0 to k.n - 1 do
+    if k.ids.(i) < 0 then begin
+      let off = k.starts.(i) in
+      k.ids.(i) <- f k.key_hash.(i) arena off (k.starts.(i + 1) - off)
+    end
+  done
+
+(* The two miss policies, top-level so that passing one allocates
+   nothing. *)
+let intern_copy_locked h s off len = intern_locked h s off len ~copy:true
+let probe_live_locked h s off len = probe st.slots h s off len
+
+(* Interning misses in key order gives never-seen keys their ids in
+   first-occurrence order. *)
+let resolve k =
+  if probe_snapshot k (Atomic.get frozen).snap_slots then
+    Mutex.protect st.mutex (fun () ->
+        live_misses_locked k intern_copy_locked;
+        refresh_locked ());
+  k.ids
+
+let lookup k =
+  let snap = Atomic.get frozen in
+  if probe_snapshot k snap.snap_slots && grown_since snap then
+    Mutex.protect st.mutex (fun () -> live_misses_locked k probe_live_locked);
+  k.ids
 
 let find_sub s off len =
   check_slice "Intern.find_sub" s off len;
   let h = hash_sub s off len in
-  match probe (Atomic.get frozen) h s off len with
+  let snap = Atomic.get frozen in
+  match probe snap.snap_slots h s off len with
   | id when id >= 0 -> Some id
+  | _ when not (grown_since snap) -> None
   | _ -> (
-      match
-        Mutex.protect st.mutex (fun () -> probe st.slots h s off len)
-      with
+      match Mutex.protect st.mutex (fun () -> probe_live_locked h s off len) with
       | id when id >= 0 -> Some id
       | _ -> None)
 
@@ -427,9 +461,9 @@ let merge_into name old fresh f =
    O(V log V). *)
 let freeze () =
   Mutex.protect st.mutex (fun () ->
-      Atomic.set frozen (Array.copy st.slots);
+      snapshot_locked ();
       let old = Atomic.get ranks in
-      let covered = Array.length old and n = st.count in
+      let covered = Array.length old and n = Atomic.get st.count in
       if n > covered then begin
         let names = st.names in
         let name id = Array.unsafe_get names id in
@@ -556,4 +590,4 @@ let byte_order ids n =
     out
   end
 
-let size () = st.count
+let size () = Atomic.get st.count

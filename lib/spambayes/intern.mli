@@ -20,15 +20,29 @@
 
     Ingest resolves a whole message at once through a per-domain
     {!keys} buffer: {!add_sub} copies each slice into the buffer's
-    arena and hashes it as it copies, and {!resolve} looks every key up
-    in the frozen snapshot in phases over the batch — all home slots,
-    then each occupant's [names] entry, then the byte compares — so the
-    cache misses of different keys overlap instead of chaining.  Keys
-    the snapshot lacks resolve under one lock through the live table.
-    Looking up keys the snapshot already holds allocates nothing once
-    the buffer has grown to the message size; a brand-new key costs
-    its string, and a batch with any snapshot miss one closure for the
-    lock.
+    arena and hashes it as it copies.  {!resolve} and {!lookup} share
+    one phased probe of the frozen snapshot over the batch — all home
+    slots, then each occupant's [names] entry, then the byte compares —
+    so the cache misses of different keys overlap instead of chaining.
+    They differ only in what they do with the keys the snapshot lacks:
+    {!resolve} interns them under one lock through the live table
+    (training), {!lookup} only looks for them there, and only when the
+    table has grown since the snapshot was taken (scoring).  Looking up
+    keys the snapshot already holds allocates nothing once the buffer
+    has grown to the message size; a brand-new key costs {!resolve} its
+    string, and a trip to the live table one closure for the lock.
+
+    {2 Who grows the table}
+
+    Only the interning entry points ({!id}, {!intern_sub},
+    {!intern_array}, {!resolve}) add strings.  Every lookup-only entry
+    point ({!lookup}, {!find}, {!find_sub}) shares one miss rule: a key
+    the snapshot lacks is looked for in the live table under the lock
+    only when the table has grown since the snapshot was taken, and is
+    otherwise absent.  The snapshot records the table size it copied,
+    and the live size is one atomic load, so a lookup with nothing
+    interned since the last snapshot takes no lock, whatever it
+    misses.
 
     {2 Domain safety}
 
@@ -111,6 +125,17 @@ val resolve : keys -> int array
     that raises (an injected ["intern.grow"] fault) can be retried and
     returns the same ids. *)
 
+val lookup : keys -> int array
+(** [lookup k] is {!resolve} without interning: the first [key_count k]
+    entries of the returned array are the keys' ids in key order, each
+    equal to [find] of the key's string, and [-1] for a key the table
+    does not hold.  Never grows the table.  Keys the frozen snapshot
+    lacks are looked for in the live table under one lock, and only
+    when the table has grown since the snapshot was taken — so a key
+    interned since then (a tenant's unpublished TRAIN) is still found,
+    and with nothing interned since, a lookup takes no lock.  The array
+    belongs to [k], as for {!resolve}. *)
+
 val sort_uniq : int array -> int -> int
 (** [sort_uniq a n] sorts [a.(0 .. n-1)] ascending and compacts out
     duplicates in place, returning the number of distinct values.
@@ -122,8 +147,10 @@ val sort_uniq : int array -> int -> int
     a value is negative. *)
 
 val find : string -> int option
-(** Lookup without interning — never mutates, so read-only paths
-    (e.g. [Token_db.spam_count] on an arbitrary string) stay
+(** Lookup without interning — never mutates.  Shares {!lookup}'s miss
+    rule: a string the snapshot lacks costs a locked live-table probe
+    only when the table has grown since the snapshot, so read-only
+    paths (e.g. [Token_db.spam_count] on an arbitrary string) stay
     contention-free. *)
 
 val find_sub : string -> int -> int -> int option

@@ -31,6 +31,9 @@ let validate t =
     Error "minimum_prob_strength must lie in [0, 0.5]"
   else Ok t
 
+let unknown_word_is_clue t =
+  Float.abs (t.unknown_word_prob -. 0.5) >= t.minimum_prob_strength
+
 let with_cutoffs t ~ham ~spam =
   match validate { t with ham_cutoff = ham; spam_cutoff = spam } with
   | Ok t -> t

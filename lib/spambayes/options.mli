@@ -20,6 +20,13 @@ val validate : t -> (t, string) result
 (** Checks 0 ≤ x ≤ 1, s > 0, 0 ≤ θ0 < θ1 ≤ 1, positive discriminator
     cap, 0 ≤ min strength ≤ 0.5. *)
 
+val unknown_word_is_clue : t -> bool
+(** Whether a token with no counts can enter δ(E): it scores exactly
+    [unknown_word_prob], so this is |x − 0.5| ≥ [minimum_prob_strength],
+    the selection's own test.  False under {!default}; when false, a
+    token the db has never counted changes no score, verdict or clue,
+    so scoring may skip it. *)
+
 val with_cutoffs : t -> ham:float -> spam:float -> t
 (** Used by the dynamic-threshold defense to install data-driven
     thresholds.  @raise Invalid_argument if not 0 ≤ ham < spam ≤ 1. *)

@@ -156,11 +156,15 @@ let rfc2822_tests =
         | Error e -> Alcotest.fail e);
     test_case "parses folded headers" (fun () ->
         let wire = "Subject: a long\n\tfolded value\n\nbody" in
-        match Rfc2822.parse wire with
+        (match Rfc2822.parse wire with
         | Ok msg ->
             check_opt_str "unfolded" (Some "a long folded value")
               (Message.subject msg);
             check_str "body" "body" (Message.body msg)
+        | Error e -> Alcotest.fail e);
+        (* A blank continuation line still contributes its separator. *)
+        match Rfc2822.parse "Subject: a\n \n\tb\n \n\nbody" with
+        | Ok msg -> check_opt_str "blank pieces" (Some "a  b ") (Message.subject msg)
         | Error e -> Alcotest.fail e);
     test_case "parses CRLF line endings" (fun () ->
         let wire = "Subject: x\r\n\r\nbody\r\n" in
@@ -208,6 +212,27 @@ let rfc2822_tests =
         match Rfc2822.parse (Rfc2822.print msg) with
         | Ok msg' -> Message.equal msg msg'
         | Error _ -> false);
+    test_case "unfolding is linear in continuation lines" (fun () ->
+        (* Linear code allocates about 4x at 4x the lines; joining the
+           value line by line allocates about 16x. *)
+        let folded n =
+          "Subject: start\n" ^ String.concat "" (List.init n (fun _ -> "\tword\n"))
+          ^ "\nbody\n"
+        in
+        (* The least of five runs, each from an empty minor heap: a
+           collection inside a run can inflate its count. *)
+        let allocated text =
+          let run () =
+            Gc.minor ();
+            let before = Gc.allocated_bytes () in
+            ignore (Rfc2822.parse text);
+            Gc.allocated_bytes () -. before
+          in
+          List.fold_left min infinity (List.init 5 (fun _ -> run ()))
+        in
+        let ratio = allocated (folded 8_000) /. allocated (folded 2_000) in
+        if ratio >= 6.0 then
+          Alcotest.failf "8,000 continuation lines allocate %.1fx what 2,000 do" ratio);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -15,6 +15,9 @@ module Ingest = Spamlab_spambayes.Ingest
 module Classify = Spamlab_spambayes.Classify
 module Filter = Spamlab_spambayes.Filter
 module Label = Spamlab_spambayes.Label
+module Options = Spamlab_spambayes.Options
+module Prob_cache = Spamlab_spambayes.Prob_cache
+module Token_db = Spamlab_spambayes.Token_db
 module Generator = Spamlab_corpus.Generator
 module Vocabulary = Spamlab_corpus.Vocabulary
 module Rng = Spamlab_stats.Rng
@@ -364,17 +367,40 @@ let edge_tests =
         let text = String.concat "" (List.map (Array.get edge_pieces) picks) in
         check_edge_agreement text;
         true);
+    test_case "header unfolding is linear in continuation lines" (fun () ->
+        (* Linear code allocates about 4x at 4x the lines; joining the
+           value line by line allocates about 16x. *)
+        let folded n =
+          "Subject: start\n" ^ String.concat "" (List.init n (fun _ -> "\tword\n"))
+          ^ "\nbody\n"
+        in
+        (* The least of five runs, each from an empty minor heap: a
+           collection inside a run can inflate its count. *)
+        let allocated text =
+          let run () =
+            Gc.minor ();
+            let before = Gc.allocated_bytes () in
+            ignore
+              (Ingest.with_unique_ids_raw Tokenizer.spambayes text ~off:0
+                 ~len:(String.length text) (fun _ids distinct _raw -> distinct));
+            Gc.allocated_bytes () -. before
+          in
+          List.fold_left min infinity (List.init 5 (fun _ -> run ()))
+        in
+        let ratio = allocated (folded 8_000) /. allocated (folded 2_000) in
+        if ratio >= 6.0 then
+          Alcotest.failf "8,000 continuation lines allocate %.1fx what 2,000 do" ratio);
   ]
 
 (* ------------------------------------------------------------------ *)
 (* Allocation: body words of a Simple chunk cost no minor words         *)
 
 (* A Simple chunk (no MIME headers, no CRLF, no ">From") whose body is
-   [n] in-range words for every tokenizer, half of them capitalized,
-   ten to a line. *)
-let simple_chunk n =
+   [n] in-range words for every tokenizer, [word i] for i < n, half of
+   them capitalized, ten to a line. *)
+let chunk_of_words n word =
   let word i =
-    let w = Printf.sprintf "quietword%02d" (i mod 53) in
+    let w = word i in
     if i mod 2 = 0 then String.capitalize_ascii w else w
   in
   let line l =
@@ -383,6 +409,22 @@ let simple_chunk n =
   "Subject: steady state\n\n"
   ^ String.concat "\n" (List.init ((n + 9) / 10) line)
   ^ "\n"
+
+let simple_chunk n = chunk_of_words n (fun i -> Printf.sprintf "quietword%02d" (i mod 53))
+
+(* [n] words no earlier call produced: "zz" and six letters of a
+   process-wide serial, so every word has the same length. *)
+let unseen_serial = ref 0
+
+let unseen_chunk n =
+  chunk_of_words n (fun _ ->
+      incr unseen_serial;
+      let w = Bytes.make 8 'z' and x = ref !unseen_serial in
+      for p = 7 downto 2 do
+        Bytes.set w p (Char.chr (Char.code 'a' + (!x mod 26)));
+        x := !x / 26
+      done;
+      Bytes.to_string w)
 
 let minor_words_of f =
   let before = Gc.minor_words () in
@@ -412,6 +454,129 @@ let alloc_tests =
           Alcotest.(check (float 0.))
             "minor words at N = 50 and N = 5,000" at_50 at_5000))
     all_tokenizers
+  @ List.map
+      (fun tokenizer ->
+        test_case
+          (Tokenizer.name tokenizer ^ ": scoring never-seen words allocates nothing")
+          (fun () ->
+            (* Scoring looks words up instead of interning them, so
+               words no table holds cost neither their strings nor a
+               table slot.  Fresh words on every run: a word interned
+               by an earlier run would be found, not missed. *)
+            let engine =
+              Classify.engine_cached (Prob_cache.create Options.default (Token_db.create ()))
+            in
+            let score chunk () =
+              ignore
+                (Ingest.classify_raw_engine engine tokenizer chunk ~off:0
+                   ~len:(String.length chunk))
+            in
+            score (unseen_chunk 5_000) ();
+            Intern.freeze ();
+            let small = unseen_chunk 50 and big = unseen_chunk 5_000 in
+            let size = Intern.size () in
+            let at_50 = minor_words_of (score small) in
+            let at_5000 = minor_words_of (score big) in
+            check_int "intern table size" size (Intern.size ());
+            Alcotest.(check (float 0.))
+              "minor words at N = 50 and N = 5,000" at_50 at_5000))
+      all_tokenizers
+
+(* ------------------------------------------------------------------ *)
+(* Scoring looks tokens up; the interning path is the reference        *)
+
+(* Forty trained words, the first twenty ham-only and the rest
+   spam-only, each in a different share of its class's messages so
+   their scores spread over the strength band. *)
+let lexicon = Array.init 40 (Printf.sprintf "lexicon%02d")
+
+let lexicon_db tokenizer =
+  let f = Filter.create ~tokenizer () in
+  for m = 0 to 11 do
+    let words lo =
+      List.init 20 (fun i -> i)
+      |> List.filter (fun i -> (i + m) mod (2 + (i mod 4)) <> 0)
+      |> List.map (fun i -> lexicon.(lo + i))
+      |> String.concat " "
+    in
+    Filter.train f Label.Ham (msg ~headers:[ ("Subject", "lexicon ham") ] (words 0));
+    Filter.train f Label.Spam (msg ~headers:[ ("Subject", "lexicon spam") ] (words 20))
+  done;
+  Filter.db f
+
+let lexicon_dbs = List.map (fun t -> (t, lazy (lexicon_db t))) all_tokenizers
+
+(* Under [Options.default] a never-seen token scores 0.5 and is never a
+   clue; at [unknown_word_prob = 0.2] it is, so scoring must intern. *)
+let unseen_scores = { Options.default with unknown_word_prob = 0.2 }
+
+let lookup_run = ref 0
+
+(* Messages of trained and never-seen words, in Subject and body; a
+   [mime] message is base64-encoded, so it takes the Complex path. *)
+let lexicon_mbox messages =
+  incr lookup_run;
+  let word (fresh, i) =
+    if fresh then Printf.sprintf "novel%dx%d" !lookup_run i else lexicon.(i)
+  in
+  mbox_of_messages
+    (List.map
+       (fun (mime, words) ->
+         let words = List.map word words in
+         let subject = String.concat " " (List.filteri (fun i _ -> i < 2) words) in
+         let m = msg ~headers:[ ("Subject", subject) ] (String.concat " " words) in
+         if mime then Mime.with_base64_transfer m else m)
+       messages)
+
+let bits = Int64.bits_of_float
+
+let check_same_result i (want : Classify.result) (got : Classify.result) =
+  let clue (c : Classify.clue) = (c.token, bits c.score) in
+  Alcotest.(check int64) (Printf.sprintf "message %d: indicator bits" i)
+    (bits want.indicator) (bits got.indicator);
+  check_bool (Printf.sprintf "message %d: verdict" i) true (want.verdict = got.verdict);
+  Alcotest.(check (list (pair string int64)))
+    (Printf.sprintf "message %d: clues" i)
+    (List.map clue want.clues) (List.map clue got.clues)
+
+let lookup_tests =
+  [
+    qtest ~count:150 "scoring by lookup = scoring the interned ids"
+      QCheck2.Gen.(
+        triple
+          (int_range 0 (List.length lexicon_dbs - 1))
+          bool
+          (list_size (int_range 1 4)
+             (pair bool
+                (list_size (int_range 0 30) (pair bool (int_range 0 39))))))
+      (fun (t, unseen_clue, messages) ->
+        let tokenizer, db = List.nth lexicon_dbs t in
+        let options = if unseen_clue then unseen_scores else Options.default in
+        let engine = Classify.engine_cached (Prob_cache.create options (Lazy.force db)) in
+        let text = lexicon_mbox messages in
+        let size_before = Intern.size () in
+        let got = Ingest.classify_mbox_engine engine tokenizer text in
+        if not unseen_clue then
+          check_int "the classify interned nothing" size_before (Intern.size ());
+        (* The reference interns every token, so it runs second. *)
+        let want =
+          Array.map
+            (fun (off, len) ->
+              Option.map
+                (fun (ids, _raw) -> Classify.score_engine_sub engine ids (Array.length ids))
+                (Ingest.unique_ids_raw tokenizer text ~off ~len))
+            (Ingest.raw_message_chunks text)
+        in
+        check_int "messages" (Array.length want) (Array.length got);
+        Array.iteri
+          (fun i w ->
+            match (w, got.(i)) with
+            | Some w, Some g -> check_same_result i w g
+            | None, None -> ()
+            | _ -> Alcotest.failf "message %d: parsed on one side only" i)
+          want;
+        true);
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Batched classify                                                    *)
@@ -469,4 +634,5 @@ let () =
       ("edge-divergence", edge_tests);
       ("allocation", alloc_tests);
       ("classify", classify_tests);
+      ("lookup", lookup_tests);
     ]

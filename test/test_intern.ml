@@ -259,6 +259,44 @@ let resolve_tests =
           ~is_fresh:(String.starts_with ~prefix)
           keys (resolved keys);
         true);
+    qtest ~count:300 "lookup agrees with find and never interns" gen_batch
+      (fun (pre, post, fresh, picks) ->
+        incr batch_run;
+        let key cat tails i =
+          Printf.sprintf "lookup-%s-%d-%s" cat !batch_run
+            (List.nth tails (i mod List.length tails))
+        in
+        List.iteri (fun i _ -> ignore (Intern.id (key "pre" pre i))) pre;
+        Intern.freeze ();
+        (* Nothing interned since the snapshot: a miss is an absence,
+           decided without the lock (which would cost a closure). *)
+        let k = Intern.keys () in
+        let empty = minor_words_of (fun () -> ignore (Intern.lookup k)) in
+        List.iteri (fun i _ -> Intern.add k (key "new" fresh i)) fresh;
+        let words = minor_words_of (fun () -> ignore (Intern.lookup k)) in
+        Alcotest.(check (float 0.)) "minor words looking up absent keys" empty words;
+        (* Interned after the freeze: the live table holds these, the
+           snapshot (barring an automatic refresh) does not. *)
+        List.iteri (fun i _ -> ignore (Intern.id (key "post" post i))) post;
+        let keys =
+          List.map
+            (function
+              | Pre i -> key "pre" pre i
+              | Post i -> key "post" post i
+              | Fresh i -> key "new" fresh i
+              | Empty -> "")
+            picks
+        in
+        let size_before = Intern.size () in
+        let k = Intern.keys () in
+        List.iter (Intern.add k) keys;
+        let ids = Array.sub (Intern.lookup k) 0 (Intern.key_count k) in
+        check_int "nothing interned" size_before (Intern.size ());
+        List.iteri
+          (fun i key ->
+            check_int key (Option.value (Intern.find key) ~default:(-1)) ids.(i))
+          keys;
+        true);
     test_case "a resolve that grows the table retries to the same ids"
       (fun () ->
         let pre = List.init 50 (Printf.sprintf "grow-pre-%d\000") in

@@ -835,6 +835,16 @@ let e2e_tests =
             (Client.roundtrip addr { Protocol.verb = Stats; body = ""; user = None })
         in
         let s = stats () in
+        let lines = String.split_on_char '\n' s in
+        let name l = List.hd (String.split_on_char ' ' l) in
+        let rec after_connections = function
+          | a :: b :: c :: _ when name a = "connections" -> [ name b; name c ]
+          | _ :: rest -> after_connections rest
+          | [] -> []
+        in
+        Alcotest.(check (list string))
+          "intern.size, in name order" [ "intern.size"; "io.errors" ]
+          (after_connections lines);
         List.iter
           (fun line -> check_int line 1 (count_lines_with line s))
           [
@@ -1086,17 +1096,22 @@ let write_path_tests =
               (name ^ ": rows TRAIN added") want (trained tokenizer))
           Tokenizer.all);
     test_case "a tenant's unpublished TRAIN scores at once" (fun () ->
-        (* Ingest resolves tokens the frozen intern snapshot lacks
-           through the live table, so a token only this tenant has
-           trained, never published, already carries its counts. *)
+        (* CLASSIFY never interns, but once the table has grown since
+           the frozen intern snapshot it looks the snapshot's misses up
+           in the live table, so a token only this tenant has trained,
+           never published, already carries its counts. *)
         with_daemon_state ~publish_every:0 ~store:true @@ fun t _dir ->
         let probe = mbox [ msg "freshtokenqq" ] in
         let untrained = local_ok t ~user:"dave" Protocol.Classify probe in
+        check_bool "CLASSIFY interned nothing" true (Intern.find "freshtokenqq" = None);
         ignore
           (local_ok t ~user:"erin" (Protocol.Train Label.Spam)
              (mbox
                 (List.init 3 (fun i ->
                      msg (Printf.sprintf "freshtokenqq pills%d" i)))));
+        (match Intern.find "freshtokenqq" with
+        | Some id -> check_int "interned since the last freeze" (-1) (Intern.rank id)
+        | None -> Alcotest.fail "TRAIN did not intern the token");
         let before = local_ok t ~user:"erin" Protocol.Classify probe in
         ignore (local_ok t Protocol.Publish "");
         let after = local_ok t ~user:"erin" Protocol.Classify probe in
@@ -1104,6 +1119,23 @@ let write_path_tests =
         check_string "trained, after PUBLISH" before after;
         check_bool "an untrained tenant reads it differently" true
           (untrained <> before));
+    test_case "CLASSIFY of never-seen words grows no table; TRAIN does"
+      (fun () ->
+        with_daemon_state ~publish_every:0 ~store:true @@ fun t _dir ->
+        let body = mbox [ msg "zzunseenqa zzunseenqb zzunseenqc\nzzunseenqd" ] in
+        let size = Intern.size () in
+        let stat () = stat_line (Daemon.stats_payload t) "intern.size" in
+        ignore (local_ok t Protocol.Classify body);
+        ignore (local_ok t ~user:"frank" Protocol.Classify body);
+        check_int "shared and tenant CLASSIFY" size (Intern.size ());
+        Alcotest.(check (option string))
+          "STATS" (Some (Printf.sprintf "intern.size %d" size)) (stat ());
+        ignore (local_ok t ~user:"frank" (Protocol.Train Label.Spam) body);
+        check_bool "TRAIN interns what it learns" true (Intern.size () > size);
+        Alcotest.(check (option string))
+          "STATS after TRAIN"
+          (Some (Printf.sprintf "intern.size %d" (Intern.size ())))
+          (stat ()));
     test_case "tenant TRAIN failing mid-batch is rolled back whole" (fun () ->
         let user = "carol" in
         let mail i =
