@@ -923,7 +923,7 @@ let db_verify_cmd =
     | exception Sys_error e -> fail "%s" e
     | contents -> (
         match Token_db.verify_string contents with
-        | Ok r ->
+        | Ok r -> (
             Printf.printf
               "%s: ok\n\
               \  format version: %d\n\
@@ -935,7 +935,25 @@ let db_verify_cmd =
               | `Ok -> "ok (crc32)"
               | `Absent -> "absent (pre-v3 format)")
               r.Token_db.nspam r.Token_db.nham r.Token_db.entries;
-            `Ok ()
+            let journal s = Printf.printf "  journal:        %s\n" s in
+            match Spamlab_spambayes.Filter.verify_journal path with
+            | `Missing -> `Ok ()
+            | `Ok n ->
+                journal (Printf.sprintf "ok (%d committed ops)" n);
+                `Ok ()
+            | `Torn (n, salvage) ->
+                journal
+                  (Printf.sprintf
+                     "torn tail (%d committed ops, %d salvageable \
+                      uncommitted)"
+                     n salvage);
+                `Ok ()
+            | `Stale ->
+                journal "stale (fold crash; will be discarded)";
+                `Ok ()
+            | `Corrupt e ->
+                journal ("CORRUPT: " ^ e);
+                fail "%s.journal: corrupt journal: %s" path e)
         | Error e ->
             let salvage =
               match Token_db.salvage_string contents with
@@ -949,9 +967,11 @@ let db_verify_cmd =
   guarded
     (Cmd.info "verify"
        ~doc:"Check a database's format version, checksum and count \
-             invariants — or, given a sharded tenant-store directory, \
-             every shard's segment CRC/invariants and journal tail; \
-             nonzero exit on corruption.")
+             invariants, and its op journal FILE.journal when there is \
+             one (committed ops, torn tail, staleness) — or, given a \
+             sharded tenant-store directory, every shard's segment \
+             CRC/invariants and journal tail; nonzero exit on \
+             corruption.")
     Term.(const run $ db_pos)
 
 let db_cmd =
@@ -1012,7 +1032,8 @@ let serve_cmd =
     let doc =
       "Deterministic fault injection spec (also read from SPAMLAB_FAULTS); \
        daemon sites: serve.accept, serve.read, serve.publish, db.save.write, \
-       db.save.rename, store.journal.append, store.compact, store.evict."
+       db.save.rename, db.journal.fold, store.journal.append, store.compact, \
+       store.evict."
     in
     Arg.(value & opt (some string) None & info [ "fault-spec" ] ~docv:"SPEC" ~doc)
   in

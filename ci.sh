@@ -380,6 +380,36 @@ grep -q 'reconnects=' "$sdir/crash.client.log" \
   || { echo "FAIL: client log records no reconnect"; exit 1; }
 echo "serve: crashed at publish 2, restarted, replayed, byte-identical"
 
+say "serve soak: crash mid-fold, restart, replay"
+# db.journal.fold fires inside a publish's fold of the shared db,
+# between the db's rename and the journal's reset, where the journal on
+# disk no longer matches the db.  The fold writes the baseline the last
+# publish left, before this publish appends its own ops, so the crash
+# leaves the previous publish on disk: the restarted daemon discards the
+# stale journal, the client replays its unpublished buffer, and the db
+# after SIGTERM must match the uninterrupted sj1 leg's.
+start_daemon fold 1 --fault-spec 'db.journal.fold:crash@2'
+"$spamlab" client load --socket "$sdir/fold.sock" --seed 7 \
+  > "$sdir/fold.client.txt" 2> "$sdir/fold.client.log" &
+client_pid=$!
+status=0
+wait "$daemon_pid" || status=$?
+[ "$status" -eq 70 ] \
+  || { echo "FAIL: injected fold crash should exit 70, got $status"; exit 1; }
+start_daemon fold 1
+wait "$client_pid" \
+  || { echo "FAIL: client did not survive the fold crash"; \
+       cat "$sdir/fold.client.log"; exit 1; }
+kill -TERM "$daemon_pid"
+wait "$daemon_pid" \
+  || { echo "FAIL: restarted fold daemon exited nonzero on SIGTERM"; exit 1; }
+cmp -s "$sdir/sj1.client.txt" "$sdir/fold.client.txt" \
+  || { echo "FAIL: fold crash-and-replay client stdout differs"; \
+       diff -u "$sdir/sj1.client.txt" "$sdir/fold.client.txt" | head -20; exit 1; }
+cmp -s "$sdir/sj1.db" "$sdir/fold.db" \
+  || { echo "FAIL: fold crash-and-replay db differs from uninterrupted"; exit 1; }
+echo "serve: crashed at fold 2, restarted, replayed, byte-identical"
+
 say "tenants: cross-jobs determinism (sharded store)"
 # The tenants experiment fans user chunks over the domain pool while
 # every op lands in the sharded store; stdout (classification outcomes
@@ -416,8 +446,8 @@ say "store soak: crash mid-append, restart, replay"
 # (exit 70) partway through a tenant-routed TRAIN schedule: the op was
 # never buffered, never acked, and the journal's uncommitted suffix is
 # discarded on reopen.  The client reconnect-replays its unpublished
-# buffer against the restarted daemon; after the explicit publish
-# (which compacts every shard to canonical bytes) the store must be
+# buffer against the restarted daemon; after the SIGTERM (whose clean
+# shutdown compacts every shard to canonical bytes) the store must be
 # byte-for-byte identical to an uninterrupted leg's.
 run_store_leg() { # tag [extra serve args...]
   tag=$1; shift
@@ -457,6 +487,69 @@ done
   || { echo "FAIL: crash-and-replay store does not verify"; exit 1; }
 echo "store: crashed at append 25, restarted, replayed, byte-identical"
 
+say "PUBLISH rewrites only what changed"
+# A PUBLISH commits what changed since the last one and nothing else.
+# Three tenants and the shared filter train and publish; then one
+# tenant trains one message and publishes again: no compaction runs,
+# and of every segment, shard journal, db and db journal only that
+# tenant's shard journal may change.  The clean shutdown then leaves
+# the canonical bytes, equal to a leg that published after every
+# request.
+"$spamlab" corpus --size 40 --seed 5 --ham "$sdir/pw.ham.mbox" \
+  --spam "$sdir/pw.spam.mbox" 2> /dev/null
+"$spamlab" corpus --size 2 --seed 6 --ham "$sdir/pw.one.mbox" \
+  --spam "$sdir/pw.one.spam.mbox" 2> /dev/null
+pw_train() { # tag publish-after [client train args...]
+  tag=$1; each=$2; shift 2
+  "$spamlab" client train --socket "$sdir/$tag.sock" "$@" > /dev/null \
+    || { echo "FAIL: $tag TRAIN $* failed"; exit 1; }
+  [ "$each" = 0 ] || "$spamlab" client publish --socket "$sdir/$tag.sock" > /dev/null
+}
+pw_leg() { # tag publish-after
+  start_daemon "$1" 1 --publish-every 0 --store-dir "$sdir/$1.store"
+  for user in ann ben cat; do
+    pw_train "$1" "$2" --user "$user" --class spam "$sdir/pw.spam.mbox"
+  done
+  pw_train "$1" "$2" --class ham "$sdir/pw.ham.mbox"
+}
+pw_sums() {
+  (cd "$sdir" && cksum pw.db pw.db.journal pw.store/*.seg pw.store/*.journal)
+}
+pw_compactions() {
+  "$spamlab" client stats --socket "$sdir/pw.sock" | grep '^store\.compactions '
+}
+pw_leg pe 1
+pw_train pe 1 --user ben --class ham "$sdir/pw.one.mbox"
+kill -TERM "$daemon_pid"
+wait "$daemon_pid" || { echo "FAIL: pe daemon exited nonzero on SIGTERM"; exit 1; }
+pw_leg pw 0
+"$spamlab" client publish --socket "$sdir/pw.sock" > /dev/null
+pw_sums > "$sdir/pw.sums.1"
+compactions=$(pw_compactions)
+pw_train pw 0 --user ben --class ham "$sdir/pw.one.mbox"
+"$spamlab" client publish --socket "$sdir/pw.sock" > /dev/null
+pw_sums > "$sdir/pw.sums.2"
+[ "$(pw_compactions)" = "$compactions" ] \
+  || { echo "FAIL: the second PUBLISH compacted ($compactions -> $(pw_compactions))"; exit 1; }
+ben=$(python3 -c 'h = 0x811c9dc5
+for c in b"ben": h = ((h ^ c) * 0x01000193) & 0xffffffff
+print("pw.store/shard-%04d.journal" % (h % 16))')
+changed=$(diff "$sdir/pw.sums.1" "$sdir/pw.sums.2" | sed -n 's/^> [0-9]* [0-9]* //p')
+[ "$changed" = "$ben" ] \
+  || { echo "FAIL: the second PUBLISH rewrote '$changed', expected only $ben"; exit 1; }
+"$spamlab" db verify "$sdir/pw.db" | grep -q '^  journal: *ok (' \
+  || { echo "FAIL: db verify does not report the shared journal"; exit 1; }
+kill -TERM "$daemon_pid"
+wait "$daemon_pid" || { echo "FAIL: pw daemon exited nonzero on SIGTERM"; exit 1; }
+for f in db db.journal; do
+  cmp -s "$sdir/pe.$f" "$sdir/pw.$f" \
+    || { echo "FAIL: $f differs from the publish-after-every-request leg"; exit 1; }
+done
+diff -r "$sdir/pe.store" "$sdir/pw.store" > /dev/null \
+  || { echo "FAIL: store differs from the publish-after-every-request leg"; \
+       diff -r "$sdir/pe.store" "$sdir/pw.store" | head -5; exit 1; }
+echo "publish: the second PUBLISH appended to $ben only; SIGTERM bytes == publish-after-every-request"
+
 say "fault sites listing"
 "$spamlab" fault sites > "$sdir/sites.txt"
 # Every site the gates below (and the suites above) arm must be in the
@@ -464,7 +557,7 @@ say "fault sites listing"
 # is undocumented chaos surface.
 for site in serve.deadline serve.publish serve.read serve.accept \
   store.journal.append intern.grow pool.task score.cache.fill \
-  checkpoint.record; do
+  checkpoint.record db.journal.fold; do
   grep -q "^$site " "$sdir/sites.txt" \
     || { echo "FAIL: fault sites listing is missing $site"; exit 1; }
 done

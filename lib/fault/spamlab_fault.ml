@@ -29,6 +29,9 @@ let grammar = "site:kind@n[+n...] or site:kind~p, clauses comma-separated"
 let known_sites =
   [
     ("checkpoint.record", "before a sweep checkpoint line is appended");
+    ( "db.journal.fold",
+      "between a db fold's rename and its journal reset (the journal is \
+       stale)" );
     ("db.save.rename", "before the atomic rename of a token-db save");
     ("db.save.write", "before each write syscall of a token-db save");
     ("intern.grow", "before the intern table grows (fires pre-mutation)");

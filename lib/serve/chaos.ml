@@ -28,19 +28,24 @@
    not a preference: a kill is only replay-safe where the process dies
    {e before} any acked-but-unreplayable mutation.  [serve.accept] and
    [serve.read] fire before the request executes; [serve.publish] sits
-   at the head of a publish, before the store commit or the db save;
+   at the head of a publish, before the store commit or the shared
+   journal's;
    [store.journal.append] fires before the op record is buffered (and
    uncommitted records live in memory only, so the unacked tail dies
    with the process).  [serve.write] is excluded — a crash there tears
    the response {e after} the mutation applied, and a replaying client
-   would double-train; the db.save sites are excluded for their
-   post-commit ambiguity window.
+   would double-train.  The db.save sites and [db.journal.fold] are
+   excluded for their post-commit ambiguity window: they fire after
+   the publish has committed the tenant store, so a killed publish
+   leaves tenant ops durable that no ack reported, and the client's
+   replay reconciles them only through [user.msgs=] probes, which
+   neither UNTRAIN nor several writers per tenant keep exact.
 
    Transient clauses likewise skip the sites whose mid-flight failure
    is not all-or-nothing on the shared filter ([intern.grow] can fail
    between messages of a shared TRAIN batch, which has no rollback) and
-   the save internals (a torn save surfaces as a publish failure via
-   [serve.publish] already). *)
+   the db rewrite internals (a torn save or fold surfaces as a publish
+   failure via [serve.publish] already). *)
 
 module Fault = Spamlab_fault
 module Token_db = Spamlab_spambayes.Token_db
@@ -109,7 +114,8 @@ let draw_int cfg salt ~lo ~hi =
 (* Sites that may NOT carry a transient clause (see header). *)
 let transient_excluded =
   [
-    "checkpoint.record"; "db.save.rename"; "db.save.write"; "intern.grow";
+    "checkpoint.record"; "db.journal.fold"; "db.save.rename"; "db.save.write";
+    "intern.grow";
     "serve.publish" (* armed separately, at [publish_fault_p] *);
   ]
 

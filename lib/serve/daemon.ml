@@ -182,6 +182,7 @@ type t = {
      and stays valid until the next publish swaps both out). *)
   mutable baseline_cache : Prob_cache.t;
   delta : Filter.t;  (* live training state, becomes baseline on publish *)
+  journal : Filter.journal;  (* the shared ops since the db was folded *)
   store : Store.t option;  (* per-tenant state for User-routed requests *)
   mutable pending : int;
   mutable seq : int;
@@ -219,16 +220,12 @@ let create config =
   match Spamlab_parallel.validate_jobs config.jobs with
   | Error e -> Error e
   | Ok jobs -> (
-      let filter =
-        if Sys.file_exists config.db_path then
-          Filter.load_file ~options:config.options ~tokenizer:config.tokenizer
-            config.db_path
-        else
-          Ok (Filter.create ~options:config.options ~tokenizer:config.tokenizer ())
-      in
-      match filter with
+      match
+        Filter.open_journal ~options:config.options ~tokenizer:config.tokenizer
+          config.db_path
+      with
       | Error e -> Error e
-      | Ok delta -> (
+      | Ok (delta, journal) -> (
           (* When creating a tenant store, the shared filter state just
              loaded becomes the global prior every tenant starts from;
              reopening an existing store keeps its persisted prior. *)
@@ -261,6 +258,7 @@ let create config =
                   baseline_cache =
                     Prob_cache.create ~shared:true config.options baseline;
                   delta;
+                  journal;
                   store;
                   pending = 0;
                   seq = 0;
@@ -271,9 +269,22 @@ let create config =
                   stats = make_stats ();
                 }))
 
+(* Clean shutdown leaves the canonical on-disk form, whatever the
+   publish cadence was: every shard folded into its segment (tenant ops
+   not yet published are committed first, as [Store.close] always
+   has), and the db rewritten from the published baseline over a
+   header-only journal (shared ops not yet published die, so a client
+   replaying its unpublished buffer cannot double-train). *)
 let shutdown t =
-  Option.iter Store.close t.store;
-  Pool.shutdown t.pool
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown t.pool)
+    (fun () ->
+      Option.iter
+        (fun st ->
+          Store.compact_all st;
+          Store.close st)
+        t.store;
+      Filter.close_journal t.journal ~published:t.baseline)
 
 (* Degraded-state bookkeeping around every publish attempt.  Success
    resets the failure streak and recovers from degraded mode; failure
@@ -296,21 +307,22 @@ let note_publish_result t ~ok =
     end
   end
 
-(* Publish: persist the delta via the crash-safe store, then promote it
-   to the classification baseline.  The fault site sits at the head —
-   a crash here loses only unacknowledged training, and the on-disk
-   state is the previous publish (the client replay contract).  With a
-   tenant store, a publish is also its durability point: every
-   journaled op is committed before the shared filter advances.  The
-   intern freeze comes first, so every id the commit, the save and a
-   following compaction serialize is rank-covered and their row order
-   costs int compares only. *)
+(* Publish — explicit or automatic, one path: commit what changed since
+   the last publish, then promote the delta to the classification
+   baseline.  The tenant store commits its journaled ops (compacting
+   only the shards past their ratio); the shared journal appends the
+   shared ops, folding the db from the current baseline first when the
+   journal has outgrown it.  The fault site sits at the head — a crash
+   here loses only unacknowledged training, and the on-disk state is
+   the previous publish (the client replay contract).  The intern
+   freeze comes first, so every id the commits and a fold serialize is
+   rank-covered and their row order costs int compares only. *)
 let publish t =
   match
     Fault.check "serve.publish";
     Intern.freeze ();
     Option.iter Store.commit t.store;
-    Filter.save_file t.delta t.config.db_path
+    Filter.commit_journal t.journal ~published:t.baseline
   with
   | exception e ->
       (* Crash faults exited inside the check; anything raised here is
@@ -435,8 +447,12 @@ let train_ack t target ~key n dropped =
 
 let apply t target kind cls ids =
   match (target, kind) with
-  | Shared, `Train -> Filter.train_ids t.delta cls ids
-  | Shared, `Untrain -> Filter.untrain_ids t.delta cls ids
+  | Shared, `Train ->
+      Filter.train_ids t.delta cls ids;
+      Filter.journal_op t.journal `Train cls ids
+  | Shared, `Untrain ->
+      Filter.untrain_ids t.delta cls ids;
+      Filter.journal_op t.journal `Untrain cls ids
   | Tenant (st, user), `Train -> Store.train_ids st ~user cls ids
   | Tenant (st, user), `Untrain -> Store.untrain_ids st ~user cls ids
 
@@ -588,9 +604,6 @@ let exec t (req : Protocol.request) =
   | Protocol.Health -> Protocol.Ok (health_payload t)
   | Protocol.Publish ->
       publish t;
-      (* An explicit PUBLISH also folds every journal into its segment
-         — the canonical on-disk form the crash gate byte-compares. *)
-      Option.iter Store.compact_all t.store;
       Protocol.Ok (Printf.sprintf "published seq=%d boot=%d\n" t.seq t.boot)
   | Protocol.Train _ | Protocol.Untrain _ when t.degraded ->
       (* Refused before any state is touched, so a degraded-mode TRAIN

@@ -16,12 +16,30 @@
     every chunk of the request before applying any, then apply the id
     sets to a separate {e delta} filter (a copy-on-write
     [Token_db.copy] of the baseline's lineage, so deltas cost
-    O(|changes|)).  Every [publish_every] trained messages — or on an
-    explicit [PUBLISH] — the delta is persisted to the crash-safe v3
-    store ([Filter.save_file]: temp + fsync + atomic rename) and then
-    becomes the new baseline, and the intern snapshot is refreshed.
-    Classification therefore always sees a consistent published state,
-    and a crash at any point restarts from the last publish.
+    O(|changes|)), and buffer each op's record for the shared journal
+    beside the db ({!Spamlab_spambayes.Filter.journal_op}).  Every
+    [publish_every] trained messages — or on an explicit [PUBLISH]; the
+    two run one path — a publish persists what changed since the last
+    one and then promotes the delta to the new baseline, refreshing the
+    intern snapshot.  It commits the tenant store's journals (see
+    Tenants) and appends the shared records plus a commit marker to the
+    db's journal, fsynced ({!Spamlab_spambayes.Filter.commit_journal});
+    a publish with no shared op writes no shared file.  The v3 db is
+    rewritten (folded) from the published baseline only when that
+    journal outgrows {!Spamlab_spambayes.Journal.compact_ratio} times
+    the db's bytes — before the publish appends, so a crash inside the
+    fold leaves the previous publish on disk.  Classification therefore
+    always sees a consistent published state, and a crash at any point
+    restarts from the last publish: {!create} loads the db plus its
+    journal's committed prefix.
+
+    {!shutdown} leaves the canonical on-disk form whatever the publish
+    cadence was: it compacts every store shard into its segment
+    (committing unpublished tenant ops first, as closing the store
+    always has) and folds the db from the published baseline over a
+    header-only journal.  Unpublished shared training dies with it, as
+    it does in a crash, so a client replaying its unpublished buffer
+    cannot double-train.
 
     {2 Tenants}
 
@@ -35,8 +53,8 @@
     are undone with the inverse operation before the [Err] answer, so
     an [Err] always means nothing was applied.  A publish is also
     the store's durability point
-    ({!Spamlab_store.Store.commit}); an explicit [PUBLISH] further
-    compacts every shard to its canonical bytes.  Tenant classify
+    ({!Spamlab_store.Store.commit}, which compacts only the shards
+    whose journals outgrew their ratio).  Tenant classify
     reads the user's overlay directly.  Classify looks tokens up
     without interning them ({!Spamlab_spambayes.Intern.lookup}); a
     token the frozen intern snapshot lacks is looked for in the live
@@ -100,8 +118,9 @@
       intact; the delta since the last publish is lost, which is the
       recovery contract clients replay against);
 
-    plus the ["db.save.write"] / ["db.save.rename"] sites inside the
-    save itself.
+    plus the ["db.save.write"] / ["db.save.rename"] sites inside a
+    db fold's write and ["db.journal.fold"] between its rename and
+    the journal reset.
 
     {2 Statistics}
 
@@ -136,7 +155,10 @@ val default_limits : limits
 
 type config = {
   addr : addr;
-  db_path : string;  (** Loaded if present, created on first publish. *)
+  db_path : string;
+      (** Loaded if present (with its journal [db_path ^ ".journal"]);
+          written by the first publish that trains it, or at shutdown
+          after any publish. *)
   tokenizer : Spamlab_tokenizer.Tokenizer.t;
   options : Spamlab_spambayes.Options.t;
   publish_every : int;
@@ -166,7 +188,9 @@ val create : config -> (t, string) result
     silently start from scratch over damaged state. *)
 
 val shutdown : t -> unit
-(** Join the worker pool.  The socket teardown belongs to {!run}. *)
+(** Leave the canonical on-disk form (see Data plane): compact every
+    store shard, fold the db from the published baseline; then join the
+    worker pool.  The socket teardown belongs to {!run}. *)
 
 val handle_request : t -> Protocol.request -> Protocol.response
 (** Execute one request against the state (no I/O).  Never raises:

@@ -226,3 +226,43 @@ let read_exact r dst pos len =
     end
   in
   go pos len
+
+let read_file path =
+  match open_in_bin path with
+  | exception Sys_error e -> Error e
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () ->
+          match In_channel.input_all ic with
+          | data -> Ok data
+          | exception Sys_error e -> Error e)
+
+let fsync_dir dir =
+  match Unix.openfile dir [ O_RDONLY ] 0 with
+  | exception Unix.Unix_error _ -> ()
+  | dirfd ->
+      Fun.protect
+        ~finally:(fun () -> Unix.close dirfd)
+        (fun () -> try Unix.fsync dirfd with Unix.Unix_error _ -> ())
+
+let atomic_write path write =
+  let tmp = path ^ ".tmp" in
+  let write () =
+    let oc =
+      open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 tmp
+    in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        write oc;
+        flush oc;
+        Unix.fsync (Unix.descr_of_out_channel oc))
+  in
+  (match write () with
+  | () -> ()
+  | exception exn ->
+      (try Sys.remove tmp with Sys_error _ -> ());
+      raise exn);
+  Sys.rename tmp path;
+  fsync_dir (Filename.dirname path)

@@ -1,6 +1,7 @@
 (** EINTR- and short-transfer-safe file-descriptor I/O, shared by the
     daemon/client wire protocol ({!Spamlab_serve}) and the crash-safe
-    token-DB save path ([Filter.save_file]).
+    token-DB save path ([Filter.save_file]), plus the crash-safe file
+    replacement behind store segments and journal resets.
 
     [Unix.read] and [Unix.write] are allowed to transfer fewer bytes
     than asked — pipes and sockets do this routinely under load — and
@@ -59,6 +60,27 @@ val really_write :
 
 val really_write_string :
   ?site:string -> ?deadline:float -> Unix.file_descr -> string -> int -> int -> unit
+
+(** {1 Whole files} *)
+
+val read_file : string -> (string, string) result
+(** A file's bytes, or the [Sys_error] message for a missing or
+    unreadable one. *)
+
+(** {1 Crash-safe file replacement} *)
+
+val fsync_dir : string -> unit
+(** Make a rename inside [dir] durable.  Directory fsync is not
+    portable everywhere, so failing to open or sync [dir] is not an
+    error — the renamed file itself is already synced. *)
+
+val atomic_write : string -> (out_channel -> unit) -> unit
+(** [atomic_write path write] replaces [path] crash-safely: [write]
+    puts the contents on a channel to [path ^ ".tmp"], which is
+    fsynced and renamed over [path], then the directory is synced.  A
+    crash at any point leaves the old file or the new one, never a
+    torn half-write; a failed write removes the temp file and
+    re-raises. *)
 
 (** {1 Buffered line/frame reading}
 

@@ -70,8 +70,7 @@ let token_score t token = Score.smoothed t.options t.db token
    the vulnerable window: [db.save.write] fires mid-write (simulating
    a torn write to the temp file), [db.save.rename] fires after the
    temp file is durable but before it is published. *)
-let save_file t path =
-  let data = Token_db.to_string t.db in
+let write_db data path =
   let tmp = path ^ ".tmp" in
   let write () =
     let fd = Unix.openfile tmp [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
@@ -94,22 +93,126 @@ let save_file t path =
       raise exn);
   Spamlab_fault.check "db.save.rename";
   Sys.rename tmp path;
-  (* Make the rename itself durable.  Directory fsync is not portable
-     everywhere, so failure to open or sync the directory is not an
-     error — the data file itself is already synced. *)
-  match Unix.openfile (Filename.dirname path) [ O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | dirfd ->
-      Fun.protect
-        ~finally:(fun () -> Unix.close dirfd)
-        (fun () -> try Unix.fsync dirfd with Unix.Unix_error _ -> ())
+  Spamlab_io.fsync_dir (Filename.dirname path)
+
+let save_file t path = write_db (Token_db.to_string t.db) path
+
+(* ------------------------------------------------------------------ *)
+(* The op journal beside a db file: [path ^ ".journal"], stamped with
+   the CRC of the v3 file it applies over (0 for a missing or pre-v3
+   file, which also counts as 0 bytes). *)
+
+let journal_path path = path ^ ".journal"
+let journal_ident = "spamlab-db-journal 1 db_crc"
+let base_crc data = Option.value ~default:0 (Token_db.footer_crc data)
+
+
+(* Apply the committed prefix of a journal matching [base_crc]; a
+   stale, empty or header-torn journal is ignored, as the writer's
+   open would discard it. *)
+let apply_journal db path ~base_crc =
+  match Spamlab_io.read_file (journal_path path) with
+  | Error _ -> Ok ()
+  | Ok data -> (
+      let failed = ref None in
+      let on_op _ ~off ~len =
+        if !failed = None then
+          match Journal.parse_line (String.sub data off len) with
+          | `Op (_, op) -> (
+              try Journal.apply db (Journal.intern op)
+              with Invalid_argument e -> failed := Some e)
+          | `Commit | `Bad _ -> failed := Some "unreadable record"
+      in
+      match
+        Journal.scan ~ident:journal_ident ~base_crc:(Some base_crc) ~on_op data
+      with
+      | `Headless | `Stale -> Ok ()
+      | `Scanned _ when !failed = None -> Ok ()
+      | `Scanned _ -> Error (journal_path path ^ ": " ^ Option.get !failed)
+      | `Corrupt e -> Error (journal_path path ^ ": " ^ e))
+
+let load_data ~options ~tokenizer path data =
+  match Token_db.of_string data with
+  | Error e -> Error e
+  | Ok db ->
+      Result.map
+        (fun () -> make options tokenizer db)
+        (apply_journal db path ~base_crc:(base_crc data))
 
 let load_file ?(options = Options.default)
     ?(tokenizer = Spamlab_tokenizer.Tokenizer.spambayes) path =
-  match open_in path with
-  | exception Sys_error e -> Error e
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          Result.map (fun db -> make options tokenizer db) (Token_db.load ic))
+  Result.bind (Spamlab_io.read_file path) (load_data ~options ~tokenizer path)
+
+let verify_journal path =
+  match Spamlab_io.read_file (journal_path path) with
+  | Error _ -> `Missing
+  | Ok data ->
+      let base_crc =
+        match Spamlab_io.read_file path with
+        | Error _ -> Some 0
+        | Ok db when Result.is_ok (Token_db.verify_string db) -> Some (base_crc db)
+        | Ok _ -> None
+      in
+      Journal.verify ~ident:journal_ident ~base_crc data
+
+type journal = {
+  j : Journal.t;
+  db_path : string;
+  mutable db_bytes : int; (* the v3 file's size; 0 when missing or pre-v3 *)
+  mutable published : bool; (* a commit point has passed *)
+}
+
+let open_journal ?(options = Options.default)
+    ?(tokenizer = Spamlab_tokenizer.Tokenizer.spambayes) path =
+  let ( let* ) = Result.bind in
+  let* data =
+    if Sys.file_exists path then Result.map Option.some (Spamlab_io.read_file path)
+    else Ok None
+  in
+  let* t =
+    match data with
+    | Some data -> load_data ~options ~tokenizer path data
+    | None ->
+        let t = create ~options ~tokenizer () in
+        Result.map (fun () -> t) (apply_journal t.db path ~base_crc:0)
+  in
+  let crc = Option.fold ~none:0 ~some:base_crc data in
+  match
+    Journal.open_ ~create:false ~ident:journal_ident ~base_crc:crc
+      (journal_path path)
+  with
+  | Error e -> Error (journal_path path ^ ": " ^ e)
+  | Ok (j, _) ->
+      let db_bytes = if crc = 0 then 0 else String.length (Option.get data) in
+      Ok (t, { j; db_path = path; db_bytes; published = false })
+
+let journal_op jr kind label ids =
+  ignore (Journal.append jr.j ~user:"" (Journal.of_ids kind label ids))
+
+(* Rewrite the db from [db] — the state the db and its committed
+   journal hold — and reset the journal over it.  Between the rename
+   and the reset the journal on disk is stale, so an open discards it
+   and reads the same state from the db alone. *)
+let fold jr db =
+  let data = Token_db.to_string db in
+  write_db data jr.db_path;
+  jr.db_bytes <- String.length data;
+  let crc = base_crc data in
+  Journal.rebase jr.j ~base_crc:crc;
+  Spamlab_fault.check "db.journal.fold";
+  Journal.reset jr.j ~base_crc:crc
+
+let commit_journal jr ~published =
+  jr.published <- true;
+  if Journal.buffered jr.j > 0 then begin
+    if
+      float_of_int (Journal.payload jr.j)
+      > Journal.compact_ratio *. float_of_int (max 1 jr.db_bytes)
+    then fold jr published;
+    Journal.commit jr.j
+  end
+
+let close_journal jr ~published =
+  if Journal.has_committed jr.j || (jr.published && jr.db_bytes = 0) then
+    fold jr published;
+  Journal.close jr.j

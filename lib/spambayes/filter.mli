@@ -58,11 +58,13 @@ val token_score : t -> string -> float
 (** f(w) under this filter's current state. *)
 
 val save_file : t -> string -> unit
-(** Persist the token database (options and tokenizer choice are code,
-    not data).  Crash-safe: the bytes are written to [path ^ ".tmp"],
-    fsynced, and atomically renamed over [path], so an interrupted save
-    leaves the previous file intact rather than a torn half-write.
-    Fault sites: [db.save.write] (mid-write to the temp file) and
+(** Persist the token database as a v3 file (options and tokenizer
+    choice are code, not data).  Crash-safe: the bytes are written to
+    [path ^ ".tmp"], fsynced, and atomically renamed over [path], so an
+    interrupted save leaves the previous file intact rather than a torn
+    half-write.  A journal beside [path] no longer matches the new
+    file's CRC, so {!load_file} ignores it and {!open_journal} resets
+    it.  Fault sites: [db.save.write] (mid-write to the temp file) and
     [db.save.rename] (durable temp, not yet published). *)
 
 val load_file :
@@ -70,5 +72,65 @@ val load_file :
   ?tokenizer:Spamlab_tokenizer.Tokenizer.t ->
   string ->
   (t, string) result
-(** Strict load (see {!Token_db.of_string}).  A missing or unreadable
-    file is [Error], not an exception. *)
+(** Strict load (see {!Token_db.of_string}) of the db at [path], then
+    of the committed prefix of its journal [path ^ ".journal"] when the
+    journal's header matches the db's CRC — the state the daemon last
+    published.  A stale, empty or header-torn journal, or a torn tail
+    past the last commit, is ignored; a db with no journal loads alone.
+    Read-only: neither file is written.  A missing or unreadable file,
+    a corrupt journal, or a journal op that does not apply is [Error],
+    not an exception. *)
+
+val verify_journal :
+  string ->
+  [ `Ok of int | `Torn of int * int | `Stale | `Missing | `Corrupt of string ]
+(** Check the journal beside the db at a path, read-only, for
+    [spamlab db verify]: its committed op count, or [`Torn] (committed
+    and salvageable uncommitted records) when a suffix follows the last
+    commit; [`Stale] when it does not match the db's CRC (a fold crashed
+    before its reset; the next open discards it).  Recoverable states
+    all; only [`Corrupt] is damage. *)
+
+(** {2 The op journal}
+
+    The daemon's shared filter journals its TRAIN/UNTRAIN ops beside its
+    v3 db ({!Journal}'s records, with an empty user field), so a
+    publish appends the ops since the last one instead of rewriting the
+    whole db.  The db is rewritten (a {e fold}) only when the journal
+    outgrows {!Journal.compact_ratio} times the db's bytes, and at a
+    clean close. *)
+
+type journal
+(** The journal of a db opened for writing by its one writer. *)
+
+val open_journal :
+  ?options:Options.t ->
+  ?tokenizer:Spamlab_tokenizer.Tokenizer.t ->
+  string ->
+  (t * journal, string) result
+(** {!load_file} for the writer, then open the journal for appending:
+    a torn tail is truncated to its last commit and a stale journal is
+    reset.  A missing db is the empty filter (at CRC 0 and size 0); a
+    missing journal stays missing until a commit writes it. *)
+
+val journal_op : journal -> Journal.kind -> Label.gold -> int array -> unit
+(** Buffer the record of one op already applied to the filter (in
+    memory until {!commit_journal}). *)
+
+val commit_journal : journal -> published:Token_db.t -> unit
+(** The publish step.  With no op buffered since the last commit,
+    nothing is written.  Otherwise, when the journal with the buffered
+    records would outgrow the ratio (a missing or pre-v3 db counts as 0
+    bytes, so its first commit writes it), the db is first folded from
+    [published] — the state the db and its committed journal hold, so
+    a crash inside the fold loses nothing they did not — and then the
+    records and a commit marker are appended and fsynced.  Fault site
+    [db.journal.fold]: between the fold's db rename and its journal
+    reset, where the journal on disk is stale. *)
+
+val close_journal : journal -> published:Token_db.t -> unit
+(** The clean-shutdown form: when the journal holds committed ops (or a
+    commit passed over a missing or pre-v3 db), fold [published] into a
+    canonical v3 db over a header-only journal.  Buffered, uncommitted
+    records are dropped. *)
+

@@ -730,6 +730,15 @@ let salvage_string s =
         in
         Ok { db = t; version; kept = !kept; dropped = !dropped; checksum_ok }
 
+let footer_crc s =
+  let n = String.length s in
+  if n = 0 || s.[n - 1] <> '\n' then None
+  else
+    let start =
+      match String.rindex_from_opt s (n - 2) '\n' with Some i -> i + 1 | None -> 0
+    in
+    Option.map fst (parse_footer (String.sub s start (n - 1 - start)))
+
 let load ic =
   match In_channel.input_all ic with
   | s -> of_string s

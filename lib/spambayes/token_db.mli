@@ -176,6 +176,11 @@ val of_string : string -> (t, string) result
     with both counts zero is accepted but not retained (see the
     representation note above). *)
 
+val footer_crc : string -> int option
+(** The CRC-32 a v3 file's footer records, read from the last line of
+    its bytes without re-checking it; [None] for a pre-v3 file or bytes
+    that do not end in a footer. *)
+
 val load : in_channel -> (t, string) result
 (** {!of_string} on the channel's remaining contents.  I/O errors
     become [Error]; this function never raises. *)

@@ -5,6 +5,7 @@ module Label = Sb.Label
 module Options = Sb.Options
 module Classify = Sb.Classify
 module Prob_cache = Sb.Prob_cache
+module Journal = Sb.Journal
 module Fault = Spamlab_fault
 module Obs = Spamlab_obs.Obs
 module Io = Spamlab_io
@@ -26,7 +27,12 @@ type config = {
 }
 
 let default_config =
-  { backend = `Memory; shards = 16; cache = 4096; compact_ratio = 4.0 }
+  {
+    backend = `Memory;
+    shards = 16;
+    cache = 4096;
+    compact_ratio = Journal.compact_ratio;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* On-disk dialect.  Every format here reuses the token-db v3
@@ -35,7 +41,6 @@ let default_config =
 
 let manifest_magic = "spamlab-store"
 let seg_magic = "spamlab-store-seg"
-let jrn_magic = "spamlab-store-journal"
 let seg_footer_prefix = "#spamlab-store-footer "
 let crc_of s = Token_db.crc_finish (Token_db.crc_feed Token_db.crc_init s)
 let manifest_path dir = Filename.concat dir "manifest"
@@ -55,48 +60,7 @@ let fnv1a s =
     s;
   !h
 
-let fsync_dir dir =
-  match Unix.openfile dir [ O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | dirfd ->
-      Fun.protect
-        ~finally:(fun () -> Unix.close dirfd)
-        (fun () -> try Unix.fsync dirfd with Unix.Unix_error _ -> ())
-
-(* Crash-safe file replacement, same shape as [Filter.save_file]:
-   temp + fsync + rename + best-effort directory fsync.  [write] puts
-   the contents on the temp file's channel, so a segment goes out of
-   its render buffer without first being copied into one string. *)
-let atomic_write path write =
-  let tmp = path ^ ".tmp" in
-  let write () =
-    let oc =
-      open_out_gen
-        [ Open_wronly; Open_creat; Open_trunc; Open_binary ]
-        0o644 tmp
-    in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        write oc;
-        flush oc;
-        Unix.fsync (Unix.descr_of_out_channel oc))
-  in
-  (match write () with
-  | () -> ()
-  | exception exn ->
-      (try Sys.remove tmp with Sys_error _ -> ());
-      raise exn);
-  Sys.rename tmp path;
-  fsync_dir (Filename.dirname path)
-
-let read_file path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> Some (In_channel.input_all ic))
+let read_file path = Result.to_option (Io.read_file path)
 
 let next_line data pos =
   if pos >= String.length data then None
@@ -104,119 +68,6 @@ let next_line data pos =
     match String.index_from_opt data pos '\n' with
     | None -> None (* torn final line: treated as absent by all callers *)
     | Some nl -> Some (String.sub data pos (nl - pos), nl + 1)
-
-(* ------------------------------------------------------------------ *)
-(* Journal records.  One op per line, each line carrying its own CRC so
-   a torn or bit-flipped tail is detected record-by-record:
-
-     T \t user \t s|h \t k \t tok ... \t crc=XXXXXXXX
-     U \t user \t s|h \t tok ...      \t crc=XXXXXXXX
-     C \t crc=XXXXXXXX
-
-   The CRC covers every byte of the line up to and including the tab
-   that precedes it. *)
-
-(* One op record.  The write path carries interned ids ([int op]) from
-   the entry point to the journal; the journal parser yields strings
-   ([string op]), which replay interns once. *)
-type 'tok op = {
-  op_kind : [ `Train | `Untrain ];
-  op_label : Label.gold;
-  op_k : int;
-  op_tokens : 'tok array;
-}
-
-(* Append one op record to [b] (the shard's pending buffer) in place:
-   a dictionary-attack record runs to hundreds of KB, so it is written
-   once and its CRC is taken where it lies.  Tokens go out in the
-   order of [op.op_tokens]. *)
-let add_op_line b user op =
-  let start = Buffer.length b in
-  Buffer.add_string b (match op.op_kind with `Train -> "T" | `Untrain -> "U");
-  Buffer.add_char b '\t';
-  Token_db.add_escaped b user;
-  Buffer.add_char b '\t';
-  Buffer.add_char b
-    (match op.op_label with Label.Spam -> 's' | Label.Ham -> 'h');
-  (match op.op_kind with
-  | `Train ->
-      Buffer.add_char b '\t';
-      Buffer.add_string b (string_of_int op.op_k)
-  | `Untrain -> ());
-  Array.iter
-    (fun id ->
-      Buffer.add_char b '\t';
-      Token_db.add_escaped b (Intern.to_string id))
-    op.op_tokens;
-  Buffer.add_char b '\t';
-  let crc =
-    Token_db.crc_finish
-      (Token_db.crc_feed_buffer ~pos:start Token_db.crc_init b)
-  in
-  Printf.bprintf b "crc=%08x\n" crc
-
-let commit_line = Printf.sprintf "C\tcrc=%08x\n" (crc_of "C\t")
-
-let parse_label = function
-  | "s" -> Some Label.Spam
-  | "h" -> Some Label.Ham
-  | _ -> None
-
-(* Parse one journal line (without its newline).  Tokens stay strings:
-   the scans on open and in [verify_dir] only need the user, and
-   replay interns them once. *)
-let parse_op_line line =
-  let n = String.length line in
-  (* ...\tcrc=XXXXXXXX — 13 tail bytes including the tab. *)
-  if n < 14 || line.[n - 13] <> '\t' || String.sub line (n - 12) 4 <> "crc="
-  then `Bad "missing crc field"
-  else
-    match int_of_string_opt ("0x" ^ String.sub line (n - 8) 8) with
-    | None -> `Bad "bad crc field"
-    | Some crc ->
-        let prefix = String.sub line 0 (n - 12) in
-        if crc_of prefix <> crc then `Bad "crc mismatch"
-        else
-          let body = String.sub line 0 (n - 13) in
-          let unescape s =
-            match Token_db.unescape_token s with
-            | Ok s -> s
-            | Error e -> raise (Sys_error e)
-          in
-          let parse () =
-            match String.split_on_char '\t' body with
-            | [ "C" ] -> `Commit
-            | "T" :: user :: cls :: k :: toks -> (
-                match (parse_label cls, int_of_string_opt k) with
-                | Some label, Some k when k >= 0 ->
-                    `Op
-                      ( unescape user,
-                        {
-                          op_kind = `Train;
-                          op_label = label;
-                          op_k = k;
-                          op_tokens =
-                            Array.map unescape (Array.of_list toks);
-                        } )
-                | _ -> `Bad "bad train record")
-            | "U" :: user :: cls :: toks -> (
-                match parse_label cls with
-                | Some label ->
-                    `Op
-                      ( unescape user,
-                        {
-                          op_kind = `Untrain;
-                          op_label = label;
-                          op_k = 1;
-                          op_tokens =
-                            Array.map unescape (Array.of_list toks);
-                        } )
-                | None -> `Bad "bad untrain record")
-            | _ -> `Bad "unknown record"
-          in
-          (match parse () with
-          | r -> r
-          | exception Sys_error e -> `Bad e)
 
 (* ------------------------------------------------------------------ *)
 (* Shard state. *)
@@ -238,11 +89,7 @@ type shard = {
       (* user -> byte extent of its block in the segment *)
   sh_pending : (string, extent list ref) Hashtbl.t;
       (* user -> journal op extents, newest first *)
-  sh_buf : Buffer.t; (* op records not yet written to the journal fd *)
-  mutable sh_jlen : int; (* journal bytes on disk *)
-  mutable sh_jhdr : int; (* journal header length *)
-  mutable sh_last_commit : int; (* offset just past the last C marker *)
-  mutable sh_jfd : Unix.file_descr option;
+  mutable sh_jrn : Journal.t option; (* open once the shard is *)
   mutable sh_sfd : Unix.file_descr option;
   mutable sh_seg_crc : int; (* segment footer CRC (0 when absent) *)
   mutable sh_seg_len : int;
@@ -284,11 +131,7 @@ let fresh_shard id =
     sh_inited = false;
     sh_index = Hashtbl.create 64;
     sh_pending = Hashtbl.create 64;
-    sh_buf = Buffer.create 1024;
-    sh_jlen = 0;
-    sh_jhdr = 0;
-    sh_last_commit = 0;
-    sh_jfd = None;
+    sh_jrn = None;
     sh_sfd = None;
     sh_seg_crc = 0;
     sh_seg_len = 0;
@@ -467,34 +310,15 @@ let apply_block db block =
                 | _ -> raise (Sys_error "store: bad row in user block"))
           done)
 
-let apply_op db op =
-  match op.op_kind with
-  | `Train -> Token_db.train_many_ids db op.op_label op.op_tokens op.op_k
-  | `Untrain -> Token_db.untrain_ids db op.op_label op.op_tokens
-
 (* ------------------------------------------------------------------ *)
-(* Shard open: read the segment into an extent index, then recover the
-   journal — validate the header against the segment's CRC (a stale
-   journal means a compaction crashed between its two renames and its
-   ops already live in the segment: drop it), scan records up to the
-   last commit marker, and truncate the uncommitted suffix (it was
-   never acknowledged; the client replay contract re-delivers it). *)
+(* Shard open: read the segment into an extent index, then open the
+   journal over the segment's CRC ({!Journal.open_}: a stale journal —
+   a compaction crashed between its two renames, so its ops already
+   live in the segment — is reset, and a suffix past the last commit
+   marker is truncated) and index its committed ops by user. *)
 
-let jrn_header ~shard ~nshards ~seg_crc =
-  Printf.sprintf "%s 1 %d %d seg_crc=%08x\n" jrn_magic shard nshards seg_crc
-
-let parse_jrn_header line =
-  match String.split_on_char ' ' line with
-  | [ magic; v; sid; ns; crc ] when magic = jrn_magic -> (
-      match
-        ( int_of_string_opt v,
-          int_of_string_opt sid,
-          int_of_string_opt ns,
-          Scanf.sscanf_opt crc "seg_crc=%x%!" (fun c -> c) )
-      with
-      | Some 1, Some sid, Some ns, Some crc -> Ok (sid, ns, crc)
-      | _ -> Error "unsupported journal version or bad header")
-  | _ -> Error "not a spamlab store journal"
+let jrn_ident ~shard ~nshards =
+  Printf.sprintf "spamlab-store-journal 1 %d %d seg_crc" shard nshards
 
 let init_shard t sh =
   if not sh.sh_inited then begin
@@ -515,103 +339,32 @@ let init_shard t sh =
             sh.sh_seg_crc <- crc;
             sh.sh_seg_len <- String.length data;
             sh.sh_sfd <- Some (Unix.openfile spath [ O_RDONLY ] 0)));
-    let jpath = jrn_path dir sh.sh_id in
-    let fresh () =
-      let hdr =
-        jrn_header ~shard:sh.sh_id ~nshards:t.t_nshards ~seg_crc:sh.sh_seg_crc
-      in
-      atomic_write jpath (fun oc -> output_string oc hdr);
-      sh.sh_jhdr <- String.length hdr;
-      sh.sh_jlen <- String.length hdr;
-      sh.sh_last_commit <- String.length hdr
-    in
-    (match read_file jpath with
-    | None -> fresh ()
-    | Some data -> (
-        match next_line data 0 with
-        | None -> fresh () (* empty or torn-headed journal: reset *)
-        | Some (hdr, p0) -> (
-            match parse_jrn_header hdr with
-            | Error e ->
-                raise
-                  (Sys_error
-                     (Printf.sprintf "store shard %d journal: %s" sh.sh_id e))
-            | Ok (sid, ns, seg_crc) ->
-                if sid <> sh.sh_id || ns <> t.t_nshards then
-                  raise
-                    (Sys_error
-                       (Printf.sprintf
-                          "store shard %d journal: header does not match \
-                           shard/manifest"
-                          sh.sh_id))
-                else if seg_crc <> sh.sh_seg_crc then
-                  (* Stale: compaction crashed after the segment rename,
-                     before the journal rename.  Its ops are already in
-                     the segment. *)
-                  fresh ()
-                else begin
-                  sh.sh_jhdr <- p0;
-                  let pos = ref p0 in
-                  let last_commit = ref p0 in
-                  let scanned = ref [] in
-                  (try
-                     let continue = ref true in
-                     while !continue do
-                       match next_line data !pos with
-                       | None -> continue := false
-                       | Some (line, nxt) -> (
-                           match parse_op_line line with
-                           | `Commit ->
-                               last_commit := nxt;
-                               pos := nxt
-                           | `Op (user, _) ->
-                               scanned :=
-                                 ( user,
-                                   {
-                                     e_off = !pos;
-                                     e_len = String.length line;
-                                   } )
-                                 :: !scanned;
-                               pos := nxt
-                           | `Bad _ -> continue := false)
-                     done
-                   with Sys_error _ -> ());
-                  if String.length data > !last_commit then
-                    Unix.truncate jpath !last_commit;
-                  List.iter
-                    (fun (user, ext) ->
-                      if ext.e_off < !last_commit then
-                        let r =
-                          match Hashtbl.find_opt sh.sh_pending user with
-                          | Some r -> r
-                          | None ->
-                              let r = ref [] in
-                              Hashtbl.replace sh.sh_pending user r;
-                              r
-                        in
-                        r := ext :: !r)
-                    (List.rev !scanned);
-                  sh.sh_jlen <- !last_commit;
-                  sh.sh_last_commit <- !last_commit
-                end)));
-    sh.sh_jfd <- Some (Unix.openfile jpath [ O_RDWR ] 0o644);
-    sh.sh_inited <- true
+    match
+      Journal.open_ ~create:true
+        ~ident:(jrn_ident ~shard:sh.sh_id ~nshards:t.t_nshards)
+        ~base_crc:sh.sh_seg_crc (jrn_path dir sh.sh_id)
+    with
+    | Error e ->
+        raise
+          (Sys_error (Printf.sprintf "store shard %d journal: %s" sh.sh_id e))
+    | Ok (j, ops) ->
+        List.iter
+          (fun (user, off, len) ->
+            let r =
+              match Hashtbl.find_opt sh.sh_pending user with
+              | Some r -> r
+              | None ->
+                  let r = ref [] in
+                  Hashtbl.replace sh.sh_pending user r;
+                  r
+            in
+            r := { e_off = off; e_len = len } :: !r)
+          ops;
+        sh.sh_jrn <- Some j;
+        sh.sh_inited <- true
   end
 
-(* ------------------------------------------------------------------ *)
-(* Journal buffering.  Records accumulate in memory and hit the fd on
-   flush (cold loads flush first so every extent is readable); fsync
-   happens only at commit. *)
-
-let flush_shard sh =
-  if Buffer.length sh.sh_buf > 0 then begin
-    let data = Buffer.contents sh.sh_buf in
-    let fd = Option.get sh.sh_jfd in
-    ignore (Unix.lseek fd 0 SEEK_END);
-    Io.really_write_string fd data 0 (String.length data);
-    sh.sh_jlen <- sh.sh_jlen + String.length data;
-    Buffer.clear sh.sh_buf
-  end
+let jrn sh = Option.get sh.sh_jrn
 
 let pread fd off len =
   let buf = Bytes.create len in
@@ -623,7 +376,7 @@ let pread fd off len =
    overlay is empty), its segment block, then its journaled ops in
    order.  Never a full database copy. *)
 let materialize t sh user =
-  flush_shard sh;
+  Journal.flush (jrn sh);
   let db = Token_db.copy t.t_prior in
   (match Hashtbl.find_opt sh.sh_index user with
   | Some e ->
@@ -631,13 +384,10 @@ let materialize t sh user =
   | None -> ());
   (match Hashtbl.find_opt sh.sh_pending user with
   | Some exts ->
-      let jfd = Option.get sh.sh_jfd in
       List.iter
         (fun e ->
-          match parse_op_line (pread jfd e.e_off e.e_len) with
-          | `Op (_, op) ->
-              apply_op db
-                { op with op_tokens = Intern.intern_array op.op_tokens }
+          match Journal.parse_line (Journal.read (jrn sh) ~off:e.e_off ~len:e.e_len) with
+          | `Op (_, op) -> Journal.apply db (Journal.intern op)
           | `Commit | `Bad _ ->
               raise
                 (Sys_error
@@ -712,7 +462,8 @@ let add_user_block body prior db user =
 
 let compact_shard t sh =
   Fault.check "store.compact";
-  flush_shard sh;
+  let j = jrn sh in
+  Journal.flush j;
   let dir = Option.get t.dir in
   let users = Hashtbl.create (Hashtbl.length sh.sh_index) in
   Hashtbl.iter (fun u _ -> Hashtbl.replace users u ()) sh.sh_index;
@@ -723,7 +474,7 @@ let compact_shard t sh =
   (* Blocks render straight into the body, sized for the old segment
      plus the journal being folded in; the header (which counts them)
      is known only afterwards, so extents are body-relative. *)
-  let body = Buffer.create (4096 + sh.sh_seg_len + sh.sh_jlen - sh.sh_jhdr) in
+  let body = Buffer.create (4096 + sh.sh_seg_len + Journal.payload j) in
   let blocks = ref [] and rows_total = ref 0 in
   List.iter
     (fun user ->
@@ -754,18 +505,15 @@ let compact_shard t sh =
       nusers !rows_total
   in
   let spath = seg_path dir sh.sh_id in
-  atomic_write spath (fun oc ->
+  Io.atomic_write spath (fun oc ->
       output_string oc header;
       Buffer.output_buffer oc body;
       output_string oc footer);
   (* Window: new segment on disk, old journal (stale seg_crc) still in
      place — recovered by the staleness check on open. *)
-  let hdr = jrn_header ~shard:sh.sh_id ~nshards:t.t_nshards ~seg_crc:crc in
-  atomic_write (jrn_path dir sh.sh_id) (fun oc -> output_string oc hdr);
+  Journal.reset j ~base_crc:crc;
   Option.iter Unix.close sh.sh_sfd;
   sh.sh_sfd <- Some (Unix.openfile spath [ O_RDONLY ] 0);
-  Option.iter Unix.close sh.sh_jfd;
-  sh.sh_jfd <- Some (Unix.openfile (jrn_path dir sh.sh_id) [ O_RDWR ] 0o644);
   Hashtbl.reset sh.sh_index;
   let hlen = String.length header in
   List.iter
@@ -776,24 +524,16 @@ let compact_shard t sh =
   sh.sh_seg_crc <- crc;
   sh.sh_seg_len <-
     String.length header + Buffer.length body + String.length footer;
-  sh.sh_jhdr <- String.length hdr;
-  sh.sh_jlen <- String.length hdr;
-  sh.sh_last_commit <- String.length hdr;
   Atomic.incr t.s_compactions;
   Obs.incr c_compactions
 
 let over_ratio t sh =
-  float_of_int (sh.sh_jlen + Buffer.length sh.sh_buf - sh.sh_jhdr)
+  float_of_int (Journal.payload (jrn sh))
   > t.cfg.compact_ratio *. float_of_int (max 1 sh.sh_seg_len)
 
 let commit_shard t sh ~force_compact =
-  if sh.sh_jlen + Buffer.length sh.sh_buf > sh.sh_last_commit then begin
-    Buffer.add_string sh.sh_buf commit_line;
-    flush_shard sh;
-    Unix.fsync (Option.get sh.sh_jfd);
-    sh.sh_last_commit <- sh.sh_jlen
-  end;
-  if (force_compact && sh.sh_jlen > sh.sh_jhdr) || over_ratio t sh then
+  Journal.commit (jrn sh);
+  if (force_compact && Journal.payload (jrn sh) > 0) || over_ratio t sh then
     compact_shard t sh
 
 (* ------------------------------------------------------------------ *)
@@ -868,9 +608,9 @@ let open_store ?(options = Options.default) ?prior cfg =
                 let prior =
                   match prior with Some p -> p | None -> Token_db.create ()
                 in
-                atomic_write (prior_path dir) (fun oc ->
+                Io.atomic_write (prior_path dir) (fun oc ->
                     output_string oc (Token_db.to_string prior));
-                atomic_write (manifest_path dir) (fun oc ->
+                Io.atomic_write (manifest_path dir) (fun oc ->
                     Printf.fprintf oc "%s 1 %d\n" manifest_magic cfg.shards);
                 Ok (mk (Some dir) prior cfg.shards)
             | exception Unix.Unix_error (e, _, _) ->
@@ -920,10 +660,9 @@ let sharded_op t user op =
   with_shard t user (fun sh ->
       let db = overlay t sh user in
       Fault.check "store.journal.append";
-      let blen = Buffer.length sh.sh_buf in
-      add_op_line sh.sh_buf user op;
-      let len = Buffer.length sh.sh_buf - blen in
-      let ext = { e_off = sh.sh_jlen + blen; e_len = len - 1 } in
+      let j = jrn sh in
+      let off, len = Journal.append j ~user op in
+      let ext = { e_off = off; e_len = len - 1 } in
       let exts =
         match Hashtbl.find_opt sh.sh_pending user with
         | Some r -> r
@@ -933,12 +672,12 @@ let sharded_op t user op =
             r
       in
       exts := ext :: !exts;
-      (match apply_op db op with
+      (match Journal.apply db op with
       | () -> ()
       | exception exn ->
           (* An invalid op (e.g. untrain of a never-trained message)
              must leave disk state untouched too. *)
-          Buffer.truncate sh.sh_buf blen;
+          Journal.unappend j ~off;
           (exts := match !exts with _ :: tl -> tl | [] -> []);
           if !exts = [] then Hashtbl.remove sh.sh_pending user;
           raise exn);
@@ -946,10 +685,10 @@ let sharded_op t user op =
       ignore (Atomic.fetch_and_add t.s_journal_bytes len);
       Obs.incr c_journal_ops;
       Obs.add c_journal_bytes len;
-      if Buffer.length sh.sh_buf > buf_flush_threshold then flush_shard sh)
+      if Journal.buffered j > buf_flush_threshold then Journal.flush j)
 
 let mem_op t user op =
-  Mutex.protect t.mem_lock (fun () -> apply_op (mem_overlay t user) op)
+  Mutex.protect t.mem_lock (fun () -> Journal.apply (mem_overlay t user) op)
 
 let run_op t user op =
   match t.dir with
@@ -985,27 +724,15 @@ let distinct tokens =
   end
 
 (* The string forms intern once, up front, and journal the tokens in
-   the order [distinct] leaves them. *)
+   the order [distinct] leaves them; the id forms in byte order of
+   their strings ({!Journal.of_ids}), which is the order the string
+   form journals the sorted tokens of the tokenizers, so the record
+   bytes do not depend on the form, on id order, or on interning
+   order. *)
 let string_op kind label k tokens =
-  {
-    op_kind = kind;
-    op_label = label;
-    op_k = k;
-    op_tokens = Intern.intern_array (distinct tokens);
-  }
+  { Journal.kind; label; k; tokens = Intern.intern_array (distinct tokens) }
 
-(* The id form lists its distinct ids in byte order of their strings:
-   the order the string form journals the sorted tokens of the
-   tokenizers, so the record bytes do not depend on the form, on id
-   order, or on interning order. *)
-let id_op kind label ids =
-  let order = Intern.byte_order ids (Array.length ids) in
-  {
-    op_kind = kind;
-    op_label = label;
-    op_k = 1;
-    op_tokens = Array.map (fun pos -> Array.unsafe_get ids pos) order;
-  }
+let id_op = Journal.of_ids
 
 let train t ~user label tokens = run_op t user (string_op `Train label 1 tokens)
 
@@ -1051,8 +778,8 @@ let evict_all t =
 let close t =
   iter_inited_shards t (fun sh ->
       commit_shard t sh ~force_compact:false;
-      Option.iter Unix.close sh.sh_jfd;
-      sh.sh_jfd <- None;
+      Journal.close (jrn sh);
+      sh.sh_jrn <- None;
       Option.iter Unix.close sh.sh_sfd;
       sh.sh_sfd <- None;
       sh.sh_inited <- false)
@@ -1167,46 +894,6 @@ let verify_segment ~shard ~nshards data =
   | Error e -> Error e
   | exception Failure e -> Error e
 
-let verify_journal ~shard ~nshards ~seg_crc data =
-  match next_line data 0 with
-  | None -> `Corrupt "truncated journal header"
-  | Some (hdr, p0) -> (
-      match parse_jrn_header hdr with
-      | Error e -> `Corrupt e
-      | Ok (sid, ns, jcrc) ->
-          if sid <> shard || ns <> nshards then
-            `Corrupt "header does not match shard/manifest"
-          else if
-            (match seg_crc with Some c -> jcrc <> c | None -> false)
-          then `Stale
-          else begin
-            let pos = ref p0 in
-            let committed = ref 0 and since_commit = ref 0 in
-            let torn = ref false in
-            let continue = ref true in
-            while !continue do
-              match next_line data !pos with
-              | None ->
-                  if !pos < String.length data then torn := true;
-                  continue := false
-              | Some (line, nxt) -> (
-                  match parse_op_line line with
-                  | `Commit ->
-                      committed := !committed + !since_commit;
-                      since_commit := 0;
-                      pos := nxt
-                  | `Op _ ->
-                      incr since_commit;
-                      pos := nxt
-                  | `Bad _ ->
-                      torn := true;
-                      continue := false)
-            done;
-            if !torn || !since_commit > 0 then
-              `Torn (!committed, !since_commit)
-            else `Ok !committed
-          end)
-
 let verify_dir dir =
   match read_file (manifest_path dir) with
   | None -> Error (Printf.sprintf "%s: no store manifest" dir)
@@ -1242,8 +929,9 @@ let verify_dir dir =
                           match read_file (jrn_path dir s) with
                           | None -> `Missing
                           | Some data ->
-                              verify_journal ~shard:s ~nshards
-                                ~seg_crc:!seg_crc data
+                              Journal.verify
+                                ~ident:(jrn_ident ~shard:s ~nshards)
+                                ~base_crc:!seg_crc data
                         in
                         {
                           shard = s;

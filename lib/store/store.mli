@@ -25,8 +25,9 @@
          by user then token, CRC-32-guarded by a footer exactly like
          the v3 token-db format, and replaced only by atomic
          temp+fsync+rename.}
-      {- [shard-NNNN.journal] — an append-only op log (torn-tail
-         tolerant like [Eval.Checkpoint]): each TRAIN/UNTRAIN lands
+      {- [shard-NNNN.journal] — an append-only op log
+         ({!Spamlab_spambayes.Journal}, the implementation the daemon's
+         shared db journal also uses): each TRAIN/UNTRAIN lands
          here as one per-line-CRC'd record; [C] commit markers bound
          the durable prefix.  On open the journal is truncated back to
          its last commit marker — an uncommitted suffix was never
@@ -83,7 +84,8 @@ type config = {
           [max 1 (cache / shards)] slots). *)
   compact_ratio : float;
       (** Commit compacts a shard when
-          [journal bytes > ratio * max 1 segment bytes]. *)
+          [journal bytes > ratio * max 1 segment bytes] (default
+          {!Spamlab_spambayes.Journal.compact_ratio}). *)
 }
 
 val default_config : config
@@ -176,8 +178,10 @@ val commit : t -> unit
 
 val compact_all : t -> unit
 (** {!commit}, then fold {e every} shard's journal into its segment
-    regardless of ratio — the canonical-bytes form (explicit PUBLISH,
-    end of an experiment).  No-op on the memory backend. *)
+    regardless of ratio — the canonical-bytes form (a daemon's clean
+    shutdown, the end of an experiment).  Initializes every shard, so
+    the tree holds a header-only journal per shard.  No-op on the
+    memory backend. *)
 
 val evict_all : t -> unit
 (** Drop every cached overlay (state is already journaled; the next

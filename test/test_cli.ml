@@ -271,6 +271,30 @@ let robustness_tests =
         check_bool "names the problem" true
           (contains err "corrupt token database");
         check_bool "reports salvage" true (contains err "salvageable"));
+    test_case "db verify checks the journal beside the database" (fun () ->
+        let db = in_tmp "journaled.db" in
+        let contents = In_channel.with_open_bin db_file In_channel.input_all in
+        Out_channel.with_open_bin db (fun oc ->
+            Out_channel.output_string oc contents);
+        let journal header =
+          Out_channel.with_open_bin (db ^ ".journal") (fun oc ->
+              Out_channel.output_string oc header)
+        in
+        (match Spamlab_spambayes.Token_db.footer_crc contents with
+        | Some crc -> journal (Printf.sprintf "spamlab-db-journal 1 db_crc=%08x\n" crc)
+        | None -> Alcotest.fail "no v3 footer");
+        check_int "exit" 0 (run_command [ "db"; "verify"; db ]);
+        check_bool "reports the journal" true
+          (contains (read_output ()) "journal:        ok (0 committed ops)");
+        journal "spamlab-db-journal 1 db_crc=00000000\n";
+        check_int "a stale journal is recoverable" 0
+          (run_command [ "db"; "verify"; db ]);
+        check_bool "reports it stale" true (contains (read_output ()) "stale");
+        journal "spamlab-store-journal 1 0 1 seg_crc=00000000\n";
+        check_bool "a journal naming another file fails" true
+          (run_command [ "db"; "verify"; db ] <> 0);
+        check_bool "names the journal" true
+          (contains (read_stderr ()) "corrupt journal"));
     test_case "db verify on a missing file fails cleanly" (fun () ->
         check_bool "nonzero exit" true
           (run_command [ "db"; "verify"; in_tmp "nope.db" ] <> 0);

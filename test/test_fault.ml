@@ -160,6 +160,7 @@ let catalogue_tests =
           "catalogue"
           [
             "checkpoint.record";
+            "db.journal.fold";
             "db.save.rename";
             "db.save.write";
             "intern.grow";

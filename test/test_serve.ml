@@ -15,12 +15,13 @@ module Tokenizer = Spamlab_tokenizer.Tokenizer
 module Ingest = Spamlab_spambayes.Ingest
 module Intern = Spamlab_spambayes.Intern
 module Token_db = Spamlab_spambayes.Token_db
+module Journal = Spamlab_spambayes.Journal
 module Store = Spamlab_store.Store
 
 let test_case name f = Alcotest.test_case name `Quick f
 
-let qtest ?(count = 200) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qtest ?(count = 200) ?print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen prop)
 
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
@@ -494,11 +495,12 @@ let with_temp_dir f =
   Unix.mkdir dir 0o700;
   Fun.protect ~finally:(fun () -> remove_tree dir) @@ fun () -> f dir
 
-(* A daemon without a socket, in a fresh directory [dir]: its db is
-   [dir/db.bin] and, with [~store:true], its tenant store [dir/store]. *)
-let with_daemon_state ?(publish_every = 4) ?(tokenizer = Tokenizer.spambayes)
-    ?(store = false) f =
-  with_temp_dir @@ fun dir ->
+(* A daemon without a socket over directory [dir]: its db is
+   [dir/db.bin] and, with [~store:true], its tenant store [dir/store].
+   Dropping it without {!Daemon.shutdown} is the in-process stand-in
+   for a crash. *)
+let daemon_state ?(publish_every = 4) ?(tokenizer = Tokenizer.spambayes)
+    ?(store = false) dir =
   let config =
     {
       (Daemon.default_config ~db_path:(Filename.concat dir "db.bin") ()) with
@@ -514,10 +516,17 @@ let with_daemon_state ?(publish_every = 4) ?(tokenizer = Tokenizer.spambayes)
          else None);
     }
   in
-  match Daemon.create config with
-  | Error e -> Alcotest.fail e
-  | Ok t ->
-      Fun.protect ~finally:(fun () -> Daemon.shutdown t) @@ fun () -> f t dir
+  match Daemon.create config with Error e -> Alcotest.fail e | Ok t -> t
+
+(* [f] against [daemon_state], then a clean shutdown. *)
+let run_daemon_state ?publish_every ?tokenizer ?store dir f =
+  let t = daemon_state ?publish_every ?tokenizer ?store dir in
+  Fun.protect ~finally:(fun () -> Daemon.shutdown t) @@ fun () -> f t
+
+(* [run_daemon_state] in a fresh directory. *)
+let with_daemon_state ?publish_every ?tokenizer ?store f =
+  with_temp_dir @@ fun dir ->
+  run_daemon_state ?publish_every ?tokenizer ?store dir @@ fun t -> f t dir
 
 let count_lines_with prefix s =
   List.length
@@ -1040,13 +1049,16 @@ let bookkeeping_mail =
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-(* Every published row as (token, spam, ham), sorted. *)
+(* Every published row as (token, spam, ham), sorted: the db plus the
+   committed prefix of its journal. *)
 let db_rows db_path =
-  match Token_db.of_string (read_file db_path) with
+  match Filter.load_file db_path with
   | Error e -> Alcotest.fail e
-  | Ok db ->
+  | Ok f ->
       List.sort compare
-        (Token_db.fold (fun acc tok ~spam ~ham -> (tok, spam, ham) :: acc) [] db)
+        (Token_db.fold
+           (fun acc tok ~spam ~ham -> (tok, spam, ham) :: acc)
+           [] (Filter.db f))
 
 let stat_line payload name =
   List.find_opt
@@ -1224,6 +1236,367 @@ let write_path_tests =
           (local_ok t ~user (Protocol.Untrain Label.Spam) (spam_mbox 1)));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* PUBLISH in proportion to what changed                               *)
+
+let ham_mbox n =
+  mbox
+    (List.init n (fun i ->
+         msg
+           ~headers:[ ("Subject", Printf.sprintf "minutes %d" i) ]
+           (Printf.sprintf "agenda for friday meeting item%d" i)))
+
+let read_file_opt path =
+  if Sys.file_exists path then Some (read_file path) else None
+
+(* Every file under [dir], as (path relative to it, bytes), sorted. *)
+let rec tree_files ?(prefix = "") dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.concat_map (fun name ->
+         let path = Filename.concat dir name in
+         let rel = if prefix = "" then name else Filename.concat prefix name in
+         if Sys.is_directory path then tree_files ~prefix:rel path
+         else [ (rel, read_file path) ])
+
+(* The store's user-to-shard hash (32-bit FNV-1a). *)
+let shard_of user =
+  let h = ref 0x811c9dc5 in
+  String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xffffffff) user;
+  !h mod Store.default_config.Store.shards
+
+let header_only db =
+  match Token_db.footer_crc db with
+  | Some crc -> Printf.sprintf "spamlab-db-journal 1 db_crc=%08x\n" crc
+  | None -> Alcotest.fail "db has no v3 footer"
+
+let publish_tests =
+  [
+    test_case "a PUBLISH rewrites only what changed" (fun () ->
+        with_daemon_state ~publish_every:0 ~store:true @@ fun t dir ->
+        List.iter
+          (fun user ->
+            ignore (local_ok t ~user (Protocol.Train Label.Spam) (spam_mbox 4)))
+          [ "ann"; "ben"; "cat" ];
+        ignore (local_ok t (Protocol.Train Label.Ham) (ham_mbox 4));
+        ignore (local_ok t Protocol.Publish "");
+        let compactions () =
+          stat_line (Daemon.stats_payload t) "store.compactions"
+        in
+        let before = tree_files dir and compacted = compactions () in
+        check_bool "the shared journal exists" true
+          (List.mem_assoc "db.bin.journal" before);
+        ignore (local_ok t ~user:"ben" (Protocol.Train Label.Ham) (ham_mbox 1));
+        ignore (local_ok t Protocol.Publish "");
+        Alcotest.(check (option string))
+          "no compaction" compacted (compactions ());
+        let after = tree_files dir in
+        Alcotest.(check (list string))
+          "the same files" (List.map fst before) (List.map fst after);
+        let grown = Printf.sprintf "store/shard-%04d.journal" (shard_of "ben") in
+        List.iter2
+          (fun (name, old) (_, now) ->
+            if name = grown then
+              check_bool (name ^ " grew by an append") true
+                (String.length now > String.length old
+                && String.starts_with ~prefix:old now)
+            else check_string (name ^ " unchanged") old now)
+          before after;
+        ignore (local_ok t Protocol.Publish "");
+        Alcotest.(check (list (pair string string)))
+          "a PUBLISH with nothing trained writes nothing" after (tree_files dir));
+    test_case "the canonical form does not depend on where PUBLISH fell"
+      (fun () ->
+        let steps =
+          [
+            (None, Protocol.Train Label.Spam, spam_mbox 3);
+            (Some "ann", Protocol.Train Label.Ham, ham_mbox 2);
+            (Some "ben", Protocol.Train Label.Spam, spam_mbox 2);
+            (None, Protocol.Train Label.Ham, ham_mbox 3);
+            (None, Protocol.Untrain Label.Spam, spam_mbox 1);
+            (Some "ann", Protocol.Untrain Label.Ham, ham_mbox 1);
+            (Some "ben", Protocol.Train Label.Ham, ham_mbox 1);
+          ]
+        in
+        let run ~publish_every ~publish_each ~publish_last =
+          with_temp_dir @@ fun dir ->
+          run_daemon_state ~publish_every ~store:true dir (fun t ->
+              List.iter
+                (fun (user, verb, body) ->
+                  ignore (local_ok t ?user verb body);
+                  if publish_each then ignore (local_ok t Protocol.Publish ""))
+                steps;
+              if publish_last then ignore (local_ok t Protocol.Publish ""));
+          tree_files dir
+        in
+        let each = run ~publish_every:0 ~publish_each:true ~publish_last:false in
+        let last = run ~publish_every:0 ~publish_each:false ~publish_last:true in
+        let auto = run ~publish_every:1 ~publish_each:false ~publish_last:false in
+        List.iter
+          (fun (name, files) ->
+            Alcotest.(check (list (pair string string)))
+              ("PUBLISH after every request == " ^ name)
+              each files;
+            check_string (name ^ ": db.bin.journal is header-only")
+              (header_only (List.assoc "db.bin" files))
+              (List.assoc "db.bin.journal" files))
+          [ ("one PUBLISH at the end", last); ("publish_every 1", auto) ]);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Shared-journal recovery                                             *)
+
+let recovery_mails =
+  Array.init 5 (fun i ->
+      msg
+        ~headers:[ ("Subject", Printf.sprintf "note %d" i) ]
+        (Printf.sprintf "word%d kind%d filler text" i (i mod 2)))
+
+let recovery_eval = mbox (Array.to_list recovery_mails) ^ spam_mbox 2
+
+type step = Train of Label.gold * int | Untrain of Label.gold * int | Publish
+
+let apply_step t = function
+  | Train (label, i) ->
+      ignore (local t (Protocol.Train label) (mbox [ recovery_mails.(i) ]))
+  | Untrain (label, i) ->
+      ignore (local t (Protocol.Untrain label) (mbox [ recovery_mails.(i) ]))
+  | Publish -> ignore (local_ok t Protocol.Publish "")
+
+(* A missing db is the empty one. *)
+let db_bytes dir =
+  match read_file_opt (Filename.concat dir "db.bin") with
+  | Some db -> db
+  | None -> Token_db.to_string (Token_db.create ())
+
+(* An uninterrupted run of [steps] up to and including its [n]th
+   PUBLISH: CLASSIFY verdicts of the published state, and the db after
+   a clean shutdown. *)
+let reference steps n =
+  let rec upto n = function
+    | [] -> []
+    | Publish :: _ when n = 1 -> [ Publish ]
+    | Publish :: rest -> Publish :: upto (n - 1) rest
+    | s :: rest -> s :: upto n rest
+  in
+  with_temp_dir @@ fun dir ->
+  let verdicts =
+    run_daemon_state ~publish_every:0 dir (fun t ->
+        List.iter (apply_step t) (if n = 0 then [] else upto n steps);
+        local_ok t Protocol.Classify recovery_eval)
+  in
+  (verdicts, db_bytes dir)
+
+(* A daemon reopened over [dir]: its verdicts, and its db after a clean
+   shutdown. *)
+let reopened dir =
+  let verdicts =
+    run_daemon_state ~publish_every:0 dir (fun t ->
+        local_ok t Protocol.Classify recovery_eval)
+  in
+  (verdicts, db_bytes dir)
+
+let gen_schedule =
+  let open QCheck2.Gen in
+  let label = oneofl [ Label.Spam; Label.Ham ] in
+  let msg_i = int_bound (Array.length recovery_mails - 1) in
+  let step =
+    frequency
+      [
+        (5, map2 (fun l i -> Train (l, i)) label msg_i);
+        (2, map2 (fun l i -> Untrain (l, i)) label msg_i);
+        (3, return Publish);
+      ]
+  in
+  pair (list_size (int_range 1 24) step) (option (float_bound_exclusive 1.0))
+
+let show_schedule (steps, cut) =
+  String.concat " "
+    (List.map
+       (function
+         | Train (l, i) -> Printf.sprintf "T%s%d" (Label.gold_to_string l) i
+         | Untrain (l, i) -> Printf.sprintf "U%s%d" (Label.gold_to_string l) i
+         | Publish -> "P")
+       steps)
+  ^ match cut with Some f -> Printf.sprintf " cut@%.3f" f | None -> ""
+
+let recovery_tests =
+  [
+    qtest ~count:60 ~print:show_schedule
+      "crash, torn journal: a reopened daemon holds the last successful PUBLISH"
+      gen_schedule
+      (fun (steps, cut) ->
+        with_temp_dir @@ fun dir ->
+        let jpath = Filename.concat dir "db.bin.journal" in
+        let size () =
+          match read_file_opt jpath with Some j -> String.length j | None -> 0
+        in
+        let t = daemon_state ~publish_every:0 dir in
+        (* The journal bytes the last PUBLISH appended: a torn write
+           there means that PUBLISH never completed. *)
+        let last_append = ref None and publishes = ref 0 in
+        List.iter
+          (fun step ->
+            match step with
+            | Publish ->
+                let db = read_file_opt (Filename.concat dir "db.bin") in
+                let lo = size () in
+                apply_step t Publish;
+                incr publishes;
+                let lo =
+                  if read_file_opt (Filename.concat dir "db.bin") = db then lo
+                  else String.length (header_only (db_bytes dir))
+                in
+                last_append := Some (lo, size ())
+            | step -> apply_step t step)
+          steps;
+        let torn =
+          match (cut, !last_append) with
+          | Some f, Some (lo, hi) when hi > lo ->
+              Unix.truncate jpath (lo + int_of_float (f *. float_of_int (hi - lo)));
+              true
+          | _ -> false
+        in
+        let want = reference steps (if torn then !publishes - 1 else !publishes) in
+        reopened dir = want);
+    test_case "a stale journal is discarded, not applied twice" (fun () ->
+        with_temp_dir @@ fun dir ->
+        let jpath = Filename.concat dir "db.bin.journal" in
+        let published, old_journal =
+          run_daemon_state ~publish_every:0 dir (fun t ->
+              ignore (local_ok t (Protocol.Train Label.Spam) (spam_mbox 3));
+              ignore (local_ok t Protocol.Publish "");
+              ignore (local_ok t (Protocol.Train Label.Ham) (ham_mbox 2));
+              ignore (local_ok t Protocol.Publish "");
+              (local_ok t Protocol.Classify recovery_eval, read_file jpath))
+        in
+        let db = db_bytes dir in
+        (* A fold that crashed after renaming the new db, before
+           resetting the journal: the old journal's ops already live in
+           the db. *)
+        Out_channel.with_open_bin jpath (fun oc ->
+            Out_channel.output_string oc old_journal);
+        check_bool "verify reports it stale" true
+          (Filter.verify_journal (Filename.concat dir "db.bin") = `Stale);
+        Alcotest.(check (pair string string))
+          "no double apply" (published, db) (reopened dir);
+        check_string "the open reset it" (header_only db) (read_file jpath));
+    test_case "a torn final record is truncated to the last commit"
+      (fun () ->
+        with_temp_dir @@ fun dir ->
+        let dbpath = Filename.concat dir "db.bin" in
+        let jpath = dbpath ^ ".journal" in
+        let t = daemon_state ~publish_every:0 dir in
+        ignore (local_ok t (Protocol.Train Label.Spam) (spam_mbox 3));
+        ignore (local_ok t Protocol.Publish "");
+        ignore (local_ok t (Protocol.Train Label.Ham) (ham_mbox 2));
+        ignore (local_ok t Protocol.Publish "");
+        let published = local_ok t Protocol.Classify recovery_eval in
+        let committed = read_file jpath in
+        (* A whole record past the last commit (never acknowledged),
+           then half of another. *)
+        let uncommitted = Buffer.create 64 in
+        Journal.add_record uncommitted ~user:""
+          (Journal.of_ids `Train Label.Ham (Intern.intern_array [| "word0" |]));
+        Out_channel.with_open_bin jpath (fun oc ->
+            Out_channel.output_string oc
+              (committed ^ Buffer.contents uncommitted ^ "T\t\ts\t1\tchea"));
+        check_bool "verify reports a torn tail" true
+          (match Filter.verify_journal dbpath with
+          | `Torn (n, 1) -> n > 0
+          | _ -> false);
+        let loaded =
+          match Filter.load_file dbpath with
+          | Ok f -> Token_db.to_string (Filter.db f)
+          | Error e -> Alcotest.fail e
+        in
+        let verdicts =
+          run_daemon_state ~publish_every:0 dir (fun t ->
+              check_string "the open truncated the tail" committed
+                (read_file jpath);
+              local_ok t Protocol.Classify recovery_eval)
+        in
+        check_string "the published state" published verdicts;
+        check_string "load_file read the published state" loaded
+          (read_file dbpath));
+    test_case "a v3 db with no journal loads as before and writes none"
+      (fun () ->
+        with_temp_dir @@ fun dir ->
+        let dbpath = Filename.concat dir "db.bin" in
+        let jpath = dbpath ^ ".journal" in
+        let published =
+          run_daemon_state ~publish_every:0 dir (fun t ->
+              ignore (local_ok t (Protocol.Train Label.Spam) (spam_mbox 3));
+              ignore (local_ok t Protocol.Publish "");
+              local_ok t Protocol.Classify recovery_eval)
+        in
+        let db = read_file dbpath in
+        Sys.remove jpath;
+        check_bool "verify: no journal" true
+          (Filter.verify_journal dbpath = `Missing);
+        let verdicts =
+          run_daemon_state ~publish_every:0 dir (fun t ->
+              ignore (local_ok t Protocol.Publish "");
+              local_ok t Protocol.Classify recovery_eval)
+        in
+        check_string "the db's state" published verdicts;
+        check_string "the db" db (read_file dbpath);
+        check_bool "no journal without shared training" false
+          (Sys.file_exists jpath));
+    test_case "no db at all: nothing written until a PUBLISH" (fun () ->
+        with_temp_dir @@ fun dir ->
+        let dbpath = Filename.concat dir "db.bin" in
+        let empty = Token_db.to_string (Token_db.create ()) in
+        let verdicts =
+          run_daemon_state ~publish_every:0 dir (fun t ->
+              local_ok t Protocol.Classify recovery_eval)
+        in
+        check_bool "no db" false (Sys.file_exists dbpath);
+        check_bool "no journal" false (Sys.file_exists (dbpath ^ ".journal"));
+        run_daemon_state ~publish_every:0 dir (fun t ->
+            check_string "verdicts of the empty filter" verdicts
+              (local_ok t Protocol.Classify recovery_eval);
+            ignore (local_ok t Protocol.Publish "");
+            check_bool "an empty PUBLISH writes nothing" false
+              (Sys.file_exists dbpath));
+        check_string "the shutdown after a PUBLISH writes the db" empty
+          (read_file dbpath);
+        check_string "over a header-only journal" (header_only empty)
+          (read_file (dbpath ^ ".journal")));
+    test_case "load_file reads db + journal as published, writing nothing"
+      (fun () ->
+        with_temp_dir @@ fun dir ->
+        let dbpath = Filename.concat dir "db.bin" in
+        let jpath = dbpath ^ ".journal" in
+        let loaded =
+          run_daemon_state ~publish_every:0 dir (fun t ->
+              ignore (local_ok t (Protocol.Train Label.Spam) (spam_mbox 3));
+              ignore (local_ok t Protocol.Publish "");
+              ignore (local_ok t (Protocol.Train Label.Ham) (ham_mbox 2));
+              ignore (local_ok t (Protocol.Untrain Label.Spam) (spam_mbox 1));
+              ignore (local_ok t Protocol.Publish "");
+              (* Unpublished: not part of the published state. *)
+              ignore (local_ok t (Protocol.Train Label.Ham) (ham_mbox 1));
+              let files () =
+                List.map
+                  (fun p -> (read_file p, (Unix.stat p).Unix.st_mtime))
+                  [ dbpath; jpath ]
+              in
+              let before = files () in
+              check_bool "the journal holds ops" true
+                (match Filter.verify_journal dbpath with
+                | `Ok n -> n > 0
+                | _ -> false);
+              let loaded =
+                match Filter.load_file dbpath with
+                | Ok f -> Token_db.to_string (Filter.db f)
+                | Error e -> Alcotest.fail e
+              in
+              check_bool "bytes and mtimes unchanged" true (before = files ());
+              loaded)
+        in
+        check_string "the published state" (read_file dbpath) loaded);
+  ]
+
 let () =
   Alcotest.run "serve"
     [
@@ -1232,4 +1605,6 @@ let () =
       ("connection", connection_tests);
       ("e2e", e2e_tests);
       ("write path", write_path_tests);
+      ("publish", publish_tests);
+      ("recovery", recovery_tests);
     ]
