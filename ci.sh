@@ -351,6 +351,32 @@ wait "$daemon_pid" \
   || { echo "FAIL: voc daemon exited nonzero on SIGTERM"; exit 1; }
 echo "serve: CLASSIFY of the aspell attack left intern.size at $after (shared, tenant); TRAIN grew it to $trained"
 
+say "pathological HTML does not stall CLASSIFY"
+# A single-part text/html body of 512 KiB of '&': entity decoding is
+# linear (only a ';' within 8 bytes closes an entity), so the serial
+# daemon answers within seconds, not minutes, and stays up.  Its
+# verdict line equals the offline classify-mbox verdict on the file.
+cp "$sdir/sj1.db" "$sdir/amp.db"
+{ printf 'From spamlab@localhost Thu Jan  1 00:00:00 1970\nSubject: ampersands\n'
+  printf 'Content-Type: text/html\n\n'
+  head -c 524288 /dev/zero | tr '\0' '&'
+  printf '\n\n'; } > "$sdir/amp.mbox"
+start_daemon amp 1
+timeout 30 "$spamlab" client classify --socket "$sdir/amp.sock" "$sdir/amp.mbox" \
+  > "$sdir/amp.daemon.txt" \
+  || { echo "FAIL: CLASSIFY of 512 KiB of '&' failed or took over 30 s"; exit 1; }
+"$spamlab" client ping --socket "$sdir/amp.sock" > /dev/null \
+  || { echo "FAIL: the daemon did not answer PING after the '&' CLASSIFY"; exit 1; }
+"$spamlab" classify-mbox --db "$sdir/amp.db" "$sdir/amp.mbox" > "$sdir/amp.offline.txt" \
+  || { echo "FAIL: classify-mbox of the '&' mail failed"; exit 1; }
+cmp -s "$sdir/amp.daemon.txt" "$sdir/amp.offline.txt" \
+  || { echo "FAIL: daemon verdict differs from classify-mbox"; \
+       diff -u "$sdir/amp.offline.txt" "$sdir/amp.daemon.txt"; exit 1; }
+kill -TERM "$daemon_pid"
+wait "$daemon_pid" \
+  || { echo "FAIL: amp daemon exited nonzero on SIGTERM"; exit 1; }
+echo "serve: 512 KiB of '&' classified within 30 s: $(cat "$sdir/amp.daemon.txt")"
+
 say "serve soak: crash mid-TRAIN, restart, replay"
 # The second publish crashes the daemon (exit 70) partway through the
 # TRAIN schedule.  The client reconnect-retries, replaying its

@@ -19,7 +19,7 @@ let payload tokenizer t = Attack_email.payload_tokens tokenizer (email t)
 
 let raw_token_count tokenizer t =
   let n = ref 0 in
-  Spamlab_tokenizer.Tokenizer.iter_spans tokenizer (email t)
+  Spamlab_tokenizer.Tokenizer.iter_message tokenizer (email t)
     ~span:(fun _ _ _ -> incr n)
     ~token:(fun _ -> incr n);
   !n

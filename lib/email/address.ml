@@ -4,11 +4,9 @@ type t = {
   domain : string;
 }
 
-let forbidden = [ ' '; '\t'; '\n'; '\r'; '@'; '<'; '>' ]
+let allowed = function ' ' | '\t' | '\n' | '\r' | '@' | '<' | '>' -> false | _ -> true
 
-let valid_atom s =
-  String.length s > 0
-  && String.for_all (fun c -> not (List.mem c forbidden)) s
+let valid_atom s = String.length s > 0 && String.for_all allowed s
 
 let make ?display_name ~local ~domain () =
   if not (valid_atom local) then invalid_arg "Address.make: bad local part";

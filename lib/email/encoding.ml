@@ -43,42 +43,6 @@ let base64_encode input =
   go 0;
   Buffer.contents out
 
-let base64_value = function
-  | 'A' .. 'Z' as c -> Some (Char.code c - 65)
-  | 'a' .. 'z' as c -> Some (Char.code c - 97 + 26)
-  | '0' .. '9' as c -> Some (Char.code c - 48 + 52)
-  | '+' -> Some 62
-  | '/' -> Some 63
-  | _ -> None
-
-let base64_decode input =
-  let out = Buffer.create (String.length input * 3 / 4) in
-  let acc = ref 0 in
-  let bits = ref 0 in
-  let error = ref None in
-  String.iter
-    (fun c ->
-      if !error = None then
-        match c with
-        | ' ' | '\t' | '\n' | '\r' | '=' -> ()
-        | c -> (
-            match base64_value c with
-            | None ->
-                error :=
-                  Some (Printf.sprintf "invalid base64 character %C" c)
-            | Some v ->
-                acc := (!acc lsl 6) lor v;
-                bits := !bits + 6;
-                if !bits >= 8 then begin
-                  bits := !bits - 8;
-                  Buffer.add_char out
-                    (Char.chr ((!acc lsr !bits) land 0xFF))
-                end))
-    input;
-  match !error with
-  | Some e -> Error e
-  | None -> Ok (Buffer.contents out)
-
 let hex_digit n =
   if n < 10 then Char.chr (n + Char.code '0')
   else Char.chr (n - 10 + Char.code 'A')
@@ -118,34 +82,3 @@ let quoted_printable_encode input =
       | c -> emit_escaped c)
     input;
   Buffer.contents out
-
-let hex_value = function
-  | '0' .. '9' as c -> Some (Char.code c - Char.code '0')
-  | 'A' .. 'F' as c -> Some (Char.code c - Char.code 'A' + 10)
-  | 'a' .. 'f' as c -> Some (Char.code c - Char.code 'a' + 10)
-  | _ -> None
-
-let quoted_printable_decode input =
-  let out = Buffer.create (String.length input) in
-  let n = String.length input in
-  let rec go i =
-    if i >= n then Ok (Buffer.contents out)
-    else
-      match input.[i] with
-      | '=' when i + 1 < n && input.[i + 1] = '\n' -> go (i + 2)
-      | '=' when i + 2 < n && input.[i + 1] = '\r' && input.[i + 2] = '\n' ->
-          go (i + 3)
-      | '=' when i + 2 < n -> (
-          match (hex_value input.[i + 1], hex_value input.[i + 2]) with
-          | Some hi, Some lo ->
-              Buffer.add_char out (Char.chr ((hi lsl 4) lor lo));
-              go (i + 3)
-          | _ ->
-              (* Liberal: keep a stray '=' literally. *)
-              Buffer.add_char out '=';
-              go (i + 1))
-      | c ->
-          Buffer.add_char out c;
-          go (i + 1)
-  in
-  go 0

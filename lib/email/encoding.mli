@@ -3,23 +3,14 @@
 
     Spam campaigns routinely base64- or QP-encode their payloads to dodge
     naive keyword filters; a filter that doesn't decode them tokenizes
-    gibberish.  Decoders here are liberal (they skip whitespace and
-    tolerate missing padding) because real mail is sloppy; encoders are
-    strict and line-wrapped. *)
+    gibberish.  These are the strict, line-wrapped encoders the corpus
+    generator uses; the liberal decoders a filter needs (real mail is
+    sloppy) are part of {!Mime}'s walk. *)
 
 val base64_encode : string -> string
 (** Standard alphabet, [=]-padded, wrapped at 76 columns with LF. *)
-
-val base64_decode : string -> (string, string) result
-(** Ignores whitespace; accepts unpadded input; rejects characters
-    outside the alphabet. *)
 
 val quoted_printable_encode : string -> string
 (** Encodes bytes outside the printable ASCII range (and ['='] itself)
     as [=XX]; soft-wraps at 76 columns; encodes trailing spaces/tabs on
     a line. *)
-
-val quoted_printable_decode : string -> (string, string) result
-(** Decodes [=XX] escapes and removes soft line breaks ([=\n] /
-    [=\r\n]); leaves stray ['='] followed by non-hex as literal (liberal
-    acceptance, as most MUAs do). *)

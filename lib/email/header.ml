@@ -13,21 +13,22 @@ let to_list t = t
 let add t name value = t @ [ (name, value) ]
 
 (* Case-insensitive name equality without lowercasing either side:
-   lookups run per message in every tokenizer, so they allocate
-   nothing beyond their result. *)
-let same_name a b =
-  let n = String.length a in
-  n = String.length b
+   lookups run per message in every tokenizer, and raw-mail readers
+   compare name slices, so neither allocates. *)
+let name_equal_sub s off len name =
+  String.length name = len
   &&
   let i = ref 0 in
   while
-    !i < n
-    && Char.lowercase_ascii (String.unsafe_get a !i)
-       = Char.lowercase_ascii (String.unsafe_get b !i)
+    !i < len
+    && Char.lowercase_ascii (String.unsafe_get s (off + !i))
+       = Char.lowercase_ascii (String.unsafe_get name !i)
   do
     incr i
   done;
-  !i = n
+  !i = len
+
+let same_name a b = name_equal_sub a 0 (String.length a) b
 
 let rec find t name =
   match t with

@@ -36,6 +36,10 @@ val iter : (string -> string -> unit) -> t -> unit
 
 val fold : ('a -> string -> string -> 'a) -> 'a -> t -> 'a
 
+val name_equal_sub : string -> int -> int -> string -> bool
+(** [name_equal_sub buf off len name]: the slice equals [name],
+    ignoring ASCII case, as field names compare.  Allocates nothing. *)
+
 val canonical_name : string -> string
 (** Canonical display capitalization: ["message-id"] ->
     ["Message-Id"]. *)

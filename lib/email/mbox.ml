@@ -1,26 +1,16 @@
 let separator = "From spamlab@localhost Thu Jan  1 00:00:00 1970"
 
-let is_separator line =
-  String.length line >= 5 && String.sub line 0 5 = "From "
+let is_separator line = Rfc2822.from_at line 0 (String.length line)
 
 (* A line needing quoting is any number of '>' followed by "From ". *)
 let needs_quoting line =
   let n = String.length line in
   let rec skip i = if i < n && line.[i] = '>' then skip (i + 1) else i in
-  let i = skip 0 in
-  n - i >= 5 && String.sub line i 5 = "From "
+  Rfc2822.from_at line (skip 0) n
 
 let quote_body body =
   String.split_on_char '\n' body
   |> List.map (fun line -> if needs_quoting line then ">" ^ line else line)
-  |> String.concat "\n"
-
-let unquote_body body =
-  String.split_on_char '\n' body
-  |> List.map (fun line ->
-         if String.length line > 0 && line.[0] = '>' && needs_quoting line
-         then String.sub line 1 (String.length line - 1)
-         else line)
   |> String.concat "\n"
 
 let print messages =
@@ -68,9 +58,7 @@ let parse_chunk chunk =
   let chunk =
     match List.rev chunk with "" :: rest -> List.rev rest | _ -> chunk
   in
-  Result.map
-    (fun msg -> Message.with_body msg (unquote_body (Message.body msg)))
-    (Rfc2822.parse (String.concat "\n" chunk))
+  Rfc2822.parse ~unquote:true (String.concat "\n" chunk)
 
 let parse text =
   if String.trim text = "" then Ok []

@@ -15,7 +15,6 @@ let address_of_field t name =
 let from_address t = address_of_field t "from"
 let to_address t = address_of_field t "to"
 
-let with_headers t headers = { t with headers }
 let with_body t body = { t with body }
 
 let size_bytes t =

@@ -1,9 +1,9 @@
-(** An email message: headers plus a plain-text body.
+(** An email message: headers plus a body string.
 
     This is the unit the corpus generator produces, the tokenizer
-    consumes, and the attacks construct.  The model is single-part
-    plain text — the TREC-style evaluation and every attack in the paper
-    operate on token streams, so MIME multipart adds nothing here. *)
+    consumes, and the attacks construct.  MIME structure, when there is
+    any, stays in the body bytes, which {!Mime.text_leaves} reads just
+    as it reads the body of a raw mbox chunk. *)
 
 type t = { headers : Header.t; body : string }
 
@@ -18,7 +18,6 @@ val subject : t -> string option
 val from_address : t -> Address.t option
 val to_address : t -> Address.t option
 
-val with_headers : t -> Header.t -> t
 val with_body : t -> string -> t
 
 val size_bytes : t -> int

@@ -1,7 +1,7 @@
-(** A small MIME layer: content types, transfer-encoding decoding, and
-    multipart traversal — enough to extract the textual content a spam
-    filter must tokenize from the mail people actually receive (HTML
-    bodies, base64-obfuscated payloads, multipart/alternative).
+(** A small MIME layer: content types, and the decoder that finds the
+    text a spam filter must tokenize in the mail people actually
+    receive (HTML bodies, base64-obfuscated payloads,
+    multipart/alternative).
 
     The model stays deliberately shallow: no nested message/rfc822
     recursion beyond a fixed depth, no charset conversion (the
@@ -17,35 +17,38 @@ type content_type = {
 val content_type_of_string : string -> (content_type, string) result
 (** Parses ["text/html; charset=utf-8; boundary=\"b\""]. *)
 
-val content_type_to_string : content_type -> string
-
-val content_type : Message.t -> content_type
-(** The message's Content-Type header, defaulting to text/plain when
-    absent or malformed (RFC 2045 §5.2). *)
-
 val parameter : content_type -> string -> string option
 
-val decoded_body : Message.t -> string
-(** The body after reversing the Content-Transfer-Encoding (base64 and
-    quoted-printable; anything else passes through, as do decode
-    errors — garbage in, garbage tokens out, never an exception). *)
+(** {1 The decoder}
 
-val parts : Message.t -> Message.t list option
-(** For multipart/* messages with a boundary parameter: the parts, each
-    parsed as a message (headers + body).  [None] when the message is
-    not multipart or the boundary is missing/unfindable. *)
+    One walk over a message's body by offsets: only decoded leaves (and
+    a part body whose lines end in CR) are copied, to per-domain
+    scratch. *)
 
 type text_kind = Plain | Html
 
-val text_content : Message.t -> (text_kind * string) list
-(** Every textual leaf of the message, transfer-decoded, in document
-    order, recursing through nested multiparts (depth ≤ 4):
-    - a non-MIME or text/plain message yields its (decoded) body;
-    - text/html yields [Html] chunks (tokenizers strip the tags);
-    - non-text leaves are skipped.
+type leaves
+(** A message's textual leaves: per-domain scratch, valid until the
+    next {!text_leaves} on the same domain. *)
 
-    Never empty for a message with a non-empty body: unparseable
-    structure degrades to treating the raw body as plain text. *)
+val text_leaves : Header.t -> string -> int -> int -> leaves
+(** [text_leaves headers buf off len] walks the message with these
+    header fields and body [buf.[off .. off+len-1]].  Its leaves, in
+    document order, recursing through nested multiparts (depth ≤ 4):
+    - a non-MIME or text/plain message or part is its body, after the
+      Content-Transfer-Encoding is reversed (base64 and
+      quoted-printable; anything else, and a base64 body with a byte
+      outside the alphabet, passes through as it is);
+    - text/html is an [Html] leaf (tokenizers strip the tags);
+    - a multipart with no boundary, or none of whose parts parses, is
+      one [Plain] leaf of its body as it is;
+    - non-text leaves are skipped.
+    Never empty: with no textual leaf, the message's decoded body is
+    the one [Plain] leaf. *)
+
+val iter_leaves : leaves -> (text_kind -> string -> int -> int -> unit) -> unit
+(** [iter_leaves l f] calls [f kind buf off len] on each leaf in
+    order; the slice is the message's own body or the scratch. *)
 
 (* Builders, used by the corpus generator. *)
 
@@ -57,9 +60,3 @@ val with_base64_transfer : Message.t -> Message.t
 (** Re-encode the body as base64 and set Content-Transfer-Encoding. *)
 
 val with_quoted_printable_transfer : Message.t -> Message.t
-
-val make_multipart :
-  ?headers:Header.t -> boundary:string -> Message.t list -> Message.t
-(** Assemble multipart/mixed from parts.  @raise Invalid_argument on an
-    empty boundary or a boundary occurring in a part's serialized
-    form. *)

@@ -1,6 +1,7 @@
 module Tok = Spamlab_tokenizer.Tokenizer
 module Message = Spamlab_email.Message
 module Header = Spamlab_email.Header
+module Rfc2822 = Spamlab_email.Rfc2822
 module Obs = Spamlab_obs.Obs
 
 let ingest_msgs = Obs.counter "ingest.msgs"
@@ -42,7 +43,7 @@ let count_msg bytes =
 
 let ingest_message ~intern tokenizer msg f =
   let k = Intern.keys () in
-  Tok.iter_spans tokenizer msg ~span:(Intern.add_sub k) ~token:(Intern.add k);
+  Tok.iter_message tokenizer msg ~span:(Intern.add_sub k) ~token:(Intern.add k);
   count_msg (Message.size_bytes msg);
   ids_of_keys ~intern k f
 
@@ -118,24 +119,12 @@ let ignored_headers =
   ]
 
 (* Case-insensitive match of a header-name slice against the ignored
-   set, no allocation: length pre-filter then byte compare with ASCII
-   folding.  Header counts per message are small (and the set is ~50
-   entries), so a linear scan is cheaper than building a probing
-   structure for slices. *)
-let fold_lower c = if c >= 'A' && c <= 'Z' then Char.chr (Char.code c + 32) else c
-
-let name_eq_sub s off len lit =
-  String.length lit = len
-  &&
-  let i = ref 0 in
-  while !i < len && fold_lower s.[off + !i] = lit.[!i] do
-    incr i
-  done;
-  !i = len
-
+   set, no allocation.  Header counts per message are small (and the
+   set is ~50 entries), so a linear scan is cheaper than building a
+   probing structure for slices. *)
 let rec ignored_in s off len = function
   | [] -> false
-  | lit :: rest -> name_eq_sub s off len lit || ignored_in s off len rest
+  | lit :: rest -> Header.name_equal_sub s off len lit || ignored_in s off len rest
 
 let ignored_slice s off len = ignored_in s off len ignored_headers
 
@@ -146,32 +135,14 @@ let ignored_header name = ignored_slice name 0 (String.length name)
    "From " separator lines, exactly as [Mbox.chunks_of] groups them,
    without splitting the buffer into line strings. *)
 
-let is_sep_at buf pos limit =
-  pos + 5 <= limit
-  && buf.[pos] = 'F'
-  && buf.[pos + 1] = 'r'
-  && buf.[pos + 2] = 'o'
-  && buf.[pos + 3] = 'm'
-  && buf.[pos + 4] = ' '
-
-(* The offset of the '\n' ending the line that starts at [pos], or
-   [stop] when none comes before it.  A loop, so scanning a body line
-   by line allocates nothing. *)
-let line_end buf pos stop =
-  let i = ref pos in
-  while !i < stop && String.unsafe_get buf !i <> '\n' do
-    incr i
-  done;
-  !i
-
 let iter_raw_messages buf f =
   let n = String.length buf in
   let flush start stop = if stop > start then f ~off:start ~len:(stop - start) in
   let rec go line_start chunk_start =
     if line_start >= n then flush chunk_start n
     else begin
-      let nl = line_end buf line_start n in
-      if is_sep_at buf line_start n then begin
+      let nl = Rfc2822.line_end buf line_start n in
+      if Rfc2822.from_at buf line_start n then begin
         flush chunk_start line_start;
         if nl < n then go (nl + 1) (nl + 1)
       end
@@ -190,153 +161,49 @@ let raw_message_chunks buf =
   iter_raw_messages buf (fun ~off ~len -> acc := (off, len) :: !acc);
   Array.of_list (List.rev !acc)
 
-(* A parsed raw chunk.  [Simple] is the zero-copy case — no MIME
-   headers, no body fixups — where the body tokenizes straight from the
-   mbox buffer.  [Complex] fell back to a materialized [Message.t]
-   (still with ignored headers suppressed). *)
-type parsed =
-  | Simple of { fields : (string * string) list; body_off : int; body_len : int }
-  | Complex of Message.t
-  | Malformed
+(* A fixed-up body goes to a per-domain scratch, so only a chunk with a
+   line to fix is copied. *)
+let fixup_scratch : Bytes.t ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref Bytes.empty)
 
-let needs_unquote_at buf pos lstop =
-  let i = ref pos in
-  while !i < lstop && buf.[!i] = '>' do
-    incr i
-  done;
-  !i > pos && !i + 5 <= lstop && is_sep_at buf !i lstop
-
-(* Body fixups mirror [Rfc2822.parse] + [Mbox.parse_chunk]: every line
-   loses a trailing '\r', and ">+From " lines lose one '>'. *)
-let body_needs_fixup buf bstart bend =
-  let pos = ref bstart and found = ref false in
-  while (not !found) && !pos < bend do
-    let lend = line_end buf !pos bend in
-    found := (lend > !pos && buf.[lend - 1] = '\r') || needs_unquote_at buf !pos lend;
-    pos := lend + 1
-  done;
-  !found
-
-let fixup_body buf bstart bend =
-  let out = Buffer.create (bend - bstart) in
-  let rec go pos =
-    if pos <= bend then begin
-      let lend = line_end buf pos bend in
-      let lstop = if lend > pos && buf.[lend - 1] = '\r' then lend - 1 else lend in
-      let pos = if needs_unquote_at buf pos lstop then pos + 1 else pos in
-      Buffer.add_substring out buf pos (lstop - pos);
-      if lend < bend then begin
-        Buffer.add_char out '\n';
-        go (lend + 1)
-      end
-    end
-  in
-  go bstart;
-  Buffer.contents out
-
-let is_mime_header buf off len =
-  name_eq_sub buf off len "content-type"
-  || name_eq_sub buf off len "content-transfer-encoding"
-
-(* Parse the raw chunk [buf.[off .. off+len-1]] (one mbox message,
-   separator excluded) into header fields and a body region, mirroring
-   [Mbox.parse_chunk] semantics: one trailing blank line is dropped,
-   header values are trimmed and unfolded with spaces, a header line
-   without a colon (or with a malformed name) poisons the whole
-   message.  A field's trimmed pieces are joined once, when it is
-   flushed, so unfolding costs linear time in its continuation
-   lines. *)
-let parse_raw buf ~off ~len =
+(* The raw chunk [buf.[off .. off+len-1]] (one mbox message, separator
+   excluded) read as [Mbox.parse_lenient] reads it: one trailing blank
+   line dropped, the header block as [Rfc2822.scan_headers] reads it
+   (suppressed fields cost no string; a malformed block drops the
+   message), and the body handed to the tokenizer in place, or as its
+   fixed-up copy when a line needs a fixup. *)
+let iter_raw_spans tokenizer buf ~off ~len ~span ~token =
   (* Drop the trailing newline [Mbox.print] adds after each body. *)
   let stop = if len > 0 && buf.[off + len - 1] = '\n' then off + len - 1 else off + len in
   let fields = ref [] in
-  (* (name, trimmed pieces in reverse) of the field being accumulated,
-     or None.  [keep] distinguishes a suppressed field (continuations
-     also dropped). *)
-  let current = ref None in
-  let keep_current = ref true in
-  let has_mime = ref false in
-  let flush () =
-    (match !current with
-    | Some (name, [ value ]) when !keep_current -> fields := (name, value) :: !fields
-    | Some (name, pieces) when !keep_current ->
-        fields := (name, String.concat " " (List.rev pieces)) :: !fields
-    | _ -> ());
-    current := None;
-    keep_current := true
+  let bstart =
+    Rfc2822.scan_headers buf off stop
+      ~want:(fun s off len -> not (ignored_slice s off len))
+      (fun name value -> fields := (name, value) :: !fields)
   in
-  let exception Bad in
-  let rec headers pos =
-    if pos >= stop then (flush (); stop)
-    else begin
-      let lend = line_end buf pos stop in
-      let lstop = if lend > pos && buf.[lend - 1] = '\r' then lend - 1 else lend in
-      if lstop = pos then (flush (); lend + 1)  (* blank line: body next *)
-      else if buf.[pos] = ' ' || buf.[pos] = '\t' then begin
-        (match !current with
-        | None -> raise Bad
-        | Some (name, pieces) ->
-            if !keep_current then
-              current :=
-                Some (name, String.trim (String.sub buf pos (lstop - pos)) :: pieces));
-        headers (lend + 1)
-      end
-      else begin
-        flush ();
-        let colon =
-          let rec find i = if i >= lstop then -1 else if buf.[i] = ':' then i else find (i + 1) in
-          find pos
-        in
-        if colon <= pos then raise Bad;
-        let nlen = colon - pos in
-        let rec bad_name i =
-          i < colon && (buf.[i] = ' ' || buf.[i] = '\t' || bad_name (i + 1))
-        in
-        if bad_name pos then raise Bad;
-        if is_mime_header buf pos nlen then has_mime := true;
-        if ignored_slice buf pos nlen then begin
-          (* Record that a (suppressed) field is open so its folded
-             continuation lines are swallowed with it rather than
-             mistaken for orphan continuations — [Mbox.parse_lenient]
-             parses the field first and strips it afterwards, so a
-             continuation after an ignored header is well-formed. *)
-          keep_current := false;
-          current := Some ("", [])
-        end
-        else begin
-          let name = String.sub buf pos nlen in
-          let value = String.trim (String.sub buf (colon + 1) (lstop - colon - 1)) in
-          current := Some (name, [ value ])
-        end;
-        headers (lend + 1)
-      end
-    end
+  bstart >= 0
+  &&
+  let scratch = Domain.DLS.get fixup_scratch in
+  let room n =
+    if Bytes.length !scratch < n then scratch := Bytes.create (2 * n);
+    (!scratch, 0)
   in
-  match headers off with
-  | exception Bad -> Malformed
-  | bstart ->
-      let bstart = min bstart stop in
-      let fields = List.rev !fields in
-      if (not !has_mime) && not (body_needs_fixup buf bstart stop) then
-        Simple { fields; body_off = bstart; body_len = stop - bstart }
-      else
-        Complex
-          (Message.make
-             ~headers:(Header.of_list fields)
-             (fixup_body buf bstart stop))
+  let fixed = Rfc2822.fixup_body ~unquote:true buf bstart stop ~room in
+  let body, boff, blen =
+    if fixed < 0 then (buf, bstart, stop - bstart)
+    else (Bytes.unsafe_to_string !scratch, 0, fixed)
+  in
+  Tok.iter_spans tokenizer (Header.of_list (List.rev !fields)) body boff blen ~span ~token;
+  true
 
 let ingest_raw ~intern tokenizer buf ~off ~len f =
-  match parse_raw buf ~off ~len with
-  | Malformed -> None
-  | Complex msg -> Some (ingest_message ~intern tokenizer msg f)
-  | Simple { fields; body_off; body_len } ->
-      let hdr_msg = Message.make ~headers:(Header.of_list fields) "" in
-      let k = Intern.keys () in
-      let span = Intern.add_sub k and token = Intern.add k in
-      Tok.iter_spans tokenizer hdr_msg ~span ~token;
-      Tok.iter_body_spans tokenizer buf body_off body_len ~span ~token;
-      count_msg len;
-      Some (ids_of_keys ~intern k f)
+  let k = Intern.keys () in
+  if iter_raw_spans tokenizer buf ~off ~len ~span:(Intern.add_sub k) ~token:(Intern.add k)
+  then begin
+    count_msg len;
+    Some (ids_of_keys ~intern k f)
+  end
+  else None
 
 let with_unique_ids_raw tokenizer buf ~off ~len f =
   ingest_raw ~intern:true tokenizer buf ~off ~len f

@@ -3,7 +3,7 @@
     The hot path of every experiment is tokenize → look up token
     probabilities → score.  This module is the batched form of the
     first step: tokenizers push byte {e slices}
-    ({!Spamlab_tokenizer.Tokenizer.S.iter_spans}) into the domain's
+    ({!Spamlab_tokenizer.Tokenizer.iter_spans}) into the domain's
     {!Intern.keys} buffer, one {!Intern.resolve} or {!Intern.lookup}
     looks the whole message up, and {!Intern.sort_uniq} leaves the
     distinct ids at the front of the resolved array.
@@ -26,19 +26,21 @@
     {2 What allocates}
 
     Once the per-domain buffers have grown to the message size, the
-    body words of a simple raw message (see below) allocate nothing
-    when scored, whether or not any table holds them, and nothing when
-    trained if the frozen intern snapshot holds them: the minor words a
-    call allocates do not depend on how many such words the body has.
-    Scoring never allocates or interns a token string; training
-    allocates the string of each brand-new token.  Still allocated per
-    message: the header fields and a header-only [Message.t], every
-    meta token (prefixed header words, [skip:], [url:], [8bit%],
-    address and Received tokens), a few closures per call, one closure
-    for the intern lock when a batch goes to the live table (any
-    snapshot miss when training; when scoring, only a snapshot miss
-    after the table has grown since the snapshot), and the whole of a
-    message that needs MIME decoding or body fixups.
+    body words of a raw message allocate nothing when scored, whether
+    or not any table holds them, and nothing when trained if the frozen
+    intern snapshot holds them: the minor words a call allocates do not
+    depend on how many such words the body has.  That holds for every
+    chunk, base64, quoted-printable, HTML and multipart mail included:
+    decoding and tag stripping go to per-domain scratch.  Scoring never
+    allocates or interns a token string; training allocates the string
+    of each brand-new token.  Still allocated per message: the kept
+    header fields, every computed meta token (prefixed header words,
+    [url:], [email], [8bit%], address and Received tokens), a few
+    closures per call, the Content-Type and transfer-encoding values of
+    each MIME part, and one closure for the intern lock when a batch
+    goes to the live table (any snapshot miss when training; when
+    scoring, only a snapshot miss after the table has grown since the
+    snapshot).
 
     Ids come out sorted by {e id value}, a set representation; this is
     deliberately not the string-sorted order of [Dataset.example]
@@ -50,20 +52,20 @@
     The [_raw] entry points consume full raw mbox bytes without
     building [Message.t] values: chunks are delimited by offsets
     ({!iter_raw_messages}, mirroring [Mbox.chunks_of]), headers are
-    parsed by offsets with SpamAssassin-style [$IGNORED_HDRS]
-    suppression ({!ignored_header}), and the body of a simple message
-    (no MIME headers, no [">From"] quoting, no CRLF) tokenizes directly
-    from the buffer.  Messages that need MIME decoding or body fixups
-    fall back to a materialized message — same tokens, one copy.  A
-    malformed message (header line without a colon) is dropped, as in
-    [Mbox.parse_lenient].
+    read by offsets ([Rfc2822.scan_headers]) with SpamAssassin-style
+    [$IGNORED_HDRS] suppression ({!ignored_header}), and the body goes
+    to the tokenizer in place.  Only a body with a line to fix (a CR
+    line end, or [">From"] quoting) is copied first, to per-domain
+    scratch.  A malformed message (header line without a colon) is
+    dropped, as in [Mbox.parse_lenient].
 
     Raw-path tokens are exactly what
-    {!Spamlab_tokenizer.Tokenizer.iter_spans} produces on the leniently
-    parsed message after the ignored headers are removed — the
-    differential tests hold the two equal.  Every verb of the daemon
-    and the offline [spamlab train] ingest mail this way, so what is
-    learned is what is looked up.
+    {!Spamlab_tokenizer.Tokenizer.iter_message} produces on the
+    leniently parsed message after the ignored headers are removed —
+    the differential tests hold the two equal, and both equal to the
+    string oracle's.  Every verb of the daemon and the offline
+    [spamlab train] ingest mail this way, so what is learned is what is
+    looked up.
 
     {2 Counters}
 
@@ -107,6 +109,20 @@ val raw_message_chunks : string -> (int * int) array
 (** Materialized [(off, len)] chunk list of a raw mbox buffer — the
     fan-out unit for pool workers ([Pool.map_array] over chunks, each
     worker calling {!classify_raw_engine}). *)
+
+val iter_raw_spans :
+  Spamlab_tokenizer.Tokenizer.t ->
+  string ->
+  off:int ->
+  len:int ->
+  span:(string -> int -> int -> unit) ->
+  token:(string -> unit) ->
+  bool
+(** The token stream of one raw message chunk, as
+    {!Spamlab_tokenizer.Tokenizer.iter_spans} delivers it for the
+    chunk's header fields (ignored ones suppressed) and body; [false],
+    with nothing delivered, if the chunk is malformed.  Every [_raw]
+    entry point below reads chunks through it. *)
 
 val with_unique_ids_raw :
   Spamlab_tokenizer.Tokenizer.t ->

@@ -3,7 +3,10 @@
    infinite and the chi-square tail meaningless. *)
 let epsilon = 1e-12
 
-let clamp p = Float.max epsilon (Float.min (1.0 -. epsilon) p)
+(* The same value as [Float.max epsilon (Float.min (1.0 -. epsilon) p)]
+   for every p the fold admits (NaN and -0.0 included), by plain
+   comparisons that keep the float unboxed. *)
+let[@inline] clamp p = if p < epsilon then epsilon else if p > 1.0 -. epsilon then 1.0 -. epsilon else p
 
 (* One direction of the fold over [fs.(0 .. n-1)]: validate, clamp,
    accumulate -2 ln p left to right, then one chi-square tail at 2n

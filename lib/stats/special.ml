@@ -27,21 +27,24 @@ and log_gamma_positive x =
   -. t
   +. log !acc
 
-(* Series representation of P(a,x): converges quickly for x < a + 1. *)
+(* Series representation of P(a,x): converges quickly for x < a + 1.
+   A loop over float refs, which stay unboxed: a recursive helper
+   would box its float arguments at every term. *)
 let gamma_p_series a x =
   let max_iterations = 500 in
   let epsilon = 1e-15 in
-  let rec loop n term sum =
-    if n > max_iterations then sum
-    else
-      let term = term *. x /. (a +. float_of_int n) in
-      let sum = sum +. term in
-      if Float.abs term < Float.abs sum *. epsilon then sum
-      else loop (n + 1) term sum
-  in
   let first = 1.0 /. a in
-  let series = loop 1 first first in
-  series *. exp ((a *. log x) -. x -. log_gamma a)
+  let term = ref first and sum = ref first and n = ref 1 in
+  while
+    !n <= max_iterations
+    &&
+    (term := !term *. x /. (a +. float_of_int !n);
+     sum := !sum +. !term;
+     not (Float.abs !term < Float.abs !sum *. epsilon))
+  do
+    incr n
+  done;
+  !sum *. exp ((a *. log x) -. x -. log_gamma a)
 
 (* Modified Lentz continued fraction for Q(a,x): converges quickly for
    x >= a + 1. *)

@@ -6,21 +6,16 @@ let max_word_length = 30
 let keep_len n = n >= min_word_length && n <= max_word_length
 
 (* Header tokens are prefixed and so inherently allocate; body words —
-   the bulk — travel as slices. *)
-let iter_body_spans buf off len ~span ~token:_ =
-  Text.iter_word_spans buf off len (fun wbuf woff wlen ->
-      if keep_len wlen then span wbuf woff wlen)
-
-let iter_spans msg ~span ~token =
-  let open Spamlab_email in
-  Header.fold
+   the bulk — travel as slices.  The body is read as it is, with no
+   MIME decoding. *)
+let iter_spans headers buf off len ~span ~token =
+  Spamlab_email.Header.fold
     (fun () name value ->
       let prefix = String.lowercase_ascii name ^ ":" in
       Text.iter_word_spans value 0 (String.length value)
         (fun wbuf woff wlen ->
           if keep_len wlen then
             token (prefix ^ String.sub wbuf woff wlen)))
-    ()
-    (Message.headers msg);
-  let body = Message.body msg in
-  iter_body_spans body 0 (String.length body) ~span ~token
+    () headers;
+  Text.iter_word_spans buf off len (fun wbuf woff wlen ->
+      if keep_len wlen then span wbuf woff wlen)

@@ -7,7 +7,10 @@
 val name : string
 
 val iter_spans :
-  Spamlab_email.Message.t ->
+  Spamlab_email.Header.t ->
+  string ->
+  int ->
+  int ->
   span:(string -> int -> int -> unit) ->
   token:(string -> unit) ->
   unit
@@ -15,11 +18,3 @@ val iter_spans :
     with the lowercased field name, through [token]; then body words as
     byte slices through [span]. *)
 
-val iter_body_spans :
-  string ->
-  int ->
-  int ->
-  span:(string -> int -> int -> unit) ->
-  token:(string -> unit) ->
-  unit
-(** Body tokens straight from a raw body slice (simple messages). *)

@@ -1,170 +1,199 @@
-type t = {
-  visible_text : string;
-  meta_tokens : string list;
-  urls : string list;
+let tracked_tags =
+  [| "a"; "img"; "font"; "table"; "iframe"; "script"; "style"; "form"; "input" |]
+
+let tracked_tokens = Array.map (fun tag -> "html:" ^ tag) tracked_tags
+
+(* Per-domain scratch: the entity-decoded input, the visible text and
+   the href/src value slices (offset and length pairs into the decoded
+   input). *)
+type scratch = {
+  mutable decoded : Bytes.t;
+  mutable text : Bytes.t;
+  mutable urls : int array;
+  mutable nurls : int;
 }
 
-let tracked_tags =
-  [ "a"; "img"; "font"; "table"; "iframe"; "script"; "style"; "form";
-    "input" ]
+let scratch : scratch Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      { decoded = Bytes.create 1024; text = Bytes.create 1024; urls = Array.make 16 0; nurls = 0 })
 
-let decode_entities s =
-  let out = Buffer.create (String.length s) in
-  let n = String.length s in
-  let rec go i =
-    if i >= n then Buffer.contents out
-    else if s.[i] = '&' then (
-      match String.index_from_opt s i ';' with
-      | Some semi when semi - i <= 8 -> (
-          let entity = String.sub s (i + 1) (semi - i - 1) in
-          let replacement =
-            match String.lowercase_ascii entity with
-            | "amp" -> Some "&"
-            | "lt" -> Some "<"
-            | "gt" -> Some ">"
-            | "quot" -> Some "\""
-            | "apos" -> Some "'"
-            | "nbsp" -> Some " "
-            | e
-              when String.length e > 1
-                   && e.[0] = '#'
-                   && String.for_all
-                        (fun c -> c >= '0' && c <= '9')
-                        (String.sub e 1 (String.length e - 1)) -> (
-                match int_of_string_opt (String.sub e 1 (String.length e - 1)) with
-                | Some code when code > 0 && code < 256 ->
-                    Some (String.make 1 (Char.chr code))
-                | _ -> None)
-            | _ -> None
-          in
-          match replacement with
-          | Some r ->
-              Buffer.add_string out r;
-              go (semi + 1)
-          | None ->
-              Buffer.add_char out '&';
-              go (i + 1))
-      | _ ->
-          Buffer.add_char out '&';
-          go (i + 1))
-    else begin
-      Buffer.add_char out s.[i];
-      go (i + 1)
-    end
-  in
-  go 0
+let ensure b n =
+  if Bytes.length b >= n then b
+  else begin
+    let cap = ref (2 * Bytes.length b) in
+    while !cap < n do
+      cap := 2 * !cap
+    done;
+    Bytes.create !cap
+  end
 
-(* A one-pass scanner: outside tags, bytes accumulate as visible text;
-   inside a tag, the name and href/src attributes are captured; script
-   and style element *contents* are skipped entirely. *)
-let deconstruct input =
-  let input = decode_entities input in
-  let n = String.length input in
-  let text = Buffer.create n in
-  let meta = ref [] in
-  let urls = ref [] in
-  let lowercase_at i len = String.lowercase_ascii (String.sub input i len) in
-  let tag_name i =
-    (* i points after '<' (and after an optional '/'). *)
-    let closing = i < n && input.[i] = '/' in
-    let start = if closing then i + 1 else i in
-    let rec stop j =
-      if
-        j < n
-        && (Text.is_ascii_alpha input.[j] || Text.is_digit input.[j])
-      then stop (j + 1)
-      else j
-    in
-    let j = stop start in
-    (lowercase_at start (j - start), closing)
-  in
-  let find_attr_urls tag_start tag_stop =
-    (* Scan href= / src= inside the tag text. *)
-    let tag_text = lowercase_at tag_start (tag_stop - tag_start) in
-    List.iter
-      (fun attr ->
-        let alen = String.length attr in
-        let rec search from =
-          if from + alen >= String.length tag_text then ()
-          else if String.sub tag_text from alen = attr then begin
-            (* Value starts after optional quote. *)
-            let vstart = from + alen in
-            let vstart, quote =
-              if
-                vstart < String.length tag_text
-                && (tag_text.[vstart] = '"' || tag_text.[vstart] = '\'')
-              then (vstart + 1, Some tag_text.[vstart])
-              else (vstart, None)
-            in
-            let rec vstop j =
-              if j >= String.length tag_text then j
-              else
-                match quote with
-                | Some q -> if tag_text.[j] = q then j else vstop (j + 1)
-                | None ->
-                    if tag_text.[j] = ' ' || tag_text.[j] = '>' then j
-                    else vstop (j + 1)
-            in
-            let j = vstop vstart in
-            if j > vstart then
-              urls := String.sub tag_text vstart (j - vstart) :: !urls;
-            search j
-          end
-          else search (from + 1)
-        in
-        search 0)
-      [ "href="; "src=" ]
-  in
-  let rec skip_element_content close i =
-    (* Skip until </close>. *)
-    match String.index_from_opt input i '<' with
-    | None -> n
-    | Some lt ->
-        let name, closing = tag_name (lt + 1) in
-        if closing && name = close then
-          match String.index_from_opt input lt '>' with
-          | Some gt -> gt + 1
-          | None -> n
-        else skip_element_content close (lt + 1)
-  in
-  let rec go i =
-    if i >= n then ()
-    else if input.[i] = '<' then
-      if i + 3 < n && String.sub input i 4 = "<!--" then (
-        (* Comment: skip to -->. *)
-        let rec find_end j =
-          if j + 2 >= n then n
-          else if String.sub input j 3 = "-->" then j + 3
-          else find_end (j + 1)
-        in
-        go (find_end (i + 4)))
+let add_url sc off len =
+  if 2 * (sc.nurls + 1) > Array.length sc.urls then begin
+    let bigger = Array.make (2 * Array.length sc.urls) 0 in
+    Array.blit sc.urls 0 bigger 0 (2 * sc.nurls);
+    sc.urls <- bigger
+  end;
+  sc.urls.(2 * sc.nurls) <- off;
+  sc.urls.((2 * sc.nurls) + 1) <- len;
+  sc.nurls <- sc.nurls + 1
+
+let equal_ci = Spamlab_email.Header.name_equal_sub
+
+(* The character an entity [s.[off .. off+len-1]] (between '&' and ';')
+   stands for, or [-1]: the named entities that matter for
+   tokenization, and decimal escapes of bytes 1–255. *)
+let entity_code s off len =
+  if equal_ci s off len "amp" then Char.code '&'
+  else if equal_ci s off len "lt" then Char.code '<'
+  else if equal_ci s off len "gt" then Char.code '>'
+  else if equal_ci s off len "quot" then Char.code '"'
+  else if equal_ci s off len "apos" then Char.code '\''
+  else if equal_ci s off len "nbsp" then Char.code ' '
+  else if len > 1 && s.[off] = '#' then begin
+    let code = ref 0 and i = ref (off + 1) in
+    while !i < off + len && s.[!i] >= '0' && s.[!i] <= '9' do
+      code := (10 * !code) + Char.code s.[!i] - 48;
+      incr i
+    done;
+    if !i = off + len && !code > 0 && !code < 256 then !code else -1
+  end
+  else -1
+
+(* Entities decode in one pass: only a ';' at most 8 bytes after the
+   '&' can close one, so the search for it is bounded and the pass
+   linear.  Returns the decoded length. *)
+let decode_entities_into sc s off len =
+  sc.decoded <- ensure sc.decoded len;
+  let out = sc.decoded and w = ref 0 and i = ref off and stop = off + len in
+  while !i < stop do
+    let c = String.unsafe_get s !i in
+    let code =
+      if c <> '&' then -1
       else begin
-        let name, closing = tag_name (i + 1) in
-        let tag_end =
-          match String.index_from_opt input i '>' with
-          | Some gt -> gt
-          | None -> n
-        in
-        if name <> "" && not closing && List.mem name tracked_tags then
-          meta := ("html:" ^ name) :: !meta;
-        find_attr_urls i (min n tag_end);
-        (* Tags act as word separators. *)
-        Buffer.add_char text ' ';
-        let next = min n (tag_end + 1) in
-        if (not closing) && (name = "script" || name = "style") then
-          go (skip_element_content name next)
-        else go next
+        let lim = min (stop - 1) (!i + 8) and semi = ref (!i + 1) in
+        while !semi <= lim && s.[!semi] <> ';' do
+          incr semi
+        done;
+        if !semi > lim then -1
+        else
+          let code = entity_code s (!i + 1) (!semi - !i - 1) in
+          if code >= 0 then i := !semi;
+          code
       end
-    else begin
-      Buffer.add_char text input.[i];
-      go (i + 1)
-    end
-  in
-  go 0;
-  {
-    visible_text = Buffer.contents text;
-    meta_tokens = List.rev !meta;
-    urls = List.rev !urls;
-  }
+    in
+    Bytes.unsafe_set out !w (if code >= 0 then Char.unsafe_chr code else c);
+    incr w;
+    incr i
+  done;
+  !w
 
-let strip_tags input = (deconstruct input).visible_text
+let alnum_end s i n =
+  let j = ref i in
+  while
+    !j < n
+    && (Text.is_ascii_alpha (String.unsafe_get s !j) || Text.is_digit (String.unsafe_get s !j))
+  do
+    incr j
+  done;
+  !j
+
+let index_from s i n c =
+  let j = ref i in
+  while !j < n && String.unsafe_get s !j <> c do
+    incr j
+  done;
+  !j
+
+(* Record every [attr] value of the tag [s.[lo .. hi-1]] (its '<'
+   through the byte before its '>'): the bytes after each
+   case-insensitive [attr] match, up to the matching quote, or unquoted
+   up to a space, with at least one byte after the match. *)
+let tag_urls sc s lo hi attr =
+  let alen = String.length attr and from = ref lo in
+  while !from + alen < hi do
+    if equal_ci s !from alen attr then begin
+      let vstart = !from + alen in
+      let quoted = s.[vstart] = '"' || s.[vstart] = '\'' in
+      let vstart = if quoted then vstart + 1 else vstart in
+      let j = ref vstart in
+      while
+        !j < hi
+        && (if quoted then s.[!j] <> s.[vstart - 1] else s.[!j] <> ' ' && s.[!j] <> '>')
+      do
+        incr j
+      done;
+      if !j > vstart then add_url sc vstart (!j - vstart);
+      from := !j
+    end
+    else incr from
+  done
+
+(* Past the element content that ends with the closing tag [close]
+   ("script" or "style"): after that tag's '>', or the end. *)
+let skip_element s i n close =
+  let pos = ref i and stop = ref (-1) in
+  while !stop < 0 do
+    let lt = index_from s !pos n '<' in
+    if lt >= n then stop := n
+    else begin
+      let closing = lt + 1 < n && s.[lt + 1] = '/' in
+      let ns = if closing then lt + 2 else lt + 1 in
+      let ne = alnum_end s ns n in
+      if closing && equal_ci s ns (ne - ns) close then
+        stop := min n (index_from s lt n '>' + 1)
+      else pos := lt + 1
+    end
+  done;
+  !stop
+
+let iter buf off len ~meta ~url ~text =
+  let sc = Domain.DLS.get scratch in
+  let s, start, n =
+    if index_from buf off (off + len) '&' < off + len then
+      let dlen = decode_entities_into sc buf off len in
+      (Bytes.unsafe_to_string sc.decoded, 0, dlen)
+    else (buf, off, off + len)
+  in
+  sc.text <- ensure sc.text (n - start);
+  sc.nurls <- 0;
+  let out = sc.text and w = ref 0 and i = ref start in
+  while !i < n do
+    let lt = index_from s !i n '<' in
+    Bytes.blit_string s !i out !w (lt - !i);
+    w := !w + (lt - !i);
+    i := lt;
+    if lt < n then
+      if lt + 3 < n && s.[lt + 1] = '!' && s.[lt + 2] = '-' && s.[lt + 3] = '-' then begin
+        (* A comment, through its "-->" or the end. *)
+        let j = ref (lt + 4) in
+        while !j + 2 < n && not (s.[!j] = '-' && s.[!j + 1] = '-' && s.[!j + 2] = '>') do
+          incr j
+        done;
+        i := if !j + 2 < n then !j + 3 else n
+      end
+      else begin
+        let closing = lt + 1 < n && s.[lt + 1] = '/' in
+        let ns = if closing then lt + 2 else lt + 1 in
+        let ne = alnum_end s ns n in
+        let gt = index_from s lt n '>' in
+        if ne > ns && not closing then
+          for k = 0 to Array.length tracked_tags - 1 do
+            if equal_ci s ns (ne - ns) tracked_tags.(k) then meta tracked_tokens.(k)
+          done;
+        tag_urls sc s lt gt "href=";
+        tag_urls sc s lt gt "src=";
+        (* Tags act as word separators. *)
+        Bytes.unsafe_set out !w ' ';
+        incr w;
+        let next = min n (gt + 1) in
+        i :=
+          if closing then next
+          else if equal_ci s ns (ne - ns) "script" then skip_element s next n "script"
+          else if equal_ci s ns (ne - ns) "style" then skip_element s next n "style"
+          else next
+      end
+  done;
+  for u = 0 to sc.nurls - 1 do
+    url s sc.urls.(2 * u) sc.urls.((2 * u) + 1)
+  done;
+  text (Bytes.unsafe_to_string out) 0 !w

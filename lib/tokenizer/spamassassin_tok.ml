@@ -14,21 +14,23 @@ let url_tokens w =
   | _proto :: host :: _ -> [ host ]
   | tokens -> tokens
 
-(* Short-enough body words travel as slices; URL hosts and sk: stems
-   are computed strings and allocate. *)
-let iter_body_spans buf off len ~span ~token =
-  Text.iter_word_spans buf off len (fun wbuf woff wlen ->
-      if Url.looks_like_url_sub wbuf woff wlen then
-        List.iter token (url_tokens (String.sub wbuf woff wlen))
-      else if wlen < 3 then ()
-      else if wlen <= max_word_length then span wbuf woff wlen
-      else token ("sk:" ^ String.sub wbuf woff 5))
+(* An overlong word's "sk:" stem, assembled in a per-domain scratch
+   and delivered as a slice. *)
+let stem_scratch : Bytes.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Bytes.of_string "sk:xxxxx")
 
-let iter_spans msg ~span ~token =
-  let open Spamlab_email in
+let emit_stem span buf off =
+  let b = Domain.DLS.get stem_scratch in
+  Bytes.blit_string buf off b 3 5;
+  span (Bytes.unsafe_to_string b) 0 8
+
+(* Short-enough body words and stems travel as slices; URL hosts are
+   computed strings and allocate.  The body is read as it is, with no
+   MIME decoding. *)
+let iter_spans headers buf off len ~span ~token =
   List.iter
     (fun field ->
-      match Header.find (Message.headers msg) field with
+      match Spamlab_email.Header.find headers field with
       | None -> ()
       | Some value ->
           let prefix = "h" ^ field ^ ":" in
@@ -37,5 +39,9 @@ let iter_spans msg ~span ~token =
               if wlen >= 3 then
                 token (prefix ^ stem (String.sub wbuf woff wlen))))
     scanned_headers;
-  let body = Message.body msg in
-  iter_body_spans body 0 (String.length body) ~span ~token
+  Text.iter_marked_words buf off len (fun wbuf woff wlen colon _at ->
+      if Url.looks_like_url_at wbuf woff wlen ~colon then
+        List.iter token (url_tokens (String.sub wbuf woff wlen))
+      else if wlen < 3 then ()
+      else if wlen <= max_word_length then span wbuf woff wlen
+      else emit_stem span wbuf woff)

@@ -7,19 +7,14 @@
 val name : string
 
 val iter_spans :
-  Spamlab_email.Message.t ->
-  span:(string -> int -> int -> unit) ->
-  token:(string -> unit) ->
-  unit
-(** The token stream in document order: scanned header words through
-    [token], then short-enough body words as byte slices through
-    [span] and stem/url tokens through [token]. *)
-
-val iter_body_spans :
+  Spamlab_email.Header.t ->
   string ->
   int ->
   int ->
   span:(string -> int -> int -> unit) ->
   token:(string -> unit) ->
   unit
-(** Body tokens straight from a raw body slice (simple messages). *)
+(** The token stream in document order: scanned header words through
+    [token], then short-enough body words and sk: stems as byte
+    slices through [span] and url tokens through [token]. *)
+

@@ -3,33 +3,38 @@ let name = "spambayes"
 let min_word_length = 3
 let max_word_length = 12
 
-(* Length bucket of an overlong word: first character, length rounded
-   down to a multiple of 10. *)
-let skip_token c len = Printf.sprintf "skip:%c %d" c (len / 10 * 10)
+module Header = Spamlab_email.Header
+module Mime = Spamlab_email.Mime
 
-(* Index of the first [c] in [s.[off .. off+len-1]], relative to [off];
-   [len] if absent.  A loop, not a local [let rec]: called on every body
-   word, it must not allocate. *)
-let index_in s off len c =
-  let i = ref 0 in
-  while !i < len && String.unsafe_get s (off + !i) <> c do
-    incr i
+(* An overlong word becomes its length bucket, "skip:<c> <n>": first
+   character, length rounded down to a multiple of 10.  The token is
+   assembled in a per-domain scratch and delivered as a slice. *)
+let skip_scratch : Bytes.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Bytes.of_string "skip:c 0123456789012345678901234")
+
+let emit_skip span c len =
+  let b = Domain.DLS.get skip_scratch in
+  Bytes.unsafe_set b 5 c;
+  let n = len / 10 * 10 in
+  let digits = ref 1 and m = ref n in
+  while !m >= 10 do
+    incr digits;
+    m := !m / 10
   done;
-  !i
+  let m = ref n in
+  for i = 6 + !digits downto 7 do
+    Bytes.unsafe_set b i (Char.unsafe_chr (48 + (!m mod 10)));
+    m := !m / 10
+  done;
+  span (Bytes.unsafe_to_string b) 0 (7 + !digits)
 
-(* A word with an '@' neither first nor last is an address: its local
-   part and each domain label become tokens.  [None] (no allocation)
-   for every other word. *)
-let email_tokens s off len =
-  let i = index_in s off len '@' in
-  if i > 0 && i < len - 1 then
-    let domain = String.sub s (off + i + 1) (len - i - 1) in
-    Some
-      (("email name:" ^ String.sub s off i)
-       :: List.map
-            (fun part -> "email addr:" ^ part)
-            (String.split_on_char '.' domain))
-  else None
+(* A word with an '@' (at [at]) neither first nor last is an address:
+   its local part and each domain label become tokens. *)
+let email_tokens token s off len at =
+  token ("email name:" ^ String.sub s off at);
+  List.iter
+    (fun part -> token ("email addr:" ^ part))
+    (String.split_on_char '.' (String.sub s (off + at + 1) (len - at - 1)))
 
 let tokenize_text_with_prefix prefix text =
   List.concat_map
@@ -53,112 +58,77 @@ let address_tokens prefix value =
       :: (prefix ^ ":name:" ^ String.lowercase_ascii addr.local)
       :: name_tokens
 
-let structure_tokens headers =
-  let open Spamlab_email in
-  let of_field field =
-    match Header.find headers field with
-    | None -> []
-    | Some v -> (
-        [ field ^ ":" ^ String.lowercase_ascii (String.trim v) ]
-        |> List.filter (fun t -> String.length t <= 60))
-  in
-  of_field "content-transfer-encoding"
-  @
+let structure_tokens token headers =
+  (match Header.find headers "content-transfer-encoding" with
+  | None -> ()
+  | Some v ->
+      let t = "content-transfer-encoding:" ^ String.lowercase_ascii (String.trim v) in
+      if String.length t <= 60 then token t);
   match Header.find headers "content-type" with
-  | None -> []
+  | None -> ()
   | Some v -> (
       match Mime.content_type_of_string v with
-      | Error _ -> []
+      | Error _ -> ()
       | Ok ct ->
-          [ Printf.sprintf "content-type:%s/%s" ct.Mime.media_type
-              ct.Mime.subtype ])
+          token (String.concat "" [ "content-type:"; ct.Mime.media_type; "/"; ct.Mime.subtype ]))
 
 (* Received lines carry the relay story: hostnames and IPs.  Hostname
    components become received: tokens; IPs contribute their /16 prefix
    (spam sources cluster in address space, exact hosts churn). *)
-let received_tokens headers =
+let received_tokens token headers =
   let all_digits s = s <> "" && String.for_all Text.is_digit s in
-  let line_tokens value =
-    List.concat_map
-      (fun word ->
-        if not (String.contains word '.') then []
-        else
-          let parts = String.split_on_char '.' word in
-          if List.for_all all_digits parts then
-            match parts with
-            | a :: b :: _ -> [ Printf.sprintf "received:ip:%s.%s" a b ]
-            | _ -> []
-          else
-            List.filter_map
-              (fun part ->
-                if
-                  String.length part >= min_word_length
-                  && String.length part <= max_word_length
-                  && not (all_digits part)
-                then Some ("received:" ^ part)
-                else None)
-              parts)
-      (Text.words value)
+  let word_tokens word =
+    if String.contains word '.' then
+      let parts = String.split_on_char '.' word in
+      if List.for_all all_digits parts then
+        match parts with
+        | a :: b :: _ -> token (String.concat "" [ "received:ip:"; a; "."; b ])
+        | _ -> ()
+      else
+        List.iter
+          (fun part ->
+            if
+              String.length part >= min_word_length
+              && String.length part <= max_word_length
+              && not (all_digits part)
+            then token ("received:" ^ part))
+          parts
   in
-  List.concat_map line_tokens
-    (Spamlab_email.Header.find_all headers "received")
+  List.iter
+    (fun value -> List.iter word_tokens (Text.words value))
+    (Header.find_all headers "received")
 
 (* Body words.  Plain words — the overwhelming bulk of the stream —
-   travel as slices; URLs crack, addresses split and overlong words
-   become skip: buckets, all computed strings. *)
-let iter_body_spans' emit_span emit_tok buf off len =
-  Text.iter_word_spans buf off len (fun wbuf woff wlen ->
-      if Url.looks_like_url_sub wbuf woff wlen then
-        List.iter emit_tok (Url.crack (String.sub wbuf woff wlen))
-      else
-        match email_tokens wbuf woff wlen with
-        | Some tokens -> List.iter emit_tok tokens
-        | None ->
-            if wlen < min_word_length then ()
-            else if wlen > max_word_length then
-              emit_tok (skip_token wbuf.[woff] wlen)
-            else emit_span wbuf woff wlen)
+   travel as slices, and so do skip: buckets; URLs crack and addresses
+   split into computed strings.  One scan of each word finds its
+   length and the ':' and '@' that decide its shape. *)
+let body_words span token buf off len =
+  Text.iter_marked_words buf off len (fun wbuf woff wlen colon at ->
+      if Url.looks_like_url_at wbuf woff wlen ~colon then
+        List.iter token (Url.crack (String.sub wbuf woff wlen))
+      else if at > 0 && at < wlen - 1 then email_tokens token wbuf woff wlen at
+      else if wlen < min_word_length then ()
+      else if wlen > max_word_length then emit_skip span (String.unsafe_get wbuf woff) wlen
+      else span wbuf woff wlen)
 
-(* The 8bit% meta token: the share of bytes >= 0x80 in the decoded
-   chunks joined by newlines (each separator one low byte), bucketed to
-   multiples of 5 as SpamBayes does — counted without concatenating. *)
-let eight_bit_of_chunks emit_tok chunks =
-  let bytes, high, _ =
-    List.fold_left
-      (fun (b, h, first) (_, text) ->
-        let len = String.length text in
-        ( (if first then len else b + 1 + len),
-          h + Text.count_high_sub text 0 len,
-          false ))
-      (0, 0, true) chunks
-  in
-  if bytes > 0 && high > 0 then
-    emit_tok (Printf.sprintf "8bit%%:%d" (100 * high / bytes / 5 * 5))
+let eight_bit_tokens = Array.init 21 (fun i -> "8bit%:" ^ string_of_int (5 * i))
 
-(* Textual chunks arrive transfer-decoded from the MIME layer.  HTML
-   chunks are deconstructed: their prose tokenizes normally, markup
-   yields html: meta tokens, and link targets go through the URL
-   cracker (spam hides its infrastructure in href attributes). *)
-let iter_chunk_spans emit_span emit_tok (kind, text) =
-  match kind with
-  | Spamlab_email.Mime.Plain ->
-      iter_body_spans' emit_span emit_tok text 0 (String.length text)
-  | Spamlab_email.Mime.Html ->
-      let html = Html.deconstruct text in
-      List.iter emit_tok html.Html.meta_tokens;
-      List.iter (fun u -> List.iter emit_tok (Url.crack u)) html.Html.urls;
-      iter_body_spans' emit_span emit_tok html.Html.visible_text 0
-        (String.length html.Html.visible_text)
+let crack_url token buf off len = List.iter token (Url.crack (String.sub buf off len))
 
-let iter_spans msg ~span ~token =
-  let open Spamlab_email in
-  let headers = Message.headers msg in
+(* The body is read through the MIME decoder.  The 8bit% meta token
+   comes first: the share of bytes >= 0x80 in the decoded leaves joined
+   by newlines (each separator one low byte), bucketed to multiples of
+   5 as SpamBayes does — counted without concatenating.  HTML leaves
+   are deconstructed: their prose tokenizes normally, markup yields
+   html: meta tokens, and link targets go through the URL cracker
+   (spam hides its infrastructure in href attributes). *)
+let iter_spans headers buf off len ~span ~token =
   (match Header.find headers "subject" with
   | None -> ()
   | Some s ->
       (* SpamBayes emits subject words both prefixed and bare. *)
       List.iter token (tokenize_text_with_prefix "subject:" s);
-      iter_body_spans' span token s 0 (String.length s));
+      body_words span token s 0 (String.length s));
   let addr_field prefix field =
     match Header.find headers field with
     | None -> ()
@@ -167,18 +137,16 @@ let iter_spans msg ~span ~token =
   addr_field "from" "from";
   addr_field "to" "to";
   addr_field "reply-to" "reply-to";
-  List.iter token (received_tokens headers);
-  List.iter token (structure_tokens headers);
-  let chunks = Mime.text_content msg in
-  eight_bit_of_chunks token chunks;
-  List.iter (iter_chunk_spans span token) chunks
-
-(* The body tokens of a simple message (single part, no transfer
-   encoding) straight from a raw slice — the path raw-mbox ingest takes
-   when no MIME processing is needed.  Matches what [iter_spans] emits
-   for the body of such a message: the 8bit% meta token, then words. *)
-let iter_body_spans buf off len ~span ~token =
-  let high = Text.count_high_sub buf off len in
-  if len > 0 && high > 0 then
-    token (Printf.sprintf "8bit%%:%d" (100 * high / len / 5 * 5));
-  iter_body_spans' span token buf off len
+  received_tokens token headers;
+  structure_tokens token headers;
+  let leaves = Mime.text_leaves headers buf off len in
+  let bytes = ref (-1) and high = ref 0 in
+  Mime.iter_leaves leaves (fun _ b o l ->
+      bytes := !bytes + 1 + l;
+      high := !high + Text.count_high_sub b o l);
+  if !bytes > 0 && !high > 0 then token eight_bit_tokens.(100 * !high / !bytes / 5);
+  Mime.iter_leaves leaves (fun kind b o l ->
+      match kind with
+      | Mime.Plain -> body_words span token b o l
+      | Mime.Html ->
+          Html.iter b o l ~meta:token ~url:(crack_url token) ~text:(body_words span token))

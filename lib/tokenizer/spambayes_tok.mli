@@ -24,24 +24,18 @@
 val name : string
 
 val iter_spans :
-  Spamlab_email.Message.t ->
-  span:(string -> int -> int -> unit) ->
-  token:(string -> unit) ->
-  unit
-(** The token stream in document order: plain body words are delivered
-    as byte slices through [span]; computed meta tokens (skip:, url:,
-    email, subject:, 8bit%, …) arrive as strings through [token]. *)
-
-val iter_body_spans :
+  Spamlab_email.Header.t ->
   string ->
   int ->
   int ->
   span:(string -> int -> int -> unit) ->
   token:(string -> unit) ->
   unit
-(** Body tokens of a {e simple} message (single part, no transfer
-    encoding) straight from a raw body slice — what {!iter_spans}
-    emits for the body of such a message. *)
+(** The token stream in document order: plain body words and skip:
+    buckets are delivered as byte slices through [span]; the other
+    computed meta tokens (url:, email, subject:, 8bit%, …) arrive as
+    strings through [token].  The body goes through
+    {!Spamlab_email.Mime.text_leaves}. *)
 
 val max_word_length : int
 (** Words longer than this become skip tokens (12, as in SpamBayes). *)

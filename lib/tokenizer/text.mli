@@ -4,7 +4,8 @@
     outside [A-Za-z0-9'$-] stripped (apostrophes, dollar signs and
     hyphens are meaningful inside spam tokens: ["don't"], ["$99"],
     ["v-i-a-g-r-a"]); a run that strips to nothing is no word.
-    {!iter_word_spans} is the one splitter; {!words} collects it. *)
+    {!iter_marked_words} is the one splitter; {!iter_word_spans} and
+    {!words} drop its marks. *)
 
 val is_ascii_alpha : char -> bool
 val is_digit : char -> bool
@@ -23,6 +24,14 @@ val iter_word_spans :
     capitalized word seen).
     @raise Invalid_argument if [off]/[len] do not denote a slice of
     [s]. *)
+
+val iter_marked_words :
+  string -> int -> int -> (string -> int -> int -> int -> int -> unit) -> unit
+(** {!iter_word_spans} with two marks found in the same pass over each
+    word: [f buf woff wlen colon at], where [colon] and [at] are the
+    word-relative indices of its first [':'] and first ['@'], or [wlen]
+    when it has none.  The URL-shape and address tests read them instead
+    of scanning the word again. *)
 
 val words : string -> string list
 (** Every word of a string, in order, as fresh strings:

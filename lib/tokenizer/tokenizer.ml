@@ -1,13 +1,11 @@
+module Header = Spamlab_email.Header
+module Message = Spamlab_email.Message
+
 module type S = sig
   val name : string
 
   val iter_spans :
-    Spamlab_email.Message.t ->
-    span:(string -> int -> int -> unit) ->
-    token:(string -> unit) ->
-    unit
-
-  val iter_body_spans :
+    Header.t ->
     string ->
     int ->
     int ->
@@ -19,16 +17,19 @@ end
 type t = (module S)
 
 let name (module T : S) = T.name
-let iter_spans (module T : S) msg ~span ~token = T.iter_spans msg ~span ~token
 
-let iter_body_spans (module T : S) buf off len ~span ~token =
-  T.iter_body_spans buf off len ~span ~token
+let iter_spans (module T : S) headers buf off len ~span ~token =
+  T.iter_spans headers buf off len ~span ~token
+
+let iter_message (module T : S) msg ~span ~token =
+  let body = Message.body msg in
+  T.iter_spans (Message.headers msg) body 0 (String.length body) ~span ~token
 
 (* The string API, for every tokenizer at once: a slice becomes its
    string, a meta token passes through.  No interning — feature
    extraction and attack payloads must not grow the intern table. *)
-let iter_tokens (module T : S) msg f =
-  T.iter_spans msg ~span:(fun buf off len -> f (String.sub buf off len)) ~token:f
+let iter_tokens t msg f =
+  iter_message t msg ~span:(fun buf off len -> f (String.sub buf off len)) ~token:f
 
 let tokenize t msg =
   let acc = ref [] in

@@ -6,7 +6,8 @@
     tokenizer as a pluggable component so attacks can be evaluated across
     filter styles.
 
-    A tokenizer is written once, as a span pass ({!S.iter_spans}).
+    A tokenizer is written once, as a span pass ({!S.iter_spans}) over
+    header fields and a body slice.
     The string-level API below ({!iter_tokens}, {!tokenize},
     {!unique_tokens}, {!unique_counted_tokens}) is derived from it here,
     generically, so every consumer — interning ingest, feature
@@ -17,28 +18,21 @@ module type S = sig
   val name : string
 
   val iter_spans :
-    Spamlab_email.Message.t ->
-    span:(string -> int -> int -> unit) ->
-    token:(string -> unit) ->
-    unit
-  (** The token stream of a message, in document order, possibly with
-      repeats.  Plain words are delivered as [span buf off len] byte
-      slices (valid only for the duration of the callback), while
-      computed meta tokens (prefixes, skip:, url:, …) arrive as
-      strings through [token]. *)
-
-  val iter_body_spans :
+    Spamlab_email.Header.t ->
     string ->
     int ->
     int ->
     span:(string -> int -> int -> unit) ->
     token:(string -> unit) ->
     unit
-  (** [iter_body_spans buf off len] pushes the tokens the body of a
-      {e simple} message (single-part, identity transfer encoding)
-      with raw body [buf.[off..off+len-1]] contributes to
-      {!iter_spans} — the fully zero-copy path raw-mbox ingest takes
-      when a message needs no MIME processing. *)
+  (** [iter_spans headers buf off len] is the token stream of the
+      message with these header fields and body
+      [buf.[off .. off+len-1]], in document order, possibly with
+      repeats.  Words are delivered as [span buf off len] byte slices
+      (valid only for the duration of the callback), while computed
+      meta tokens (prefixes, url:, email, …) arrive as strings through
+      [token].  The body is read in place: a raw mbox chunk's body
+      region and a [Message.t]'s body string take the same path. *)
 end
 
 type t = (module S)
@@ -47,13 +41,7 @@ val name : t -> string
 
 val iter_spans :
   t ->
-  Spamlab_email.Message.t ->
-  span:(string -> int -> int -> unit) ->
-  token:(string -> unit) ->
-  unit
-
-val iter_body_spans :
-  t ->
+  Spamlab_email.Header.t ->
   string ->
   int ->
   int ->
@@ -61,8 +49,17 @@ val iter_body_spans :
   token:(string -> unit) ->
   unit
 
+val iter_message :
+  t ->
+  Spamlab_email.Message.t ->
+  span:(string -> int -> int -> unit) ->
+  token:(string -> unit) ->
+  unit
+(** {!iter_spans} over a message's headers and whole body: the one
+    helper every [Message.t] entry point below goes through. *)
+
 val iter_tokens : t -> Spamlab_email.Message.t -> (string -> unit) -> unit
-(** {!S.iter_spans} as strings: each slice is copied out with
+(** {!iter_message} as strings: each slice is copied out with
     [String.sub], meta tokens pass through unchanged.  Same tokens,
     same order.  Nothing is interned. *)
 

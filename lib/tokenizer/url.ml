@@ -29,23 +29,19 @@ let rec known_scheme_at s off len = function
       (String.length sch = len && eq_at s off sch)
       || known_scheme_at s off len rest
 
-let looks_like_url_sub s off len =
-  (* Mirror [scheme_of]: first ':' followed by "//" and a known
-     scheme before it. *)
-  let i = ref 0 in
-  while !i < len && s.[off + !i] <> ':' do
-    incr i
-  done;
-  let i = !i in
-  (i + 2 < len
-  && s.[off + i + 1] = '/'
-  && s.[off + i + 2] = '/'
-  && known_scheme_at s off i known_schemes)
+(* Mirror [scheme_of]: the first ':' (at [colon], [len] if none) is
+   followed by "//" and a known scheme comes before it. *)
+let looks_like_url_at s off len ~colon =
+  (colon + 2 < len
+  && s.[off + colon + 1] = '/'
+  && s.[off + colon + 2] = '/'
+  && known_scheme_at s off colon known_schemes)
   || (len > 4 && eq_at s off "www.")
 
 let looks_like_url w =
   let w = String.lowercase_ascii w in
-  looks_like_url_sub w 0 (String.length w)
+  let colon = Option.value (String.index_opt w ':') ~default:(String.length w) in
+  looks_like_url_at w 0 (String.length w) ~colon
 
 let split_on_chars chars s =
   let is_sep c = List.mem c chars in

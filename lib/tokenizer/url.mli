@@ -3,14 +3,16 @@
     [url:path-word]) so that campaign infrastructure shows up as
     high-signal features regardless of the surrounding prose. *)
 
-val looks_like_url_sub : string -> int -> int -> bool
-(** [looks_like_url_sub s off len]: the slice is [scheme://...] for a
+val looks_like_url_at : string -> int -> int -> colon:int -> bool
+(** [looks_like_url_at s off len ~colon]: the slice, whose first [':']
+    is at [colon] ([len] when it has none, as
+    {!Text.iter_marked_words} reports it), is [scheme://...] for a
     known scheme (http, https, ftp, mailto) or a bare [www.]-prefixed
     host.  Allocates nothing; assumes the slice is already lowercased
-    (the span word iterator guarantees this). *)
+    (the word iterator guarantees this). *)
 
 val looks_like_url : string -> bool
-(** {!looks_like_url_sub} on a whole string, case-insensitively. *)
+(** {!looks_like_url_at} on a whole string, case-insensitively. *)
 
 val crack : string -> string list
 (** [crack w] is the token list for a URL-like word; [w] itself

@@ -2,19 +2,470 @@
    Each is the hand-written list/string form a lib/ path replaced, and
    shares as little as possible with it.
 
+   The string decoder: RFC 2822 parsing by lines, base64 and
+   quoted-printable decoding, MIME multipart traversal and HTML
+   deconstruction over whole strings and parsed [Message.t] parts, an
+   oracle for [Rfc2822.scan_headers] and the offset walk in
+   [Mime.text_leaves] and [Html.iter].
+
    The string tokenizers: the SpamBayes, BogoFilter and SpamAssassin
    tokenizers on allocated strings, an oracle for the span tokenizers
    in lib/tokenizer.  They share nothing with the span path except the
-   pieces that exist only once (URL cracking, HTML deconstruction, MIME
-   decoding, header and address parsing): word splitting, punctuation
-   stripping, the URL shape test and every tokenizer rule are written
+   pieces that exist only once (URL cracking, content-type, header and
+   address parsing): word splitting, punctuation stripping, the URL
+   shape test, the decoder above and every tokenizer rule are written
    out again here.  The tests compare [Tokenizer.tokenize] with these
    streams as sequences, token for token.
 
    The list scoring pipeline: list Fisher and list δ(E) selection, an
    oracle for [Fisher.indicator] and [Classify.score_probs]. *)
 
-module Html = Spamlab_tokenizer.Html
+(* ------------------------------------------------------------------ *)
+(* Transfer decoding                                                   *)
+
+module Encoding = struct
+  let base64_value = function
+    | 'A' .. 'Z' as c -> Some (Char.code c - 65)
+    | 'a' .. 'z' as c -> Some (Char.code c - 97 + 26)
+    | '0' .. '9' as c -> Some (Char.code c - 48 + 52)
+    | '+' -> Some 62
+    | '/' -> Some 63
+    | _ -> None
+
+  (* Ignores whitespace; accepts unpadded input; rejects characters
+     outside the alphabet. *)
+  let base64_decode input =
+    let out = Buffer.create (String.length input * 3 / 4) in
+    let acc = ref 0 in
+    let bits = ref 0 in
+    let error = ref None in
+    String.iter
+      (fun c ->
+        if !error = None then
+          match c with
+          | ' ' | '\t' | '\n' | '\r' | '=' -> ()
+          | c -> (
+              match base64_value c with
+              | None ->
+                  error :=
+                    Some (Printf.sprintf "invalid base64 character %C" c)
+              | Some v ->
+                  acc := (!acc lsl 6) lor v;
+                  bits := !bits + 6;
+                  if !bits >= 8 then begin
+                    bits := !bits - 8;
+                    Buffer.add_char out
+                      (Char.chr ((!acc lsr !bits) land 0xFF))
+                  end))
+      input;
+    match !error with
+    | Some e -> Error e
+    | None -> Ok (Buffer.contents out)
+
+  let hex_value = function
+    | '0' .. '9' as c -> Some (Char.code c - Char.code '0')
+    | 'A' .. 'F' as c -> Some (Char.code c - Char.code 'A' + 10)
+    | 'a' .. 'f' as c -> Some (Char.code c - Char.code 'a' + 10)
+    | _ -> None
+
+  (* Decodes [=XX] escapes and removes soft line breaks; a stray '='
+     followed by non-hex stays literal. *)
+  let quoted_printable_decode input =
+    let out = Buffer.create (String.length input) in
+    let n = String.length input in
+    let rec go i =
+      if i >= n then Ok (Buffer.contents out)
+      else
+        match input.[i] with
+        | '=' when i + 1 < n && input.[i + 1] = '\n' -> go (i + 2)
+        | '=' when i + 2 < n && input.[i + 1] = '\r' && input.[i + 2] = '\n' ->
+            go (i + 3)
+        | '=' when i + 2 < n -> (
+            match (hex_value input.[i + 1], hex_value input.[i + 2]) with
+            | Some hi, Some lo ->
+                Buffer.add_char out (Char.chr ((hi lsl 4) lor lo));
+                go (i + 3)
+            | _ ->
+                Buffer.add_char out '=';
+                go (i + 1))
+        | c ->
+            Buffer.add_char out c;
+            go (i + 1)
+    in
+    go 0
+end
+
+(* ------------------------------------------------------------------ *)
+(* RFC 2822 reading                                                    *)
+
+module Rfc2822 = struct
+  let strip_cr line =
+    let n = String.length line in
+    if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
+
+  let is_continuation line =
+    String.length line > 0 && (line.[0] = ' ' || line.[0] = '\t')
+
+  let parse_field line =
+    match String.index_opt line ':' with
+    | None -> Error (Printf.sprintf "header line without ':': %S" line)
+    | Some i ->
+        let name = String.sub line 0 i in
+        let value =
+          String.trim (String.sub line (i + 1) (String.length line - i - 1))
+        in
+        if name = "" || String.exists (fun c -> c = ' ' || c = '\t') name then
+          Error (Printf.sprintf "malformed header name in %S" line)
+        else Ok (name, value)
+
+  (* Header fields until the first blank line, the remainder (joined
+     back with newlines, one CR off each line) the body. *)
+  let parse text =
+    let lines = String.split_on_char '\n' text in
+    let rec headers acc = function
+      | [] -> Ok (List.rev acc, [])
+      | "" :: rest -> Ok (List.rev acc, rest)
+      | line :: rest ->
+          let line = strip_cr line in
+          if line = "" then Ok (List.rev acc, rest)
+          else if is_continuation line then
+            match acc with
+            | [] -> Error "continuation line before any header field"
+            | (name, pieces) :: older ->
+                headers ((name, String.trim line :: pieces) :: older) rest
+          else
+            Result.bind (parse_field line) (fun (name, value) ->
+                headers ((name, [ value ]) :: acc) rest)
+    in
+    match headers [] lines with
+    | Error e -> Error e
+    | Ok (fields, body_lines) ->
+        let unfolded =
+          List.map (fun (n, pieces) -> (n, String.concat " " (List.rev pieces))) fields
+        in
+        let body = String.concat "\n" (List.map strip_cr body_lines) in
+        Ok
+          (Spamlab_email.Message.make
+             ~headers:(Spamlab_email.Header.of_list unfolded)
+             body)
+end
+
+(* ------------------------------------------------------------------ *)
+(* MIME traversal                                                      *)
+
+module Mime = struct
+  module Header = Spamlab_email.Header
+  module Message = Spamlab_email.Message
+  module M = Spamlab_email.Mime
+
+  let text_plain = { M.media_type = "text"; subtype = "plain"; parameters = [] }
+
+  let content_type_to_string t =
+    let params =
+      String.concat ""
+        (List.map (fun (n, v) -> Printf.sprintf "; %s=%s" n v) t.M.parameters)
+    in
+    Printf.sprintf "%s/%s%s" t.M.media_type t.M.subtype params
+
+  (* The message's Content-Type header, defaulting to text/plain when
+     absent or malformed (RFC 2045 §5.2). *)
+  let content_type msg =
+    match Header.find (Message.headers msg) "content-type" with
+    | None -> text_plain
+    | Some v -> (
+        match M.content_type_of_string v with
+        | Ok t -> t
+        | Error _ -> text_plain)
+
+  (* The body after reversing the Content-Transfer-Encoding; anything
+     else, and decode errors, pass through. *)
+  let decoded_body msg =
+    let body = Message.body msg in
+    match Header.find (Message.headers msg) "content-transfer-encoding" with
+    | None -> body
+    | Some encoding -> (
+        match String.lowercase_ascii (String.trim encoding) with
+        | "base64" -> (
+            match Encoding.base64_decode body with
+            | Ok decoded -> decoded
+            | Error _ -> body)
+        | "quoted-printable" -> (
+            match Encoding.quoted_printable_decode body with
+            | Ok decoded -> decoded
+            | Error _ -> body)
+        | _ -> body)
+
+  (* Multipart splitting: parts are delimited by lines "--boundary",
+     the whole thing terminated by "--boundary--".  The preamble and
+     epilogue are discarded per RFC 2046.  Each part is parsed as a
+     message; [None] when not multipart, the boundary is missing, or no
+     part parses. *)
+  let parts msg =
+    let ct = content_type msg in
+    if ct.M.media_type <> "multipart" then None
+    else
+      match M.parameter ct "boundary" with
+      | None | Some "" -> None
+      | Some boundary ->
+          let delimiter = "--" ^ boundary in
+          let terminator = delimiter ^ "--" in
+          let lines = String.split_on_char '\n' (Message.body msg) in
+          let flush chunks current =
+            match current with
+            | None -> chunks
+            | Some lines -> List.rev lines :: chunks
+          in
+          let rec scan chunks current = function
+            | [] -> List.rev (flush chunks current)
+            | line :: rest ->
+                let trimmed = String.trim line in
+                if trimmed = terminator then List.rev (flush chunks current)
+                else if trimmed = delimiter then
+                  scan (flush chunks current) (Some []) rest
+                else
+                  let current = Option.map (fun ls -> line :: ls) current in
+                  scan chunks current rest
+          in
+          let chunks = scan [] None lines in
+          let parse_part chunk =
+            match Rfc2822.parse (String.concat "\n" chunk) with
+            | Ok part -> Some part
+            | Error _ -> None
+          in
+          let parsed = List.filter_map parse_part chunks in
+          if parsed = [] then None else Some parsed
+
+  type text_kind = M.text_kind = Plain | Html
+
+  let max_depth = 4
+
+  let rec collect_text depth msg =
+    if depth > max_depth then []
+    else
+      let ct = content_type msg in
+      match (ct.M.media_type, parts msg) with
+      | "multipart", Some subparts ->
+          List.concat_map (collect_text (depth + 1)) subparts
+      | "text", _ -> (
+          let body = decoded_body msg in
+          match ct.M.subtype with
+          | "html" -> [ (Html, body) ]
+          | _ -> [ (Plain, body) ])
+      | "multipart", None -> [ (Plain, Message.body msg) ]
+      | _ -> []
+
+  (* Every textual leaf, transfer-decoded, in document order; never
+     empty. *)
+  let text_content msg =
+    match collect_text 0 msg with
+    | [] -> [ (Plain, decoded_body msg) ]
+    | chunks -> chunks
+
+  let contains_substring haystack needle =
+    let n = String.length haystack and m = String.length needle in
+    let rec scan i =
+      if i + m > n then false
+      else if String.sub haystack i m = needle then true
+      else scan (i + 1)
+    in
+    m = 0 || scan 0
+
+  (* Assemble multipart/mixed from parts.  @raise Invalid_argument on
+     an empty boundary or a boundary occurring in a part's serialized
+     form. *)
+  let make_multipart ?(headers = Header.empty) ~boundary parts_list =
+    if boundary = "" then invalid_arg "Mime.make_multipart: empty boundary";
+    let rendered = List.map Spamlab_email.Rfc2822.print parts_list in
+    List.iter
+      (fun body ->
+        if contains_substring body ("--" ^ boundary) then
+          invalid_arg "Mime.make_multipart: boundary occurs in a part")
+      rendered;
+    let delimiter = "--" ^ boundary in
+    let body =
+      String.concat "\n"
+        (List.concat_map (fun part -> [ delimiter; part ]) rendered
+        @ [ delimiter ^ "--"; "" ])
+    in
+    Message.make
+      ~headers:
+        (Header.replace headers "Content-Type"
+           (Printf.sprintf "multipart/mixed; boundary=\"%s\"" boundary))
+      body
+end
+
+(* ------------------------------------------------------------------ *)
+(* HTML deconstruction                                                 *)
+
+module Html = struct
+  type t = {
+    visible_text : string;
+    meta_tokens : string list;
+    urls : string list;
+  }
+
+  let tracked_tags =
+    [ "a"; "img"; "font"; "table"; "iframe"; "script"; "style"; "form";
+      "input" ]
+
+  let is_ascii_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
+  let is_digit c = c >= '0' && c <= '9'
+
+  (* Only a ';' within 8 bytes of the '&' closes an entity. *)
+  let decode_entities s =
+    let out = Buffer.create (String.length s) in
+    let n = String.length s in
+    let rec go i =
+      if i >= n then Buffer.contents out
+      else if s.[i] = '&' then (
+        match String.index_from_opt (String.sub s i (min 9 (n - i))) 0 ';' with
+        | Some d -> (
+            let semi = i + d in
+            let entity = String.sub s (i + 1) (semi - i - 1) in
+            let replacement =
+              match String.lowercase_ascii entity with
+              | "amp" -> Some "&"
+              | "lt" -> Some "<"
+              | "gt" -> Some ">"
+              | "quot" -> Some "\""
+              | "apos" -> Some "'"
+              | "nbsp" -> Some " "
+              | e
+                when String.length e > 1
+                     && e.[0] = '#'
+                     && String.for_all
+                          (fun c -> c >= '0' && c <= '9')
+                          (String.sub e 1 (String.length e - 1)) -> (
+                  match int_of_string_opt (String.sub e 1 (String.length e - 1)) with
+                  | Some code when code > 0 && code < 256 ->
+                      Some (String.make 1 (Char.chr code))
+                  | _ -> None)
+              | _ -> None
+            in
+            match replacement with
+            | Some r ->
+                Buffer.add_string out r;
+                go (semi + 1)
+            | None ->
+                Buffer.add_char out '&';
+                go (i + 1))
+        | None ->
+            Buffer.add_char out '&';
+            go (i + 1))
+      else begin
+        Buffer.add_char out s.[i];
+        go (i + 1)
+      end
+    in
+    go 0
+
+  (* Outside tags, bytes accumulate as visible text; inside a tag, the
+     name and href/src attributes are captured; script and style
+     element contents are skipped entirely. *)
+  let deconstruct input =
+    let input = decode_entities input in
+    let n = String.length input in
+    let text = Buffer.create n in
+    let meta = ref [] in
+    let urls = ref [] in
+    let lowercase_at i len = String.lowercase_ascii (String.sub input i len) in
+    let tag_name i =
+      let closing = i < n && input.[i] = '/' in
+      let start = if closing then i + 1 else i in
+      let rec stop j =
+        if j < n && (is_ascii_alpha input.[j] || is_digit input.[j]) then
+          stop (j + 1)
+        else j
+      in
+      let j = stop start in
+      (lowercase_at start (j - start), closing)
+    in
+    let find_attr_urls tag_start tag_stop =
+      let tag_text = lowercase_at tag_start (tag_stop - tag_start) in
+      List.iter
+        (fun attr ->
+          let alen = String.length attr in
+          let rec search from =
+            if from + alen >= String.length tag_text then ()
+            else if String.sub tag_text from alen = attr then begin
+              let vstart = from + alen in
+              let vstart, quote =
+                if
+                  vstart < String.length tag_text
+                  && (tag_text.[vstart] = '"' || tag_text.[vstart] = '\'')
+                then (vstart + 1, Some tag_text.[vstart])
+                else (vstart, None)
+              in
+              let rec vstop j =
+                if j >= String.length tag_text then j
+                else
+                  match quote with
+                  | Some q -> if tag_text.[j] = q then j else vstop (j + 1)
+                  | None ->
+                      if tag_text.[j] = ' ' || tag_text.[j] = '>' then j
+                      else vstop (j + 1)
+              in
+              let j = vstop vstart in
+              if j > vstart then
+                urls := String.sub tag_text vstart (j - vstart) :: !urls;
+              search j
+            end
+            else search (from + 1)
+          in
+          search 0)
+        [ "href="; "src=" ]
+    in
+    let rec skip_element_content close i =
+      match String.index_from_opt input i '<' with
+      | None -> n
+      | Some lt ->
+          let name, closing = tag_name (lt + 1) in
+          if closing && name = close then
+            match String.index_from_opt input lt '>' with
+            | Some gt -> gt + 1
+            | None -> n
+          else skip_element_content close (lt + 1)
+    in
+    let rec go i =
+      if i >= n then ()
+      else if input.[i] = '<' then
+        if i + 3 < n && String.sub input i 4 = "<!--" then (
+          let rec find_end j =
+            if j + 2 >= n then n
+            else if String.sub input j 3 = "-->" then j + 3
+            else find_end (j + 1)
+          in
+          go (find_end (i + 4)))
+        else begin
+          let name, closing = tag_name (i + 1) in
+          let tag_end =
+            match String.index_from_opt input i '>' with
+            | Some gt -> gt
+            | None -> n
+          in
+          if name <> "" && not closing && List.mem name tracked_tags then
+            meta := ("html:" ^ name) :: !meta;
+          find_attr_urls i (min n tag_end);
+          Buffer.add_char text ' ';
+          let next = min n (tag_end + 1) in
+          if (not closing) && (name = "script" || name = "style") then
+            go (skip_element_content name next)
+          else go next
+        end
+      else begin
+        Buffer.add_char text input.[i];
+        go (i + 1)
+      end
+    in
+    go 0;
+    {
+      visible_text = Buffer.contents text;
+      meta_tokens = List.rev !meta;
+      urls = List.rev !urls;
+    }
+
+  let strip_tags input = (deconstruct input).visible_text
+end
 
 (* ------------------------------------------------------------------ *)
 (* Word splitting                                                      *)
@@ -172,15 +623,16 @@ module Spambayes = struct
 
   let iter_chunk f (kind, text) =
     match kind with
-    | Spamlab_email.Mime.Plain -> iter_body_text f text
-    | Spamlab_email.Mime.Html ->
+    | Mime.Plain -> iter_body_text f text
+    | Mime.Html ->
         let html = Html.deconstruct text in
         List.iter f html.Html.meta_tokens;
         List.iter (fun u -> List.iter f (Url.crack u)) html.Html.urls;
         iter_body_text f html.Html.visible_text
 
   let structure_tokens headers =
-    let open Spamlab_email in
+    let module Header = Spamlab_email.Header in
+    let module Mime = Spamlab_email.Mime in
     let of_field field =
       match Header.find headers field with
       | None -> []
@@ -227,8 +679,8 @@ module Spambayes = struct
       (Spamlab_email.Header.find_all headers "received")
 
   let iter_tokens msg f =
-    let open Spamlab_email in
-    let headers = Message.headers msg in
+    let module Header = Spamlab_email.Header in
+    let headers = Spamlab_email.Message.headers msg in
     (match Header.find headers "subject" with
     | None -> ()
     | Some s ->

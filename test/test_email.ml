@@ -212,6 +212,19 @@ let rfc2822_tests =
         match Rfc2822.parse (Rfc2822.print msg) with
         | Ok msg' -> Message.equal msg msg'
         | Error _ -> false);
+    qtest ~count:1000 "parse = the line-splitting oracle on header-block soup"
+      QCheck2.Gen.(
+        map (String.concat "")
+          (list_size (int_range 0 14)
+             (oneofl
+                [ "Subject: hello"; "From: a@b"; "X-Thing:  padded value  "; ":"; "A:";
+                  "a b: c"; "\tfolded more"; " folded"; "no colon line"; "\n"; "\r\n";
+                  "\r"; "\n\n"; "body words"; "\xe9"; "\r\r\n"; "Name\t: v" ])))
+      (fun text ->
+        match (Rfc2822.parse text, Spamlab_oracle.Rfc2822.parse text) with
+        | Ok m, Ok m' -> Message.equal m m'
+        | Error _, Error _ -> true
+        | _ -> false);
     test_case "unfolding is linear in continuation lines" (fun () ->
         (* Linear code allocates about 4x at 4x the lines; joining the
            value line by line allocates about 16x. *)

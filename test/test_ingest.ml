@@ -393,6 +393,291 @@ let edge_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* The offset decoder against the oracle's string walk                 *)
+
+(* Random MIME: nested multiparts (to depth 5 and past it) with
+   preambles, epilogues, quoted and unquoted boundaries and missing or
+   mismatched delimiters; base64 with invalid bytes and whitespace;
+   quoted-printable with soft breaks and bad escapes; HTML with
+   entities, comments, script/style, unterminated tags and href/src;
+   CRLF line ends, ">From" lines, 8-bit bytes and malformed part
+   headers. *)
+module Mime_gen = struct
+  open QCheck2.Gen
+
+  let word =
+    oneofl
+      [ "alpha"; "Bravo"; "CHARLIE"; "d"; "echo's"; "$99"; "x-ray"; "v-i-a-g-r-a";
+        "http://spam.example/buy-now"; "HTTPS://Shop.Example:8080/Deal?x=1";
+        "www.cheap.example"; "bob@corp.example"; "supercalifragilistic";
+        "caf\xc3\xa9"; "\xff\xfe8bit"; "\xe9\xe9\xe9\xe9"; "na\xefve"; "\xe9t\xe9";
+        "From"; ">From"; "From "; "\nFrom "; "\n>From "; ":"; "@"; "=3D";
+        "&amp;"; "<b>"; "--B1"; "--b-2--"; "Content-Type:"; "=" ]
+
+  let sep = oneofl [ " "; " "; "\n"; "\r\n"; "\t"; "" ]
+
+  let text =
+    map
+      (fun ws -> String.concat "" (List.map (fun (w, s) -> w ^ s) ws))
+      (list_size (int_range 0 10) (pair word sep))
+
+  let html_piece =
+    oneof
+      [
+        word;
+        oneofl
+          [ "<a href=\"http://x.example/path-one\">"; "<A HREF='http://Y.example/Two'>";
+            "<img src=http://img.example/p.gif>"; "<IMG SRC=\"\">"; "</a>"; "<b>";
+            "</B>"; "<!-- hidden words -->"; "<!--"; "-->"; "<script>var evil = 1;</script>";
+            "<STYLE>p {}</style>"; "<script>"; "</script"; "</SCRIPT >"; "<"; ">"; "</";
+            "&amp;"; "&lt;b&gt;"; "&LT;i&GT;"; "&#65;"; "&#300;"; "&#0;"; "&nbsp;";
+            "&zzz;"; "&"; ";"; "&#;"; "&amp"; "&#000065;"; "&#0000065;"; "&#x41;"; "&#255;"; "&#256;";
+            "<iframe src=\"http://f.example\">";
+            "<a src=\"http://one.example/s\" href=\"http://two.example/h\">";
+            "<font size=1>"; "<table>"; "<form><input>"; "<p>"; " "; "\n"; "\r\n";
+            "<a xsrc=http://z.example/q>"; "<a href=\"unterminated" ];
+      ]
+
+  let html = map (String.concat "") (list_size (int_range 0 16) html_piece)
+
+  (* Inject [pieces] at random points of [s]. *)
+  let sprinkle pieces s =
+    map
+      (fun picks ->
+        List.fold_left
+          (fun s (pos, piece) ->
+            let pos = if s = "" then 0 else pos mod (String.length s + 1) in
+            String.sub s 0 pos ^ piece ^ String.sub s pos (String.length s - pos))
+          s picks)
+      (list_size (int_range 0 3) (pair (int_range 0 10_000) (oneofl pieces)))
+
+  let base64_body plain =
+    oneof
+      [
+        return (Spamlab_email.Encoding.base64_encode plain);
+        sprinkle [ " "; "\n"; "\r\n"; "="; "*"; "\xe9"; "-" ]
+          (Spamlab_email.Encoding.base64_encode plain);
+        return plain;
+      ]
+
+  let qp_body plain =
+    oneof
+      [
+        return (Spamlab_email.Encoding.quoted_printable_encode plain);
+        sprinkle [ "=\n"; "=\r\n"; "=ZZ"; "=4"; "="; "=e9"; "=3d" ]
+          (Spamlab_email.Encoding.quoted_printable_encode plain);
+        return plain;
+      ]
+
+  let encoded plain =
+    oneof
+      [
+        return ([], plain);
+        map (fun b -> ([ ("Content-Transfer-Encoding", "base64") ], b)) (base64_body plain);
+        map (fun b -> ([ ("Content-Transfer-Encoding", " Base64 ") ], b)) (base64_body plain);
+        map
+          (fun b -> ([ ("Content-Transfer-Encoding", "quoted-printable") ], b))
+          (qp_body plain);
+        map (fun b -> ([ ("Content-Transfer-Encoding", "QUOTED-PRINTABLE") ], b)) (qp_body plain);
+        return ([ ("Content-Transfer-Encoding", "7bit") ], plain);
+        return ([ ("Content-Transfer-Encoding", "x-zip") ], plain);
+      ]
+
+  let leaf =
+    oneof
+      [
+        bind text (fun t -> map (fun (h, b) -> (h, b)) (encoded t));
+        bind text (fun t ->
+            map (fun (h, b) -> (("Content-Type", "text/plain; charset=us-ascii") :: h, b)) (encoded t));
+        bind html (fun t ->
+            map (fun (h, b) -> (("Content-Type", "text/html") :: h, b)) (encoded t));
+        bind html (fun t -> map (fun (h, b) -> (("Content-Type", "TEXT/HTML; x=1") :: h, b)) (encoded t));
+        map (fun t -> ([ ("Content-Type", "image/gif") ], t)) text;
+        map (fun t -> ([ ("Content-Type", "texthtml") ], t)) text;
+        map (fun t -> ([ ("Content-Type", "text/ html") ], t)) html;
+      ]
+
+  let boundary = oneofl [ "B1"; "b-2"; "=_x"; "outer"; "a b"; "B1--" ]
+
+  let header_block nl headers =
+    String.concat "" (List.map (fun (n, v) -> n ^ ": " ^ v ^ nl) headers)
+
+  (* A part's header block, sometimes folded or malformed. *)
+  let part_text nl (headers, body) =
+    map
+      (fun shape ->
+        let block =
+          match shape with
+          | 0 -> header_block nl headers
+          | 1 -> "garbage line without colon" ^ nl ^ header_block nl headers
+          | 2 -> "\tdangling continuation" ^ nl ^ header_block nl headers
+          | 3 ->
+              String.concat ""
+                (List.map (fun (n, v) -> n ^ ":" ^ nl ^ "\t" ^ v ^ nl) headers)
+          | 4 -> header_block nl (headers @ [ ("content-TYPE", "text/html") ])
+          | _ -> header_block nl headers ^ "X-Other: one" ^ nl ^ " two" ^ nl
+        in
+        block ^ nl ^ body)
+      (int_range 0 6)
+
+  let rec entity depth = if depth > 6 then leaf else with_parts depth
+
+  and with_parts depth =
+    let multipart =
+      bind
+        (tup6 boundary (int_range 0 4) (oneofl [ "\n"; "\r\n"; "\012\n"; " \r\n" ])
+           (list_size (int_range 0 (if depth < 2 then 3 else 2)) (entity (depth + 1)))
+           (pair text text) (int_range 0 3))
+        (fun (b, ct_shape, nl, parts, (preamble, epilogue), ending) ->
+          let ct =
+            match ct_shape with
+            | 0 -> "multipart/mixed; boundary=\"" ^ b ^ "\""
+            | 1 -> "multipart/alternative; boundary=" ^ b
+            | 2 -> "Multipart/Mixed; charset=x; BOUNDARY=\"" ^ b ^ "\"; boundary=other"
+            | 3 -> "multipart/mixed"
+            | _ -> "multipart/mixed; boundary=\"\""
+          in
+          map
+            (fun rendered ->
+              let delim = "--" ^ b in
+              let body =
+                preamble ^ nl
+                ^ String.concat "" (List.map (fun p -> delim ^ nl ^ p ^ nl) rendered)
+                ^ (match ending with
+                  | 0 -> delim ^ "--" ^ nl
+                  | 1 -> "  " ^ delim ^ "-- " ^ nl
+                  | 2 -> "--" ^ b ^ "x--" ^ nl
+                  | _ -> "")
+                ^ epilogue
+              in
+              ([ ("Content-Type", ct) ], body))
+            (flatten_l (List.map (part_text nl) parts)))
+    in
+    frequency [ (3, leaf); ((if depth < 2 then 3 else 1), multipart) ]
+
+  (* A leaf nested in [k] single-part multiparts: the depth limit. *)
+  let rec chain k =
+    if k = 0 then leaf
+    else
+      map
+        (fun (headers, body) ->
+          let b = "L" ^ string_of_int k in
+          ( [ ("Content-Type", "multipart/mixed; boundary=" ^ b) ],
+            "--" ^ b ^ "\n" ^ header_block "\n" headers ^ "\n" ^ body ^ "\n--" ^ b ^ "--\n" ))
+        (chain (k - 1))
+
+  let message =
+    map
+      (fun ((headers, body), subject, ignored) ->
+        let top =
+          [ ("Subject", subject); ("From", "Eve Attacker <eve@evil.example>") ]
+          @ (if ignored then [ ("Date", "Thu, 1 Jan 1970"); ("Message-Id", "<1@x>") ] else [])
+        in
+        Message.make ~headers:(Header.of_list (top @ headers)) body)
+      (triple
+         (frequency [ (4, entity 0); (1, bind (int_range 3 7) chain) ])
+         (oneofl [ "Free OFFER now"; "re: numbers"; "" ])
+         bool)
+
+  let print m = String.escaped (Spamlab_email.Rfc2822.print m)
+end
+
+(* The raw chunk's token stream, as a sequence. *)
+let raw_tokens tokenizer text ~off ~len =
+  let acc = ref [] in
+  let ok =
+    Ingest.iter_raw_spans tokenizer text ~off ~len
+      ~span:(fun b o l -> acc := String.sub b o l :: !acc)
+      ~token:(fun t -> acc := t :: !acc)
+  in
+  if ok then Some (List.rev !acc) else None
+
+let check_decoder tokenizer m =
+  let tname = Tokenizer.name tokenizer in
+  let same what want got =
+    if want <> got then
+      Alcotest.failf "%s, %s: token streams differ\noracle: %s\ndecoder: %s" tname what
+        (String.concat " | " want) (String.concat " | " got)
+  in
+  same "Message.t" (Oracle.tokenize tokenizer m) (Tokenizer.tokenize tokenizer m);
+  let text = Mbox.print [ m ] in
+  let want = List.map (fun p -> Oracle.tokenize tokenizer (strip_ignored p)) (fst (Mbox.parse_lenient text)) in
+  let got =
+    List.filter_map
+      (fun (off, len) -> raw_tokens tokenizer text ~off ~len)
+      (Array.to_list (Ingest.raw_message_chunks text))
+  in
+  check_int (tname ^ ": raw messages") (List.length want) (List.length got);
+  List.iter2 (same "raw chunk") want got
+
+(* Fixed cases from the counterexamples the generator shrank against
+   decoders broken on purpose, one per rule they broke. *)
+let decoder_fixtures =
+  let mime ct ?cte body =
+    Message.make
+      ~headers:
+        (Header.of_list
+           ([ ("Subject", "Free OFFER now"); ("Content-Type", ct) ]
+           @ match cte with None -> [] | Some e -> [ ("Content-Transfer-Encoding", e) ]))
+      body
+  in
+  let rec chain k inner =
+    if k = 0 then inner
+    else
+      let b = "L" ^ string_of_int k in
+      chain (k - 1)
+        ("Content-Type: multipart/mixed; boundary=" ^ b ^ "\n\n--" ^ b ^ "\n" ^ inner ^ "\n--" ^ b
+       ^ "--\n")
+  in
+  [
+    (* Parts nested past the depth limit contribute nothing. *)
+    ("depth limit", mime "multipart/mixed; boundary=L0"
+       ("--L0\n" ^ chain 5 "Content-Type: text/plain\n\ndeep words caf\xc3\xa9" ^ "\n--L0--\n"));
+    ("depth 4 still read", mime "multipart/mixed; boundary=L0"
+       ("--L0\n" ^ chain 3 "Content-Type: text/plain\n\ndeep words" ^ "\n--L0--\n"));
+    (* A part body loses one CR per line, which moves the 8bit% share. *)
+    ("CRLF part body", mime "multipart/mixed; boundary=L1"
+       "--L1\n\n\nFrom \r\ncaf\xc3\xa9 \r\n\r\r\n--L1--\n");
+    (* Only a ';' at most 8 bytes after the '&' closes an entity. *)
+    ("entity bound", mime "text/html" "alpha&#000065; alpha&#0000065; &#255; &#256; &LT;b&GT;x");
+    (* Delimiter lines are trimmed as String.trim trims, form feed
+       included. *)
+    ("form feed delimiter", mime "multipart/mixed; boundary=\"a b\""
+       "\n--a b\012\nContent-Type: text/plain\n\nfirst part\n\012--a b--\012\nepilogue words\n");
+    (* A tag's hrefs come before its srcs. *)
+    ("href before src", mime "text/html"
+       "<a src=\"http://one.example/s\" href=\"http://two.example/h\">link</a>");
+    (* The first Content-Type of a part wins. *)
+    ("first content type", mime "multipart/mixed; boundary=b-2"
+       "--b-2\nContent-Type: text/plain\ncontent-TYPE: text/html\n\n<b>bold</b> words\n--b-2--\n");
+    (* A continuation before any field makes the part malformed. *)
+    ("orphan continuation", mime "multipart/mixed; boundary=B1"
+       "--B1\n\tdangling continuation\nContent-Type: text/html\n\n<b>x</b>\n--B1\n\nkept\n--B1--\n");
+    (* ">From " lines are unquoted before the 8bit% share is taken. *)
+    ("quoted From", Message.make ~headers:(Header.of_list [ ("Subject", "quoting") ])
+       "caf\xc3\xa9\n>From here\nFrom there\n\xe9\xe9");
+    (* A base64 body with a byte outside the alphabet stays as it is. *)
+    ("base64 invalid byte", mime "text/plain" ~cte:"base64" "echo's Zm9v");
+    (* A multipart none of whose parts parses is one Plain leaf. *)
+    ("no part parses", mime "multipart/mixed; boundary=\"B1\""
+       "\n--B1\nbroken line\n\n--B1\nContent-Type: multipart/mixed; boundary=\"B1\"\n\n\n--B1--\n\n--B1--\n");
+  ]
+
+let decoder_tests =
+  [
+    test_case "fixed cases: decoder stream = oracle stream, all tokenizers" (fun () ->
+        List.iter
+          (fun (_, m) -> List.iter (fun t -> check_decoder t m) all_tokenizers)
+          decoder_fixtures);
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:1000 ~print:Mime_gen.print
+         ~name:"random MIME: decoder stream = oracle stream, all tokenizers"
+         Mime_gen.message (fun m ->
+           List.iter (fun t -> check_decoder t m) all_tokenizers;
+           true));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Allocation: body words of a Simple chunk cost no minor words         *)
 
 (* A Simple chunk (no MIME headers, no CRLF, no ">From") whose body is
@@ -481,6 +766,83 @@ let alloc_tests =
             Alcotest.(check (float 0.))
               "minor words at N = 50 and N = 5,000" at_50 at_5000))
       all_tokenizers
+
+(* Mail that needs decoding: [n] in-range words, half capitalized, ten
+   to a line, as a base64 body, a quoted-printable body, single-part
+   HTML (tags, entities and one link per message) and a two-part
+   multipart/alternative.  Each is read in place or decoded into
+   per-domain scratch, so none may allocate per body word. *)
+let words_lines n ~line =
+  let word i =
+    let w = Printf.sprintf "quietword%02d" (i mod 53) in
+    if i mod 2 = 0 then String.capitalize_ascii w else w
+  in
+  String.concat "\n"
+    (List.init ((n + 9) / 10) (fun l ->
+         line (String.concat " " (List.init (min 10 (n - (10 * l))) (fun j -> word ((10 * l) + j))))))
+
+let html_body n =
+  "<html><body><p>"
+  ^ words_lines n ~line:(fun l -> "<b>" ^ l ^ "</b> &amp; caf&#233;<br>")
+  ^ "<a href=\"http://shop.example/buy\">here</a></body></html>"
+
+let mime_chunks =
+  let chunk headers body = "Subject: steady state\n" ^ headers ^ "\n" ^ body ^ "\n" in
+  let plain n = words_lines n ~line:Fun.id in
+  [
+    ( "a base64 message",
+      fun n ->
+        chunk "Content-Transfer-Encoding: base64\n" (Spamlab_email.Encoding.base64_encode (plain n)) );
+    ( "a quoted-printable message",
+      fun n ->
+        chunk "Content-Transfer-Encoding: quoted-printable\n"
+          (Spamlab_email.Encoding.quoted_printable_encode (words_lines n ~line:(fun l -> l ^ " caf\xe9=")))
+    );
+    ("a single-part HTML message", fun n -> chunk "Content-Type: text/html\n" (html_body n));
+    ( "a two-part multipart message",
+      fun n ->
+        chunk "Content-Type: multipart/alternative; boundary=\"B42\"\n"
+          ("--B42\nContent-Type: text/plain\n\n" ^ plain (n / 2)
+         ^ "\n--B42\nContent-Type: text/html\n\n" ^ html_body (n - (n / 2)) ^ "\n--B42--\n") );
+  ]
+
+(* The least of five runs, each from an empty minor heap: a collection
+   inside a run can inflate its count. *)
+let least_minor_words f =
+  List.fold_left min infinity
+    (List.init 5 (fun _ ->
+         Gc.minor ();
+         minor_words_of f))
+
+let mime_alloc_tests =
+  List.concat_map
+    (fun tokenizer ->
+      List.map
+        (fun (what, make) ->
+          test_case
+            (Printf.sprintf "%s: scoring %s allocates nothing per body word"
+               (Tokenizer.name tokenizer) what)
+            (fun () ->
+              let small = make 50 and big = make 5_000 in
+              let len chunk = String.length chunk in
+              (* Intern every token and publish the snapshot; then grow
+                 the per-domain scratch to the big message once. *)
+              List.iter
+                (fun c -> ignore (Ingest.unique_ids_raw tokenizer c ~off:0 ~len:(len c)))
+                [ small; big ];
+              Intern.freeze ();
+              let engine =
+                Classify.engine_cached (Prob_cache.create Options.default (Token_db.create ()))
+              in
+              let score chunk () =
+                ignore (Ingest.classify_raw_engine engine tokenizer chunk ~off:0 ~len:(len chunk))
+              in
+              score big ();
+              let at_50 = least_minor_words (score small) in
+              let at_5000 = least_minor_words (score big) in
+              Alcotest.(check (float 0.)) "minor words at N = 50 and N = 5,000" at_50 at_5000))
+        mime_chunks)
+    all_tokenizers
 
 (* ------------------------------------------------------------------ *)
 (* Scoring looks tokens up; the interning path is the reference        *)
@@ -632,7 +994,8 @@ let () =
       ("raw-mbox", raw_tests);
       ("suppression", suppression_tests);
       ("edge-divergence", edge_tests);
-      ("allocation", alloc_tests);
+      ("decoder", decoder_tests);
+      ("allocation", alloc_tests @ mime_alloc_tests);
       ("classify", classify_tests);
       ("lookup", lookup_tests);
     ]

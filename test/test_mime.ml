@@ -2,7 +2,8 @@
    HTML deconstruction, plus their integration with tokenization. *)
 
 open Spamlab_email
-module Html = Spamlab_tokenizer.Html
+module Oracle = Spamlab_oracle
+module Html = Spamlab_oracle.Html
 module Tokenizer = Spamlab_tokenizer.Tokenizer
 
 let check_str = Alcotest.(check string)
@@ -22,7 +23,7 @@ let base64_tests =
         List.iter
           (fun (plain, encoded) ->
             check_str plain encoded (Encoding.base64_encode plain);
-            match Encoding.base64_decode encoded with
+            match Oracle.Encoding.base64_decode encoded with
             | Ok decoded -> check_str encoded plain decoded
             | Error e -> Alcotest.fail e)
           [
@@ -36,20 +37,20 @@ let base64_tests =
           (fun line -> check_bool "width" true (String.length line <= 76))
           (String.split_on_char '\n' encoded));
     test_case "decode ignores whitespace and padding" (fun () ->
-        match Encoding.base64_decode "Zm9v\n  YmFy " with
+        match Oracle.Encoding.base64_decode "Zm9v\n  YmFy " with
         | Ok s -> check_str "foobar" "foobar" s
         | Error e -> Alcotest.fail e);
     test_case "decode accepts unpadded input" (fun () ->
-        match Encoding.base64_decode "Zm9vYg" with
+        match Oracle.Encoding.base64_decode "Zm9vYg" with
         | Ok s -> check_str "foob" "foob" s
         | Error e -> Alcotest.fail e);
     test_case "decode rejects invalid characters" (fun () ->
         check_bool "error" true
-          (Result.is_error (Encoding.base64_decode "Zm9v*mFy")));
+          (Result.is_error (Oracle.Encoding.base64_decode "Zm9v*mFy")));
     qtest "round-trips arbitrary bytes"
       QCheck2.Gen.(string_size (int_range 0 300))
       (fun s ->
-        match Encoding.base64_decode (Encoding.base64_encode s) with
+        match Oracle.Encoding.base64_decode (Encoding.base64_encode s) with
         | Ok s' -> s' = s
         | Error _ -> false);
   ]
@@ -70,18 +71,18 @@ let qp_tests =
         check_bool "trailing space escaped" true
           (String.length encoded >= 8 && String.sub encoded 4 3 = "=20"));
     test_case "decode removes soft breaks" (fun () ->
-        match Encoding.quoted_printable_decode "long=\nword" with
+        match Oracle.Encoding.quoted_printable_decode "long=\nword" with
         | Ok s -> check_str "joined" "longword" s
         | Error e -> Alcotest.fail e);
     test_case "decode is liberal about stray =" (fun () ->
-        match Encoding.quoted_printable_decode "a=zb" with
+        match Oracle.Encoding.quoted_printable_decode "a=zb" with
         | Ok s -> check_str "literal" "a=zb" s
         | Error e -> Alcotest.fail e);
     qtest "round-trips arbitrary bytes"
       QCheck2.Gen.(string_size (int_range 0 200))
       (fun s ->
         match
-          Encoding.quoted_printable_decode (Encoding.quoted_printable_encode s)
+          Oracle.Encoding.quoted_printable_decode (Encoding.quoted_printable_encode s)
         with
         | Ok s' -> s' = s
         | Error _ -> false);
@@ -111,7 +112,7 @@ let content_type_tests =
         check_bool "empty subtype" true
           (Result.is_error (Mime.content_type_of_string "text/")));
     test_case "message default is text/plain" (fun () ->
-        let ct = Mime.content_type (Message.make "body") in
+        let ct = Oracle.Mime.content_type (Message.make "body") in
         check_str "type" "text" ct.Mime.media_type;
         check_str "subtype" "plain" ct.Mime.subtype);
     test_case "malformed header degrades to text/plain" (fun () ->
@@ -120,11 +121,11 @@ let content_type_tests =
             ~headers:(Header.of_list [ ("Content-Type", "garbage") ])
             "body"
         in
-        check_str "subtype" "plain" (Mime.content_type msg).Mime.subtype);
+        check_str "subtype" "plain" (Oracle.Mime.content_type msg).Mime.subtype);
     test_case "to_string round-trips" (fun () ->
         match Mime.content_type_of_string "text/html; charset=us-ascii" with
         | Ok ct -> (
-            match Mime.content_type_of_string (Mime.content_type_to_string ct) with
+            match Mime.content_type_of_string (Oracle.Mime.content_type_to_string ct) with
             | Ok ct' -> check_bool "equal" true (ct = ct')
             | Error e -> Alcotest.fail e)
         | Error e -> Alcotest.fail e);
@@ -132,19 +133,19 @@ let content_type_tests =
         let msg = Mime.with_base64_transfer (Message.make "secret payload") in
         check_bool "body is encoded" true
           (Message.body msg <> "secret payload");
-        check_str "decodes" "secret payload" (Mime.decoded_body msg));
+        check_str "decodes" "secret payload" (Oracle.Mime.decoded_body msg));
     test_case "decoded_body reverses quoted-printable" (fun () ->
         let msg =
           Mime.with_quoted_printable_transfer (Message.make "caf=e9 style")
         in
-        check_str "decodes" "caf=e9 style" (Mime.decoded_body msg));
+        check_str "decodes" "caf=e9 style" (Oracle.Mime.decoded_body msg));
     test_case "unknown transfer encoding passes through" (fun () ->
         let msg =
           Message.make
             ~headers:(Header.of_list [ ("Content-Transfer-Encoding", "x-zip") ])
             "raw"
         in
-        check_str "raw" "raw" (Mime.decoded_body msg));
+        check_str "raw" "raw" (Oracle.Mime.decoded_body msg));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -159,54 +160,72 @@ let multipart_tests =
             ~headers:(Header.of_list [ ("Content-Type", "text/html") ])
             "<p>second</p>"
         in
-        let msg = Mime.make_multipart ~boundary:"XYZ" [ part1; part2 ] in
-        match Mime.parts msg with
+        let msg = Oracle.Mime.make_multipart ~boundary:"XYZ" [ part1; part2 ] in
+        match Oracle.Mime.parts msg with
         | Some [ p1; p2 ] ->
             check_str "part1" "first part body" (Message.body p1);
             check_str "part2" "<p>second</p>" (Message.body p2);
-            check_str "part2 type" "html" (Mime.content_type p2).Mime.subtype
+            check_str "part2 type" "html" (Oracle.Mime.content_type p2).Mime.subtype
         | Some _ -> Alcotest.fail "wrong part count"
         | None -> Alcotest.fail "no parts");
     test_case "parts of a non-multipart is None" (fun () ->
-        check_bool "none" true (Mime.parts (Message.make "plain") = None));
+        check_bool "none" true (Oracle.Mime.parts (Message.make "plain") = None));
     test_case "multipart without boundary is None" (fun () ->
         let msg =
           Message.make
             ~headers:(Header.of_list [ ("Content-Type", "multipart/mixed") ])
             "body"
         in
-        check_bool "none" true (Mime.parts msg = None));
+        check_bool "none" true (Oracle.Mime.parts msg = None));
     test_case "make_multipart validates the boundary" (fun () ->
         Alcotest.check_raises "empty"
           (Invalid_argument "Mime.make_multipart: empty boundary") (fun () ->
-            ignore (Mime.make_multipart ~boundary:"" []));
+            ignore (Oracle.Mime.make_multipart ~boundary:"" []));
         Alcotest.check_raises "collision"
           (Invalid_argument "Mime.make_multipart: boundary occurs in a part")
           (fun () ->
             ignore
-              (Mime.make_multipart ~boundary:"BB"
+              (Oracle.Mime.make_multipart ~boundary:"BB"
                  [ Message.make "text --BB text" ])));
     test_case "text_content traverses nested multiparts" (fun () ->
         let inner =
-          Mime.make_multipart ~boundary:"IN"
+          Oracle.Mime.make_multipart ~boundary:"IN"
             [ Message.make "deep plain"; Mime.make_html "<b>deep html</b>" ]
         in
-        let outer = Mime.make_multipart ~boundary:"OUT" [ inner; Message.make "top" ] in
-        let chunks = Mime.text_content outer in
+        let outer = Oracle.Mime.make_multipart ~boundary:"OUT" [ inner; Message.make "top" ] in
+        let chunks = Oracle.Mime.text_content outer in
         check_int "three chunks" 3 (List.length chunks);
         check_bool "kinds" true
           (List.map fst chunks = [ Mime.Plain; Mime.Html; Mime.Plain ]));
     test_case "text_content of base64 html decodes" (fun () ->
         let msg = Mime.with_base64_transfer (Mime.make_html "<i>hidden words</i>") in
-        match Mime.text_content msg with
+        match Oracle.Mime.text_content msg with
         | [ (Mime.Html, body) ] ->
             check_str "decoded" "<i>hidden words</i>" body
         | _ -> Alcotest.fail "unexpected structure");
     test_case "text_content never loses a plain body" (fun () ->
-        match Mime.text_content (Message.make "just text") with
+        match Oracle.Mime.text_content (Message.make "just text") with
         | [ (Mime.Plain, body) ] -> check_str "body" "just text" body
         | _ -> Alcotest.fail "unexpected structure");
   ]
+
+(* The lib decoder's leaves of a message, copied out. *)
+let leaves headers body =
+  let acc = ref [] in
+  Mime.iter_leaves
+    (Mime.text_leaves (Header.of_list headers) body 0 (String.length body))
+    (fun kind buf off len -> acc := (kind, String.sub buf off len) :: !acc);
+  List.rev !acc
+
+(* The lib HTML scanner's output in the oracle's shape (URLs
+   lowercased, as the oracle reports them). *)
+let scan s =
+  let meta = ref [] and urls = ref [] and text = ref "" in
+  Spamlab_tokenizer.Html.iter s 0 (String.length s)
+    ~meta:(fun m -> meta := m :: !meta)
+    ~url:(fun b o l -> urls := String.lowercase_ascii (String.sub b o l) :: !urls)
+    ~text:(fun b o l -> text := String.sub b o l);
+  { Html.visible_text = !text; meta_tokens = List.rev !meta; urls = List.rev !urls }
 
 (* ------------------------------------------------------------------ *)
 (* HTML                                                                *)
@@ -259,6 +278,50 @@ let html_tests =
         in
         check_bool "split" true
           (List.mem "one" words && List.mem "two" words));
+    test_case "entity decoding is linear in the number of '&'" (fun () ->
+        (* A text/html body of [n] '&', with or without a ';' after the
+           last: linear decoding takes about 8x as long at 8x the
+           bytes, a search for ';' from every '&' about 64x. *)
+        let tokenize n semi =
+          let msg = Mime.make_html (String.make n '&' ^ if semi then ";" else "") in
+          fun () -> ignore (Tokenizer.tokenize Tokenizer.spambayes msg)
+        in
+        let time reps f =
+          let t0 = Unix.gettimeofday () in
+          for _ = 1 to reps do
+            f ()
+          done;
+          Unix.gettimeofday () -. t0
+        in
+        List.iter
+          (fun semi ->
+            let small = tokenize 2_000 semi and big = tokenize 16_000 semi in
+            (* Repeat each run until the small one takes 2 ms, above
+               the clock's resolution; keep the least of five. *)
+            let reps = ref 1 in
+            while time !reps small < 0.002 do
+              reps := 2 * !reps
+            done;
+            let least f = List.fold_left min infinity (List.init 5 (fun _ -> time !reps f)) in
+            let ratio = least big /. least small in
+            if ratio >= 24.0 then
+              Alcotest.failf "16,000 '&'%s take %.1fx as long as 2,000"
+                (if semi then " and a ';'" else "") ratio)
+          [ false; true ]);
+    qtest "lib scanner = oracle deconstruct on tag soup" ~count:500
+      QCheck2.Gen.(
+        map (String.concat "")
+          (list_size (int_range 0 30)
+             (oneofl
+                [ "<a href="; "<A HREF='http://X.example/Y'>"; "<script>"; "</script";
+                  "</SCRIPT >"; "<style>"; "</style>"; "<!--"; "-->"; "<img src=x.gif>";
+                  "<a src=s href=h>"; "text"; "Words"; " "; "\"quoted\""; "<b>"; "&amp;";
+                  "&lt;"; "&gt;"; "&#65;"; "&#300;"; "&nbsp;"; "&"; ";"; "<>"; "<"; ">"; "='x'";
+                  "<font>"; "<table>"; "<iframe>"; "<form>"; "<input>"; "</a>"; "\n" ])))
+      (fun s -> scan s = Html.deconstruct s);
+    qtest "lib scanner = oracle deconstruct on arbitrary bytes" ~count:500
+      QCheck2.Gen.(string_size (int_range 0 300))
+      (fun s -> scan s = Html.deconstruct s);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -295,7 +358,7 @@ let integration_tests =
         check_bool "words" true (List.mem "cheap" tokens));
     test_case "multipart alternative tokenizes all parts" (fun () ->
         let msg =
-          Mime.make_multipart ~boundary:"B42"
+          Oracle.Mime.make_multipart ~boundary:"B42"
             [ Message.make "plain version words";
               Mime.make_html "<p>html version words</p>" ]
         in
@@ -318,16 +381,19 @@ let fuzz_tests =
   [
     qtest "base64_decode total on arbitrary bytes" ~count:500
       QCheck2.Gen.(string_size (int_range 0 200))
-      (fun s -> no_exn (fun () -> Encoding.base64_decode s));
+      (fun s ->
+        no_exn (fun () -> leaves [ ("Content-Transfer-Encoding", "base64") ] s));
     qtest "quoted_printable_decode total on arbitrary bytes" ~count:500
       QCheck2.Gen.(string_size (int_range 0 200))
-      (fun s -> no_exn (fun () -> Encoding.quoted_printable_decode s));
+      (fun s ->
+        no_exn (fun () ->
+            leaves [ ("Content-Transfer-Encoding", "quoted-printable") ] s));
     qtest "content_type_of_string total" ~count:500
       QCheck2.Gen.(string_size (int_range 0 80))
       (fun s -> no_exn (fun () -> Mime.content_type_of_string s));
     qtest "html deconstruct total on arbitrary bytes" ~count:500
       QCheck2.Gen.(string_size (int_range 0 300))
-      (fun s -> no_exn (fun () -> Html.deconstruct s));
+      (fun s -> no_exn (fun () -> scan s));
     qtest "html deconstruct total on tag soup" ~count:300
       QCheck2.Gen.(
         list_size (int_range 0 30)
@@ -335,7 +401,7 @@ let fuzz_tests =
              [ "<a href="; "<script>"; "</script"; "<!--"; "-->"; "<img ";
                "text"; "\"quoted\""; "<b>"; "&amp;"; "&#300;"; "<>"; "<";
                ">"; "='x'" ]))
-      (fun pieces -> no_exn (fun () -> Html.deconstruct (String.concat "" pieces)));
+      (fun pieces -> no_exn (fun () -> scan (String.concat "" pieces)));
     qtest "text_content total on arbitrary messages" ~count:300
       QCheck2.Gen.(
         pair
@@ -351,11 +417,7 @@ let fuzz_tests =
             (fun (_, v) -> not (String.contains v '\n'))
             headers
         in
-        let msg =
-          Spamlab_email.Message.make
-            ~headers:(Header.of_list headers) body
-        in
-        no_exn (fun () -> Mime.text_content msg));
+        no_exn (fun () -> leaves headers body));
     qtest "spambayes tokenizer total on arbitrary messages" ~count:300
       QCheck2.Gen.(string_size (int_range 0 400))
       (fun body ->

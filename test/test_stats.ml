@@ -192,6 +192,78 @@ let special_tests =
         check_float "0!" 0.0 (Special.mean_log_factorial 0);
         check_float "1!" 0.0 (Special.mean_log_factorial 1);
         check_close 1e-9 "6!" (log 720.0) (Special.mean_log_factorial 6));
+    test_case "chi2_sf keeps its bits on a (df, x) grid" (fun () ->
+        (* The values the recursive series gave, as hex literals: the
+           loop form must do the same float operations in the same
+           order. *)
+        List.iter
+          (fun (df, x, want) ->
+            Alcotest.(check int64)
+              (Printf.sprintf "chi2_sf ~df:%d %h" df x)
+              (Int64.bits_of_float want)
+              (Int64.bits_of_float (Special.chi2_sf ~df x)))
+          [
+            (2, 0x1p-1, 0x1.8ebef9eac820ap-1);
+            (2, 0x1p+0, 0x1.368b2fc6f9608p-1);
+            (2, 0x1.d99999999999ap+1, 0x1.42058f38430dp-3);
+            (2, 0x1.4p+3, 0x1.b993fe00d537fp-8);
+            (2, 0x1.d8p+4, 0x1.a5c04a7fea8d6p-22);
+            (2, 0x1.ep+5, 0x1.a56e0c2ac7f6cp-44);
+            (2, 0x1.2cp+7, 0x1.bd109d9d94bf5p-109);
+            (2, 0x1.a4p+8, 0x1.061cc1b09e653p-303);
+            (2, 0x1.9p+9, 0x1.e50c483c04d4ap-578);
+            (2, 0x1.f4p+10, 0x0p+0);
+            (4, 0x1p-1, 0x1.f26eb8657a28ep-1);
+            (4, 0x1p+0, 0x1.d1d0c7aa7610fp-1);
+            (4, 0x1.d99999999999ap+1, 0x1.cae185b02c5bcp-2);
+            (4, 0x1.4p+3, 0x1.4b2efe809fe97p-5);
+            (4, 0x1.d8p+4, 0x1.9f294955eae3ap-18);
+            (4, 0x1.ep+5, 0x1.98429bc971b81p-39);
+            (4, 0x1.2cp+7, 0x1.0841dd9590528p-102);
+            (4, 0x1.a4p+8, 0x1.b013674925197p-296);
+            (4, 0x1.9p+9, 0x1.7be41e9301d9dp-569);
+            (4, 0x1.f4p+10, 0x0p+0);
+            (10, 0x1p-1, 0x1.ffff2225d6b7ap-1);
+            (10, 0x1p+0, 0x1.ffe970c1ff154p-1);
+            (10, 0x1.d99999999999ap+1, 0x1.eb73be44aa086p-1);
+            (10, 0x1.4p+3, 0x1.c310abf5d9cb4p-2);
+            (10, 0x1.d8p+4, 0x1.0ef77ebbd4601p-10);
+            (10, 0x1.ep+5, 0x1.f21ec0d598f77p-29);
+            (10, 0x1.2cp+7, 0x1.275260f10f1a5p-88);
+            (10, 0x1.a4p+8, 0x1.429d883d0c16bp-277);
+            (10, 0x1.9p+9, 0x1.e6b4eb1023896p-548);
+            (10, 0x1.f4p+10, 0x0p+0);
+            (30, 0x1p-1, 0x1p+0);
+            (30, 0x1p+0, 0x1p+0);
+            (30, 0x1.d99999999999ap+1, 0x1.fffffff420819p-1);
+            (30, 0x1.4p+3, 0x1.ffe2582fb86eep-1);
+            (30, 0x1.d8p+4, 0x1.f74160ce7421p-2);
+            (30, 0x1.ep+5, 0x1.e2b3e6406ed91p-11);
+            (30, 0x1.2cp+7, 0x1.eee2c04ef804ep-58);
+            (30, 0x1.a4p+8, 0x1.ba694b4d4787fp-232);
+            (30, 0x1.9p+9, 0x1.9009201415c4cp-493);
+            (30, 0x1.f4p+10, 0x0p+0);
+            (100, 0x1p-1, 0x1p+0);
+            (100, 0x1p+0, 0x1p+0);
+            (100, 0x1.d99999999999ap+1, 0x1p+0);
+            (100, 0x1.4p+3, 0x1p+0);
+            (100, 0x1.d8p+4, 0x1.fffffffffee76p-1);
+            (100, 0x1.ep+5, 0x1.ffbbfce446bfep-1);
+            (100, 0x1.2cp+7, 0x1.d9ebb47a4ce7cp-11);
+            (100, 0x1.a4p+8, 0x1.ccf0c6abce57cp-134);
+            (100, 0x1.9p+9, 0x1.115a02e2f0dc8p-362);
+            (100, 0x1.f4p+10, 0x0p+0);
+            (300, 0x1p-1, 0x1p+0);
+            (300, 0x1p+0, 0x1p+0);
+            (300, 0x1.d99999999999ap+1, 0x1p+0);
+            (300, 0x1.4p+3, 0x1p+0);
+            (300, 0x1.d8p+4, 0x1p+0);
+            (300, 0x1.ep+5, 0x1p+0);
+            (300, 0x1.2cp+7, 0x1.fffffffffff69p-1);
+            (300, 0x1.a4p+8, 0x1.78de2c4c6f087p-18);
+            (300, 0x1.9p+9, 0x1.dbffc6f825a1p-155);
+            (300, 0x1.f4p+10, 0x1.c0633f7c2ecdep-824);
+          ]);
     qtest "gamma_p in [0,1]"
       QCheck2.Gen.(pair (float_range 0.01 50.0) (float_range 0.0 100.0))
       (fun (a, x) ->
@@ -299,6 +371,21 @@ let fisher_tests =
         Int64.equal
           (Int64.bits_of_float (Fisher.indicator arr n))
           (Int64.bits_of_float want));
+    test_case "the fold allocates the same for 150 scores as for 1" (fun () ->
+        (* Neither the clamp nor the chi-square series may box a float
+           per score or per series term.  The least of five runs, each
+           from an empty minor heap. *)
+        let scores = Array.init 150 (fun i -> float_of_int ((i * 37) mod 101) /. 101.0) in
+        let allocated n =
+          List.fold_left min infinity
+            (List.init 5 (fun _ ->
+                 Gc.minor ();
+                 let before = Gc.minor_words () in
+                 ignore (Sys.opaque_identity (Fisher.indicator scores n));
+                 Gc.minor_words () -. before))
+        in
+        Alcotest.(check (float 0.)) "minor words for 1 and 150 scores" (allocated 1)
+          (allocated 150));
   ]
 
 (* ------------------------------------------------------------------ *)
