@@ -3,6 +3,7 @@ module Dataset = Spamlab_corpus.Dataset
 module Filter = Spamlab_spambayes.Filter
 module Label = Spamlab_spambayes.Label
 module Classify = Spamlab_spambayes.Classify
+module Token_db = Spamlab_spambayes.Token_db
 
 type config = {
   train_size : int;
@@ -42,7 +43,6 @@ let ham_as_ham filter validation =
    dictionary-sized candidate into the copy. *)
 let ham_as_ham_with_candidate filter ~candidate_member validation =
   let module Score = Spamlab_spambayes.Score in
-  let module Token_db = Spamlab_spambayes.Token_db in
   let options = Filter.options filter in
   let db = Filter.db filter in
   let nspam = Token_db.nspam db + 1 in
@@ -60,11 +60,11 @@ let ham_as_ham_with_candidate filter ~candidate_member validation =
         let n = Array.length e.ids in
         for i = 0 to n - 1 do
           let id = e.ids.(i) in
+          let s = Token_db.slot db id in
           let spam =
-            Token_db.spam_count_id db id
-            + if candidate_member id then 1 else 0
+            Token_db.slot_spam db s + if candidate_member id then 1 else 0
           in
-          let ham = Token_db.ham_count_id db id in
+          let ham = Token_db.slot_ham db s in
           probs.(i) <- Score.smoothed_counts options ~spam ~ham ~nspam ~nham
         done;
         if
@@ -87,15 +87,13 @@ let assess ?(config = default_config) rng ~pool ~candidate =
      with-candidate filter at all (see [ham_as_ham_with_candidate]).
      The per-trial cost is the 20-message baseline train plus 2×|V_ham|
      classifications — independent of the candidate's size. *)
-  let candidate_ids = Spamlab_spambayes.Intern.intern_array candidate in
   let candidate_member =
-    (* Ids are dense, so membership is a byte table rather than a
-       hashtable: the with-candidate scoring loop probes it once per
-       validation-token instance. *)
-    let table = Bytes.make (Spamlab_spambayes.Intern.size ()) '\000' in
-    Array.iter (fun id -> Bytes.set table id '\001') candidate_ids;
-    let n = Bytes.length table in
-    fun id -> id < n && Bytes.get table id = '\001'
+    (* A db trained on the candidate alone: sized by the candidate, not
+       by the intern table, and probed once per validation-token
+       instance by the with-candidate scoring loop. *)
+    let db = Token_db.create () in
+    Token_db.train db Label.Spam candidate;
+    fun id -> Token_db.spam_count_id db id > 0
   in
   let per_trial =
     Array.init config.trials (fun _ ->

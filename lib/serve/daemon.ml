@@ -227,8 +227,12 @@ let create config =
       | Error e -> Error e
       | Ok (delta, journal) -> (
           (* When creating a tenant store, the shared filter state just
-             loaded becomes the global prior every tenant starts from;
-             reopening an existing store keeps its persisted prior. *)
+             loaded becomes the global prior every tenant starts from,
+             and the store writes it out; reopening an existing store
+             keeps its persisted prior.  The freeze comes first so that
+             write orders its rows by int rank, whatever order the
+             db's table yields them in. *)
+          Intern.freeze ();
           let store =
             match config.store with
             | None -> Ok None
@@ -244,8 +248,8 @@ let create config =
           match store with
           | Error e -> Error e
           | Ok store ->
-              (* Capture the loaded vocabulary in the frozen intern
-                 snapshot so first-request classification probes
+              (* Capture what the store loaded in the frozen intern
+                 snapshot too, so first-request classification probes
                  lock-free.  The shared snapshot cache is created after
                  the freeze so it is sized to the full vocabulary. *)
               Intern.freeze ();

@@ -1,11 +1,13 @@
 (** Global token interning: strings to dense int ids.
 
     Every token the process ever sees maps to one small int; the hot
-    paths ({!Token_db}, {!Classify}) then index count arrays instead of
-    hashing strings.  The table is process-global and append-only: an id,
-    once assigned, never changes and never goes away, so ids may be
-    stored in long-lived structures ({!Token_db} bases,
-    [Dataset.example]) and shared freely between domains.
+    paths ({!Token_db}, {!Classify}) then probe id-keyed tables instead
+    of hashing strings.  The table is process-global and append-only: an
+    id, once assigned, never changes and never goes away, so ids may be
+    stored in long-lived structures ({!Token_db} tables,
+    [Dataset.example]) and shared freely between domains — and a
+    structure indexed densely by id would grow with everything the
+    process ever interned, so per-filter structures key by id instead.
 
     {2 Zero-copy slices}
 

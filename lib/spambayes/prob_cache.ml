@@ -11,34 +11,44 @@ let disabled =
   | Some "1" -> true
   | _ -> false
 
-(* [probs.(id)] holds the smoothed probability of token [id] computed
-   under db generation [stamps.(id)]; NaN means "slot never filled"
-   (a smoothed probability is never NaN: the formula returns x on a
-   zero denominator and s > 0 keeps the divisor positive).  Private
-   caches validate per-slot against the db's current generation and
-   grow on demand.  Shared caches (daemon snapshot, store prior) are
-   single-generation: sized once to the intern table, never grown or
-   restamped, valid only while the db stays at [created_gen] — which
-   makes every concurrent fill race benign (the only values a slot
-   can ever hold are NaN and the one correct probability). *)
+(* A shared cache (daemon snapshot, store prior) is dense over the
+   intern table — its db covers the table — with [probs.(id)] NaN until
+   filled (a smoothed probability is never NaN).  It is single-
+   generation: never grown or restamped, valid only while the db stays
+   at [created_gen], so every concurrent fill race is benign (a slot
+   only ever holds NaN or the one correct probability).
+
+   A private cache is an id table keyed like {!Token_db}'s count
+   tables, through the same probe: slot [i] is the id [keys.(2i)] (or
+   [vacant]), the generation [keys.(2i+1)] its probability [probs.(i)]
+   was computed under.  A stale slot is restamped in place.  The
+   capacity is a power of two and doubles before the load passes 1/2:
+   looser than a count table, because a scoring loop reads this table
+   once per token and most reads then find their id at its home slot,
+   the one {!locate} tests without a call. *)
 type t = {
   options : Options.t;
   db : Token_db.t;
   shared : bool;
   created_gen : int;
   mutable probs : float array;
-  mutable stamps : int array;
+  mutable keys : int array;  (* private only; [||] until the first fill *)
+  mutable mask : int;  (* private slot count - 1, or -1 *)
+  mutable size : int;  (* occupied private slots *)
 }
 
+let vacant = -1
+
 let create ?(shared = false) options db =
-  let n = if shared then Intern.size () else 0 in
   {
     options;
     db;
     shared;
     created_gen = Token_db.generation db;
-    probs = Array.make n nan;
-    stamps = (if shared then [||] else Array.make n 0);
+    probs = Array.make (if shared then Intern.size () else 0) nan;
+    keys = [||];
+    mask = -1;
+    size = 0;
   }
 
 let options t = t.options
@@ -46,33 +56,58 @@ let db t = t.db
 
 let[@inline] uncached t id = Score.smoothed_id t.options t.db id
 
-(* Grow the private arrays to cover [id]; geometric so a scan over
-   ascending ids stays amortized O(1). *)
-let ensure t id =
-  let len = Array.length t.probs in
-  if id >= len then begin
-    let cap = max (id + 1) (max 64 (2 * len)) in
-    let probs = Array.make cap nan and stamps = Array.make cap 0 in
-    Array.blit t.probs 0 probs 0 len;
-    Array.blit t.stamps 0 stamps 0 len;
-    t.probs <- probs;
-    t.stamps <- stamps
-  end
+(* The private slot holding [id], whatever its stamp, or -1.  The probe
+   starts at [id land mask]; that slot is tested here, so only an id
+   that collided pays the call. *)
+let[@inline] locate t id =
+  if t.mask < 0 then -1
+  else
+    let i = id land t.mask in
+    let k = Array.unsafe_get t.keys (2 * i) in
+    if k = id then i
+    else if k = vacant then -1
+    else
+      let i = Token_db.find_slot t.keys ~stride:2 ~mask:t.mask id in
+      if Array.unsafe_get t.keys (2 * i) = id then i else -1
+
+(* A fresh private slot for [id], which has none. *)
+let claim t id =
+  if 2 * (t.size + 1) > t.mask + 1 then begin
+    let keys = t.keys and probs = t.probs in
+    let slots = max 16 (2 * (t.mask + 1)) in
+    let mask = slots - 1 in
+    t.keys <- Array.make (2 * slots) vacant;
+    t.probs <- Array.make slots nan;
+    t.mask <- mask;
+    for j = 0 to Array.length probs - 1 do
+      let k = Array.unsafe_get keys (2 * j) in
+      if k <> vacant then begin
+        let i = Token_db.find_slot t.keys ~stride:2 ~mask k in
+        Array.blit keys (2 * j) t.keys (2 * i) 2;
+        Array.unsafe_set t.probs i (Array.unsafe_get probs j)
+      end
+    done
+  end;
+  let i = Token_db.find_slot t.keys ~stride:2 ~mask:t.mask id in
+  Array.unsafe_set t.keys (2 * i) id;
+  t.size <- t.size + 1;
+  i
 
 (* The fill path carries the [score.cache.fill] fault site: a
    transient fault falls through to the uncached compute without
    writing the slot — byte-identical output, the slot just stays
-   cold.  Fatal raises; crash exits, as everywhere. *)
-let fill t id gen =
+   cold.  Fatal raises; crash exits, as everywhere.  [slot] is [id]'s
+   private slot from {!locate} (-1 for none); unused when shared. *)
+let fill t id gen slot =
   match Spamlab_fault.check "score.cache.fill" with
   | () ->
       Obs.incr c_fills;
       let p = uncached t id in
       if t.shared then Array.unsafe_set t.probs id p
       else begin
-        ensure t id;
-        Array.unsafe_set t.probs id p;
-        Array.unsafe_set t.stamps id gen
+        let i = if slot >= 0 then slot else claim t id in
+        Array.unsafe_set t.keys ((2 * i) + 1) gen;
+        Array.unsafe_set t.probs i p
       end;
       p
   | exception e when Spamlab_fault.is_transient e -> uncached t id
@@ -85,32 +120,27 @@ let get t id =
       if gen <> t.created_gen || id >= Array.length t.probs then uncached t id
       else begin
         let p = Array.unsafe_get t.probs id in
-        if Float.is_nan p then fill t id gen
+        if Float.is_nan p then fill t id gen (-1)
         else begin
           Obs.incr c_hits;
           p
         end
       end
-    else if id < Array.length t.probs && Array.unsafe_get t.stamps id = gen
-    then begin
-      let p = Array.unsafe_get t.probs id in
-      if Float.is_nan p then fill t id gen
-      else begin
+    else
+      let i = locate t id in
+      if i >= 0 && Array.unsafe_get t.keys ((2 * i) + 1) = gen then begin
         Obs.incr c_hits;
-        p
+        Array.unsafe_get t.probs i
       end
-    end
-    else fill t id gen
+      else fill t id gen i
   end
 
 (* Batched [get]: the form Classify's scoring loop uses.  Per-token
    [get] pays a call with a boxed float return, two atomic loads in the
    hit counter, and re-reads the generation every time; here those are
    hoisted out of the loop and probabilities land in the caller's float
-   array as unboxed stores, so a hit costs one bounds check, one load
-   and one NaN test.  In private mode a fill can replace the arrays
-   ([ensure]), so that branch re-reads them through [t] each token —
-   still cheap, and fills are the cold path by construction. *)
+   array as unboxed stores.  A private fill can replace the table
+   ([claim]), so that loop re-reads it through [t] each token. *)
 let collect t ids n out =
   if disabled then
     for i = 0 to n - 1 do
@@ -131,7 +161,7 @@ let collect t ids n out =
            let id = Array.unsafe_get ids i in
            if id < len then begin
              let p = Array.unsafe_get probs id in
-             if Float.is_nan p then Array.unsafe_set out i (fill t id gen)
+             if Float.is_nan p then Array.unsafe_set out i (fill t id gen (-1))
              else begin
                incr hits;
                Array.unsafe_set out i p
@@ -143,18 +173,12 @@ let collect t ids n out =
      else
        for i = 0 to n - 1 do
          let id = Array.unsafe_get ids i in
-         if
-           id < Array.length t.probs
-           && Array.unsafe_get t.stamps id = gen
-         then begin
-           let p = Array.unsafe_get t.probs id in
-           if Float.is_nan p then Array.unsafe_set out i (fill t id gen)
-           else begin
-             incr hits;
-             Array.unsafe_set out i p
-           end
+         let s = locate t id in
+         if s >= 0 && Array.unsafe_get t.keys ((2 * s) + 1) = gen then begin
+           incr hits;
+           Array.unsafe_set out i (Array.unsafe_get t.probs s)
          end
-         else Array.unsafe_set out i (fill t id gen)
+         else Array.unsafe_set out i (fill t id gen s)
        done);
     if !hits > 0 then Obs.add c_hits !hits
   end

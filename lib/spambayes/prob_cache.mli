@@ -5,31 +5,33 @@
 
     {2 Keying and invalidation}
 
-    A cache binds one {!Options.t} to one {!Token_db.t} instance.
-    Slots are indexed by interned token id and stamped with the db
-    {!Token_db.generation} they were computed under; a lookup is valid
-    iff the stamp equals the db's current generation — one int
-    compare.  Invalidation is wholesale by construction: every db
-    mutation bumps the generation, and must, because train/untrain
-    change the global message totals N_S/N_H which enter the smoothing
-    denominator of {e every} token.  Refill is lazy per token (NaN is
-    the "never computed" sentinel — a smoothed probability is never
-    NaN), so an interleaved train/classify workload pays O(tokens
-    actually rescored), not O(vocabulary) per train.
+    A cache binds one {!Options.t} to one {!Token_db.t} instance.  A
+    private cache (the default) is an id table like {!Token_db}'s, each
+    slot an id, a generation stamp and a probability, so it is sized by
+    the tokens it has scored.  A slot is valid iff its stamp equals the
+    db's current {!Token_db.generation} — one int compare.
+    Invalidation is wholesale by construction: every db mutation bumps
+    the generation, and must, because train/untrain change the global
+    message totals N_S/N_H which enter the smoothing denominator of
+    {e every} token.  Refill is lazy per token (a stale slot is
+    restamped in place), so an interleaved train/classify workload
+    pays O(tokens actually rescored), not O(vocabulary) per train.
 
     {2 Sharing and domain safety}
 
     [shared:true] caches serve concurrent readers (the daemon's
     published snapshot fanned across the pool, the tenant store's
-    global prior).  They are {e single-generation}: sized to the
-    intern table at creation, never grown or restamped, and valid only
-    while the db remains at its creation generation (both dbs are
-    immutable by contract — the daemon republishes a fresh snapshot +
-    cache after training).  Under that restriction every data race is
-    benign: a slot only ever holds NaN or the one correct probability,
-    so racing fills write the same bytes and a torn read of NaN just
-    recomputes.  Private caches ([shared:false], the default) grow on
-    demand and must stay single-domain.
+    global prior).  They stay dense — one float per interned id, sized
+    to the intern table at creation, which their dbs cover — with NaN
+    as the "never computed" sentinel.  They are {e single-generation}:
+    never grown or restamped, valid only while the db remains at its
+    creation generation (both dbs are immutable by contract — the
+    daemon republishes a fresh snapshot + cache after training).  Under
+    that restriction every data race is benign: a slot is fixed by its
+    id and only ever holds NaN or the one correct probability, so
+    racing fills write the same bytes and a torn read of NaN just
+    recomputes.  Private caches grow on demand and must stay
+    single-domain.
 
     {2 Escape hatches}
 
@@ -56,9 +58,8 @@ val collect : t -> int array -> int -> float array -> unit
 (** [collect t ids n out] stores [get t ids.(i)] into [out.(i)] for
     [0 <= i < n] — the batched form the scoring loop uses.  Same
     results as [n] calls to {!get}, but the generation and kill-switch
-    checks are hoisted out of the loop and each hit is one bounds
-    check, one float load and one NaN test stored unboxed (no per-token
-    call or float boxing). *)
+    checks are hoisted out of the loop and each hit is stored unboxed
+    (no per-token call or float boxing). *)
 
 val options : t -> Options.t
 val db : t -> Token_db.t

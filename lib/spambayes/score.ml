@@ -35,9 +35,10 @@ let smoothed (options : Options.t) db token =
     ~nspam:(Token_db.nspam db) ~nham:(Token_db.nham db)
 
 let smoothed_id (options : Options.t) db id =
+  let s = Token_db.slot db id in
   smoothed_counts options
-    ~spam:(Token_db.spam_count_id db id)
-    ~ham:(Token_db.ham_count_id db id)
+    ~spam:(Token_db.slot_spam db s)
+    ~ham:(Token_db.slot_ham db s)
     ~nspam:(Token_db.nspam db) ~nham:(Token_db.nham db)
 
 let strength options db token =

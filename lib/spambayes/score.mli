@@ -18,8 +18,8 @@ val smoothed : Options.t -> Token_db.t -> string -> float
 
 val smoothed_id : Options.t -> Token_db.t -> int -> float
 (** [smoothed] by interned token id — the hot path: the same float
-    sequence, with the two string-hashtable lookups replaced by two
-    array reads. *)
+    sequence, with the two string lookups replaced by one
+    {!Token_db.slot} probe that yields both counts. *)
 
 val smoothed_counts :
   Options.t -> spam:int -> ham:int -> nspam:int -> nham:int -> float

@@ -3,38 +3,32 @@ module Obs = Spamlab_obs.Obs
 let db_copies = Obs.counter "spambayes.db_copies"
 let db_copy_delta_entries = Obs.counter "spambayes.db_copy_delta_entries"
 
-(* Counts live in int arrays indexed by interned token id, offset by
-   [off] so a filter that only ever sees late-interned ids (RONI trains
-   thousands of tiny throwaway filters after the corpus has interned
-   its whole vocabulary) does not allocate the dense prefix.
+(* Counts live in flat open-addressing tables keyed by interned token
+   id, sized by the tokens a db holds: the intern table is
+   process-global and only grows, so a structure dense over ids would
+   charge a 20-message throwaway filter for every id interned before it.
 
-   Copy-on-write: [copy] shares the base arrays physically and marks
-   both sides [shared]; from then on every write goes through the
-   overlay [ov], which holds the {e absolute} counts of touched ids.
-   Reads consult the overlay first, base second.  Invariants:
-   - [shared = false] implies the overlay is empty (writes hit the
-     arrays);
-   - once shared, a [t] stays shared (another copy may still hold the
-     arrays), so base slots are immutable from that point on;
+   Slot [i] is the three ints [tbl.(3i)] (the id, or [empty]),
+   [tbl.(3i+1)] (spam count) and [tbl.(3i+2)] (ham count): a probe and
+   the counts it finds share a cache line, the GC has no pointer to
+   trace, and copying a table is one array blit.  The capacity is a
+   power of two and doubles before the load passes 3/4, so an entry
+   costs 4 to 8 words.  Entries are never removed.
+
+   A db reads two tables: [ov], its own, which takes every write and
+   holds the {e absolute} counts of the ids written since the db was
+   made or last copied, then [base], immutable and possibly shared.
+   Invariants:
+   - no [base] slot is ever written;
+   - [ov_mask < 0] exactly when [ov] is [[||]], and then [ov_size = 0];
+     likewise [base_mask] and [base];
    - [distinct] counts ids whose combined count is non-zero, maintained
-     on every 0-to-positive / positive-to-0 transition.
-
-   The overlay is a flat open-addressing table with linear probing:
-   slot [i] is the three ints [ov.(3i)] (the id, or [empty]),
-   [ov.(3i+1)] (spam count) and [ov.(3i+2)] (ham count), so a probe
-   and the counts it finds share a cache line, the GC has no pointer
-   to trace, and copying the table is one array blit.  Entries are
-   never removed: an id whose counts return to those of the base (or
-   to 0/0) keeps its slot.  The capacity is a power of two and doubles
-   before the load passes 3/4, so an entry costs 3 words per slot at a
-   load between 3/8 and 3/4: 4 to 8 words. *)
+     on every 0-to-positive / positive-to-0 transition. *)
 type t = {
-  mutable base_spam : int array;
-  mutable base_ham : int array;
-  mutable off : int;
-  mutable shared : bool;
-  mutable ov : int array;  (* 3 ints per slot; [||] until the first write *)
-  mutable ov_mask : int;  (* slot count - 1 *)
+  mutable base : int array;  (* [||] until a copy promotes [ov] *)
+  mutable base_mask : int;  (* slot count - 1, or -1 *)
+  mutable ov : int array;  (* [||] until the first write *)
+  mutable ov_mask : int;
   mutable ov_size : int;  (* occupied slots *)
   mutable nspam : int;
   mutable nham : int;
@@ -44,7 +38,7 @@ type t = {
      validity is one int compare.  Starts at 1 so a stamp of 0 can mean
      "never filled".  Wholesale invalidation is semantically forced:
      every mutation changes nspam/nham (train/untrain) or may follow
-     one (the set_counts family), and the smoothing formula reads the
+     one ([set_counts_id]), and the smoothing formula reads the
      global totals, so one changed count shifts every token's
      probability. *)
   mutable generation : int;
@@ -52,10 +46,8 @@ type t = {
 
 let create () =
   {
-    base_spam = [||];
-    base_ham = [||];
-    off = 0;
-    shared = false;
+    base = [||];
+    base_mask = -1;
     ov = [||];
     ov_mask = -1;
     ov_size = 0;
@@ -65,25 +57,21 @@ let create () =
     generation = 1;
   }
 
-(* The overlay holds plain ints, so a blit is a complete copy: no cell
-   of one side can be reached from the other. *)
+(* Promotion: a db without a base hands its own table over as the base
+   both sides then share, in O(1); one that has a base (a copy written
+   since) shares it and blits its own table.  The tables hold plain
+   ints, so no cell of one side can be reached from the other. *)
 let copy t =
-  t.shared <- true;
+  if t.base_mask < 0 && t.ov_size > 0 then begin
+    t.base <- t.ov;
+    t.base_mask <- t.ov_mask;
+    t.ov <- [||];
+    t.ov_mask <- -1;
+    t.ov_size <- 0
+  end;
   Obs.incr db_copies;
   Obs.add db_copy_delta_entries t.ov_size;
-  {
-    base_spam = t.base_spam;
-    base_ham = t.base_ham;
-    off = t.off;
-    shared = true;
-    ov = Array.copy t.ov;
-    ov_mask = t.ov_mask;
-    ov_size = t.ov_size;
-    nspam = t.nspam;
-    nham = t.nham;
-    distinct = t.distinct;
-    generation = t.generation;
-  }
+  { t with ov = Array.copy t.ov }
 
 let generation t = t.generation
 let[@inline] touch t = t.generation <- t.generation + 1
@@ -92,85 +80,62 @@ let nspam t = t.nspam
 let nham t = t.nham
 let distinct_tokens t = t.distinct
 
-let[@inline] base_spam_read t id =
-  let i = id - t.off in
-  if i >= 0 && i < Array.length t.base_spam then
-    Array.unsafe_get t.base_spam i
-  else 0
-
-let[@inline] base_ham_read t id =
-  let i = id - t.off in
-  if i >= 0 && i < Array.length t.base_ham then Array.unsafe_get t.base_ham i
-  else 0
-
 (* ------------------------------------------------------------------ *)
-(* Overlay table. *)
+(* Id tables. *)
 
 let empty = -1
 
-(* Multiplicative hashing, the product's high half folded into the low
-   bits the mask keeps: interned ids are dense, and this spreads runs
-   of consecutive ids over the whole table. *)
-let[@inline] home id mask =
-  let h = id * 0x9e3779b97f4a7c1 in
-  (h lxor (h lsr 32)) land mask
+(* Double hashing from an identity home: [id] starts at slot
+   [id land mask] and steps by an odd stride drawn from its high bits,
+   so a db whose ids are dense sits in its table like an array, in id
+   order, and ids that share a home part ways at once. *)
+let[@inline] step id = ((id * 0x9e3779b97f4a7c1) lsr 32) lor 1
 
-(* The slot holding [id], or the empty slot that ends its probe run.
-   The load bound leaves an empty slot, so the probe terminates. *)
-let[@inline] find_slot ov mask id =
-  let rec go i =
-    let k = Array.unsafe_get ov (3 * i) in
-    if k = id || k = empty then i else go ((i + 1) land mask)
-  in
-  go (home id mask)
+(* A top-level loop rather than a local [let rec] over the table: the
+   build has no flambda, so a local recursive function that captures
+   the table allocates its closure on every call. *)
+let rec probe_from tbl stride mask id d i =
+  let k = Array.unsafe_get tbl (stride * i) in
+  if k = id || k = empty then i
+  else probe_from tbl stride mask id d ((i + d) land mask)
 
-(* The overlay slot of [id], or -1 when [id] has none. *)
-let[@inline] overlay_slot t id =
-  if t.ov_size = 0 then -1
+let[@inline] find_slot tbl ~stride ~mask id =
+  probe_from tbl stride mask id (step id) (id land mask)
+
+(* The slot of [id] in a count table, or -1 when it holds none.  Most
+   ids sit at their home slot, which is tested before the probe. *)
+let[@inline] lookup tbl mask id =
+  if mask < 0 then -1
   else
-    let i = find_slot t.ov t.ov_mask id in
-    if Array.unsafe_get t.ov (3 * i) = id then i else -1
+    let i = id land mask in
+    let k = Array.unsafe_get tbl (3 * i) in
+    if k = id then i
+    else if k = empty then -1
+    else
+      let i = find_slot tbl ~stride:3 ~mask id in
+      if Array.unsafe_get tbl (3 * i) = id then i else -1
 
-let grow_overlay t =
-  let old = t.ov in
-  let slots = max 16 (2 * (t.ov_mask + 1)) in
-  let ov = Array.make (3 * slots) 0 in
-  for i = 0 to slots - 1 do
-    Array.unsafe_set ov (3 * i) empty
-  done;
-  let mask = slots - 1 in
-  for j = 0 to (Array.length old / 3) - 1 do
-    let id = Array.unsafe_get old (3 * j) in
-    if id <> empty then begin
-      let i = find_slot ov mask id in
-      Array.blit old (3 * j) ov (3 * i) 3
-    end
-  done;
-  t.ov <- ov;
-  t.ov_mask <- mask
+(* Where [id]'s counts are: [3i + 1] for slot [i] of [ov], [-(3i + 1)]
+   for slot [i] of [base], 0 for neither. *)
+let[@inline] slot t id =
+  let i = lookup t.ov t.ov_mask id in
+  if i >= 0 then (3 * i) + 1
+  else
+    let j = lookup t.base t.base_mask id in
+    if j >= 0 then -((3 * j) + 1) else 0
 
-(* The write-side slot for [id] on the shared path: absolute counts,
-   initialized from base on first touch. *)
-let write_slot t id =
-  let i = overlay_slot t id in
-  if i >= 0 then i
-  else begin
-    if 4 * (t.ov_size + 1) > 3 * (t.ov_mask + 1) then grow_overlay t;
-    let i = find_slot t.ov t.ov_mask id in
-    Array.unsafe_set t.ov (3 * i) id;
-    Array.unsafe_set t.ov ((3 * i) + 1) (base_spam_read t id);
-    Array.unsafe_set t.ov ((3 * i) + 2) (base_ham_read t id);
-    t.ov_size <- t.ov_size + 1;
-    i
-  end
+let[@inline] slot_spam t s =
+  if s > 0 then Array.unsafe_get t.ov s
+  else if s < 0 then Array.unsafe_get t.base (-s)
+  else 0
 
-let spam_count_id t id =
-  let i = overlay_slot t id in
-  if i < 0 then base_spam_read t id else Array.unsafe_get t.ov ((3 * i) + 1)
+let[@inline] slot_ham t s =
+  if s > 0 then Array.unsafe_get t.ov (s + 1)
+  else if s < 0 then Array.unsafe_get t.base (1 - s)
+  else 0
 
-let ham_count_id t id =
-  let i = overlay_slot t id in
-  if i < 0 then base_ham_read t id else Array.unsafe_get t.ov ((3 * i) + 2)
+let spam_count_id t id = slot_spam t (slot t id)
+let ham_count_id t id = slot_ham t (slot t id)
 
 (* String lookups go through [Intern.find], which never interns:
    querying an arbitrary string must not grow the global table. *)
@@ -180,28 +145,48 @@ let spam_count t token =
 let ham_count t token =
   match Intern.find token with None -> 0 | Some id -> ham_count_id t id
 
-(* Grow the base arrays to cover [id] (unshared path only). *)
-let ensure_base t id =
-  let len = Array.length t.base_spam in
-  if len = 0 then begin
-    t.base_spam <- Array.make 64 0;
-    t.base_ham <- Array.make 64 0;
-    t.off <- id
+(* Rebuild [ov] with [slots] slots (a power of two, room for every
+   entry). *)
+let resize t slots =
+  let old = t.ov and mask = slots - 1 in
+  let ov = Array.make (3 * slots) empty in
+  for j = 0 to (Array.length old / 3) - 1 do
+    let id = Array.unsafe_get old (3 * j) in
+    if id <> empty then
+      Array.blit old (3 * j) ov (3 * find_slot ov ~stride:3 ~mask id) 3
+  done;
+  t.ov <- ov;
+  t.ov_mask <- mask
+
+(* Size an empty [ov] for [n] entries, so a load fills it without
+   regrowing. *)
+let reserve t n =
+  if t.ov_size = 0 then begin
+    let slots = ref 16 in
+    while 3 * !slots < 4 * n do
+      slots := 2 * !slots
+    done;
+    resize t !slots
   end
+
+(* The [ov] slot for [id], claimed on first touch with the counts
+   [base] holds for it. *)
+let write_slot t id =
+  let i = lookup t.ov t.ov_mask id in
+  if i >= 0 then i
   else begin
-    let i = id - t.off in
-    if i < 0 || i >= len then begin
-      let lo = min t.off id and hi = max (t.off + len) (id + 1) in
-      (* Geometric growth so a train loop over ascending ids stays
-         amortized O(1) per token. *)
-      let cap = max (hi - lo) (2 * len) in
-      let spam = Array.make cap 0 and ham = Array.make cap 0 in
-      Array.blit t.base_spam 0 spam (t.off - lo) len;
-      Array.blit t.base_ham 0 ham (t.off - lo) len;
-      t.base_spam <- spam;
-      t.base_ham <- ham;
-      t.off <- lo
-    end
+    if 4 * (t.ov_size + 1) > 3 * (t.ov_mask + 1) then
+      resize t (max 16 (2 * (t.ov_mask + 1)));
+    let i = find_slot t.ov ~stride:3 ~mask:t.ov_mask id in
+    let b = lookup t.base t.base_mask id in
+    let ov = t.ov in
+    Array.unsafe_set ov (3 * i) id;
+    Array.unsafe_set ov ((3 * i) + 1)
+      (if b < 0 then 0 else Array.unsafe_get t.base ((3 * b) + 1));
+    Array.unsafe_set ov ((3 * i) + 2)
+      (if b < 0 then 0 else Array.unsafe_get t.base ((3 * b) + 2));
+    t.ov_size <- t.ov_size + 1;
+    i
   end
 
 (* Track [distinct] across a combined count going [was] -> [now]. *)
@@ -211,31 +196,24 @@ let[@inline] note_transition t ~was ~now =
 
 (* Add [k] (possibly negative) to one class count of [id]. *)
 let bump t label id k =
-  if t.shared then begin
-    let s = (3 * write_slot t id) + 1 in
-    let ov = t.ov in
-    let was = Array.unsafe_get ov s + Array.unsafe_get ov (s + 1) in
-    let c = match label with Label.Spam -> s | Label.Ham -> s + 1 in
-    Array.unsafe_set ov c (Array.unsafe_get ov c + k);
-    note_transition t ~was ~now:(was + k)
-  end
-  else begin
-    ensure_base t id;
-    let i = id - t.off in
-    let arr =
-      match label with Label.Spam -> t.base_spam | Label.Ham -> t.base_ham
-    in
-    let was = t.base_spam.(i) + t.base_ham.(i) in
-    arr.(i) <- arr.(i) + k;
-    note_transition t ~was ~now:(was + k)
-  end
+  let s = (3 * write_slot t id) + 1 in
+  let ov = t.ov in
+  let was = Array.unsafe_get ov s + Array.unsafe_get ov (s + 1) in
+  let c = match label with Label.Spam -> s | Label.Ham -> s + 1 in
+  Array.unsafe_set ov c (Array.unsafe_get ov c + k);
+  note_transition t ~was ~now:(was + k)
+
+let bump_all t label ids k =
+  for i = 0 to Array.length ids - 1 do
+    bump t label (Array.unsafe_get ids i) k
+  done
 
 let train_ids t label ids =
   touch t;
   (match label with
   | Label.Spam -> t.nspam <- t.nspam + 1
   | Label.Ham -> t.nham <- t.nham + 1);
-  Array.iter (fun id -> bump t label id 1) ids
+  bump_all t label ids 1
 
 let train t label tokens = train_ids t label (Intern.intern_array tokens)
 
@@ -246,7 +224,7 @@ let train_many_ids t label ids k =
     (match label with
     | Label.Spam -> t.nspam <- t.nspam + k
     | Label.Ham -> t.nham <- t.nham + k);
-    Array.iter (fun id -> bump t label id k) ids
+    bump_all t label ids k
   end
 
 let train_many t label tokens k =
@@ -294,45 +272,36 @@ let untrain_ids t label ids =
   (match label with
   | Label.Spam -> t.nspam <- t.nspam - 1
   | Label.Ham -> t.nham <- t.nham - 1);
-  Array.iter (fun id -> bump t label id (-1)) ids
+  bump_all t label ids (-1)
 
 let untrain t label tokens = untrain_ids t label (Intern.intern_array tokens)
 
-let iter_overlay f t =
-  let ov = t.ov in
-  for i = 0 to t.ov_mask do
-    let id = Array.unsafe_get ov (3 * i) in
+let iter_table f tbl mask =
+  for i = 0 to mask do
+    let id = Array.unsafe_get tbl (3 * i) in
     if id <> empty then
       f id
-        ~spam:(Array.unsafe_get ov ((3 * i) + 1))
-        ~ham:(Array.unsafe_get ov ((3 * i) + 2))
+        ~spam:(Array.unsafe_get tbl ((3 * i) + 1))
+        ~ham:(Array.unsafe_get tbl ((3 * i) + 2))
   done
 
+let iter_overlay f t = iter_table f t.ov t.ov_mask
+
 (* Every id with a non-zero combined count, with its counts, in one
-   pass: overlay slots first (marking their base slots), then the
-   unmarked base slots — no per-slot overlay probe.  Skipping
-   combined-zero entries keeps the observable contents those of the
-   old hashtable representation (which removed emptied tokens).  Order
-   is unspecified; every caller sorts (save, good-word ranking) or
-   folds commutatively. *)
+   pass over each table: [ov] first, then the [base] slots [ov] does
+   not override.  Skipping combined-zero entries keeps the observable
+   contents those of the old hashtable representation (which removed
+   emptied tokens).  Order is unspecified; every caller sorts (save,
+   good-word ranking) or folds commutatively. *)
 let iter_counts f t =
-  let len = Array.length t.base_spam in
-  let overlaid = Bytes.make (if t.ov_size = 0 then 0 else len) '\000' in
   iter_overlay
-    (fun id ~spam ~ham ->
-      let i = id - t.off in
-      if i >= 0 && i < len then Bytes.unsafe_set overlaid i '\001';
-      if spam <> 0 || ham <> 0 then f id ~spam ~ham)
+    (fun id ~spam ~ham -> if spam <> 0 || ham <> 0 then f id ~spam ~ham)
     t;
-  let marked = Bytes.length overlaid > 0 in
-  for i = 0 to len - 1 do
-    let spam = Array.unsafe_get t.base_spam i
-    and ham = Array.unsafe_get t.base_ham i in
-    if
-      (spam <> 0 || ham <> 0)
-      && not (marked && Bytes.unsafe_get overlaid i <> '\000')
-    then f (t.off + i) ~spam ~ham
-  done
+  iter_table
+    (fun id ~spam ~ham ->
+      if (spam <> 0 || ham <> 0) && lookup t.ov t.ov_mask id < 0 then
+        f id ~spam ~ham)
+    t.base t.base_mask
 
 let fold f init t =
   let acc = ref init in
@@ -439,30 +408,13 @@ let unescape_token s =
     loop 0
   end
 
-(* Load-side write of one entry into a fresh (unshared) db.  A line with
-   both counts zero is accepted but not retained: the count arrays
-   cannot distinguish "present with zero counts" from "absent", and
-   neither can any score (both read 0/0). *)
-let set_counts t token ~spam ~ham =
-  if spam <> 0 || ham <> 0 then begin
-    touch t;
-    let id = Intern.id token in
-    ensure_base t id;
-    let i = id - t.off in
-    t.base_spam.(i) <- spam;
-    t.base_ham.(i) <- ham;
-    t.distinct <- t.distinct + 1
-  end
-
-(* Absolute-count write that is legal on both representation paths:
-   the sharded store uses it to materialize a tenant overlay over a
-   shared (hence [shared = true]) global prior, where [set_counts]'s
-   unshared-only contract does not hold. *)
+(* Zeroing an id the db holds nowhere is a no-op: absent and 0/0 are
+   the same observable state, so it claims no slot. *)
 let set_counts_id t id ~spam ~ham =
   if spam < 0 || ham < 0 then
     invalid_arg "Token_db.set_counts_id: negative count";
   touch t;
-  if t.shared then begin
+  if spam <> 0 || ham <> 0 || slot t id <> 0 then begin
     let s = (3 * write_slot t id) + 1 in
     let ov = t.ov in
     let was = Array.unsafe_get ov s + Array.unsafe_get ov (s + 1) in
@@ -470,20 +422,11 @@ let set_counts_id t id ~spam ~ham =
     Array.unsafe_set ov (s + 1) ham;
     note_transition t ~was ~now:(spam + ham)
   end
-  else begin
-    let len = Array.length t.base_spam in
-    let i = id - t.off in
-    (* Zeroing an id the arrays never covered is a no-op (absent and
-       0/0 are the same observable state); don't grow for it. *)
-    if spam <> 0 || ham <> 0 || (len > 0 && i >= 0 && i < len) then begin
-      ensure_base t id;
-      let i = id - t.off in
-      let was = t.base_spam.(i) + t.base_ham.(i) in
-      t.base_spam.(i) <- spam;
-      t.base_ham.(i) <- ham;
-      note_transition t ~was ~now:(spam + ham)
-    end
-  end
+
+(* One loaded row.  A row with both counts zero is accepted but not
+   retained, and its token is not interned. *)
+let load_row t token ~spam ~ham =
+  if spam <> 0 || ham <> 0 then set_counts_id t (Intern.id token) ~spam ~ham
 
 let set_message_counts t ~nspam ~nham =
   if nspam < 0 || nham < 0 then
@@ -493,7 +436,7 @@ let set_message_counts t ~nspam ~nham =
   t.nham <- nham
 
 let overlay_size t = t.ov_size
-let overlay_mem t id = overlay_slot t id >= 0
+let overlay_mem t id = lookup t.ov t.ov_mask id >= 0
 
 (* CRC-32 (IEEE 802.3, polynomial 0xedb88320), table-driven.  The v3
    footer checksums the header and every entry line, so a truncated or
@@ -619,6 +562,7 @@ let parse_strict s =
     let t = create () in
     t.nspam <- nspam;
     t.nham <- nham;
+    reserve t (List.length rest);
     let seen = Hashtbl.create 4096 in
     let crc = ref (crc_feed crc_init (header ^ "\n")) in
     let entries = ref 0 in
@@ -664,7 +608,7 @@ let parse_strict s =
             Error (Printf.sprintf "duplicate token %S" token)
           else begin
             Hashtbl.replace seen token ();
-            set_counts t token ~spam ~ham;
+            load_row t token ~spam ~ham;
             incr entries;
             loop rest
           end
@@ -704,6 +648,7 @@ let salvage_string s =
         let t = create () in
         t.nspam <- nspam;
         t.nham <- nham;
+        reserve t (List.length rest);
         let seen = Hashtbl.create 4096 in
         let kept = ref 0 and dropped = ref 0 in
         let crc = ref (crc_feed crc_init (header ^ "\n")) in
@@ -720,7 +665,7 @@ let salvage_string s =
               match parse_entry ~version ~nspam ~nham line with
               | Ok (token, spam, ham) when not (Hashtbl.mem seen token) ->
                   Hashtbl.replace seen token ();
-                  set_counts t token ~spam ~ham;
+                  load_row t token ~spam ~ham;
                   incr kept
               | Ok _ | Error _ -> incr dropped
             end)

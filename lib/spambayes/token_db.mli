@@ -10,24 +10,16 @@
 
     {2 Representation}
 
-    Counts are stored in int arrays indexed by interned token id (see
-    {!Intern}), so the [_id] variants of every operation touch no
-    string and hash nothing.  The string variants intern (writes) or
-    probe the intern table without growing it (reads), then defer to
-    the id path; both views are always coherent.
-
-    {!copy} is copy-on-write: the copy shares the base count arrays and
-    both sides write subsequent changes into a per-instance overlay, so
-    copying costs O(|ids touched since the base arrays were shared|) —
-    O(1) for the ubiquitous copy-then-poison pattern — instead of
-    O(|DB|).
-
-    The overlay is a flat open-addressing table over ids (linear
-    probing, power-of-two capacity, doubled before the load passes
-    3/4): each slot is three ints — the id and its absolute spam and
-    ham counts — in one int array.  A read probes it only when it is
-    non-empty; a write is an array slot, not an allocated cell; and an
-    entry costs 4 to 8 words.  Entries are never removed.
+    Counts live in flat open-addressing tables keyed by interned token
+    id (see {!Intern}); the string variants intern (writes) or probe
+    the intern table without growing it (reads), then defer to the id
+    path.  A slot is three ints — the id and its absolute spam and ham
+    counts — so an entry costs 4 to 8 words and a db is sized by the
+    tokens it holds, never by the range of their ids.  Entries are
+    never removed.  A db reads two tables: its own, which takes every
+    write, then an immutable base it may share with other dbs (see
+    {!copy}); a read takes both counts from the one slot it finds
+    ({!slot}).
 
     One representational consequence: an entry whose counts return to
     0/0 (or is loaded as 0/0) is indistinguishable from an absent one.
@@ -41,12 +33,12 @@ val create : unit -> t
 
 val copy : t -> t
 (** Logically-deep copy: mutations of the copy never affect the
-    original, and vice versa.  The copy shares the base arrays and
-    blits the overlay table, so it costs O(overlay capacity): O(1) in
-    the RONI / poisoning pattern (copy a freshly trained base, then
-    train candidates into the copy), and one array copy of at most
-    [8 × overlay_size] words otherwise.  The table holds only ints, so
-    no state can be shared between the two sides. *)
+    original, and vice versa.  A db without a base first promotes its
+    own table to the base (its {!overlay_size} drops to 0); the copy
+    then shares the base and blits the source's own table: O(1) for a
+    freshly trained or loaded db, at most [8 × overlay_size] words
+    otherwise.  Copying a db whose own table is empty writes nothing to
+    it, so concurrent copies of a db copied once are race-free. *)
 
 val nspam : t -> int
 (** Number of spam messages trained. *)
@@ -59,17 +51,25 @@ val spam_count : t -> string -> int
 val ham_count : t -> string -> int
 
 val spam_count_id : t -> int -> int
-(** N_S(w) by interned id — the hot path: two array reads, no
-    hashing.  Ids never present in this db read 0. *)
+(** N_S(w) by interned id: one {!slot} probe, no string.  Ids never
+    present in this db read 0. *)
 
 val ham_count_id : t -> int -> int
+
+val slot : t -> int -> int
+(** Where [id]'s counts live, found once for {!slot_spam} and
+    {!slot_ham} to read both (the scoring hot path): an opaque
+    position, valid until [t] next changes.  Allocates nothing. *)
+
+val slot_spam : t -> int -> int
+val slot_ham : t -> int -> int
 
 val distinct_tokens : t -> int
 (** Number of tokens with a non-zero combined count. *)
 
 val generation : t -> int
 (** Mutation counter: starts at 1 and is bumped once per mutating call
-    ({!train}/{!untrain} and friends, [set_counts_id],
+    ({!train}/{!untrain} and friends, {!set_counts_id},
     [set_message_counts]).  {!Prob_cache} stamps each cached
     probability with the generation it was computed under, so cache
     validity is one int compare.  Invalidation is deliberately
@@ -108,13 +108,11 @@ val untrain : t -> Label.gold -> string array -> unit
 val untrain_ids : t -> Label.gold -> int array -> unit
 
 val set_counts_id : t -> int -> spam:int -> ham:int -> unit
-(** [set_counts_id t id ~spam ~ham] overwrites both counts of [id] with
-    the given absolute values, on either representation path (unlike
-    training, this is legal on a copy-on-write snapshot, where the
-    write lands in the overlay).  The sharded tenant store uses it to
-    materialize a per-user overlay over a shared global prior from
-    segment rows and journal replay.  Does {e not} touch the message
-    totals — pair with {!set_message_counts}.
+(** [set_counts_id t id ~spam ~ham] overwrites both counts of [id] in
+    [t]'s own table (zeroing an id [t] holds nowhere claims no slot).
+    Loading fills a db this way, and the tenant store materializes a
+    per-user overlay over the shared prior.  Does {e not} touch the
+    message totals — pair with {!set_message_counts}.
     @raise Invalid_argument on a negative count. *)
 
 val set_message_counts : t -> nspam:int -> nham:int -> unit
@@ -122,26 +120,23 @@ val set_message_counts : t -> nspam:int -> nham:int -> unit
     @raise Invalid_argument on a negative count. *)
 
 val overlay_size : t -> int
-(** Number of ids in the copy-on-write overlay — i.e. touched since
-    this instance last shared its base arrays; 0 for a never-copied
-    db.  The tenant store's eviction accounting keys off this. *)
+(** Slots in [t]'s own table: the ids written since [t] was made or
+    last copied — for a db never copied, every id it holds.  The tenant
+    store sizes a user's rendering off this. *)
 
 val overlay_mem : t -> int -> bool
-(** [overlay_mem t id] is true when [id] has a copy-on-write overlay
-    slot — i.e. was touched since this instance last shared its base
-    arrays.  One probe of the overlay table; no probe at all while the
-    overlay is empty.  The tenant scoring fast path uses this as the
-    per-overlay dirty set: an id {e not} in the overlay reads the same
-    counts as the shared prior, so (when the message totals also agree)
-    its cached prior probability is valid for the tenant. *)
+(** [overlay_mem t id]: [id] has a slot in [t]'s own table (one probe,
+    none while it is empty).  On a copy of the shared prior, the tenant
+    scoring fast path uses this as the per-overlay dirty set: an id
+    {e not} in the overlay reads the same counts as the prior, so (when
+    the message totals also agree) its cached prior probability is
+    valid for the tenant. *)
 
 val iter_overlay : (int -> spam:int -> ham:int -> unit) -> t -> unit
-(** Visit {e only} the copy-on-write overlay slots: each visited id was
-    touched since the last share, and [spam]/[ham] are its current
-    absolute counts (possibly equal to the shared base's, possibly
-    0/0).  Order is unspecified.  This is how the sharded store
-    extracts a tenant's delta-vs-prior in O(|touched|) without walking
-    the full base arrays. *)
+(** Visit {e only} the slots of [t]'s own table, with their current
+    absolute counts (possibly the base's, possibly 0/0), in no
+    particular order: how the sharded store extracts a tenant's
+    delta-vs-prior in O(|touched|). *)
 
 val fold : ('a -> string -> spam:int -> ham:int -> 'a) -> 'a -> t -> 'a
 
@@ -254,3 +249,12 @@ val crc_feed_buffer : ?pos:int -> int -> Buffer.t -> int
 
 val crc_finish : int -> int
 (** Finalize the register into the checksum value. *)
+
+val find_slot : int array -> stride:int -> mask:int -> int -> int
+(** The probe behind every id table (count tables, {!Prob_cache}'s
+    private tables): the slot holding [id >= 0] in an open-addressing table
+    of [mask + 1] slots (a power of two) keyed by [tbl.(stride * slot)],
+    else the first empty slot (key [-1]) on its probe sequence.  The
+    sequence starts at [id land mask] — a db whose ids are dense sits in
+    its table like an array — and continues by double hashing.  The
+    table must keep an empty slot.  Allocates nothing. *)

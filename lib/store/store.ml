@@ -372,8 +372,9 @@ let pread fd off len =
   Io.really_read fd buf 0 len;
   Bytes.unsafe_to_string buf
 
-(* Materialize a tenant: CoW copy of the shared prior (O(1): the prior's
-   overlay is empty), its segment block, then its journaled ops in
+(* Materialize a tenant: CoW copy of the shared prior (O(1): the prior
+   was copied once at open, so its own table is empty and the copy
+   shares its base), its segment block, then its journaled ops in
    order.  Never a full database copy. *)
 let materialize t sh user =
   Journal.flush (jrn sh);

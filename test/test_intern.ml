@@ -537,6 +537,20 @@ let universe =
 let big_universe =
   Array.append universe (Array.init 3000 (Printf.sprintf "grown-%04d"))
 
+(* The universe again, each token interned behind a block of unrelated
+   ids: late, scattered ids, as a filter built late in a long run sees
+   them. *)
+let scattered_universe =
+  Array.mapi
+    (fun i tok ->
+      for j = 0 to 999 do
+        ignore (Intern.id (Printf.sprintf "scatter-filler-%d-%d" i j))
+      done;
+      let tok = tok ^ "\x02scattered" in
+      ignore (Intern.id tok);
+      tok)
+    universe
+
 type op =
   | Train of Label.gold * int array  (* indices into the universe *)
   | Train_many of Label.gold * int array * int
@@ -617,15 +631,19 @@ let agree ?(universe = universe) ?(rename = Fun.id) db rdb =
   && Token_db.spam_count db "never-trained-token" = 0
   && save_string db = Ref_db.save_string rdb
 
-let scores_agree db rdb =
+let scores_agree ?(universe = universe) db rdb =
   let options = Options.default in
-  (* Distinct-token probe messages drawn from the universe. *)
+  (* Distinct-token probe messages drawn from the universe's first ten
+     tokens (for the base universe: "alpha", "beta", ""; "gamma",
+     "tab\tinside", "back\\slash", "unicode-é"; all ten; and "delta"
+     beside a token never trained). *)
+  let u i = universe.(i) in
   let probes =
     [
-      [| "alpha"; "beta"; "" |];
-      [| "gamma"; "tab\tinside"; "back\\slash"; "unicode-é" |];
-      Array.copy universe;
-      [| "never-trained-token"; "delta" |];
+      [| u 0; u 1; u 4 |];
+      [| u 2; u 5; u 7; u 9 |];
+      Array.sub universe 0 10;
+      [| "never-trained-token"; u 3 |];
     ]
   in
   List.for_all
@@ -646,6 +664,15 @@ let late_rename =
     incr calls;
     let suffix = Printf.sprintf "\x01late%d" !calls in
     fun tok -> if String.length tok mod 2 = 0 then tok else tok ^ suffix
+
+(* A db holding what [ops] trains, built by loading its reference's
+   save ([Token_db.of_string], the load path), with that reference. *)
+let loaded ?universe ops =
+  let rdb = Ref_db.create () in
+  apply_trace ?universe ops (Token_db.create ()) rdb;
+  match Token_db.of_string (Ref_db.save_string rdb) with
+  | Ok db -> (db, rdb)
+  | Error e -> Alcotest.failf "the reference's save does not load: %s" e
 
 let differential_tests =
   [
@@ -671,6 +698,16 @@ let differential_tests =
         let db = Token_db.create () and rdb = Ref_db.create () in
         apply_trace ~rename ops db rdb;
         agree ~rename db rdb);
+    qtest ~count:100 "trace from a loaded db over late, scattered ids"
+      QCheck2.Gen.(pair gen_ops gen_ops)
+      (fun (load_ops, ops) ->
+        let universe = scattered_universe in
+        let db, rdb = loaded ~universe load_ops in
+        agree ~universe db rdb
+        && begin
+             apply_trace ~universe ops db rdb;
+             agree ~universe db rdb && scores_agree ~universe db rdb
+           end);
     qtest ~count:100 "trace: classification matches reference scoring"
       gen_ops
       (fun ops ->
@@ -699,27 +736,42 @@ let differential_tests =
 (* ------------------------------------------------------------------ *)
 (* Copy-on-write vs deep copy                                          *)
 
-(* Either the small universe, or the big one with long messages, whose
-   overlays cross several table resizes. *)
+(* The small universe, its late and scattered twin, or the big one
+   with long messages, whose overlays cross several table resizes; the
+   base trained in place or loaded from its save. *)
 let gen_three_traces =
   let open QCheck2.Gen in
   let traces universe ops =
-    map (fun (a, b, c) -> (universe, a, b, c)) (triple ops ops ops)
+    map
+      (fun ((a, b, c), from_load) -> (universe, from_load, a, b, c))
+      (pair (triple ops ops ops) bool)
   in
   oneof
     [
       traces universe gen_ops;
+      traces scattered_universe gen_ops;
       traces big_universe (gen_ops_in ~max_msg:200 big_universe);
     ]
+
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
 
 let cow_tests =
   [
     qtest ~count:100 "overlay copy behaves exactly like a deep copy"
       gen_three_traces
-      (fun (universe, base_ops, a_ops, b_ops) ->
+      (fun (universe, from_load, base_ops, a_ops, b_ops) ->
         (* CoW world: one base, one copy, divergent mutations. *)
-        let db = Token_db.create () and rdb = Ref_db.create () in
-        apply_trace ~universe base_ops db rdb;
+        let db, rdb =
+          if from_load then loaded ~universe base_ops
+          else begin
+            let db = Token_db.create () and rdb = Ref_db.create () in
+            apply_trace ~universe base_ops db rdb;
+            (db, rdb)
+          end
+        in
         let db_copy = Token_db.copy db in
         let rdb_copy = Ref_db.copy rdb in
         (* Copies of the growing side, taken between its growth steps,
@@ -736,8 +788,31 @@ let cow_tests =
         agree ~universe db rdb
         && agree ~universe db_copy rdb_copy
         && List.for_all (fun (s, r) -> agree ~universe s r) !snapshots
-        && scores_agree db rdb
-        && scores_agree db_copy rdb_copy);
+        && scores_agree ~universe db rdb
+        && scores_agree ~universe db_copy rdb_copy);
+    test_case "reading and training a copied db allocates nothing per token"
+      (fun () ->
+        let ids =
+          Intern.intern_array (Array.init 5_000 (Printf.sprintf "cow-alloc-%04d"))
+        in
+        let few = Array.sub ids 0 50 in
+        let base = Token_db.create () in
+        Token_db.train_ids base Label.Spam ids;
+        let db = Token_db.copy base in
+        (* Every id now has a slot of the copy's own, so the training
+           measured below claims no slot and grows no table. *)
+        Token_db.train_ids db Label.Ham ids;
+        let read ids () =
+          for i = 0 to Array.length ids - 1 do
+            ignore (Token_db.spam_count_id db ids.(i) + Token_db.ham_count_id db ids.(i))
+          done
+        in
+        let train ids () = Token_db.train_ids db Label.Spam ids in
+        let same what f g =
+          Alcotest.(check (float 0.)) what (minor_words_of f) (minor_words_of g)
+        in
+        same "minor words reading 50 and 5,000 tokens" (read few) (read ids);
+        same "minor words training 50 and 5,000 tokens" (train few) (train ids));
     test_case "copy chains stay independent" (fun () ->
         let a = Token_db.create () in
         Token_db.train a Label.Spam [| "chain-s" |];
@@ -767,6 +842,106 @@ let cow_tests =
           (Token_db.ham_count snapshot "leak-x"));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The id-table probe                                                  *)
+
+(* Ids with many shared homes: multiples of a power of two at or above
+   the table size, around a dense run. *)
+let gen_probe_ids =
+  QCheck2.Gen.(
+    list_size (int_range 0 48)
+      (oneof
+         [
+           map (fun k -> k * 1024) (int_range 0 4000);
+           int_range 0 40;
+           int_range 0 1_000_000;
+         ]))
+
+let probe_tests =
+  [
+    qtest ~count:300 "find_slot: every inserted id is found, absent ids miss"
+      QCheck2.Gen.(pair gen_probe_ids gen_probe_ids)
+      (fun (present, absent) ->
+        let present = List.sort_uniq compare present in
+        let slots = 64 and stride = 2 in
+        let mask = slots - 1 in
+        let tbl = Array.make (stride * slots) (-1) in
+        List.iter
+          (fun id -> tbl.(stride * Token_db.find_slot tbl ~stride ~mask id) <- id)
+          present;
+        List.for_all
+          (fun id -> tbl.(stride * Token_db.find_slot tbl ~stride ~mask id) = id)
+          present
+        && List.for_all
+             (fun id ->
+               List.mem id present
+               || tbl.(stride * Token_db.find_slot tbl ~stride ~mask id) = -1)
+             absent);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* History independence.  Last in this binary: the ids it interns stay
+   for the life of the process.                                        *)
+
+(* Words [f] allocates on either heap: the minor heap's, plus what went
+   straight to the major heap (large arrays do, unseen by
+   [Gc.minor_words]), less the promotions both counts include.  The
+   minor count is [Gc.minor_words], which is exact; [Gc.quick_stat]'s
+   own minor count moves only at collections. *)
+let heap_words_of f =
+  let q0 = Gc.quick_stat () in
+  let m0 = Gc.minor_words () in
+  f ();
+  let m1 = Gc.minor_words () in
+  let q1 = Gc.quick_stat () in
+  m1 -. m0
+  +. (q1.major_words -. q0.major_words)
+  -. (q1.promoted_words -. q0.promoted_words)
+
+(* 70 messages as ids, each twenty of [common]'s words and ten of its
+   own, interned now: the words of a filter built at this point in the
+   process's history. *)
+let history_messages common tag =
+  Array.init 70 (fun i ->
+      Array.append
+        (Array.init 20 (fun j -> common.(((7 * i) + (13 * j)) mod 200)))
+        (Intern.intern_array
+           (Array.init 10 (fun k -> Printf.sprintf "history-%s-%d-%d" tag i k))))
+
+(* The RONI defense's per-candidate experiment: a fresh filter trained
+   on 20 messages, then 50 classified. *)
+let roni_sized_work msgs () =
+  let f = Filter.create () in
+  for i = 0 to 19 do
+    Filter.train_ids f (if i mod 2 = 0 then Label.Spam else Label.Ham) msgs.(i)
+  done;
+  for i = 20 to 69 do
+    ignore (Filter.classify_ids f msgs.(i))
+  done
+
+let history_tests =
+  [
+    test_case "a fresh filter costs the same after 500k unrelated ids"
+      (fun () ->
+        let common =
+          Intern.intern_array (Array.init 200 (Printf.sprintf "history-common-%03d"))
+        in
+        roni_sized_work (history_messages common "warm") ();
+        let before = heap_words_of (roni_sized_work (history_messages common "before")) in
+        let unrelated = Array.init 1_000 (fun _ -> "") in
+        for block = 0 to 499 do
+          Array.iteri
+            (fun i _ -> unrelated.(i) <- Printf.sprintf "history-unrelated-%d-%d" block i)
+            unrelated;
+          ignore (Intern.intern_array unrelated)
+        done;
+        let after = heap_words_of (roni_sized_work (history_messages common "after")) in
+        if after > 2.0 *. before then
+          Alcotest.failf
+            "%.0f words after 500k unrelated ids, %.0f before (more than 2x)"
+            after before);
+  ]
+
 let () =
   Alcotest.run "spamlab_intern"
     [
@@ -777,4 +952,6 @@ let () =
       ("untrain-duplicates", untrain_duplicate_tests);
       ("differential", differential_tests);
       ("cow", cow_tests);
+      ("probe", probe_tests);
+      ("history", history_tests);
     ]
