@@ -118,28 +118,34 @@ say "a run's cost does not depend on what ran before it"
 # an experiment slower after one that interned a lot.  roni-sweep
 # builds thousands of small filters; ablate-coverage interns hundreds
 # of thousands of ids first.  Paired, roni-sweep must take at most
-# 1.5x its time alone, and print the same bytes.
+# 1.5x its time alone, and print the same bytes.  One wall-clock run
+# a side swings by a third on a shared host, so each side runs three
+# times, alternating, and the least times are compared.
 hdir=$(mktemp -d /tmp/spamlab-ci-history.XXXXXX)
 trap 'rm -f "$trace" "$timings" "$j1" "$j4"; rm -rf "$hdir"' EXIT
-./_build/default/bench/main.exe ablate-coverage roni-sweep \
-  --scale 0.05 --jobs 1 --timings "$hdir/pair.json" > "$hdir/pair.txt"
-./_build/default/bench/main.exe roni-sweep \
-  --scale 0.05 --jobs 1 --timings "$hdir/alone.json" > "$hdir/alone.txt"
-# The roni-sweep section: what follows ablate-coverage's finish line
-# (pair) or the harness header (alone), less its own finish line.
-sed -n '/^\[ablate-coverage finished in/,$p' "$hdir/pair.txt" | sed 1d \
-  | grep -v '^\[roni-sweep finished in' > "$hdir/pair.sweep"
-sed 1d "$hdir/alone.txt" | grep -v '^\[roni-sweep finished in' \
-  > "$hdir/alone.sweep"
-cmp "$hdir/pair.sweep" "$hdir/alone.sweep" \
-  || { echo "FAIL: roni-sweep prints different bytes after ablate-coverage"; exit 1; }
 sweep_s() { sed 's/.*"id":"roni-sweep","seconds":\([0-9.]*\).*/\1/' "$1"; }
-paired=$(sweep_s "$hdir/pair.json")
-alone=$(sweep_s "$hdir/alone.json")
+for i in 1 2 3; do
+  ./_build/default/bench/main.exe ablate-coverage roni-sweep \
+    --scale 0.05 --jobs 1 --timings "$hdir/pair.json" > "$hdir/pair.txt"
+  ./_build/default/bench/main.exe roni-sweep \
+    --scale 0.05 --jobs 1 --timings "$hdir/alone.json" > "$hdir/alone.txt"
+  # The roni-sweep section: what follows ablate-coverage's finish line
+  # (pair) or the harness header (alone), less its own finish line.
+  sed -n '/^\[ablate-coverage finished in/,$p' "$hdir/pair.txt" | sed 1d \
+    | grep -v '^\[roni-sweep finished in' > "$hdir/pair.sweep"
+  sed 1d "$hdir/alone.txt" | grep -v '^\[roni-sweep finished in' \
+    > "$hdir/alone.sweep"
+  cmp "$hdir/pair.sweep" "$hdir/alone.sweep" \
+    || { echo "FAIL: roni-sweep prints different bytes after ablate-coverage"; exit 1; }
+  sweep_s "$hdir/pair.json" >> "$hdir/paired.s"
+  sweep_s "$hdir/alone.json" >> "$hdir/alone.s"
+done
+paired=$(sort -g "$hdir/paired.s" | head -1)
+alone=$(sort -g "$hdir/alone.s" | head -1)
 rm -rf "$hdir"
 awk -v p="$paired" -v a="$alone" 'BEGIN { exit !(p <= 1.5 * a) }' \
-  || { echo "FAIL: roni-sweep took ${paired}s after ablate-coverage, ${alone}s alone (over 1.5x)"; exit 1; }
-echo "roni-sweep: ${paired}s after ablate-coverage, ${alone}s alone, same bytes"
+  || { echo "FAIL: roni-sweep took ${paired}s after ablate-coverage, ${alone}s alone (least of 3, over 1.5x)"; exit 1; }
+echo "roni-sweep: ${paired}s after ablate-coverage, ${alone}s alone (least of 3), same bytes"
 
 say "fault-injected determinism"
 # Transient faults are retried to success by the pool's supervision,

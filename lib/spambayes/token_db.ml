@@ -16,20 +16,22 @@ let db_copy_delta_entries = Obs.counter "spambayes.db_copy_delta_entries"
    costs 4 to 8 words.  Entries are never removed.
 
    A db reads two tables: [ov], its own, which takes every write and
-   holds the {e absolute} counts of the ids written since the db was
-   made or last copied, then [base], immutable and possibly shared.
+   holds the {e absolute} counts of the ids written to it, then [base],
+   immutable and possibly shared.
    Invariants:
-   - no [base] slot is ever written;
+   - no [base] slot is ever written, nor an [ov] slot while [lent];
    - [ov_mask < 0] exactly when [ov] is [[||]], and then [ov_size = 0];
      likewise [base_mask] and [base];
+   - [lent] implies [base_mask < 0 <= ov_mask];
    - [distinct] counts ids whose combined count is non-zero, maintained
      on every 0-to-positive / positive-to-0 transition. *)
 type t = {
-  mutable base : int array;  (* [||] until a copy promotes [ov] *)
+  mutable base : int array;  (* [||] until a write promotes a lent [ov] *)
   mutable base_mask : int;  (* slot count - 1, or -1 *)
   mutable ov : int array;  (* [||] until the first write *)
   mutable ov_mask : int;
   mutable ov_size : int;  (* occupied slots *)
+  mutable lent : bool;  (* [ov] is also a copy's base *)
   mutable nspam : int;
   mutable nham : int;
   mutable distinct : int;
@@ -51,27 +53,39 @@ let create () =
     ov = [||];
     ov_mask = -1;
     ov_size = 0;
+    lent = false;
     nspam = 0;
     nham = 0;
     distinct = 0;
     generation = 1;
   }
 
-(* Promotion: a db without a base hands its own table over as the base
-   both sides then share, in O(1); one that has a base (a copy written
-   since) shares it and blits its own table.  The tables hold plain
-   ints, so no cell of one side can be reached from the other. *)
+(* A db without a base lends the copy its own table as the copy's base,
+   in O(1), and is marked [lent]: the table is then immutable, and the
+   source's next write first promotes it to its own base ([reclaim]).
+   The mark is all a copy writes to its source, and racing copies write
+   the same [true], so any number of domains may copy one db at once.
+   A db with a base shares it and blits its own table.  The tables hold
+   plain ints, so no cell of one side can be reached from the other. *)
 let copy t =
-  if t.base_mask < 0 && t.ov_size > 0 then begin
-    t.base <- t.ov;
-    t.base_mask <- t.ov_mask;
-    t.ov <- [||];
-    t.ov_mask <- -1;
-    t.ov_size <- 0
-  end;
   Obs.incr db_copies;
-  Obs.add db_copy_delta_entries t.ov_size;
-  { t with ov = Array.copy t.ov }
+  if t.base_mask >= 0 then begin
+    Obs.add db_copy_delta_entries t.ov_size;
+    { t with ov = Array.copy t.ov }
+  end
+  else begin
+    if t.ov_mask >= 0 then t.lent <- true;
+    { t with base = t.ov; base_mask = t.ov_mask; ov = [||]; ov_mask = -1;
+             ov_size = 0; lent = false }
+  end
+
+let reclaim t =
+  t.base <- t.ov;
+  t.base_mask <- t.ov_mask;
+  t.ov <- [||];
+  t.ov_mask <- -1;
+  t.ov_size <- 0;
+  t.lent <- false
 
 let generation t = t.generation
 let[@inline] touch t = t.generation <- t.generation + 1
@@ -172,6 +186,7 @@ let reserve t n =
 (* The [ov] slot for [id], claimed on first touch with the counts
    [base] holds for it. *)
 let write_slot t id =
+  if t.lent then reclaim t;
   let i = lookup t.ov t.ov_mask id in
   if i >= 0 then i
   else begin

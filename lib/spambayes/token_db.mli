@@ -33,12 +33,13 @@ val create : unit -> t
 
 val copy : t -> t
 (** Logically-deep copy: mutations of the copy never affect the
-    original, and vice versa.  A db without a base first promotes its
-    own table to the base (its {!overlay_size} drops to 0); the copy
-    then shares the base and blits the source's own table: O(1) for a
-    freshly trained or loaded db, at most [8 × overlay_size] words
-    otherwise.  Copying a db whose own table is empty writes nothing to
-    it, so concurrent copies of a db copied once are race-free. *)
+    original, and vice versa.  A db without a base (freshly trained or
+    loaded) lends the copy its own table as the copy's base, in O(1);
+    the source's next write first promotes that table to its own base
+    (its {!overlay_size} then drops to 0).  A db with a base shares it
+    and blits its own table, at most [8 × overlay_size] words.  Any
+    number of domains may copy one db at once, and read it meanwhile;
+    no copy may race a write to its source. *)
 
 val nspam : t -> int
 (** Number of spam messages trained. *)
@@ -59,7 +60,8 @@ val ham_count_id : t -> int -> int
 val slot : t -> int -> int
 (** Where [id]'s counts live, found once for {!slot_spam} and
     {!slot_ham} to read both (the scoring hot path): an opaque
-    position, valid until [t] next changes.  Allocates nothing. *)
+    position, valid until [t] is next written (copying [t] keeps it).
+    Allocates nothing. *)
 
 val slot_spam : t -> int -> int
 val slot_ham : t -> int -> int
@@ -120,8 +122,9 @@ val set_message_counts : t -> nspam:int -> nham:int -> unit
     @raise Invalid_argument on a negative count. *)
 
 val overlay_size : t -> int
-(** Slots in [t]'s own table: the ids written since [t] was made or
-    last copied — for a db never copied, every id it holds.  The tenant
+(** Slots in [t]'s own table: the ids written to [t] since it was
+    made, or since its first write after a {!copy} took the table as
+    its base — for a db never copied, every id it holds.  The tenant
     store sizes a user's rendering off this. *)
 
 val overlay_mem : t -> int -> bool

@@ -373,9 +373,9 @@ let pread fd off len =
   Bytes.unsafe_to_string buf
 
 (* Materialize a tenant: CoW copy of the shared prior (O(1): the prior
-   was copied once at open, so its own table is empty and the copy
-   shares its base), its segment block, then its journaled ops in
-   order.  Never a full database copy. *)
+   is never written, so the copy takes its counts as the base both
+   share), its segment block, then its journaled ops in order.  Never
+   a full database copy. *)
 let materialize t sh user =
   Journal.flush (jrn sh);
   let db = Token_db.copy t.t_prior in
@@ -542,8 +542,6 @@ let commit_shard t sh ~force_compact =
 
 let open_store ?(options = Options.default) ?prior cfg =
   let mk dir prior nshards =
-    ignore (Token_db.copy prior);
-    (* pre-share: tenant copies are now O(1) and race-free *)
     {
       cfg;
       dir;

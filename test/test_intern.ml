@@ -813,6 +813,62 @@ let cow_tests =
         in
         same "minor words reading 50 and 5,000 tokens" (read few) (read ids);
         same "minor words training 50 and 5,000 tokens" (train few) (train ids));
+    test_case "four domains may make a fresh db's first copies at once"
+      (fun () ->
+        (* The pool copies one trained, never-copied filter from every
+           domain (Focused_exp.sweep): each racing copy must see the
+           source's counts, and the source and every copy must stay
+           independent afterwards. *)
+        let tokens = Array.init 300 (Printf.sprintf "race-copy-%03d") in
+        let trained () =
+          let db = Token_db.create () in
+          Token_db.train db Label.Spam tokens;
+          Token_db.train db Label.Ham (Array.sub tokens 0 100);
+          db
+        in
+        for round = 1 to 40 do
+          let db =
+            if round mod 2 = 0 then trained ()
+            else Result.get_ok (Token_db.of_string (Token_db.to_string (trained ())))
+          in
+          let expected = Token_db.to_string db in
+          let ready = Atomic.make 0 in
+          let copier () =
+            Atomic.incr ready;
+            while Atomic.get ready < 4 do
+              Domain.cpu_relax ()
+            done;
+            List.init 3 (fun _ -> Token_db.copy db)
+          in
+          let copies =
+            List.init 4 (fun _ -> Domain.spawn copier)
+            |> List.concat_map Domain.join
+          in
+          check_str "source bytes after the race" expected (Token_db.to_string db);
+          List.iter
+            (fun c -> check_str "copy bytes" expected (Token_db.to_string c))
+            copies;
+          Token_db.untrain db Label.Ham (Array.sub tokens 0 100);
+          List.iteri
+            (fun i c ->
+              Token_db.train c Label.Ham [| Printf.sprintf "race-copy-own-%d" i |])
+            copies;
+          check_int "source untrained its ham" 0
+            (Token_db.ham_count db tokens.(0));
+          check_int "source keeps its spam" 1 (Token_db.spam_count db tokens.(0));
+          List.iteri
+            (fun i c ->
+              check_int "copy keeps the ham the source untrained" 1
+                (Token_db.ham_count c tokens.(0));
+              check_int "copy has its own token" 1
+                (Token_db.ham_count c (Printf.sprintf "race-copy-own-%d" i));
+              check_int "copy has no other copy's token" 0
+                (Token_db.ham_count c
+                   (Printf.sprintf "race-copy-own-%d" ((i + 1) mod 12))))
+            copies;
+          check_int "source sees no copy's token" 0
+            (Token_db.ham_count db "race-copy-own-0")
+        done);
     test_case "copy chains stay independent" (fun () ->
         let a = Token_db.create () in
         Token_db.train a Label.Spam [| "chain-s" |];
