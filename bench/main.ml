@@ -6,6 +6,7 @@
      main.exe                     run every experiment at --scale (default 0.2)
      main.exe fig1 fig2           run specific experiments
      main.exe perf                run the bechamel micro-benchmarks
+     main.exe load                time daemon start-up by stage
      main.exe all perf            both
      main.exe --scale 1.0 all     paper-scale run
      main.exe --seed 7 fig3       change the world seed
@@ -27,7 +28,7 @@ let usage () =
   prerr_endline
     ("usage: main.exe [--scale S] [--seed N] [--jobs N] [--trace FILE] \
       [--metrics] [--timings FILE] \
-      [all|perf|ingest|serve|store|classify|trajectory|"
+      [all|perf|ingest|serve|store|classify|load|trajectory|"
     ^ String.concat "|" Registry.ids ^ "]...");
   exit 2
 
@@ -67,7 +68,7 @@ let parse_args () =
         if
           target = "all" || target = "perf" || target = "ingest"
           || target = "serve" || target = "store" || target = "classify"
-          || target = "trajectory"
+          || target = "load" || target = "trajectory"
           || Registry.find target <> None
         then go { acc with targets = acc.targets @ [ target ] } rest
         else usage ()
@@ -684,6 +685,146 @@ let run_classify lab ~jobs =
   !timings
 
 (* ------------------------------------------------------------------ *)
+(* Daemon start-up, split into its stages: the db load
+   ([Token_db.of_string]), the first [Intern.freeze] after it, and
+   launch-to-first-PING of [spamlab serve] over the same file.  The db
+   is generated and scale-independent: [load_rows] distinct word-like
+   tokens, about as many rows as perfbench's published db, in canonical
+   v3 bytes.  Each in-process repetition loads tokens no earlier one
+   interned, as a daemon starts with an empty table.  --timings ids:
+   "load-parse", "load-freeze", "load-serve-ping", seconds (median of
+   [load_reps]). *)
+
+let load_rows = 140_000
+let load_reps = 3
+
+let synthetic_db ~rep =
+  let module Token_db = Spamlab_spambayes.Token_db in
+  let rng = Random.State.make [| 27; rep |] in
+  let prefixes = [| ""; ""; ""; "subject:"; "from:"; "url:"; "skip:a 10 " |] in
+  let word () =
+    let len = 2 + Random.State.int rng 10 in
+    String.init len (fun _ -> Char.chr (97 + Random.State.int rng 26))
+  in
+  let seen = Hashtbl.create (2 * load_rows) in
+  while Hashtbl.length seen < load_rows do
+    let tok =
+      Printf.sprintf "%s%s%d"
+        prefixes.(Random.State.int rng (Array.length prefixes))
+        (word ()) rep
+    in
+    Hashtbl.replace seen tok ()
+  done;
+  let toks = Array.of_seq (Hashtbl.to_seq_keys seen) in
+  Array.sort String.compare toks;
+  let nspam = 1_000 and nham = 1_000 in
+  let b = Buffer.create (16 * load_rows) in
+  Printf.bprintf b "spamlab-token-db 3 %d %d\n" nspam nham;
+  Array.iter
+    (fun tok ->
+      let spam = Random.State.int rng 20 in
+      Token_db.add_escaped b tok;
+      Printf.bprintf b "\t%d\t%d\n" spam
+        (if spam = 0 then 1 + Random.State.int rng 20 else Random.State.int rng 20))
+    toks;
+  let crc = Token_db.crc_finish (Token_db.crc_feed_buffer Token_db.crc_init b) in
+  Printf.bprintf b "#spamlab-db-footer crc32=%08x entries=%d\n" crc load_rows;
+  Buffer.contents b
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  a.(Array.length a / 2)
+
+(* Spawn [spamlab serve] over [db] and time it until it answers PING;
+   then stop it with SIGTERM. *)
+let serve_ping ~spamlab ~dir ~db =
+  let module Serve = Spamlab_serve in
+  let sock = Filename.concat dir "load.sock" in
+  (try Sys.remove sock with Sys_error _ -> ());
+  let null = Unix.openfile "/dev/null" [ O_WRONLY ] 0 in
+  let t0 = Unix.gettimeofday () in
+  let pid =
+    Unix.create_process spamlab
+      [| spamlab; "serve"; "--db"; db; "--socket"; sock; "--jobs"; "1";
+         "--publish-every"; "0" |]
+      Unix.stdin null null
+  in
+  Unix.close null;
+  let ping = { Serve.Protocol.verb = Ping; body = ""; user = None } in
+  let rec poll () =
+    if Unix.gettimeofday () -. t0 > 60.0 then failwith "load bench: no PING answer"
+    else
+      match Serve.Client.connect (Serve.Daemon.Unix_sock sock) with
+      | Error _ ->
+          Unix.sleepf 0.0005;
+          poll ()
+      | Ok conn ->
+          let r = Serve.Client.request conn ping in
+          Serve.Client.close conn;
+          (match r with
+          | Ok (Serve.Protocol.Ok _) -> ()
+          | _ -> failwith "load bench: bad PING answer");
+          Unix.gettimeofday () -. t0
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.kill pid Sys.sigterm;
+      ignore (Unix.waitpid [] pid))
+    poll
+
+let run_load () =
+  let module SB = Spamlab_spambayes in
+  Printf.printf "%s\ndaemon start-up stages (generated db)\n%s\n" hrule hrule;
+  let spamlab =
+    Filename.concat
+      (Filename.dirname (Filename.dirname Sys.executable_name))
+      (Filename.concat "bin" "spamlab.exe")
+  in
+  if not (Sys.file_exists spamlab) then
+    failwith ("load bench: no daemon executable at " ^ spamlab);
+  let parse = ref [] and freeze = ref [] and first = ref "" in
+  for rep = 1 to load_reps do
+    let data = synthetic_db ~rep in
+    if rep = 1 then first := data;
+    Gc.full_major ();
+    let t0 = Unix.gettimeofday () in
+    (match SB.Token_db.of_string data with
+    | Ok _ -> ()
+    | Error e -> failwith ("load bench: " ^ e));
+    let t1 = Unix.gettimeofday () in
+    SB.Intern.freeze ();
+    let t2 = Unix.gettimeofday () in
+    parse := (t1 -. t0) :: !parse;
+    freeze := (t2 -. t1) :: !freeze
+  done;
+  let dir = Filename.temp_file "spamlab_bench" ".load" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let db = Filename.concat dir "load.db" in
+  let ping =
+    Fun.protect
+      ~finally:(fun () ->
+        Array.iter
+          (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+          (Sys.readdir dir);
+        try Unix.rmdir dir with Unix.Unix_error _ -> ())
+      (fun () ->
+        Out_channel.with_open_bin db (fun oc -> output_string oc !first);
+        List.init load_reps (fun _ -> serve_ping ~spamlab ~dir ~db))
+  in
+  Printf.printf "%d rows, %d bytes, median of %d\n\n" load_rows
+    (String.length !first) load_reps;
+  let timings =
+    [ ("load-parse", median !parse); ("load-freeze", median !freeze);
+      ("load-serve-ping", median ping) ]
+  in
+  List.iter (fun (id, s) -> Printf.printf "  %-18s %9.1f ms\n" id (s *. 1e3)) timings;
+  print_newline ();
+  flush stdout;
+  timings
+
+(* ------------------------------------------------------------------ *)
 (* Bench trajectory: aggregate every checked-in BENCH_PR*.json into one
    markdown table of headline throughput numbers per PR.  The files
    are heterogeneous (each PR recorded what it changed), so parsing is
@@ -1072,6 +1213,7 @@ let () =
         timings := !timings @ run_store lab ~jobs:cli.jobs
       else if target = "classify" then
         timings := !timings @ run_classify lab ~jobs:cli.jobs
+      else if target = "load" then timings := !timings @ run_load ()
       else if target = "trajectory" then run_trajectory ()
       else timings := !timings @ run_experiments lab target)
     cli.targets;

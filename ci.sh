@@ -729,6 +729,21 @@ if grep -q '"seconds":0\.000000' "$timings" \
 fi
 echo "bench classify OK"
 
+say "bench load smoke"
+# Daemon start-up split into its stages on a generated db of 140k rows:
+# the load, the first intern freeze, launch-to-first-PING.
+./_build/default/bench/main.exe load \
+  --scale 0.02 --jobs 2 --timings "$timings" > /dev/null
+for id in load-parse load-freeze load-serve-ping; do
+  grep -q "\"id\":\"$id\"" "$timings" \
+    || { echo "FAIL: missing $id bench entry"; exit 1; }
+done
+if grep -q '"seconds":0\.000000' "$timings" \
+  || grep -q '"seconds":-' "$timings"; then
+  echo "FAIL: non-positive load bench wall time"; exit 1
+fi
+echo "bench load OK"
+
 say "perfbench correctness checks"
 # The benchmark checks its own results: daemon verdicts against an
 # in-process reference, and (train-poisoned) the db and store bytes

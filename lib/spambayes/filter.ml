@@ -117,7 +117,7 @@ let apply_journal db path ~base_crc =
       let failed = ref None in
       let on_op _ ~off ~len =
         if !failed = None then
-          match Journal.parse_line (String.sub data off len) with
+          match Journal.parse_sub data off len with
           | `Op (_, op) -> (
               try Journal.apply db (Journal.intern op)
               with Invalid_argument e -> failed := Some e)

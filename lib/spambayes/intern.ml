@@ -195,6 +195,25 @@ let intern_sub s off len =
           refresh_locked ();
           id)
 
+(* No closure and no refresh: a load interns a whole vocabulary row by
+   row, and a refresh at every 1/4 growth would copy the slot table a
+   dozen times over for lookups that the caller's next [freeze] serves
+   anyway. *)
+let bulk_sub s off len =
+  check_slice "Intern.bulk_sub" s off len;
+  let h = hash_sub s off len in
+  match probe (Atomic.get frozen).snap_slots h s off len with
+  | id when id >= 0 -> id
+  | _ -> (
+      Mutex.lock st.mutex;
+      match intern_locked h s off len ~copy:true with
+      | id ->
+          Mutex.unlock st.mutex;
+          id
+      | exception e ->
+          Mutex.unlock st.mutex;
+          raise e)
+
 let intern_array tokens =
   let snapshot = (Atomic.get frozen).snap_slots in
   let n = Array.length tokens in
@@ -437,19 +456,23 @@ let merge_into name old fresh f =
   in
   Array.iter
     (fun x ->
-      let s = name x in
-      let before i = String.compare (name (Array.unsafe_get old i)) s < 0 in
-      let lo = ref !p and step = ref 1 in
-      while !lo + !step <= n && before (!lo + !step - 1) do
-        lo := !lo + !step;
-        step := 2 * !step
-      done;
-      let hi = ref (min n (!lo + !step - 1)) in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if before mid then lo := mid + 1 else hi := mid
-      done;
-      take_old !lo;
+      (* Once [old] is spent — at once for a first freeze — the rest of
+         [fresh] follows as it stands. *)
+      if !p < n then begin
+        let s = name x in
+        let before i = String.compare (name (Array.unsafe_get old i)) s < 0 in
+        let lo = ref !p and step = ref 1 in
+        while !lo + !step <= n && before (!lo + !step - 1) do
+          lo := !lo + !step;
+          step := 2 * !step
+        done;
+        let hi = ref (min n (!lo + !step - 1)) in
+        while !lo < !hi do
+          let mid = (!lo + !hi) / 2 in
+          if before mid then lo := mid + 1 else hi := mid
+        done;
+        take_old !lo
+      end;
       emit x)
     fresh;
   take_old n
@@ -458,7 +481,14 @@ let merge_into name old fresh f =
    order (O(V), no compares), only the k ids interned since are sorted,
    and the two are merged — ranks identical to a full sort for O(V)
    array work and O(k log V) byte compares under the mutex instead of
-   O(V log V). *)
+   O(V log V).  A canonical db load interns its rows in byte order, so
+   the fresh ids are tested for order first: k - 1 compares, and no
+   sort when they pass; ids in first-sighting order fail at their
+   first out-of-order pair. *)
+let rec ascending name id stop =
+  id + 1 >= stop
+  || (String.compare (name id) (name (id + 1)) < 0 && ascending name (id + 1) stop)
+
 let freeze () =
   Mutex.protect st.mutex (fun () ->
       snapshot_locked ();
@@ -470,7 +500,8 @@ let freeze () =
         let order = Array.make covered 0 in
         Array.iteri (fun id r -> Array.unsafe_set order r id) old;
         let fresh = Array.init (n - covered) (fun i -> covered + i) in
-        Array.stable_sort (fun a b -> String.compare (name a) (name b)) fresh;
+        if not (ascending name covered n) then
+          Array.stable_sort (fun a b -> String.compare (name a) (name b)) fresh;
         let rk = Array.make n 0 in
         merge_into name order fresh (fun pos id -> Array.unsafe_set rk id pos);
         Atomic.set ranks rk

@@ -36,7 +36,7 @@
 
     {2 Who grows the table}
 
-    Only the interning entry points ({!id}, {!intern_sub},
+    Only the interning entry points ({!id}, {!intern_sub}, {!bulk_sub},
     {!intern_array}, {!resolve}) add strings.  Every lookup-only entry
     point ({!lookup}, {!find}, {!find_sub}) shares one miss rule: a key
     the snapshot lacks is looked for in the live table under the lock
@@ -90,6 +90,15 @@ val intern_sub : string -> int -> int -> int
     seen before.
     @raise Invalid_argument if [off]/[len] do not denote a slice of
     [buf]. *)
+
+val bulk_sub : string -> int -> int -> int
+(** [bulk_sub buf off len] is {!intern_sub} for a loader that interns
+    a whole file's rows one at a time: the same ids, but the table's
+    growth does not refresh the lock-free snapshot.  The next {!freeze}
+    takes it (as does the automatic refresh, once the table has grown
+    past its threshold); lookups of the loaded strings until then miss
+    the snapshot and share {!lookup}'s locked miss rule.
+    @raise Invalid_argument on a bad slice. *)
 
 val intern_array : string array -> int array
 (** Intern a batch elementwise — at most one lock acquisition for all
@@ -175,7 +184,9 @@ val freeze : unit -> unit
     into the previous byte order, so a freeze costs O(V) array work
     plus O(k log k) byte compares for the sort and O(k log (V/k + 1))
     for the merge (k = V for the first one) — only here, never on the
-    automatic refresh. *)
+    automatic refresh.  The sort is skipped when the k ids were interned
+    in byte order of their strings, as a canonical db load interns them:
+    that test costs k - 1 compares. *)
 
 val rank : int -> int
 (** The position of [to_string id] in the byte-sorted vocabulary as of

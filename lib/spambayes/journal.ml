@@ -54,16 +54,38 @@ let parse_label = function
   | "h" -> Some Label.Ham
   | _ -> None
 
-let parse_line line =
-  let n = String.length line in
+(* [String.split_on_char '\t' (String.sub s off (stop - off))],
+   without the copy. *)
+let fields s off stop =
+  let acc = ref [] and j = ref stop in
+  for i = stop - 1 downto off do
+    if String.unsafe_get s i = '\t' then begin
+      acc := String.sub s (i + 1) (!j - i - 1) :: !acc;
+      j := i
+    end
+  done;
+  String.sub s off (!j - off) :: !acc
+
+(* A dictionary-attack record runs to hundreds of KB: it is checksummed
+   and split where it lies. *)
+let parse_sub data off n =
+  if off < 0 || n < 0 || off + n > String.length data then
+    invalid_arg "Journal.parse_sub";
   (* ...\tcrc=XXXXXXXX — 13 tail bytes including the tab. *)
-  if n < 14 || line.[n - 13] <> '\t' || String.sub line (n - 12) 4 <> "crc="
+  if
+    n < 14
+    || data.[off + n - 13] <> '\t'
+    || String.sub data (off + n - 12) 4 <> "crc="
   then `Bad "missing crc field"
   else
-    match int_of_string_opt ("0x" ^ String.sub line (n - 8) 8) with
+    match int_of_string_opt ("0x" ^ String.sub data (off + n - 8) 8) with
     | None -> `Bad "bad crc field"
     | Some crc ->
-        if crc_of (String.sub line 0 (n - 12)) <> crc then `Bad "crc mismatch"
+        if
+          Token_db.crc_finish
+            (Token_db.crc_feed_sub Token_db.crc_init data off (n - 12))
+          <> crc
+        then `Bad "crc mismatch"
         else
           let unescape s =
             match Token_db.unescape_token s with
@@ -77,7 +99,7 @@ let parse_line line =
               )
           in
           let parse () =
-            match String.split_on_char '\t' (String.sub line 0 (n - 13)) with
+            match fields data off (off + n - 13) with
             | [ "C" ] -> `Commit
             | "T" :: user :: cls :: k :: toks -> (
                 match (parse_label cls, int_of_string_opt k) with
@@ -90,6 +112,8 @@ let parse_line line =
             | _ -> `Bad "unknown record"
           in
           (match parse () with r -> r | exception Sys_error e -> `Bad e)
+
+let parse_line line = parse_sub line 0 (String.length line)
 
 (* ------------------------------------------------------------------ *)
 (* Reading. *)
@@ -143,12 +167,13 @@ let scan ~ident ~base_crc ?(on_op = fun _ ~off:_ ~len:_ -> ()) data =
           let pos = ref p0 and last_commit = ref p0 in
           let torn = ref false and continue = ref true in
           while !continue do
-            match next_line data !pos with
+            match String.index_from_opt data !pos '\n' with
             | None ->
                 torn := !pos < String.length data;
                 continue := false
-            | Some (line, nxt) -> (
-                match parse_line line with
+            | Some nl -> (
+                let nxt = nl + 1 in
+                match parse_sub data !pos (nl - !pos) with
                 | `Commit ->
                     List.iter
                       (fun (user, off, len) -> on_op user ~off ~len)
@@ -158,7 +183,7 @@ let scan ~ident ~base_crc ?(on_op = fun _ ~off:_ ~len:_ -> ()) data =
                     last_commit := nxt;
                     pos := nxt
                 | `Op (user, _) ->
-                    since := (user, !pos, String.length line) :: !since;
+                    since := (user, !pos, nl - !pos) :: !since;
                     pos := nxt
                 | `Bad _ ->
                     torn := true;

@@ -47,6 +47,13 @@ val parse_line : string -> [ `Commit | `Op of string * string op | `Bad of strin
 (** One line without its newline: a commit marker, an op with its
     user, or a bad line (CRC or syntax). *)
 
+val parse_sub :
+  string -> int -> int -> [ `Commit | `Op of string * string op | `Bad of string ]
+(** [parse_sub data off len] is [parse_line (String.sub data off len)]
+    without the copy: the CRC is taken and the fields split where the
+    record lies.
+    @raise Invalid_argument if [off]/[len] do not denote a slice. *)
+
 (** {2 Reading} *)
 
 type scan = {

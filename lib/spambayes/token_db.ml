@@ -390,39 +390,6 @@ let render_rows ?(head = ignore) b ~capacity iter =
     order;
   n
 
-let unescape_token s =
-  if not (String.contains s '\\') then Ok s
-  else begin
-    let buf = Buffer.create (String.length s) in
-    let n = String.length s in
-    let rec loop i =
-      if i >= n then Ok (Buffer.contents buf)
-      else
-        match s.[i] with
-        | '\\' ->
-            if i + 1 >= n then Error "dangling backslash in token"
-            else (
-              match s.[i + 1] with
-              | '\\' ->
-                  Buffer.add_char buf '\\';
-                  loop (i + 2)
-              | 't' ->
-                  Buffer.add_char buf '\t';
-                  loop (i + 2)
-              | 'n' ->
-                  Buffer.add_char buf '\n';
-                  loop (i + 2)
-              | 'r' ->
-                  Buffer.add_char buf '\r';
-                  loop (i + 2)
-              | c -> Error (Printf.sprintf "bad escape \\%c in token" c))
-        | c ->
-            Buffer.add_char buf c;
-            loop (i + 1)
-    in
-    loop 0
-  end
-
 (* Zeroing an id the db holds nowhere is a no-op: absent and 0/0 are
    the same observable state, so it claims no slot. *)
 let set_counts_id t id ~spam ~ham =
@@ -437,11 +404,6 @@ let set_counts_id t id ~spam ~ham =
     Array.unsafe_set ov (s + 1) ham;
     note_transition t ~was ~now:(spam + ham)
   end
-
-(* One loaded row.  A row with both counts zero is accepted but not
-   retained, and its token is not interned. *)
-let load_row t token ~spam ~ham =
-  if spam <> 0 || ham <> 0 then set_counts_id t (Intern.id token) ~spam ~ham
 
 let set_message_counts t ~nspam ~nham =
   if nspam < 0 || nham < 0 then
@@ -469,15 +431,19 @@ let crc_table =
 let crc_init = 0xffffffff
 let crc_finish reg = reg lxor 0xffffffff
 
-let crc_feed reg s =
+let[@inline] crc_byte reg c =
+  Array.unsafe_get crc_table ((reg lxor Char.code c) land 0xff) lxor (reg lsr 8)
+
+let crc_feed_sub reg s off len =
+  if off < 0 || len < 0 || off + len > String.length s then
+    invalid_arg "Token_db.crc_feed_sub";
   let reg = ref reg in
-  for i = 0 to String.length s - 1 do
-    reg :=
-      Array.unsafe_get crc_table
-        ((!reg lxor Char.code (String.unsafe_get s i)) land 0xff)
-      lxor (!reg lsr 8)
+  for i = off to off + len - 1 do
+    reg := crc_byte !reg (String.unsafe_get s i)
   done;
   !reg
+
+let crc_feed reg s = crc_feed_sub reg s 0 (String.length s)
 
 (* 1 KiB slices: each is a short-lived minor-heap string, so a
    multi-MB rendering is never copied out whole just to be summed. *)
@@ -509,6 +475,152 @@ let to_string t =
 
 let save oc t = output_string oc (to_string t)
 
+(* ------------------------------------------------------------------ *)
+(* The row scanner.  Every reader of the row grammar — the db loader,
+   strict and salvage, and the store's tenant blocks and segment
+   verifier — parses a row where it lies in the file string: the two
+   tabs and the newline found by index, the counts read in place, and
+   a token copied only when it holds an escape. *)
+
+let unescape_sub s off len =
+  let buf = Buffer.create len in
+  let stop = off + len in
+  let rec go i =
+    if i >= stop then Ok (Buffer.contents buf)
+    else
+      match String.unsafe_get s i with
+      | '\\' when i + 1 >= stop -> Error "dangling backslash in token"
+      | '\\' -> (
+          match String.unsafe_get s (i + 1) with
+          | ('\\' | 't' | 'n' | 'r') as c ->
+              Buffer.add_char buf
+                (match c with 't' -> '\t' | 'n' -> '\n' | 'r' -> '\r' | c -> c);
+              go (i + 2)
+          | c -> Error (Printf.sprintf "bad escape \\%c in token" c))
+      | c ->
+          Buffer.add_char buf c;
+          go (i + 1)
+  in
+  go off
+
+let unescape_token s =
+  if String.contains s '\\' then unescape_sub s 0 (String.length s) else Ok s
+
+type rows = {
+  data : string;
+  mutable line : int;
+  mutable eol : int;
+  mutable tok_off : int;
+  mutable tok_len : int;
+  mutable escaped : bool;
+  mutable tok : string;
+  mutable spam : int;
+  mutable ham : int;
+}
+
+type row = Row | Bad_fields | Bad_escape of string | Bad_counts
+
+let rows data =
+  {
+    data;
+    line = 0;
+    eol = 0;
+    tok_off = 0;
+    tok_len = 0;
+    escaped = false;
+    tok = "";
+    spam = 0;
+    ham = 0;
+  }
+
+(* Top-level loops, as [probe_from]: these run a few times per row. *)
+
+(* The first tab or newline at or after [i], else [n]. *)
+let rec field_end s n i =
+  if i >= n then n
+  else match String.unsafe_get s i with '\t' | '\n' -> i | _ -> field_end s n (i + 1)
+
+let rec line_end s n i =
+  if i >= n || String.unsafe_get s i = '\n' then i else line_end s n (i + 1)
+
+let rec has_backslash s i stop =
+  i < stop && (String.unsafe_get s i = '\\' || has_backslash s (i + 1) stop)
+
+(* The count field [s.[off .. stop-1]] when it is 1 to 18 plain digits,
+   which cannot overflow; -1 for any other form. *)
+let rec digits s i stop acc =
+  if i >= stop then acc
+  else
+    match String.unsafe_get s i with
+    | '0' .. '9' as c -> digits s (i + 1) stop ((10 * acc) + Char.code c - 48)
+    | _ -> -1
+
+let[@inline] plain_count s off stop =
+  if stop <= off || stop - off > 18 then -1 else digits s off stop 0
+
+let[@inline] is_tab s n i = i < n && String.unsafe_get s i = '\t'
+
+(* Counts of 1 to 18 plain digits are read in place; any other form
+   goes through [int_of_string_opt], as every count always did, so
+   signs, [0x], underscores and longer counts read exactly as before. *)
+let read_counts r t1 t2 t3 =
+  let s = r.data in
+  let spam = plain_count s (t1 + 1) t2 and ham = plain_count s (t2 + 1) t3 in
+  if spam >= 0 && ham >= 0 then begin
+    r.spam <- spam;
+    r.ham <- ham;
+    Row
+  end
+  else
+    let field off stop = int_of_string_opt (String.sub s off (stop - off)) in
+    match (field (t1 + 1) t2, field (t2 + 1) t3) with
+    | Some spam, Some ham ->
+        r.spam <- spam;
+        r.ham <- ham;
+        Row
+    | _ -> Bad_counts
+
+let scan_row r ~verbatim pos =
+  let s = r.data in
+  let n = String.length s in
+  r.line <- pos;
+  let t1 = field_end s n pos in
+  let t2 = if is_tab s n t1 then field_end s n (t1 + 1) else t1 in
+  let t3 = if is_tab s n t2 then field_end s n (t2 + 1) else t2 in
+  if not (is_tab s n t1 && is_tab s n t2) then begin
+    r.eol <- t3;
+    Bad_fields
+  end
+  else if is_tab s n t3 then begin
+    r.eol <- line_end s n t3;
+    Bad_fields
+  end
+  else begin
+    r.eol <- t3;
+    r.tok_off <- pos;
+    r.tok_len <- t1 - pos;
+    r.escaped <- (not verbatim) && has_backslash s pos t1;
+    if not r.escaped then read_counts r t1 t2 t3
+    else
+      match unescape_sub s pos (t1 - pos) with
+      | Error e -> Bad_escape e
+      | Ok tok ->
+          r.tok <- tok;
+          read_counts r t1 t2 t3
+  end
+
+let row_token r =
+  if r.escaped then r.tok else String.sub r.data r.tok_off r.tok_len
+
+let row_line r = String.sub r.data r.line (r.eol - r.line)
+
+let row_id intern r =
+  if r.escaped then intern r.tok 0 (String.length r.tok)
+  else intern r.data r.tok_off r.tok_len
+
+(* ------------------------------------------------------------------ *)
+(* Loading. *)
+
 type verify_report = {
   version : int;
   nspam : int;
@@ -538,157 +650,187 @@ let parse_header line =
       | None -> Error "not a spamlab token-db file")
   | _ -> Error "not a spamlab token-db file"
 
+(* The footer exactly as [to_string] writes it: the line must render
+   back from what it parsed to, so every byte of it is checked.  [%x]
+   alone also takes a case-flipped hex digit. *)
 let parse_footer line =
-  Scanf.sscanf_opt line "#spamlab-db-footer crc32=%x entries=%d%!"
-    (fun crc entries -> (crc, entries))
+  match
+    Scanf.sscanf_opt line "#spamlab-db-footer crc32=%x entries=%d%!"
+      (fun crc entries -> (crc, entries))
+  with
+  | Some (crc, entries) as f
+    when line = Printf.sprintf "%scrc32=%08x entries=%d" footer_prefix crc entries
+    ->
+      f
+  | _ -> None
 
-(* One entry line, validated against the header totals.  Shared by the
-   strict and salvage parsers. *)
-let parse_entry ~version ~nspam ~nham line =
-  let ( let* ) r f = Result.bind r f in
-  match String.split_on_char '\t' line with
-  | [ raw; spam; ham ] -> (
-      (* Version 1 wrote tokens verbatim (and could not contain the
-         delimiters it would have corrupted on), so its tokens must not
-         be unescaped. *)
-      let* token = if version = 1 then Ok raw else unescape_token raw in
-      match (int_of_string_opt spam, int_of_string_opt ham) with
-      | Some spam, Some ham ->
-          if spam < 0 || ham < 0 then
-            Error (Printf.sprintf "negative count on line %S" line)
-          else if spam > nspam || ham > nham then
-            Error
-              (Printf.sprintf "count exceeds header message totals on line %S"
-                 line)
-          else Ok (token, spam, ham)
-      | _ -> Error (Printf.sprintf "bad counts on line %S" line))
-  | _ -> Error (Printf.sprintf "bad line %S" line)
+(* [String.trim s = ""], without the copy. *)
+let rec blank s i =
+  i >= String.length s
+  || (match String.unsafe_get s i with
+     | ' ' | '\012' | '\n' | '\r' | '\t' -> true
+     | _ -> false)
+     && blank s (i + 1)
 
-let parse_strict s =
-  let ( let* ) r f = Result.bind r f in
-  if String.trim s = "" then Error "empty token-db file"
+let rec prefix_at s n i p j =
+  j >= String.length p
+  || (i + j < n
+     && String.unsafe_get s (i + j) = String.unsafe_get p j
+     && prefix_at s n i p (j + 1))
+
+let rec newlines s n i acc =
+  if i >= n then acc
+  else newlines s n (i + 1) (if String.unsafe_get s i = '\n' then acc + 1 else acc)
+
+(* The CRC of a line's bytes and its newline — a virtual one for an
+   unterminated last line, as the line-split reading always fed. *)
+let crc_line reg s start eol =
+  if eol < String.length s then crc_feed_sub reg s start (eol - start + 1)
+  else crc_byte (crc_feed_sub reg s start (eol - start)) '\n'
+
+(* One row into the loading db, false for a duplicate.  The db's own
+   table holds exactly the non-zero rows read so far.  Rows are
+   interned in file order; a row with both counts zero is accepted but
+   neither retained nor interned, so its token goes in [zeros], and any
+   later row with the same token, whatever its counts, repeats it. *)
+let load_entry t zeros r =
+  if r.spam = 0 && r.ham = 0 then begin
+    let tok = row_token r in
+    let dup =
+      Hashtbl.mem zeros tok
+      || match Intern.find tok with Some id -> overlay_mem t id | None -> false
+    in
+    if not dup then Hashtbl.replace zeros tok ();
+    not dup
+  end
+  else if Hashtbl.length zeros > 0 && Hashtbl.mem zeros (row_token r) then
+    false
   else
-    let header, rest =
-      match String.split_on_char '\n' s with
-      | header :: rest -> (header, rest)
-      | [] -> assert false
-    in
-    let* version, nspam, nham = parse_header header in
-    let t = create () in
-    t.nspam <- nspam;
-    t.nham <- nham;
-    reserve t (List.length rest);
-    let seen = Hashtbl.create 4096 in
-    let crc = ref (crc_feed crc_init (header ^ "\n")) in
-    let entries = ref 0 in
-    let footer = ref None in
-    let finish () =
-      match !footer with
-      | None ->
-          if version >= 3 then
-            Error "truncated file: missing checksum footer"
-          else
-            Ok { version; nspam; nham; entries = !entries; checksum = `Absent }
-      | Some (fcrc, fentries) ->
-          if fentries <> !entries then
-            Error
-              (Printf.sprintf
-                 "entry count mismatch: footer says %d, file has %d" fentries
-                 !entries)
-          else if fcrc <> crc_finish !crc then
-            Error "checksum mismatch: file is corrupted or truncated"
-          else Ok { version; nspam; nham; entries = !entries; checksum = `Ok }
-    in
-    let rec loop = function
-      | [] -> finish ()
-      | line :: rest when !footer <> None ->
-          if line = "" then loop rest
-          else Error "content after checksum footer"
-      | line :: rest when String.starts_with ~prefix:footer_prefix line -> (
-          match parse_footer line with
-          | Some f ->
-              footer := Some f;
-              loop rest
-          | None -> Error (Printf.sprintf "bad footer line %S" line))
-      | "" :: rest ->
-          (* v1/v2 tolerated blank lines; under a checksum they count as
-             bytes, and [to_string] never writes one, so a v3 file with
-             a blank line fails the CRC comparison at the footer. *)
-          crc := crc_feed !crc "\n";
-          loop rest
-      | line :: rest ->
-          crc := crc_feed !crc (line ^ "\n");
-          let* token, spam, ham = parse_entry ~version ~nspam ~nham line in
-          if Hashtbl.mem seen token then
-            Error (Printf.sprintf "duplicate token %S" token)
-          else begin
-            Hashtbl.replace seen token ();
-            load_row t token ~spam ~ham;
-            incr entries;
-            loop rest
-          end
-    in
-    (* The final "" produced by a trailing newline is consumed by the
-       blank-line cases; it only feeds the CRC before the footer, where
-       a genuine v3 file never has it. *)
-    let rest =
-      match List.rev rest with "" :: r -> List.rev r | _ -> rest
-    in
-    Result.map (fun report -> (t, report)) (loop rest)
+    let id = row_id Intern.bulk_sub r in
+    (not (overlay_mem t id))
+    && begin
+         set_counts_id t id ~spam:r.spam ~ham:r.ham;
+         true
+       end
+
+exception Bad_db of string
+
+type read = {
+  db : t;
+  version : int;
+  entries : int;  (* rows loaded *)
+  dropped : int;  (* lines rejected; salvage only *)
+  footer : (int * int) option;  (* the last footer read *)
+  crc : int;  (* over every line before the first footer *)
+}
+
+(* One pass over the file string.  The strict reading raises [Bad_db]
+   at the first fault; the salvage reading counts the line as dropped
+   and reads on, past the footer too.  Both checksum the same bytes:
+   every line before the first footer, blank ones included. *)
+let read_db ~salvage s =
+  let n = String.length s in
+  if blank s 0 then raise (Bad_db "empty token-db file");
+  let hl = line_end s n 0 in
+  let version, nspam, nham =
+    match parse_header (String.sub s 0 hl) with
+    | Ok h -> h
+    | Error e -> raise (Bad_db e)
+  in
+  let t = create () in
+  t.nspam <- nspam;
+  t.nham <- nham;
+  reserve t (1 + newlines s n hl 0);
+  let r = rows s and verbatim = version = 1 in
+  let zeros = Hashtbl.create 16 in
+  let crc = ref (crc_line crc_init s 0 hl) and sealed = ref false in
+  let footer = ref None and entries = ref 0 and dropped = ref 0 in
+  let reject msg = if salvage then incr dropped else raise (Bad_db msg) in
+  let pos = ref (hl + 1) in
+  (* What follows a final newline is no line. *)
+  while !pos < n do
+    let start = !pos in
+    if String.unsafe_get s start = '\n' then begin
+      if not !sealed then crc := crc_byte !crc '\n';
+      pos := start + 1
+    end
+    else if !sealed && not salvage then raise (Bad_db "content after checksum footer")
+    else if prefix_at s n start footer_prefix 0 then begin
+      let eol = line_end s n start in
+      pos := eol + 1;
+      let line = String.sub s start (eol - start) in
+      match parse_footer line with
+      | Some f ->
+          footer := Some f;
+          sealed := true
+      | None -> reject (Printf.sprintf "bad footer line %S" line)
+    end
+    else begin
+      let row = scan_row r ~verbatim start in
+      pos := r.eol + 1;
+      if not !sealed then crc := crc_line !crc s start r.eol;
+      match row with
+      | Bad_fields -> reject (Printf.sprintf "bad line %S" (row_line r))
+      | Bad_escape e -> reject e
+      | Bad_counts -> reject (Printf.sprintf "bad counts on line %S" (row_line r))
+      | Row ->
+          if r.spam < 0 || r.ham < 0 then
+            reject (Printf.sprintf "negative count on line %S" (row_line r))
+          else if r.spam > nspam || r.ham > nham then
+            reject
+              (Printf.sprintf "count exceeds header message totals on line %S"
+                 (row_line r))
+          else if load_entry t zeros r then incr entries
+          else reject (Printf.sprintf "duplicate token %S" (row_token r))
+    end
+  done;
+  { db = t; version; entries = !entries; dropped = !dropped; footer = !footer;
+    crc = crc_finish !crc }
 
 (* The "never raises" guarantee: anything the parser throws (it should
    not, but corrupt input earns paranoia) becomes [Error] — except
    resource exhaustion, which must propagate. *)
-let guard f =
-  match f () with
-  | r -> r
+let guard ~salvage s k =
+  match read_db ~salvage s with
+  | r -> k r
+  | exception Bad_db e -> Error e
   | exception ((Out_of_memory | Stack_overflow) as exn) -> raise exn
   | exception exn -> Error ("token-db parse error: " ^ Printexc.to_string exn)
 
-let of_string s = guard (fun () -> Result.map fst (parse_strict s))
-let verify_string s = guard (fun () -> Result.map snd (parse_strict s))
+let strict s =
+  guard ~salvage:false s @@ fun (r : read) ->
+  let report checksum =
+    Ok
+      ( r.db,
+        { version = r.version; nspam = r.db.nspam; nham = r.db.nham;
+          entries = r.entries; checksum } )
+  in
+  match r.footer with
+  | None ->
+      if r.version >= 3 then Error "truncated file: missing checksum footer"
+      else report `Absent
+  | Some (fcrc, fentries) ->
+      if fentries <> r.entries then
+        Error
+          (Printf.sprintf "entry count mismatch: footer says %d, file has %d"
+             fentries r.entries)
+      else if fcrc <> r.crc then
+        Error "checksum mismatch: file is corrupted or truncated"
+      else report `Ok
+
+let of_string s = Result.map fst (strict s)
+let verify_string s = Result.map snd (strict s)
 
 let salvage_string s =
-  guard @@ fun () ->
-  if String.trim s = "" then Error "empty token-db file"
-  else
-    let header, rest =
-      match String.split_on_char '\n' s with
-      | header :: rest -> (header, rest)
-      | [] -> assert false
-    in
-    match parse_header header with
-    | Error e -> Error e
-    | Ok (version, nspam, nham) ->
-        let t = create () in
-        t.nspam <- nspam;
-        t.nham <- nham;
-        reserve t (List.length rest);
-        let seen = Hashtbl.create 4096 in
-        let kept = ref 0 and dropped = ref 0 in
-        let crc = ref (crc_feed crc_init (header ^ "\n")) in
-        let footer = ref None in
-        List.iter
-          (fun line ->
-            if line = "" then ()
-            else if String.starts_with ~prefix:footer_prefix line then
-              match parse_footer line with
-              | Some f -> footer := Some f
-              | None -> incr dropped
-            else begin
-              if !footer = None then crc := crc_feed !crc (line ^ "\n");
-              match parse_entry ~version ~nspam ~nham line with
-              | Ok (token, spam, ham) when not (Hashtbl.mem seen token) ->
-                  Hashtbl.replace seen token ();
-                  load_row t token ~spam ~ham;
-                  incr kept
-              | Ok _ | Error _ -> incr dropped
-            end)
-          rest;
-        let checksum_ok =
-          Option.map (fun (fcrc, _) -> fcrc = crc_finish !crc) !footer
-        in
-        Ok { db = t; version; kept = !kept; dropped = !dropped; checksum_ok }
+  guard ~salvage:true s @@ fun (r : read) ->
+  Ok
+    {
+      db = r.db;
+      version = r.version;
+      kept = r.entries;
+      dropped = r.dropped;
+      checksum_ok = Option.map (fun (fcrc, _) -> fcrc = r.crc) r.footer;
+    }
 
 let footer_crc s =
   let n = String.length s in

@@ -170,9 +170,17 @@ val of_string : string -> (t, string) result
     exhaustion aside) — on a malformed header or line, a bad escape
     sequence, a negative count, a per-token count exceeding the
     header's message totals, a duplicate token line, and (v3) a missing
-    footer, an entry-count mismatch, or a checksum mismatch.  A line
+    footer, a footer line other than the one {!to_string} would write
+    for its values, an entry-count mismatch, or a checksum mismatch.  A line
     with both counts zero is accepted but not retained (see the
-    representation note above). *)
+    representation note above), nor interned.
+
+    One pass over the string with the {!scan_row} scanner: rows are
+    interned in file order through {!Intern.bulk_sub}, so a canonical
+    file's new ids arrive in byte order and the next {!Intern.freeze}
+    merges them without a sort.  The CRC is fed where the bytes lie.
+    Memory is the db's table (reserved once from the line count) and
+    one string per first-seen token. *)
 
 val footer_crc : string -> int option
 (** The CRC-32 a v3 file's footer records, read from the last line of
@@ -207,7 +215,10 @@ type salvage = {
 val salvage_string : string -> (salvage, string) result
 (** Best-effort partial recovery from a corrupt save: keeps every
     parseable entry line, drops the rest, and reports the damage.
-    [Error] only when the header itself is unusable.  Never raises. *)
+    [Error] only when the header itself is unusable.  Never raises.
+    [checksum_ok] compares the footer with the CRC of exactly the bytes
+    the strict check covers — every line before the first footer,
+    blank lines included. *)
 
 (** {2 Format plumbing}
 
@@ -240,11 +251,71 @@ val unescape_token : string -> (string, string) result
 (** Inverse of {!add_escaped}; [Error] on a dangling or unknown
     escape. *)
 
+(** {2 Row scanner}
+
+    The one reader of the row grammar [token<TAB>spam<TAB>ham]: the db
+    loader ({!of_string}, {!verify_string}, {!salvage_string}) and the
+    store's tenant blocks and segment verifier all parse rows through
+    it, where they lie in the file string.  A row is one pass: the two
+    tabs and the newline found by index, counts of up to 18 plain
+    digits read in place (any other form through [int_of_string_opt],
+    so every count ever accepted still reads the same), and the token
+    copied only when it holds a backslash. *)
+
+type rows = private {
+  data : string;  (** The file string the rows lie in. *)
+  mutable line : int;  (** First byte of the last scanned line. *)
+  mutable eol : int;
+      (** Its newline, or [String.length data] when it is the
+          unterminated last line. *)
+  mutable tok_off : int;  (** The raw token field, as a slice of [data]. *)
+  mutable tok_len : int;
+  mutable escaped : bool;
+      (** The token held an escape: read it from [tok], not the slice. *)
+  mutable tok : string;
+  mutable spam : int;
+  mutable ham : int;
+}
+(** A scanner over one string: the fields of the last row it read. *)
+
+type row =
+  | Row  (** Three fields, a valid token, two integer counts. *)
+  | Bad_fields  (** Not exactly two tabs on the line. *)
+  | Bad_escape of string  (** {!unescape_token}'s error. *)
+  | Bad_counts  (** A count field that is no integer. *)
+
+val rows : string -> rows
+
+val scan_row : rows -> verbatim:bool -> int -> row
+(** [scan_row r ~verbatim pos] reads the line starting at [pos] of
+    [r.data] as a row, checked in that order: fields, escape, counts.
+    Counts may be negative; bounds are the caller's.  [verbatim] (the
+    v1 db format) takes the token as written.  Whatever it returns, [r.line]
+    and [r.eol] delimit the line, so the caller can go on at
+    [r.eol + 1].  Allocates only for an escaped token, a count in a
+    non-plain form, or an error. *)
+
+val row_token : rows -> string
+(** The last row's token string (a copy of the slice unless escaped). *)
+
+val row_line : rows -> string
+(** The last scanned line, without its newline: for error messages. *)
+
+val row_id : (string -> int -> int -> int) -> rows -> int
+(** [row_id intern r] interns the last row's token with [intern]
+    ({!Intern.intern_sub} or {!Intern.bulk_sub}), from the slice where
+    it lies unless it was escaped. *)
+
 val crc_init : int
 (** Initial CRC-32 (IEEE) register value. *)
 
 val crc_feed : int -> string -> int
 (** Feed bytes through the CRC register. *)
+
+val crc_feed_sub : int -> string -> int -> int -> int
+(** [crc_feed_sub reg s off len] is [crc_feed reg (String.sub s off len)]
+    without the copy.
+    @raise Invalid_argument if [off]/[len] do not denote a slice of [s]. *)
 
 val crc_feed_buffer : ?pos:int -> int -> Buffer.t -> int
 (** {!crc_feed} over a buffer's contents from [pos] (default 0) to its

@@ -42,7 +42,6 @@ let default_config =
 let manifest_magic = "spamlab-store"
 let seg_magic = "spamlab-store-seg"
 let seg_footer_prefix = "#spamlab-store-footer "
-let crc_of s = Token_db.crc_finish (Token_db.crc_feed Token_db.crc_init s)
 let manifest_path dir = Filename.concat dir "manifest"
 let prior_path dir = Filename.concat dir "prior.db"
 
@@ -68,6 +67,14 @@ let next_line data pos =
     match String.index_from_opt data pos '\n' with
     | None -> None (* torn final line: treated as absent by all callers *)
     | Some nl -> Some (String.sub data pos (nl - pos), nl + 1)
+
+(* A row line of [r]'s string at [pos]: what [next_line] would give,
+   scanned in place.  [None] for the same torn or missing line. *)
+let next_row r pos =
+  if pos >= String.length r.Token_db.data then None
+  else
+    let row = Token_db.scan_row r ~verbatim:false pos in
+    if r.eol >= String.length r.data then None else Some row
 
 (* ------------------------------------------------------------------ *)
 (* Shard state. *)
@@ -249,7 +256,12 @@ let walk_segment ~expect_shard ~expect_nshards data ~on_user =
                                   fusers frows !users !rows)
                          else if fusers <> nusers then
                            err := Some "header/footer user count mismatch"
-                         else if fcrc <> crc_of (String.sub data 0 !pos) then
+                         else if
+                           fcrc
+                           <> Token_db.crc_finish
+                                (Token_db.crc_feed_sub Token_db.crc_init data 0
+                                   !pos)
+                         then
                            err :=
                              Some
                                "segment checksum mismatch: corrupted or \
@@ -264,10 +276,9 @@ let walk_segment ~expect_shard ~expect_nshards data ~on_user =
                          let rows_off = nxt in
                          let p = ref nxt in
                          for _ = 1 to nrows do
-                           match next_line data !p with
-                           | None ->
-                               failwith "truncated segment: missing row"
-                           | Some (_, n') -> p := n'
+                           match String.index_from_opt data !p '\n' with
+                           | Some nl -> p := nl + 1
+                           | None -> failwith "truncated segment: missing row"
                          done;
                          on_user user nspam nham nrows ustart (!p - ustart)
                            rows_off;
@@ -281,7 +292,9 @@ let walk_segment ~expect_shard ~expect_nshards data ~on_user =
           | None, Some e -> fail "%s" e
           | None, None -> fail "internal segment walk error"))
 
-(* Parse one user block (the bytes of its extent) into an overlay. *)
+(* Parse one user block (the bytes of its extent) into an overlay.
+   Every row is interned, zero counts included: a 0/0 row zeroes a
+   token of the prior. *)
 let apply_block db block =
   match next_line block 0 with
   | None -> raise (Sys_error "store: truncated user block")
@@ -290,24 +303,17 @@ let apply_block db block =
       | None -> raise (Sys_error "store: bad user block header")
       | Some (_, nspam, nham, nrows) ->
           Token_db.set_message_counts db ~nspam ~nham;
+          let r = Token_db.rows block in
           let pos = ref p0 in
           for _ = 1 to nrows do
-            match next_line block !pos with
+            match next_row r !pos with
             | None -> raise (Sys_error "store: truncated user block")
-            | Some (line, nxt) -> (
-                pos := nxt;
-                match String.split_on_char '\t' line with
-                | [ etok; s; h ] -> (
-                    match
-                      ( Token_db.unescape_token etok,
-                        int_of_string_opt s,
-                        int_of_string_opt h )
-                    with
-                    | Ok tok, Some spam, Some ham when spam >= 0 && ham >= 0
-                      ->
-                        Token_db.set_counts_id db (Intern.id tok) ~spam ~ham
-                    | _ -> raise (Sys_error "store: bad row in user block"))
-                | _ -> raise (Sys_error "store: bad row in user block"))
+            | Some Row when r.spam >= 0 && r.ham >= 0 ->
+                pos := r.eol + 1;
+                Token_db.set_counts_id db
+                  (Token_db.row_id Intern.intern_sub r)
+                  ~spam:r.spam ~ham:r.ham
+            | Some _ -> raise (Sys_error "store: bad row in user block")
           done)
 
 (* ------------------------------------------------------------------ *)
@@ -852,34 +858,26 @@ let verify_segment ~shard ~nshards data =
       failwith (Printf.sprintf "users out of order at %S" user);
     first := false;
     last_user := user;
+    let r = Token_db.rows data in
     let pos = ref rows_off in
     let last_tok = ref "" in
     let first_tok = ref true in
     for _ = 1 to nrows do
-      match next_line data !pos with
+      match next_row r !pos with
       | None -> failwith "truncated rows"
-      | Some (line, nxt) -> (
-          pos := nxt;
-          match String.split_on_char '\t' line with
-          | [ etok; s; h ] -> (
-              match
-                ( Token_db.unescape_token etok,
-                  int_of_string_opt s,
-                  int_of_string_opt h )
-              with
-              | Ok tok, Some spam, Some ham ->
-                  if spam < 0 || ham < 0 then
-                    failwith (Printf.sprintf "negative count for %S" tok);
-                  if spam > nspam || ham > nham then
-                    failwith
-                      (Printf.sprintf
-                         "count exceeds user message totals for %S" tok);
-                  if (not !first_tok) && String.compare !last_tok tok >= 0
-                  then failwith (Printf.sprintf "rows out of order at %S" tok);
-                  first_tok := false;
-                  last_tok := tok
-              | _ -> failwith (Printf.sprintf "bad row %S" line))
-          | _ -> failwith (Printf.sprintf "bad row %S" line))
+      | Some Row ->
+          pos := r.eol + 1;
+          let tok = Token_db.row_token r in
+          if r.spam < 0 || r.ham < 0 then
+            failwith (Printf.sprintf "negative count for %S" tok);
+          if r.spam > nspam || r.ham > nham then
+            failwith
+              (Printf.sprintf "count exceeds user message totals for %S" tok);
+          if (not !first_tok) && String.compare !last_tok tok >= 0 then
+            failwith (Printf.sprintf "rows out of order at %S" tok);
+          first_tok := false;
+          last_tok := tok
+      | Some _ -> failwith (Printf.sprintf "bad row %S" (Token_db.row_line r))
     done
   in
   match

@@ -247,3 +247,13 @@ val verify_dir : string -> (dir_report, string) result
 val is_store_dir : string -> bool
 (** True when [dir/manifest] names a spamlab store (cheap sniff used by
     [spamlab db verify] to dispatch file vs directory). *)
+
+val apply_block : Token_db.t -> string -> unit
+(** [apply_block db block] reads one user block of a segment — its
+    [u] line, then as many rows as that line counts — into [db]: the
+    block's message totals, then each row's counts over [db]'s, in
+    order, every row's token interned.  What materializing a tenant
+    does with the block's bytes; rows go through
+    {!Token_db.scan_row}.
+    @raise Sys_error on a truncated block, a bad [u] line or a bad row,
+    after applying the rows before it. *)

@@ -18,7 +18,12 @@
    streams as sequences, token for token.
 
    The list scoring pipeline: list Fisher and list δ(E) selection, an
-   oracle for [Fisher.indicator] and [Classify.score_probs]. *)
+   oracle for [Fisher.indicator] and [Classify.score_probs].
+
+   The line-splitting token-db reader: the strict and salvage readings
+   and the store's user-block parse, an oracle for the row scanner
+   behind [Token_db.of_string], [verify_string], [salvage_string] and
+   [Store.apply_block]. *)
 
 (* ------------------------------------------------------------------ *)
 (* Transfer decoding                                                   *)
@@ -918,4 +923,306 @@ module Scoring = struct
           candidates := { Classify.token = Intern.to_string id; score } :: !candidates)
       ids;
     score_clues options !candidates
+end
+
+(* ------------------------------------------------------------------ *)
+(* Token-db reading, by lines                                          *)
+
+(* The line-splitting readers the row scanner in [Token_db] replaced:
+   the strict parse and the salvage behind [Token_db.of_string],
+   [verify_string] and [salvage_string], and the store's user-block
+   row parse.  They split the file into a list of line strings, split
+   each line on tabs, and checksum copies.  The loaded rows go to the
+   caller's [load_row] (every entry row, zero counts included, in file
+   order) instead of into a db, so a test can see what a reading would
+   intern without interning it.  Two changes against the original.
+   The salvage reading checksums blank lines before the footer, as the
+   strict one always did; the original skipped them, so it could call
+   a file's checksum good that the strict check calls corrupted.  And a
+   footer must be byte for byte the one its values render to; the
+   original's [%x] also took a case-flipped hex digit, so one flipped
+   bit of a footer could load unnoticed. *)
+module Db_lines = struct
+  let crc_table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+
+  let crc_init = 0xffffffff
+  let crc_finish reg = reg lxor 0xffffffff
+
+  let crc_feed reg s =
+    let reg = ref reg in
+    String.iter
+      (fun c ->
+        reg := crc_table.((!reg lxor Char.code c) land 0xff) lxor (!reg lsr 8))
+      s;
+    !reg
+
+  let footer_prefix = "#spamlab-db-footer "
+
+  type report = {
+    version : int;
+    nspam : int;
+    nham : int;
+    entries : int;
+    checksum : [ `Ok | `Absent ];
+  }
+
+  type salvage = {
+    s_version : int;
+    s_nspam : int;
+    s_nham : int;
+    kept : int;
+    dropped : int;
+    checksum_ok : bool option;
+  }
+
+  let unescape_token s =
+    if not (String.contains s '\\') then Ok s
+    else begin
+      let buf = Buffer.create (String.length s) in
+      let n = String.length s in
+      let rec loop i =
+        if i >= n then Ok (Buffer.contents buf)
+        else
+          match s.[i] with
+          | '\\' ->
+              if i + 1 >= n then Error "dangling backslash in token"
+              else (
+                match s.[i + 1] with
+                | '\\' ->
+                    Buffer.add_char buf '\\';
+                    loop (i + 2)
+                | 't' ->
+                    Buffer.add_char buf '\t';
+                    loop (i + 2)
+                | 'n' ->
+                    Buffer.add_char buf '\n';
+                    loop (i + 2)
+                | 'r' ->
+                    Buffer.add_char buf '\r';
+                    loop (i + 2)
+                | c -> Error (Printf.sprintf "bad escape \\%c in token" c))
+          | c ->
+              Buffer.add_char buf c;
+              loop (i + 1)
+      in
+      loop 0
+    end
+
+  let parse_header line =
+    match String.split_on_char ' ' line with
+    | [ "spamlab-token-db"; version; nspam; nham ] -> (
+        match int_of_string_opt version with
+        | Some ((1 | 2 | 3) as v) -> (
+            match (int_of_string_opt nspam, int_of_string_opt nham) with
+            | Some nspam, Some nham when nspam >= 0 && nham >= 0 ->
+                Ok (v, nspam, nham)
+            | _ -> Error "bad message counts in header")
+        | Some v -> Error (Printf.sprintf "unsupported token-db version %d" v)
+        | None -> Error "not a spamlab token-db file")
+    | _ -> Error "not a spamlab token-db file"
+
+  let parse_footer line =
+    match
+      Scanf.sscanf_opt line "#spamlab-db-footer crc32=%x entries=%d%!"
+        (fun crc entries -> (crc, entries))
+    with
+    | Some (crc, entries) as f
+      when line = Printf.sprintf "%scrc32=%08x entries=%d" footer_prefix crc entries
+      ->
+        f
+    | _ -> None
+
+  let parse_entry ~version ~nspam ~nham line =
+    let ( let* ) r f = Result.bind r f in
+    match String.split_on_char '\t' line with
+    | [ raw; spam; ham ] -> (
+        let* token = if version = 1 then Ok raw else unescape_token raw in
+        match (int_of_string_opt spam, int_of_string_opt ham) with
+        | Some spam, Some ham ->
+            if spam < 0 || ham < 0 then
+              Error (Printf.sprintf "negative count on line %S" line)
+            else if spam > nspam || ham > nham then
+              Error
+                (Printf.sprintf
+                   "count exceeds header message totals on line %S" line)
+            else Ok (token, spam, ham)
+        | _ -> Error (Printf.sprintf "bad counts on line %S" line))
+    | _ -> Error (Printf.sprintf "bad line %S" line)
+
+  let parse_strict ~load_row s =
+    let ( let* ) r f = Result.bind r f in
+    if String.trim s = "" then Error "empty token-db file"
+    else
+      let header, rest =
+        match String.split_on_char '\n' s with
+        | header :: rest -> (header, rest)
+        | [] -> assert false
+      in
+      let* version, nspam, nham = parse_header header in
+      let seen = Hashtbl.create 4096 in
+      let crc = ref (crc_feed crc_init (header ^ "\n")) in
+      let entries = ref 0 in
+      let footer = ref None in
+      let finish () =
+        match !footer with
+        | None ->
+            if version >= 3 then
+              Error "truncated file: missing checksum footer"
+            else
+              Ok { version; nspam; nham; entries = !entries; checksum = `Absent }
+        | Some (fcrc, fentries) ->
+            if fentries <> !entries then
+              Error
+                (Printf.sprintf
+                   "entry count mismatch: footer says %d, file has %d" fentries
+                   !entries)
+            else if fcrc <> crc_finish !crc then
+              Error "checksum mismatch: file is corrupted or truncated"
+            else Ok { version; nspam; nham; entries = !entries; checksum = `Ok }
+      in
+      let rec loop = function
+        | [] -> finish ()
+        | line :: rest when !footer <> None ->
+            if line = "" then loop rest
+            else Error "content after checksum footer"
+        | line :: rest when String.starts_with ~prefix:footer_prefix line -> (
+            match parse_footer line with
+            | Some f ->
+                footer := Some f;
+                loop rest
+            | None -> Error (Printf.sprintf "bad footer line %S" line))
+        | "" :: rest ->
+            crc := crc_feed !crc "\n";
+            loop rest
+        | line :: rest ->
+            crc := crc_feed !crc (line ^ "\n");
+            let* token, spam, ham = parse_entry ~version ~nspam ~nham line in
+            if Hashtbl.mem seen token then
+              Error (Printf.sprintf "duplicate token %S" token)
+            else begin
+              Hashtbl.replace seen token ();
+              load_row token ~spam ~ham;
+              incr entries;
+              loop rest
+            end
+      in
+      let rest =
+        match List.rev rest with "" :: r -> List.rev r | _ -> rest
+      in
+      loop rest
+
+  let guard f =
+    match f () with
+    | r -> r
+    | exception ((Out_of_memory | Stack_overflow) as exn) -> raise exn
+    | exception exn -> Error ("token-db parse error: " ^ Printexc.to_string exn)
+
+  let verify_string ~load_row s = guard (fun () -> parse_strict ~load_row s)
+
+  let salvage_string ~load_row s =
+    guard @@ fun () ->
+    if String.trim s = "" then Error "empty token-db file"
+    else
+      let header, rest =
+        match String.split_on_char '\n' s with
+        | header :: rest -> (header, rest)
+        | [] -> assert false
+      in
+      match parse_header header with
+      | Error e -> Error e
+      | Ok (version, nspam, nham) ->
+          let seen = Hashtbl.create 4096 in
+          let kept = ref 0 and dropped = ref 0 in
+          let crc = ref (crc_feed crc_init (header ^ "\n")) in
+          let footer = ref None in
+          List.iter
+            (fun line ->
+              if line = "" then (
+                if !footer = None then crc := crc_feed !crc "\n")
+              else if String.starts_with ~prefix:footer_prefix line then
+                match parse_footer line with
+                | Some f -> footer := Some f
+                | None -> incr dropped
+              else begin
+                if !footer = None then crc := crc_feed !crc (line ^ "\n");
+                match parse_entry ~version ~nspam ~nham line with
+                | Ok (token, spam, ham) when not (Hashtbl.mem seen token) ->
+                    Hashtbl.replace seen token ();
+                    load_row token ~spam ~ham;
+                    incr kept
+                | Ok _ | Error _ -> incr dropped
+              end)
+            rest;
+          let checksum_ok =
+            Option.map (fun (fcrc, _) -> fcrc = crc_finish !crc) !footer
+          in
+          Ok
+            {
+              s_version = version;
+              s_nspam = nspam;
+              s_nham = nham;
+              kept = !kept;
+              dropped = !dropped;
+              checksum_ok;
+            }
+
+  (* The store's reading of one user block (its [u] line, then
+     [nrows] rows): [set_totals] gets the block's message totals,
+     [set_row] each row in order — zero counts included, every row
+     interned — until the first bad one raises [Sys_error]. *)
+  let next_line data pos =
+    if pos >= String.length data then None
+    else
+      match String.index_from_opt data pos '\n' with
+      | None -> None
+      | Some nl -> Some (String.sub data pos (nl - pos), nl + 1)
+
+  let parse_user_line line =
+    match String.split_on_char '\t' line with
+    | [ "u"; eu; ns; nh; nr ] -> (
+        match
+          ( unescape_token eu,
+            int_of_string_opt ns,
+            int_of_string_opt nh,
+            int_of_string_opt nr )
+        with
+        | Ok user, Some nspam, Some nham, Some nrows
+          when nspam >= 0 && nham >= 0 && nrows >= 0 ->
+            Some (user, nspam, nham, nrows)
+        | _ -> None)
+    | _ -> None
+
+  let apply_block ~set_totals ~set_row block =
+    match next_line block 0 with
+    | None -> raise (Sys_error "store: truncated user block")
+    | Some (uline, p0) -> (
+        match parse_user_line uline with
+        | None -> raise (Sys_error "store: bad user block header")
+        | Some (_, nspam, nham, nrows) ->
+            set_totals ~nspam ~nham;
+            let pos = ref p0 in
+            for _ = 1 to nrows do
+              match next_line block !pos with
+              | None -> raise (Sys_error "store: truncated user block")
+              | Some (line, nxt) -> (
+                  pos := nxt;
+                  match String.split_on_char '\t' line with
+                  | [ etok; s; h ] -> (
+                      match
+                        ( unescape_token etok,
+                          int_of_string_opt s,
+                          int_of_string_opt h )
+                      with
+                      | Ok tok, Some spam, Some ham when spam >= 0 && ham >= 0
+                        ->
+                          set_row tok ~spam ~ham
+                      | _ -> raise (Sys_error "store: bad row in user block"))
+                  | _ -> raise (Sys_error "store: bad row in user block"))
+            done)
 end

@@ -442,6 +442,85 @@ let persistence_tests =
             in
             check_bool "verifies" true
               (Result.is_ok (Token_db.verify_string contents))));
+    test_case "salvage checksums blank lines as the strict check does"
+      (fun () ->
+        (* A blank line is bytes under the checksum: inserted after the
+           header of a clean save, it must fail both readings. *)
+        let s = Token_db.to_string (sample_db ()) in
+        let nl = String.index s '\n' in
+        let blank =
+          String.sub s 0 (nl + 1) ^ "\n"
+          ^ String.sub s (nl + 1) (String.length s - nl - 1)
+        in
+        (match Token_db.verify_string blank with
+        | Error e ->
+            check_str "strict" "checksum mismatch: file is corrupted or truncated" e
+        | Ok _ -> Alcotest.fail "strict check accepted the blank line");
+        match Token_db.salvage_string blank with
+        | Error e -> Alcotest.fail e
+        | Ok sv ->
+            check_int "kept" (Token_db.distinct_tokens (sample_db ())) sv.Token_db.kept;
+            check_int "dropped" 0 sv.Token_db.dropped;
+            check_bool "checksum failed" true (sv.Token_db.checksum_ok = Some false));
+    test_case "every bit flip of the footer is detected" (fun () ->
+        (* A case-flipped hex digit reads as the same CRC under [%x];
+           the footer must be the exact line its values render to.
+           The test needs a letter in the CRC to flip. *)
+        let s = Token_db.to_string (sample_db ()) in
+        let start = String.rindex_from s (String.length s - 2) '\n' + 1 in
+        let crc = String.sub s (start + 25) 8 in
+        check_bool "the CRC holds a hex letter" true
+          (String.exists (fun c -> c >= 'a' && c <= 'f') crc);
+        for i = start to String.length s - 1 do
+          for bit = 0 to 7 do
+            let b = Bytes.of_string s in
+            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
+            if Result.is_ok (Token_db.of_string (Bytes.to_string b)) then
+              Alcotest.failf "flipping bit %d of byte %d loads" bit i
+          done
+        done);
+    test_case "loading allocates a fixed number of words per row" (fun () ->
+        (* Words allocated by [of_string] on a generated canonical db
+           whose tokens are already interned, so only the loader's own
+           allocation counts: the least of five runs, each from an empty
+           minor heap.  The db's table is a power of two of 3-int slots,
+           4 to 8 words a row; the rest must not grow with the rows. *)
+        let generated rows =
+          let db = Token_db.create () in
+          Token_db.set_message_counts db ~nspam:9 ~nham:9;
+          for i = 0 to rows - 1 do
+            Token_db.set_counts_id db
+              (Intern.id (Printf.sprintf "alloc-pin-%07d" i))
+              ~spam:(1 + (i mod 9)) ~ham:(i mod 7)
+          done;
+          Token_db.to_string db
+        in
+        let words s =
+          let least = ref (infinity, infinity) in
+          for _ = 1 to 5 do
+            Gc.minor ();
+            let mi, pr, ma = Gc.counters () in
+            (match Token_db.of_string s with
+            | Ok _ -> ()
+            | Error e -> Alcotest.fail e);
+            let mi', pr', ma' = Gc.counters () in
+            let total = mi' -. mi +. (ma' -. ma) -. (pr' -. pr)
+            and major = ma' -. ma -. (pr' -. pr) in
+            if total < fst !least then least := (total, major)
+          done;
+          !least
+        in
+        let small = generated 10_000 and large = generated 100_000 in
+        let total_s, major_s = words small and total_l, major_l = words large in
+        let per n x = x /. float_of_int n in
+        List.iter
+          (fun (what, n, x) ->
+            if per n x > 12.0 then
+              Alcotest.failf "%s: %.1f words per row, over 12" what (per n x))
+          [ ("10k rows", 10_000, total_s); ("100k rows", 100_000, total_l) ];
+        if per 100_000 major_l > 2.0 *. per 10_000 major_s then
+          Alcotest.failf "major words per row grow with the rows: %.1f at 10k, %.1f at 100k"
+            (per 10_000 major_s) (per 100_000 major_l));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -908,6 +987,254 @@ let property_tests =
         && r.Classify.clues = want.Classify.clues);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The row scanner against the line-splitting reader it replaced       *)
+
+module Lines = Spamlab_oracle.Db_lines
+
+(* A generated db file, rendered with a per-case salt in front of the
+   salted tokens so that what a reading interns is new to the table. *)
+type line =
+  | Blank
+  | Row of string * bool * string * string * bool
+      (* raw token field, salted, spam field, ham field, CRLF *)
+  | Raw of string
+
+type file = {
+  version : int;
+  nspam : int;
+  nham : int;
+  lines : line list;
+  footer : [ `None | `Right | `Off_by_one | `Bad ];
+  trailer : string;
+  mutation : [ `None | `Truncate of float | `Flip of float * int ];
+}
+
+let render ~salt f =
+  let b = Buffer.create 256 in
+  Printf.bprintf b "spamlab-token-db %d %d %d\n" f.version f.nspam f.nham;
+  let entries = ref 0 in
+  List.iter
+    (function
+      | Blank -> Buffer.add_char b '\n'
+      | Row (tok, salted, spam, ham, crlf) ->
+          incr entries;
+          Printf.bprintf b "%s%s\t%s\t%s%s\n"
+            (if salted then salt else "")
+            tok spam ham
+            (if crlf then "\r" else "")
+      | Raw line ->
+          incr entries;
+          Printf.bprintf b "%s\n" line)
+    f.lines;
+  let crc = Lines.crc_finish (Lines.crc_feed Lines.crc_init (Buffer.contents b)) in
+  (match f.footer with
+  | `None -> ()
+  | `Right -> Printf.bprintf b "#spamlab-db-footer crc32=%08x entries=%d\n" crc !entries
+  | `Off_by_one ->
+      Printf.bprintf b "#spamlab-db-footer crc32=%08x entries=%d\n" crc (!entries + 1)
+  | `Bad -> Buffer.add_string b "#spamlab-db-footer crc32=zz entries=1\n");
+  Buffer.add_string b f.trailer;
+  let s = Buffer.contents b in
+  let at frac = min (String.length s - 1) (int_of_float (frac *. float_of_int (String.length s))) in
+  match f.mutation with
+  | `None -> s
+  | `Truncate frac -> String.sub s 0 (at frac)
+  | `Flip (frac, bit) ->
+      let b = Bytes.of_string s in
+      let i = at frac in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
+      Bytes.to_string b
+
+(* Token fields as written: plain, empty, escaped (good and bad) and
+   8-bit; counts in every form [int_of_string_opt] reads, and some it
+   does not. *)
+let clean_tokens = [ ""; "a"; "b"; "tok"; "x\\ny"; "\\\\"; "\\t"; "\xe9t\xe9"; "a\\rb" ]
+let noisy_tokens = clean_tokens @ [ "bad\\q"; "dangling\\"; "sp ace" ]
+let clean_counts = [ "0"; "0"; "1"; "2"; "3" ]
+
+let noisy_counts =
+  clean_counts
+  @ [ "+5"; "0x1f"; "1_0"; "-0"; "-1"; "12345678901234567890"; "007"; ""; "x"; "4611686018427387903" ]
+
+let file_gen =
+  let open QCheck2.Gen in
+  let* clean = bool in
+  let* version = oneofl [ 1; 2; 3; 3 ] in
+  let* nspam = int_range (if clean then 3 else 0) 4
+  and* nham = int_range (if clean then 3 else 0) 4 in
+  let count = oneofl (if clean then clean_counts else noisy_counts) in
+  let row =
+    let* tok = oneofl (if clean then clean_tokens else noisy_tokens)
+    and* salted = bool
+    and* spam = count
+    and* ham = count
+    and* crlf = if clean then pure false else frequency [ (5, pure false); (1, pure true) ] in
+    pure (Row (tok, salted, spam, ham, crlf))
+  in
+  let line =
+    frequency
+      ([ (8, row); (1, pure Blank) ]
+      @ if clean then [] else [ (1, oneofl [ Raw "justtoken"; Raw "a\tb\tc\td"; Raw "a\t1" ]) ])
+  in
+  let* lines = list_size (int_range 0 8) line in
+  (* A clean file names each token once. *)
+  let lines =
+    if not clean then lines
+    else
+      List.fold_left
+        (fun acc l ->
+          match l with
+          | Row (tok, salted, _, _, _)
+            when List.exists
+                   (function Row (t, s, _, _, _) -> t = tok && s = salted | _ -> false)
+                   acc ->
+              acc
+          | l -> l :: acc)
+        [] lines
+      |> List.rev
+  in
+  let* footer =
+    if clean then pure (if version = 3 then `Right else `None)
+    else oneofl [ `None; `Right; `Right; `Off_by_one; `Bad ]
+  in
+  let* trailer =
+    if clean then pure "" else oneofl [ ""; ""; "\n"; "junk\n"; "#spamlab-db-footer crc32=0 entries=0\n" ]
+  in
+  let* mutation =
+    if clean then pure `None
+    else
+      frequency
+        [ (3, pure `None);
+          (1, map (fun f -> `Truncate f) (float_range 0.0 1.0));
+          (1, map2 (fun f b -> `Flip (f, b)) (float_range 0.0 1.0) (int_range 0 7)) ]
+  in
+  pure { version; nspam; nham; lines; footer; trailer; mutation }
+
+let print_file f = Printf.sprintf "%S" (render ~salt:"" f)
+
+(* What a reading loads: the oracle hands every entry row to
+   [load_row]; a db interns and keeps the non-zero ones. *)
+let oracle_rows read s =
+  let rows = ref [] in
+  let r = read ~load_row:(fun tok ~spam ~ham -> rows := (tok, spam, ham) :: !rows) s in
+  (r, List.filter (fun (_, spam, ham) -> spam <> 0 || ham <> 0) (List.rev !rows))
+
+let db_of_rows ~nspam ~nham rows =
+  let db = Token_db.create () in
+  Token_db.set_message_counts db ~nspam ~nham;
+  List.iter (fun (tok, spam, ham) -> Token_db.set_counts_id db (Intern.id tok) ~spam ~ham) rows;
+  db
+
+let unseen rows =
+  List.length
+    (List.sort_uniq String.compare
+       (List.filter_map (fun (tok, _, _) -> if Intern.find tok = None then Some tok else None) rows))
+
+(* [f ()] must intern exactly the strings of [rows] the table lacks. *)
+let grows_by rows f =
+  let want = unseen rows and before = Intern.size () in
+  let r = f () in
+  let got = Intern.size () - before in
+  if got <> want then Alcotest.failf "interned %d new strings, the oracle %d" got want;
+  r
+
+let same_db what want got =
+  if Token_db.to_string want <> Token_db.to_string got then
+    Alcotest.failf "%s: db bytes differ:\n%S\n%S" what (Token_db.to_string want)
+      (Token_db.to_string got)
+
+let agrees_with_lines s =
+  let strict, rows = oracle_rows Lines.verify_string s in
+  let verified = grows_by rows (fun () -> Token_db.verify_string s) in
+  (match (strict, verified) with
+  | Ok w, Ok g ->
+      if
+        (w.Lines.version, w.Lines.nspam, w.Lines.nham, w.Lines.entries, w.Lines.checksum)
+        <> (g.Token_db.version, g.Token_db.nspam, g.Token_db.nham, g.Token_db.entries,
+            g.Token_db.checksum)
+      then Alcotest.fail "verify reports differ"
+  | Error w, Error g -> check_str "verify error" w g
+  | Ok _, Error g -> Alcotest.failf "verify: oracle accepts, scanner says %S" g
+  | Error w, Ok _ -> Alcotest.failf "verify: oracle says %S, scanner accepts" w);
+  (match (strict, grows_by [] (fun () -> Token_db.of_string s)) with
+  | Ok w, Ok db ->
+      same_db "of_string" (db_of_rows ~nspam:w.Lines.nspam ~nham:w.Lines.nham rows) db
+  | Error w, Error g -> check_str "of_string error" w g
+  | _ -> Alcotest.fail "of_string and the oracle disagree on acceptance");
+  let salvaged, rows = oracle_rows Lines.salvage_string s in
+  match (salvaged, grows_by rows (fun () -> Token_db.salvage_string s)) with
+  | Ok w, Ok g ->
+      if
+        (w.Lines.s_version, w.Lines.kept, w.Lines.dropped, w.Lines.checksum_ok)
+        <> (g.Token_db.version, g.Token_db.kept, g.Token_db.dropped, g.Token_db.checksum_ok)
+      then Alcotest.fail "salvage reports differ";
+      same_db "salvage" (db_of_rows ~nspam:w.Lines.s_nspam ~nham:w.Lines.s_nham rows)
+        g.Token_db.db
+  | Error w, Error g -> check_str "salvage error" w g
+  | _ -> Alcotest.fail "salvage and the oracle disagree on acceptance"
+
+let salts = ref 0
+
+let fresh_salt () =
+  incr salts;
+  Printf.sprintf "s%d~" !salts
+
+(* One file with every token form, a zero-count row and a blank line
+   under a right checksum: the exhaustive truncations and bit flips
+   start from it. *)
+let exhaustive_file =
+  {
+    version = 3;
+    nspam = 3;
+    nham = 2;
+    lines =
+      [ Row ("", false, "1", "0", false); Row ("a", true, "0", "0", false); Blank;
+        Row ("x\\ny", true, "3", "2", false); Row ("\xe9t\xe9", true, "0", "1", false) ];
+    footer = `Right;
+    trailer = "";
+    mutation = `None;
+  }
+
+let oracle_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:600 ~print:print_file
+         ~name:"of_string, verify_string, salvage_string match the line reader"
+         file_gen
+         (fun f ->
+           agrees_with_lines (render ~salt:(fresh_salt ()) f);
+           true));
+    test_case "duplicates, zero and non-zero in both orders, read as the line reader does"
+      (fun () ->
+        List.iter
+          (fun (first, second) ->
+            let salt = fresh_salt () in
+            let dup =
+              Printf.sprintf "spamlab-token-db 2 3 3\n%sd\t%s\n%sd\t%s\n" salt first salt
+                second
+            in
+            agrees_with_lines dup;
+            match Token_db.of_string dup with
+            | Error e -> check_str "error" (Printf.sprintf "duplicate token %S" (salt ^ "d")) e
+            | Ok _ -> Alcotest.fail "a duplicate loaded")
+          [ ("0\t0", "1\t0"); ("1\t0", "0\t0"); ("1\t1", "2\t0"); ("0\t0", "0\t0") ]);
+    test_case "every truncation and every bit flip reads as the line reader does"
+      (fun () ->
+        let s = render ~salt:(fresh_salt ()) exhaustive_file in
+        (match Token_db.of_string s with Ok _ -> () | Error e -> Alcotest.fail e);
+        for k = 0 to String.length s do
+          agrees_with_lines (String.sub s 0 k)
+        done;
+        for i = 0 to String.length s - 1 do
+          for bit = 0 to 7 do
+            let b = Bytes.of_string s in
+            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
+            agrees_with_lines (Bytes.to_string b)
+          done
+        done);
+  ]
+
 let () =
   Alcotest.run "spambayes"
     [
@@ -915,6 +1242,7 @@ let () =
       ("options", options_tests);
       ("token_db", token_db_tests);
       ("persistence", persistence_tests);
+      ("oracle", oracle_tests);
       ("score", score_tests);
       ("classify", classify_tests);
       ("filter", filter_tests);

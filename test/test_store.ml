@@ -651,6 +651,102 @@ let semantics_tests =
         check_bool "store dir" true (Store.is_store_dir dir));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* User blocks: the row scanner against the line-splitting reader. *)
+
+module Lines = Spamlab_oracle.Db_lines
+
+let block_salts = ref 0
+
+(* A user block: its [u] line (sometimes bad, sometimes counting more
+   or fewer rows than follow), rows with count fields in every form,
+   and sometimes a torn last line.  Salted tokens are new to the
+   table; the rest include the prior's, so a 0/0 row zeroes one. *)
+let block_gen =
+  let open QCheck2.Gen in
+  let field = oneofl [ "0"; "1"; "2"; "7"; "+5"; "0x1f"; "1_0"; "-0"; "-1"; ""; "x";
+                       "12345678901234567890" ] in
+  let token = oneofl [ "cheap"; "deal"; "friday"; ""; "a\\tb"; "bad\\q"; "\xe9"; "new" ] in
+  let row =
+    frequency
+      [ (8, map4 (fun salted tok s h -> (salted, Printf.sprintf "%s\t%s\t%s" tok s h))
+              bool token field field);
+        (1, pure (false, "bad row"));
+        (1, pure (false, "a\tb\tc\td")) ]
+  in
+  let* rows = list_size (int_range 0 6) row in
+  let* extra = frequency [ (6, pure 0); (1, pure 1); (1, pure (-1)) ] in
+  let* uline =
+    frequency
+      [ (8, pure (fun n -> Printf.sprintf "u\tann\t3\t2\t%d" n));
+        (1, pure (fun _ -> "u\tann\tx\t2\t1")) ]
+  in
+  let* torn = frequency [ (6, pure false); (1, pure true) ] in
+  pure (rows, extra, uline, torn)
+
+let render_block ~salt (rows, extra, uline, torn) =
+  let lines =
+    uline (max 0 (List.length rows + extra))
+    :: List.map (fun (salted, r) -> (if salted then salt else "") ^ r) rows
+  in
+  let s = String.concat "\n" lines in
+  if torn then s else s ^ "\n"
+
+let block_prior () =
+  let db = Token_db.create () in
+  Token_db.train db Label.Spam [| "cheap"; "deal" |];
+  Token_db.train db Label.Ham [| "friday"; "deal" |];
+  db
+
+let apply_result f db = match f db with () -> Ok () | exception Sys_error e -> Error e
+
+let block_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:500 ~name:"apply_block matches the line reader"
+         ~print:(fun b -> Printf.sprintf "%S" (render_block ~salt:"" b))
+         block_gen
+         (fun b ->
+           incr block_salts;
+           let block = render_block ~salt:(Printf.sprintf "b%d~" !block_salts) b in
+           let prior = block_prior () in
+           (* A dry run of the oracle: what it would set and intern. *)
+           let totals = ref None and rows = ref [] in
+           let want =
+             apply_result
+               (fun () ->
+                 Lines.apply_block
+                   ~set_totals:(fun ~nspam ~nham -> totals := Some (nspam, nham))
+                   ~set_row:(fun tok ~spam ~ham -> rows := (tok, spam, ham) :: !rows)
+                   block)
+               ()
+           in
+           let unseen =
+             List.length
+               (List.sort_uniq String.compare
+                  (List.filter_map
+                     (fun (tok, _, _) -> if Intern.find tok = None then Some tok else None)
+                     !rows))
+           in
+           let got_db = Token_db.copy prior in
+           let before = Intern.size () in
+           let got = apply_result (Store.apply_block got_db) block in
+           check_int "interned" unseen (Intern.size () - before);
+           let want_db = Token_db.copy prior in
+           Option.iter
+             (fun (nspam, nham) -> Token_db.set_message_counts want_db ~nspam ~nham)
+             !totals;
+           List.iter
+             (fun (tok, spam, ham) -> Token_db.set_counts_id want_db (Intern.id tok) ~spam ~ham)
+             (List.rev !rows);
+           (match (want, got) with
+           | Ok (), Ok () -> ()
+           | Error w, Error g -> check_string "error" w g
+           | _ -> Alcotest.fail "apply_block and the oracle disagree on acceptance");
+           check_string "db bytes" (Token_db.to_string want_db) (Token_db.to_string got_db);
+           true));
+  ]
+
 let () =
   Alcotest.run "store"
     [
@@ -659,4 +755,5 @@ let () =
       ("id form", id_form_tests);
       ("crash", crash_tests);
       ("semantics", semantics_tests);
+      ("blocks", block_tests);
     ]
