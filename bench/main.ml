@@ -167,7 +167,7 @@ let run_ingest lab ~jobs =
           (fun m ->
             let tokens, _ = Tok.unique_counted_tokens tokenizer m in
             ignore
-              (SB.Classify.score_ids options db (SB.Intern.intern_array tokens)))
+              (SB.Classify.score_engine engine (SB.Intern.intern_array tokens)))
           msgs
       in
       let zerocopy () =
@@ -431,7 +431,8 @@ let run_store lab ~jobs =
   let classify_user st i =
     let ex = examples.(i mod nex) in
     Store.with_user st (user i) (fun db ->
-        ignore (Classify.score_ids options db ex.Dataset.ids))
+        ignore
+          (Classify.score_engine (Classify.engine options db) ex.Dataset.ids))
   in
   let with_store ~dir ?(cache = Store.default_config.cache) f =
     match
@@ -640,8 +641,8 @@ let run_classify lab ~jobs =
   ignore
     (measure "classify-cold-refill" ~fanned:false
        ~prep:(fun () ->
-         SB.Filter.train_ids filter SB.Label.Ham bump_ids;
-         SB.Filter.untrain_ids filter SB.Label.Ham bump_ids)
+         SB.Token_db.train_ids (SB.Filter.db filter) SB.Label.Ham bump_ids;
+         SB.Token_db.untrain_ids (SB.Filter.db filter) SB.Label.Ham bump_ids)
        (fun i -> ignore (SB.Filter.classify_ids filter eval_set.(i).Dataset.ids)));
   (* Tenant overlays over a sharded store whose prior is the snapshot:
      a never-trained tenant reads entirely through the store's shared
@@ -1032,7 +1033,8 @@ let perf_tests () =
            Spamlab_tokenizer.Tokenizer.unique_tokens tokenizer message));
     Test.make ~name:"classify-message"
       (Staged.stage (fun () ->
-           Spamlab_spambayes.Filter.classify_tokens filter tokens));
+           Spamlab_spambayes.Filter.classify_ids filter
+             (Spamlab_spambayes.Intern.intern_array tokens)));
     (* The same classification on pre-interned ids: the steady state of
        every experiment (Dataset.example carries ids), isolating what
        string hashing used to cost per message. *)
@@ -1052,15 +1054,20 @@ let perf_tests () =
       (Staged.stage (fun () ->
            Spamlab_spambayes.Filter.train_tokens filter
              Spamlab_spambayes.Label.Ham tokens;
-           Spamlab_spambayes.Filter.untrain_tokens filter
-             Spamlab_spambayes.Label.Ham tokens));
+           Spamlab_spambayes.Token_db.untrain_ids
+             (Spamlab_spambayes.Filter.db filter)
+             Spamlab_spambayes.Label.Ham
+             (Spamlab_spambayes.Intern.intern_array tokens)));
     Test.make ~name:"generate-ham-email"
       (Staged.stage (fun () -> Spamlab_corpus.Generator.ham config rng));
     Test.make ~name:"poison-20k-dictionary-x100"
       (Staged.stage (fun () ->
            let copy = Spamlab_spambayes.Filter.copy filter in
-           Spamlab_spambayes.Filter.train_tokens_many copy
-             Spamlab_spambayes.Label.Spam payload 100));
+           Spamlab_spambayes.Token_db.train_many_ids
+             (Spamlab_spambayes.Filter.db copy)
+             Spamlab_spambayes.Label.Spam
+             (Spamlab_spambayes.Intern.intern_array payload)
+             100));
     Test.make ~name:"fisher-indicator-150-clues"
       (let fs =
          Array.init 150 (fun i -> 0.01 +. (0.98 *. float_of_int i /. 149.0))
@@ -1104,6 +1111,9 @@ let harness_tests ~jobs () =
       payload tokenizer
         (make ~name:"perf" ~words:(Lab.aspell lab ~size:20_000)))
   in
+  (* Both sweeps intern the payload inside the timed closure, as the
+     attack's first training would. *)
+  let payload_ids () = Spamlab_spambayes.Intern.intern_array payload in
   let fractions = [ 0.0; 0.001; 0.005; 0.01; 0.02; 0.05; 0.10 ] in
   let counts =
     List.map
@@ -1130,11 +1140,12 @@ let harness_tests ~jobs () =
                List.map
                  (fun count ->
                    Poison.score_examples
-                     (Poison.poisoned base ~payload ~count)
+                     (Poison.poisoned base ~payload:(payload_ids ()) ~count)
                      test)
                  counts));
         Test.make ~name:"incremental"
-          (Staged.stage (fun () -> Poison.sweep base ~payload ~counts test));
+          (Staged.stage (fun () ->
+               Poison.sweep base ~payload:(payload_ids ()) ~counts test));
       ];
     (* Jobs-invariant parallel generation against the sequential path:
        both produce byte-identical corpora (per-index rng children). *)

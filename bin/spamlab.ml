@@ -173,7 +173,7 @@ let train_cmd =
           Array.iter
             (fun (off, len) ->
               match Ingest.unique_ids_raw tokenizer text ~off ~len with
-              | Some (ids, _raw) -> Filter.train_ids filter label ids
+              | Some (ids, _raw) -> Token_db.train_ids (Filter.db filter) label ids
               | None -> incr quarantined)
             (Ingest.raw_message_chunks text)
         in
@@ -551,13 +551,12 @@ let roni_cmd =
     | _, Error e -> fail "cannot parse candidate: %s" e
     | Ok corpus, Ok msg ->
         let pool = Corpus.Dataset.of_labeled tokenizer corpus in
-        let tokens = Tokenizer.unique_tokens tokenizer msg in
+        let candidate = fst (Corpus.Dataset.tokenize_ids tokenizer msg) in
         let config =
           { Spamlab_core.Roni.default_config with Spamlab_core.Roni.threshold }
         in
         let a =
-          Spamlab_core.Roni.assess ~config (Rng.create seed) ~pool
-            ~candidate:tokens
+          Spamlab_core.Roni.assess ~config (Rng.create seed) ~pool ~candidate
         in
         Printf.printf "mean ham impact: %.2f (threshold %.2f)\n"
           a.Spamlab_core.Roni.mean_ham_impact threshold;

@@ -744,6 +744,18 @@ if grep -q '"seconds":0\.000000' "$timings" \
 fi
 echo "bench load OK"
 
+say "examples run"
+# examples/ is the public-API tour: every executable examples/dune
+# names must exit 0 and print something.
+examples=$(tr '\n' ' ' < examples/dune | sed 's/.*(names \([^)]*\)).*/\1/')
+test -n "$examples" || { echo "FAIL: no examples found in examples/dune"; exit 1; }
+for ex in $examples; do
+  out=$(./_build/default/examples/"$ex".exe) \
+    || { echo "FAIL: examples/$ex.exe exited nonzero"; exit 1; }
+  test -n "$out" || { echo "FAIL: examples/$ex.exe printed nothing"; exit 1; }
+  echo "examples/$ex.exe OK: $(printf '%s\n' "$out" | wc -l) lines"
+done
+
 say "perfbench correctness checks"
 # The benchmark checks its own results: daemon verdicts against an
 # in-process reference, and (train-poisoned) the db and store bytes

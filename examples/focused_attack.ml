@@ -7,6 +7,8 @@
 
 open Spamlab_eval
 module Filter = Spamlab_spambayes.Filter
+module Intern = Spamlab_spambayes.Intern
+module Score = Spamlab_spambayes.Score
 module Label = Spamlab_spambayes.Label
 module Classify = Spamlab_spambayes.Classify
 module Dataset = Spamlab_corpus.Dataset
@@ -61,12 +63,16 @@ let () =
   let plan = Focused.craft rng ~target ~p:0.5 ~count:60 ~header_pool in
   Focused.train filter plan;
   print_endline "\ntoken-level view (p=0.5), largest score movements:";
+  (* f(w) by string lookup: a word no table holds scores the prior. *)
+  let score filter w =
+    let options = Filter.options filter in
+    match Intern.find w with
+    | Some id -> Score.smoothed_id options (Filter.db filter) id
+    | None -> options.Spamlab_spambayes.Options.unknown_word_prob
+  in
   let shifts =
     List.map
-      (fun w ->
-        let before = Filter.token_score base w in
-        let after = Filter.token_score filter w in
-        (w, before, after))
+      (fun w -> (w, score base w, score filter w))
       (Focused.target_words target)
   in
   let by_shift_desc (_, b1, a1) (_, b2, a2) =

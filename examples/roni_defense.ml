@@ -42,7 +42,7 @@ let () =
     ignore
       (assess
          (Printf.sprintf "ordinary spam #%d" i)
-         (Dataset.of_message tokenizer Label.Spam msg).Dataset.tokens)
+         (Dataset.of_message tokenizer Label.Spam msg).Dataset.ids)
   done;
 
   let attacks =
@@ -55,7 +55,8 @@ let () =
   List.iter
     (fun (label, words) ->
       let payload =
-        Attack.payload tokenizer (Attack.make ~name:label ~words)
+        Spamlab_spambayes.Intern.intern_array
+          (Attack.payload tokenizer (Attack.make ~name:label ~words))
       in
       ignore (assess label payload))
     attacks;

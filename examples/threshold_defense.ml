@@ -29,8 +29,9 @@ let () =
 
   (* Poison the training set with a 2% usenet dictionary attack. *)
   let payload =
-    Attack.payload tokenizer
-      (Attack.make ~name:"usenet" ~words:(Lab.usenet_top lab ~size:25_000))
+    Spamlab_spambayes.Intern.intern_array
+      (Attack.payload tokenizer
+         (Attack.make ~name:"usenet" ~words:(Lab.usenet_top lab ~size:25_000)))
   in
   let count =
     Poison.attack_count ~train_size:(Array.length train) ~fraction:0.02
@@ -73,7 +74,7 @@ let () =
                  e.Dataset.label, 1 ))
              half_b)
           [|
-            ( (Filter.classify_tokens derivation payload).Classify.indicator,
+            ( (Filter.classify_ids derivation payload).Classify.indicator,
               Label.Spam, count - (count / 2) );
           |]
       in

@@ -25,6 +25,8 @@ let raw_token_count tokenizer t =
   !n
 
 let train filter tokenizer t ~count =
-  let tokens = payload tokenizer t in
-  Spamlab_spambayes.Filter.train_tokens_many filter Spamlab_spambayes.Label.Spam
-    tokens count
+  let module Spambayes = Spamlab_spambayes in
+  Spambayes.Token_db.train_many_ids (Spambayes.Filter.db filter)
+    Spambayes.Label.Spam
+    (Spambayes.Intern.intern_array (payload tokenizer t))
+    count

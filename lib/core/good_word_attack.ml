@@ -26,9 +26,10 @@ let hammiest_tokens filter ~limit =
   let options = Filter.options filter in
   let scored =
     Token_db.fold
-      (fun acc token ~spam:_ ~ham:_ ->
+      (fun acc id ~spam:_ ~ham:_ ->
+        let token = Spamlab_spambayes.Intern.to_string id in
         if body_insertable token then
-          (token, Spamlab_spambayes.Score.smoothed options db token) :: acc
+          (token, Spamlab_spambayes.Score.smoothed_id options db id) :: acc
         else acc)
       [] db
   in

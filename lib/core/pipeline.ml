@@ -118,7 +118,7 @@ let run config rng ~rounds =
                   e.Dataset.label = Label.Ham
                   || not
                        (Roni.assess ~config:roni_config rng ~pool:!trusted
-                          ~candidate:e.Dataset.tokens)
+                          ~candidate:e.Dataset.ids)
                          .Roni.rejected
             in
             if admit then pool := e :: !pool

@@ -82,8 +82,8 @@ let assess ?(config = default_config) rng ~pool ~candidate =
     invalid_arg "Roni.assess: pool smaller than train + validation sizes";
   if not (Array.exists (fun (e : Dataset.example) -> e.label = Label.Ham) pool)
   then invalid_arg "Roni.assess: pool contains no ham";
-  (* The candidate is interned once and turned into a membership set;
-     every trial then measures its admission without building the
+  (* The candidate's ids become a membership set once; every trial
+     then measures its admission without building the
      with-candidate filter at all (see [ham_as_ham_with_candidate]).
      The per-trial cost is the 20-message baseline train plus 2×|V_ham|
      classifications — independent of the candidate's size. *)
@@ -92,7 +92,7 @@ let assess ?(config = default_config) rng ~pool ~candidate =
        by the intern table, and probed once per validation-token
        instance by the with-candidate scoring loop. *)
     let db = Token_db.create () in
-    Token_db.train db Label.Spam candidate;
+    Token_db.train_ids db Label.Spam candidate;
     fun id -> Token_db.spam_count_id db id > 0
   in
   let per_trial =

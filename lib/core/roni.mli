@@ -36,10 +36,11 @@ val assess :
   ?config:config ->
   Spamlab_stats.Rng.t ->
   pool:Spamlab_corpus.Dataset.example array ->
-  candidate:string array ->
+  candidate:int array ->
   assessment
-(** [assess rng ~pool ~candidate] measures the candidate distinct-token
-    array (always trained as spam, per the contamination assumption)
+(** [assess rng ~pool ~candidate] measures the candidate's distinct
+    token ids (see {!Spamlab_spambayes.Intern.intern_array}; always
+    trained as spam, per the contamination assumption)
     against train/validation splits sampled from [pool].  The
     with-candidate side is scored arithmetically from the baseline's
     counts (one spam training shifts candidate members' spam counts and
@@ -54,8 +55,8 @@ val screen :
   ?domains:Spamlab_parallel.Pool.t ->
   Spamlab_stats.Rng.t ->
   pool:Spamlab_corpus.Dataset.example array ->
-  stream:string array array ->
-  (string array * assessment) array
+  stream:int array array ->
+  (int array * assessment) array
 (** Assess a whole stream of incoming messages; pairs each candidate
     with its assessment.  Candidates are independent: pass [domains] to
     fan them over the domain pool.  Each candidate's trials draw from

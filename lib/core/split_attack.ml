@@ -13,14 +13,17 @@ let emails ~words ~chunk_size =
   |> List.map (fun chunk -> Attack_email.make ~words:(Array.to_list chunk))
 
 let train filter tokenizer ~words ~chunk_size ~copies =
+  let module Spambayes = Spamlab_spambayes in
   Array.iter
     (fun chunk ->
       let payload =
         Attack_email.payload_tokens tokenizer
           (Attack_email.make ~words:(Array.to_list chunk))
       in
-      Spamlab_spambayes.Filter.train_tokens_many filter
-        Spamlab_spambayes.Label.Spam payload copies)
+      Spambayes.Token_db.train_many_ids (Spambayes.Filter.db filter)
+        Spambayes.Label.Spam
+        (Spambayes.Intern.intern_array payload)
+        copies)
     (chunks ~words ~chunk_size)
 
 let size_percentile ~corpus_sizes size =

@@ -1,5 +1,6 @@
 module Label = Spamlab_spambayes.Label
 module Filter = Spamlab_spambayes.Filter
+module Token_db = Spamlab_spambayes.Token_db
 module Tokenizer = Spamlab_tokenizer.Tokenizer
 
 module Intern = Spamlab_spambayes.Intern
@@ -59,20 +60,9 @@ let of_labeled ?pool tokenizer corpus =
   | Some p -> Spamlab_parallel.Pool.map_array p build corpus
   | None -> Array.map build corpus
 
-(* Id-set examples for callers that never look at token strings
-   (benches, the daemon-style classify path): distinct ids in
-   ascending id order plus the raw stream length, no string array. *)
-let of_messages_ids ?pool tokenizer corpus =
-  let build (label, msg) =
-    Ingest.with_unique_ids tokenizer msg (fun ids n raw ->
-        (label, Array.sub ids 0 n, raw))
-  in
-  match pool with
-  | Some p -> Spamlab_parallel.Pool.map_array p build corpus
-  | None -> Array.map build corpus
-
 let train_filter filter examples =
-  Array.iter (fun e -> Filter.train_ids filter e.label e.ids) examples
+  let db = Filter.db filter in
+  Array.iter (fun e -> Token_db.train_ids db e.label e.ids) examples
 
 let classify filter e = Filter.classify_ids filter e.ids
 

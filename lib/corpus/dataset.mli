@@ -42,18 +42,6 @@ val tokenize_ids :
     deduplicated interned ids plus the raw stream length, for callers
     that never need the strings. *)
 
-val of_messages_ids :
-  ?pool:Spamlab_parallel.Pool.t ->
-  Spamlab_tokenizer.Tokenizer.t ->
-  Trec.labeled array ->
-  (Spamlab_spambayes.Label.gold * int array * int) array
-(** Batched id-set extraction for callers that never look at token
-    strings: per message, [(label, distinct ids in ascending id order,
-    raw stream length)].  Rides the zero-copy span path with one
-    per-domain scratch buffer across the batch (see
-    {!Spamlab_spambayes.Ingest}); with [?pool] messages fan over the
-    domain pool. *)
-
 val of_tokens :
   Spamlab_spambayes.Label.gold ->
   string array ->

@@ -1,5 +1,6 @@
 open Spamlab_stats
 module Options = Spamlab_spambayes.Options
+module Intern = Spamlab_spambayes.Intern
 module Attack = Spamlab_core.Dictionary_attack
 
 type row = {
@@ -29,9 +30,9 @@ let make_env lab =
   in
   let base = Poison.base_filter (Lab.tokenizer lab) train in
   let payload =
-    Attack.payload (Lab.tokenizer lab)
-      (Attack.make ~name:"usenet"
-         ~words:(Lab.usenet_top lab ~size:(max 19_000 (Array.length train * 9))))
+    let words = Lab.usenet_top lab ~size:(max 19_000 (Array.length train * 9)) in
+    Intern.intern_array
+      (Attack.payload (Lab.tokenizer lab) (Attack.make ~name:"usenet" ~words))
   in
   let count = Poison.attack_count ~train_size:size ~fraction:0.01 in
   let poisoned = Poison.poisoned base ~payload ~count in
@@ -39,13 +40,14 @@ let make_env lab =
 
 let measure env options =
   let module Filter = Spamlab_spambayes.Filter in
+  let module Classify = Spamlab_spambayes.Classify in
   let score filter =
+    let engine = Classify.engine options (Filter.db filter) in
     Poison.confusion_of_scores options
       (Array.map
          (fun (e : Spamlab_corpus.Dataset.example) ->
-           ( (Spamlab_spambayes.Classify.score_ids options
-                (Filter.db filter) e.Spamlab_corpus.Dataset.ids)
-               .Spamlab_spambayes.Classify.indicator,
+           ( (Classify.score_engine engine e.Spamlab_corpus.Dataset.ids)
+               .Classify.indicator,
              e.Spamlab_corpus.Dataset.label ))
          env.test)
   in
@@ -124,8 +126,9 @@ let coverage_sweep lab =
             (Spamlab_corpus.Wordgen.words 50_000_000 (total - known))
       in
       let payload =
-        Attack.payload (Lab.tokenizer lab)
-          (Attack.make ~name:"coverage" ~words)
+        Intern.intern_array
+          (Attack.payload (Lab.tokenizer lab)
+             (Attack.make ~name:"coverage" ~words))
       in
       let poisoned = Poison.poisoned base ~payload ~count in
       let confusion =

@@ -4,6 +4,8 @@ module Generator = Spamlab_corpus.Generator
 module Vocabulary = Spamlab_corpus.Vocabulary
 module Message = Spamlab_email.Message
 module Filter = Spamlab_spambayes.Filter
+module Token_db = Spamlab_spambayes.Token_db
+module Intern = Spamlab_spambayes.Intern
 module Label = Spamlab_spambayes.Label
 module Options = Spamlab_spambayes.Options
 module Classify = Spamlab_spambayes.Classify
@@ -71,14 +73,15 @@ let pseudospam lab =
   let payload =
     match plan.Pseudospam.emails with
     | email :: _ ->
-        Spamlab_tokenizer.Tokenizer.unique_tokens tokenizer email
+        Intern.intern_array
+          (Spamlab_tokenizer.Tokenizer.unique_tokens tokenizer email)
     | [] -> assert false
   in
   List.map
     (fun attack_fraction ->
       let count = Poison.attack_count ~train_size:size ~fraction:attack_fraction in
       let filter = Filter.copy base in
-      Filter.train_tokens_many filter Label.Ham payload count;
+      Token_db.train_many_ids (Filter.db filter) Label.Ham payload count;
       let campaign_confusion =
         Poison.confusion_of_scores Options.default
           (Poison.score_examples filter campaign_test)
@@ -245,9 +248,10 @@ let stealth lab =
       let rejected = ref 0 in
       for i = 0 to sample_count - 1 do
         let payload =
-          Spamlab_core.Attack_email.payload_tokens tokenizer
-            (Spamlab_core.Attack_email.make
-               ~words:(Array.to_list chunk_list.(i)))
+          Intern.intern_array
+            (Spamlab_core.Attack_email.payload_tokens tokenizer
+               (Spamlab_core.Attack_email.make
+                  ~words:(Array.to_list chunk_list.(i))))
         in
         if
           (Spamlab_core.Roni.assess rng ~pool:train ~candidate:payload)
@@ -340,7 +344,8 @@ let information_value lab =
       List.map
         (fun (source, words) ->
           let payload =
-            Attack.payload tokenizer (Attack.make ~name:source ~words)
+            Intern.intern_array
+              (Attack.payload tokenizer (Attack.make ~name:source ~words))
           in
           let poisoned = Poison.poisoned base ~payload ~count in
           let confusion =
@@ -399,8 +404,9 @@ let tokenizer_comparison lab =
       let test = Dataset.of_labeled tokenizer test_messages in
       let base = Poison.base_filter tokenizer train in
       let payload =
-        Attack.payload tokenizer
-          (Attack.make ~name:"usenet" ~words:attack_words)
+        Intern.intern_array
+          (Attack.payload tokenizer
+             (Attack.make ~name:"usenet" ~words:attack_words))
       in
       let poisoned = Poison.poisoned base ~payload ~count in
       let clean =
@@ -460,14 +466,15 @@ let roni_sweep lab =
   let tokenizer = Lab.tokenizer lab in
   let pool = Lab.corpus lab ~name:"roni-sweep/pool" ~size ~spam_fraction:0.5 in
   let payload =
-    Attack.payload tokenizer
-      (Attack.make ~name:"usenet" ~words:(Lab.usenet_top lab ~size:19_000))
+    Intern.intern_array
+      (Attack.payload tokenizer
+         (Attack.make ~name:"usenet" ~words:(Lab.usenet_top lab ~size:19_000)))
   in
   let benign =
     Array.init 20 (fun _ ->
         (Dataset.of_message tokenizer Label.Spam
            (Generator.spam (Lab.config lab) rng))
-          .Dataset.tokens)
+          .Dataset.ids)
   in
   let repetitions = 5 in
   List.concat_map

@@ -2,6 +2,8 @@ open Spamlab_stats
 module Dataset = Spamlab_corpus.Dataset
 module Generator = Spamlab_corpus.Generator
 module Filter = Spamlab_spambayes.Filter
+module Intern = Spamlab_spambayes.Intern
+module Score = Spamlab_spambayes.Score
 module Label = Spamlab_spambayes.Label
 module Classify = Spamlab_spambayes.Classify
 module Message = Spamlab_email.Message
@@ -189,13 +191,21 @@ let token_shifts lab (params : Params.focused) =
       let after_result = Filter.classify poisoned_filter target in
       let guessed = Hashtbl.create 64 in
       List.iter (fun w -> Hashtbl.replace guessed w ()) plan.Attack.guessed;
+      (* f(w) for the report, by string lookup: a token no table
+         holds scores the prior. *)
+      let score filter token =
+        let options = Filter.options filter in
+        match Intern.find token with
+        | Some id -> Score.smoothed_id options (Filter.db filter) id
+        | None -> options.Spamlab_spambayes.Options.unknown_word_prob
+      in
       let shifts =
         Array.to_list (Filter.features setup.base target)
         |> List.map (fun token ->
                {
                  token;
-                 before = Filter.token_score setup.base token;
-                 after = Filter.token_score poisoned_filter token;
+                 before = score setup.base token;
+                 after = score poisoned_filter token;
                  included = Hashtbl.mem guessed token;
                })
       in

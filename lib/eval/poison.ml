@@ -33,7 +33,7 @@ let base_filter tokenizer examples =
 
 let poisoned filter ~payload ~count =
   let copy = Filter.copy filter in
-  Filter.train_tokens_many copy Label.Spam payload count;
+  Token_db.train_many_ids (Filter.db copy) Label.Spam payload count;
   copy
 
 let score_examples filter examples =
@@ -52,7 +52,7 @@ let sweep filter ~payload ~counts test =
      and score every grid point as pure arithmetic over those cached
      counts — no [Filter.copy], no retraining, and no hashtable access
      in the per-count loop.  [Score.smoothed_counts] performs the exact
-     float sequence of [Score.smoothed] and [Classify.score_probs] is
+     float sequence of [Score.smoothed_id] and [Classify.score_probs] is
      the served selection/Fisher stage, so each grid point's scores are
      bit-identical to scoring a fresh copy of [filter] trained with
      that count. *)
@@ -61,10 +61,9 @@ let sweep filter ~payload ~counts test =
   let nspam0 = Token_db.nspam db in
   let nham = Token_db.nham db in
   (* Base counts and payload membership are looked up by interned id. *)
-  let payload_ids = Spamlab_spambayes.Intern.intern_array payload in
   let in_payload =
-    let set = Hashtbl.create (2 * Array.length payload_ids) in
-    Array.iter (fun id -> Hashtbl.replace set id ()) payload_ids;
+    let set = Hashtbl.create (2 * Array.length payload) in
+    Array.iter (fun id -> Hashtbl.replace set id ()) payload;
     fun id -> Hashtbl.mem set id
   in
   (* Test messages share most of their vocabulary, so scoring each

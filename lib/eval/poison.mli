@@ -14,10 +14,11 @@ val base_filter :
 (** A fresh default-options filter trained on the examples. *)
 
 val poisoned :
-  Spamlab_spambayes.Filter.t -> payload:string array -> count:int ->
+  Spamlab_spambayes.Filter.t -> payload:int array -> count:int ->
   Spamlab_spambayes.Filter.t
 (** Copy the filter and train [count] identical spam messages with the
-    given distinct-token payload. *)
+    given payload, its distinct token ids (see
+    {!Spamlab_spambayes.Intern.intern_array}). *)
 
 val score_examples :
   Spamlab_spambayes.Filter.t ->
@@ -28,7 +29,7 @@ val score_examples :
 
 val sweep :
   Spamlab_spambayes.Filter.t ->
-  payload:string array ->
+  payload:int array ->
   counts:int list ->
   Spamlab_corpus.Dataset.example array ->
   (float * Spamlab_spambayes.Label.gold) array list

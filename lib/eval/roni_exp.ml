@@ -2,6 +2,7 @@ open Spamlab_stats
 module Dataset = Spamlab_corpus.Dataset
 module Generator = Spamlab_corpus.Generator
 module Roni = Spamlab_core.Roni
+module Intern = Spamlab_spambayes.Intern
 module Attack = Spamlab_core.Dictionary_attack
 
 type group = {
@@ -63,15 +64,15 @@ let run lab (params : Params.roni) =
   let tokenizer = Lab.tokenizer lab in
   (* The shared pool's vocabulary is interned; freeze so the thousands
      of in-task count lookups and candidate internings are lock-free. *)
-  Spamlab_spambayes.Intern.freeze ();
+  Intern.freeze ();
   (* Every RONI query (train/validate resampling trials over the shared
      pool) is independent; each derives its own named randomness stream
      and the whole query population fans across the domain pool.  Only
      the two group-level facts survive per query — mean ham impact and
      whether it crossed the rejection threshold — so that pair is also
      the checkpoint wire value (hex float for exact round-trip). *)
-  let assess_tokens stream tokens =
-    let a = Roni.assess ~config (Lab.rng lab stream) ~pool ~candidate:tokens in
+  let assess_ids stream candidate =
+    let a = Roni.assess ~config (Lab.rng lab stream) ~pool ~candidate in
     (a.Roni.mean_ham_impact, a.Roni.rejected)
   in
   let encode (impact, rejected) = Printf.sprintf "%h %B" impact rejected in
@@ -94,8 +95,9 @@ let run lab (params : Params.roni) =
           Generator.spam (Lab.config lab)
             (Lab.rng lab (stream ^ "/message"))
         in
-        assess_tokens stream
-          (Spamlab_tokenizer.Tokenizer.unique_tokens tokenizer msg))
+        assess_ids stream
+          (Intern.intern_array
+             (Spamlab_tokenizer.Tokenizer.unique_tokens tokenizer msg)))
       (Array.init params.non_attack_queries (fun i -> i))
   in
   let non_attack =
@@ -115,9 +117,10 @@ let run lab (params : Params.roni) =
       Array.of_list
         (List.map
            (fun attack ->
-             (Attack.name attack, Attack.payload tokenizer attack))
+             ( Attack.name attack,
+               Intern.intern_array (Attack.payload tokenizer attack) ))
            variants);
-    Spamlab_spambayes.Intern.freeze ()
+    Intern.freeze ()
   in
   let queries =
     Array.init
@@ -130,7 +133,7 @@ let run lab (params : Params.roni) =
       (fun (variant, repetition) ->
         Spamlab_obs.Obs.span "roni.attack" @@ fun () ->
         let name, payload = !payloads.(variant) in
-        assess_tokens
+        assess_ids
           (Printf.sprintf "roni/attack-%s/rep-%d" name repetition)
           payload)
       queries

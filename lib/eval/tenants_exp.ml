@@ -114,7 +114,7 @@ let user_name i = Printf.sprintf "user-%06d" i
 
 type world = {
   options : Options.t;
-  payload : string array;
+  payload : int array;
   (* per community: training pool and all-ham eval pool *)
   train_pools : Dataset.example array array;
   eval_pools : Dataset.example array array;
@@ -142,8 +142,9 @@ let build_world lab cfg =
           ~size:(pool_size lab 96) ~spam_fraction:0.0)
   in
   let payload =
-    Attack.payload tokenizer
-      (Attack.make ~name:"aspell" ~words:(Lab.aspell lab ~size:(pool_size lab 1000)))
+    let words = Lab.aspell lab ~size:(pool_size lab 1000) in
+    Spamlab_spambayes.Intern.intern_array
+      (Attack.payload tokenizer (Attack.make ~name:"aspell" ~words))
   in
   { options = Options.default; payload; train_pools; eval_pools }
 
@@ -187,16 +188,17 @@ let run_user cfg world store users_rng i a =
   let user = user_name i in
   for _ = 1 to cfg.train_per_user do
     let ex = train_pool.(Rng.int rng (Array.length train_pool)) in
-    Store.train store ~user ex.Dataset.label ex.Dataset.tokens
+    Store.train_ids store ~user ex.Dataset.label ex.Dataset.ids
   done;
   let poisoned = Rng.bernoulli rng cfg.poison_fraction in
   if poisoned then
-    Store.train_many store ~user Label.Spam world.payload cfg.attack_count;
+    Store.train_many_ids store ~user Label.Spam world.payload cfg.attack_count;
   let eval_idx =
     Array.init cfg.eval_per_user (fun _ -> Rng.int rng (Array.length eval_pool))
   in
   (* Scores through the store's shared prior cache + overlay dirty set
-     — bit-identical to [Classify.score_ids world.options db]. *)
+     — bit-identical to [Classify.score_engine (Classify.engine
+     world.options db)]. *)
   let tally (ham, unsure, spam) =
     Store.with_user_engine store user (fun engine ->
         Array.iter
@@ -218,7 +220,7 @@ let run_user cfg world store users_rng i a =
     a.pre_unsure <- a.pre_unsure + !unsure;
     a.pre_spam <- a.pre_spam + !spam;
     for _ = 1 to cfg.attack_count do
-      Store.untrain store ~user Label.Spam world.payload
+      Store.untrain_ids store ~user Label.Spam world.payload
     done;
     let ham = ref 0 and unsure = ref 0 and spam = ref 0 in
     tally (ham, unsure, spam);

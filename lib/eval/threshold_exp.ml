@@ -1,5 +1,7 @@
 module Dataset = Spamlab_corpus.Dataset
 module Filter = Spamlab_spambayes.Filter
+module Token_db = Spamlab_spambayes.Token_db
+module Intern = Spamlab_spambayes.Intern
 module Label = Spamlab_spambayes.Label
 module Classify = Spamlab_spambayes.Classify
 module Options = Spamlab_spambayes.Options
@@ -32,7 +34,7 @@ let derive_thresholds quantile ~train ~payload ~count rng =
   let half_a, half_b = Dataset.split rng 0.5 train in
   let filter = Filter.create () in
   Dataset.train_filter filter half_a;
-  Filter.train_tokens_many filter Label.Spam payload (count / 2);
+  Token_db.train_many_ids (Filter.db filter) Label.Spam payload (count / 2);
   let base_scores =
     Array.map
       (fun (e : Dataset.example) ->
@@ -44,7 +46,7 @@ let derive_thresholds quantile ~train ~payload ~count rng =
     if attack_weight = 0 then base_scores
     else
       let attack_score =
-        (Filter.classify_tokens filter payload).Classify.indicator
+        (Filter.classify_ids filter payload).Classify.indicator
       in
       Array.append base_scores
         [| (attack_score, Label.Spam, attack_weight) |]
@@ -64,11 +66,11 @@ let run lab (params : Params.threshold) =
         (Lab.usenet_top lab
            ~size:(Params.dictionary ~scale:(Lab.scale lab) ()).Params.usenet_size)
   in
-  let payload = Attack.payload tokenizer attack in
+  let payload = Intern.intern_array (Attack.payload tokenizer attack) in
   let folds = Dataset.kfold ~k:params.folds examples in
   (* Corpus and payload are fully interned; freeze before the fan-out
      so in-task id lookups are lock-free. *)
-  Spamlab_spambayes.Intern.freeze ();
+  Intern.freeze ();
   let defenses =
     "no defense"
     :: List.map (fun q -> Printf.sprintf "threshold-.%02d" (int_of_float (q *. 100.))) params.quantiles

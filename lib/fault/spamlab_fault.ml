@@ -67,18 +67,13 @@ let seed_ref = Atomic.make 0
 let injected = Obs.counter "fault.injected"
 let fatal = Obs.counter "fault.fatal"
 
-(* splitmix64 finalizer: mixes (seed, site, occurrence) into a uniform
-   word so probability selectors are pure functions of their inputs —
-   no hidden generator state, hence jobs- and order-invariant given a
-   deterministic per-site occurrence numbering. *)
-let mix64 z =
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
-      0xbf58476d1ce4e5b9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
-      0x94d049bb133111ebL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
+(* Mixes (seed, site, occurrence) through the splitmix64 finalizer
+   into a uniform word, so probability selectors are pure functions of
+   their inputs — no hidden generator state, hence jobs- and
+   order-invariant given a deterministic per-site occurrence
+   numbering. *)
 let draw ~seed ~site ~occurrence =
+  let mix64 = Spamlab_stats.Rng.mix64 in
   let h = Int64.of_int (Hashtbl.hash site) in
   let z = Int64.of_int seed in
   let z = mix64 (Int64.add z (Int64.mul h 0x9e3779b97f4a7c15L)) in

@@ -86,22 +86,9 @@ let default ~exe ~dir ~seed =
 (* ------------------------------------------------------------------ *)
 (* Deterministic schedule derivation (splitmix64, as everywhere else)  *)
 
-let mix64 z =
-  let z =
-    Int64.mul
-      (Int64.logxor z (Int64.shift_right_logical z 30))
-      0xbf58476d1ce4e5b9L
-  in
-  let z =
-    Int64.mul
-      (Int64.logxor z (Int64.shift_right_logical z 27))
-      0x94d049bb133111ebL
-  in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
 let draw cfg salt =
   let z =
-    mix64
+    Spamlab_stats.Rng.mix64
       (Int64.add
          (Int64.of_int cfg.seed)
          (Int64.mul (Int64.of_int (salt + 1)) 0x9e3779b97f4a7c15L))

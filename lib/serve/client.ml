@@ -226,28 +226,15 @@ let make_load_state cfg =
     draws = 0;
   }
 
-(* splitmix64 finalizer, as in {!Spamlab_fault}: backoff jitter must be
-   a pure function of (seed, draw ordinal) so a load run's sleep
-   schedule — like everything else about it — replays exactly. *)
-let mix64 z =
-  let z =
-    Int64.mul
-      (Int64.logxor z (Int64.shift_right_logical z 30))
-      0xbf58476d1ce4e5b9L
-  in
-  let z =
-    Int64.mul
-      (Int64.logxor z (Int64.shift_right_logical z 27))
-      0x94d049bb133111ebL
-  in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
 (* Jitter factor in [0.75, 1.25): desynchronizes concurrent clients
-   hammering one recovering daemon without sacrificing determinism. *)
+   hammering one recovering daemon without sacrificing determinism.
+   It is a pure function of (seed, draw ordinal) through the splitmix64
+   finalizer, so a load run's sleep schedule — like everything else
+   about it — replays exactly. *)
 let jitter st =
   st.draws <- st.draws + 1;
   let z =
-    mix64
+    Spamlab_stats.Rng.mix64
       (Int64.add
          (Int64.of_int st.cfg.seed)
          (Int64.mul (Int64.of_int st.draws) 0x9e3779b97f4a7c15L))

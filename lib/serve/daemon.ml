@@ -452,10 +452,10 @@ let train_ack t target ~key n dropped =
 let apply t target kind cls ids =
   match (target, kind) with
   | Shared, `Train ->
-      Filter.train_ids t.delta cls ids;
+      Token_db.train_ids (Filter.db t.delta) cls ids;
       Filter.journal_op t.journal `Train cls ids
   | Shared, `Untrain ->
-      Filter.untrain_ids t.delta cls ids;
+      Token_db.untrain_ids (Filter.db t.delta) cls ids;
       Filter.journal_op t.journal `Untrain cls ids
   | Tenant (st, user), `Train -> Store.train_ids st ~user cls ids
   | Tenant (st, user), `Untrain -> Store.untrain_ids st ~user cls ids

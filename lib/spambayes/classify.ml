@@ -237,4 +237,3 @@ let score_engine_sub e ids n =
   score_probs (engine_options e) ids sc.s_raw n
 
 let score_engine e ids = score_engine_sub e ids (Array.length ids)
-let score_ids options db ids = score_engine (engine options db) ids

@@ -47,9 +47,9 @@ val engine_options : engine -> Options.t
 
 val score_engine : engine -> int array -> result
 (** Full pipeline on pre-interned distinct-token ids through an
-    engine.  [score_ids options db] ≡ [score_engine (engine options
-    db)] — and, bit-for-bit, [score_engine] over any cached variant of
-    the same (options, db). *)
+    engine — the one scoring entry point.  [score_engine (engine
+    options db)] equals, bit for bit, [score_engine] over any cached
+    variant of the same (options, db). *)
 
 val score_engine_sub : engine -> int array -> int -> result
 (** [score_engine_sub e ids n] is {!score_engine} on
@@ -59,10 +59,6 @@ val verdict_of_indicator : Options.t -> float -> Label.verdict
 (** Thresholding with SpamBayes boundary semantics — a score exactly at
     a cutoff takes the more severe class: I < θ0 ham, θ0 ≤ I < θ1
     unsure, I ≥ θ1 spam. *)
-
-val score_ids : Options.t -> Token_db.t -> int array -> result
-(** Full pipeline on pre-interned distinct-token ids — the hot path for
-    datasets that carry id arrays ([Dataset.example]). *)
 
 val score_probs : Options.t -> int array -> float array -> int -> result
 (** [score_probs options ids probs n] is the selection/Fisher stage on

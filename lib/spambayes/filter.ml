@@ -25,42 +25,26 @@ let copy t = make t.options t.tokenizer (Token_db.copy t.db)
 let engine t = Classify.engine_cached t.cache
 
 let features t msg = Spamlab_tokenizer.Tokenizer.unique_tokens t.tokenizer msg
-
-let train_tokens t label tokens = Token_db.train t.db label tokens
-let train_tokens_many t label tokens k = Token_db.train_many t.db label tokens k
-let untrain_tokens t label tokens = Token_db.untrain t.db label tokens
-let train_ids t label ids = Token_db.train_ids t.db label ids
-let untrain_ids t label ids = Token_db.untrain_ids t.db label ids
+let train_tokens t label tokens =
+  Token_db.train_ids t.db label (Intern.intern_array tokens)
 
 let train t label msg = train_tokens t label (features t msg)
-let untrain t label msg = untrain_tokens t label (features t msg)
-
-let train_corpus t examples =
-  List.iter (fun (label, msg) -> train t label msg) examples
 
 (* Per-message timing is detail-level: this is the hot path, and even
    with tracing on, a span per classified message would dominate the
    trace.  [Obs.detail] is a single flag read when observability is off,
    and only opted into via SPAMLAB_OBS_DETAIL=1. *)
-let classify_tokens t tokens =
-  if Spamlab_obs.Obs.detail () then
-    Spamlab_obs.Obs.span "spambayes.classify" (fun () ->
-        Classify.score_engine (engine t) (Intern.intern_array tokens))
-  else Classify.score_engine (engine t) (Intern.intern_array tokens)
-
 let classify_ids t ids =
   if Spamlab_obs.Obs.detail () then
     Spamlab_obs.Obs.span "spambayes.classify" (fun () ->
         Classify.score_engine (engine t) ids)
   else Classify.score_engine (engine t) ids
 
-let classify t msg = classify_tokens t (features t msg)
-
-(* Raw mbox classification rides the zero-copy ingest path, scoring
-   through the filter's cache. *)
+(* Messages and raw mbox bytes ride the ingest path, scoring through
+   the filter's cache; neither interns under options that keep unseen
+   tokens out of δ(E). *)
+let classify t msg = Ingest.classify_message_engine (engine t) t.tokenizer msg
 let classify_mbox t buf = Ingest.classify_mbox_engine (engine t) t.tokenizer buf
-
-let token_score t token = Score.smoothed t.options t.db token
 
 (* Crash-safe persistence: serialize, write to a sibling temp file,
    fsync, then atomically rename over the destination.  A crash at any

@@ -20,42 +20,41 @@ val copy : t -> t
 (** Logically-deep copy (independent database) — O(1) via the token
     DB's copy-on-write snapshot (see {!Token_db.copy}). *)
 
+(** {2 Training and scoring}
+
+    One entry point per operation, by interned id: training writes go
+    to {!db} ({!Token_db.train_ids}, {!Token_db.train_many_ids},
+    {!Token_db.untrain_ids}), and a filter scores through {!classify},
+    {!classify_ids} and {!classify_mbox}.  Strings become ids once, where
+    they enter: messages through the tokenizer and {!Ingest}, attack
+    payloads and fixtures through {!Intern.intern_array}.  {!features},
+    {!train} and {!train_tokens} are kept as one line each over that
+    path for the perfbench harness. *)
+
 val features : t -> Spamlab_email.Message.t -> string array
-(** Distinct tokens of a message under this filter's tokenizer. *)
+(** Distinct tokens of a message under this filter's tokenizer, sorted. *)
 
 val train : t -> Label.gold -> Spamlab_email.Message.t -> unit
+(** [train_tokens t label (features t msg)]. *)
+
 val train_tokens : t -> Label.gold -> string array -> unit
-(** Train on pre-extracted distinct tokens (the fast path for large
-    experiments where messages are tokenized once and reused). *)
-
-val train_tokens_many : t -> Label.gold -> string array -> int -> unit
-(** [train_tokens_many t label tokens k]: train [k] identical messages in
-    one O(|tokens|) pass (see {!Token_db.train_many}). *)
-
-val untrain : t -> Label.gold -> Spamlab_email.Message.t -> unit
-val untrain_tokens : t -> Label.gold -> string array -> unit
-
-val train_ids : t -> Label.gold -> int array -> unit
-(** Train on pre-interned distinct-token ids (see
-    {!Intern.intern_array}) — the hot path for [Dataset.example]s,
-    which carry their id arrays. *)
-
-val untrain_ids : t -> Label.gold -> int array -> unit
-
-val train_corpus :
-  t -> (Label.gold * Spamlab_email.Message.t) list -> unit
+(** {!Token_db.train_ids} on the interned distinct tokens. *)
 
 val classify : t -> Spamlab_email.Message.t -> Classify.result
-val classify_tokens : t -> string array -> Classify.result
+(** Score a parsed message through the filter's cache
+    ({!Ingest.classify_message_engine}).  Under options that keep
+    unseen tokens out of δ(E), as {!Options.default} does, it interns
+    nothing; under options where an unseen token can be a clue, it
+    interns the message's tokens so they score and name their clues. *)
+
 val classify_ids : t -> int array -> Classify.result
+(** Score a message's distinct token ids — the hot path for
+    [Dataset.example]s, which carry their id arrays. *)
 
 val classify_mbox : t -> string -> Classify.result option array
 (** Classify every message of a raw mbox buffer, in order, through the
     zero-copy ingest path (header suppression per
     {!Ingest.ignored_header}); [None] for a malformed chunk. *)
-
-val token_score : t -> string -> float
-(** f(w) under this filter's current state. *)
 
 val save_file : t -> string -> unit
 (** Persist the token database as a v3 file (options and tokenizer

@@ -49,9 +49,6 @@ let ingest_message ~intern tokenizer msg f =
 
 let with_unique_ids tokenizer msg f = ingest_message ~intern:true tokenizer msg f
 
-let unique_ids tokenizer msg =
-  with_unique_ids tokenizer msg (fun ids n raw -> (Array.sub ids 0 n, raw))
-
 (* ------------------------------------------------------------------ *)
 (* Header-aware raw-mail ingestion.
 
@@ -213,16 +210,21 @@ let unique_ids_raw tokenizer buf ~off ~len =
       (Array.sub ids 0 n, raw))
 
 (* ------------------------------------------------------------------ *)
-(* Raw classification: one scratch buffer per domain across the whole
+(* Classification: one scratch buffer per domain across the whole
    batch, no per-message arrays.  Scoring looks tokens up unless the
    engine's options let a token with no counts be a clue; then it must
    be interned to score (and to name its clue), exactly as training
    would. *)
 
+let scores_unseen e = Options.unknown_word_is_clue (Classify.engine_options e)
+
 let classify_raw_engine e tokenizer buf ~off ~len =
-  let intern = Options.unknown_word_is_clue (Classify.engine_options e) in
-  ingest_raw ~intern tokenizer buf ~off ~len (fun ids n _raw ->
-      Classify.score_engine_sub e ids n)
+  ingest_raw ~intern:(scores_unseen e) tokenizer buf ~off ~len
+    (fun ids n _raw -> Classify.score_engine_sub e ids n)
+
+let classify_message_engine e tokenizer msg =
+  ingest_message ~intern:(scores_unseen e) tokenizer msg
+    (fun ids n _raw -> Classify.score_engine_sub e ids n)
 
 let classify_mbox_engine e tokenizer buf =
   Array.map

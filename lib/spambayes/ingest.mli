@@ -13,11 +13,12 @@
     The training entry points ({!with_unique_ids},
     {!with_unique_ids_raw}, {!unique_ids_raw}) resolve tokens with
     {!Intern.resolve}, interning every token they have never seen.
-    Scoring ({!classify_raw_engine}, {!classify_mbox_engine}) looks
-    them up with {!Intern.lookup} and drops the tokens no table holds
-    before the dedup.  Such a token has no counts, so it would score
-    exactly [unknown_word_prob]; where the options keep that out of
-    δ(E) ({!Options.unknown_word_is_clue} false, as under
+    Scoring ({!classify_message_engine}, {!classify_raw_engine},
+    {!classify_mbox_engine}) looks them up with {!Intern.lookup} and
+    drops the tokens no table holds before the dedup.  Such a token
+    has no counts, so it would score exactly [unknown_word_prob];
+    where the options keep that out of δ(E)
+    ({!Options.unknown_word_is_clue} false, as under
     {!Options.default}), dropping it changes no score, verdict or clue,
     and read traffic never grows the intern table.  Under options where
     an unseen token can be a clue, scoring resolves like training, so
@@ -84,12 +85,17 @@ val with_unique_ids :
     total token-stream length.  [ids] is the per-domain scratch
     buffer — valid only during [f], do not retain it. *)
 
-val unique_ids :
+val classify_message_engine :
+  Classify.engine ->
   Spamlab_tokenizer.Tokenizer.t ->
   Spamlab_email.Message.t ->
-  int array * int
-(** Materialized form of {!with_unique_ids}:
-    [(distinct ids, raw count)]. *)
+  Classify.result
+(** Classify one parsed message through an explicit engine: its token
+    stream as {!with_unique_ids} reads it, looked up as
+    {!classify_raw_engine} looks a chunk up (resolved instead when the
+    engine's options let an unseen token be a clue), scored by
+    {!Classify.score_engine_sub}.  Under {!Options.default} nothing is
+    interned.  Backs [Filter.classify]. *)
 
 (** {1 Raw mail} *)
 

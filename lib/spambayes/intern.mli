@@ -161,7 +161,7 @@ val find : string -> int option
 (** Lookup without interning — never mutates.  Shares {!lookup}'s miss
     rule: a string the snapshot lacks costs a locked live-table probe
     only when the table has grown since the snapshot, so read-only
-    paths (e.g. [Token_db.spam_count] on an arbitrary string) stay
+    paths (e.g. a report's count lookup of an arbitrary string) stay
     contention-free. *)
 
 val find_sub : string -> int -> int -> int option

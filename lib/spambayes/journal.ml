@@ -66,6 +66,21 @@ let fields s off stop =
   done;
   String.sub s off (!j - off) :: !acc
 
+(* A CRC field is exactly the [%08x] text of its value: eight
+   lower-case hex digits at [s.[off]].  [-1] for any other spelling —
+   an upper-case digit, a sign, a [_] — which [int_of_string] reads as
+   a number too. *)
+let crc_field s off =
+  let rec go i acc =
+    if i = 8 then acc
+    else
+      match String.unsafe_get s (off + i) with
+      | '0' .. '9' as c -> go (i + 1) ((acc lsl 4) lor (Char.code c - 48))
+      | 'a' .. 'f' as c -> go (i + 1) ((acc lsl 4) lor (Char.code c - 87))
+      | _ -> -1
+  in
+  go 0 0
+
 (* A dictionary-attack record runs to hundreds of KB: it is checksummed
    and split where it lies. *)
 let parse_sub data off n =
@@ -77,41 +92,37 @@ let parse_sub data off n =
     || data.[off + n - 13] <> '\t'
     || String.sub data (off + n - 12) 4 <> "crc="
   then `Bad "missing crc field"
+  else if
+    crc_field data (off + n - 8)
+    <> Token_db.crc_finish
+         (Token_db.crc_feed_sub Token_db.crc_init data off (n - 12))
+  then `Bad "crc mismatch"
   else
-    match int_of_string_opt ("0x" ^ String.sub data (off + n - 8) 8) with
-    | None -> `Bad "bad crc field"
-    | Some crc ->
-        if
-          Token_db.crc_finish
-            (Token_db.crc_feed_sub Token_db.crc_init data off (n - 12))
-          <> crc
-        then `Bad "crc mismatch"
-        else
-          let unescape s =
-            match Token_db.unescape_token s with
-            | Ok s -> s
-            | Error e -> raise (Sys_error e)
-          in
-          let op kind user label k toks =
-            `Op
-              ( unescape user,
-                { kind; label; k; tokens = Array.map unescape (Array.of_list toks) }
-              )
-          in
-          let parse () =
-            match fields data off (off + n - 13) with
-            | [ "C" ] -> `Commit
-            | "T" :: user :: cls :: k :: toks -> (
-                match (parse_label cls, int_of_string_opt k) with
-                | Some label, Some k when k >= 0 -> op `Train user label k toks
-                | _ -> `Bad "bad train record")
-            | "U" :: user :: cls :: toks -> (
-                match parse_label cls with
-                | Some label -> op `Untrain user label 1 toks
-                | None -> `Bad "bad untrain record")
-            | _ -> `Bad "unknown record"
-          in
-          (match parse () with r -> r | exception Sys_error e -> `Bad e)
+    let unescape s =
+      match Token_db.unescape_token s with
+      | Ok s -> s
+      | Error e -> raise (Sys_error e)
+    in
+    let op kind user label k toks =
+      `Op
+        ( unescape user,
+          { kind; label; k; tokens = Array.map unescape (Array.of_list toks) }
+        )
+    in
+    let parse () =
+      match fields data off (off + n - 13) with
+      | [ "C" ] -> `Commit
+      | "T" :: user :: cls :: k :: toks -> (
+          match (parse_label cls, int_of_string_opt k) with
+          | Some label, Some k when k >= 0 -> op `Train user label k toks
+          | _ -> `Bad "bad train record")
+      | "U" :: user :: cls :: toks -> (
+          match parse_label cls with
+          | Some label -> op `Untrain user label 1 toks
+          | None -> `Bad "bad untrain record")
+      | _ -> `Bad "unknown record"
+    in
+    (match parse () with r -> r | exception Sys_error e -> `Bad e)
 
 let parse_line line = parse_sub line 0 (String.length line)
 
@@ -136,9 +147,9 @@ let parse_header ~ident line =
   in
   if String.length line = n + 9 && String.starts_with ~prefix:(ident ^ "=") line
   then
-    match int_of_string_opt ("0x" ^ String.sub line (n + 1) 8) with
-    | Some crc -> Ok crc
-    | None -> Error "bad crc in journal header"
+    match crc_field line (n + 1) with
+    | -1 -> Error "bad crc in journal header"
+    | crc -> Ok crc
   else if String.starts_with ~prefix:(magic ^ " ") line then
     Error
       (Printf.sprintf "header %S does not match this file (expected %s=...)"

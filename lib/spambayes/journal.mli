@@ -45,7 +45,10 @@ val add_record : Buffer.t -> user:string -> int op -> unit
 
 val parse_line : string -> [ `Commit | `Op of string * string op | `Bad of string ]
 (** One line without its newline: a commit marker, an op with its
-    user, or a bad line (CRC or syntax). *)
+    user, or a bad line (CRC or syntax).  The [crc=] field must be
+    exactly the [%08x] text of the line's CRC; any other spelling of
+    it, an upper-case digit included, is a ["crc mismatch"].  The
+    header's CRC field is read the same way. *)
 
 val parse_sub :
   string -> int -> int -> [ `Commit | `Op of string * string op | `Bad of string ]

@@ -19,13 +19,7 @@ let verdict_of_verdict_string = function
   | "spam" -> Ok Spam_v
   | s -> Error (Printf.sprintf "unknown verdict %S" s)
 
-let equal_gold (a : gold) b = a = b
-let equal_verdict (a : verdict) b = a = b
-
 let verdict_agrees gold verdict =
   match (gold, verdict) with
   | Ham, Ham_v | Spam, Spam_v -> true
   | Ham, (Unsure_v | Spam_v) | Spam, (Ham_v | Unsure_v) -> false
-
-let pp_gold fmt g = Format.pp_print_string fmt (gold_to_string g)
-let pp_verdict fmt v = Format.pp_print_string fmt (verdict_to_string v)

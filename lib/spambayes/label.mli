@@ -16,12 +16,7 @@ val gold_to_string : gold -> string
 val verdict_to_string : verdict -> string
 val gold_of_string : string -> (gold, string) result
 val verdict_of_verdict_string : string -> (verdict, string) result
-val equal_gold : gold -> gold -> bool
-val equal_verdict : verdict -> verdict -> bool
 
 val verdict_agrees : gold -> verdict -> bool
 (** True when the verdict matches the gold label exactly (unsure never
     agrees). *)
-
-val pp_gold : Format.formatter -> gold -> unit
-val pp_verdict : Format.formatter -> verdict -> unit

@@ -151,14 +151,6 @@ let[@inline] slot_ham t s =
 let spam_count_id t id = slot_spam t (slot t id)
 let ham_count_id t id = slot_ham t (slot t id)
 
-(* String lookups go through [Intern.find], which never interns:
-   querying an arbitrary string must not grow the global table. *)
-let spam_count t token =
-  match Intern.find token with None -> 0 | Some id -> spam_count_id t id
-
-let ham_count t token =
-  match Intern.find token with None -> 0 | Some id -> ham_count_id t id
-
 (* Rebuild [ov] with [slots] slots (a power of two, room for every
    entry). *)
 let resize t slots =
@@ -230,8 +222,6 @@ let train_ids t label ids =
   | Label.Ham -> t.nham <- t.nham + 1);
   bump_all t label ids 1
 
-let train t label tokens = train_ids t label (Intern.intern_array tokens)
-
 let train_many_ids t label ids k =
   if k < 0 then invalid_arg "Token_db.train_many: negative count";
   if k > 0 then begin
@@ -241,9 +231,6 @@ let train_many_ids t label ids k =
     | Label.Ham -> t.nham <- t.nham + k);
     bump_all t label ids k
   end
-
-let train_many t label tokens k =
-  train_many_ids t label (Intern.intern_array tokens) k
 
 let untrain_ids t label ids =
   let global_ok =
@@ -289,8 +276,6 @@ let untrain_ids t label ids =
   | Label.Ham -> t.nham <- t.nham - 1);
   bump_all t label ids (-1)
 
-let untrain t label tokens = untrain_ids t label (Intern.intern_array tokens)
-
 let iter_table f tbl mask =
   for i = 0 to mask do
     let id = Array.unsafe_get tbl (3 * i) in
@@ -320,9 +305,7 @@ let iter_counts f t =
 
 let fold f init t =
   let acc = ref init in
-  iter_counts
-    (fun id ~spam ~ham -> acc := f !acc (Intern.to_string id) ~spam ~ham)
-    t;
+  iter_counts (fun id ~spam ~ham -> acc := f !acc id ~spam ~ham) t;
   !acc
 
 (* Tokens come straight from attacker-controlled email bodies, so they

@@ -11,11 +11,10 @@
     {2 Representation}
 
     Counts live in flat open-addressing tables keyed by interned token
-    id (see {!Intern}); the string variants intern (writes) or probe
-    the intern table without growing it (reads), then defer to the id
-    path.  A slot is three ints — the id and its absolute spam and ham
-    counts — so an entry costs 4 to 8 words and a db is sized by the
-    tokens it holds, never by the range of their ids.  Entries are
+    id (see {!Intern}); every count, training and fold entry point
+    takes ids.  A slot is three ints — the id and its absolute spam
+    and ham counts — so an entry costs 4 to 8 words and a db is sized
+    by the tokens it holds, never by the range of their ids.  Entries are
     never removed.  A db reads two tables: its own, which takes every
     write, then an immutable base it may share with other dbs (see
     {!copy}); a read takes both counts from the one slot it finds
@@ -46,11 +45,6 @@ val nspam : t -> int
 
 val nham : t -> int
 
-val spam_count : t -> string -> int
-(** N_S(w); 0 for unknown tokens.  Never grows the intern table. *)
-
-val ham_count : t -> string -> int
-
 val spam_count_id : t -> int -> int
 (** N_S(w) by interned id: one {!slot} probe, no string.  Ids never
     present in this db read 0. *)
@@ -71,7 +65,7 @@ val distinct_tokens : t -> int
 
 val generation : t -> int
 (** Mutation counter: starts at 1 and is bumped once per mutating call
-    ({!train}/{!untrain} and friends, {!set_counts_id},
+    ({!train_ids}, {!train_many_ids}, {!untrain_ids}, {!set_counts_id},
     [set_message_counts]).  {!Prob_cache} stamps each cached
     probability with the generation it was computed under, so cache
     validity is one int compare.  Invalidation is deliberately
@@ -82,32 +76,25 @@ val generation : t -> int
     {e instance}, so the shared value is never compared across
     instances. *)
 
-val train : t -> Label.gold -> string array -> unit
-(** [train t label tokens] records one message of class [label] whose
-    distinct tokens are [tokens]. *)
-
 val train_ids : t -> Label.gold -> int array -> unit
-(** {!train} on pre-interned ids (see {!Intern.intern_array}). *)
-
-val train_many : t -> Label.gold -> string array -> int -> unit
-(** [train_many t label tokens k] records [k] identical messages in one
-    pass — equivalent to calling {!train} [k] times but O(|tokens|).
-    Poisoning experiments train hundreds of identical dictionary-attack
-    emails; this keeps them tractable at paper scale.
-    @raise Invalid_argument if [k < 0]. *)
+(** [train_ids t label ids] records one message of class [label] whose
+    distinct tokens are [ids] (see {!Intern.intern_array}). *)
 
 val train_many_ids : t -> Label.gold -> int array -> int -> unit
+(** [train_many_ids t label ids k] records [k] identical messages in
+    one pass — equivalent to calling {!train_ids} [k] times but
+    O(|ids|).  Poisoning experiments train hundreds of identical
+    dictionary-attack emails; this keeps them tractable at paper scale.
+    @raise Invalid_argument if [k < 0]. *)
 
-val untrain : t -> Label.gold -> string array -> unit
-(** Exact inverse of {!train} for the same arguments.  Validation is
-    occurrence-aware — a token appearing m times in the array needs a
+val untrain_ids : t -> Label.gold -> int array -> unit
+(** Exact inverse of {!train_ids} for the same arguments.  Validation
+    is occurrence-aware — an id appearing m times in the array needs a
     recorded count of at least m — and happens entirely before any
     mutation, so a failed untrain leaves the database intact.
     @raise Invalid_argument if it would drive any count negative
     (indicates the message was never trained); the message names the
     byte-least such token, whatever the order of the array. *)
-
-val untrain_ids : t -> Label.gold -> int array -> unit
 
 val set_counts_id : t -> int -> spam:int -> ham:int -> unit
 (** [set_counts_id t id ~spam ~ham] overwrites both counts of [id] in
@@ -141,7 +128,9 @@ val iter_overlay : (int -> spam:int -> ham:int -> unit) -> t -> unit
     particular order: how the sharded store extracts a tenant's
     delta-vs-prior in O(|touched|). *)
 
-val fold : ('a -> string -> spam:int -> ham:int -> 'a) -> 'a -> t -> 'a
+val fold : ('a -> int -> spam:int -> ham:int -> 'a) -> 'a -> t -> 'a
+(** Fold over every id with a non-zero combined count, with its
+    counts, in no particular order. *)
 
 val to_string : t -> string
 (** The saved byte representation, format version 3: a header line

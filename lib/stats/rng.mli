@@ -40,6 +40,12 @@ val split_indexed : t -> int -> t
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
+val mix64 : int64 -> int64
+(** The SplitMix64 output finalizer (variant 13 of Stafford's mixers)
+    on its own: a bijection that spreads every input bit over the
+    word.  Stateless draws elsewhere (fault selectors, chaos schedules,
+    client jitter) are pure functions of their inputs through it. *)
+
 val int : t -> int -> int
 (** [int t bound] is uniform on [0, bound).  @raise Invalid_argument if
     [bound <= 0]. *)

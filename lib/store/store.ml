@@ -129,7 +129,6 @@ type t = {
 
 let prior t = t.t_prior
 let nshards t = t.t_nshards
-let is_sharded t = t.dir <> None
 
 let fresh_shard id =
   {
@@ -216,9 +215,18 @@ let parse_seg_header ~expect_shard ~expect_nshards line =
       | _ -> Error "unsupported segment version or bad header")
   | _ -> Error "not a spamlab store segment"
 
+let seg_footer ~crc ~users ~rows =
+  Printf.sprintf "%scrc32=%08x users=%d rows=%d" seg_footer_prefix crc users rows
+
+(* The footer exactly as [seg_footer] writes it, as for the db footer:
+   [%x] alone also takes a case-flipped hex digit. *)
 let parse_seg_footer line =
-  Scanf.sscanf_opt line "#spamlab-store-footer crc32=%x users=%d rows=%d%!"
-    (fun crc users rows -> (crc, users, rows))
+  match
+    Scanf.sscanf_opt line "#spamlab-store-footer crc32=%x users=%d rows=%d%!"
+      (fun crc users rows -> (crc, users, rows))
+  with
+  | Some (crc, users, rows) as f when line = seg_footer ~crc ~users ~rows -> f
+  | _ -> None
 
 (* Walk a segment's bytes, calling [on_user user nspam nham nrows off len
    rows_off] per user block ([off,len] spans the whole block, [rows_off]
@@ -507,10 +515,7 @@ let compact_shard t sh =
          (Token_db.crc_feed Token_db.crc_init header)
          body)
   in
-  let footer =
-    Printf.sprintf "%scrc32=%08x users=%d rows=%d\n" seg_footer_prefix crc
-      nusers !rows_total
-  in
+  let footer = seg_footer ~crc ~users:nusers ~rows:!rows_total ^ "\n" in
   let spath = seg_path dir sh.sh_id in
   Io.atomic_write spath (fun oc ->
       output_string oc header;
@@ -700,56 +705,26 @@ let run_op t user op =
   | None -> mem_op t user op
   | Some _ -> sharded_op t user op
 
+(* Every record is built by [Journal.of_ids]: the tokens in byte order
+   of their strings, so its bytes depend neither on id order nor on
+   interning order. *)
+let train_ids t ~user label ids =
+  run_op t user (Journal.of_ids `Train label ids)
+
+let train_many_ids t ~user label ids k =
+  if k < 0 then invalid_arg "Store.train_many_ids: negative count";
+  if k > 0 then run_op t user { (Journal.of_ids `Train label ids) with k }
+
+let untrain_ids t ~user label ids =
+  run_op t user (Journal.of_ids `Untrain label ids)
+
 (* A message contributes each token once (SpamBayes counts messages
    containing a token, not occurrences), and the segment verifier's
-   count-vs-totals invariant relies on it.  Pipeline callers already
-   pass unique tokens ([Tokenizer.unique_tokens], [with_unique_ids]);
-   normalize here so direct API users cannot journal duplicates.  The
-   pipeline's form — strictly ascending, as [unique_tokens] sorts — is
-   returned untouched after one compare per token and no allocation;
-   any other input keeps its first occurrence of each token, in order. *)
-let distinct tokens =
-  let n = Array.length tokens in
-  let rec ascending i =
-    i >= n
-    || (String.compare tokens.(i - 1) tokens.(i) < 0 && ascending (i + 1))
-  in
-  if ascending 1 then tokens
-  else begin
-    let seen = Hashtbl.create (2 * n) in
-    Array.of_list
-      (List.filter
-         (fun tok ->
-           (not (Hashtbl.mem seen tok))
-           && begin
-                Hashtbl.add seen tok ();
-                true
-              end)
-         (Array.to_list tokens))
-  end
-
-(* The string forms intern once, up front, and journal the tokens in
-   the order [distinct] leaves them; the id forms in byte order of
-   their strings ({!Journal.of_ids}), which is the order the string
-   form journals the sorted tokens of the tokenizers, so the record
-   bytes do not depend on the form, on id order, or on interning
-   order. *)
-let string_op kind label k tokens =
-  { Journal.kind; label; k; tokens = Intern.intern_array (distinct tokens) }
-
-let id_op = Journal.of_ids
-
-let train t ~user label tokens = run_op t user (string_op `Train label 1 tokens)
-
-let train_many t ~user label tokens k =
-  if k < 0 then invalid_arg "Store.train_many: negative count";
-  if k > 0 then run_op t user (string_op `Train label k tokens)
-
-let untrain t ~user label tokens =
-  run_op t user (string_op `Untrain label 1 tokens)
-
-let train_ids t ~user label ids = run_op t user (id_op `Train label ids)
-let untrain_ids t ~user label ids = run_op t user (id_op `Untrain label ids)
+   count-vs-totals invariant relies on it, so duplicates collapse. *)
+let train t ~user label tokens =
+  let ids = Intern.intern_array tokens in
+  let n = Intern.sort_uniq ids (Array.length ids) in
+  train_ids t ~user label (Array.sub ids 0 n)
 
 let iter_inited_shards t f =
   Array.iter

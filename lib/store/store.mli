@@ -117,8 +117,6 @@ val prior : t -> Token_db.t
 
 val nshards : t -> int
 
-val is_sharded : t -> bool
-
 val with_user : t -> string -> (Token_db.t -> 'a) -> 'a
 (** [with_user t user f] runs [f] on [user]'s overlay database under
     the shard lock — the read path (classify, score inspection).  [f]
@@ -135,16 +133,27 @@ val with_user_engine :
     bit-identical to scoring the overlay db uncached.  Same locking
     contract as {!with_user}; the engine must not escape [f]. *)
 
+(** {2 Training}
+
+    Every op is journaled as one record built by
+    {!Spamlab_spambayes.Journal.of_ids}: the message's tokens in byte
+    order of their strings ({!Spamlab_spambayes.Intern.byte_order}), so
+    a record's bytes depend neither on the order of the ids given nor on
+    interning order.  Ops mutate only the user's overlay, never the
+    prior. *)
+
 val train_ids :
   t -> user:string -> Spamlab_spambayes.Label.gold -> int array -> unit
 (** Journal and apply one training message for [user], given as the
     message's {e distinct} interned ids in any order (as
     {!Spamlab_spambayes.Ingest.unique_ids_raw} yields them) — the
-    daemon's write path.  The record lists the tokens in byte order of
-    their strings ({!Spamlab_spambayes.Intern.byte_order}), so its
-    bytes equal those {!train} journals for the same message's sorted
-    tokens, whatever the ids' order or interning history.  Ops mutate
-    only the user's overlay, never the prior. *)
+    daemon's write path. *)
+
+val train_many_ids :
+  t -> user:string -> Spamlab_spambayes.Label.gold -> int array -> int -> unit
+(** [k] identical messages in one op record (the poisoning pattern);
+    [k = 0] journals and applies nothing.
+    @raise Invalid_argument if [k < 0]. *)
 
 val untrain_ids :
   t -> user:string -> Spamlab_spambayes.Label.gold -> int array -> unit
@@ -154,22 +163,10 @@ val untrain_ids :
     @raise Invalid_argument if the message was never trained. *)
 
 val train : t -> user:string -> Spamlab_spambayes.Label.gold -> string array -> unit
-(** {!train_ids} on token strings, interned once up front.
-    Duplicates are collapsed (a message contributes each token once,
-    whatever its occurrence count); the record lists the tokens in
-    the order given, first occurrences only — strictly ascending
-    input, the tokenizers' [unique_tokens] form, journals exactly as
-    {!train_ids} does. *)
-
-val train_many :
-  t -> user:string -> Spamlab_spambayes.Label.gold -> string array -> int -> unit
-(** [k] identical messages in one op record (the poisoning pattern).
-    @raise Invalid_argument if [k < 0]. *)
-
-val untrain :
-  t -> user:string -> Spamlab_spambayes.Label.gold -> string array -> unit
-(** Inverse of {!train}, validated like {!untrain_ids}.
-    @raise Invalid_argument if the message was never trained. *)
+(** {!train_ids} on token strings, interned once up front.  Duplicates
+    are collapsed (a message contributes each token once, whatever its
+    occurrence count), and the record lists the tokens in byte order
+    like every other. *)
 
 val commit : t -> unit
 (** Durability point: flush every shard's buffered op records, append

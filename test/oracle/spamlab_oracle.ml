@@ -845,6 +845,41 @@ module Fisher = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* The string-keyed learner path                                       *)
+
+(* What [Token_db], [Score] and [Filter] answered by token string
+   before every learner entry point took ids: counts and f(w) looked up
+   through [Intern.find], which never interns (an unseen string reads
+   0/0 and scores the prior), and [classify] as [Filter.classify] ran —
+   the message's sorted distinct tokens ([Filter.features]), interned,
+   scored.  [Filter.classify] now scores through [Ingest] and interns
+   nothing under options that keep unseen tokens out of δ(E); the tests
+   hold it equal to [classify]. *)
+module By_string = struct
+  module Classify = Spamlab_spambayes.Classify
+  module Filter = Spamlab_spambayes.Filter
+  module Intern = Spamlab_spambayes.Intern
+  module Score = Spamlab_spambayes.Score
+  module Token_db = Spamlab_spambayes.Token_db
+
+  let spam_count db token =
+    match Intern.find token with None -> 0 | Some id -> Token_db.spam_count_id db id
+
+  let ham_count db token =
+    match Intern.find token with None -> 0 | Some id -> Token_db.ham_count_id db id
+
+  let smoothed options db token =
+    Score.smoothed_counts options ~spam:(spam_count db token)
+      ~ham:(ham_count db token) ~nspam:(Token_db.nspam db)
+      ~nham:(Token_db.nham db)
+
+  let classify filter msg =
+    Classify.score_engine
+      (Classify.engine (Filter.options filter) (Filter.db filter))
+      (Intern.intern_array (Filter.features filter msg))
+end
+
+(* ------------------------------------------------------------------ *)
 (* Discriminator selection, list form                                  *)
 
 (* δ(E) over boxed candidate clues: [List.filter] by strength,
@@ -888,7 +923,7 @@ module Scoring = struct
     let candidates = ref [] in
     Array.iter
       (fun token ->
-        let score = Score.smoothed options db token in
+        let score = By_string.smoothed options db token in
         if Float.abs (score -. 0.5) >= options.minimum_prob_strength then
           candidates := { Classify.token; score } :: !candidates)
       tokens;

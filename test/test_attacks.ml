@@ -20,6 +20,15 @@ let test_case name f = Alcotest.test_case name `Quick f
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
+(* Token counts by string, for fixtures: the oracle's lookup through
+   [Intern.find], which never interns. *)
+let spam_count = Spamlab_oracle.By_string.spam_count
+let ham_count = Spamlab_oracle.By_string.ham_count
+
+(* f(w) of a token string under a filter's options and db. *)
+let token_score filter w =
+  Spamlab_oracle.By_string.smoothed (Filter.options filter) (Filter.db filter) w
+
 (* ------------------------------------------------------------------ *)
 (* Taxonomy                                                            *)
 
@@ -123,20 +132,20 @@ let dictionary_tests =
         Dictionary_attack.train filter Tokenizer.spambayes a ~count:25;
         let db = Filter.db filter in
         check_int "nspam" 25 (Token_db.nspam db);
-        check_int "abc spam count" 25 (Token_db.spam_count db "abc");
-        check_int "abc ham count" 1 (Token_db.ham_count db "abc"));
+        check_int "abc spam count" 25 (spam_count db "abc");
+        check_int "abc ham count" 1 (ham_count db "abc"));
     test_case "poisoning raises scores of covered words" (fun () ->
         let filter = Filter.create () in
         for _ = 1 to 10 do
           Filter.train_tokens filter Label.Ham [| "meeting"; "budget" |];
           Filter.train_tokens filter Label.Spam [| "pills"; "cheap" |]
         done;
-        let before = Filter.token_score filter "meeting" in
+        let before = token_score filter "meeting" in
         let a =
           Dictionary_attack.make ~name:"t" ~words:[| "meeting"; "budget" |]
         in
         Dictionary_attack.train filter Tokenizer.spambayes a ~count:10;
-        let after = Filter.token_score filter "meeting" in
+        let after = token_score filter "meeting" in
         check_bool "score rose" true (after > before));
     test_case "raw_token_count counts the stream" (fun () ->
         let a = Dictionary_attack.make ~name:"t" ~words:[| "abc"; "def"; "ghi" |] in
@@ -229,14 +238,14 @@ let focused_tests =
           Focused_attack.craft rng ~target ~p:0.5 ~count:50
             ~header_pool:[| spam_header |]
         in
-        let before w = Filter.token_score filter w in
+        let before w = token_score filter w in
         let scores_before =
           List.map (fun w -> (w, before w)) (Focused_attack.target_words target)
         in
         Focused_attack.train filter plan;
         List.iter
           (fun (w, b) ->
-            let a = Filter.token_score filter w in
+            let a = token_score filter w in
             if List.mem w plan.Focused_attack.guessed then
               check_bool ("guessed " ^ w) true (a > b)
             else
@@ -414,8 +423,8 @@ let split_tests =
         Array.iter
           (fun w ->
             check_int w
-              (Token_db.spam_count (Filter.db unsplit_filter) w)
-              (Token_db.spam_count (Filter.db split_filter) w))
+              (spam_count (Filter.db unsplit_filter) w)
+              (spam_count (Filter.db split_filter) w))
           words;
         check_int "split messages" 12 (Token_db.nspam (Filter.db split_filter));
         check_int "unsplit messages" 4
@@ -551,7 +560,7 @@ let pseudospam_tests =
             (Array.append [| "junk" ^ string_of_int i |] (Array.sub campaign 0 10))
         done;
         let probe = campaign.(0) in
-        let before = Filter.token_score filter probe in
+        let before = token_score filter probe in
         check_bool "spammy before" true (before > 0.7);
         let rng = Rng.create 3 in
         let plan =
@@ -559,7 +568,7 @@ let pseudospam_tests =
             ~camouflage_fraction:0.3 ~count:30
         in
         Pseudospam_attack.train filter plan;
-        let after = Filter.token_score filter probe in
+        let after = token_score filter probe in
         check_bool "hammy after" true (after < before);
         check_int "nham grew" 50 (Token_db.nham (Filter.db filter)));
   ]

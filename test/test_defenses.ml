@@ -38,15 +38,17 @@ let pool =
   in
   Dataset.of_labeled Tokenizer.spambayes corpus
 
-let ham_covering_attack =
-  (* A dictionary-attack-like candidate: the whole ham-model support. *)
+(* A dictionary-attack-like candidate: the whole ham-model support. *)
+let ham_covering_words =
   Spamlab_corpus.Language_model.support
     generator_config.Spamlab_corpus.Generator.ham_model
+
+let ham_covering_attack = Spamlab_spambayes.Intern.intern_array ham_covering_words
 
 let ordinary_spam =
   (Dataset.of_message Tokenizer.spambayes Label.Spam
      (Spamlab_corpus.Generator.spam generator_config (Rng.create 77)))
-    .Dataset.tokens
+    .Dataset.ids
 
 (* ------------------------------------------------------------------ *)
 (* RONI                                                                *)
@@ -134,7 +136,8 @@ let roni_tests =
               let baseline = Filter.create () in
               Dataset.train_filter baseline train;
               let with_candidate = Filter.copy baseline in
-              Filter.train_tokens with_candidate Label.Spam candidate;
+              Spamlab_spambayes.Token_db.train_ids (Filter.db with_candidate)
+                Label.Spam candidate;
               float_of_int
                 (ham_as_ham baseline validation
                 - ham_as_ham with_candidate validation))
@@ -142,8 +145,7 @@ let roni_tests =
         List.iter
           (fun (name, candidate) ->
             let candidate =
-              Array.of_list
-                (List.sort_uniq String.compare (Array.to_list candidate))
+              Array.of_list (List.sort_uniq Int.compare (Array.to_list candidate))
             in
             let got =
               (Roni.assess ~config (Rng.create 21) ~pool ~candidate).Roni.per_trial
@@ -155,7 +157,9 @@ let roni_tests =
           [
             ("dictionary-style", ham_covering_attack);
             ("ordinary spam", ordinary_spam);
-            ("unseen tokens", [| "roni-twin-unseen-a"; "roni-twin-unseen-b" |]);
+            ( "unseen tokens",
+              Spamlab_spambayes.Intern.intern_array
+                [| "roni-twin-unseen-a"; "roni-twin-unseen-b" |] );
           ]);
   ]
 
@@ -264,8 +268,8 @@ let pipeline_tests =
   let clean_round = Array.sub pool 120 60 in
   let attack_round =
     let attack_example =
-      Dataset.of_tokens Label.Spam ham_covering_attack
-        ~raw_token_count:(Array.length ham_covering_attack)
+      Dataset.of_tokens Label.Spam ham_covering_words
+        ~raw_token_count:(Array.length ham_covering_words)
     in
     Array.append (Array.sub pool 120 60) (Array.make 5 attack_example)
   in

@@ -242,7 +242,10 @@ let poison_tests =
         let base =
           Poison.base_filter Spamlab_tokenizer.Tokenizer.spambayes tiny_examples
         in
-        let payload = [| "cheap"; "pills"; "meeting"; "unseen-token" |] in
+        let payload =
+          Spamlab_spambayes.Intern.intern_array
+            [| "cheap"; "pills"; "meeting"; "unseen-token" |]
+        in
         (* Deliberately unsorted counts: results must come back in input
            order. *)
         let counts = [ 50; 0; 7; 500 ] in
@@ -269,7 +272,9 @@ let poison_tests =
           Poison.base_filter Spamlab_tokenizer.Tokenizer.spambayes tiny_examples
         in
         let poisoned =
-          Poison.poisoned base ~payload:[| "meeting"; "budget" |] ~count:50
+          Poison.poisoned base
+            ~payload:(Spamlab_spambayes.Intern.intern_array [| "meeting"; "budget" |])
+            ~count:50
         in
         check_int "base nspam" 20 (Token_db.nspam (Filter.db base));
         check_int "poisoned nspam" 70 (Token_db.nspam (Filter.db poisoned)));

@@ -49,6 +49,10 @@ let gen_message n =
   let rng = Rng.create n in
   if n mod 2 = 0 then Generator.ham config rng else Generator.spam config rng
 
+(* [with_unique_ids]'s distinct ids, copied out, and the raw count. *)
+let unique_ids tokenizer m =
+  Ingest.with_unique_ids tokenizer m (fun ids n raw -> (Array.sub ids 0 n, raw))
+
 (* ------------------------------------------------------------------ *)
 (* Span path vs the oracle's string tokenizers                         *)
 
@@ -70,7 +74,7 @@ let check_ids_match tokenizer m =
   in
   let legacy_ids = Intern.intern_array tokens in
   Array.sort compare legacy_ids;
-  let ids, raw_span = Ingest.unique_ids tokenizer m in
+  let ids, raw_span = unique_ids tokenizer m in
   check_int
     (Tokenizer.name tokenizer ^ ": raw count")
     raw_legacy raw_span;
@@ -192,7 +196,7 @@ let strip_ignored m =
 let check_raw_matches tokenizer text =
   let reference =
     List.map
-      (fun m -> Ingest.unique_ids tokenizer (strip_ignored m))
+      (fun m -> unique_ids tokenizer (strip_ignored m))
       (fst (Mbox.parse_lenient text))
   in
   let raw =
@@ -943,24 +947,90 @@ let lookup_tests =
 (* ------------------------------------------------------------------ *)
 (* Batched classify                                                    *)
 
+(* A filter trained on 30 + 30 generated messages. *)
+let trained_filter ?tokenizer seed =
+  let filter = Filter.create ?tokenizer () in
+  let rng = Rng.create seed in
+  List.iter
+    (fun (label, m) -> Filter.train filter label m)
+    (List.init 30 (fun _ -> (Label.Ham, Generator.ham config rng))
+    @ List.init 30 (fun _ -> (Label.Spam, Generator.spam config rng)));
+  filter
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Bit for bit: indicator, verdict, and each clue's token and score. *)
+let check_same_classification what (want : Classify.result) (got : Classify.result) =
+  if
+    not
+      (bits_equal want.indicator got.indicator
+      && want.verdict = got.verdict
+      && List.length want.clues = List.length got.clues
+      && List.for_all2
+           (fun (a : Classify.clue) (b : Classify.clue) ->
+             a.token = b.token && bits_equal a.score b.score)
+           want.clues got.clues)
+  then
+    Alcotest.failf "%s: indicator %h vs %h, %d vs %d clues" what want.indicator
+      got.indicator (List.length want.clues) (List.length got.clues)
+
+(* The second option set makes a never-seen token a clue: it scores
+   0.3, outside a 0.05 band. *)
+let unseen_clue_options =
+  { Options.default with Options.unknown_word_prob = 0.3; minimum_prob_strength = 0.05 }
+
 let classify_tests =
   [
+    test_case "Filter.classify equals the string oracle" (fun () ->
+        check_bool "second option set scores unseen tokens" true
+          (Options.unknown_word_is_clue unseen_clue_options
+          && not (Options.unknown_word_is_clue Options.default));
+        List.iter
+          (fun (_, tokenizer) ->
+            let trained = trained_filter ~tokenizer 8 in
+            List.iter
+              (fun options ->
+                let filter = Filter.set_options trained options in
+                for n = 1_000 to 1_099 do
+                  let m = gen_message n in
+                  (* The filter first: the oracle interns what it scores. *)
+                  let got = Filter.classify filter m in
+                  check_same_classification
+                    (Printf.sprintf "%s, message %d" (Tokenizer.name tokenizer) n)
+                    (Oracle.By_string.classify filter m)
+                    got
+                done)
+              [ Options.default; unseen_clue_options ])
+          Tokenizer.all);
+    test_case "Filter.classify of unseen words interns nothing" (fun () ->
+        let filter = trained_filter 9 in
+        let words = List.init 7 (Printf.sprintf "qzv%dxk") in
+        let m = msg (String.concat " " ("meeting" :: words)) in
+        let before = Intern.size () in
+        ignore (Filter.classify filter m);
+        check_int "intern table unchanged" before (Intern.size ());
+        (* Where an unseen word can be a clue, it is interned and named
+           as the oracle names it. *)
+        let filter = Filter.set_options filter unseen_clue_options in
+        let got = Filter.classify filter m in
+        check_bool "unseen words interned" true
+          (List.for_all (fun w -> Intern.find w <> None) words);
+        check_bool "and named as clues" true
+          (List.for_all
+             (fun w -> List.exists (fun (c : Classify.clue) -> c.token = w) got.clues)
+             words);
+        check_same_classification "unseen-word message"
+          (Oracle.By_string.classify filter m) got);
     test_case "classify_many agrees with per-message classify" (fun () ->
-        let filter = Filter.create () in
-        let rng = Rng.create 5 in
-        let train =
-          List.init 30 (fun _ -> (Label.Ham, Generator.ham config rng))
-          @ List.init 30 (fun _ -> (Label.Spam, Generator.spam config rng))
-        in
-        Filter.train_corpus filter train;
+        let filter = trained_filter 5 in
         let test_msgs = Array.init 40 gen_message in
-        (* The span ingest path's ids, scored through the filter's
-           cache, against the string features path. *)
+        (* The span ingest path's ids, interned and scored through the
+           filter's cache, against the lookup-only [Filter.classify]. *)
         let batched =
           Array.map
             (fun m ->
               Filter.classify_ids filter
-                (fst (Ingest.unique_ids (Filter.tokenizer filter) m)))
+                (fst (unique_ids (Filter.tokenizer filter) m)))
             test_msgs
         in
         Array.iteri
@@ -974,11 +1044,7 @@ let classify_tests =
             check_bool "clues" true (single.Classify.clues = b.Classify.clues))
           test_msgs);
     test_case "classify_mbox classifies every chunk" (fun () ->
-        let filter = Filter.create () in
-        let rng = Rng.create 6 in
-        Filter.train_corpus filter
-          (List.init 20 (fun _ -> (Label.Ham, Generator.ham config rng))
-          @ List.init 20 (fun _ -> (Label.Spam, Generator.spam config rng)));
+        let filter = trained_filter 6 in
         let msgs = List.init 10 gen_message in
         let text = mbox_of_messages msgs in
         let results = Filter.classify_mbox filter text in

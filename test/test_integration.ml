@@ -40,6 +40,11 @@ let train_examples, test_examples =
 
 let base_filter = Poison.base_filter tokenizer train_examples
 
+(* An attack's payload, interned once as the poisoning entry points
+   take it. *)
+let payload_ids attack =
+  Spamlab_spambayes.Intern.intern_array (Attack.payload tokenizer attack)
+
 let confusion_of filter examples =
   Poison.confusion_of_scores Options.default
     (Poison.score_examples filter examples)
@@ -74,7 +79,7 @@ let dictionary_attack_tests =
   [
     test_case "a 5% dictionary attack cripples ham delivery" (fun () ->
         let payload =
-          Attack.payload tokenizer
+          payload_ids
             (Attack.make ~name:"aspell" ~words:(Lab.aspell lab ~size:20_000))
         in
         let count = Poison.attack_count ~train_size:500 ~fraction:0.05 in
@@ -85,11 +90,11 @@ let dictionary_attack_tests =
         check_bool "poisoned is crippled" true (after > 0.5));
     test_case "optimal attack dominates aspell at equal size" (fun () ->
         let optimal_payload =
-          Attack.payload tokenizer
+          payload_ids
             (Attack.make ~name:"optimal" ~words:(Lab.optimal_words lab))
         in
         let aspell_payload =
-          Attack.payload tokenizer
+          payload_ids
             (Attack.make ~name:"aspell" ~words:(Lab.aspell lab ~size:20_000))
         in
         let count = Poison.attack_count ~train_size:500 ~fraction:0.02 in
@@ -102,7 +107,7 @@ let dictionary_attack_tests =
         check_bool "ordering" true (optimal_damage >= aspell_damage));
     test_case "attack barely touches spam classification" (fun () ->
         let payload =
-          Attack.payload tokenizer
+          payload_ids
             (Attack.make ~name:"usenet" ~words:(Lab.usenet_top lab ~size:19_000))
         in
         let count = Poison.attack_count ~train_size:500 ~fraction:0.05 in
@@ -168,7 +173,7 @@ let defense_tests =
           Lab.corpus lab ~name:"integration-roni" ~size:200 ~spam_fraction:0.5
         in
         let attack_payload =
-          Attack.payload tokenizer
+          payload_ids
             (Attack.make ~name:"usenet" ~words:(Lab.usenet_top lab ~size:19_000))
         in
         let attack = Roni.assess rng ~pool ~candidate:attack_payload in
@@ -176,7 +181,7 @@ let defense_tests =
           Dataset.of_message tokenizer Label.Spam
             (Generator.spam (Lab.config lab) rng)
         in
-        let benign = Roni.assess rng ~pool ~candidate:benign_spam.Dataset.tokens in
+        let benign = Roni.assess rng ~pool ~candidate:benign_spam.Dataset.ids in
         check_bool "attack rejected" true attack.Roni.rejected;
         check_bool "benign accepted" false benign.Roni.rejected;
         check_bool "margin" true
@@ -184,7 +189,7 @@ let defense_tests =
     test_case "dynamic thresholds keep poisoned ham out of the spam folder"
       (fun () ->
         let payload =
-          Attack.payload tokenizer
+          payload_ids
             (Attack.make ~name:"usenet" ~words:(Lab.usenet_top lab ~size:19_000))
         in
         let count = Poison.attack_count ~train_size:500 ~fraction:0.05 in
@@ -201,7 +206,7 @@ let defense_tests =
                  ((Dataset.classify derivation e).Classify.indicator,
                   e.Dataset.label, 1))
                half_b)
-            [| ((Filter.classify_tokens derivation payload).Classify.indicator,
+            [| ((Filter.classify_ids derivation payload).Classify.indicator,
                 Label.Spam, count - (count / 2)) |]
         in
         let theta0, theta1 = Dynamic_threshold.thresholds_of_scores scores in

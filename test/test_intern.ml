@@ -14,6 +14,14 @@ let test_case name f = Alcotest.test_case name `Quick f
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
+(* Token counts by string, for fixtures: the oracle's lookup through
+   [Intern.find], which never interns. *)
+let spam_count = Spamlab_oracle.By_string.spam_count
+let ham_count = Spamlab_oracle.By_string.ham_count
+
+(* Fixture tokens, interned as the id entry points take them. *)
+let ids_of = Intern.intern_array
+
 let save_string db =
   let path = Filename.temp_file "spamlab" ".db" in
   Fun.protect
@@ -392,33 +400,33 @@ let untrain_duplicate_tests =
            "dup" (count 1 > 0), decremented once, then blew up mid-way,
            leaving nspam and the counts corrupted. *)
         let db = Token_db.create () in
-        Token_db.train db Label.Spam [| "dup"; "solo" |];
+        Token_db.train_ids db Label.Spam (ids_of [| "dup"; "solo" |]);
         Alcotest.check_raises "rejected"
           (Invalid_argument
              "Token_db.untrain: token \"dup\" was never trained") (fun () ->
-            Token_db.untrain db Label.Spam [| "dup"; "dup" |]);
+            Token_db.untrain_ids db Label.Spam (ids_of [| "dup"; "dup" |]));
         check_int "nspam intact" 1 (Token_db.nspam db);
-        check_int "dup count intact" 1 (Token_db.spam_count db "dup");
-        check_int "solo count intact" 1 (Token_db.spam_count db "solo");
+        check_int "dup count intact" 1 (spam_count db "dup");
+        check_int "solo count intact" 1 (spam_count db "solo");
         check_int "distinct intact" 2 (Token_db.distinct_tokens db));
     test_case "duplicates round-trip when trained with duplicates"
       (fun () ->
         let db = Token_db.create () in
-        Token_db.train db Label.Ham [| "dup"; "dup"; "other" |];
-        check_int "trained twice" 2 (Token_db.ham_count db "dup");
-        Token_db.untrain db Label.Ham [| "dup"; "dup"; "other" |];
-        check_int "back to zero" 0 (Token_db.ham_count db "dup");
+        Token_db.train_ids db Label.Ham (ids_of [| "dup"; "dup"; "other" |]);
+        check_int "trained twice" 2 (ham_count db "dup");
+        Token_db.untrain_ids db Label.Ham (ids_of [| "dup"; "dup"; "other" |]);
+        check_int "back to zero" 0 (ham_count db "dup");
         check_int "nham zero" 0 (Token_db.nham db);
         check_int "empty again" 0 (Token_db.distinct_tokens db));
     test_case "validation precedes all mutation on a copy" (fun () ->
         let base = Token_db.create () in
-        Token_db.train base Label.Spam [| "shared-a"; "shared-b" |];
+        Token_db.train_ids base Label.Spam (ids_of [| "shared-a"; "shared-b" |]);
         let copy = Token_db.copy base in
         Alcotest.check_raises "rejected on the copy"
           (Invalid_argument
              "Token_db.untrain: token \"shared-a\" was never trained")
           (fun () ->
-            Token_db.untrain copy Label.Spam [| "shared-a"; "shared-a" |]);
+            Token_db.untrain_ids copy Label.Spam (ids_of [| "shared-a"; "shared-a" |]));
         check_str "copy still byte-identical to base" (save_string base)
           (save_string copy));
   ]
@@ -595,12 +603,12 @@ let apply_trace ?universe ?rename ?(after = fun _ -> ()) ops db rdb =
       (match op with
       | Train (label, idx) ->
           let tokens = resolve idx in
-          Token_db.train db label tokens;
+          Token_db.train_ids db label (ids_of tokens);
           Ref_db.train rdb label tokens;
           trained := (label, tokens) :: !trained
       | Train_many (label, idx, k) ->
           let tokens = resolve idx in
-          Token_db.train_many db label tokens k;
+          Token_db.train_many_ids db label (ids_of tokens) k;
           Ref_db.train_many rdb label tokens k;
           for _ = 1 to k do
             trained := (label, tokens) :: !trained
@@ -611,7 +619,7 @@ let apply_trace ?universe ?rename ?(after = fun _ -> ()) ops db rdb =
           | l ->
               let n = List.length l in
               let label, tokens = List.nth l (i mod n) in
-              Token_db.untrain db label tokens;
+              Token_db.untrain_ids db label (ids_of tokens);
               Ref_db.untrain rdb label tokens;
               trained :=
                 List.filteri (fun j _ -> j <> i mod n) l));
@@ -625,10 +633,10 @@ let agree ?(universe = universe) ?(rename = Fun.id) db rdb =
   && Array.for_all
        (fun tok ->
          let tok = rename tok in
-         Token_db.spam_count db tok = Ref_db.spam_count rdb tok
-         && Token_db.ham_count db tok = Ref_db.ham_count rdb tok)
+         spam_count db tok = Ref_db.spam_count rdb tok
+         && ham_count db tok = Ref_db.ham_count rdb tok)
        universe
-  && Token_db.spam_count db "never-trained-token" = 0
+  && spam_count db "never-trained-token" = 0
   && save_string db = Ref_db.save_string rdb
 
 let scores_agree ?(universe = universe) db rdb =
@@ -648,7 +656,9 @@ let scores_agree ?(universe = universe) db rdb =
   in
   List.for_all
     (fun probe ->
-      let got = Classify.score_ids options db (Intern.intern_array probe) in
+      let got =
+        Classify.score_engine (Classify.engine options db) (Intern.intern_array probe)
+      in
       let want = Ref_db.score options rdb probe in
       got.Classify.indicator = want.Classify.indicator
       && got.Classify.verdict = want.Classify.verdict
@@ -822,8 +832,8 @@ let cow_tests =
         let tokens = Array.init 300 (Printf.sprintf "race-copy-%03d") in
         let trained () =
           let db = Token_db.create () in
-          Token_db.train db Label.Spam tokens;
-          Token_db.train db Label.Ham (Array.sub tokens 0 100);
+          Token_db.train_ids db Label.Spam (ids_of tokens);
+          Token_db.train_ids db Label.Ham (ids_of (Array.sub tokens 0 100));
           db
         in
         for round = 1 to 40 do
@@ -848,54 +858,55 @@ let cow_tests =
           List.iter
             (fun c -> check_str "copy bytes" expected (Token_db.to_string c))
             copies;
-          Token_db.untrain db Label.Ham (Array.sub tokens 0 100);
+          Token_db.untrain_ids db Label.Ham (ids_of (Array.sub tokens 0 100));
           List.iteri
             (fun i c ->
-              Token_db.train c Label.Ham [| Printf.sprintf "race-copy-own-%d" i |])
+              Token_db.train_ids c Label.Ham
+                (ids_of [| Printf.sprintf "race-copy-own-%d" i |]))
             copies;
           check_int "source untrained its ham" 0
-            (Token_db.ham_count db tokens.(0));
-          check_int "source keeps its spam" 1 (Token_db.spam_count db tokens.(0));
+            (ham_count db tokens.(0));
+          check_int "source keeps its spam" 1 (spam_count db tokens.(0));
           List.iteri
             (fun i c ->
               check_int "copy keeps the ham the source untrained" 1
-                (Token_db.ham_count c tokens.(0));
+                (ham_count c tokens.(0));
               check_int "copy has its own token" 1
-                (Token_db.ham_count c (Printf.sprintf "race-copy-own-%d" i));
+                (ham_count c (Printf.sprintf "race-copy-own-%d" i));
               check_int "copy has no other copy's token" 0
-                (Token_db.ham_count c
+                (ham_count c
                    (Printf.sprintf "race-copy-own-%d" ((i + 1) mod 12))))
             copies;
           check_int "source sees no copy's token" 0
-            (Token_db.ham_count db "race-copy-own-0")
+            (ham_count db "race-copy-own-0")
         done);
     test_case "copy chains stay independent" (fun () ->
         let a = Token_db.create () in
-        Token_db.train a Label.Spam [| "chain-s" |];
+        Token_db.train_ids a Label.Spam (ids_of [| "chain-s" |]);
         let b = Token_db.copy a in
         let c = Token_db.copy b in
-        Token_db.train b Label.Ham [| "chain-h" |];
-        Token_db.untrain c Label.Spam [| "chain-s" |];
-        check_int "a keeps its spam count" 1 (Token_db.spam_count a "chain-s");
-        check_int "a has no ham" 0 (Token_db.ham_count a "chain-h");
-        check_int "b keeps both" 1 (Token_db.ham_count b "chain-h");
-        check_int "b keeps spam" 1 (Token_db.spam_count b "chain-s");
-        check_int "c emptied" 0 (Token_db.spam_count c "chain-s");
+        Token_db.train_ids b Label.Ham (ids_of [| "chain-h" |]);
+        Token_db.untrain_ids c Label.Spam (ids_of [| "chain-s" |]);
+        check_int "a keeps its spam count" 1 (spam_count a "chain-s");
+        check_int "a has no ham" 0 (ham_count a "chain-h");
+        check_int "b keeps both" 1 (ham_count b "chain-h");
+        check_int "b keeps spam" 1 (spam_count b "chain-s");
+        check_int "c emptied" 0 (spam_count c "chain-s");
         check_int "c distinct" 0 (Token_db.distinct_tokens c);
         check_int "a nspam" 1 (Token_db.nspam a);
         check_int "c nspam" 0 (Token_db.nspam c));
     test_case "mutating the original never leaks into an earlier copy"
       (fun () ->
         let base = Token_db.create () in
-        Token_db.train base Label.Ham [| "leak-x"; "leak-y" |];
+        Token_db.train_ids base Label.Ham (ids_of [| "leak-x"; "leak-y" |]);
         let snapshot = Token_db.copy base in
         let bytes_before = save_string snapshot in
-        Token_db.train_many base Label.Spam [| "leak-x"; "leak-z" |] 7;
-        Token_db.untrain base Label.Ham [| "leak-x"; "leak-y" |];
+        Token_db.train_many_ids base Label.Spam (ids_of [| "leak-x"; "leak-z" |]) 7;
+        Token_db.untrain_ids base Label.Ham (ids_of [| "leak-x"; "leak-y" |]);
         check_str "snapshot bytes unchanged" bytes_before
           (save_string snapshot);
         check_int "snapshot ham intact" 1
-          (Token_db.ham_count snapshot "leak-x"));
+          (ham_count snapshot "leak-x"));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -969,7 +980,7 @@ let history_messages common tag =
 let roni_sized_work msgs () =
   let f = Filter.create () in
   for i = 0 to 19 do
-    Filter.train_ids f (if i mod 2 = 0 then Label.Spam else Label.Ham) msgs.(i)
+    Token_db.train_ids (Filter.db f) (if i mod 2 = 0 then Label.Spam else Label.Ham) msgs.(i)
   done;
   for i = 20 to 69 do
     ignore (Filter.classify_ids f msgs.(i))

@@ -235,7 +235,8 @@ let determinism_tests =
         in
         let stream =
           Array.init 6 (fun i ->
-              Array.init 9 (fun j -> Printf.sprintf "cand%d-%d" i j))
+              Spamlab_spambayes.Intern.intern_array
+                (Array.init 9 (fun j -> Printf.sprintf "cand%d-%d" i j)))
         in
         let config =
           { Roni.default_config with train_size = 6; validation_size = 12;

@@ -12,6 +12,9 @@ module Fault = Spamlab_fault
 
 let score_ids_reference = Spamlab_oracle.Scoring.score_ids_reference
 
+(* Fixture tokens, interned as the id entry points take them. *)
+let ids_of = Intern.intern_array
+
 let check_bool = Alcotest.(check bool)
 let test_case name f = Alcotest.test_case name `Quick f
 
@@ -95,7 +98,8 @@ let filter_differential ops =
           true
       | Untrain ->
           (match Queue.take_opt trained with
-          | Some (label, tokens) -> Filter.untrain_tokens filter label tokens
+          | Some (label, tokens) ->
+              Token_db.untrain_ids (Filter.db filter) label (ids_of tokens)
           | None -> ());
           true
       | Classify ixs ->
@@ -131,8 +135,8 @@ let with_tmp_dir f =
 let store_differential ops =
   with_tmp_dir @@ fun dir ->
   let prior = Token_db.create () in
-  Token_db.train prior Label.Spam (msg_of_indices [ 0; 1; 2; 3 ]);
-  Token_db.train prior Label.Ham (msg_of_indices [ 4; 5; 6; 7 ]);
+  Token_db.train_ids prior Label.Spam (ids_of (msg_of_indices [ 0; 1; 2; 3 ]));
+  Token_db.train_ids prior Label.Ham (ids_of (msg_of_indices [ 4; 5; 6; 7 ]));
   let config =
     { Store.default_config with Store.backend = `Sharded dir; shards = 4;
       cache = 2 }
@@ -225,12 +229,12 @@ let tie_break_tests =
         let cluster =
           Array.init 40 (fun i -> Printf.sprintf "tie-%c-%d" (Char.chr (122 - (i mod 9))) i)
         in
-        Array.iter (fun t -> Token_db.train db Label.Spam [| t |]) cluster;
-        Token_db.train db Label.Ham [| "ballast" |];
+        Array.iter (fun t -> Token_db.train_ids db Label.Spam (ids_of [| t |])) cluster;
+        Token_db.train_ids db Label.Ham (ids_of [| "ballast" |]);
         Intern.freeze ();
         let ids = Intern.intern_array cluster in
         let options = Options.default in
-        let fast = Classify.score_ids options db ids in
+        let fast = Classify.score_engine (Classify.engine options db) ids in
         let reference = score_ids_reference options db ids in
         check_bool "bit-identical" true (same_result fast reference);
         let tokens = List.map (fun c -> c.Classify.token) fast.Classify.clues in
@@ -239,15 +243,15 @@ let tie_break_tests =
     test_case "post-freeze ids fall back to byte compare" (fun () ->
         let db = Token_db.create () in
         let covered = Array.init 12 (fun i -> Printf.sprintf "cov-%02d" i) in
-        Array.iter (fun t -> Token_db.train db Label.Spam [| t |]) covered;
+        Array.iter (fun t -> Token_db.train_ids db Label.Spam (ids_of [| t |])) covered;
         Intern.freeze ();
         (* Interned after the freeze: rank is -1 for these, so sorting
            mixes int-compare and byte-compare paths in one message. *)
         let fresh = Array.init 12 (fun i -> Printf.sprintf "cov-%02d-x" i) in
-        Array.iter (fun t -> Token_db.train db Label.Spam [| t |]) fresh;
+        Array.iter (fun t -> Token_db.train_ids db Label.Spam (ids_of [| t |])) fresh;
         let ids = Intern.intern_array (Array.append covered fresh) in
         let options = Options.default in
-        let fast = Classify.score_ids options db ids in
+        let fast = Classify.score_engine (Classify.engine options db) ids in
         let reference = score_ids_reference options db ids in
         check_bool "bit-identical" true (same_result fast reference));
     test_case "winner truncation happens after the tie-break" (fun () ->
@@ -255,11 +259,11 @@ let tie_break_tests =
            ones survive depends entirely on the tie-break order. *)
         let db = Token_db.create () in
         let cluster = Array.init 30 (fun i -> Printf.sprintf "trunc-%02d" i) in
-        Array.iter (fun t -> Token_db.train db Label.Spam [| t |]) cluster;
+        Array.iter (fun t -> Token_db.train_ids db Label.Spam (ids_of [| t |])) cluster;
         Intern.freeze ();
         let options = { Options.default with Options.max_discriminators = 7 } in
         let ids = Intern.intern_array cluster in
-        let fast = Classify.score_ids options db ids in
+        let fast = Classify.score_engine (Classify.engine options db) ids in
         let reference = score_ids_reference options db ids in
         check_bool "bit-identical" true (same_result fast reference);
         check_bool "truncated" true (List.length fast.Classify.clues = 7));

@@ -1057,7 +1057,7 @@ let db_rows db_path =
   | Ok f ->
       List.sort compare
         (Token_db.fold
-           (fun acc tok ~spam ~ham -> (tok, spam, ham) :: acc)
+           (fun acc id ~spam ~ham -> (Intern.to_string id, spam, ham) :: acc)
            [] (Filter.db f))
 
 let stat_line payload name =

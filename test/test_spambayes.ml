@@ -15,6 +15,14 @@ let test_case name f = Alcotest.test_case name `Quick f
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
+(* Token counts by string, for fixtures: the oracle's lookup through
+   [Intern.find], which never interns. *)
+let spam_count = Spamlab_oracle.By_string.spam_count
+let ham_count = Spamlab_oracle.By_string.ham_count
+
+(* Fixture tokens, interned as the id entry points take them. *)
+let ids_of = Intern.intern_array
+
 (* ------------------------------------------------------------------ *)
 (* Label                                                               *)
 
@@ -79,7 +87,9 @@ let options_tests =
 
 let db_with training =
   let db = Token_db.create () in
-  List.iter (fun (label, tokens) -> Token_db.train db label (Array.of_list tokens)) training;
+  List.iter
+    (fun (label, tokens) -> Token_db.train_ids db label (ids_of (Array.of_list tokens)))
+    training;
   db
 
 let db_round_trip db =
@@ -117,64 +127,64 @@ let token_db_tests =
         in
         check_int "nspam" 1 (Token_db.nspam db);
         check_int "nham" 1 (Token_db.nham db);
-        check_int "spam(cheap)" 1 (Token_db.spam_count db "cheap");
-        check_int "ham(cheap)" 0 (Token_db.ham_count db "cheap");
-        check_int "spam(pills)" 1 (Token_db.spam_count db "pills");
-        check_int "ham(pills)" 1 (Token_db.ham_count db "pills");
-        check_int "unknown" 0 (Token_db.spam_count db "nothing");
+        check_int "spam(cheap)" 1 (spam_count db "cheap");
+        check_int "ham(cheap)" 0 (ham_count db "cheap");
+        check_int "spam(pills)" 1 (spam_count db "pills");
+        check_int "ham(pills)" 1 (ham_count db "pills");
+        check_int "unknown" 0 (spam_count db "nothing");
         check_int "distinct" 3 (Token_db.distinct_tokens db));
     test_case "train_many equals repeated train" (fun () ->
         let a = Token_db.create () in
         let b = Token_db.create () in
         let tokens = [| "x"; "y" |] in
-        Token_db.train_many a Label.Spam tokens 5;
+        Token_db.train_many_ids a Label.Spam (ids_of tokens) 5;
         for _ = 1 to 5 do
-          Token_db.train b Label.Spam tokens
+          Token_db.train_ids b Label.Spam (ids_of tokens)
         done;
         check_int "nspam" (Token_db.nspam b) (Token_db.nspam a);
-        check_int "x" (Token_db.spam_count b "x") (Token_db.spam_count a "x"));
+        check_int "x" (spam_count b "x") (spam_count a "x"));
     test_case "train_many zero is a no-op" (fun () ->
         let db = Token_db.create () in
-        Token_db.train_many db Label.Ham [| "z" |] 0;
+        Token_db.train_many_ids db Label.Ham (ids_of [| "z" |]) 0;
         check_int "nham" 0 (Token_db.nham db);
-        check_int "z" 0 (Token_db.ham_count db "z"));
+        check_int "z" 0 (ham_count db "z"));
     test_case "train_many rejects negative" (fun () ->
         let db = Token_db.create () in
         Alcotest.check_raises "neg"
           (Invalid_argument "Token_db.train_many: negative count") (fun () ->
-            Token_db.train_many db Label.Ham [| "z" |] (-1)));
+            Token_db.train_many_ids db Label.Ham (ids_of [| "z" |]) (-1)));
     test_case "untrain inverts train" (fun () ->
         let db = db_with [ (Label.Ham, [ "a"; "b" ]) ] in
-        Token_db.train db Label.Spam [| "a"; "c" |];
-        Token_db.untrain db Label.Spam [| "a"; "c" |];
+        Token_db.train_ids db Label.Spam (ids_of [| "a"; "c" |]);
+        Token_db.untrain_ids db Label.Spam (ids_of [| "a"; "c" |]);
         check_int "nspam" 0 (Token_db.nspam db);
-        check_int "spam a" 0 (Token_db.spam_count db "a");
-        check_int "ham a" 1 (Token_db.ham_count db "a");
-        check_int "c gone" 0 (Token_db.spam_count db "c");
+        check_int "spam a" 0 (spam_count db "a");
+        check_int "ham a" 1 (ham_count db "a");
+        check_int "c gone" 0 (spam_count db "c");
         check_int "distinct" 2 (Token_db.distinct_tokens db));
     test_case "untrain of untrained message fails atomically" (fun () ->
         let db = db_with [ (Label.Spam, [ "a" ]) ] in
         check_bool "raises" true
           (try
-             Token_db.untrain db Label.Spam [| "a"; "never-seen" |];
+             Token_db.untrain_ids db Label.Spam (ids_of [| "a"; "never-seen" |]);
              false
            with Invalid_argument _ -> true);
         (* The failed untrain must not have decremented anything. *)
         check_int "nspam intact" 1 (Token_db.nspam db);
-        check_int "a intact" 1 (Token_db.spam_count db "a"));
+        check_int "a intact" 1 (spam_count db "a"));
     test_case "untrain without messages of that class fails" (fun () ->
         let db = db_with [ (Label.Spam, [ "a" ]) ] in
         check_bool "raises" true
           (try
-             Token_db.untrain db Label.Ham [| "a" |];
+             Token_db.untrain_ids db Label.Ham (ids_of [| "a" |]);
              false
            with Invalid_argument _ -> true));
     test_case "copy is independent" (fun () ->
         let db = db_with [ (Label.Ham, [ "x" ]) ] in
         let copy = Token_db.copy db in
-        Token_db.train copy Label.Spam [| "x" |];
-        check_int "original spam" 0 (Token_db.spam_count db "x");
-        check_int "copy spam" 1 (Token_db.spam_count copy "x"));
+        Token_db.train_ids copy Label.Spam (ids_of [| "x" |]);
+        check_int "original spam" 0 (spam_count db "x");
+        check_int "copy spam" 1 (spam_count copy "x"));
     test_case "save/load round-trip" (fun () ->
         let db =
           db_with
@@ -196,8 +206,8 @@ let token_db_tests =
             | Ok db' ->
                 check_int "nspam" (Token_db.nspam db) (Token_db.nspam db');
                 check_int "nham" (Token_db.nham db) (Token_db.nham db');
-                check_int "alpha spam" 1 (Token_db.spam_count db' "alpha");
-                check_int "alpha ham" 1 (Token_db.ham_count db' "alpha");
+                check_int "alpha spam" 1 (spam_count db' "alpha");
+                check_int "alpha ham" 1 (ham_count db' "alpha");
                 check_int "distinct" (Token_db.distinct_tokens db)
                   (Token_db.distinct_tokens db')));
     test_case "load rejects garbage" (fun () ->
@@ -229,10 +239,10 @@ let token_db_tests =
               (fun token ->
                 check_int
                   ("spam count of " ^ String.escaped token)
-                  (Token_db.spam_count db token)
-                  (Token_db.spam_count db' token))
+                  (spam_count db token)
+                  (spam_count db' token))
               nasty;
-            check_int "tab token ham" 1 (Token_db.ham_count db' "a\tb"));
+            check_int "tab token ham" 1 (ham_count db' "a\tb"));
     test_case "load rejects negative counts" (fun () ->
         let r = db_load_string "spamlab-token-db 2 1 1\ntok\t-1\t0\n" in
         check_bool "error" true (Result.is_error r));
@@ -257,7 +267,7 @@ let token_db_tests =
         | Error e -> Alcotest.fail e
         | Ok db ->
             (* v1 never escaped, so its backslashes are literal. *)
-            check_int "verbatim token" 1 (Token_db.spam_count db "back\\slash"));
+            check_int "verbatim token" 1 (spam_count db "back\\slash"));
     test_case "fold visits every token" (fun () ->
         let db = db_with [ (Label.Ham, [ "a"; "b"; "c" ]) ] in
         check_int "count" 3
@@ -269,10 +279,10 @@ let token_db_tests =
       (fun words ->
         let tokens = Array.of_list (List.sort_uniq compare words) in
         let db = db_with [ (Label.Ham, [ "base" ]) ] in
-        Token_db.train db Label.Spam tokens;
-        Token_db.untrain db Label.Spam tokens;
+        Token_db.train_ids db Label.Spam (ids_of tokens);
+        Token_db.untrain_ids db Label.Spam (ids_of tokens);
         Token_db.nspam db = 0
-        && Array.for_all (fun t -> Token_db.spam_count db t = 0) tokens);
+        && Array.for_all (fun t -> spam_count db t = 0) tokens);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -402,8 +412,8 @@ let persistence_tests =
             check_bool "checksum failed" true
               (s.Token_db.checksum_ok = Some false);
             check_int "alpha spam intact" 1
-              (Token_db.spam_count s.Token_db.db "alpha");
-            check_int "beta lost" 0 (Token_db.spam_count s.Token_db.db "beta"));
+              (spam_count s.Token_db.db "alpha");
+            check_int "beta lost" 0 (spam_count s.Token_db.db "beta"));
     test_case "Filter.save_file is atomic: a failed write leaves nothing"
       (fun () ->
         let module Fault = Spamlab_fault in
@@ -526,39 +536,17 @@ let persistence_tests =
 (* ------------------------------------------------------------------ *)
 (* Score                                                               *)
 
+(* f(w) of a fixture token, interned, through the id entry point. *)
+let smoothed options db token = Score.smoothed_id options db (Intern.id token)
+
 let score_tests =
   [
-    test_case "raw matches Eq. 1 by hand" (fun () ->
-        (* 2 spam messages (1 with w), 4 ham (1 with w):
-           PS = (NH*NS(w)) / (NH*NS(w) + NS*NH(w)) = 4 / (4 + 2) = 2/3 *)
-        let db =
-          db_with
-            [ (Label.Spam, [ "w"; "s1" ]); (Label.Spam, [ "s2" ]);
-              (Label.Ham, [ "w" ]); (Label.Ham, [ "h1" ]);
-              (Label.Ham, [ "h2" ]); (Label.Ham, [ "h3" ]) ]
-        in
-        match Score.raw db "w" with
-        | Some ps -> check_close 1e-12 "ps" (2.0 /. 3.0) ps
-        | None -> Alcotest.fail "expected a score");
-    test_case "raw is None for unknown tokens" (fun () ->
-        let db = db_with [ (Label.Spam, [ "x" ]) ] in
-        check_bool "none" true (Score.raw db "y" = None));
-    test_case "raw spam-only token is 1, ham-only is 0" (fun () ->
-        let db = db_with [ (Label.Spam, [ "s" ]); (Label.Ham, [ "h" ]) ] in
-        check_bool "spam-only" true (Score.raw db "s" = Some 1.0);
-        check_bool "ham-only" true (Score.raw db "h" = Some 0.0));
-    test_case "smoothed matches Eq. 2 by hand" (fun () ->
-        (* token in 1 spam of 1, 0 ham of 1: PS=1, N=1
-           f = (0.45*0.5 + 1*1)/(0.45+1) = 1.225/1.45 *)
-        let db = db_with [ (Label.Spam, [ "w" ]); (Label.Ham, [ "h" ]) ] in
-        check_close 1e-12 "f" (1.225 /. 1.45)
-          (Score.smoothed Options.default db "w"));
     test_case "unknown token scores the prior" (fun () ->
         let db = db_with [ (Label.Spam, [ "x" ]); (Label.Ham, [ "y" ]) ] in
-        check_float "prior" 0.5 (Score.smoothed Options.default db "zzz"));
+        check_float "prior" 0.5 (smoothed Options.default db "zzz"));
     test_case "empty database scores the prior" (fun () ->
         let db = Token_db.create () in
-        check_float "prior" 0.5 (Score.smoothed Options.default db "any"));
+        check_float "prior" 0.5 (smoothed Options.default db "any"));
     test_case "more evidence moves f further from prior" (fun () ->
         let weak = db_with [ (Label.Spam, [ "w" ]); (Label.Ham, [ "h" ]) ] in
         let strong =
@@ -568,28 +556,40 @@ let score_tests =
               (Label.Ham, [ "h2" ]); (Label.Ham, [ "h3" ]) ]
         in
         check_bool "stronger" true
-          (Score.smoothed Options.default strong "w"
-          > Score.smoothed Options.default weak "w"));
+          (smoothed Options.default strong "w" > smoothed Options.default weak "w"));
+    test_case "smoothed matches Eq. 2 by hand" (fun () ->
+        (* token in 1 spam of 1, 0 ham of 1: PS=1, N=1
+           f = (0.45*0.5 + 1*1)/(0.45+1) = 1.225/1.45 *)
+        let db = db_with [ (Label.Spam, [ "w" ]); (Label.Ham, [ "h" ]) ] in
+        check_close 1e-12 "f" (1.225 /. 1.45) (smoothed Options.default db "w"));
     test_case "strength and significance" (fun () ->
+        (* Strength is |f(w) − 0.5|; a token enters δ(E) when it clears
+           [minimum_prob_strength]. *)
         let db = db_with [ (Label.Spam, [ "s" ]); (Label.Ham, [ "h" ]) ] in
-        check_bool "significant spam token" true
-          (Score.is_significant Options.default db "s");
-        check_bool "unknown not significant" false
-          (Score.is_significant Options.default db "unseen");
-        check_close 1e-12 "strength of unknown" 0.0
-          (Score.strength Options.default db "unseen"));
+        let strength token = Float.abs (smoothed Options.default db token -. 0.5) in
+        let band = Options.default.Options.minimum_prob_strength in
+        check_bool "significant spam token" true (strength "s" >= band);
+        check_bool "unknown not significant" false (strength "unseen" >= band);
+        check_close 1e-12 "strength of unknown" 0.0 (strength "unseen");
+        let clues =
+          (Classify.score_engine (Classify.engine Options.default db)
+             (Intern.intern_array [| "s"; "unseen" |]))
+            .Classify.clues
+        in
+        check_bool "only the significant token is a clue" true
+          (List.map (fun c -> c.Classify.token) clues = [ "s" ]));
     qtest "smoothed always in (0,1)"
       QCheck2.Gen.(
         pair (int_range 0 5) (int_range 0 5))
       (fun (s, h) ->
         let db = Token_db.create () in
         for _ = 1 to s do
-          Token_db.train db Label.Spam [| "w" |]
+          Token_db.train_ids db Label.Spam (ids_of [| "w" |])
         done;
         for _ = 1 to h do
-          Token_db.train db Label.Ham [| "w" |]
+          Token_db.train_ids db Label.Ham (ids_of [| "w" |])
         done;
-        let f = Score.smoothed Options.default db "w" in
+        let f = smoothed Options.default db "w" in
         f > 0.0 && f < 1.0);
   ]
 
@@ -600,19 +600,20 @@ let training_db () =
   let db = Token_db.create () in
   (* 10 spam with spammy vocab, 10 ham with hammy vocab, overlap word. *)
   for i = 1 to 10 do
-    Token_db.train db Label.Spam
-      [| "viagra"; "cheap"; "offer"; "sale" ^ string_of_int i; "common" |];
-    Token_db.train db Label.Ham
-      [| "meeting"; "report"; "budget"; "note" ^ string_of_int i; "common" |]
+    Token_db.train_ids db Label.Spam
+      (Intern.intern_array
+         [| "viagra"; "cheap"; "offer"; "sale" ^ string_of_int i; "common" |]);
+    Token_db.train_ids db Label.Ham
+      (Intern.intern_array
+         [| "meeting"; "report"; "budget"; "note" ^ string_of_int i; "common" |])
   done;
   db
 
 (* δ(E) as the served pipeline selects it. *)
-let clues_of options db tokens =
-  (Classify.score_ids options db (Intern.intern_array tokens)).Classify.clues
-
 let score_tokens options db tokens =
-  Classify.score_ids options db (Intern.intern_array tokens)
+  Classify.score_engine (Classify.engine options db) (Intern.intern_array tokens)
+
+let clues_of options db tokens = (score_tokens options db tokens).Classify.clues
 
 (* Differential inputs for [Classify.score_probs]: a universe interned
    and ranked by one [Intern.freeze], beside strings interned after it
@@ -673,9 +674,9 @@ let classify_tests =
              clues));
     test_case "discriminators sorted by strength" (fun () ->
         let db = training_db () in
-        Token_db.train db Label.Spam [| "weakish" |];
-        Token_db.train db Label.Ham [| "weakish" |];
-        Token_db.train db Label.Spam [| "weakish" |];
+        Token_db.train_ids db Label.Spam (ids_of [| "weakish" |]);
+        Token_db.train_ids db Label.Ham (ids_of [| "weakish" |]);
+        Token_db.train_ids db Label.Spam (ids_of [| "weakish" |]);
         (match clues_of Options.default db [| "weakish"; "viagra" |] with
         | first :: _ -> check_str "strongest first" "viagra" first.Classify.token
         | [] -> Alcotest.fail "no clues");
@@ -697,8 +698,8 @@ let classify_tests =
     test_case "max_discriminators caps the clue list" (fun () ->
         let db = Token_db.create () in
         let tokens = Array.init 300 (fun i -> "tok" ^ string_of_int i) in
-        Token_db.train db Label.Spam tokens;
-        Token_db.train db Label.Ham [| "other" |];
+        Token_db.train_ids db Label.Spam (ids_of tokens);
+        Token_db.train_ids db Label.Ham (ids_of [| "other" |]);
         let options = { Options.default with Options.max_discriminators = 7 } in
         check_int "capped" 7 (List.length (clues_of options db tokens));
         check_int "capped at the paper's 150" 150
@@ -832,17 +833,20 @@ let filter_tests =
         check_int "same nham" 1 (Token_db.nham (Filter.db strict));
         check_bool "same db" true (Filter.db strict == Filter.db filter));
     test_case "train_corpus trains everything" (fun () ->
+        (* A labelled corpus trains through [Dataset.train_filter]. *)
         let filter = Filter.create () in
-        Filter.train_corpus filter
-          [ (Label.Ham, mk_msg "a" "one two three");
-            (Label.Spam, mk_msg "b" "four five six") ];
+        Spamlab_corpus.Dataset.train_filter filter
+          (Spamlab_corpus.Dataset.of_labeled (Filter.tokenizer filter)
+             [| (Label.Ham, mk_msg "a" "one two three");
+                (Label.Spam, mk_msg "b" "four five six") |]);
         check_int "nham" 1 (Token_db.nham (Filter.db filter));
         check_int "nspam" 1 (Token_db.nspam (Filter.db filter)));
     test_case "untrain reverses a training mistake" (fun () ->
         let filter = Filter.create () in
         let msg = mk_msg "oops" "mistaken words here" in
         Filter.train filter Label.Spam msg;
-        Filter.untrain filter Label.Spam msg;
+        Token_db.untrain_ids (Filter.db filter) Label.Spam
+          (Intern.intern_array (Filter.features filter msg));
         check_int "nspam" 0 (Token_db.nspam (Filter.db filter));
         check_int "distinct" 0 (Token_db.distinct_tokens (Filter.db filter)));
     test_case "save/load file round-trip preserves classification" (fun () ->
@@ -864,7 +868,8 @@ let filter_tests =
                 check_close 1e-12 "same score" (score filter) (score loaded)));
     test_case "token_score of unknown is the prior" (fun () ->
         let filter = Filter.create () in
-        check_float "prior" 0.5 (Filter.token_score filter "unseen"));
+        check_float "prior" 0.5
+          (smoothed (Filter.options filter) (Filter.db filter) "unseen"));
     test_case "features uses the filter's tokenizer" (fun () ->
         let filter =
           Filter.create ~tokenizer:Spamlab_tokenizer.Tokenizer.bogofilter ()
@@ -908,13 +913,13 @@ let property_tests =
         let tokens = Array.of_list (List.sort_uniq compare words) in
         let a = Token_db.create () in
         let b = Token_db.create () in
-        Token_db.train_many a Label.Spam tokens k;
+        Token_db.train_many_ids a Label.Spam (ids_of tokens) k;
         for _ = 1 to k do
-          Token_db.train b Label.Spam tokens
+          Token_db.train_ids b Label.Spam (ids_of tokens)
         done;
         Token_db.nspam a = Token_db.nspam b
         && Array.for_all
-             (fun t -> Token_db.spam_count a t = Token_db.spam_count b t)
+             (fun t -> spam_count a t = spam_count b t)
              tokens);
     qtest "save/load round-trips random databases" ~count:100
       (* The token alphabet deliberately includes the format's own
@@ -935,7 +940,7 @@ let property_tests =
         List.iter
           (fun (token, is_spam, times) ->
             let label = if is_spam then Label.Spam else Label.Ham in
-            Token_db.train_many db label [| token |] times)
+            Token_db.train_many_ids db label (ids_of [| token |]) times)
           entries;
         let path = Filename.temp_file "spamlab-prop" ".db" in
         Fun.protect
@@ -954,10 +959,10 @@ let property_tests =
                 && Token_db.nham db = Token_db.nham db'
                 && Token_db.distinct_tokens db = Token_db.distinct_tokens db'
                 && Token_db.fold
-                     (fun acc token ~spam ~ham ->
+                     (fun acc id ~spam ~ham ->
                        acc
-                       && Token_db.spam_count db' token = spam
-                       && Token_db.ham_count db' token = ham)
+                       && Token_db.spam_count_id db' id = spam
+                       && Token_db.ham_count_id db' id = ham)
                      true db));
     qtest "score_tokens indicator bounded for random dbs" ~count:100
       QCheck2.Gen.(
@@ -973,7 +978,7 @@ let property_tests =
         List.iter
           (fun (token, is_spam, times) ->
             let label = if is_spam then Label.Spam else Label.Ham in
-            Token_db.train_many db label [| token |] times)
+            Token_db.train_many_ids db label (ids_of [| token |]) times)
           training;
         let tokens =
           Array.of_list (List.sort_uniq compare message)

@@ -15,6 +15,14 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let test_case name f = Alcotest.test_case name `Quick f
 
+(* Token counts by string, for fixtures: the oracle's lookup through
+   [Intern.find], which never interns. *)
+let spam_count = Spamlab_oracle.By_string.spam_count
+let ham_count = Spamlab_oracle.By_string.ham_count
+
+(* Fixture tokens, interned as the id entry points take them. *)
+let ids_of = Intern.intern_array
+
 (* ------------------------------------------------------------------ *)
 (* Scaffolding. *)
 
@@ -46,8 +54,8 @@ let messages =
 
 let make_prior () =
   let db = Token_db.create () in
-  Token_db.train db Label.Spam [| "cheap"; "pharmacy"; "viagra" |];
-  Token_db.train db Label.Ham [| "meeting"; "report"; "hello" |];
+  Token_db.train_ids db Label.Spam (ids_of [| "cheap"; "pharmacy"; "viagra" |]);
+  Token_db.train_ids db Label.Ham (ids_of [| "meeting"; "report"; "hello" |]);
   db
 
 let open_exn ?prior config =
@@ -103,10 +111,16 @@ let ops_of_seeds ?(msgs = messages) ?(name = user) ~users seeds =
           Some (Train (u, label, msg, k)))
     seeds
 
+(* A message's distinct tokens, interned, as the id forms take them
+   ([Store.train] collapses duplicates itself). *)
+let distinct_ids msg =
+  ids_of (Array.of_list (List.sort_uniq String.compare (Array.to_list msg)))
+
 let apply st = function
   | Train (u, label, msg, 1) -> Store.train st ~user:u label msg
-  | Train (u, label, msg, k) -> Store.train_many st ~user:u label msg k
-  | Untrain (u, label, msg) -> Store.untrain st ~user:u label msg
+  | Train (u, label, msg, k) ->
+      Store.train_many_ids st ~user:u label (distinct_ids msg) k
+  | Untrain (u, label, msg) -> Store.untrain_ids st ~user:u label (distinct_ids msg)
 
 let snapshot st u = Store.with_user st u Token_db.to_string
 
@@ -209,8 +223,8 @@ let nasty_users = [| "user-0"; "tab\tuser"; "back\\slash-user"; "nl\nuser" |]
 
 let make_nasty_prior () =
   let db = Token_db.create () in
-  Token_db.train db Label.Spam [| "plain"; "tab\there" |];
-  Token_db.train db Label.Ham [| ""; "nl\nhere"; "zz" |];
+  Token_db.train_ids db Label.Spam (ids_of [| "plain"; "tab\there" |]);
+  Token_db.train_ids db Label.Ham (ids_of [| ""; "nl\nhere"; "zz" |]);
   db
 
 (* Bitwise CRC-32, independent of the table-driven one in the library. *)
@@ -242,9 +256,9 @@ let escape tok =
    does not diverge at all. *)
 let reference_block ~prior db user =
   let tokens d =
-    Token_db.fold (fun acc tok ~spam:_ ~ham:_ -> tok :: acc) [] d
+    Token_db.fold (fun acc id ~spam:_ ~ham:_ -> Intern.to_string id :: acc) [] d
   in
-  let counts d tok = (Token_db.spam_count d tok, Token_db.ham_count d tok) in
+  let counts d tok = (spam_count d tok, ham_count d tok) in
   let rows =
     List.sort_uniq String.compare (tokens db @ tokens prior)
     |> List.filter (fun tok -> counts db tok <> counts prior tok)
@@ -382,8 +396,8 @@ let id_form_tests =
     in
     let prior () =
       let db = Token_db.create () in
-      Token_db.train db Label.Spam [| vocab.(0); vocab.(2) |];
-      Token_db.train db Label.Ham [| vocab.(4); vocab.(10) |];
+      Token_db.train_ids db Label.Spam (ids_of [| vocab.(0); vocab.(2) |]);
+      Token_db.train_ids db Label.Ham (ids_of [| vocab.(4); vocab.(10) |]);
       db
     in
     ignore (Intern.intern_array (half 0));
@@ -555,6 +569,85 @@ let crash_tests =
                  r.Store.shard_reports));
   ]
 
+(* A checksum field is exactly the [%08x] text of its value.  The
+   stores below have one shard, so [verify_dir] reads one segment and
+   one journal. *)
+let one_shard_store dir =
+  let cfg =
+    { (sharded_config dir) with Store.shards = 1; compact_ratio = 1e9 }
+  in
+  let sh = open_exn ~prior:(make_prior ()) cfg in
+  train_all sh;
+  (sh, cfg)
+
+let shard_report dir =
+  match Store.verify_dir dir with
+  | Error e -> Alcotest.fail ("verify_dir: " ^ e)
+  | Ok { Store.shard_reports = [ r ]; _ } -> r
+  | Ok _ -> Alcotest.fail "expected one shard"
+
+let checksum_tests =
+  [
+    test_case "every bit flip of a segment footer is reported corrupt"
+      (fun () ->
+        with_tmp_dir @@ fun dir ->
+        let sh, _ = one_shard_store dir in
+        Store.compact_all sh;
+        Store.close sh;
+        let seg = Filename.concat dir "shard-0000.seg" in
+        let data = read_file seg in
+        let footer = String.rindex_from data (String.length data - 2) '\n' + 1 in
+        let crc = String.sub data (footer + 28) 8 in
+        check_bool "the footer CRC has a hex letter to flip the case of" true
+          (String.exists (fun c -> c >= 'a' && c <= 'f') crc);
+        check_bool "intact" true ((shard_report dir).Store.segment = `Ok);
+        for i = footer to String.length data - 1 do
+          for bit = 0 to 7 do
+            let b = Bytes.of_string data in
+            Bytes.set b i (Char.chr (Char.code data.[i] lxor (1 lsl bit)));
+            write_file seg (Bytes.to_string b);
+            match (shard_report dir).Store.segment with
+            | `Corrupt _ -> ()
+            | _ -> Alcotest.failf "footer byte %d bit %d flipped: not corrupt" i bit
+          done
+        done);
+    test_case "an upper-cased journal CRC is a CRC mismatch" (fun () ->
+        with_tmp_dir @@ fun dir ->
+        let sh, cfg = one_shard_store dir in
+        Store.commit sh;
+        Store.close sh;
+        let j = Filename.concat dir "shard-0000.journal" in
+        let data = read_file j in
+        (* The first hex letter of a record's CRC field (past the
+           header): one copy spells it upper-case, one as another letter,
+           so another value. *)
+        let rec find_letter i =
+          let field = String.rindex_from data i '=' in
+          if
+            data.[i] >= 'a' && data.[i] <= 'f'
+            && i - field <= 8
+            && String.sub data (field - 3) 3 = "crc"
+          then i
+          else find_letter (i + 1)
+        in
+        let at = find_letter (String.index data '\n' + 1) in
+        let with_char c = String.mapi (fun i x -> if i = at then c else x) data in
+        let upper = with_char (Char.uppercase_ascii data.[at]) in
+        let other = with_char (if data.[at] = 'a' then 'b' else 'a') in
+        let outcome bytes =
+          write_file j bytes;
+          let report = (shard_report dir).Store.journal in
+          let sh = open_exn cfg in
+          Fun.protect ~finally:(fun () -> Store.close sh) @@ fun () ->
+          (report, List.map (fun u -> snapshot sh (user u)) [ 0; 1; 2 ])
+        in
+        let mismatch = outcome other in
+        check_bool "a mismatch is not ok" true
+          (match fst mismatch with `Ok _ -> false | _ -> true);
+        check_bool "upper case reads as the mismatch" true
+          (outcome upper = mismatch));
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Semantics details. *)
 
@@ -565,11 +658,24 @@ let semantics_tests =
         let sh = open_exn ~prior:(make_prior ()) (sharded_config dir) in
         Fun.protect ~finally:(fun () -> Store.close sh) @@ fun () ->
         let before = snapshot sh "alice" in
-        Store.train_many sh ~user:"alice" Label.Spam messages.(0) 3;
+        Store.train_many_ids sh ~user:"alice" Label.Spam (distinct_ids messages.(0)) 3;
         for _ = 1 to 3 do
-          Store.untrain sh ~user:"alice" Label.Spam messages.(0)
+          Store.untrain_ids sh ~user:"alice" Label.Spam (distinct_ids messages.(0))
         done;
         check_string "round trip" before (snapshot sh "alice"));
+    test_case "train_many_ids: k = 0 journals nothing, k < 0 is rejected"
+      (fun () ->
+        with_tmp_dir @@ fun dir ->
+        let sh = open_exn ~prior:(make_prior ()) (sharded_config dir) in
+        Fun.protect ~finally:(fun () -> Store.close sh) @@ fun () ->
+        let before = snapshot sh "alice" in
+        let ids = distinct_ids messages.(0) in
+        Store.train_many_ids sh ~user:"alice" Label.Spam ids 0;
+        Alcotest.check_raises "negative"
+          (Invalid_argument "Store.train_many_ids: negative count") (fun () ->
+            Store.train_many_ids sh ~user:"alice" Label.Spam ids (-1));
+        check_string "state untouched" before (snapshot sh "alice");
+        check_int "nothing journaled" 0 (Store.stats sh).Store.journal_ops);
     test_case "untrain of a never-trained message mutates nothing" (fun () ->
         with_tmp_dir @@ fun dir ->
         let sh = open_exn ~prior:(make_prior ()) (sharded_config dir) in
@@ -577,7 +683,9 @@ let semantics_tests =
         let before = snapshot sh "alice" in
         let ops_before = (Store.stats sh).Store.journal_ops in
         check_bool "raises" true
-          (match Store.untrain sh ~user:"alice" Label.Spam messages.(0) with
+          (match
+             Store.untrain_ids sh ~user:"alice" Label.Spam (distinct_ids messages.(0))
+           with
           | () -> false
           | exception Invalid_argument _ -> true);
         check_string "state untouched" before (snapshot sh "alice");
@@ -621,13 +729,13 @@ let semantics_tests =
         let sh = open_exn cfg in
         Store.train sh ~user:"alice" Label.Spam [| "b"; "a"; "b"; "c"; "a" |];
         Store.train sh ~user:"alice" Label.Ham [| "a"; "b"; "c" |];
-        Store.train_many sh ~user:"alice" Label.Spam
-          [| "tab\tx"; ""; "tab\tx" |]
+        Store.train_many_ids sh ~user:"alice" Label.Spam
+          (Intern.intern_array [| "tab\tx"; "" |])
           2;
         Store.with_user sh "alice" (fun db ->
-            check_int "a duplicate counts once" 1 (Token_db.spam_count db "b");
+            check_int "a duplicate counts once" 1 (spam_count db "b");
             check_int "once per message of k" 2
-              (Token_db.spam_count db "tab\tx"));
+              (spam_count db "tab\tx"));
         Store.close sh;
         let record fields =
           let prefix = String.concat "\t" fields ^ "\t" in
@@ -637,9 +745,9 @@ let semantics_tests =
           (String.concat ""
              [
                "spamlab-store-journal 1 0 1 seg_crc=00000000\n";
-               record [ "T"; "alice"; "s"; "1"; "b"; "a"; "c" ];
+               record [ "T"; "alice"; "s"; "1"; "a"; "b"; "c" ];
                record [ "T"; "alice"; "h"; "1"; "a"; "b"; "c" ];
-               record [ "T"; "alice"; "s"; "2"; "tab\\tx"; "" ];
+               record [ "T"; "alice"; "s"; "2"; ""; "tab\\tx" ];
                record [ "C" ];
              ])
           (read_file (Filename.concat dir "shard-0000.journal")));
@@ -694,8 +802,8 @@ let render_block ~salt (rows, extra, uline, torn) =
 
 let block_prior () =
   let db = Token_db.create () in
-  Token_db.train db Label.Spam [| "cheap"; "deal" |];
-  Token_db.train db Label.Ham [| "friday"; "deal" |];
+  Token_db.train_ids db Label.Spam (ids_of [| "cheap"; "deal" |]);
+  Token_db.train_ids db Label.Ham (ids_of [| "friday"; "deal" |]);
   db
 
 let apply_result f db = match f db with () -> Ok () | exception Sys_error e -> Error e
@@ -754,6 +862,7 @@ let () =
       ("segment", segment_tests);
       ("id form", id_form_tests);
       ("crash", crash_tests);
+      ("checksums", checksum_tests);
       ("semantics", semantics_tests);
       ("blocks", block_tests);
     ]
