@@ -270,8 +270,8 @@ run_leg() { # tag jobs [extra serve args...]
 run_leg sj1 1
 run_leg sj4 4
 # A third leg with the probability cache killed: the daemon's shared
-# snapshot cache must never influence a verdict, a clue, or the
-# published database.
+# snapshot cache must never influence a verdict, a clue, a STATS
+# counter, or the published database.
 export SPAMLAB_NO_PROB_CACHE=1
 run_leg snc 4
 unset SPAMLAB_NO_PROB_CACHE
@@ -280,7 +280,10 @@ cmp -s "$sdir/sj1.client.txt" "$sdir/snc.client.txt" \
        diff -u "$sdir/sj1.client.txt" "$sdir/snc.client.txt" | head -20; exit 1; }
 cmp -s "$sdir/sj1.db" "$sdir/snc.db" \
   || { echo "FAIL: published db differs with the prob cache disabled"; exit 1; }
-echo "serve: cached == uncached (client stdout, db)"
+cmp -s "$sdir/sj4.stats.txt" "$sdir/snc.stats.txt" \
+  || { echo "FAIL: STATS differ with the prob cache disabled"; \
+       diff -u "$sdir/sj4.stats.txt" "$sdir/snc.stats.txt"; exit 1; }
+echo "serve: cached == uncached (client stdout, STATS, db)"
 cmp -s "$sdir/sj1.client.txt" "$sdir/sj4.client.txt" \
   || { echo "FAIL: client stdout differs between daemon --jobs 1 and 4"; \
        diff -u "$sdir/sj1.client.txt" "$sdir/sj4.client.txt" | head -20; exit 1; }

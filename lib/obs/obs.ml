@@ -1,4 +1,4 @@
-type counter = { name : string; cell : int Atomic.t }
+type counter = Metrics.counter
 
 type span_stat = {
   mutable count : int;
@@ -7,13 +7,13 @@ type span_stat = {
 }
 
 (* Flags are Atomics so that [enabled] is one relaxed load on the fast
-   path; everything structural (both tables, the sink, the origin) is
-   guarded by [mutex]. *)
+   path; the span table, the sink and the origin are guarded by
+   [mutex].  The counters are one {!Metrics} registry. *)
 let tracing_flag = Atomic.make false
 let metrics_flag = Atomic.make false
 let detail_flag = Atomic.make false
 let mutex = Mutex.create ()
-let counters : (string, counter) Hashtbl.t = Hashtbl.create 32
+let registry = Metrics.create ()
 let span_stats : (string * int, span_stat) Hashtbl.t = Hashtbl.create 64
 let sink : out_channel option ref = ref None
 let next_span_id = Atomic.make 0
@@ -71,16 +71,8 @@ let configure_from_env () =
   | Some ("1" | "true" | "yes") -> enable_detail ()
   | Some _ | None -> ()
 
-let counter name =
-  locked (fun () ->
-      match Hashtbl.find_opt counters name with
-      | Some c -> c
-      | None ->
-          let c = { name; cell = Atomic.make 0 } in
-          Hashtbl.replace counters name c;
-          c)
-
-let add c n = if enabled () then ignore (Atomic.fetch_and_add c.cell n)
+let counter name = Metrics.counter registry name
+let add c n = if enabled () then Metrics.add c n
 let incr c = add c 1
 
 let domain_id () = (Domain.self () :> int)
@@ -152,20 +144,9 @@ let tick name =
         s.count <- s.count + 1)
   end
 
-let counters_snapshot () =
-  locked (fun () ->
-      Hashtbl.fold
-        (fun name c acc ->
-          let v = Atomic.get c.cell in
-          if v = 0 then acc else (name, v) :: acc)
-        counters [])
-  |> List.sort compare
+let counters_snapshot () = Metrics.counters registry
 
-let counter_value name =
-  locked (fun () ->
-      match Hashtbl.find_opt counters name with
-      | Some c -> Atomic.get c.cell
-      | None -> 0)
+let counter_value name = Metrics.value registry name
 
 let span_count name =
   locked (fun () ->
@@ -178,13 +159,6 @@ let stop () =
       match !sink with
       | None -> ()
       | Some oc ->
-          let snapshot =
-            Hashtbl.fold
-              (fun name c acc -> (name, Atomic.get c.cell) :: acc)
-              counters []
-            |> List.filter (fun (_, v) -> v <> 0)
-            |> List.sort compare
-          in
           List.iter
             (fun (name, value) ->
               output_string oc
@@ -194,7 +168,7 @@ let stop () =
                      Json.int "value" value;
                    ]);
               output_char oc '\n')
-            snapshot;
+            (counters_snapshot ());
           close_out oc;
           sink := None);
   Atomic.set tracing_flag false;
@@ -202,9 +176,8 @@ let stop () =
   Atomic.set detail_flag false
 
 let reset () =
-  locked (fun () ->
-      Hashtbl.iter (fun _ c -> Atomic.set c.cell 0) counters;
-      Hashtbl.reset span_stats)
+  Metrics.reset registry;
+  locked (fun () -> Hashtbl.reset span_stats)
 
 (* ------------------------------------------------------------------ *)
 (* Plain-text metrics dump                                             *)

@@ -1,6 +1,7 @@
-(** Process-wide observability: monotonic-clock spans and counters
-    with a thread-safe, domain-aware registry, an optional JSONL trace
-    sink, and a plain-text metrics dump.
+(** Process-wide observability: monotonic-clock spans with a
+    thread-safe, domain-aware registry, counters held in one
+    {!Metrics} registry, an optional JSONL trace sink, and a
+    plain-text metrics dump.
 
     {2 Overhead contract}
 

@@ -9,6 +9,7 @@ module Prob_cache = Spamlab_spambayes.Prob_cache
 module Tokenizer = Spamlab_tokenizer.Tokenizer
 module Fault = Spamlab_fault
 module Obs = Spamlab_obs.Obs
+module Metrics = Spamlab_obs.Metrics
 module Clock = Spamlab_obs.Clock
 module Pool = Spamlab_parallel.Pool
 module Store = Spamlab_store.Store
@@ -70,107 +71,35 @@ let default_config ?addr ~db_path () =
 (* ------------------------------------------------------------------ *)
 (* Statistics                                                          *)
 
-(* Per-verb latency: log2-of-microseconds buckets.  Bucket [i] holds
-   samples with [2^(i-1) <= us < 2^i] (bucket 0 holds us = 0), so the
-   quantile render reports an upper bound, never a fabricated exact
-   value. *)
-type lat = { mutable count : int; mutable max_us : int; buckets : int array }
+let verdict_metric = function
+  | Label.Ham_v -> "verdicts.ham"
+  | Label.Unsure_v -> "verdicts.unsure"
+  | Label.Spam_v -> "verdicts.spam"
 
-let lat () = { count = 0; max_us = 0; buckets = Array.make 63 0 }
-
-let bucket_of_us us =
-  let rec bits n acc = if n = 0 then acc else bits (n lsr 1) (acc + 1) in
-  bits us 0
-
-let lat_record l us =
-  let us = max 0 us in
-  l.count <- l.count + 1;
-  if us > l.max_us then l.max_us <- us;
-  let b = bucket_of_us us in
-  l.buckets.(b) <- l.buckets.(b) + 1
-
-(* Upper bound of the bucket holding the q-quantile sample. *)
-let lat_quantile l q =
-  if l.count = 0 then 0
-  else begin
-    let rank = max 1 (int_of_float (ceil (q *. float_of_int l.count))) in
-    let rec go i seen =
-      if i >= Array.length l.buckets then l.max_us
-      else
-        let seen = seen + l.buckets.(i) in
-        if seen >= rank then (if i = 0 then 0 else (1 lsl i) - 1) else go (i + 1) seen
-    in
-    min (go 0 0) l.max_us
-  end
-
-let n_verbs = 7
-
-let verb_index : Protocol.verb -> int = function
-  | Ping -> 0
-  | Stats -> 1
-  | Publish -> 2
-  | Classify -> 3
-  | Train _ -> 4
-  | Untrain _ -> 5
-  | Health -> 6
-
-let verb_stat_name =
-  [| "ping"; "stats"; "publish"; "classify"; "train"; "untrain"; "health" |]
-
-type stats = {
-  mutable connections : int;
-  mutable protocol_errors : int;
-  mutable io_errors : int;
-  requests : int array;  (* per verb_index *)
-  mutable body_bytes : int;
-  mutable classify_msgs : int;
-  mutable classify_malformed : int;
-  mutable verdict_ham : int;
-  mutable verdict_unsure : int;
-  mutable verdict_spam : int;
-  mutable train_msgs : int;
-  mutable train_malformed : int;
-  mutable untrain_msgs : int;
-  mutable untrain_malformed : int;
-  (* Robustness counters (PR 10).  All timing- or load-dependent, so
-     their STATS lines render in the nondeterministic tail. *)
-  mutable shed_conns : int;  (* connections refused with BUSY *)
-  mutable shed_requests : int;  (* requests answered BUSY over quota *)
-  mutable timeout_read : int;
-  mutable timeout_write : int;
-  mutable timeout_idle : int;
-  mutable degraded_entered : int;
-  mutable degraded_recovered : int;
-  mutable drain_aborted : int;  (* conns still open at the drain deadline *)
-  latencies : lat array;  (* per verb_index *)
-}
-
-let make_stats () =
-  {
-    connections = 0;
-    protocol_errors = 0;
-    io_errors = 0;
-    requests = Array.make n_verbs 0;
-    body_bytes = 0;
-    classify_msgs = 0;
-    classify_malformed = 0;
-    verdict_ham = 0;
-    verdict_unsure = 0;
-    verdict_spam = 0;
-    train_msgs = 0;
-    train_malformed = 0;
-    untrain_msgs = 0;
-    untrain_malformed = 0;
-    shed_conns = 0;
-    shed_requests = 0;
-    timeout_read = 0;
-    timeout_write = 0;
-    timeout_idle = 0;
-    degraded_entered = 0;
-    degraded_recovered = 0;
-    drain_aborted = 0;
-    latencies = Array.init n_verbs (fun _ -> lat ());
-  }
+(* The daemon's registry, every counter registered at 0 so that STATS
+   renders it before its first count.  The robustness counters, like the
+   latency histograms, follow timing and load, not the request stream. *)
+let create_metrics () =
+  let m = Metrics.create () in
+  List.iter
+    (fun name -> ignore (Metrics.counter m name))
+    ([
+       "body.bytes"; "classify.malformed"; "classify.messages"; "connections";
+       "io.errors"; "protocol.errors"; "train.malformed"; "train.messages";
+       "untrain.malformed"; "untrain.messages"; "verdicts.ham"; "verdicts.spam";
+       "verdicts.unsure";
+     ]
+    @ List.map (( ^ ) "requests.")
+        [ "classify"; "health"; "ping"; "publish"; "stats"; "train"; "untrain" ]);
+  List.iter
+    (fun name -> ignore (Metrics.counter m ~deterministic:false name))
+    [
+      "degraded.entered"; "degraded.recovered"; "drain.aborted";
+      "shed.connections"; "shed.requests"; "timeout.idle"; "timeout.read";
+      "timeout.write";
+    ];
+  Metrics.gauge m "intern.size" Intern.size;
+  m
 
 type t = {
   config : config;
@@ -200,18 +129,11 @@ type t = {
      a changed boot is its cue that buffered training was lost and must
      be replayed. *)
   boot : int;
-  stats : stats;
+  metrics : Metrics.t;
 }
 
 let publish_seq t = t.seq
-
-(* Obs counters (cheap handles; no-ops while obs is disabled). *)
-let c_requests = Obs.counter "serve.requests"
-let c_connections = Obs.counter "serve.connections"
-let c_protocol_errors = Obs.counter "serve.protocol_errors"
-let c_publishes = Obs.counter "serve.publishes"
-
-let obs_span_name = Array.map (fun v -> "serve.request." ^ v) verb_stat_name
+let count t name n = Metrics.add (Metrics.counter t.metrics name) n
 
 (* ------------------------------------------------------------------ *)
 (* State                                                               *)
@@ -254,7 +176,7 @@ let create config =
                  the freeze so it is sized to the full vocabulary. *)
               Intern.freeze ();
               let baseline = Token_db.copy (Filter.db delta) in
-              Ok
+              let t =
                 {
                   config;
                   pool = Pool.create ~jobs;
@@ -270,8 +192,12 @@ let create config =
                   publish_fault_streak = 0;
                   draining = false;
                   boot = Unix.getpid ();
-                  stats = make_stats ();
-                }))
+                  metrics = create_metrics ();
+                }
+              in
+              Metrics.gauge t.metrics "publish.seq" (fun () -> t.seq);
+              Metrics.gauge t.metrics "train.pending" (fun () -> t.pending);
+              Ok t))
 
 (* Clean shutdown leaves the canonical on-disk form, whatever the
    publish cadence was: every shard folded into its segment (tenant ops
@@ -298,7 +224,7 @@ let note_publish_result t ~ok =
     t.publish_fault_streak <- 0;
     if t.degraded then begin
       t.degraded <- false;
-      t.stats.degraded_recovered <- t.stats.degraded_recovered + 1
+      count t "degraded.recovered" 1
     end
   end
   else begin
@@ -307,7 +233,7 @@ let note_publish_result t ~ok =
     if (not t.degraded) && budget > 0 && t.publish_fault_streak >= budget
     then begin
       t.degraded <- true;
-      t.stats.degraded_entered <- t.stats.degraded_entered + 1
+      count t "degraded.entered" 1
     end
   end
 
@@ -342,8 +268,7 @@ let publish t =
          publish). *)
       t.baseline_cache <-
         Prob_cache.create ~shared:true t.config.options t.baseline;
-      note_publish_result t ~ok:true;
-      Obs.incr c_publishes
+      note_publish_result t ~ok:true
 
 (* ------------------------------------------------------------------ *)
 (* Verb execution                                                      *)
@@ -354,14 +279,11 @@ let render_classify t results =
     (fun i r ->
       match r with
       | None ->
-          t.stats.classify_malformed <- t.stats.classify_malformed + 1;
+          count t "classify.malformed" 1;
           Buffer.add_string b (Printf.sprintf "%d malformed\n" i)
       | Some (r : Classify.result) ->
-          t.stats.classify_msgs <- t.stats.classify_msgs + 1;
-          (match r.verdict with
-          | Label.Ham_v -> t.stats.verdict_ham <- t.stats.verdict_ham + 1
-          | Label.Unsure_v -> t.stats.verdict_unsure <- t.stats.verdict_unsure + 1
-          | Label.Spam_v -> t.stats.verdict_spam <- t.stats.verdict_spam + 1);
+          count t "classify.messages" 1;
+          count t (verdict_metric r.verdict) 1;
           Buffer.add_string b
             (Printf.sprintf "%d %s %.6f\n" i
                (Label.verdict_to_string r.verdict)
@@ -506,88 +428,16 @@ let mutate t target kind cls body =
       in
       List.iter (undo 0) !applied;
       raise e);
-  let n = List.length msgs and s = t.stats in
-  let key =
-    match kind with
-    | `Train ->
-        s.train_msgs <- s.train_msgs + n;
-        s.train_malformed <- s.train_malformed + !dropped;
-        "trained"
-    | `Untrain ->
-        s.untrain_msgs <- s.untrain_msgs + n;
-        s.untrain_malformed <- s.untrain_malformed + !dropped;
-        "untrained"
+  let n = List.length msgs in
+  let verb, key =
+    match kind with `Train -> ("train", "trained") | `Untrain -> ("untrain", "untrained")
   in
+  count t (verb ^ ".messages") n;
+  count t (verb ^ ".malformed") !dropped;
   train_ack t target ~key n !dropped
 
 let stats_payload t =
-  let s = t.stats in
-  let b = Buffer.create 512 in
-  let line name v = Buffer.add_string b (Printf.sprintf "%s %d\n" name v) in
-  (* Deterministic counters, sorted by name. *)
-  line "body.bytes" s.body_bytes;
-  line "classify.malformed" s.classify_malformed;
-  line "classify.messages" s.classify_msgs;
-  line "connections" s.connections;
-  line "intern.size" (Intern.size ());
-  line "io.errors" s.io_errors;
-  line "protocol.errors" s.protocol_errors;
-  line "publish.seq" t.seq;
-  let sorted_verbs =
-    (* verb indices in lexicographic order of their stat names *)
-    [| 3; 6; 0; 2; 1; 4; 5 |]
-  in
-  Array.iter
-    (fun i -> line ("requests." ^ verb_stat_name.(i)) s.requests.(i))
-    sorted_verbs;
-  line "train.malformed" s.train_malformed;
-  line "train.messages" s.train_msgs;
-  line "train.pending" t.pending;
-  line "untrain.malformed" s.untrain_malformed;
-  line "untrain.messages" s.untrain_msgs;
-  line "verdicts.ham" s.verdict_ham;
-  line "verdicts.spam" s.verdict_spam;
-  line "verdicts.unsure" s.verdict_unsure;
-  (* Wall-clock lines: real time, not jobs-invariant; the "latency."
-     prefix is the filtering contract for deterministic consumers. *)
-  Array.iter
-    (fun i ->
-      let l = s.latencies.(i) in
-      if l.count > 0 then
-        Buffer.add_string b
-          (Printf.sprintf "latency.%s count=%d p50us<=%d p99us<=%d maxus=%d\n"
-             verb_stat_name.(i) l.count (lat_quantile l 0.50)
-             (lat_quantile l 0.99) l.max_us))
-    sorted_verbs;
-  (* Tenant-store cache/journal metrics: like "latency.", these live
-     after the deterministic block — cache hit/miss/eviction splits
-     depend on runtime interleavings, so deterministic consumers filter
-     the "store." prefix too. *)
-  (match t.store with
-  | None -> ()
-  | Some st ->
-      let ss = Store.stats st in
-      line "store.cached" ss.Store.cached;
-      line "store.compactions" ss.Store.compactions;
-      line "store.evictions" ss.Store.evictions;
-      line "store.journal_bytes" ss.Store.journal_bytes;
-      line "store.journal_ops" ss.Store.journal_ops;
-      line "store.overlay_hits" ss.Store.hits;
-      line "store.overlay_misses" ss.Store.misses);
-  (* Robustness counters: load- and timing-dependent (how many BUSYs a
-     client sees depends on scheduling), so they live with the other
-     nondeterministic tails — filter the "shed."/"timeout."/"degraded."/
-     "drain." prefixes along with "latency."/"store." for deterministic
-     consumption. *)
-  line "degraded.entered" s.degraded_entered;
-  line "degraded.recovered" s.degraded_recovered;
-  line "drain.aborted" s.drain_aborted;
-  line "shed.connections" s.shed_conns;
-  line "shed.requests" s.shed_requests;
-  line "timeout.idle" s.timeout_idle;
-  line "timeout.read" s.timeout_read;
-  line "timeout.write" s.timeout_write;
-  Buffer.contents b
+  Metrics.render (t.metrics :: Option.to_list (Option.map Store.metrics t.store))
 
 let health_payload t =
   let state =
@@ -598,7 +448,9 @@ let health_payload t =
   Printf.sprintf
     "state=%s seq=%d degraded.entered=%d degraded.recovered=%d \
      publish.fault.streak=%d\n"
-    state t.seq t.stats.degraded_entered t.stats.degraded_recovered
+    state t.seq
+    (Metrics.value t.metrics "degraded.entered")
+    (Metrics.value t.metrics "degraded.recovered")
     t.publish_fault_streak
 
 let exec t (req : Protocol.request) =
@@ -625,10 +477,9 @@ let exec t (req : Protocol.request) =
       | Ok target, _ -> classify t target req.body)
 
 let handle_request t (req : Protocol.request) =
-  let vi = verb_index req.verb in
-  t.stats.requests.(vi) <- t.stats.requests.(vi) + 1;
-  t.stats.body_bytes <- t.stats.body_bytes + String.length req.body;
-  Obs.incr c_requests;
+  let verb = String.lowercase_ascii (Protocol.verb_name req.verb) in
+  count t ("requests." ^ verb) 1;
+  count t "body.bytes" (String.length req.body);
   let start_ns = Clock.now_ns () in
   let resp =
     try exec t req with
@@ -644,9 +495,10 @@ let handle_request t (req : Protocol.request) =
         Protocol.Err (Printf.sprintf "%s: %s" fn (Unix.error_message e))
   in
   let stop_ns = Clock.now_ns () in
-  lat_record t.stats.latencies.(vi)
+  Metrics.observe
+    (Metrics.histogram t.metrics ~deterministic:false ("latency." ^ verb))
     (Int64.to_int (Int64.div (Int64.sub stop_ns start_ns) 1000L));
-  if Obs.enabled () then Obs.record_span obs_span_name.(vi) ~start_ns ~stop_ns;
+  if Obs.enabled () then Obs.record_span ("serve.request." ^ verb) ~start_ns ~stop_ns;
   resp
 
 (* ------------------------------------------------------------------ *)
@@ -721,8 +573,7 @@ let serve_one t c ~shed ~now =
     match Protocol.recv_request ~max_body:t.config.max_body c.c_reader with
     | `Eof -> `Close
     | `Error e ->
-        t.stats.protocol_errors <- t.stats.protocol_errors + 1;
-        Obs.incr c_protocol_errors;
+        count t "protocol.errors" 1;
         send_best_effort
           ?deadline:(opt_deadline ~now lim.write_timeout_s)
           c.c_fd (Protocol.Err e);
@@ -731,7 +582,7 @@ let serve_one t c ~shed ~now =
         Spamlab_io.set_deadline c.c_reader None;
         let resp =
           if shed then begin
-            t.stats.shed_requests <- t.stats.shed_requests + 1;
+            count t "shed.requests" 1;
             Protocol.Busy
           end
           else handle_request t req
@@ -744,27 +595,27 @@ let serve_one t c ~shed ~now =
             c.last_active <- Spamlab_io.monotonic_s ();
             `Keep
         | exception Spamlab_io.Timeout _ ->
-            t.stats.timeout_write <- t.stats.timeout_write + 1;
+            count t "timeout.write" 1;
             `Close
         | exception (Unix.Unix_error _ | Sys_error _ | Fault.Injected _) ->
             (* Includes a fatal injected write fault — the response is
                torn, so the connection is all that can be given up. *)
-            t.stats.io_errors <- t.stats.io_errors + 1;
+            count t "io.errors" 1;
             `Close)
     | exception Spamlab_io.Timeout _ ->
-        t.stats.timeout_read <- t.stats.timeout_read + 1;
+        count t "timeout.read" 1;
         send_best_effort
           ?deadline:(opt_deadline ~now:(Spamlab_io.monotonic_s ()) 1.0)
           c.c_fd
           (Protocol.Err "read deadline exceeded");
         `Close
     | exception (End_of_file | Unix.Unix_error _ | Sys_error _) ->
-        t.stats.io_errors <- t.stats.io_errors + 1;
+        count t "io.errors" 1;
         `Close
     | exception Fault.Injected _ ->
         (* A fatal injected read fault (transients were retried by
            Spamlab_io): degrade to one ERR, drop the connection. *)
-        t.stats.io_errors <- t.stats.io_errors + 1;
+        count t "io.errors" 1;
         send_best_effort c.c_fd (Protocol.Err "injected read fault");
         `Close
   in
@@ -789,14 +640,13 @@ let accept_admit t lfd conns ~now =
       | fd, _ ->
           let lim = t.config.limits in
           if lim.max_conns > 0 && List.length conns >= lim.max_conns then begin
-            t.stats.shed_conns <- t.stats.shed_conns + 1;
+            count t "shed.connections" 1;
             send_best_effort ?deadline:(opt_deadline ~now 1.0) fd Protocol.Busy;
             close_fd fd;
             conns
           end
           else begin
-            t.stats.connections <- t.stats.connections + 1;
-            Obs.incr c_connections;
+            count t "connections" 1;
             conns
             @ [
                 {
@@ -840,7 +690,7 @@ let run ?(ready = fun _ -> ()) ?(stop = fun () -> false) t =
         let draining = t.draining in
         if draining && (!conns = [] || now >= !drain_deadline) then begin
           (* Drain deadline: whatever is still open is abandoned. *)
-          t.stats.drain_aborted <- t.stats.drain_aborted + List.length !conns
+          count t "drain.aborted" (List.length !conns)
         end
         else begin
           let listen_fds = if draining then [] else [ lfd ] in
@@ -898,7 +748,7 @@ let run ?(ready = fun _ -> ()) ?(stop = fun () -> false) t =
                   List.filter
                     (fun c ->
                       if c.last_active < cutoff then begin
-                        t.stats.timeout_idle <- t.stats.timeout_idle + 1;
+                        count t "timeout.idle" 1;
                         close_fd c.c_fd;
                         false
                       end

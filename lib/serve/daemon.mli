@@ -124,15 +124,16 @@
 
     {2 Statistics}
 
-    The [STATS] verb renders request/verdict/train counters and the
-    intern table's size ([intern.size]), followed by per-verb latency
-    histogram lines (prefixed ["latency."]), the
-    tenant store's ["store."] counters when a store is configured, and
-    the robustness counters (["degraded."], ["drain."], ["shed."],
-    ["timeout."]), which render whatever the limits.  The leading counters
-    are a pure function of the request stream — identical at every
-    [--jobs] — while the tail describes real time and load and is
-    not; deterministic consumers filter those prefixes. *)
+    [STATS] renders the daemon's {!Spamlab_obs.Metrics} registry and
+    the tenant store's, if any: a deterministic section, then the rest,
+    each in name order.  The first — request, verdict and train
+    counters, [publish.seq], [train.pending] and the intern table's size
+    ([intern.size]) — is a pure function of the request stream,
+    identical at every [--jobs].  The rest describe real time and load:
+    per-verb latency histograms (["latency."]), the store's ["store."]
+    metrics and the robustness counters (["degraded."], ["drain."],
+    ["shed."], ["timeout."]), which render whatever the limits;
+    deterministic consumers filter those prefixes. *)
 
 type limits = {
   read_timeout_s : float;

@@ -93,20 +93,6 @@ let really_read ?site ?deadline fd buf pos len =
   in
   go pos len
 
-let really_write ?site ?deadline fd buf pos len =
-  if bad_range buf pos len then invalid_arg "Spamlab_io.really_write";
-  let attempts = ref 0 in
-  let rec go pos len =
-    if len > 0 then
-      let n =
-        syscall site attempts (fun () ->
-            await ~what:"write" ~for_write:true fd deadline;
-            Unix.write fd buf pos len)
-      in
-      go (pos + n) (len - n)
-  in
-  go pos len
-
 let really_write_string ?site ?deadline fd s pos len =
   if pos < 0 || len < 0 || pos > String.length s - len then
     invalid_arg "Spamlab_io.really_write_string";

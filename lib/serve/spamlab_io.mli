@@ -53,13 +53,10 @@ val read_some :
 (** One [Unix.read] with [EINTR]/transient retry: the number of bytes
     read (at least 1), or 0 at end of stream. *)
 
-val really_write :
-  ?site:string -> ?deadline:float -> Unix.file_descr -> bytes -> int -> int -> unit
-(** [really_write fd buf pos len] writes all [len] bytes, looping over
-    short writes.  @raise Invalid_argument on a bad range. *)
-
 val really_write_string :
   ?site:string -> ?deadline:float -> Unix.file_descr -> string -> int -> int -> unit
+(** [really_write_string fd s pos len] writes all [len] bytes, looping
+    over short writes.  @raise Invalid_argument on a bad range. *)
 
 (** {1 Whole files} *)
 

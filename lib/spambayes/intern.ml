@@ -108,16 +108,38 @@ let insert_slot slots h id =
   done;
   slots.(!i) <- id + 1
 
-(* Double the slot table.  The fault site fires before any mutation, so
-   an injected transient here leaves the table untouched and the
-   supervised task can simply retry. *)
-let grow_locked () =
-  Spamlab_fault.check "intern.grow";
-  let bigger = Array.make (2 * Array.length st.slots) 0 in
-  for id = 0 to Atomic.get st.count - 1 do
-    insert_slot bigger st.hashes.(id) id
-  done;
-  st.slots <- bigger
+let rec fit cap need = if cap >= need then cap else fit (2 * cap) need
+
+(* The id count a [reserve] announced; only touched under [st.mutex]. *)
+let reserved = ref 0
+
+(* Room for [need] ids: a table grows only when it must, and then to
+   hold every id announced too.  The fault site fires before any
+   mutation, so an injected transient leaves the table untouched and
+   the supervised task can simply retry.  Grown id arrays are published
+   only after copying: a racing [to_string] or frozen probe sees either
+   array, both valid for ids < count. *)
+let room_locked need =
+  let count = Atomic.get st.count and target = max need !reserved in
+  if 2 * need > Array.length st.slots then begin
+    Spamlab_fault.check "intern.grow";
+    let bigger = Array.make (fit (Array.length st.slots) (2 * target)) 0 in
+    for id = 0 to count - 1 do
+      insert_slot bigger st.hashes.(id) id
+    done;
+    st.slots <- bigger
+  end;
+  if need > Array.length st.names then begin
+    let cap = fit (Array.length st.names) target in
+    let names = Array.make cap unset and hashes = Array.make cap 0 in
+    Array.blit st.names 0 names 0 count;
+    Array.blit st.hashes 0 hashes 0 count;
+    st.hashes <- hashes;
+    st.names <- names
+  end
+
+let reserve n =
+  Mutex.protect st.mutex (fun () -> reserved := Atomic.get st.count + n)
 
 (* Refresh the snapshot whenever the table has grown well past it, so
    steady-state lookups stay lock-free even if nobody calls [freeze]
@@ -145,19 +167,7 @@ let intern_locked h s off len ~copy =
   | id when id >= 0 -> id
   | _ ->
       let id = Atomic.get st.count in
-      if 2 * (id + 1) > Array.length st.slots then grow_locked ();
-      if id >= Array.length st.names then begin
-        let cap = Array.length st.names in
-        let bigger = Array.make (2 * cap) unset in
-        Array.blit st.names 0 bigger 0 id;
-        let bigger_h = Array.make (2 * cap) 0 in
-        Array.blit st.hashes 0 bigger_h 0 id;
-        (* Publish the grown arrays only after copying: a racing
-           [to_string] or frozen probe sees either array, both valid for
-           ids < count. *)
-        st.hashes <- bigger_h;
-        st.names <- bigger
-      end;
+      room_locked (id + 1);
       st.names.(id) <-
         (if copy then begin
            Spamlab_obs.Obs.incr first_sighting;

@@ -100,6 +100,13 @@ val bulk_sub : string -> int -> int -> int
     the snapshot and share {!lookup}'s locked miss rule.
     @raise Invalid_argument on a bad slice. *)
 
+val reserve : int -> unit
+(** [reserve n] announces up to [n] more ids (a loader's row count):
+    a table that must grow before they are all interned grows at once
+    to hold them, so the slot table (through ["intern.grow"]) and the
+    id arrays grow at most once each, and not at all for rows already
+    interned. *)
+
 val intern_array : string array -> int array
 (** Intern a batch elementwise — at most one lock acquisition for all
     misses together. *)

@@ -164,9 +164,10 @@ let resize t slots =
   t.ov <- ov;
   t.ov_mask <- mask
 
-(* Size an empty [ov] for [n] entries, so a load fills it without
-   regrowing. *)
+(* Size an empty [ov] for [n] entries, and announce them to the intern
+   table, so a load fills both without regrowing. *)
 let reserve t n =
+  Intern.reserve n;
   if t.ov_size = 0 then begin
     let slots = ref 16 in
     while 3 * !slots < 4 * n do

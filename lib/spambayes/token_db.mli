@@ -168,8 +168,9 @@ val of_string : string -> (t, string) result
     interned in file order through {!Intern.bulk_sub}, so a canonical
     file's new ids arrive in byte order and the next {!Intern.freeze}
     merges them without a sort.  The CRC is fed where the bytes lie.
-    Memory is the db's table (reserved once from the line count) and
-    one string per first-seen token. *)
+    Memory is the db's table, sized once from the line count, and one
+    string per first-seen token; the count is announced to the intern
+    table ({!Intern.reserve}), which then grows at most once. *)
 
 val footer_crc : string -> int option
 (** The CRC-32 a v3 file's footer records, read from the last line of

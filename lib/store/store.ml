@@ -7,15 +7,8 @@ module Classify = Sb.Classify
 module Prob_cache = Sb.Prob_cache
 module Journal = Sb.Journal
 module Fault = Spamlab_fault
-module Obs = Spamlab_obs.Obs
+module Metrics = Spamlab_obs.Metrics
 module Io = Spamlab_io
-
-let c_hits = Obs.counter "store.overlay_hits"
-let c_misses = Obs.counter "store.overlay_misses"
-let c_evictions = Obs.counter "store.evictions"
-let c_journal_bytes = Obs.counter "store.journal_bytes"
-let c_journal_ops = Obs.counter "store.journal_ops"
-let c_compactions = Obs.counter "store.compactions"
 
 type backend = [ `Memory | `Sharded of string ]
 
@@ -119,16 +112,13 @@ type t = {
   shards : shard array;
   mem : (string, Token_db.t) Hashtbl.t;
   mem_lock : Mutex.t;
-  s_hits : int Atomic.t;
-  s_misses : int Atomic.t;
-  s_evictions : int Atomic.t;
-  s_journal_bytes : int Atomic.t;
-  s_journal_ops : int Atomic.t;
-  s_compactions : int Atomic.t;
+  metrics : Metrics.t;
 }
 
 let prior t = t.t_prior
 let nshards t = t.t_nshards
+let metrics t = t.metrics
+let count t name n = Metrics.add (Metrics.counter t.metrics name) n
 
 let fresh_shard id =
   {
@@ -420,20 +410,17 @@ let evict_one t sh =
       Fault.check "store.evict";
       lru_unlink sh n;
       Hashtbl.remove sh.sh_cache n.n_user;
-      Atomic.incr t.s_evictions;
-      Obs.incr c_evictions
+      count t "store.evictions" 1
 
 (* The cached overlay for [user], shard lock held. *)
 let overlay t sh user =
   match Hashtbl.find_opt sh.sh_cache user with
   | Some n ->
       lru_touch sh n;
-      Atomic.incr t.s_hits;
-      Obs.incr c_hits;
+      count t "store.overlay_hits" 1;
       n.n_db
   | None ->
-      Atomic.incr t.s_misses;
-      Obs.incr c_misses;
+      count t "store.overlay_misses" 1;
       let db = materialize t sh user in
       if Hashtbl.length sh.sh_cache >= t.cache_per_shard then evict_one t sh;
       let n = { n_user = user; n_db = db; n_prev = None; n_next = None } in
@@ -536,8 +523,7 @@ let compact_shard t sh =
   sh.sh_seg_crc <- crc;
   sh.sh_seg_len <-
     String.length header + Buffer.length body + String.length footer;
-  Atomic.incr t.s_compactions;
-  Obs.incr c_compactions
+  count t "store.compactions" 1
 
 let over_ratio t sh =
   float_of_int (Journal.payload (jrn sh))
@@ -551,28 +537,61 @@ let commit_shard t sh ~force_compact =
 (* ------------------------------------------------------------------ *)
 (* Public API. *)
 
+(* Overlays currently cached, in the memory table and every shard. *)
+let cached t =
+  let n = ref (Mutex.protect t.mem_lock (fun () -> Hashtbl.length t.mem)) in
+  Array.iter
+    (fun sh ->
+      Mutex.protect sh.sh_lock (fun () -> n := !n + Hashtbl.length sh.sh_cache))
+    t.shards;
+  !n
+
+(* The manifest's shard count, [None] when there is no manifest.  The
+   open path and [verify_dir] both read it here. *)
+let read_manifest dir =
+  match read_file (manifest_path dir) with
+  | None -> Ok None
+  | Some data -> (
+      match next_line data 0 with
+      | None -> Error "truncated manifest"
+      | Some (line, _) -> (
+          match String.split_on_char ' ' line with
+          | [ magic; v; ns ] when magic = manifest_magic -> (
+              match (int_of_string_opt v, int_of_string_opt ns) with
+              | Some 1, Some ns when ns >= 1 && ns <= 9999 -> Ok (Some ns)
+              | _ -> Error "bad manifest")
+          | _ -> Error "not a spamlab store directory"))
+
 let open_store ?(options = Options.default) ?prior cfg =
   let mk dir prior nshards =
-    {
-      cfg;
-      dir;
-      t_nshards = nshards;
-      cache_per_shard = max 1 (cfg.cache / max 1 nshards);
-      t_prior = prior;
-      t_prior_cache = Prob_cache.create ~shared:true options prior;
-      shards =
-        (match dir with
-        | None -> [||]
-        | Some _ -> Array.init nshards fresh_shard);
-      mem = Hashtbl.create 64;
-      mem_lock = Mutex.create ();
-      s_hits = Atomic.make 0;
-      s_misses = Atomic.make 0;
-      s_evictions = Atomic.make 0;
-      s_journal_bytes = Atomic.make 0;
-      s_journal_ops = Atomic.make 0;
-      s_compactions = Atomic.make 0;
-    }
+    (* Cache and journal counts follow the interleaving of tenants over
+       shards, so none of the store's metrics is deterministic. *)
+    let metrics = Metrics.create () in
+    List.iter
+      (fun name -> ignore (Metrics.counter metrics ~deterministic:false name))
+      [
+        "store.compactions"; "store.evictions"; "store.journal_bytes";
+        "store.journal_ops"; "store.overlay_hits"; "store.overlay_misses";
+      ];
+    let t =
+      {
+        cfg;
+        dir;
+        t_nshards = nshards;
+        cache_per_shard = max 1 (cfg.cache / max 1 nshards);
+        t_prior = prior;
+        t_prior_cache = Prob_cache.create ~shared:true options prior;
+        shards =
+          (match dir with
+          | None -> [||]
+          | Some _ -> Array.init nshards fresh_shard);
+        mem = Hashtbl.create 64;
+        mem_lock = Mutex.create ();
+        metrics;
+      }
+    in
+    Metrics.gauge metrics ~deterministic:false "store.cached" (fun () -> cached t);
+    t
   in
   match cfg.backend with
   | `Memory ->
@@ -584,26 +603,17 @@ let open_store ?(options = Options.default) ?prior cfg =
       if cfg.shards < 1 || cfg.shards > 9999 then
         Error "store: shards must be in 1..9999"
       else
-        match read_file (manifest_path dir) with
-        | Some data -> (
+        match read_manifest dir with
+        | Error e -> Error ("store: " ^ e)
+        | Ok (Some ns) -> (
             (* Reopen: the manifest and persisted prior win. *)
-            match next_line data 0 with
-            | None -> Error "store: truncated manifest"
-            | Some (line, _) -> (
-                match String.split_on_char ' ' line with
-                | [ magic; v; ns ] when magic = manifest_magic -> (
-                    match (int_of_string_opt v, int_of_string_opt ns) with
-                    | Some 1, Some ns when ns >= 1 && ns <= 9999 -> (
-                        match read_file (prior_path dir) with
-                        | None -> Error "store: missing prior.db"
-                        | Some pdata -> (
-                            match Token_db.of_string pdata with
-                            | Error e -> Error ("store prior.db: " ^ e)
-                            | Ok prior -> Ok (mk (Some dir) prior ns)))
-                    | _ -> Error "store: bad manifest"
-                    )
-                | _ -> Error "store: not a spamlab store directory"))
-        | None -> (
+            match read_file (prior_path dir) with
+            | None -> Error "store: missing prior.db"
+            | Some pdata -> (
+                match Token_db.of_string pdata with
+                | Error e -> Error ("store prior.db: " ^ e)
+                | Ok prior -> Ok (mk (Some dir) prior ns)))
+        | Ok None -> (
             (* Create, including missing parents (a sweep writes
                dir/users-N before anything made dir). *)
             let rec mkdir_p d =
@@ -639,12 +649,10 @@ let with_shard t user f =
 let mem_overlay t user =
   match Hashtbl.find_opt t.mem user with
   | Some db ->
-      Atomic.incr t.s_hits;
-      Obs.incr c_hits;
+      count t "store.overlay_hits" 1;
       db
   | None ->
-      Atomic.incr t.s_misses;
-      Obs.incr c_misses;
+      count t "store.overlay_misses" 1;
       let db = Token_db.copy t.t_prior in
       Hashtbl.replace t.mem user db;
       db
@@ -691,10 +699,8 @@ let sharded_op t user op =
           (exts := match !exts with _ :: tl -> tl | [] -> []);
           if !exts = [] then Hashtbl.remove sh.sh_pending user;
           raise exn);
-      Atomic.incr t.s_journal_ops;
-      ignore (Atomic.fetch_and_add t.s_journal_bytes len);
-      Obs.incr c_journal_ops;
-      Obs.add c_journal_bytes len;
+      count t "store.journal_ops" 1;
+      count t "store.journal_bytes" len;
       if Journal.buffered j > buf_flush_threshold then Journal.flush j)
 
 let mem_op t user op =
@@ -775,20 +781,15 @@ type stats = {
 }
 
 let stats t =
-  let cached = ref (Mutex.protect t.mem_lock (fun () -> Hashtbl.length t.mem)) in
-  Array.iter
-    (fun sh ->
-      Mutex.protect sh.sh_lock (fun () ->
-          cached := !cached + Hashtbl.length sh.sh_cache))
-    t.shards;
+  let v name = Metrics.value t.metrics ("store." ^ name) in
   {
-    hits = Atomic.get t.s_hits;
-    misses = Atomic.get t.s_misses;
-    evictions = Atomic.get t.s_evictions;
-    journal_bytes = Atomic.get t.s_journal_bytes;
-    journal_ops = Atomic.get t.s_journal_ops;
-    compactions = Atomic.get t.s_compactions;
-    cached = !cached;
+    hits = v "overlay_hits";
+    misses = v "overlay_misses";
+    evictions = v "evictions";
+    journal_bytes = v "journal_bytes";
+    journal_ops = v "journal_ops";
+    compactions = v "compactions";
+    cached = v "cached";
   }
 
 (* ------------------------------------------------------------------ *)
@@ -867,79 +868,53 @@ let verify_segment ~shard ~nshards data =
   | exception Failure e -> Error e
 
 let verify_dir dir =
-  match read_file (manifest_path dir) with
-  | None -> Error (Printf.sprintf "%s: no store manifest" dir)
-  | Some data -> (
-      match next_line data 0 with
-      | None -> Error "truncated manifest"
-      | Some (line, _) -> (
-          match String.split_on_char ' ' line with
-          | [ magic; v; ns ] when magic = manifest_magic -> (
-              match (int_of_string_opt v, int_of_string_opt ns) with
-              | Some 1, Some nshards when nshards >= 1 && nshards <= 9999 ->
-                  let reports =
-                    List.init nshards (fun s ->
-                        let seg_users = ref 0 and seg_rows = ref 0 in
-                        let seg_crc = ref None in
-                        let segment =
-                          match read_file (seg_path dir s) with
-                          | None ->
-                              seg_crc := Some 0;
-                              `Missing
-                          | Some data -> (
-                              match
-                                verify_segment ~shard:s ~nshards data
-                              with
-                              | Ok (crc, users, rows) ->
-                                  seg_crc := Some crc;
-                                  seg_users := users;
-                                  seg_rows := rows;
-                                  `Ok
-                              | Error e -> `Corrupt e)
-                        in
-                        let journal =
-                          match read_file (jrn_path dir s) with
-                          | None -> `Missing
-                          | Some data ->
-                              Journal.verify
-                                ~ident:(jrn_ident ~shard:s ~nshards)
-                                ~base_crc:!seg_crc data
-                        in
-                        {
-                          shard = s;
-                          seg_users = !seg_users;
-                          seg_rows = !seg_rows;
-                          segment;
-                          journal;
-                        })
-                  in
-                  let users =
-                    List.fold_left (fun a r -> a + r.seg_users) 0 reports
-                  in
-                  let rows =
-                    List.fold_left (fun a r -> a + r.seg_rows) 0 reports
-                  in
-                  let ops =
-                    List.fold_left
-                      (fun a r ->
-                        match r.journal with
-                        | `Ok n | `Torn (n, _) -> a + n
-                        | _ -> a)
-                      0 reports
-                  in
-                  let prior_ok =
-                    match read_file (prior_path dir) with
-                    | None -> Error "missing prior.db"
-                    | Some data -> Token_db.verify_string data
-                  in
-                  Ok
-                    {
-                      dir_shards = nshards;
-                      dir_users = users;
-                      dir_rows = rows;
-                      dir_ops = ops;
-                      shard_reports = reports;
-                      prior_ok;
-                    }
-              | _ -> Error "bad manifest")
-          | _ -> Error "not a spamlab store directory"))
+  match read_manifest dir with
+  | Error e -> Error e
+  | Ok None -> Error (Printf.sprintf "%s: no store manifest" dir)
+  | Ok (Some nshards) ->
+      let reports =
+        List.init nshards (fun s ->
+            let seg_users = ref 0 and seg_rows = ref 0 in
+            let seg_crc = ref None in
+            let segment =
+              match read_file (seg_path dir s) with
+              | None ->
+                  seg_crc := Some 0;
+                  `Missing
+              | Some data -> (
+                  match verify_segment ~shard:s ~nshards data with
+                  | Ok (crc, users, rows) ->
+                      seg_crc := Some crc;
+                      seg_users := users;
+                      seg_rows := rows;
+                      `Ok
+                  | Error e -> `Corrupt e)
+            in
+            let journal =
+              match read_file (jrn_path dir s) with
+              | None -> `Missing
+              | Some data ->
+                  Journal.verify
+                    ~ident:(jrn_ident ~shard:s ~nshards)
+                    ~base_crc:!seg_crc data
+            in
+            { shard = s; seg_users = !seg_users; seg_rows = !seg_rows; segment; journal })
+      in
+      let sum f = List.fold_left (fun a r -> a + f r) 0 reports in
+      let ops =
+        sum (fun r -> match r.journal with `Ok n | `Torn (n, _) -> n | _ -> 0)
+      in
+      let prior_ok =
+        match read_file (prior_path dir) with
+        | None -> Error "missing prior.db"
+        | Some data -> Token_db.verify_string data
+      in
+      Ok
+        {
+          dir_shards = nshards;
+          dir_users = sum (fun r -> r.seg_users);
+          dir_rows = sum (fun r -> r.seg_rows);
+          dir_ops = ops;
+          shard_reports = reports;
+          prior_ok;
+        }

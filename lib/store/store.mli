@@ -196,9 +196,13 @@ type stats = {
 }
 
 val stats : t -> stats
-(** Snapshot of this store's internal counters (also mirrored to
-    [lib/obs] counters [store.*] when observability is enabled; these
-    internal ones answer even with obs disabled). *)
+(** This store's metrics, read from {!metrics}. *)
+
+val metrics : t -> Spamlab_obs.Metrics.t
+(** This store's own registry: every field of {!stats} as a
+    nondeterministic [store.*] metric ([hits] and [misses] as
+    [store.overlay_hits] and [store.overlay_misses]), which the
+    daemon's [STATS] renders. *)
 
 (** {2 Offline verification} — backs [spamlab db verify] on a store
     directory.  Read-only; never opens the store. *)

@@ -306,9 +306,96 @@ let invariance_tests =
         check_int "tokens invariant" t1 t2);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The metrics registry                                                *)
+
+module Metrics = Spamlab_obs.Metrics
+
+let histogram_of samples =
+  let h = Metrics.histogram (Metrics.create ()) "h" in
+  List.iter (Metrics.observe h) samples;
+  h
+
+let registry_tests =
+  [
+    test_case "bucket i holds 2^(i-1) <= us < 2^i; 0 and below go in bucket 0"
+      (fun () ->
+        (* Beside one far larger sample, the median is the upper bound of
+           the small sample's bucket. *)
+        List.iter
+          (fun (us, upper) ->
+            check_int (string_of_int us) upper
+              (Metrics.quantile (histogram_of [ us; 1 lsl 40 ]) 0.5))
+          [
+            (-3, 0); (0, 0); (1, 1); (2, 3); (3, 3); (4, 7); (7, 7); (8, 15);
+            (1000, 1023); (1023, 1023); (1024, 2047);
+          ]);
+    test_case "quantiles are bucket upper bounds capped at the max" (fun () ->
+        let h = histogram_of [ 5 ] in
+        check_int "p50 of one sample" 5 (Metrics.quantile h 0.5);
+        let h = histogram_of (List.init 98 (fun _ -> 1) @ [ 1000; 1000 ]) in
+        check_int "p50" 1 (Metrics.quantile h 0.5);
+        check_int "p98" 1 (Metrics.quantile h 0.98);
+        check_int "p99 is the max, not 1023" 1000 (Metrics.quantile h 0.99);
+        let h = histogram_of [ 100; 300 ] in
+        check_int "p100 is capped at the max" 300 (Metrics.quantile h 1.0));
+    test_case "an empty histogram reads 0 and renders nothing" (fun () ->
+        let r = Metrics.create () in
+        let h = Metrics.histogram r "latency.empty" in
+        check_int "p50" 0 (Metrics.quantile h 0.5);
+        check_int "p99" 0 (Metrics.quantile h 0.99);
+        check_int "count" 0 (Metrics.value r "latency.empty");
+        check_str "render" "" (Metrics.render [ r ]));
+    test_case "two registries never share a count" (fun () ->
+        let a = Metrics.create () and b = Metrics.create () in
+        Metrics.add (Metrics.counter a "shared.name") 3;
+        Metrics.observe (Metrics.histogram a "shared.hist") 10;
+        check_int "a's counter" 3 (Metrics.value a "shared.name");
+        check_int "b's counter, unregistered" 0 (Metrics.value b "shared.name");
+        ignore (Metrics.counter b "shared.name");
+        check_int "b's counter, registered" 0 (Metrics.value b "shared.name");
+        check_int "b's histogram" 0
+          (Metrics.quantile (Metrics.histogram b "shared.hist") 0.5);
+        check_int "the Obs registry" 0 (Obs.counter_value "shared.name"));
+    test_case "render: deterministic section first, each in name order"
+      (fun () ->
+        let a = Metrics.create () and b = Metrics.create () in
+        Metrics.add (Metrics.counter a "m.count") 2;
+        Metrics.gauge a "b.gauge" (fun () -> 7);
+        Metrics.observe (Metrics.histogram a ~deterministic:false "c.lat") 5;
+        ignore (Metrics.counter b ~deterministic:false "a.wall");
+        ignore (Metrics.counter b "z.count");
+        check_str "payload"
+          "b.gauge 7\nm.count 2\nz.count 0\na.wall 0\n\
+           c.lat count=1 p50us<=5 p99us<=5 maxus=5\n"
+          (Metrics.render [ a; b ]));
+    test_case "updates from several domains neither race nor allocate"
+      (fun () ->
+        let r = Metrics.create () in
+        let n = 10_000 in
+        let work () =
+          for i = 1 to n do
+            Metrics.add (Metrics.counter r "c") 1;
+            Metrics.observe (Metrics.histogram r "h") i
+          done
+        in
+        ignore (Metrics.counter r "c");
+        ignore (Metrics.histogram r "h");
+        let before = Gc.minor_words () in
+        work ();
+        let words = Gc.minor_words () -. before in
+        check_bool (Printf.sprintf "%.0f minor words" words) true (words < 64.);
+        let d = Domain.spawn work in
+        work ();
+        Domain.join d;
+        check_int "counter" (3 * n) (Metrics.value r "c");
+        check_int "samples" (3 * n) (Metrics.value r "h");
+        check_int "max" n (Metrics.quantile (Metrics.histogram r "h") 1.0));
+  ]
+
 let () =
   Alcotest.run "spamlab_obs"
     [
       ("counters", counter_tests); ("trace", trace_tests);
-      ("jobs-invariance", invariance_tests);
+      ("jobs-invariance", invariance_tests); ("registry", registry_tests);
     ]

@@ -1597,6 +1597,114 @@ let recovery_tests =
         check_string "the published state" (read_file dbpath) loaded);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* STATS                                                               *)
+
+(* STATS's lines split into its deterministic section and the rest,
+   which the documented prefixes mark. *)
+let stats_sections payload =
+  List.partition
+    (fun l ->
+      not
+        (List.exists
+           (fun prefix -> String.starts_with ~prefix l)
+           [ "degraded."; "drain."; "latency."; "shed."; "store."; "timeout." ]))
+    (List.filter (( <> ) "") (String.split_on_char '\n' payload))
+
+let line_name l = List.hd (String.split_on_char ' ' l)
+
+(* One fixed stream of in-process requests, then STATS and the intern
+   table's size: with a store, the TRAIN of ham, a CLASSIFY and the
+   UNTRAIN address tenant "ivy".  Every verb runs, a chunk with a
+   malformed header block rides along with TRAIN and CLASSIFY, an
+   impossible UNTRAIN answers ERR, and one automatic publish fires. *)
+let stats_after_stream ~store =
+  with_daemon_state ~publish_every:5 ~store @@ fun t _dir ->
+  let user = if store then Some "ivy" else None in
+  let garbled = "From x@y Thu Jan  1 00:00:00 2004\n: no name\n\nbody\n" in
+  ignore (local_ok t (Protocol.Train Label.Spam) (spam_mbox 4));
+  ignore (local_ok t ?user (Protocol.Train Label.Ham) (ham_mbox 3 ^ garbled));
+  ignore (local_ok t Protocol.Classify (spam_mbox 2 ^ ham_mbox 2 ^ garbled));
+  ignore (local_ok t ?user Protocol.Classify (ham_mbox 1));
+  ignore (local_ok t ?user (Protocol.Untrain Label.Ham) (ham_mbox 1));
+  (match local t (Protocol.Untrain Label.Spam) (ham_mbox 1) with
+  | Protocol.Err _ -> ()
+  | _ -> Alcotest.fail "an UNTRAIN of never-trained mail must answer ERR");
+  List.iter
+    (fun verb -> ignore (local_ok t verb ""))
+    Protocol.[ Publish; Ping; Health; Stats ];
+  (Daemon.stats_payload t, Intern.size ())
+
+let stats_tests =
+  let golden ~store det_lines extra_names =
+    let payload, intern_size = stats_after_stream ~store in
+    let det, rest = stats_sections payload in
+    check_string "deterministic section"
+      (String.concat "\n"
+         (List.map
+            (fun l ->
+              if l = "intern.size" then Printf.sprintf "intern.size %d" intern_size
+              else l)
+            det_lines))
+      (String.concat "\n" det);
+    check_string "the deterministic section comes first"
+      (String.concat "\n" (det @ rest))
+      (String.concat "\n"
+         (List.filter (( <> ) "") (String.split_on_char '\n' payload)));
+    Alcotest.(check (list string))
+      "nondeterministic names"
+      (List.sort compare
+         ([
+            "degraded.entered"; "degraded.recovered"; "drain.aborted";
+            "shed.connections"; "shed.requests"; "timeout.idle"; "timeout.read";
+            "timeout.write";
+          ]
+         @ List.map (( ^ ) "latency.")
+             [ "classify"; "health"; "ping"; "publish"; "stats"; "train"; "untrain" ]
+         @ extra_names))
+      (List.sort compare (List.map line_name rest))
+  in
+  [
+    test_case "STATS after a fixed stream, shared filter" (fun () ->
+        golden ~store:false
+          [
+            "body.bytes 1458"; "classify.malformed 1"; "classify.messages 5";
+            "connections 0"; "intern.size"; "io.errors 0"; "protocol.errors 0";
+            "publish.seq 2"; "requests.classify 2"; "requests.health 1";
+            "requests.ping 1"; "requests.publish 1"; "requests.stats 1";
+            "requests.train 2"; "requests.untrain 2"; "train.malformed 1";
+            "train.messages 7"; "train.pending 0"; "untrain.malformed 0";
+            "untrain.messages 1"; "verdicts.ham 3"; "verdicts.spam 2";
+            "verdicts.unsure 0";
+          ]
+          []);
+    test_case "STATS after a fixed stream, tenant store" (fun () ->
+        golden ~store:true
+          [
+            "body.bytes 1458"; "classify.malformed 1"; "classify.messages 5";
+            "connections 0"; "intern.size"; "io.errors 0"; "protocol.errors 0";
+            "publish.seq 2"; "requests.classify 2"; "requests.health 1";
+            "requests.ping 1"; "requests.publish 1"; "requests.stats 1";
+            "requests.train 2"; "requests.untrain 2"; "train.malformed 1";
+            "train.messages 7"; "train.pending 0"; "untrain.malformed 0";
+            "untrain.messages 1"; "verdicts.ham 1"; "verdicts.spam 2";
+            "verdicts.unsure 2";
+          ]
+          [
+            "store.cached"; "store.compactions"; "store.evictions";
+            "store.journal_bytes"; "store.journal_ops"; "store.overlay_hits";
+            "store.overlay_misses";
+          ]);
+    test_case "each STATS section is in name order" (fun () ->
+        let payload, _ = stats_after_stream ~store:true in
+        let det, rest = stats_sections payload in
+        List.iter
+          (fun (what, lines) ->
+            let names = List.map line_name lines in
+            Alcotest.(check (list string)) what (List.sort compare names) names)
+          [ ("deterministic", det); ("nondeterministic", rest) ]);
+  ]
+
 let () =
   Alcotest.run "serve"
     [
@@ -1607,4 +1715,5 @@ let () =
       ("write path", write_path_tests);
       ("publish", publish_tests);
       ("recovery", recovery_tests);
+      ("stats", stats_tests);
     ]

@@ -1240,6 +1240,32 @@ let oracle_tests =
         done);
   ]
 
+(* Last in this binary: it interns 2^17 fresh tokens, which every
+   later test's intern freezes would have to copy. *)
+let load_growth_tests =
+  [
+    test_case "a db load grows the slot table at most once" (fun () ->
+        (* Twice past the slot table's size, whatever it is: the table
+           holds at most half as many keys as slots, has at least 2^17
+           slots, and has more than 4 slots per key only after a
+           reservation for more rows than were interned. *)
+        let n = max 131_073 ((4 * Intern.size ()) + 1) in
+        let b = Buffer.create (24 * n) in
+        Buffer.add_string b "spamlab-token-db 2 1 0\n";
+        for i = 1 to n do
+          Printf.bprintf b "reserve-load-%d\t1\t0\n" i
+        done;
+        (match Spamlab_fault.configure "intern.grow:fatal@2" with
+        | Ok () -> ()
+        | Error e -> Alcotest.fail e);
+        match
+          Fun.protect ~finally:Spamlab_fault.disable (fun () ->
+              Token_db.of_string (Buffer.contents b))
+        with
+        | Ok db -> Alcotest.(check int) "rows loaded" n (Token_db.distinct_tokens db)
+        | Error e -> Alcotest.fail e);
+  ]
+
 let () =
   Alcotest.run "spambayes"
     [
@@ -1252,4 +1278,5 @@ let () =
       ("classify", classify_tests);
       ("filter", filter_tests);
       ("properties", property_tests);
+      ("load growth", load_growth_tests);
     ]

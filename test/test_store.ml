@@ -567,6 +567,29 @@ let crash_tests =
                  (fun (s : Store.shard_report) ->
                    match s.Store.segment with `Corrupt _ -> true | _ -> false)
                  r.Store.shard_reports));
+    test_case "open and verify refuse a corrupt manifest for one reason"
+      (fun () ->
+        with_tmp_dir @@ fun dir ->
+        Store.close (open_exn (sharded_config dir));
+        List.iter
+          (fun (bytes, reason) ->
+            write_file (Filename.concat dir "manifest") bytes;
+            (match Store.open_store (sharded_config dir) with
+            | Ok _ -> Alcotest.failf "open_store took %S" bytes
+            | Error e -> check_string ("open " ^ bytes) ("store: " ^ reason) e);
+            match Store.verify_dir dir with
+            | Ok _ -> Alcotest.failf "verify_dir took %S" bytes
+            | Error e -> check_string ("verify " ^ bytes) reason e)
+          [
+            ("", "truncated manifest");
+            ("spamlab-store 1 4", "truncated manifest");
+            ("spamlab-store 2 4\n", "bad manifest");
+            ("spamlab-store 1 0\n", "bad manifest");
+            ("spamlab-store 1 10000\n", "bad manifest");
+            ("spamlab-store 1 four\n", "bad manifest");
+            ("spamlab-stor 1 4\n", "not a spamlab store directory");
+            ("spamlab-store 1 4 extra\n", "not a spamlab store directory");
+          ]);
   ]
 
 (* A checksum field is exactly the [%08x] text of its value.  The
