@@ -691,10 +691,10 @@ let run_classify lab ~jobs =
    launch-to-first-PING of [spamlab serve] over the same file.  The db
    is generated and scale-independent: [load_rows] distinct word-like
    tokens, about as many rows as perfbench's published db, in canonical
-   v3 bytes.  Each in-process repetition loads tokens no earlier one
-   interned, as a daemon starts with an empty table.  --timings ids:
-   "load-parse", "load-freeze", "load-serve-ping", seconds (median of
-   [load_reps]). *)
+   v3 bytes.  Each repetition of the first two stages runs in a fresh
+   child process ([main.exe load-child REP]), so it interns into an
+   empty table, as a daemon starts.  --timings ids: "load-parse",
+   "load-freeze", "load-serve-ping", seconds (median of [load_reps]). *)
 
 let load_rows = 140_000
 let load_reps = 3
@@ -774,8 +774,40 @@ let serve_ping ~spamlab ~dir ~db =
       ignore (Unix.waitpid [] pid))
     poll
 
-let run_load () =
+(* [main.exe load-child REP]: load repetition [rep]'s db into this
+   fresh process's empty intern table and freeze it; print the two
+   times, in seconds, on one line. *)
+let load_child ~rep =
   let module SB = Spamlab_spambayes in
+  let data = synthetic_db ~rep in
+  Gc.full_major ();
+  let t0 = Unix.gettimeofday () in
+  (match SB.Token_db.of_string data with
+  | Ok _ -> ()
+  | Error e -> failwith ("load bench: " ^ e));
+  let t1 = Unix.gettimeofday () in
+  SB.Intern.freeze ();
+  let t2 = Unix.gettimeofday () in
+  Printf.printf "%.9f %.9f\n" (t1 -. t0) (t2 -. t1)
+
+let load_in_child ~rep =
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  let pid =
+    Unix.create_process Sys.executable_name
+      [| Sys.executable_name; "load-child"; string_of_int rep |]
+      Unix.stdin wr Unix.stderr
+  in
+  Unix.close wr;
+  let line =
+    let ic = Unix.in_channel_of_descr rd in
+    Fun.protect ~finally:(fun () -> close_in ic) (fun () -> In_channel.input_all ic)
+  in
+  (match snd (Unix.waitpid [] pid) with
+  | WEXITED 0 -> ()
+  | _ -> failwith (Printf.sprintf "load bench: load-child %d failed" rep));
+  Scanf.sscanf line "%f %f" (fun parse freeze -> (parse, freeze))
+
+let run_load () =
   Printf.printf "%s\ndaemon start-up stages (generated db)\n%s\n" hrule hrule;
   let spamlab =
     Filename.concat
@@ -784,21 +816,8 @@ let run_load () =
   in
   if not (Sys.file_exists spamlab) then
     failwith ("load bench: no daemon executable at " ^ spamlab);
-  let parse = ref [] and freeze = ref [] and first = ref "" in
-  for rep = 1 to load_reps do
-    let data = synthetic_db ~rep in
-    if rep = 1 then first := data;
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    (match SB.Token_db.of_string data with
-    | Ok _ -> ()
-    | Error e -> failwith ("load bench: " ^ e));
-    let t1 = Unix.gettimeofday () in
-    SB.Intern.freeze ();
-    let t2 = Unix.gettimeofday () in
-    parse := (t1 -. t0) :: !parse;
-    freeze := (t2 -. t1) :: !freeze
-  done;
+  let loads = List.init load_reps (fun i -> load_in_child ~rep:(i + 1)) in
+  let first = synthetic_db ~rep:1 in
   let dir = Filename.temp_file "spamlab_bench" ".load" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
@@ -811,13 +830,13 @@ let run_load () =
           (Sys.readdir dir);
         try Unix.rmdir dir with Unix.Unix_error _ -> ())
       (fun () ->
-        Out_channel.with_open_bin db (fun oc -> output_string oc !first);
+        Out_channel.with_open_bin db (fun oc -> output_string oc first);
         List.init load_reps (fun _ -> serve_ping ~spamlab ~dir ~db))
   in
   Printf.printf "%d rows, %d bytes, median of %d\n\n" load_rows
-    (String.length !first) load_reps;
+    (String.length first) load_reps;
   let timings =
-    [ ("load-parse", median !parse); ("load-freeze", median !freeze);
+    [ ("load-parse", median (List.map fst loads)); ("load-freeze", median (List.map snd loads));
       ("load-serve-ping", median ping) ]
   in
   List.iter (fun (id, s) -> Printf.printf "  %-18s %9.1f ms\n" id (s *. 1e3)) timings;
@@ -1203,7 +1222,7 @@ let run_perf ~jobs () =
 
 (* ------------------------------------------------------------------ *)
 
-let () =
+let main () =
   let cli = parse_args () in
   (match cli.trace with Some path -> Obs.start_trace ~path | None -> ());
   if cli.metrics then Obs.enable_metrics ();
@@ -1236,3 +1255,8 @@ let () =
       write_timings path ~seed:cli.seed ~scale:cli.scale ~jobs:cli.jobs
         !timings
   | None -> ()
+
+let () =
+  match Array.to_list Sys.argv with
+  | [ _; "load-child"; rep ] -> load_child ~rep:(int_of_string rep)
+  | _ -> main ()

@@ -763,7 +763,13 @@ say "perfbench correctness checks"
 # The benchmark checks its own results: daemon verdicts against an
 # in-process reference, and (train-poisoned) the db and store bytes
 # against a replay.  A short run of each workload must report
-# "correct": true with no failed operation.
+# "correct": true with no failed operation.  classify-bulk's daemon
+# must also peak under a memory ceiling: a CLASSIFY allocates nothing
+# on the major heap, so the daemon stays near its start-up size.  On a
+# 2-CPU host (OCaml 5.1.1) this run peaked at 40.7-40.9 MiB, and at
+# 82.2-83.2 MiB while each request copied its body and built clue
+# records; the ceiling sits between.
+peak_rss_ceiling_mb=56
 for workload in classify-bulk train-poisoned; do
   python3 perfbench/run.py --workload "$workload" --seed 3 --seconds 2 \
     --trace 0 > "$sdir/perfbench.$workload.txt" \
@@ -776,6 +782,14 @@ sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
     || { echo "FAIL: perfbench $workload result is not correct with 0 failed:"; \
          tail -n 1 "$sdir/perfbench.$workload.txt"; exit 1; }
   echo "perfbench $workload: correct, 0 failed"
+  if [ "$workload" = classify-bulk ]; then
+    tail -n 1 "$sdir/perfbench.$workload.txt" | python3 -c '
+import json, sys
+rss = json.loads(sys.stdin.read())["metrics"]["peak_rss_mb"]["value"]
+print("perfbench classify-bulk: peak_rss_mb %.1f (ceiling %s)" % (rss, sys.argv[1]))
+sys.exit(0 if rss <= float(sys.argv[1]) else 1)' "$peak_rss_ceiling_mb" \
+      || { echo "FAIL: classify-bulk peak_rss_mb over $peak_rss_ceiling_mb MiB"; exit 1; }
+  fi
 done
 
 say "ci.sh: all checks passed"

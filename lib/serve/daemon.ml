@@ -273,23 +273,25 @@ let publish t =
 (* ------------------------------------------------------------------ *)
 (* Verb execution                                                      *)
 
+(* One short string per verdict line, joined at their exact total
+   size: a growing buffer would reach a block past the minor heap's
+   size limit at about 64 lines and be allocated on the major heap. *)
 let render_classify t results =
-  let b = Buffer.create 256 in
-  Array.iteri
-    (fun i r ->
-      match r with
-      | None ->
-          count t "classify.malformed" 1;
-          Buffer.add_string b (Printf.sprintf "%d malformed\n" i)
-      | Some (r : Classify.result) ->
-          count t "classify.messages" 1;
-          count t (verdict_metric r.verdict) 1;
-          Buffer.add_string b
-            (Printf.sprintf "%d %s %.6f\n" i
-               (Label.verdict_to_string r.verdict)
-               r.indicator))
-    results;
-  Buffer.contents b
+  String.concat ""
+    (Array.to_list
+       (Array.mapi
+          (fun i r ->
+            match r with
+            | None ->
+                count t "classify.malformed" 1;
+                Printf.sprintf "%d malformed\n" i
+            | Some (r : Classify.result) ->
+                count t "classify.messages" 1;
+                count t (verdict_metric r.verdict) 1;
+                Printf.sprintf "%d %s %.6f\n" i
+                  (Label.verdict_to_string r.verdict)
+                  r.indicator)
+          results))
 
 (* The state a CLASSIFY/TRAIN/UNTRAIN addresses: the shared delta
    filter, whose CLASSIFY reads the published snapshot, or one tenant
@@ -299,8 +301,8 @@ type target = Shared | Tenant of Store.t * string
 (* User-routed requests address per-tenant state; without a store that
    routing cannot be honoured, and silently serving the shared filter
    instead would be wrong, so it is a request-level error. *)
-let target_of t (req : Protocol.request) =
-  match (req.user, t.store) with
+let target_of t user =
+  match (user, t.store) with
   | None, _ -> Ok Shared
   | Some user, Some st -> Ok (Tenant (st, user))
   | Some _, None ->
@@ -316,13 +318,15 @@ let target_of t (req : Protocol.request) =
    training scores at once.  The engine is
    captured in the task closure before the fan-out, so workers see it
    through the pool's own synchronization rather than re-reading the
-   mutable [baseline_cache] field mid-flight. *)
-let classify t target body =
-  let chunks = Ingest.raw_message_chunks body in
+   mutable [baseline_cache] field mid-flight.  The body is a slice of
+   the connection's buffer: chunks are offsets into it, and nothing
+   kept outlives the request (scoring keeps no token). *)
+let classify t target ({ buf; off; len } : Spamlab_io.slice) =
+  let chunks = Ingest.raw_message_chunks ~off ~len buf in
   let score engine =
     Pool.map_array t.pool
       (fun (off, len) ->
-        Ingest.classify_raw_engine engine t.config.tokenizer body ~off ~len)
+        Ingest.classify_raw_engine engine t.config.tokenizer buf ~off ~len)
       chunks
   in
   let results =
@@ -394,18 +398,20 @@ let apply t target kind cls ids =
    fault) would otherwise leave a silently-applied prefix behind an
    [Err] ack, which the client could neither drop nor retry safely; so
    the applied prefix is undone with the inverse kind (train and
-   untrain are exact inverses) before the error propagates. *)
-let mutate t target kind cls body =
+   untrain are exact inverses) before the error propagates.  The body
+   is a slice of the connection's buffer; interning copies every token
+   the db and the journal keep. *)
+let mutate t target kind cls ({ buf; off; len } : Spamlab_io.slice) =
   let dropped = ref 0 in
   let msgs =
     List.filter_map
       (fun (off, len) ->
-        match Ingest.unique_ids_raw t.config.tokenizer body ~off ~len with
+        match Ingest.unique_ids_raw t.config.tokenizer buf ~off ~len with
         | Some (ids, _raw) -> Some ids
         | None ->
             incr dropped;
             None)
-      (Array.to_list (Ingest.raw_message_chunks body))
+      (Array.to_list (Ingest.raw_message_chunks ~off ~len buf))
   in
   let applied = ref [] in
   (match
@@ -453,8 +459,8 @@ let health_payload t =
     (Metrics.value t.metrics "degraded.recovered")
     t.publish_fault_streak
 
-let exec t (req : Protocol.request) =
-  match req.verb with
+let exec t verb user body =
+  match verb with
   | Protocol.Ping -> Protocol.Ok "pong\n"
   | Protocol.Stats -> Protocol.Ok (stats_payload t)
   | Protocol.Health -> Protocol.Ok (health_payload t)
@@ -470,19 +476,21 @@ let exec t (req : Protocol.request) =
          classify still serves the last published snapshot (PUBLISH to \
          recover)"
   | Protocol.Classify | Protocol.Train _ | Protocol.Untrain _ -> (
-      match (target_of t req, req.verb) with
+      match (target_of t user, verb) with
       | Error e, _ -> Protocol.Err e
-      | Ok target, Protocol.Train cls -> mutate t target `Train cls req.body
-      | Ok target, Protocol.Untrain cls -> mutate t target `Untrain cls req.body
-      | Ok target, _ -> classify t target req.body)
+      | Ok target, Protocol.Train cls -> mutate t target `Train cls body
+      | Ok target, Protocol.Untrain cls -> mutate t target `Untrain cls body
+      | Ok target, _ -> classify t target body)
 
-let handle_request t (req : Protocol.request) =
-  let verb = String.lowercase_ascii (Protocol.verb_name req.verb) in
-  count t ("requests." ^ verb) 1;
-  count t "body.bytes" (String.length req.body);
+(* One request, its body a slice: the connection path hands over the
+   frame in the reader's buffer, [handle_request] a whole string. *)
+let handle t verb user (body : Spamlab_io.slice) =
+  let name = String.lowercase_ascii (Protocol.verb_name verb) in
+  count t ("requests." ^ name) 1;
+  count t "body.bytes" body.len;
   let start_ns = Clock.now_ns () in
   let resp =
-    try exec t req with
+    try exec t verb user body with
     (* Crash faults exit inside [Fault.check]; anything raised is a
        degradable failure answered on this connection. *)
     | Fault.Injected _ as e -> Protocol.Err (Printexc.to_string e)
@@ -496,10 +504,14 @@ let handle_request t (req : Protocol.request) =
   in
   let stop_ns = Clock.now_ns () in
   Metrics.observe
-    (Metrics.histogram t.metrics ~deterministic:false ("latency." ^ verb))
+    (Metrics.histogram t.metrics ~deterministic:false ("latency." ^ name))
     (Int64.to_int (Int64.div (Int64.sub stop_ns start_ns) 1000L));
-  if Obs.enabled () then Obs.record_span ("serve.request." ^ verb) ~start_ns ~stop_ns;
+  if Obs.enabled () then Obs.record_span ("serve.request." ^ name) ~start_ns ~stop_ns;
   resp
+
+let handle_request t (req : Protocol.request) =
+  handle t req.verb req.user
+    { Spamlab_io.buf = req.body; off = 0; len = String.length req.body }
 
 (* ------------------------------------------------------------------ *)
 (* Responses                                                           *)
@@ -560,40 +572,41 @@ let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
 let opt_deadline ~now timeout_s =
   if timeout_s > 0.0 then Some (now +. timeout_s) else None
 
-(* Serve exactly one request from [c].  [shed] answers BUSY without
-   executing (the frame is still read and discarded — the stream stays
-   framed).  Returns [`Keep] to keep the connection, [`Close] to drop
-   it.  The read deadline is absolute across the whole frame, so a
-   peer trickling bytes cannot renew its budget; it is disarmed before
-   the (possibly slow) execution so only wire time counts. *)
-let serve_one t c ~shed ~now =
+(* Serve exactly one request read from [r], answering on [fd].
+   [shed] answers BUSY without executing (the frame is still read and
+   discarded — the stream stays framed).  Returns [`Keep] to keep the
+   connection, [`Close] to drop it.  The read deadline is absolute
+   across the whole frame, so a peer trickling bytes cannot renew its
+   budget; it is disarmed before the (possibly slow) execution so only
+   wire time counts.  The body is executed where it lies in the
+   reader's buffer, which the next read may reuse: the response is
+   written before this returns. *)
+let serve_frame t r fd ~shed ~now =
   let lim = t.config.limits in
-  Spamlab_io.set_deadline c.c_reader (opt_deadline ~now lim.read_timeout_s);
+  Spamlab_io.set_deadline r (opt_deadline ~now lim.read_timeout_s);
   let outcome =
-    match Protocol.recv_request ~max_body:t.config.max_body c.c_reader with
+    match Protocol.recv_frame ~max_body:t.config.max_body r with
     | `Eof -> `Close
     | `Error e ->
         count t "protocol.errors" 1;
         send_best_effort
           ?deadline:(opt_deadline ~now lim.write_timeout_s)
-          c.c_fd (Protocol.Err e);
+          fd (Protocol.Err e);
         `Close
-    | `Request req -> (
-        Spamlab_io.set_deadline c.c_reader None;
+    | `Frame (verb, user, body) -> (
+        Spamlab_io.set_deadline r None;
         let resp =
           if shed then begin
             count t "shed.requests" 1;
             Protocol.Busy
           end
-          else handle_request t req
+          else handle t verb user body
         in
         let write_deadline =
           opt_deadline ~now:(Spamlab_io.monotonic_s ()) lim.write_timeout_s
         in
-        match send_response ?deadline:write_deadline c.c_fd resp with
-        | () ->
-            c.last_active <- Spamlab_io.monotonic_s ();
-            `Keep
+        match send_response ?deadline:write_deadline fd resp with
+        | () -> `Keep
         | exception Spamlab_io.Timeout _ ->
             count t "timeout.write" 1;
             `Close
@@ -606,7 +619,7 @@ let serve_one t c ~shed ~now =
         count t "timeout.read" 1;
         send_best_effort
           ?deadline:(opt_deadline ~now:(Spamlab_io.monotonic_s ()) 1.0)
-          c.c_fd
+          fd
           (Protocol.Err "read deadline exceeded");
         `Close
     | exception (End_of_file | Unix.Unix_error _ | Sys_error _) ->
@@ -616,10 +629,10 @@ let serve_one t c ~shed ~now =
         (* A fatal injected read fault (transients were retried by
            Spamlab_io): degrade to one ERR, drop the connection. *)
         count t "io.errors" 1;
-        send_best_effort c.c_fd (Protocol.Err "injected read fault");
+        send_best_effort fd (Protocol.Err "injected read fault");
         `Close
   in
-  Spamlab_io.set_deadline c.c_reader None;
+  Spamlab_io.set_deadline r None;
   outcome
 
 (* Admission: accept whatever is ready; over [max_conns] the newcomer
@@ -732,8 +745,10 @@ let run ?(ready = fun _ -> ()) ?(stop = fun () -> false) t =
                     else begin
                       let shed = !executed >= quota in
                       if not shed then incr executed;
-                      match serve_one t c ~shed ~now with
-                      | `Keep -> true
+                      match serve_frame t c.c_reader c.c_fd ~shed ~now with
+                      | `Keep ->
+                          c.last_active <- Spamlab_io.monotonic_s ();
+                          true
                       | `Close ->
                           close_fd c.c_fd;
                           false

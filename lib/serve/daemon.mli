@@ -3,7 +3,11 @@
 
     {2 Data plane}
 
-    Every verb ingests its body the same way: raw mbox chunks are
+    A connection's body is executed where it lies, as a slice of the
+    connection's read buffer ({!Protocol.recv_frame}), and the response
+    is written before the next read reuses the buffer; a CLASSIFY
+    allocates nothing on the major heap (DESIGN.md §10).  Every verb
+    ingests its body the same way: raw mbox chunks are
     tokenized by offsets straight to distinct interned ids, with
     SpamAssassin's ignored headers suppressed
     ({!Spamlab_spambayes.Ingest}), so the daemon learns exactly the
@@ -196,7 +200,25 @@ val shutdown : t -> unit
 val handle_request : t -> Protocol.request -> Protocol.response
 (** Execute one request against the state (no I/O).  Never raises:
     injected transient/fatal faults and semantic failures (impossible
-    UNTRAIN, unwritable store) become [Err]; crash faults exit. *)
+    UNTRAIN, unwritable store) become [Err]; crash faults exit.  The
+    same handler {!serve_frame} runs on a body in place, here over the
+    whole [body] string. *)
+
+val serve_frame :
+  t ->
+  Spamlab_io.reader ->
+  Unix.file_descr ->
+  shed:bool ->
+  now:float ->
+  [ `Keep | `Close ]
+(** One request of a connection, as {!run} serves it: read a frame
+    from the reader ({!Protocol.recv_frame}, under the read deadline
+    counted from [now], monotonic seconds), execute it on its body in
+    place in the reader's buffer, and write the response to the
+    descriptor.  With [shed] the frame is read and answered [BUSY]
+    unexecuted.  [`Close] when the connection must be dropped (end of
+    stream, a framing error or a deadline, answered [ERR] where the
+    peer can still read it, or a failed write). *)
 
 val stats_payload : t -> string
 (** The [STATS] payload, rendered from the current counters. *)

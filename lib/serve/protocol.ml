@@ -115,7 +115,9 @@ let split_header line =
       in
       Ok (name, value)
 
-let recv_request ?(max_body = default_max_body) reader =
+let no_body = { Spamlab_io.buf = ""; off = 0; len = 0 }
+
+let recv_frame ?(max_body = default_max_body) reader =
   match Spamlab_io.read_line reader ~max:max_line with
   | `Eof -> `Eof
   | `Too_long -> `Error "request line too long"
@@ -181,17 +183,17 @@ let recv_request ?(max_body = default_max_body) reader =
                       `Error (verb_str ^ " requires a Content-Length header")
                   | false, Some n when n > 0 ->
                       `Error (verb_str ^ " does not take a body")
-                  | false, _ -> `Request { verb; body = ""; user = !user }
-                  | true, Some n ->
-                      let buf = Bytes.create n in
-                      if Spamlab_io.read_exact reader buf 0 n then
-                        `Request
-                          {
-                            verb;
-                            body = Bytes.unsafe_to_string buf;
-                            user = !user;
-                          }
-                      else `Error "connection closed mid-body"))))
+                  | false, _ -> `Frame (verb, !user, no_body)
+                  | true, Some n -> (
+                      match Spamlab_io.read_slice reader n with
+                      | Some body -> `Frame (verb, !user, body)
+                      | None -> `Error "connection closed mid-body")))))
+
+let recv_request ?max_body reader =
+  match recv_frame ?max_body reader with
+  | `Frame (verb, user, { Spamlab_io.buf; off; len }) ->
+      `Request { verb; body = String.sub buf off len; user }
+  | (`Eof | `Error _) as other -> other
 
 (* Declared below the [result]-returning parse helpers: the [Ok]
    constructor would otherwise shadow [Stdlib.Ok] for all of them. *)
@@ -206,8 +208,13 @@ let render_response = function
       in
       Printf.sprintf "%s ERR %s\r\n" magic msg
   | Ok payload ->
-      Printf.sprintf "%s OK\r\nContent-Length: %d\r\n\r\n%s" magic
-        (String.length payload) payload
+      (* Joined at its exact size: [Printf]'s doubling buffer would put
+         a payload of a few KB through a block on the major heap. *)
+      String.concat ""
+        [
+          magic; " OK\r\nContent-Length: "; string_of_int (String.length payload);
+          "\r\n\r\n"; payload;
+        ]
 
 let recv_response ?(max_body = default_max_body) reader =
   match Spamlab_io.read_line reader ~max:max_line with

@@ -79,15 +79,25 @@ val render_response : response -> string
 
 (** {1 Framed receive} *)
 
-val recv_request :
+val recv_frame :
   ?max_body:int ->
   Spamlab_io.reader ->
-  [ `Request of request | `Eof | `Error of string ]
-(** Read one request off the wire.  [`Eof] is a clean close at a frame
+  [ `Frame of verb * string option * Spamlab_io.slice | `Eof | `Error of string ]
+(** Read one request off the wire, its body in place: [`Frame (verb,
+    user, body)], where [body] is a {!Spamlab_io.read_slice} of the
+    reader's buffer (empty for a verb without a body), valid until the
+    next read from the reader.  [`Eof] is a clean close at a frame
     boundary; [`Error] is a framing violation (malformed verb line or
     header, a repeated header, [Content-Length] missing/overflowing/over
     the cap, torn body, missing blank line) — one line of explanation,
     after which the caller should answer [Err] and close. *)
+
+val recv_request :
+  ?max_body:int ->
+  Spamlab_io.reader ->
+  [ `Request of request | `Eof | `Error of string ]
+(** {!recv_frame} with the body copied out into the request, so it
+    outlives the next read. *)
 
 val recv_response :
   ?max_body:int ->

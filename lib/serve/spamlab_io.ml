@@ -114,7 +114,8 @@ let really_write_string ?site ?deadline fd s pos len =
 type reader = {
   fd : Unix.file_descr;
   site : string option;
-  buf : Bytes.t;
+  base : int;  (* the size a grown buffer drops back to *)
+  mutable buf : Bytes.t;
   mutable lo : int;  (* first unconsumed byte *)
   mutable hi : int;  (* one past the last valid byte *)
   mutable eof : bool;
@@ -123,10 +124,12 @@ type reader = {
 }
 
 let reader ?site ?(buf_size = 65_536) fd =
+  let base = max 1 buf_size in
   {
     fd;
     site;
-    buf = Bytes.create (max 1 buf_size);
+    base;
+    buf = Bytes.create base;
     lo = 0;
     hi = 0;
     eof = false;
@@ -135,8 +138,11 @@ let reader ?site ?(buf_size = 65_536) fd =
 
 let set_deadline r deadline = r.deadline <- deadline
 let buffered r = r.hi - r.lo
+let capacity r = Bytes.length r.buf
 
-(* Pull more bytes into the buffer; false at end of stream. *)
+(* Pull more bytes into the buffer; false at end of stream.  The
+   unconsumed bytes move to the front only when the buffer is full up
+   to its end. *)
 let refill r =
   if r.eof then false
   else begin
@@ -160,6 +166,16 @@ let refill r =
         r.hi <- r.hi + n;
         true
   end
+
+(* Move the unconsumed bytes to the front of a buffer of [size]
+   bytes (the same one when it is that size). *)
+let rebuffer r size =
+  let keep = r.hi - r.lo in
+  let dst = if size = Bytes.length r.buf then r.buf else Bytes.create size in
+  Bytes.blit r.buf r.lo dst 0 keep;
+  r.buf <- dst;
+  r.lo <- 0;
+  r.hi <- keep
 
 let strip_cr line =
   let n = String.length line in
@@ -212,6 +228,29 @@ let read_exact r dst pos len =
     end
   in
   go pos len
+
+type slice = { buf : string; off : int; len : int }
+
+let shrink_above = 1 lsl 20
+
+let read_slice (r : reader) n =
+  if n < 0 then invalid_arg "Spamlab_io.read_slice";
+  let cap = Bytes.length r.buf in
+  if cap - r.lo < n then rebuffer r (if cap >= n then cap else max n (2 * cap));
+  let rec fill () = r.hi - r.lo >= n || (refill r && fill ()) in
+  if not (fill ()) then None
+  else begin
+    let s = { buf = Bytes.unsafe_to_string r.buf; off = r.lo; len = n } in
+    r.lo <- r.lo + n;
+    (* The slice keeps a buffer grown for a large frame alive only as
+       long as the caller holds it; the reader goes on in a fresh one
+       of its base size (or of what is already buffered past the
+       frame, if that is more). *)
+    let size = max r.base (r.hi - r.lo) in
+    if Bytes.length r.buf > shrink_above && size < Bytes.length r.buf then
+      rebuffer r size;
+    Some s
+  end
 
 let read_file path =
   match open_in_bin path with

@@ -91,7 +91,8 @@ type reader
 
 val reader : ?site:string -> ?buf_size:int -> Unix.file_descr -> reader
 (** Wrap a descriptor.  [site] is consulted on every refill ([?site] of
-    the read helpers above).  [buf_size] defaults to 64 KiB. *)
+    the read helpers above).  [buf_size] defaults to 64 KiB; the buffer
+    grows to hold a larger {!read_slice}. *)
 
 val set_deadline : reader -> float option -> unit
 (** Arm (or disarm, with [None]) an absolute monotonic deadline applied
@@ -104,6 +105,9 @@ val buffered : reader -> int
 (** Bytes already pulled from the descriptor but not yet consumed.
     Lets a multiplexing caller know a further frame may be parsable
     without the descriptor selecting readable again. *)
+
+val capacity : reader -> int
+(** The size of the reader's buffer in bytes. *)
 
 val read_line : reader -> max:int -> [ `Line of string | `Eof | `Too_long ]
 (** The next line, terminated by ["\n"] (a trailing ["\r"] is stripped,
@@ -118,3 +122,19 @@ val read_exact : reader -> bytes -> int -> int -> bool
 (** [read_exact r buf pos len] — like {!really_read} but draining the
     reader's buffer first; [false] if the stream ends before [len]
     bytes arrive (a torn frame), [true] on success. *)
+
+type slice = { buf : string; off : int; len : int }
+(** The bytes [buf.[off .. off+len-1]]. *)
+
+val read_slice : reader -> int -> slice option
+(** [read_slice r n] consumes the next [n] bytes and returns them in
+    place, as one run of the reader's own buffer: no copy, and, once
+    the buffer has grown to hold [n] bytes, no allocation but the
+    slice's own few words.  [None] if
+    the stream ends first (a torn frame).  The slice is valid until the
+    next read from [r], which may reuse the buffer; copy what must
+    outlive that.  A buffer grown past 1 MiB is dropped once its slice
+    is taken (the slice keeps it alive while it is held), and the
+    reader goes on in one of its base size, so one large frame does not
+    pin its memory to the connection.
+    @raise Invalid_argument if [n] is negative. *)

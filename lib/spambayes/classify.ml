@@ -58,10 +58,11 @@ let engine_options = function
    parallel unboxed arrays (id, probability, strength) and an index
    permutation is sorted instead of the candidates themselves.  This
    replaces the boxed candidate list + [List.sort]: scoring a message
-   allocates only the final <= max_discriminators clue records, swaps
-   move machine ints, and comparisons read a precomputed strength
-   instead of recomputing [Float.abs] — which matters because selection,
-   not probability lookup, is most of a message's scoring time. *)
+   allocates nothing per candidate or winner (only [explain] builds
+   clue records), swaps move machine ints, and comparisons read a
+   precomputed strength instead of recomputing [Float.abs] — which
+   matters because selection, not probability lookup, is most of a
+   message's scoring time. *)
 type scratch = {
   mutable s_raw : float array;  (* stage-one probabilities, then winners *)
   mutable s_ids : int array;
@@ -186,14 +187,14 @@ let fill_raw e ids n raw =
         Array.unsafe_set raw i p
       done
 
-(* Stage two, the one δ(E) selection and Fisher fold in the stack:
-   candidates at or beyond the strength band are copied into the
-   scratch, their index permutation is sorted, the first
-   [max_discriminators] win.  [probs] is only read, and only before
-   the sort, so stage one's [s_raw] can be passed in and then reused
-   as the winner-score buffer Fisher folds over — the same scores in
-   the same order as the clue list, no list of floats in between. *)
-let score_probs (options : Options.t) ids probs n =
+(* Stage two, the one δ(E) selection in the stack: candidates at or
+   beyond the strength band are copied into the scratch, their index
+   permutation is sorted, the first [max_discriminators] win, and their
+   scores land in sort order at the front of [s_raw], the buffer Fisher
+   folds over.  Returns the winner count.  [probs] is only read, and
+   only before the sort, so stage one's [s_raw] can be passed in and
+   then reused for the winners. *)
+let select (options : Options.t) ids probs n =
   if n < 0 || n > Array.length ids || n > Array.length probs then
     invalid_arg "Classify.score_probs: prefix length out of bounds";
   let min_strength = options.minimum_prob_strength in
@@ -215,25 +216,38 @@ let score_probs (options : Options.t) ids probs n =
   done;
   let c = !c in
   sort_cands sc c;
-  (* Winners materialized back-to-front so the clue list comes out in
-     sort order; losers never become records. *)
   let w = min options.max_discriminators c in
-  let winners = sc.s_raw in
-  let clues = ref [] in
-  for k = w - 1 downto 0 do
-    let p = sc.s_idx.(k) in
-    let score = Array.unsafe_get sc.s_probs p in
-    Array.unsafe_set winners k score;
-    clues := { token = Intern.to_string sc.s_ids.(p); score } :: !clues
+  for k = 0 to w - 1 do
+    Array.unsafe_set sc.s_raw k (Array.unsafe_get sc.s_probs (Array.unsafe_get sc.s_idx k))
   done;
-  let clues = !clues in
-  let indicator = Fisher.indicator winners w in
+  w
+
+(* The Fisher fold over the [w] winners [select] left in [s_raw]. *)
+let result options w clues =
+  let indicator = Fisher.indicator (Domain.DLS.get scratch_key).s_raw w in
   { indicator; verdict = verdict_of_indicator options indicator; clues }
 
-let score_engine_sub e ids n =
+let score_probs options ids probs n = result options (select options ids probs n) []
+
+(* Stage one into the scratch, then the selection; the winner count. *)
+let select_engine e ids n =
   let sc = Domain.DLS.get scratch_key in
   ensure_scratch sc n;
   fill_raw e ids n sc.s_raw;
-  score_probs (engine_options e) ids sc.s_raw n
+  select (engine_options e) ids sc.s_raw n
 
+let score_engine_sub e ids n = result (engine_options e) (select_engine e ids n) []
 let score_engine e ids = score_engine_sub e ids (Array.length ids)
+
+(* The same selection, then the winners as records, built back to
+   front so the list comes out in sort order; losers never become
+   records. *)
+let explain e ids n =
+  let w = select_engine e ids n in
+  let sc = Domain.DLS.get scratch_key in
+  let clues = ref [] in
+  for k = w - 1 downto 0 do
+    let p = sc.s_idx.(k) in
+    clues := { token = Intern.to_string sc.s_ids.(p); score = sc.s_probs.(p) } :: !clues
+  done;
+  result (engine_options e) w !clues

@@ -5,7 +5,14 @@
     furthest from 0.5 and outside the (0.4, 0.6) band are selected; their
     scores are combined through two chi-square tails into
     I(E) = (1 + H − S)/2 ∈ [0,1], then thresholded into a three-way
-    verdict. *)
+    verdict.
+
+    A verdict needs only I(E), so the scoring entry points
+    ({!score_engine}, {!score_engine_sub}, {!score_probs}) return no
+    clues and allocate nothing per candidate or winner: a message's
+    minor words do not depend on how many tokens it has or how many
+    win.  {!explain} runs the same selection and then names the
+    winners. *)
 
 type clue = { token : string; score : float }
 (** One selected discriminator and its f(w). *)
@@ -13,7 +20,9 @@ type clue = { token : string; score : float }
 type result = {
   indicator : float;  (** I(E) ∈ [0,1]; 1 is maximally spammy. *)
   verdict : Label.verdict;
-  clues : clue list;  (** δ(E) sorted by descending |f − 0.5|. *)
+  clues : clue list;
+      (** δ(E) sorted by descending |f − 0.5|, from {!explain}; empty
+          from every other entry point. *)
 }
 
 type engine
@@ -47,13 +56,21 @@ val engine_options : engine -> Options.t
 
 val score_engine : engine -> int array -> result
 (** Full pipeline on pre-interned distinct-token ids through an
-    engine — the one scoring entry point.  [score_engine (engine
-    options db)] equals, bit for bit, [score_engine] over any cached
-    variant of the same (options, db). *)
+    engine — the one scoring entry point; [clues] is empty.
+    [score_engine (engine options db)] equals, bit for bit,
+    [score_engine] over any cached variant of the same (options,
+    db). *)
 
 val score_engine_sub : engine -> int array -> int -> result
 (** [score_engine_sub e ids n] is {!score_engine} on
     [Array.sub ids 0 n] without the copy. *)
+
+val explain : engine -> int array -> int -> result
+(** [explain e ids n] is [score_engine_sub e ids n] with δ(E) named:
+    the same selection and Fisher fold, so the same indicator and
+    verdict bit for bit, and then one clue record per winner, in
+    selection order.  The one entry point that builds clues; it backs
+    [Filter.classify] (and so [spamlab classify --clues]). *)
 
 val verdict_of_indicator : Options.t -> float -> Label.verdict
 (** Thresholding with SpamBayes boundary semantics — a score exactly at
@@ -69,8 +86,8 @@ val score_probs : Options.t -> int array -> float array -> int -> result
     |f − 0.5| ≥ [minimum_prob_strength], orders them by descending
     strength with ties broken by token bytes, takes the first
     [max_discriminators] and Fisher-combines them in that order; an
-    empty δ(E) scores 0.5.  Equal ids must carry equal
-    probabilities.  [probs] is read, never written.
+    empty δ(E) scores 0.5.  [clues] is empty.  Equal ids must carry
+    equal probabilities.  [probs] is read, never written.
     [score_engine_sub e ids n] ≡ [score_probs] over the probabilities
     [e] yields for [ids].
     @raise Invalid_argument if [n] exceeds either array's length. *)

@@ -42,8 +42,9 @@ let classify_ids t ids =
 
 (* Messages and raw mbox bytes ride the ingest path, scoring through
    the filter's cache; neither interns under options that keep unseen
-   tokens out of δ(E). *)
-let classify t msg = Ingest.classify_message_engine (engine t) t.tokenizer msg
+   tokens out of δ(E).  A parsed message is explained, so the CLI and
+   the examples can name its clues. *)
+let classify t msg = Ingest.explain_message_engine (engine t) t.tokenizer msg
 let classify_mbox t buf = Ingest.classify_mbox_engine (engine t) t.tokenizer buf
 
 (* Crash-safe persistence: serialize, write to a sibling temp file,

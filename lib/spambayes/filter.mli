@@ -41,20 +41,26 @@ val train_tokens : t -> Label.gold -> string array -> unit
 (** {!Token_db.train_ids} on the interned distinct tokens. *)
 
 val classify : t -> Spamlab_email.Message.t -> Classify.result
-(** Score a parsed message through the filter's cache
-    ({!Ingest.classify_message_engine}).  Under options that keep
+(** Score a parsed message through the filter's cache and name its
+    clues ({!Ingest.explain_message_engine}).  Under options that keep
     unseen tokens out of δ(E), as {!Options.default} does, it interns
     nothing; under options where an unseen token can be a clue, it
     interns the message's tokens so they score and name their clues. *)
 
+val engine : t -> Classify.engine
+(** The filter's scoring engine: its options over its db through its
+    private probability cache.  {!classify_ids} scores through it. *)
+
 val classify_ids : t -> int array -> Classify.result
 (** Score a message's distinct token ids — the hot path for
-    [Dataset.example]s, which carry their id arrays. *)
+    [Dataset.example]s, which carry their id arrays.  Verdict only:
+    [clues] is empty ({!Classify.score_engine}). *)
 
 val classify_mbox : t -> string -> Classify.result option array
 (** Classify every message of a raw mbox buffer, in order, through the
     zero-copy ingest path (header suppression per
-    {!Ingest.ignored_header}); [None] for a malformed chunk. *)
+    {!Ingest.ignored_header}); [None] for a malformed chunk.  Verdict
+    only: [clues] is empty. *)
 
 val save_file : t -> string -> unit
 (** Persist the token database as a v3 file (options and tokenizer

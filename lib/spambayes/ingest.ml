@@ -132,8 +132,10 @@ let ignored_header name = ignored_slice name 0 (String.length name)
    "From " separator lines, exactly as [Mbox.chunks_of] groups them,
    without splitting the buffer into line strings. *)
 
-let iter_raw_messages buf f =
-  let n = String.length buf in
+let iter_raw_messages ?(off = 0) ?len buf f =
+  let n = match len with Some len -> off + len | None -> String.length buf in
+  if off < 0 || off > n || n > String.length buf then
+    invalid_arg "Ingest.iter_raw_messages";
   let flush start stop = if stop > start then f ~off:start ~len:(stop - start) in
   let rec go line_start chunk_start =
     if line_start >= n then flush chunk_start n
@@ -151,11 +153,11 @@ let iter_raw_messages buf f =
      early-exit scan avoids [String.trim]'s copy of the buffer. *)
   let is_ws c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012' in
   let rec blank i = i >= n || (is_ws buf.[i] && blank (i + 1)) in
-  if not (blank 0) then go 0 0
+  if not (blank off) then go off off
 
-let raw_message_chunks buf =
+let raw_message_chunks ?off ?len buf =
   let acc = ref [] in
-  iter_raw_messages buf (fun ~off ~len -> acc := (off, len) :: !acc);
+  iter_raw_messages ?off ?len buf (fun ~off ~len -> acc := (off, len) :: !acc);
   Array.of_list (List.rev !acc)
 
 (* A fixed-up body goes to a per-domain scratch, so only a chunk with a
@@ -222,9 +224,9 @@ let classify_raw_engine e tokenizer buf ~off ~len =
   ingest_raw ~intern:(scores_unseen e) tokenizer buf ~off ~len
     (fun ids n _raw -> Classify.score_engine_sub e ids n)
 
-let classify_message_engine e tokenizer msg =
+let explain_message_engine e tokenizer msg =
   ingest_message ~intern:(scores_unseen e) tokenizer msg
-    (fun ids n _raw -> Classify.score_engine_sub e ids n)
+    (fun ids n _raw -> Classify.explain e ids n)
 
 let classify_mbox_engine e tokenizer buf =
   Array.map

@@ -13,7 +13,7 @@
     The training entry points ({!with_unique_ids},
     {!with_unique_ids_raw}, {!unique_ids_raw}) resolve tokens with
     {!Intern.resolve}, interning every token they have never seen.
-    Scoring ({!classify_message_engine}, {!classify_raw_engine},
+    Scoring ({!explain_message_engine}, {!classify_raw_engine},
     {!classify_mbox_engine}) looks them up with {!Intern.lookup} and
     drops the tokens no table holds before the dedup.  Such a token
     has no counts, so it would score exactly [unknown_word_prob];
@@ -85,16 +85,16 @@ val with_unique_ids :
     total token-stream length.  [ids] is the per-domain scratch
     buffer — valid only during [f], do not retain it. *)
 
-val classify_message_engine :
+val explain_message_engine :
   Classify.engine ->
   Spamlab_tokenizer.Tokenizer.t ->
   Spamlab_email.Message.t ->
   Classify.result
-(** Classify one parsed message through an explicit engine: its token
-    stream as {!with_unique_ids} reads it, looked up as
-    {!classify_raw_engine} looks a chunk up (resolved instead when the
-    engine's options let an unseen token be a clue), scored by
-    {!Classify.score_engine_sub}.  Under {!Options.default} nothing is
+(** Classify one parsed message through an explicit engine and name
+    its clues: its token stream as {!with_unique_ids} reads it, looked
+    up as {!classify_raw_engine} looks a chunk up (resolved instead
+    when the engine's options let an unseen token be a clue), scored
+    by {!Classify.explain}.  Under {!Options.default} nothing is
     interned.  Backs [Filter.classify]. *)
 
 (** {1 Raw mail} *)
@@ -106,13 +106,19 @@ val ignored_header : string -> bool
     (Subject, From, To, Reply-To, Received, Content-Type,
     Content-Transfer-Encoding) are never suppressed. *)
 
-val iter_raw_messages : string -> (off:int -> len:int -> unit) -> unit
+val iter_raw_messages :
+  ?off:int -> ?len:int -> string -> (off:int -> len:int -> unit) -> unit
 (** Walk the message chunks of a raw mbox buffer by offsets —
     the regions [Mbox.chunks_of] would produce, separator lines
-    excluded.  An all-whitespace buffer yields nothing. *)
+    excluded.  [?off] and [?len] (default: the whole buffer) make the
+    mbox a slice of [buf]; chunk offsets are offsets into [buf], and
+    no byte outside the slice is read.  An all-whitespace mbox yields
+    nothing.
+    @raise Invalid_argument if the slice is not inside [buf]. *)
 
-val raw_message_chunks : string -> (int * int) array
-(** Materialized [(off, len)] chunk list of a raw mbox buffer — the
+val raw_message_chunks : ?off:int -> ?len:int -> string -> (int * int) array
+(** Materialized [(off, len)] chunk list of a raw mbox buffer (or of
+    the slice [?off], [?len] of it, as {!iter_raw_messages}) — the
     fan-out unit for pool workers ([Pool.map_array] over chunks, each
     worker calling {!classify_raw_engine}). *)
 

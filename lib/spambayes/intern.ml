@@ -446,13 +446,13 @@ let[@inline] rank id =
   let rk = Atomic.get ranks in
   if id >= 0 && id < Array.length rk then Array.unsafe_get rk id else -1
 
-(* Merge [fresh] into [old], both sorted by [name] and disjoint in
-   names, calling [f i x] with each element [x] of the merged order and
-   its position [i].  Each fresh element gallops (doubling probes, then
-   bisection) over [old] from where its predecessor landed, so k fresh
-   elements cost O(k log (n/k + 1)) byte compares against n old ones. *)
-let merge_into name old fresh f =
-  let n = Array.length old in
+(* Merge [fresh] into [old.(0 .. n-1)], both sorted by [name] and
+   disjoint in names, calling [f i x] with each element [x] of the
+   merged order and its position [i].  Each fresh element gallops
+   (doubling probes, then bisection) over [old] from where its
+   predecessor landed, so k fresh elements cost O(k log (n/k + 1))
+   byte compares against n old ones. *)
+let merge_into name old n fresh f =
   let p = ref 0 and w = ref 0 in
   let emit x =
     f !w x;
@@ -513,7 +513,7 @@ let freeze () =
         if not (ascending name covered n) then
           Array.stable_sort (fun a b -> String.compare (name a) (name b)) fresh;
         let rk = Array.make n 0 in
-        merge_into name order fresh (fun pos id -> Array.unsafe_set rk id pos);
+        merge_into name order covered fresh (fun pos id -> Array.unsafe_set rk id pos);
         Atomic.set ranks rk
       end)
 
@@ -592,43 +592,48 @@ let sort_uniq a n =
 (* Covered positions sort on the int key [rank lsl 31 lor pos] (ranks
    and positions both stay below 2^31), uncovered ones by bytes; the
    two runs then merge by galloping, so byte compares are O(k log n)
-   for k uncovered ids among n. *)
+   for k uncovered ids among n.  The keys sort in the result array and
+   [sort_uniq]'s per-domain radix scratch, the late positions wait at
+   the result's tail, so a call allocates its result and nothing else
+   unless some id is uncovered. *)
 let byte_order ids n =
   if n < 0 || n > Array.length ids then invalid_arg "Intern.byte_order";
   let rk = Atomic.get ranks in
   let covered = Array.length rk in
-  let is_covered pos =
+  let out = Array.make n 0 in
+  let nk = ref 0 and l = ref n in
+  for pos = 0 to n - 1 do
     let id = Array.unsafe_get ids pos in
-    id >= 0 && id < covered
-  in
-  let nk = ref 0 in
-  for pos = 0 to n - 1 do
-    if is_covered pos then incr nk
-  done;
-  let keys = Array.make !nk 0 and late = Array.make (n - !nk) 0 in
-  let k = ref 0 and l = ref 0 in
-  for pos = 0 to n - 1 do
-    if is_covered pos then begin
-      keys.(!k) <- (rk.(ids.(pos)) lsl 31) lor pos;
-      incr k
+    if id >= 0 && id < covered then begin
+      Array.unsafe_set out !nk ((Array.unsafe_get rk id lsl 31) lor pos);
+      incr nk
     end
     else begin
-      late.(!l) <- pos;
-      incr l
+      decr l;
+      Array.unsafe_set out !l pos
     end
   done;
-  let runs =
-    radix_sort keys (Array.make !nk 0) (Array.make 257 0) !nk ~shift:31
+  let nk = !nk in
+  let sc = Domain.DLS.get radix_key in
+  if Array.length sc.tmp < n then
+    sc.tmp <- Array.make (max n (2 * Array.length sc.tmp)) 0;
+  let sorted =
+    radix_sort out sc.tmp sc.count nk ~shift:31
       ~bits:(bit_width (max 0 (covered - 1)))
   in
-  Array.iteri (fun i key -> runs.(i) <- key land ((1 lsl 31) - 1)) runs;
-  if !l = 0 then runs
-  else begin
+  (* With late ids the covered run moves to the scratch, so the merge
+     can write the result over it. *)
+  let runs = if nk = n then out else sc.tmp in
+  for i = 0 to nk - 1 do
+    Array.unsafe_set runs i (Array.unsafe_get sorted i land ((1 lsl 31) - 1))
+  done;
+  if nk < n then begin
     let name pos = to_string (Array.unsafe_get ids pos) in
+    (* The tail holds the late positions in reverse. *)
+    let late = Array.init (n - nk) (fun i -> Array.unsafe_get out (n - 1 - i)) in
     Array.stable_sort (fun a b -> String.compare (name a) (name b)) late;
-    let out = Array.make n 0 in
-    merge_into name runs late (fun i pos -> out.(i) <- pos);
-    out
-  end
+    merge_into name runs nk late (fun i pos -> Array.unsafe_set out i pos)
+  end;
+  out
 
 let size () = Atomic.get st.count

@@ -847,14 +847,11 @@ end
 (* ------------------------------------------------------------------ *)
 (* The string-keyed learner path                                       *)
 
-(* What [Token_db], [Score] and [Filter] answered by token string
-   before every learner entry point took ids: counts and f(w) looked up
-   through [Intern.find], which never interns (an unseen string reads
-   0/0 and scores the prior), and [classify] as [Filter.classify] ran —
-   the message's sorted distinct tokens ([Filter.features]), interned,
-   scored.  [Filter.classify] now scores through [Ingest] and interns
-   nothing under options that keep unseen tokens out of δ(E); the tests
-   hold it equal to [classify]. *)
+(* What [Token_db] and [Score] answered by token string before every
+   learner entry point took ids: counts and f(w) looked up through
+   [Intern.find], which never interns (an unseen string reads 0/0 and
+   scores the prior).  [Scoring.classify] below is [Filter.classify]
+   as it ran on strings. *)
 module By_string = struct
   module Classify = Spamlab_spambayes.Classify
   module Filter = Spamlab_spambayes.Filter
@@ -873,10 +870,6 @@ module By_string = struct
       ~ham:(ham_count db token) ~nspam:(Token_db.nspam db)
       ~nham:(Token_db.nham db)
 
-  let classify filter msg =
-    Classify.score_engine
-      (Classify.engine (Filter.options filter) (Filter.db filter))
-      (Intern.intern_array (Filter.features filter msg))
 end
 
 (* ------------------------------------------------------------------ *)
@@ -944,6 +937,16 @@ module Scoring = struct
 
   let score_tokens options db tokens =
     result_of_clues options (select_discriminators options db tokens)
+
+  (* [Filter.classify] on strings: the message's sorted distinct tokens
+     ([Filter.features]), each scored by string, the list selection.
+     It shares no code with the served path past the tokenizer, so the
+     tests hold [Filter.classify]'s clues — [Classify.explain] over
+     [Ingest]'s ids — to it bit for bit. *)
+  let classify filter msg =
+    score_tokens (Spamlab_spambayes.Filter.options filter)
+      (Spamlab_spambayes.Filter.db filter)
+      (Spamlab_spambayes.Filter.features filter msg)
 
   (* The pre-cache scoring path: uncached probabilities by id, eager
      per-candidate clue materialization, list selection.  [bench

@@ -896,14 +896,13 @@ let lexicon_mbox messages =
 
 let bits = Int64.bits_of_float
 
+(* A verdict-only [got] against a reference [want]: the same indicator
+   bits and verdict, and no clues. *)
 let check_same_result i (want : Classify.result) (got : Classify.result) =
-  let clue (c : Classify.clue) = (c.token, bits c.score) in
   Alcotest.(check int64) (Printf.sprintf "message %d: indicator bits" i)
     (bits want.indicator) (bits got.indicator);
   check_bool (Printf.sprintf "message %d: verdict" i) true (want.verdict = got.verdict);
-  Alcotest.(check (list (pair string int64)))
-    (Printf.sprintf "message %d: clues" i)
-    (List.map clue want.clues) (List.map clue got.clues)
+  check_int (Printf.sprintf "message %d: no clues" i) 0 (List.length got.clues)
 
 let lookup_tests =
   [
@@ -929,7 +928,7 @@ let lookup_tests =
           Array.map
             (fun (off, len) ->
               Option.map
-                (fun (ids, _raw) -> Classify.score_engine_sub engine ids (Array.length ids))
+                (fun (ids, _raw) -> Classify.explain engine ids (Array.length ids))
                 (Ingest.unique_ids_raw tokenizer text ~off ~len))
             (Ingest.raw_message_chunks text)
         in
@@ -997,7 +996,7 @@ let classify_tests =
                   let got = Filter.classify filter m in
                   check_same_classification
                     (Printf.sprintf "%s, message %d" (Tokenizer.name tokenizer) n)
-                    (Oracle.By_string.classify filter m)
+                    (Oracle.Scoring.classify filter m)
                     got
                 done)
               [ Options.default; unseen_clue_options ])
@@ -1020,19 +1019,16 @@ let classify_tests =
              (fun w -> List.exists (fun (c : Classify.clue) -> c.token = w) got.clues)
              words);
         check_same_classification "unseen-word message"
-          (Oracle.By_string.classify filter m) got);
+          (Oracle.Scoring.classify filter m) got);
     test_case "classify_many agrees with per-message classify" (fun () ->
         let filter = trained_filter 5 in
         let test_msgs = Array.init 40 gen_message in
         (* The span ingest path's ids, interned and scored through the
-           filter's cache, against the lookup-only [Filter.classify]. *)
-        let batched =
-          Array.map
-            (fun m ->
-              Filter.classify_ids filter
-                (fst (unique_ids (Filter.tokenizer filter) m)))
-            test_msgs
-        in
+           filter's cache, against the lookup-only [Filter.classify];
+           its clues against the same ids explained off the db. *)
+        let ids = Array.map (fun m -> fst (unique_ids (Filter.tokenizer filter) m)) test_msgs in
+        let batched = Array.map (Filter.classify_ids filter) ids in
+        let engine = Classify.engine (Filter.options filter) (Filter.db filter) in
         Array.iteri
           (fun i m ->
             let single = Filter.classify filter m in
@@ -1041,8 +1037,37 @@ let classify_tests =
               "indicator" single.Classify.indicator b.Classify.indicator;
             check_bool "verdict" true
               (single.Classify.verdict = b.Classify.verdict);
-            check_bool "clues" true (single.Classify.clues = b.Classify.clues))
+            check_bool "verdict only" true (b.Classify.clues = []);
+            check_bool "clues" true
+              (single.Classify.clues
+              = (Classify.explain engine ids.(i) (Array.length ids.(i))).Classify.clues))
           test_msgs);
+    test_case "explain = verdict-only scoring, cached and uncached" (fun () ->
+        (* Every tokenizer and both option sets: explaining through the
+           filter's cache equals explaining off its db bit for bit,
+           clues included, and verdict-only scoring through either
+           engine has the same indicator bits and verdict, and no
+           clues. *)
+        List.iter
+          (fun (_, tokenizer) ->
+            let trained = trained_filter ~tokenizer 11 in
+            List.iter
+              (fun options ->
+                let filter = Filter.set_options trained options in
+                let cached = Filter.engine filter
+                and uncached = Classify.engine options (Filter.db filter) in
+                for n = 2_000 to 2_059 do
+                  let ids, _ = unique_ids tokenizer (gen_message n) in
+                  let k = Array.length ids in
+                  let named = Classify.explain cached ids k in
+                  check_same_classification
+                    (Printf.sprintf "%s, message %d" (Tokenizer.name tokenizer) n)
+                    (Classify.explain uncached ids k) named;
+                  check_same_result n named (Classify.score_engine cached ids);
+                  check_same_result n named (Classify.score_engine uncached ids)
+                done)
+              [ Options.default; unseen_clue_options ])
+          Tokenizer.all);
     test_case "classify_mbox classifies every chunk" (fun () ->
         let filter = trained_filter 6 in
         let msgs = List.init 10 gen_message in

@@ -360,8 +360,80 @@ let sort_uniq_list l =
   let n = Intern.sort_uniq a (Array.length a) in
   Array.to_list (Array.sub a 0 n)
 
+(* Words [f] allocates on either heap: the minor heap's, plus what went
+   straight to the major heap (large arrays do, unseen by
+   [Gc.minor_words]), less the promotions both counts include.  The
+   minor count is [Gc.minor_words], which is exact; [Gc.quick_stat]'s
+   own minor count moves only at collections. *)
+let heap_words_of f =
+  let q0 = Gc.quick_stat () in
+  let m0 = Gc.minor_words () in
+  f ();
+  let m1 = Gc.minor_words () in
+  let q1 = Gc.quick_stat () in
+  m1 -. m0
+  +. (q1.major_words -. q0.major_words)
+  -. (q1.promoted_words -. q0.promoted_words)
+
+(* Distinct ids for [byte_order]: [covered] interned and ranked by a
+   freeze, then [late] interned after it, under a tag no earlier call
+   used, interleaved by [seed]. *)
+let byte_order_serial = ref 0
+
+let byte_order_ids covered late seed =
+  incr byte_order_serial;
+  let tag = Printf.sprintf "bo%d-" !byte_order_serial in
+  let distinct suffix l =
+    Array.of_list (List.sort_uniq compare (List.map (fun w -> tag ^ w ^ suffix) l))
+  in
+  let covered = Intern.intern_array (distinct "" covered) in
+  Intern.freeze ();
+  let late = Intern.intern_array (distinct "~late" late) in
+  let ids = Array.append covered late in
+  let rng = Random.State.make [| seed |] in
+  for i = Array.length ids - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = ids.(i) in
+    ids.(i) <- ids.(j);
+    ids.(j) <- x
+  done;
+  ids
+
 let radix_tests =
   [
+    qtest ~count:200 "byte_order equals a byte sort of covered and late ids"
+      QCheck2.Gen.(
+        let words = list_size (int_range 0 40) (string_size ~gen:(char_range 'a' 'd') (int_range 1 4)) in
+        triple words words nat)
+      (fun (covered, late, seed) ->
+        let ids = byte_order_ids covered late seed in
+        let n = Array.length ids in
+        let order = Intern.byte_order ids n in
+        let names = Array.map Intern.to_string ids in
+        let want = Array.copy names in
+        Array.sort String.compare want;
+        Array.length order = n
+        && Array.map (fun pos -> names.(pos)) order = want);
+    test_case "byte_order allocates its result and nothing else" (fun () ->
+        (* 2,000 rank-covered ids: the keys sort in the result and the
+           per-domain radix scratch, so a call allocates the result's
+           2,001 words (on the major heap, at this size) and a constant
+           rest, however many ids there are. *)
+        let ids = byte_order_ids (List.init 2_000 (Printf.sprintf "w%04d")) [] 7 in
+        let n = Array.length ids in
+        ignore (Intern.byte_order ids n);
+        let least = ref infinity in
+        for _ = 1 to 5 do
+          Gc.minor ();
+          (* [Gc.counters] is this domain's, and counts a block the
+             moment it is allocated on either heap. *)
+          let mi, pr, ma = Gc.counters () in
+          ignore (Intern.byte_order ids n);
+          let mi', pr', ma' = Gc.counters () in
+          least := Float.min !least (mi' -. mi +. (ma' -. ma) -. (pr' -. pr))
+        done;
+        if !least > float_of_int (n + 1 + 32) then
+          Alcotest.failf "%.0f words for %d ids, over %d" !least n (n + 1 + 32));
     qtest ~count:500 "sort_uniq equals List.sort_uniq compare"
       QCheck2.Gen.(
         (* One to four byte-wide digit passes. *)
@@ -514,8 +586,8 @@ module Ref_db = struct
     Buffer.contents buf
 
   (* Classification from reference counts: every token's smoothed
-     score from the reference counts, then the real selection/Fisher
-     stage ([Classify.score_probs] is pure in the probabilities). *)
+     score from the reference counts, then the oracle's list selection
+     and Fisher fold, clues named. *)
   let score options t tokens =
     let nspam = t.nspam and nham = t.nham in
     let probs =
@@ -525,8 +597,9 @@ module Ref_db = struct
             ~ham:(ham_count t tok) ~nspam ~nham)
         tokens
     in
-    Classify.score_probs options (Intern.intern_array tokens) probs
-      (Array.length tokens)
+    Spamlab_oracle.Scoring.score_clues options
+      (List.init (Array.length tokens) (fun i ->
+           { Classify.token = tokens.(i); score = probs.(i) }))
 end
 
 (* ------------------------------------------------------------------ *)
@@ -656,13 +729,15 @@ let scores_agree ?(universe = universe) db rdb =
   in
   List.for_all
     (fun probe ->
-      let got =
-        Classify.score_engine (Classify.engine options db) (Intern.intern_array probe)
-      in
+      let engine = Classify.engine options db and ids = Intern.intern_array probe in
+      let verdict = Classify.score_engine engine ids in
+      let got = Classify.explain engine ids (Array.length ids) in
       let want = Ref_db.score options rdb probe in
       got.Classify.indicator = want.Classify.indicator
       && got.Classify.verdict = want.Classify.verdict
-      && got.Classify.clues = want.Classify.clues)
+      && got.Classify.clues = want.Classify.clues
+      && verdict.Classify.indicator = want.Classify.indicator
+      && verdict.Classify.verdict = want.Classify.verdict)
     probes
 
 (* Every other universe token, with a suffix no earlier call produced:
@@ -949,21 +1024,6 @@ let probe_tests =
 (* ------------------------------------------------------------------ *)
 (* History independence.  Last in this binary: the ids it interns stay
    for the life of the process.                                        *)
-
-(* Words [f] allocates on either heap: the minor heap's, plus what went
-   straight to the major heap (large arrays do, unseen by
-   [Gc.minor_words]), less the promotions both counts include.  The
-   minor count is [Gc.minor_words], which is exact; [Gc.quick_stat]'s
-   own minor count moves only at collections. *)
-let heap_words_of f =
-  let q0 = Gc.quick_stat () in
-  let m0 = Gc.minor_words () in
-  f ();
-  let m1 = Gc.minor_words () in
-  let q1 = Gc.quick_stat () in
-  m1 -. m0
-  +. (q1.major_words -. q0.major_words)
-  -. (q1.promoted_words -. q0.promoted_words)
 
 (* 70 messages as ids, each twenty of [common]'s words and ten of its
    own, interned now: the words of a filter built at this point in the

@@ -26,6 +26,13 @@ let qtest ?(count = 100) ?print name gen prop =
    cache contract is byte-identical output, so 1 ulp is a failure. *)
 let same_float a b = Int64.bits_of_float a = Int64.bits_of_float b
 
+(* [a] from verdict-only scoring: [b]'s indicator bits and verdict, no
+   clues. *)
+let same_verdict (a : Classify.result) (b : Classify.result) =
+  same_float a.Classify.indicator b.Classify.indicator
+  && a.Classify.verdict = b.Classify.verdict
+  && a.Classify.clues = []
+
 let same_result (a : Classify.result) (b : Classify.result) =
   same_float a.Classify.indicator b.Classify.indicator
   && a.Classify.verdict = b.Classify.verdict
@@ -78,6 +85,17 @@ let print_op = function
 
 let print_ops ops = String.concat " " (List.map print_op ops)
 
+(* Both scoring entry points through each engine against the
+   reference: verdict-only scoring on indicator and verdict, [explain]
+   bit for bit, clues included. *)
+let both_agree ?uncached ~cached ids reference =
+  let n = Array.length ids in
+  List.for_all
+    (fun e ->
+      same_verdict (Classify.score_engine e ids) reference
+      && same_result (Classify.explain e ids n) reference)
+    (cached :: Option.to_list uncached)
+
 (* ------------------------------------------------------------------ *)
 (* Filter path: one persistent filter (and thus one persistent private
    cache) across the whole interleaving; every classification must
@@ -105,10 +123,9 @@ let filter_differential ops =
       | Classify ixs ->
           let ids = Intern.intern_array (msg_of_indices ixs) in
           let db = Filter.db filter in
-          let cached = Filter.classify_ids filter ids in
-          let uncached = Classify.score_engine (Classify.engine options db) ids in
+          let uncached = Classify.engine options db in
           let reference = score_ids_reference options db ids in
-          same_result cached reference && same_result uncached reference)
+          both_agree ~cached:(Filter.engine filter) ~uncached ids reference)
     ops
 
 (* ------------------------------------------------------------------ *)
@@ -159,15 +176,12 @@ let store_differential ops =
           | Classify ixs ->
               let user = user_of ixs in
               let ids = Intern.intern_array (msg_of_indices ixs) in
-              let fast =
-                Store.with_user_engine st user (fun e ->
-                    Classify.score_engine e ids)
-              in
               let reference =
                 Store.with_user st user (fun db ->
                     score_ids_reference options db ids)
               in
-              same_result fast reference)
+              Store.with_user_engine st user (fun e ->
+                  both_agree ~cached:e ids reference))
         ops
 
 (* ------------------------------------------------------------------ *)
@@ -206,11 +220,10 @@ let publish_cycle_differential ops =
           | Untrain -> true
           | Classify ixs ->
               let ids = Intern.intern_array (msg_of_indices ixs) in
-              let cached = Classify.score_engine engine ids in
               let reference =
                 score_ids_reference options snapshot ids
               in
-              same_result cached reference)
+              both_agree ~cached:engine ids reference)
         (List.rev round))
     rounds
 
@@ -234,9 +247,12 @@ let tie_break_tests =
         Intern.freeze ();
         let ids = Intern.intern_array cluster in
         let options = Options.default in
-        let fast = Classify.score_engine (Classify.engine options db) ids in
+        let engine = Classify.engine options db in
+        let fast = Classify.explain engine ids (Array.length ids) in
         let reference = score_ids_reference options db ids in
         check_bool "bit-identical" true (same_result fast reference);
+        check_bool "verdict only" true
+          (same_verdict (Classify.score_engine engine ids) reference);
         let tokens = List.map (fun c -> c.Classify.token) fast.Classify.clues in
         check_bool "clues sorted by byte order within the tie" true
           (List.sort String.compare tokens = tokens));
@@ -251,9 +267,12 @@ let tie_break_tests =
         Array.iter (fun t -> Token_db.train_ids db Label.Spam (ids_of [| t |])) fresh;
         let ids = Intern.intern_array (Array.append covered fresh) in
         let options = Options.default in
-        let fast = Classify.score_engine (Classify.engine options db) ids in
+        let engine = Classify.engine options db in
+        let fast = Classify.explain engine ids (Array.length ids) in
         let reference = score_ids_reference options db ids in
-        check_bool "bit-identical" true (same_result fast reference));
+        check_bool "bit-identical" true (same_result fast reference);
+        check_bool "verdict only" true
+          (same_verdict (Classify.score_engine engine ids) reference));
     test_case "winner truncation happens after the tie-break" (fun () ->
         (* More equal-strength candidates than max_discriminators: which
            ones survive depends entirely on the tie-break order. *)
@@ -263,9 +282,12 @@ let tie_break_tests =
         Intern.freeze ();
         let options = { Options.default with Options.max_discriminators = 7 } in
         let ids = Intern.intern_array cluster in
-        let fast = Classify.score_engine (Classify.engine options db) ids in
+        let engine = Classify.engine options db in
+        let fast = Classify.explain engine ids (Array.length ids) in
         let reference = score_ids_reference options db ids in
         check_bool "bit-identical" true (same_result fast reference);
+        check_bool "verdict only" true
+          (same_verdict (Classify.score_engine engine ids) reference);
         check_bool "truncated" true (List.length fast.Classify.clues = 7));
   ]
 
@@ -292,15 +314,17 @@ let fault_tests =
            falls through to the uncached compute, output unchanged. *)
         with_faults "score.cache.fill:transient~1" (fun () ->
             let r = Filter.classify_ids filter ids in
-            check_bool "all-faults run matches" true (same_result r reference));
+            check_bool "all-faults run matches" true (same_verdict r reference));
         (* Sporadic faults: some slots fill, some fall through, then a
            clean pass serves the (partially warm) cache. *)
         with_faults "score.cache.fill:transient@1+3+5" (fun () ->
             let r = Filter.classify_ids filter ids in
             check_bool "sporadic-faults run matches" true
-              (same_result r reference));
+              (same_verdict r reference));
         let r = Filter.classify_ids filter ids in
-        check_bool "post-fault warm run matches" true (same_result r reference));
+        check_bool "post-fault warm run matches" true (same_verdict r reference);
+        check_bool "explained warm run matches" true
+          (same_result (Classify.explain (Filter.engine filter) ids (Array.length ids)) reference));
     test_case "fatal fill fault raises" (fun () ->
         let filter = Filter.create () in
         Filter.train_tokens filter Label.Spam (msg_of_indices [ 0; 1; 2 ]);

@@ -244,7 +244,20 @@ let io_tests =
 (* ------------------------------------------------------------------ *)
 (* Protocol framing                                                    *)
 
-let recv s = with_reader_of_string s Protocol.recv_request
+(* [recv_frame] with its in-place body copied out: what
+   [recv_request] returns, read the way the daemon reads it. *)
+let frame_request reader =
+  match Protocol.recv_frame reader with
+  | `Frame (verb, user, { Io.buf; off; len }) ->
+      `Request { Protocol.verb; body = String.sub buf off len; user }
+  | (`Eof | `Error _) as other -> other
+
+(* One frame through both readers, which must agree. *)
+let recv s =
+  let copied = with_reader_of_string s Protocol.recv_request in
+  if with_reader_of_string s frame_request <> copied then
+    Alcotest.failf "recv_request and recv_frame disagree on %S" s;
+  copied
 
 let expect_error name s =
   match recv s with
@@ -307,17 +320,21 @@ let protocol_tests =
             reqs
         in
         let wire = String.concat "" (List.map Protocol.render_request reqs) in
-        with_reader_of_string wire @@ fun reader ->
-        let got =
-          List.map
-            (fun _ ->
-              match Protocol.recv_request reader with
-              | `Request r -> Some r
-              | _ -> None)
-            reqs
-        in
-        Protocol.recv_request reader = `Eof
-        && List.for_all2 (fun r g -> g = Some r) reqs got);
+        (* Through the copying reader and the in-place one: a body
+           slice is read before the next frame reuses the buffer. *)
+        List.for_all
+          (fun recv ->
+            with_reader_of_string wire @@ fun reader ->
+            let got =
+              List.map
+                (fun _ ->
+                  match recv reader with
+                  | `Request r -> Some r
+                  | _ -> None)
+                reqs
+            in
+            recv reader = `Eof && List.for_all2 (fun r g -> g = Some r) reqs got)
+          [ Protocol.recv_request; frame_request ]);
     test_case "zero-length bodies are legal" (fun () ->
         match recv "CLASSIFY SPAMLAB/1.0\r\nContent-Length: 0\r\n\r\n" with
         | `Request { verb = Protocol.Classify; body = ""; user = None } -> ()
@@ -1705,12 +1722,225 @@ let stats_tests =
           [ ("deterministic", det); ("nondeterministic", rest) ]);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Frames read in place                                                *)
+
+let classify_frame body =
+  Protocol.render_request { Protocol.verb = Protocol.Classify; body; user = None }
+
+(* [n] bytes of every value, in no repeating pattern a misplaced copy
+   could pass. *)
+let patterned ?(seed = 0) n =
+  String.init n (fun i -> Char.chr (((i * 7) + (i lsr 9) + seed) land 0xff))
+
+let expect_frame what reader want =
+  match Protocol.recv_frame reader with
+  | `Frame (_, _, { Io.buf; off; len }) ->
+      check_int (what ^ ": length") (String.length want) len;
+      check_bool (what ^ ": bytes") true (String.sub buf off len = want)
+  | `Eof -> Alcotest.failf "%s: EOF" what
+  | `Error e -> Alcotest.failf "%s: %s" what e
+
+let with_faults spec f =
+  match Fault.configure spec with
+  | Error e -> Alcotest.fail e
+  | Ok () -> Fun.protect ~finally:Fault.disable f
+
+let frame_tests =
+  [
+    test_case "a body past 64 KiB is read in place, then the next frame"
+      (fun () ->
+        let body = patterned 200_000 in
+        with_reader_of_string (classify_frame body ^ Protocol.render_request ping)
+        @@ fun reader ->
+        check_int "starts at 64 KiB" 65_536 (Io.capacity reader);
+        expect_frame "large body" reader body;
+        check_bool "grown to hold it" true (Io.capacity reader >= 200_000);
+        match Protocol.recv_frame reader with
+        | `Frame (Protocol.Ping, None, { Io.len = 0; _ }) -> ()
+        | _ -> Alcotest.fail "the PING after it");
+    test_case "a body in 1-byte writes under an armed read deadline" (fun () ->
+        let body = patterned 70_000 in
+        let wire = classify_frame body in
+        let r, w = Unix.pipe ~cloexec:true () in
+        let writer =
+          Domain.spawn (fun () ->
+              let b = Bytes.create 1 in
+              String.iter
+                (fun c ->
+                  Bytes.set b 0 c;
+                  ignore (Unix.write w b 0 1))
+                wire;
+              Unix.close w)
+        in
+        Fun.protect ~finally:(fun () -> Unix.close r) @@ fun () ->
+        let reader = Io.reader ~buf_size:16 r in
+        Io.set_deadline reader (Some (Io.monotonic_s () +. 60.0));
+        expect_frame "trickled body" reader body;
+        check_bool "then end of stream" true (Protocol.recv_frame reader = `Eof);
+        Domain.join writer);
+    test_case "a serve.read fault mid-body" (fun () ->
+        (* A 64-byte buffer holds the head and 18 body bytes, so the
+           second refill is the first one inside the body. *)
+        let body = patterned 1_000 in
+        let wire = classify_frame body in
+        (* Transient: retried inside the read, the frame arrives whole. *)
+        with_faults "serve.read:transient@2+3" (fun () ->
+            let path = Filename.temp_file "spamlab_serve" ".bin" in
+            Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+            Out_channel.with_open_bin path (fun oc -> output_string oc wire);
+            let fd = Unix.openfile path [ O_RDONLY ] 0 in
+            Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+            expect_frame "after transient faults"
+              (Io.reader ~site:"serve.read" ~buf_size:64 fd) body);
+        (* Fatal, through the daemon's connection path: one ERR, the
+           connection dropped, nothing executed. *)
+        with_temp_dir @@ fun dir ->
+        let path = Filename.concat dir "wire.bin" and out = Filename.concat dir "out.bin" in
+        Out_channel.with_open_bin path (fun oc -> output_string oc wire);
+        run_daemon_state dir @@ fun t ->
+        let fd = Unix.openfile path [ O_RDONLY ] 0 in
+        let ofd = Unix.openfile out [ O_WRONLY; O_CREAT; O_TRUNC ] 0o600 in
+        let outcome =
+          Fun.protect
+            ~finally:(fun () ->
+              Unix.close fd;
+              Unix.close ofd)
+          @@ fun () ->
+          with_faults "serve.read:fatal@2" (fun () ->
+              Daemon.serve_frame t (Io.reader ~site:"serve.read" ~buf_size:64 fd) ofd
+                ~shed:false ~now:(Io.monotonic_s ()))
+        in
+        check_bool "connection closed" true (outcome = `Close);
+        check_string "one ERR" "SPAMLAB/1.0 ERR injected read fault\r\n" (read_file out);
+        let stats = Daemon.stats_payload t in
+        check_bool "nothing executed" true (contains stats "requests.classify 0\n");
+        check_bool "counted as an I/O error" true (contains stats "io.errors 1\n"));
+    qtest ~count:25 "pipelined frames up to 2.5 MiB read in place through grows and shrinks"
+      QCheck2.Gen.(pair (oneofl [ 16; 4_096; 65_536 ]) (list_size (int_range 1 4) (int_range 0 2_600_000)))
+      (fun (buf_size, sizes) ->
+        let bodies = List.mapi (fun seed n -> patterned ~seed n) sizes in
+        let path = Filename.temp_file "spamlab_serve" ".bin" in
+        Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+        Out_channel.with_open_bin path (fun oc ->
+            List.iter (fun b -> output_string oc (classify_frame b)) bodies);
+        let fd = Unix.openfile path [ O_RDONLY ] 0 in
+        Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+        let reader = Io.reader ~buf_size fd in
+        List.for_all
+          (fun body ->
+            (match Protocol.recv_frame reader with
+            | `Frame (_, _, { Io.buf; off; len }) -> String.sub buf off len = body
+            | _ -> false)
+            (* After its frame, a buffer past 1 MiB holds no more than
+               its base size or what is buffered beyond the frame. *)
+            && Io.capacity reader <= max (1 lsl 20) (max buf_size (Io.buffered reader)))
+          bodies
+        && Protocol.recv_frame reader = `Eof);
+    test_case "a grown buffer shrinks back after its frame" (fun () ->
+        let huge = patterned (2 * 1024 * 1024) and mid = patterned (512 * 1024) in
+        let wire = classify_frame huge ^ classify_frame mid ^ classify_frame "tail" in
+        with_reader_of_string wire @@ fun reader ->
+        let first =
+          match Protocol.recv_frame reader with
+          | `Frame (_, _, slice) -> slice
+          | _ -> Alcotest.fail "the 2 MiB frame"
+        in
+        check_int "back to 64 KiB once the 2 MiB slice is taken" 65_536 (Io.capacity reader);
+        expect_frame "512 KiB frame" reader mid;
+        check_bool "grown, and kept under 1 MiB" true
+          (Io.capacity reader >= 512 * 1024 && Io.capacity reader <= 1024 * 1024);
+        expect_frame "the next frame" reader "tail";
+        (* The 2 MiB slice lives in the dropped buffer, which no later
+           read touched. *)
+        check_bool "the first slice is intact" true
+          (String.sub first.Io.buf first.Io.off first.Io.len = huge));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* What a request allocates                                            *)
+
+let generated =
+  let module Generator = Spamlab_corpus.Generator in
+  let config =
+    Generator.default_config ~seed:31
+      ~sizes:
+        {
+          Spamlab_corpus.Vocabulary.shared = 300;
+          ham_specific = 200;
+          spam_specific = 150;
+          colloquial = 100;
+          rare_standard = 400;
+          rare_nonstandard = 400;
+        }
+      ()
+  in
+  fun n ->
+    let rng = Spamlab_stats.Rng.create n in
+    if n mod 2 = 0 then Generator.ham config rng else Generator.spam config rng
+
+let alloc_tests =
+  [
+    test_case "a 64-message CLASSIFY through the connection path adds no major-heap words"
+      (fun () ->
+        with_temp_dir @@ fun dir ->
+        run_daemon_state ~publish_every:0 dir @@ fun t ->
+        ignore (local_ok t (Protocol.Train Label.Ham) (mbox (List.init 150 (fun i -> generated (2 * i)))));
+        ignore
+          (local_ok t (Protocol.Train Label.Spam) (mbox (List.init 150 (fun i -> generated ((2 * i) + 1)))));
+        ignore (local_ok t Protocol.Publish "");
+        let body = mbox (List.init 64 (fun i -> generated (1_000 + i))) in
+        let runs = 5 in
+        let wire = Filename.concat dir "wire.bin" and out = Filename.concat dir "out.bin" in
+        Out_channel.with_open_bin wire (fun oc ->
+            for _ = 0 to runs do
+              output_string oc (classify_frame body)
+            done);
+        let fd = Unix.openfile wire [ O_RDONLY ] 0 in
+        let ofd = Unix.openfile out [ O_WRONLY; O_CREAT; O_TRUNC ] 0o600 in
+        let least =
+          Fun.protect
+            ~finally:(fun () ->
+              Unix.close fd;
+              Unix.close ofd)
+          @@ fun () ->
+          let reader = Io.reader ~site:"serve.read" fd in
+          let serve () =
+            check_bool "served" true
+              (Daemon.serve_frame t reader ofd ~shed:false ~now:(Io.monotonic_s ()) = `Keep)
+          in
+          (* The warm-up grows the reader's buffer to the frame and the
+             per-domain scratch to the messages, and fills the cache. *)
+          serve ();
+          (* The least of several runs, each from an empty minor heap,
+             so that only what the request itself puts on the major
+             heap counts: [Gc.counters] is this domain's, and counts a
+             block the moment it is allocated or promoted. *)
+          List.fold_left Float.min infinity
+            (List.init runs (fun _ ->
+                 Gc.minor ();
+                 let _, _, major = Gc.counters () in
+                 serve ();
+                 let _, _, major' = Gc.counters () in
+                 major' -. major))
+        in
+        Alcotest.(check (float 0.)) "major-heap words" 0. least;
+        let payload = local_ok t Protocol.Classify body in
+        check_int "64 verdicts" 64 (List.length (String.split_on_char '\n' payload) - 1);
+        let want = Protocol.render_response (Protocol.Ok payload) in
+        check_string "every response as handle_request answers"
+          (String.concat "" (List.init (runs + 1) (fun _ -> want)))
+          (read_file out));
+  ]
+
 let () =
   Alcotest.run "serve"
     [
       ("io", io_tests);
       ("protocol", protocol_tests);
       ("connection", connection_tests);
+      ("frame", frame_tests);
+      ("allocation", alloc_tests);
       ("e2e", e2e_tests);
       ("write path", write_path_tests);
       ("publish", publish_tests);

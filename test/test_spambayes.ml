@@ -571,9 +571,9 @@ let score_tests =
         check_bool "significant spam token" true (strength "s" >= band);
         check_bool "unknown not significant" false (strength "unseen" >= band);
         check_close 1e-12 "strength of unknown" 0.0 (strength "unseen");
+        let ids = Intern.intern_array [| "s"; "unseen" |] in
         let clues =
-          (Classify.score_engine (Classify.engine Options.default db)
-             (Intern.intern_array [| "s"; "unseen" |]))
+          (Classify.explain (Classify.engine Options.default db) ids (Array.length ids))
             .Classify.clues
         in
         check_bool "only the significant token is a clue" true
@@ -609,11 +609,16 @@ let training_db () =
   done;
   db
 
-(* δ(E) as the served pipeline selects it. *)
+(* The served pipeline: verdict-only scoring, and δ(E) as it selects
+   it, named. *)
 let score_tokens options db tokens =
   Classify.score_engine (Classify.engine options db) (Intern.intern_array tokens)
 
-let clues_of options db tokens = (score_tokens options db tokens).Classify.clues
+let explain_tokens options db tokens =
+  let ids = Intern.intern_array tokens in
+  Classify.explain (Classify.engine options db) ids (Array.length ids)
+
+let clues_of options db tokens = (explain_tokens options db tokens).Classify.clues
 
 (* Differential inputs for [Classify.score_probs]: a universe interned
    and ranked by one [Intern.freeze], beside strings interned after it
@@ -791,8 +796,48 @@ let classify_tests =
         in
         bits_equal got.Classify.indicator want.Classify.indicator
         && got.Classify.verdict = want.Classify.verdict
-        && got.Classify.clues = want.Classify.clues
+        && got.Classify.clues = []
         && Array.for_all2 bits_equal before probs_arr);
+    test_case "verdict-only scoring allocates nothing per winner" (fun () ->
+        (* Two 200-token messages: one of 200 spam hapaxes, each strong
+           enough to be a clue, so the paper's 150 win; one of 10 such
+           hapaxes and 190 tokens seen once in each class, which score
+           exactly 0.5, so 10 win.  Scoring either allocates the same
+           minor words, through the uncached and the cached engine;
+           explaining names every winner. *)
+        let db = Token_db.create () in
+        let strong = Array.init 200 (Printf.sprintf "alloc-winner-%03d") in
+        let neutral = Array.init 190 (Printf.sprintf "alloc-neutral-%03d") in
+        Token_db.train_ids db Label.Spam (ids_of (Array.append strong neutral));
+        Token_db.train_ids db Label.Ham (ids_of neutral);
+        Intern.freeze ();
+        let few = ids_of (Array.append (Array.sub strong 0 10) neutral)
+        and many = ids_of strong in
+        let least_minor_words f =
+          List.fold_left Float.min infinity
+            (List.init 5 (fun _ ->
+                 Gc.minor ();
+                 let before = Gc.minor_words () in
+                 f ();
+                 Gc.minor_words () -. before))
+        in
+        List.iter
+          (fun (what, engine) ->
+            let score ids () = ignore (Classify.score_engine engine ids) in
+            score many ();
+            Alcotest.(check (float 0.))
+              (what ^ ": minor words at 10 and 150 winners")
+              (least_minor_words (score few))
+              (least_minor_words (score many));
+            let named ids =
+              List.length (Classify.explain engine ids (Array.length ids)).Classify.clues
+            in
+            check_int (what ^ ": 10 named") 10 (named few);
+            check_int (what ^ ": 150 named") 150 (named many))
+          [
+            ("uncached", Classify.engine Options.default db);
+            ("cached", Classify.engine_cached (Prob_cache.create Options.default db));
+          ]);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -985,11 +1030,15 @@ let property_tests =
         in
         let r = score_tokens Options.default db tokens in
         (* The served pipeline also agrees with the string-keyed list
-           pipeline on every random db. *)
+           pipeline on every random db: verdict-only scoring on the
+           indicator, [explain] on the clues too. *)
         let want = Spamlab_oracle.Scoring.score_tokens Options.default db tokens in
+        let named = explain_tokens Options.default db tokens in
         r.Classify.indicator >= 0.0 && r.Classify.indicator <= 1.0
         && bits_equal r.Classify.indicator want.Classify.indicator
-        && r.Classify.clues = want.Classify.clues);
+        && r.Classify.clues = []
+        && bits_equal named.Classify.indicator want.Classify.indicator
+        && named.Classify.clues = want.Classify.clues);
   ]
 
 (* ------------------------------------------------------------------ *)
