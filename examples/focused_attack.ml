@@ -8,7 +8,7 @@
 open Spamlab_eval
 module Filter = Spamlab_spambayes.Filter
 module Intern = Spamlab_spambayes.Intern
-module Score = Spamlab_spambayes.Score
+module Prob_cache = Spamlab_spambayes.Prob_cache
 module Label = Spamlab_spambayes.Label
 module Classify = Spamlab_spambayes.Classify
 module Dataset = Spamlab_corpus.Dataset
@@ -67,7 +67,7 @@ let () =
   let score filter w =
     let options = Filter.options filter in
     match Intern.find w with
-    | Some id -> Score.smoothed_id options (Filter.db filter) id
+    | Some id -> Prob_cache.smoothed_id options (Filter.db filter) id
     | None -> options.Spamlab_spambayes.Options.unknown_word_prob
   in
   let shifts =

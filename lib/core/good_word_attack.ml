@@ -29,7 +29,7 @@ let hammiest_tokens filter ~limit =
       (fun acc id ~spam:_ ~ham:_ ->
         let token = Spamlab_spambayes.Intern.to_string id in
         if body_insertable token then
-          (token, Spamlab_spambayes.Score.smoothed_id options db id) :: acc
+          (token, Spamlab_spambayes.Prob_cache.smoothed_id options db id) :: acc
         else acc)
       [] db
   in

@@ -35,14 +35,14 @@ let ham_as_ham filter validation =
    exactly two inputs of every token score — candidate members read
    spam+1 and the spam total reads nspam+1 — so each validation message
    is scored from the baseline's counts with that adjustment applied
-   arithmetically.  [Score.smoothed_counts] performs the exact float
-   sequence of the DB-lookup path and [Classify.score_probs] is the
-   served selection/Fisher stage, so verdicts are bit-identical to
+   arithmetically.  [Prob_cache.smoothed_counts] performs the exact
+   float sequence of the DB-lookup path and [Classify.score_probs] is
+   the served selection/Fisher stage, so verdicts are bit-identical to
    classifying a copy trained on the candidate (the same argument as
    [Poison.sweep]) — at none of the per-trial cost of training a
    dictionary-sized candidate into the copy. *)
 let ham_as_ham_with_candidate filter ~candidate_member validation =
-  let module Score = Spamlab_spambayes.Score in
+  let module Prob_cache = Spamlab_spambayes.Prob_cache in
   let options = Filter.options filter in
   let db = Filter.db filter in
   let nspam = Token_db.nspam db + 1 in
@@ -65,7 +65,7 @@ let ham_as_ham_with_candidate filter ~candidate_member validation =
             Token_db.slot_spam db s + if candidate_member id then 1 else 0
           in
           let ham = Token_db.slot_ham db s in
-          probs.(i) <- Score.smoothed_counts options ~spam ~ham ~nspam ~nham
+          probs.(i) <- Prob_cache.smoothed_counts options ~spam ~ham ~nspam ~nham
         done;
         if
           (Classify.score_probs options e.ids probs n).Classify.verdict

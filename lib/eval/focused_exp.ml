@@ -3,7 +3,7 @@ module Dataset = Spamlab_corpus.Dataset
 module Generator = Spamlab_corpus.Generator
 module Filter = Spamlab_spambayes.Filter
 module Intern = Spamlab_spambayes.Intern
-module Score = Spamlab_spambayes.Score
+module Prob_cache = Spamlab_spambayes.Prob_cache
 module Label = Spamlab_spambayes.Label
 module Classify = Spamlab_spambayes.Classify
 module Message = Spamlab_email.Message
@@ -196,7 +196,7 @@ let token_shifts lab (params : Params.focused) =
       let score filter token =
         let options = Filter.options filter in
         match Intern.find token with
-        | Some id -> Score.smoothed_id options (Filter.db filter) id
+        | Some id -> Prob_cache.smoothed_id options (Filter.db filter) id
         | None -> options.Spamlab_spambayes.Options.unknown_word_prob
       in
       let shifts =

@@ -3,7 +3,7 @@ module Filter = Spamlab_spambayes.Filter
 module Label = Spamlab_spambayes.Label
 module Classify = Spamlab_spambayes.Classify
 module Token_db = Spamlab_spambayes.Token_db
-module Score = Spamlab_spambayes.Score
+module Prob_cache = Spamlab_spambayes.Prob_cache
 module Options = Spamlab_spambayes.Options
 module Obs = Spamlab_obs.Obs
 
@@ -51,11 +51,11 @@ let sweep filter ~payload ~counts test =
      each test token's base counts (and payload membership) up once,
      and score every grid point as pure arithmetic over those cached
      counts — no [Filter.copy], no retraining, and no hashtable access
-     in the per-count loop.  [Score.smoothed_counts] performs the exact
-     float sequence of [Score.smoothed_id] and [Classify.score_probs] is
-     the served selection/Fisher stage, so each grid point's scores are
-     bit-identical to scoring a fresh copy of [filter] trained with
-     that count. *)
+     in the per-count loop.  [Prob_cache.smoothed_counts] performs the
+     exact float sequence of every scoring loop and
+     [Classify.score_probs] is the served selection/Fisher stage, so
+     each grid point's scores are bit-identical to scoring a fresh copy
+     of [filter] trained with that count. *)
   let options = Filter.options filter in
   let db = Filter.db filter in
   let nspam0 = Token_db.nspam db in
@@ -114,7 +114,7 @@ let sweep filter ~payload ~counts test =
           if payload_member.(s) then spam0.(s) + count else spam0.(s)
         in
         slot_score.(s) <-
-          Score.smoothed_counts options ~spam ~ham:ham0.(s) ~nspam ~nham
+          Prob_cache.smoothed_counts options ~spam ~ham:ham0.(s) ~nspam ~nham
       done;
       Array.map
         (fun (label, ids, slots) ->

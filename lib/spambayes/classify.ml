@@ -19,40 +19,25 @@ let verdict_of_indicator (options : Options.t) indicator =
   else Label.Ham_v
 
 (* The scoring engine: where each interned id's smoothed probability
-   comes from.  Every way the stack scores — straight off a db, through
-   a per-filter probability cache, or through the tenant fast path
-   (shared prior cache + overlay dirty set) — is one of these, and all
-   of them feed the one selection/Fisher pipeline, [score_probs], so
-   the variants can be differentially tested against each other.  A
-   variant rather than a closure: the scoring loop dispatches once per
-   message and runs a monomorphic per-token loop, instead of paying an
-   indirect call and a boxed float return per token. *)
+   comes from — straight off a db, through a per-filter probability
+   cache, or through the tenant fast path (the store's shared prior
+   cache beside the tenant's overlay).  Each names one of
+   [Prob_cache]'s loops, and all of them feed the one selection/Fisher
+   pipeline, [score_probs], so the variants can be differentially
+   tested against each other.  A variant rather than a closure: the
+   scoring loop dispatches once per message. *)
 type engine =
   | Uncached of Options.t * Token_db.t
   | Cached of Prob_cache.t
-  | Overlay of { cache : Prob_cache.t; db : Token_db.t; same_totals : bool }
+  | Overlay of Prob_cache.t * Token_db.t
 
 let engine options db = Uncached (options, db)
 let engine_cached cache = Cached cache
-
-let engine_overlay cache db =
-  let prior = Prob_cache.db cache in
-  (* The cached prior probability is valid for the tenant exactly when
-     the tenant reads the same counts the prior does: the id is not in
-     its copy-on-write overlay AND the message totals agree (training
-     the tenant changes its N_S/N_H, which shifts every token's
-     probability, cached or not).  [same_totals] is hoisted here — the
-     overlay must not be trained while this engine is in use (the
-     store builds a fresh engine per locked [with_user_engine] call). *)
-  let same_totals =
-    Token_db.nspam db = Token_db.nspam prior
-    && Token_db.nham db = Token_db.nham prior
-  in
-  Overlay { cache; db; same_totals }
+let engine_overlay cache db = Overlay (cache, db)
 
 let engine_options = function
   | Uncached (options, _) -> options
-  | Cached cache | Overlay { cache; _ } -> Prob_cache.options cache
+  | Cached cache | Overlay (cache, _) -> Prob_cache.options cache
 
 (* Selection scratch, one per domain: candidates accumulate into
    parallel unboxed arrays (id, probability, strength) and an index
@@ -165,27 +150,12 @@ let sort_cands sc c =
   if c > 1 then loop 0 (c - 1)
 
 (* Stage one of scoring: each token's probability lands in the scratch
-   [s_raw] array, through whichever source the engine names — a
-   monomorphic loop per variant, all stores unboxed. *)
+   [s_raw] array, through the engine's loop. *)
 let fill_raw e ids n raw =
   match e with
-  | Uncached (options, db) ->
-      for i = 0 to n - 1 do
-        Array.unsafe_set raw i
-          (Score.smoothed_id options db (Array.unsafe_get ids i))
-      done
+  | Uncached (options, db) -> Prob_cache.collect_uncached options db ids n raw
   | Cached cache -> Prob_cache.collect cache ids n raw
-  | Overlay { cache; db; same_totals } ->
-      let options = Prob_cache.options cache in
-      for i = 0 to n - 1 do
-        let id = Array.unsafe_get ids i in
-        let p =
-          if same_totals && not (Token_db.overlay_mem db id) then
-            Prob_cache.get cache id
-          else Score.smoothed_id options db id
-        in
-        Array.unsafe_set raw i p
-      done
+  | Overlay (cache, db) -> Prob_cache.collect_overlay cache db ids n raw
 
 (* Stage two, the one δ(E) selection in the stack: candidates at or
    beyond the strength band are copied into the scratch, their index

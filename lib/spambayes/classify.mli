@@ -26,30 +26,30 @@ type result = {
 }
 
 type engine
-(** A scoring engine: options plus a way to obtain each interned
-    token's smoothed probability.  Every engine feeds the one
-    selection/Fisher pipeline, {!score_probs}; all variants are
-    bit-identical in output, differing only in where the per-token
-    float comes from. *)
+(** A scoring engine: options plus where each interned token's
+    smoothed probability comes from, one of {!Prob_cache}'s loops.
+    Every engine feeds the one selection/Fisher pipeline,
+    {!score_probs}; all variants are bit-identical in output, differing
+    only in where the per-token float comes from. *)
 
 val engine : Options.t -> Token_db.t -> engine
 (** The uncached reference: every probability recomputed from counts
-    via {!Score.smoothed_id}. *)
+    ({!Prob_cache.collect_uncached}). *)
 
 val engine_cached : Prob_cache.t -> engine
-(** Probabilities served from a generation-stamped cache (see
-    {!Prob_cache}); the filter/daemon hot path. *)
+(** Probabilities served from a generation-stamped cache
+    ({!Prob_cache.collect}); the filter/daemon hot path. *)
 
 val engine_overlay : Prob_cache.t -> Token_db.t -> engine
 (** Tenant fast path: [engine_overlay prior_cache overlay_db] scores
     [overlay_db] (a copy-on-write overlay of the cache's db, the
-    shared global prior).  Ids outside the overlay's dirty set — the
-    overwhelming majority, overlays are tiny by design — hit the
-    shared prior cache when the message totals agree; diverging ids
-    (and everything, once the tenant has trained and its totals
-    shifted) recompute from the overlay's counts.  The overlay must
-    not be mutated while the engine is in use; build a fresh engine
-    per locked access. *)
+    shared global prior) through {!Prob_cache.collect_overlay}.  Ids
+    outside the overlay's dirty set — the overwhelming majority,
+    overlays are tiny by design — hit the shared prior cache while the
+    message totals agree; diverging ids (and everything, once the
+    tenant has trained and its totals shifted) recompute from the
+    overlay's counts.  The overlay must not be mutated during a
+    scoring call. *)
 
 val engine_options : engine -> Options.t
 (** The options the engine scores under. *)
@@ -81,7 +81,7 @@ val score_probs : Options.t -> int array -> float array -> int -> result
 (** [score_probs options ids probs n] is the selection/Fisher stage on
     its own, for callers that compute each token's f(w) themselves
     (RONI and the poisoning sweep score what-if counts through
-    {!Score.smoothed_counts}): [probs.(i)] is the probability of
+    {!Prob_cache.smoothed_counts}): [probs.(i)] is the probability of
     [ids.(i)] for [i < n].  It keeps the tokens with
     |f − 0.5| ≥ [minimum_prob_strength], orders them by descending
     strength with ties broken by token bytes, takes the first

@@ -4,12 +4,53 @@ let c_hits = Obs.counter "spambayes.prob_cache_hits"
 let c_fills = Obs.counter "spambayes.prob_cache_fills"
 
 (* Kill switch, read once at startup: with SPAMLAB_NO_PROB_CACHE=1
-   every [get] computes uncached.  ci.sh uses it to byte-compare
-   cached vs uncached experiment output. *)
+   every engine scores uncached.  ci.sh uses it to byte-compare cached
+   vs uncached experiment output. *)
 let disabled =
   match Sys.getenv_opt "SPAMLAB_NO_PROB_CACHE" with
   | Some "1" -> true
   | _ -> false
+
+(* Robinson's f(w), the one copy of the formula in lib/.  Every loop
+   below inlines it, so a probability goes from the float registers
+   straight into an unboxed array slot: a float returned across a call
+   is boxed, and under the dev profile's [-opaque] no call into
+   another module is inlined. *)
+let[@inline] smoothed_counts (options : Options.t) ~spam ~ham ~nspam ~nham =
+  let x = options.unknown_word_prob in
+  let s = options.unknown_word_strength in
+  let spam_ratio =
+    if nspam = 0 then 0.0 else float_of_int spam /. float_of_int nspam
+  in
+  let ham_ratio =
+    if nham = 0 then 0.0 else float_of_int ham /. float_of_int nham
+  in
+  let denominator = spam_ratio +. ham_ratio in
+  if denominator = 0.0 then x
+  else
+    let ps = spam_ratio /. denominator in
+    let n = float_of_int (spam + ham) in
+    ((s *. x) +. (n *. ps)) /. (s +. n)
+
+let[@inline] smoothed_id options db id =
+  let s = Token_db.slot db id in
+  smoothed_counts options
+    ~spam:(Token_db.slot_spam db s)
+    ~ham:(Token_db.slot_ham db s)
+    ~nspam:(Token_db.nspam db) ~nham:(Token_db.nham db)
+
+(* The uncached loop: every probability straight off [db]'s counts,
+   the totals read once. *)
+let collect_uncached options db ids n out =
+  let nspam = Token_db.nspam db and nham = Token_db.nham db in
+  for i = 0 to n - 1 do
+    let s = Token_db.slot db (Array.unsafe_get ids i) in
+    Array.unsafe_set out i
+      (smoothed_counts options
+         ~spam:(Token_db.slot_spam db s)
+         ~ham:(Token_db.slot_ham db s)
+         ~nspam ~nham)
+  done
 
 (* A shared cache (daemon snapshot, store prior) is dense over the
    intern table — its db covers the table — with [probs.(id)] NaN until
@@ -52,9 +93,6 @@ let create ?(shared = false) options db =
   }
 
 let options t = t.options
-let db t = t.db
-
-let[@inline] uncached t id = Score.smoothed_id t.options t.db id
 
 (* The private slot holding [id], whatever its stamp, or -1.  The probe
    starts at [id land mask]; that slot is tested here, so only an id
@@ -93,83 +131,52 @@ let claim t id =
   t.size <- t.size + 1;
   i
 
-(* The fill path carries the [score.cache.fill] fault site: a
-   transient fault falls through to the uncached compute without
-   writing the slot — byte-identical output, the slot just stays
+(* A miss: [id]'s probability into [out.(i)] and into its slot.  The
+   fill carries the [score.cache.fill] fault site: a transient fault
+   writes only [out.(i)] — byte-identical output, the slot just stays
    cold.  Fatal raises; crash exits, as everywhere.  [slot] is [id]'s
    private slot from {!locate} (-1 for none); unused when shared. *)
-let fill t id gen slot =
+let fill t id gen slot out i =
   match Spamlab_fault.check "score.cache.fill" with
   | () ->
       Obs.incr c_fills;
-      let p = uncached t id in
+      let p = smoothed_id t.options t.db id in
       if t.shared then Array.unsafe_set t.probs id p
       else begin
-        let i = if slot >= 0 then slot else claim t id in
-        Array.unsafe_set t.keys ((2 * i) + 1) gen;
-        Array.unsafe_set t.probs i p
+        let s = if slot >= 0 then slot else claim t id in
+        Array.unsafe_set t.keys ((2 * s) + 1) gen;
+        Array.unsafe_set t.probs s p
       end;
-      p
-  | exception e when Spamlab_fault.is_transient e -> uncached t id
+      Array.unsafe_set out i p
+  | exception e when Spamlab_fault.is_transient e ->
+      Array.unsafe_set out i (smoothed_id t.options t.db id)
 
-let get t id =
-  if disabled then uncached t id
-  else begin
-    let gen = Token_db.generation t.db in
-    if t.shared then
-      if gen <> t.created_gen || id >= Array.length t.probs then uncached t id
-      else begin
-        let p = Array.unsafe_get t.probs id in
-        if Float.is_nan p then fill t id gen (-1)
-        else begin
-          Obs.incr c_hits;
-          p
-        end
-      end
-    else
-      let i = locate t id in
-      if i >= 0 && Array.unsafe_get t.keys ((2 * i) + 1) = gen then begin
-        Obs.incr c_hits;
-        Array.unsafe_get t.probs i
-      end
-      else fill t id gen i
-  end
-
-(* Batched [get]: the form Classify's scoring loop uses.  Per-token
-   [get] pays a call with a boxed float return, two atomic loads in the
-   hit counter, and re-reads the generation every time; here those are
-   hoisted out of the loop and probabilities land in the caller's float
-   array as unboxed stores.  A private fill can replace the table
-   ([claim]), so that loop re-reads it through [t] each token. *)
+(* The cached loop.  The generation and kill-switch checks are hoisted
+   out of it and hits are counted once per call.  A private fill can
+   replace the table ([claim]), so that loop re-reads it through [t]
+   each token. *)
 let collect t ids n out =
-  if disabled then
-    for i = 0 to n - 1 do
-      Array.unsafe_set out i (uncached t (Array.unsafe_get ids i))
-    done
+  let gen = Token_db.generation t.db in
+  if disabled || (t.shared && gen <> t.created_gen) then
+    collect_uncached t.options t.db ids n out
   else begin
-    let gen = Token_db.generation t.db in
     let hits = ref 0 in
-    (if t.shared then
-       if gen <> t.created_gen then
-         for i = 0 to n - 1 do
-           Array.unsafe_set out i (uncached t (Array.unsafe_get ids i))
-         done
-       else begin
-         let probs = t.probs in
-         let len = Array.length probs in
-         for i = 0 to n - 1 do
-           let id = Array.unsafe_get ids i in
-           if id < len then begin
-             let p = Array.unsafe_get probs id in
-             if Float.is_nan p then Array.unsafe_set out i (fill t id gen (-1))
-             else begin
-               incr hits;
-               Array.unsafe_set out i p
-             end
+    (if t.shared then begin
+       let probs = t.probs in
+       let len = Array.length probs in
+       for i = 0 to n - 1 do
+         let id = Array.unsafe_get ids i in
+         if id < len then begin
+           let p = Array.unsafe_get probs id in
+           if Float.is_nan p then fill t id gen (-1) out i
+           else begin
+             incr hits;
+             Array.unsafe_set out i p
            end
-           else Array.unsafe_set out i (uncached t id)
-         done
-       end
+         end
+         else Array.unsafe_set out i (smoothed_id t.options t.db id)
+       done
+     end
      else
        for i = 0 to n - 1 do
          let id = Array.unsafe_get ids i in
@@ -178,7 +185,40 @@ let collect t ids n out =
            incr hits;
            Array.unsafe_set out i (Array.unsafe_get t.probs s)
          end
-         else Array.unsafe_set out i (fill t id gen s)
+         else fill t id gen s out i
        done);
+    if !hits > 0 then Obs.add c_hits !hits
+  end
+
+(* The tenant loop.  [db] is a copy-on-write overlay of the prior
+   [t.db], so an id it does not hold reads the prior's counts, and
+   while the message totals agree too, that id's probability is the
+   prior's: read from the shared cache here, filled on a miss.  An id
+   the overlay holds scores off [db].  Once the tenant has trained, its
+   totals differ and every token scores off [db]. *)
+let collect_overlay t db ids n out =
+  if
+    disabled || (not t.shared)
+    || Token_db.generation t.db <> t.created_gen
+    || Token_db.nspam db <> Token_db.nspam t.db
+    || Token_db.nham db <> Token_db.nham t.db
+  then collect_uncached t.options db ids n out
+  else begin
+    let probs = t.probs in
+    let len = Array.length probs in
+    let hits = ref 0 in
+    for i = 0 to n - 1 do
+      let id = Array.unsafe_get ids i in
+      if id >= len || Token_db.overlay_mem db id then
+        Array.unsafe_set out i (smoothed_id t.options db id)
+      else begin
+        let p = Array.unsafe_get probs id in
+        if Float.is_nan p then fill t id t.created_gen (-1) out i
+        else begin
+          incr hits;
+          Array.unsafe_set out i p
+        end
+      end
+    done;
     if !hits > 0 then Obs.add c_hits !hits
   end

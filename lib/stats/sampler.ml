@@ -57,8 +57,6 @@ let zipf ?(exponent = 1.1) n =
   categorical
     (Array.init n (fun k -> (float_of_int (k + 1)) ** -.exponent))
 
-let uniform_int rng n = Rng.int rng n
-
 let binomial rng ~n ~p =
   if n < 0 then invalid_arg "Sampler.binomial: negative n";
   if p < 0.0 || p > 1.0 then invalid_arg "Sampler.binomial: p out of [0,1]";

@@ -29,9 +29,6 @@ val zipf : ?exponent:float -> int -> categorical
     for natural-language unigram frequencies.
     @raise Invalid_argument if [n <= 0] or [exponent <= 0]. *)
 
-val uniform_int : Rng.t -> int -> int
-(** Convenience re-export of {!Rng.int}. *)
-
 val binomial : Rng.t -> n:int -> p:float -> int
 (** Number of successes among [n] Bernoulli([p]) trials.  Exact (summed)
     for small [n]; BTPE-free inversion elsewhere — adequate for the

@@ -93,20 +93,3 @@ let chi2_cdf ~df x =
 let chi2_sf ~df x =
   if df <= 0 then invalid_arg "Special.chi2_sf: requires df > 0";
   if x <= 0.0 then 1.0 else gamma_q (float_of_int df /. 2.0) (x /. 2.0)
-
-(* Abramowitz & Stegun 7.1.26-style rational approximation refined by a
-   single computation through the incomplete gamma: erf(x) =
-   P(1/2, x^2) for x >= 0, which inherits the gamma accuracy. *)
-let erf x =
-  if x = 0.0 then 0.0
-  else if x > 0.0 then gamma_p 0.5 (x *. x)
-  else -.gamma_p 0.5 (x *. x)
-
-let erfc x =
-  if x >= 0.0 then gamma_q 0.5 (x *. x) else 1.0 +. gamma_p 0.5 (x *. x)
-
-let ln_beta a b = log_gamma a +. log_gamma b -. log_gamma (a +. b)
-
-let mean_log_factorial n =
-  if n < 0 then invalid_arg "Special.mean_log_factorial: negative n";
-  if n <= 1 then 0.0 else log_gamma (float_of_int n +. 1.0)

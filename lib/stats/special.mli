@@ -2,9 +2,9 @@
 
     OCaml ships no scientific library, so the chi-square distribution
     function used by Fisher's method (paper Eq. 4) is built here from
-    first principles: Lanczos log-gamma, the regularized incomplete gamma
-    function (series expansion for [x < a+1], Lentz continued fraction
-    otherwise), and the error function.
+    first principles: Lanczos log-gamma and the regularized incomplete
+    gamma function (series expansion for [x < a+1], Lentz continued
+    fraction otherwise).
 
     Accuracy target: at least 10 significant digits over the argument
     ranges the filter exercises, verified against high-precision reference
@@ -31,13 +31,3 @@ val chi2_cdf : df:int -> float -> float
 val chi2_sf : df:int -> float -> float
 (** Survival function 1 − CDF, computed to full relative accuracy in the
     upper tail. *)
-
-val erf : float -> float
-val erfc : float -> float
-
-val ln_beta : float -> float -> float
-(** [ln_beta a b] = ln B(a,b). *)
-
-val mean_log_factorial : int -> float
-(** [mean_log_factorial n] = ln n! (via log-gamma), used by discrete
-    samplers. *)

@@ -44,34 +44,3 @@ let min_max xs =
     (fun (lo, hi) x -> (Float.min lo x, Float.max hi x))
     (xs.(0), xs.(0))
     xs
-
-let mean_ci95 xs =
-  require_non_empty "Summary.mean_ci95" xs;
-  let n = Array.length xs in
-  let m = mean xs in
-  if n < 2 then (m, 0.0)
-  else (m, 1.96 *. std_dev xs /. sqrt (float_of_int n))
-
-type online = {
-  mutable count : int;
-  mutable running_mean : float;
-  mutable m2 : float; (* sum of squared deviations *)
-}
-
-let online_create () = { count = 0; running_mean = 0.0; m2 = 0.0 }
-
-let online_add o x =
-  o.count <- o.count + 1;
-  let delta = x -. o.running_mean in
-  o.running_mean <- o.running_mean +. (delta /. float_of_int o.count);
-  o.m2 <- o.m2 +. (delta *. (x -. o.running_mean))
-
-let online_count o = o.count
-
-let online_mean o =
-  if o.count = 0 then invalid_arg "Summary.online_mean: no samples";
-  o.running_mean
-
-let online_variance o =
-  if o.count = 0 then invalid_arg "Summary.online_variance: no samples";
-  if o.count < 2 then 0.0 else o.m2 /. float_of_int (o.count - 1)

@@ -18,21 +18,3 @@ val quantile : float array -> float -> float
     statistics (type-7, the R default). *)
 
 val min_max : float array -> float * float
-
-val mean_ci95 : float array -> float * float
-(** [mean_ci95 xs] is (mean, half-width of a normal-approximation 95%
-    confidence interval).  Half-width is 0 for fewer than 2 samples. *)
-
-type online
-(** Welford online accumulator: numerically stable single-pass mean and
-    variance. *)
-
-val online_create : unit -> online
-val online_add : online -> float -> unit
-val online_count : online -> int
-val online_mean : online -> float
-(** @raise Invalid_argument if no values were added. *)
-
-val online_variance : online -> float
-(** Unbiased; 0 with fewer than two values.
-    @raise Invalid_argument if no values were added. *)

@@ -17,8 +17,9 @@
    out again here.  The tests compare [Tokenizer.tokenize] with these
    streams as sequences, token for token.
 
-   The list scoring pipeline: list Fisher and list δ(E) selection, an
-   oracle for [Fisher.indicator] and [Classify.score_probs].
+   The list scoring pipeline: Robinson's f(w), list Fisher and list
+   δ(E) selection, an oracle for [Prob_cache]'s loops,
+   [Fisher.indicator] and [Classify.score_probs].
 
    The line-splitting token-db reader: the strict and salvage readings
    and the store's user-block parse, an oracle for the row scanner
@@ -845,18 +846,42 @@ module Fisher = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* Robinson's f(w)                                                     *)
+
+(* The paper's Eq. 2 over its Eq. 1 ratio, written out apart from the
+   served kernel ([Prob_cache.smoothed_counts]) so that a change to the
+   formula there shows in every differential test.  The float
+   operations are the served ones in the same order, so the two agree
+   bit for bit; 'smoothed matches Eq. 2 by hand' (test_spambayes) pins
+   the served one against arithmetic done by hand. *)
+module Robinson = struct
+  let smoothed (options : Spamlab_spambayes.Options.t) ~spam ~ham ~nspam
+      ~nham =
+    (* N_S(w)/N_S and N_H(w)/N_H, 0 for a class with no messages. *)
+    let freq count total =
+      if total = 0 then 0.0 else float_of_int count /. float_of_int total
+    in
+    let fs = freq spam nspam and fh = freq ham nham in
+    if fs +. fh = 0.0 then options.unknown_word_prob
+    else
+      let n_w = float_of_int (spam + ham) in
+      ((options.unknown_word_strength *. options.unknown_word_prob)
+      +. (n_w *. (fs /. (fs +. fh))))
+      /. (options.unknown_word_strength +. n_w)
+end
+
+(* ------------------------------------------------------------------ *)
 (* The string-keyed learner path                                       *)
 
-(* What [Token_db] and [Score] answered by token string before every
-   learner entry point took ids: counts and f(w) looked up through
-   [Intern.find], which never interns (an unseen string reads 0/0 and
-   scores the prior).  [Scoring.classify] below is [Filter.classify]
-   as it ran on strings. *)
+(* What [Token_db] and the scoring kernel answered by token string
+   before every learner entry point took ids: counts and f(w) looked up
+   through [Intern.find], which never interns (an unseen string reads
+   0/0 and scores the prior).  [Scoring.classify] below is
+   [Filter.classify] as it ran on strings. *)
 module By_string = struct
   module Classify = Spamlab_spambayes.Classify
   module Filter = Spamlab_spambayes.Filter
   module Intern = Spamlab_spambayes.Intern
-  module Score = Spamlab_spambayes.Score
   module Token_db = Spamlab_spambayes.Token_db
 
   let spam_count db token =
@@ -866,7 +891,7 @@ module By_string = struct
     match Intern.find token with None -> 0 | Some id -> Token_db.ham_count_id db id
 
   let smoothed options db token =
-    Score.smoothed_counts options ~spam:(spam_count db token)
+    Robinson.smoothed options ~spam:(spam_count db token)
       ~ham:(ham_count db token) ~nspam:(Token_db.nspam db)
       ~nham:(Token_db.nham db)
 
@@ -885,7 +910,7 @@ module Scoring = struct
   module Classify = Spamlab_spambayes.Classify
   module Intern = Spamlab_spambayes.Intern
   module Options = Spamlab_spambayes.Options
-  module Score = Spamlab_spambayes.Score
+  module Token_db = Spamlab_spambayes.Token_db
 
   let by_strength_desc (a : Classify.clue) (b : Classify.clue) =
     let sa = Float.abs (a.score -. 0.5) in
@@ -956,7 +981,11 @@ module Scoring = struct
     let candidates = ref [] in
     Array.iter
       (fun id ->
-        let score = Score.smoothed_id options db id in
+        let score =
+          Robinson.smoothed options ~spam:(Token_db.spam_count_id db id)
+            ~ham:(Token_db.ham_count_id db id) ~nspam:(Token_db.nspam db)
+            ~nham:(Token_db.nham db)
+        in
         if Float.abs (score -. 0.5) >= options.minimum_prob_strength then
           candidates := { Classify.token = Intern.to_string id; score } :: !candidates)
       ids;

@@ -593,7 +593,7 @@ module Ref_db = struct
     let probs =
       Array.map
         (fun tok ->
-          Score.smoothed_counts options ~spam:(spam_count t tok)
+          Spamlab_oracle.Robinson.smoothed options ~spam:(spam_count t tok)
             ~ham:(ham_count t tok) ~nspam ~nham)
         tokens
     in

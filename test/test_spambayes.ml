@@ -537,7 +537,8 @@ let persistence_tests =
 (* Score                                                               *)
 
 (* f(w) of a fixture token, interned, through the id entry point. *)
-let smoothed options db token = Score.smoothed_id options db (Intern.id token)
+let smoothed options db token =
+  Prob_cache.smoothed_id options db (Intern.id token)
 
 let score_tests =
   [
@@ -661,6 +662,16 @@ let gen_prob =
       ])
 
 let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* The fewest minor words [f] allocates in 5 runs, each after a minor
+   collection. *)
+let least_minor_words f =
+  List.fold_left Float.min infinity
+    (List.init 5 (fun _ ->
+         Gc.minor ();
+         let before = Gc.minor_words () in
+         f ();
+         Gc.minor_words () -. before))
 
 let classify_tests =
   [
@@ -813,14 +824,6 @@ let classify_tests =
         Intern.freeze ();
         let few = ids_of (Array.append (Array.sub strong 0 10) neutral)
         and many = ids_of strong in
-        let least_minor_words f =
-          List.fold_left Float.min infinity
-            (List.init 5 (fun _ ->
-                 Gc.minor ();
-                 let before = Gc.minor_words () in
-                 f ();
-                 Gc.minor_words () -. before))
-        in
         List.iter
           (fun (what, engine) ->
             let score ids () = ignore (Classify.score_engine engine ids) in
@@ -837,6 +840,57 @@ let classify_tests =
           [
             ("uncached", Classify.engine Options.default db);
             ("cached", Classify.engine_cached (Prob_cache.create Options.default db));
+          ]);
+    test_case "verdict-only scoring allocates nothing per token" (fun () ->
+        (* A 50-token message of spam hapaxes, and the same 50 beside
+           750 tokens seen once in each class, which score exactly 0.5
+           under equal totals: the same winners, 16 times the tokens.
+           Scoring either allocates the same minor words under every
+           engine, since each engine's loop writes its probabilities
+           straight into the scoring scratch.  The overlay engines
+           score copies of the db through a shared cache over it, as
+           the store's tenants score over its prior: a fresh tenant's
+           totals are the prior's, so it reads the cache; a trained
+           tenant's are not, so it reads its own counts.  A private
+           cache whose db is written before every scoring refills
+           every slot it reads. *)
+        let strong = Array.init 50 (Printf.sprintf "alloc-strong-%02d") in
+        let neutral = Array.init 750 (Printf.sprintf "alloc-neutral-%03d") in
+        let db = Token_db.create () in
+        Token_db.train_ids db Label.Spam (ids_of (Array.append strong neutral));
+        Token_db.train_ids db Label.Ham (ids_of neutral);
+        let trained = Token_db.copy db in
+        let extra = ids_of [| "alloc-extra-spam"; "alloc-extra-ham" |] in
+        Token_db.train_ids trained Label.Spam extra;
+        Token_db.train_ids trained Label.Ham extra;
+        Intern.freeze ();
+        let shared = Prob_cache.create ~shared:true Options.default db in
+        let short = ids_of strong
+        and long = ids_of (Array.append strong neutral) in
+        let warm () = () in
+        let refill () =
+          Token_db.train_ids trained Label.Spam extra;
+          Token_db.untrain_ids trained Label.Spam extra
+        in
+        List.iter
+          (fun (what, engine, before) ->
+            let score ids () =
+              before ();
+              ignore (Classify.score_engine engine ids)
+            in
+            score long ();
+            Alcotest.(check (float 0.))
+              (what ^ ": minor words at 50 and 800 tokens")
+              (least_minor_words (score short))
+              (least_minor_words (score long)))
+          [
+            ("uncached", Classify.engine Options.default db, warm);
+            ("private cache", Classify.engine_cached (Prob_cache.create Options.default db), warm);
+            ("shared cache", Classify.engine_cached shared, warm);
+            ("fresh tenant", Classify.engine_overlay shared (Token_db.copy db), warm);
+            ("trained tenant", Classify.engine_overlay shared trained, warm);
+            ("refilled private cache",
+              Classify.engine_cached (Prob_cache.create Options.default trained), refill);
           ]);
   ]
 
