@@ -623,6 +623,12 @@ let stats_cmd =
 (* --------------------------------------------------------------- *)
 (* experiment                                                       *)
 
+let metrics_arg =
+  let doc =
+    "Print aggregate counters and span timings to stderr after the run."
+  in
+  Arg.(value & flag & info [ "metrics" ] ~doc)
+
 let experiment_cmd =
   let id_arg =
     let ids = String.concat ", " Eval.Registry.ids in
@@ -637,12 +643,6 @@ let experiment_cmd =
        Experiment output on stdout is unchanged."
     in
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-  in
-  let metrics_arg =
-    let doc =
-      "Print aggregate counters and span timings to stderr after the run."
-    in
-    Arg.(value & flag & info [ "metrics" ] ~doc)
   in
   let fault_spec_arg =
     let doc =
@@ -784,8 +784,8 @@ let tenants_cmd =
     in
     Arg.(value & opt (some string) None & info [ "fault-spec" ] ~docv:"SPEC" ~doc)
   in
-  let run seed scale jobs users communities poison attack_count store_dir
-      fault_spec checkpoint resume () =
+  let run seed scale jobs metrics users communities poison attack_count
+      store_dir fault_spec checkpoint resume () =
     setup_logs ();
     let fault_configured =
       match fault_spec with
@@ -823,6 +823,7 @@ let tenants_cmd =
         match checkpoint_opened with
         | Error e -> fail "%s" e
         | Ok ck -> (
+            if metrics then Obs.enable_metrics ();
             Obs.configure_from_env ();
             let lab = Eval.Lab.create ~seed ~scale ?jobs ?checkpoint:ck () in
             let cfg =
@@ -838,12 +839,19 @@ let tenants_cmd =
             let result = Eval.Tenants_exp.run lab cfg in
             Eval.Lab.shutdown lab;
             Option.iter Eval.Checkpoint.close ck;
-            match result with
-            | Error e -> fail "%s" e
-            | Ok (report, detail) ->
-                print_string report;
-                prerr_string detail;
-                `Ok ()))
+            let outcome =
+              match result with
+              | Error e -> fail "%s" e
+              | Ok (report, detail) ->
+                  print_string report;
+                  prerr_string detail;
+                  `Ok ()
+            in
+            if metrics then begin
+              Obs.stop ();
+              Obs.dump_metrics stderr
+            end;
+            outcome))
   in
   guarded
     (Cmd.info "tenants"
@@ -852,7 +860,7 @@ let tenants_cmd =
           for N mailboxes over a shared prior, a poisoned subset, and \
           per-user attack/defense outcomes.")
     Term.(
-      const run $ seed_arg $ scale_arg $ jobs_arg $ users_arg
+      const run $ seed_arg $ scale_arg $ jobs_arg $ metrics_arg $ users_arg
       $ communities_arg $ poison_arg $ attack_count_arg $ store_dir_arg
       $ fault_spec_arg $ checkpoint_arg $ resume_arg)
 

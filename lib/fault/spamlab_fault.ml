@@ -35,6 +35,8 @@ let known_sites =
     ("db.save.rename", "before the atomic rename of a token-db save");
     ("db.save.write", "before each write syscall of a token-db save");
     ("intern.grow", "before the intern table grows (fires pre-mutation)");
+    ("journal.fsync", "before an op journal's commit fsyncs");
+    ("journal.write", "before each write syscall of an op journal");
     ("pool.task", "at the head of every supervised pool task");
     ("score.cache.fill", "before a probability-cache slot is filled");
     ("serve.accept", "before a ready connection is accepted");

@@ -43,9 +43,11 @@
 
    Transient clauses likewise skip the sites whose mid-flight failure
    is not all-or-nothing on the shared filter ([intern.grow] can fail
-   between messages of a shared TRAIN batch, which has no rollback) and
-   the db rewrite internals (a torn save or fold surfaces as a publish
-   failure via [serve.publish] already). *)
+   between messages of a shared TRAIN batch, which has no rollback), the
+   db rewrite internals (a torn save or fold surfaces as a publish
+   failure via [serve.publish] already) and the op journals' write and
+   fsync (a publish commits the shards' journals one after another, so
+   one failing there is not all-or-nothing across the store). *)
 
 module Fault = Spamlab_fault
 module Token_db = Spamlab_spambayes.Token_db
@@ -102,7 +104,7 @@ let draw_int cfg salt ~lo ~hi =
 let transient_excluded =
   [
     "checkpoint.record"; "db.journal.fold"; "db.save.rename"; "db.save.write";
-    "intern.grow";
+    "intern.grow"; "journal.fsync"; "journal.write";
     "serve.publish" (* armed separately, at [publish_fault_p] *);
   ]
 

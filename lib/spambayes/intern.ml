@@ -1,5 +1,8 @@
+module A = Bigarray.Array1
+
 let interned_tokens = Spamlab_obs.Obs.counter "spambayes.interned_tokens"
 let first_sighting = Spamlab_obs.Obs.counter "intern.first_sighting"
+let snapshots = Spamlab_obs.Obs.counter "intern.snapshots"
 
 (* Id-to-string slots not yet assigned hold this sentinel, compared
    physically: the empty string is a legitimate token (the token-db
@@ -10,9 +13,11 @@ let unset = Bytes.unsafe_to_string (Bytes.create 0)
    {e byte slice} of a raw message buffer and compare it against the
    stored strings without ever materializing a substring — stdlib
    [Hashtbl] can only be probed with an allocated key.  A slot holds
-   [id + 1] ([0] is empty); the per-id [hashes] array makes resizes and
+   [id + 1] ([0] is empty); the per-id [hashes] table makes resizes and
    negative probes cheap (no rehash, one int compare before the byte
-   compare). *)
+   compare).  [slots], [hashes], the snapshot's copy of [slots] and the
+   rank table are {!Ints}, off the OCaml heap; only [names] holds
+   pointers. *)
 
 (* FNV-1a (offset basis truncated to OCaml's 63-bit int).  Native-int
    arithmetic wraps, which is all a hash needs; [land max_int] keeps
@@ -43,9 +48,9 @@ let eq_sub name s off len =
 
 type state = {
   mutex : Mutex.t;
-  mutable slots : int array;  (* live; only touched under [mutex] *)
+  mutable slots : Ints.t;  (* live; only touched under [mutex] *)
   mutable names : string array;  (* id -> string; slots written once *)
-  mutable hashes : int array;  (* id -> hash; written with [names] *)
+  mutable hashes : Ints.t;  (* id -> hash; written with [names] *)
   count : int Atomic.t;
       (* Written only under [mutex], after the id's slot; atomic so a
          lookup can tell without the lock whether the table has grown
@@ -57,56 +62,72 @@ let initial_capacity = 131_072  (* power of two; load factor <= 1/2 *)
 let st =
   {
     mutex = Mutex.create ();
-    slots = Array.make initial_capacity 0;
+    slots = Ints.make initial_capacity 0;
     names = Array.make 1_024 unset;
-    hashes = Array.make 1_024 0;
+    hashes = Ints.make 1_024 0;
     count = Atomic.make 0;
   }
 
-(* Lock-free lookup snapshot: a copy of [st.slots], never mutated after
-   publication, with the table size it copied.  [Atomic] gives the
-   publication edge; every id a snapshot can name had its
-   [names]/[hashes] slot written before the snapshot was taken, so
-   probing a snapshot against [st.names] is safe from any domain (the
-   same write-once argument as [to_string]).  Read [names]/[hashes]
-   only {e after} the snapshot: they are then either the arrays of its
-   time or later copies, both valid for its ids.  The table is
-   append-only, so while the live count still equals [snap_count] the
-   snapshot holds every key: a snapshot miss is then a definite
+(* Lock-free lookup snapshot: a copy of [st.slots], never written after
+   publication, with the table size it copied and the [names] and
+   [hashes] of its time.  [Atomic] gives the publication edge, and a
+   lock-free probe reads only through it: the snapshot names only ids
+   below [snap_count], whose [names]/[hashes] cells were written once,
+   before the snapshot was taken, and are never written again (a grown
+   table is a fresh copy).  So every cell such a probe loads, the
+   off-heap ones included, was stored before the [Atomic.set] it
+   reached the cell through and not after: no access races.  The table
+   is append-only, so while the live count still equals [snap_count]
+   the snapshot holds every key: a snapshot miss is then a definite
    absence, and a lookup needs no lock to say so. *)
-type snapshot = { snap_slots : int array; snap_count : int }
+type snapshot = {
+  snap_slots : Ints.t;
+  snap_names : string array;
+  snap_hashes : Ints.t;
+  snap_count : int;
+}
 
-let frozen = Atomic.make { snap_slots = Array.make 1 0; snap_count = 0 }
+let frozen =
+  Atomic.make
+    { snap_slots = Ints.make 1 0; snap_names = st.names;
+      snap_hashes = st.hashes; snap_count = 0 }
 
 let snapshot_locked () =
+  Spamlab_obs.Obs.incr snapshots;
   Atomic.set frozen
-    { snap_slots = Array.copy st.slots; snap_count = Atomic.get st.count }
+    { snap_slots = Ints.copy st.slots; snap_names = st.names;
+      snap_hashes = st.hashes; snap_count = Atomic.get st.count }
 
 let[@inline] grown_since snap = Atomic.get st.count > snap.snap_count
 
 (* Linear probe of [slots] from slot [i] for the slice
    [s.[off .. off+len-1]] with hash [h]: the id, or -1 when absent.
    The table never exceeds half full, so runs end on an empty slot. *)
-let rec probe_from slots mask names hashes h s off len i =
-  match Array.unsafe_get slots i with
+let rec probe_from (slots : Ints.t) mask names (hashes : Ints.t) h s off len i =
+  match A.unsafe_get slots i with
   | 0 -> -1
   | v ->
       let id = v - 1 in
-      if Array.unsafe_get hashes id = h && eq_sub (Array.unsafe_get names id) s off len
+      if A.unsafe_get hashes id = h && eq_sub (Array.unsafe_get names id) s off len
       then id
       else probe_from slots mask names hashes h s off len ((i + 1) land mask)
 
-let probe slots h s off len =
-  let mask = Array.length slots - 1 in
-  probe_from slots mask st.names st.hashes h s off len (h land mask)
+let probe (slots : Ints.t) names hashes h s off len =
+  let mask = A.dim slots - 1 in
+  probe_from slots mask names hashes h s off len (h land mask)
 
-let insert_slot slots h id =
-  let mask = Array.length slots - 1 in
+let probe_frozen snap h s off len =
+  probe snap.snap_slots snap.snap_names snap.snap_hashes h s off len
+
+let probe_live_locked h s off len = probe st.slots st.names st.hashes h s off len
+
+let insert_slot (slots : Ints.t) h id =
+  let mask = A.dim slots - 1 in
   let i = ref (h land mask) in
-  while Array.unsafe_get slots !i <> 0 do
+  while A.unsafe_get slots !i <> 0 do
     i := (!i + 1) land mask
   done;
-  slots.(!i) <- id + 1
+  A.set slots !i (id + 1)
 
 let rec fit cap need = if cap >= need then cap else fit (2 * cap) need
 
@@ -117,23 +138,23 @@ let reserved = ref 0
    hold every id announced too.  The fault site fires before any
    mutation, so an injected transient leaves the table untouched and
    the supervised task can simply retry.  Grown id arrays are published
-   only after copying: a racing [to_string] or frozen probe sees either
-   array, both valid for ids < count. *)
+   only after copying: a racing [to_string] sees either array, both
+   valid for ids < count; a frozen probe reads its snapshot's. *)
 let room_locked need =
   let count = Atomic.get st.count and target = max need !reserved in
-  if 2 * need > Array.length st.slots then begin
+  if 2 * need > A.dim st.slots then begin
     Spamlab_fault.check "intern.grow";
-    let bigger = Array.make (fit (Array.length st.slots) (2 * target)) 0 in
+    let bigger = Ints.make (fit (A.dim st.slots) (2 * target)) 0 in
     for id = 0 to count - 1 do
-      insert_slot bigger st.hashes.(id) id
+      insert_slot bigger (A.get st.hashes id) id
     done;
     st.slots <- bigger
   end;
   if need > Array.length st.names then begin
     let cap = fit (Array.length st.names) target in
-    let names = Array.make cap unset and hashes = Array.make cap 0 in
+    let names = Array.make cap unset and hashes = Ints.make cap 0 in
     Array.blit st.names 0 names 0 count;
-    Array.blit st.hashes 0 hashes 0 count;
+    A.blit (A.sub st.hashes 0 count) (A.sub hashes 0 count);
     st.hashes <- hashes;
     st.names <- names
   end
@@ -163,7 +184,7 @@ let refresh_locked () =
    allocation, on a genuine first sighting — and counted as one.
    [~copy:false] stores [s] itself ([off = 0], [len] its length). *)
 let intern_locked h s off len ~copy =
-  match probe st.slots h s off len with
+  match probe_live_locked h s off len with
   | id when id >= 0 -> id
   | _ ->
       let id = Atomic.get st.count in
@@ -174,7 +195,7 @@ let intern_locked h s off len ~copy =
            String.sub s off len
          end
          else s);
-      st.hashes.(id) <- h;
+      A.set st.hashes id h;
       insert_slot st.slots h id;
       Atomic.set st.count (id + 1);
       Spamlab_obs.Obs.incr interned_tokens;
@@ -186,7 +207,7 @@ let check_slice fn s off len =
 let id s =
   let len = String.length s in
   let h = hash_sub s 0 len in
-  match probe (Atomic.get frozen).snap_slots h s 0 len with
+  match probe_frozen (Atomic.get frozen) h s 0 len with
   | id when id >= 0 -> id
   | _ ->
       Mutex.protect st.mutex (fun () ->
@@ -197,7 +218,7 @@ let id s =
 let intern_sub s off len =
   check_slice "Intern.intern_sub" s off len;
   let h = hash_sub s off len in
-  match probe (Atomic.get frozen).snap_slots h s off len with
+  match probe_frozen (Atomic.get frozen) h s off len with
   | id when id >= 0 -> id
   | _ ->
       Mutex.protect st.mutex (fun () ->
@@ -212,7 +233,7 @@ let intern_sub s off len =
 let bulk_sub s off len =
   check_slice "Intern.bulk_sub" s off len;
   let h = hash_sub s off len in
-  match probe (Atomic.get frozen).snap_slots h s off len with
+  match probe_frozen (Atomic.get frozen) h s off len with
   | id when id >= 0 -> id
   | _ -> (
       Mutex.lock st.mutex;
@@ -225,13 +246,13 @@ let bulk_sub s off len =
           raise e)
 
 let intern_array tokens =
-  let snapshot = (Atomic.get frozen).snap_slots in
+  let snap = Atomic.get frozen in
   let n = Array.length tokens in
   let out = Array.make n (-1) in
   let missing = ref false in
   for i = 0 to n - 1 do
     let s = tokens.(i) in
-    match probe snapshot (hash_sub s 0 (String.length s)) s 0 (String.length s)
+    match probe_frozen snap (hash_sub s 0 (String.length s)) s 0 (String.length s)
     with
     | id when id >= 0 -> out.(i) <- id
     | _ -> missing := true
@@ -329,16 +350,17 @@ let absent = -1
 let probe_on = -2
 
 (* Phases 1–3, shared by {!resolve} and {!lookup}: each key of [k]
-   looked up in the snapshot [slots], leaving its id in [k.ids] or
-   [absent].  True when any key missed. *)
-let probe_snapshot k slots =
+   looked up in the snapshot, leaving its id in [k.ids] or [absent].
+   True when any key missed. *)
+let probe_snapshot k snap =
   let n = k.n and ids = k.ids and starts = k.starts and key_hash = k.key_hash in
-  let mask = Array.length slots - 1 in
-  let names = st.names and hashes = st.hashes in
+  let slots = snap.snap_slots in
+  let mask = A.dim slots - 1 in
+  let names = snap.snap_names and hashes = snap.snap_hashes in
   (* Phase 1: every key's home slot. *)
   for i = 0 to n - 1 do
     Array.unsafe_set ids i
-      (Array.unsafe_get slots (Array.unsafe_get key_hash i land mask))
+      (A.unsafe_get slots (Array.unsafe_get key_hash i land mask))
   done;
   (* Phase 2: each home occupant's hash, then its name's length — the
      load that brings the name's first bytes in for phase 3. *)
@@ -349,7 +371,7 @@ let probe_snapshot k slots =
        else
          let id = v - 1 in
          if
-           Array.unsafe_get hashes id = Array.unsafe_get key_hash i
+           A.unsafe_get hashes id = Array.unsafe_get key_hash i
            && String.length (Array.unsafe_get names id)
               = Array.unsafe_get starts (i + 1) - Array.unsafe_get starts i
          then id
@@ -391,12 +413,11 @@ let live_misses_locked k f =
 (* The two miss policies, top-level so that passing one allocates
    nothing. *)
 let intern_copy_locked h s off len = intern_locked h s off len ~copy:true
-let probe_live_locked h s off len = probe st.slots h s off len
 
 (* Interning misses in key order gives never-seen keys their ids in
    first-occurrence order. *)
 let resolve k =
-  if probe_snapshot k (Atomic.get frozen).snap_slots then
+  if probe_snapshot k (Atomic.get frozen) then
     Mutex.protect st.mutex (fun () ->
         live_misses_locked k intern_copy_locked;
         refresh_locked ());
@@ -404,7 +425,7 @@ let resolve k =
 
 let lookup k =
   let snap = Atomic.get frozen in
-  if probe_snapshot k snap.snap_slots && grown_since snap then
+  if probe_snapshot k snap && grown_since snap then
     Mutex.protect st.mutex (fun () -> live_misses_locked k probe_live_locked);
   k.ids
 
@@ -412,7 +433,7 @@ let find_sub s off len =
   check_slice "Intern.find_sub" s off len;
   let h = hash_sub s off len in
   let snap = Atomic.get frozen in
-  match probe snap.snap_slots h s off len with
+  match probe_frozen snap h s off len with
   | id when id >= 0 -> Some id
   | _ when not (grown_since snap) -> None
   | _ -> (
@@ -438,13 +459,13 @@ let to_string id =
    instead of a byte compare.  Ids are dense, so the covered ids are
    exactly [0, Array.length ranks).  Built only on explicit [freeze]
    (the "vocabulary is stable now" signal), never on the automatic
-   snapshot refresh.  Published by [Atomic] like [frozen]; the array is
-   never mutated after publication. *)
-let ranks : int array Atomic.t = Atomic.make [||]
+   snapshot refresh.  Published by [Atomic] like [frozen]; the table is
+   never written after publication. *)
+let ranks : Ints.t Atomic.t = Atomic.make Ints.empty
 
 let[@inline] rank id =
   let rk = Atomic.get ranks in
-  if id >= 0 && id < Array.length rk then Array.unsafe_get rk id else -1
+  if id >= 0 && id < A.dim rk then A.unsafe_get rk id else -1
 
 (* Merge [fresh] into [old.(0 .. n-1)], both sorted by [name] and
    disjoint in names, calling [f i x] with each element [x] of the
@@ -499,21 +520,25 @@ let rec ascending name id stop =
   id + 1 >= stop
   || (String.compare (name id) (name (id + 1)) < 0 && ascending name (id + 1) stop)
 
+(* A snapshot is taken only when an id arrived since the last one: with
+   nothing new, the published one already holds every key. *)
 let freeze () =
   Mutex.protect st.mutex (fun () ->
-      snapshot_locked ();
+      if grown_since (Atomic.get frozen) then snapshot_locked ();
       let old = Atomic.get ranks in
-      let covered = Array.length old and n = Atomic.get st.count in
+      let covered = A.dim old and n = Atomic.get st.count in
       if n > covered then begin
         let names = st.names in
         let name id = Array.unsafe_get names id in
         let order = Array.make covered 0 in
-        Array.iteri (fun id r -> Array.unsafe_set order r id) old;
+        for id = 0 to covered - 1 do
+          Array.unsafe_set order (A.unsafe_get old id) id
+        done;
         let fresh = Array.init (n - covered) (fun i -> covered + i) in
         if not (ascending name covered n) then
           Array.stable_sort (fun a b -> String.compare (name a) (name b)) fresh;
-        let rk = Array.make n 0 in
-        merge_into name order covered fresh (fun pos id -> Array.unsafe_set rk id pos);
+        let rk = Ints.make n 0 in
+        merge_into name order covered fresh (fun pos id -> A.unsafe_set rk id pos);
         Atomic.set ranks rk
       end)
 
@@ -599,13 +624,13 @@ let sort_uniq a n =
 let byte_order ids n =
   if n < 0 || n > Array.length ids then invalid_arg "Intern.byte_order";
   let rk = Atomic.get ranks in
-  let covered = Array.length rk in
+  let covered = A.dim rk in
   let out = Array.make n 0 in
   let nk = ref 0 and l = ref n in
   for pos = 0 to n - 1 do
     let id = Array.unsafe_get ids pos in
     if id >= 0 && id < covered then begin
-      Array.unsafe_set out !nk ((Array.unsafe_get rk id lsl 31) lor pos);
+      Array.unsafe_set out !nk ((A.unsafe_get rk id lsl 31) lor pos);
       incr nk
     end
     else begin

@@ -296,39 +296,57 @@ let buffered t = Buffer.length t.buf
 let payload t = t.len + Buffer.length t.buf - t.hdr
 let has_committed t = t.last_commit > t.hdr
 
-(* Records go out at [len], not at the end of the file, so a retried
-   write overwrites what a failed one left behind. *)
+(* The one chunk each domain writes records through: a write copies the
+   buffer out a chunk at a time instead of whole, and a failed commit
+   needs no copy to roll back, since the buffer is cleared only once
+   the records are durable. *)
+let chunk_key = Domain.DLS.new_key (fun () -> Bytes.create 65_536)
+
+(* The buffered records, written at [len], not at the end of the file,
+   so a retried write overwrites what a failed one left behind.  Leaves
+   [len] and the buffer as they were. *)
+let write_buffered t =
+  if t.header_crc <> Some t.base_crc then reset t ~base_crc:t.base_crc;
+  let fd = Option.get t.fd and chunk = Domain.DLS.get chunk_key in
+  ignore (Unix.lseek fd t.len SEEK_SET);
+  let n = Buffer.length t.buf and pos = ref 0 in
+  while !pos < n do
+    let len = min (Bytes.length chunk) (n - !pos) in
+    Buffer.blit t.buf !pos chunk 0 len;
+    Io.really_write_string ~site:"journal.write" fd
+      (Bytes.unsafe_to_string chunk) 0 len;
+    pos := !pos + len
+  done
+
+let written t =
+  t.len <- t.len + Buffer.length t.buf;
+  Buffer.clear t.buf
+
 let flush t =
   if Buffer.length t.buf > 0 then begin
-    if t.header_crc <> Some t.base_crc then reset t ~base_crc:t.base_crc;
-    let fd = Option.get t.fd in
-    let data = Buffer.contents t.buf in
-    ignore (Unix.lseek fd t.len SEEK_SET);
-    Io.really_write_string fd data 0 (String.length data);
-    t.len <- t.len + String.length data;
-    Buffer.clear t.buf
+    write_buffered t;
+    written t
   end
 
+(* On failure the commit marker leaves the buffer, and the file is cut
+   back to [len], so the records stay buffered once and a retry writes
+   the bytes an uninterrupted commit would have. *)
 let commit t =
   if t.len + Buffer.length t.buf > t.last_commit then begin
-    let records =
-      if t.len = t.last_commit then Some (Buffer.contents t.buf) else None
-    in
+    let records = Buffer.length t.buf in
     Buffer.add_string t.buf commit_line;
     match
-      flush t;
+      write_buffered t;
+      Spamlab_fault.check "journal.fsync";
       Unix.fsync (Option.get t.fd)
     with
-    | () -> t.last_commit <- t.len
+    | () ->
+        written t;
+        t.last_commit <- t.len
     | exception e ->
-        Option.iter
-          (fun records ->
-            (try Option.iter (fun fd -> Unix.ftruncate fd t.last_commit) t.fd
-             with Unix.Unix_error _ -> ());
-            t.len <- t.last_commit;
-            Buffer.clear t.buf;
-            Buffer.add_string t.buf records)
-          records;
+        (try Option.iter (fun fd -> Unix.ftruncate fd t.len) t.fd
+         with Unix.Unix_error _ -> ());
+        Buffer.truncate t.buf records;
         raise e
   end
 

@@ -129,12 +129,18 @@ val has_committed : t -> bool
 
 val flush : t -> unit
 (** Write the buffered records (creating the file first if it is
-    missing, or resetting it if it was {!rebase}d). *)
+    missing, or resetting it if it was {!rebase}d), through a fixed
+    per-domain chunk: the buffer is never copied out whole.  The fault
+    site ["journal.write"] fires before each write syscall.  On failure
+    the buffer is kept, and a retry writes the same bytes. *)
 
 val commit : t -> unit
-(** If anything is uncommitted: append a commit marker, flush, fsync.
-    A commit whose records were all still buffered is all-or-nothing:
-    on failure the file and buffer are as before. *)
+(** If anything is uncommitted: append a commit marker, write, fsync
+    (the fault site ["journal.fsync"] fires before the fsync).  The
+    buffer is cleared only once the fsync succeeds.  On failure the
+    marker is dropped and the file is cut back to its length before the
+    call, so the records stay buffered exactly once, and a retried
+    commit leaves the bytes an uninterrupted one would. *)
 
 val read : t -> off:int -> len:int -> string
 (** The flushed bytes at [off]. *)

@@ -1,4 +1,5 @@
 module Obs = Spamlab_obs.Obs
+module A = Bigarray.Array1
 
 let c_hits = Obs.counter "spambayes.prob_cache_hits"
 let c_fills = Obs.counter "spambayes.prob_cache_fills"
@@ -60,20 +61,21 @@ let collect_uncached options db ids n out =
    only ever holds NaN or the one correct probability).
 
    A private cache is an id table keyed like {!Token_db}'s count
-   tables, through the same probe: slot [i] is the id [keys.(2i)] (or
-   [vacant]), the generation [keys.(2i+1)] its probability [probs.(i)]
-   was computed under.  A stale slot is restamped in place.  The
-   capacity is a power of two and doubles before the load passes 1/2,
-   looser than a count table's 3/4: a scoring loop reads this table
-   once per token, and at 3/4 the private-cache [bench classify] rows
-   ran 5-7% slower (in 10 of 12 alternating pairs). *)
+   tables, through the same probe: slot [i] is the id [keys.{2i}] (or
+   [vacant]), the generation [keys.{2i+1}] its probability [probs.(i)]
+   was computed under; [keys] is an {!Ints} table, off the heap.  A
+   stale slot is restamped in place.  The capacity is a power of two
+   and doubles before the load passes 1/2, looser than a count table's
+   3/4: a scoring loop reads this table once per token, and at 3/4 the
+   private-cache [bench classify] rows ran 5-7% slower (in 10 of 12
+   alternating pairs). *)
 type t = {
   options : Options.t;
   db : Token_db.t;
   shared : bool;
   created_gen : int;
   mutable probs : float array;
-  mutable keys : int array;  (* private only; [||] until the first fill *)
+  mutable keys : Ints.t;  (* private only; empty until the first fill *)
   mutable mask : int;  (* private slot count - 1, or -1 *)
   mutable size : int;  (* occupied private slots *)
 }
@@ -87,7 +89,7 @@ let create ?(shared = false) options db =
     shared;
     created_gen = Token_db.generation db;
     probs = Array.make (if shared then Intern.size () else 0) nan;
-    keys = [||];
+    keys = Ints.empty;
     mask = -1;
     size = 0;
   }
@@ -101,12 +103,12 @@ let[@inline] locate t id =
   if t.mask < 0 then -1
   else
     let i = id land t.mask in
-    let k = Array.unsafe_get t.keys (2 * i) in
+    let k = A.unsafe_get t.keys (2 * i) in
     if k = id then i
     else if k = vacant then -1
     else
       let i = Token_db.find_slot t.keys ~stride:2 ~mask:t.mask id in
-      if Array.unsafe_get t.keys (2 * i) = id then i else -1
+      if A.unsafe_get t.keys (2 * i) = id then i else -1
 
 (* A fresh private slot for [id], which has none. *)
 let claim t id =
@@ -114,20 +116,22 @@ let claim t id =
     let keys = t.keys and probs = t.probs in
     let slots = max 16 (2 * (t.mask + 1)) in
     let mask = slots - 1 in
-    t.keys <- Array.make (2 * slots) vacant;
+    let fresh = Ints.make (2 * slots) vacant in
+    t.keys <- fresh;
     t.probs <- Array.make slots nan;
     t.mask <- mask;
     for j = 0 to Array.length probs - 1 do
-      let k = Array.unsafe_get keys (2 * j) in
+      let k = A.unsafe_get keys (2 * j) in
       if k <> vacant then begin
-        let i = Token_db.find_slot t.keys ~stride:2 ~mask k in
-        Array.blit keys (2 * j) t.keys (2 * i) 2;
+        let i = Token_db.find_slot fresh ~stride:2 ~mask k in
+        A.unsafe_set fresh (2 * i) k;
+        A.unsafe_set fresh ((2 * i) + 1) (A.unsafe_get keys ((2 * j) + 1));
         Array.unsafe_set t.probs i (Array.unsafe_get probs j)
       end
     done
   end;
   let i = Token_db.find_slot t.keys ~stride:2 ~mask:t.mask id in
-  Array.unsafe_set t.keys (2 * i) id;
+  A.unsafe_set t.keys (2 * i) id;
   t.size <- t.size + 1;
   i
 
@@ -144,7 +148,7 @@ let fill t id gen slot out i =
       if t.shared then Array.unsafe_set t.probs id p
       else begin
         let s = if slot >= 0 then slot else claim t id in
-        Array.unsafe_set t.keys ((2 * s) + 1) gen;
+        A.unsafe_set t.keys ((2 * s) + 1) gen;
         Array.unsafe_set t.probs s p
       end;
       Array.unsafe_set out i p
@@ -181,7 +185,7 @@ let collect t ids n out =
        for i = 0 to n - 1 do
          let id = Array.unsafe_get ids i in
          let s = locate t id in
-         if s >= 0 && Array.unsafe_get t.keys ((2 * s) + 1) = gen then begin
+         if s >= 0 && A.unsafe_get t.keys ((2 * s) + 1) = gen then begin
            incr hits;
            Array.unsafe_set out i (Array.unsafe_get t.probs s)
          end

@@ -1,4 +1,5 @@
 module Obs = Spamlab_obs.Obs
+module A = Bigarray.Array1
 
 let db_copies = Obs.counter "spambayes.db_copies"
 let db_copy_delta_entries = Obs.counter "spambayes.db_copy_delta_entries"
@@ -8,27 +9,28 @@ let db_copy_delta_entries = Obs.counter "spambayes.db_copy_delta_entries"
    process-global and only grows, so a structure dense over ids would
    charge a 20-message throwaway filter for every id interned before it.
 
-   Slot [i] is the three ints [tbl.(3i)] (the id, or [empty]),
-   [tbl.(3i+1)] (spam count) and [tbl.(3i+2)] (ham count): a probe and
-   the counts it finds share a cache line, the GC has no pointer to
-   trace, and copying a table is one array blit.  The capacity is a
-   power of two and doubles before the load passes 3/4, so an entry
-   costs 4 to 8 words.  Entries are never removed.
+   Slot [i] is the three ints [tbl.{3i}] (the id, or [empty]),
+   [tbl.{3i+1}] (spam count) and [tbl.{3i+2}] (ham count): a probe and
+   the counts it finds share a cache line, and copying a table is one
+   blit.  Tables are {!Ints}, outside the OCaml heap, so the GC neither
+   marks them nor paces against them.  The capacity is a power of two
+   and doubles before the load passes 3/4, so an entry costs 4 to 8
+   words.  Entries are never removed.
 
    A db reads two tables: [ov], its own, which takes every write and
    holds the {e absolute} counts of the ids written to it, then [base],
    immutable and possibly shared.
    Invariants:
    - no [base] slot is ever written, nor an [ov] slot while [lent];
-   - [ov_mask < 0] exactly when [ov] is [[||]], and then [ov_size = 0];
-     likewise [base_mask] and [base];
+   - [ov_mask < 0] exactly when [ov] is [Ints.empty], and then
+     [ov_size = 0]; likewise [base_mask] and [base];
    - [lent] implies [base_mask < 0 <= ov_mask];
    - [distinct] counts ids whose combined count is non-zero, maintained
      on every 0-to-positive / positive-to-0 transition. *)
 type t = {
-  mutable base : int array;  (* [||] until a write promotes a lent [ov] *)
+  mutable base : Ints.t;  (* empty until a write promotes a lent [ov] *)
   mutable base_mask : int;  (* slot count - 1, or -1 *)
-  mutable ov : int array;  (* [||] until the first write *)
+  mutable ov : Ints.t;  (* empty until the first write *)
   mutable ov_mask : int;
   mutable ov_size : int;  (* occupied slots *)
   mutable lent : bool;  (* [ov] is also a copy's base *)
@@ -48,9 +50,9 @@ type t = {
 
 let create () =
   {
-    base = [||];
+    base = Ints.empty;
     base_mask = -1;
-    ov = [||];
+    ov = Ints.empty;
     ov_mask = -1;
     ov_size = 0;
     lent = false;
@@ -71,18 +73,18 @@ let copy t =
   Obs.incr db_copies;
   if t.base_mask >= 0 then begin
     Obs.add db_copy_delta_entries t.ov_size;
-    { t with ov = Array.copy t.ov }
+    { t with ov = Ints.copy t.ov }
   end
   else begin
     if t.ov_mask >= 0 then t.lent <- true;
-    { t with base = t.ov; base_mask = t.ov_mask; ov = [||]; ov_mask = -1;
-             ov_size = 0; lent = false }
+    { t with base = t.ov; base_mask = t.ov_mask; ov = Ints.empty;
+             ov_mask = -1; ov_size = 0; lent = false }
   end
 
 let reclaim t =
   t.base <- t.ov;
   t.base_mask <- t.ov_mask;
-  t.ov <- [||];
+  t.ov <- Ints.empty;
   t.ov_mask <- -1;
   t.ov_size <- 0;
   t.lent <- false
@@ -107,27 +109,29 @@ let[@inline] step id = ((id * 0x9e3779b97f4a7c1) lsr 32) lor 1
 
 (* A top-level loop rather than a local [let rec] over the table: the
    build has no flambda, so a local recursive function that captures
-   the table allocates its closure on every call. *)
-let rec probe_from tbl stride mask id d i =
-  let k = Array.unsafe_get tbl (stride * i) in
+   the table allocates its closure on every call.  Every parameter that
+   holds a table is annotated: at a type the compiler cannot see, an
+   access is a C call. *)
+let rec probe_from (tbl : Ints.t) stride mask id d i =
+  let k = A.unsafe_get tbl (stride * i) in
   if k = id || k = empty then i
   else probe_from tbl stride mask id d ((i + d) land mask)
 
-let[@inline] find_slot tbl ~stride ~mask id =
+let[@inline] find_slot (tbl : Ints.t) ~stride ~mask id =
   probe_from tbl stride mask id (step id) (id land mask)
 
 (* The slot of [id] in a count table, or -1 when it holds none.  Most
    ids sit at their home slot, which is tested before the probe. *)
-let[@inline] lookup tbl mask id =
+let[@inline] lookup (tbl : Ints.t) mask id =
   if mask < 0 then -1
   else
     let i = id land mask in
-    let k = Array.unsafe_get tbl (3 * i) in
+    let k = A.unsafe_get tbl (3 * i) in
     if k = id then i
     else if k = empty then -1
     else
       let i = find_slot tbl ~stride:3 ~mask id in
-      if Array.unsafe_get tbl (3 * i) = id then i else -1
+      if A.unsafe_get tbl (3 * i) = id then i else -1
 
 (* Where [id]'s counts are: [3i + 1] for slot [i] of [ov], [-(3i + 1)]
    for slot [i] of [base], 0 for neither. *)
@@ -139,27 +143,31 @@ let[@inline] slot t id =
     if j >= 0 then -((3 * j) + 1) else 0
 
 let[@inline] slot_spam t s =
-  if s > 0 then Array.unsafe_get t.ov s
-  else if s < 0 then Array.unsafe_get t.base (-s)
+  if s > 0 then A.unsafe_get t.ov s
+  else if s < 0 then A.unsafe_get t.base (-s)
   else 0
 
 let[@inline] slot_ham t s =
-  if s > 0 then Array.unsafe_get t.ov (s + 1)
-  else if s < 0 then Array.unsafe_get t.base (1 - s)
+  if s > 0 then A.unsafe_get t.ov (s + 1)
+  else if s < 0 then A.unsafe_get t.base (1 - s)
   else 0
 
 let spam_count_id t id = slot_spam t (slot t id)
 let ham_count_id t id = slot_ham t (slot t id)
 
 (* Rebuild [ov] with [slots] slots (a power of two, room for every
-   entry). *)
+   entry): each entry re-inserted into a fresh table. *)
 let resize t slots =
   let old = t.ov and mask = slots - 1 in
-  let ov = Array.make (3 * slots) empty in
-  for j = 0 to (Array.length old / 3) - 1 do
-    let id = Array.unsafe_get old (3 * j) in
-    if id <> empty then
-      Array.blit old (3 * j) ov (3 * find_slot ov ~stride:3 ~mask id) 3
+  let ov = Ints.make (3 * slots) empty in
+  for j = 0 to t.ov_mask do
+    let id = A.unsafe_get old (3 * j) in
+    if id <> empty then begin
+      let i = 3 * find_slot ov ~stride:3 ~mask id in
+      A.unsafe_set ov i id;
+      A.unsafe_set ov (i + 1) (A.unsafe_get old ((3 * j) + 1));
+      A.unsafe_set ov (i + 2) (A.unsafe_get old ((3 * j) + 2))
+    end
   done;
   t.ov <- ov;
   t.ov_mask <- mask
@@ -188,11 +196,11 @@ let write_slot t id =
     let i = find_slot t.ov ~stride:3 ~mask:t.ov_mask id in
     let b = lookup t.base t.base_mask id in
     let ov = t.ov in
-    Array.unsafe_set ov (3 * i) id;
-    Array.unsafe_set ov ((3 * i) + 1)
-      (if b < 0 then 0 else Array.unsafe_get t.base ((3 * b) + 1));
-    Array.unsafe_set ov ((3 * i) + 2)
-      (if b < 0 then 0 else Array.unsafe_get t.base ((3 * b) + 2));
+    A.unsafe_set ov (3 * i) id;
+    A.unsafe_set ov ((3 * i) + 1)
+      (if b < 0 then 0 else A.unsafe_get t.base ((3 * b) + 1));
+    A.unsafe_set ov ((3 * i) + 2)
+      (if b < 0 then 0 else A.unsafe_get t.base ((3 * b) + 2));
     t.ov_size <- t.ov_size + 1;
     i
   end
@@ -206,9 +214,9 @@ let[@inline] note_transition t ~was ~now =
 let bump t label id k =
   let s = (3 * write_slot t id) + 1 in
   let ov = t.ov in
-  let was = Array.unsafe_get ov s + Array.unsafe_get ov (s + 1) in
+  let was = A.unsafe_get ov s + A.unsafe_get ov (s + 1) in
   let c = match label with Label.Spam -> s | Label.Ham -> s + 1 in
-  Array.unsafe_set ov c (Array.unsafe_get ov c + k);
+  A.unsafe_set ov c (A.unsafe_get ov c + k);
   note_transition t ~was ~now:(was + k)
 
 let bump_all t label ids k =
@@ -277,13 +285,13 @@ let untrain_ids t label ids =
   | Label.Ham -> t.nham <- t.nham - 1);
   bump_all t label ids (-1)
 
-let iter_table f tbl mask =
+let iter_table f (tbl : Ints.t) mask =
   for i = 0 to mask do
-    let id = Array.unsafe_get tbl (3 * i) in
+    let id = A.unsafe_get tbl (3 * i) in
     if id <> empty then
       f id
-        ~spam:(Array.unsafe_get tbl ((3 * i) + 1))
-        ~ham:(Array.unsafe_get tbl ((3 * i) + 2))
+        ~spam:(A.unsafe_get tbl ((3 * i) + 1))
+        ~ham:(A.unsafe_get tbl ((3 * i) + 2))
   done
 
 let iter_overlay f t = iter_table f t.ov t.ov_mask
@@ -383,9 +391,9 @@ let set_counts_id t id ~spam ~ham =
   if spam <> 0 || ham <> 0 || slot t id <> 0 then begin
     let s = (3 * write_slot t id) + 1 in
     let ov = t.ov in
-    let was = Array.unsafe_get ov s + Array.unsafe_get ov (s + 1) in
-    Array.unsafe_set ov s spam;
-    Array.unsafe_set ov (s + 1) ham;
+    let was = A.unsafe_get ov s + A.unsafe_get ov (s + 1) in
+    A.unsafe_set ov s spam;
+    A.unsafe_set ov (s + 1) ham;
     note_transition t ~was ~now:(spam + ham)
   end
 

@@ -14,8 +14,9 @@
     id (see {!Intern}); every count, training and fold entry point
     takes ids.  A slot is three ints — the id and its absolute spam
     and ham counts — so an entry costs 4 to 8 words and a db is sized
-    by the tokens it holds, never by the range of their ids.  Entries are
-    never removed.  A db reads two tables: its own, which takes every
+    by the tokens it holds, never by the range of their ids.  The tables
+    are {!Ints}, outside the OCaml heap: a db itself is a few dozen heap
+    words whatever it holds.  Entries are never removed.  A db reads two tables: its own, which takes every
     write, then an immutable base it may share with other dbs (see
     {!copy}); a read takes both counts from the one slot it finds
     ({!slot}).
@@ -314,10 +315,10 @@ val crc_feed_buffer : ?pos:int -> int -> Buffer.t -> int
 val crc_finish : int -> int
 (** Finalize the register into the checksum value. *)
 
-val find_slot : int array -> stride:int -> mask:int -> int -> int
+val find_slot : Ints.t -> stride:int -> mask:int -> int -> int
 (** The probe behind every id table (count tables, {!Prob_cache}'s
     private tables): the slot holding [id >= 0] in an open-addressing table
-    of [mask + 1] slots (a power of two) keyed by [tbl.(stride * slot)],
+    of [mask + 1] slots (a power of two) keyed by [tbl.{stride * slot}],
     else the first empty slot (key [-1]) on its probe sequence.  The
     sequence starts at [id land mask] — a db whose ids are dense sits in
     its table like an array — and continues by double hashing.  The

@@ -211,6 +211,23 @@ let cli_tests =
         check_bool "metrics banner" true (contains err "== spamlab metrics ==");
         check_bool "messages counter present" true
           (contains err "eval.messages_classified"));
+    test_case "tenants --metrics dumps counters, stdout unchanged" (fun () ->
+        let run extra =
+          check_int "exit" 0
+            (run_command
+               ([ "tenants"; "--scale"; "0.02"; "--users"; "50" ] @ extra));
+          ( read_output (),
+            In_channel.with_open_text (in_tmp "stderr") In_channel.input_all )
+        in
+        let plain, plain_err = run [] in
+        let out, err = run [ "--metrics" ] in
+        Alcotest.(check string) "stdout byte-identical" plain out;
+        check_bool "no metrics without the flag" false
+          (contains plain_err "== spamlab metrics ==");
+        check_bool "metrics banner" true (contains err "== spamlab metrics ==");
+        (* One copy-on-write overlay of the prior per tenant. *)
+        check_bool "tenant overlay copies counted" true
+          (contains err "spambayes.db_copies"));
     test_case "traced counter aggregates identical at --jobs 1 and 4" (fun () ->
         let trace_for jobs path =
           check_int "exit" 0

@@ -164,6 +164,8 @@ let catalogue_tests =
             "db.save.rename";
             "db.save.write";
             "intern.grow";
+            "journal.fsync";
+            "journal.write";
             "pool.task";
             "score.cache.fill";
             "serve.accept";

@@ -82,6 +82,26 @@ let intern_tests =
           (Intern.id "intern-test-post-freeze");
         check_str "to_string after freeze" "intern-test-post-freeze"
           (Intern.to_string post));
+    test_case "freeze snapshots only when the table grew" (fun () ->
+        let module Obs = Spamlab_obs.Obs in
+        let snapshots () = Obs.counter_value "intern.snapshots" in
+        Obs.enable_metrics ();
+        Obs.reset ();
+        Fun.protect
+          ~finally:(fun () ->
+            Obs.stop ();
+            Obs.reset ())
+          (fun () ->
+            (* [bulk_sub] never refreshes the snapshot itself. *)
+            let fresh = "intern-test-snapshot-when-grown" in
+            ignore (Intern.bulk_sub fresh 0 (String.length fresh));
+            Intern.freeze ();
+            check_int "a freeze after a new id snapshots" 1 (snapshots ());
+            Intern.freeze ();
+            check_int "a second freeze with nothing new does not" 1
+              (snapshots ());
+            check_bool "the new id is in the snapshot" true
+              (Intern.find fresh <> None)));
     test_case "byte_order lists positions in token byte order" (fun () ->
         let covered = Intern.intern_array [| "bo-m"; "bo-a"; "bo-z" |] in
         Intern.freeze ();
@@ -1007,17 +1027,17 @@ let probe_tests =
         let present = List.sort_uniq compare present in
         let slots = 64 and stride = 2 in
         let mask = slots - 1 in
-        let tbl = Array.make (stride * slots) (-1) in
+        let tbl = Ints.make (stride * slots) (-1) in
         List.iter
-          (fun id -> tbl.(stride * Token_db.find_slot tbl ~stride ~mask id) <- id)
+          (fun id -> tbl.{stride * Token_db.find_slot tbl ~stride ~mask id} <- id)
           present;
         List.for_all
-          (fun id -> tbl.(stride * Token_db.find_slot tbl ~stride ~mask id) = id)
+          (fun id -> tbl.{stride * Token_db.find_slot tbl ~stride ~mask id} = id)
           present
         && List.for_all
              (fun id ->
                List.mem id present
-               || tbl.(stride * Token_db.find_slot tbl ~stride ~mask id) = -1)
+               || tbl.{stride * Token_db.find_slot tbl ~stride ~mask id} = -1)
              absent);
   ]
 

@@ -185,6 +185,21 @@ let token_db_tests =
         Token_db.train_ids copy Label.Spam (ids_of [| "x" |]);
         check_int "original spam" 0 (spam_count db "x");
         check_int "copy spam" 1 (spam_count copy "x"));
+    test_case "count tables live off the OCaml heap" (fun () ->
+        (* Counts never name a token, so plain ints serve as ids. *)
+        let ids = Array.init 100_000 Fun.id in
+        let db = Token_db.create () in
+        Token_db.train_ids db Label.Spam ids;
+        let copy = Token_db.copy db in
+        Token_db.train_ids copy Label.Ham [| 7; 100_000 |];
+        let heap_words db = Obj.reachable_words (Obj.repr db) in
+        check_bool "100,000 trained ids reach under 1,000 heap words" true
+          (heap_words db < 1_000);
+        check_bool "a written copy reaches under 1,000 heap words" true
+          (heap_words copy < 1_000);
+        check_int "the copy reads its write" 1 (Token_db.ham_count_id copy 7);
+        check_int "and the source's counts" 1 (Token_db.spam_count_id copy 99_999);
+        check_int "the source is untouched" 0 (Token_db.ham_count_id db 7));
     test_case "save/load round-trip" (fun () ->
         let db =
           db_with

@@ -878,9 +878,62 @@ let block_tests =
            true));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Journal commits that fail.                                          *)
+
+module Journal = Spamlab_spambayes.Journal
+
+(* A journal's bytes after two commits, the second over records that
+   were partly flushed before it.  With [fault], that second commit
+   first fails at the armed site and is retried. *)
+let journal_bytes ?fault () =
+  with_tmp_dir @@ fun dir ->
+  let path = Filename.concat dir "shard.journal" in
+  let j, _ =
+    Result.get_ok
+      (Journal.open_ ~create:true ~ident:"spamlab-test-journal 1" ~base_crc:7 path)
+  in
+  let append user words =
+    ignore (Journal.append j ~user (Journal.of_ids `Train Label.Spam (ids_of words)))
+  in
+  append "alice" [| "cheap"; "deal" |];
+  Journal.commit j;
+  append "bob" [| "meeting"; "agenda" |];
+  Journal.flush j;
+  append "alice" [| "pharmacy"; "now" |];
+  append "carol" [| "lunch" |];
+  let buffered = Journal.buffered j in
+  Option.iter
+    (fun spec ->
+      Result.get_ok (Spamlab_fault.configure spec);
+      Fun.protect ~finally:Spamlab_fault.disable (fun () ->
+          match Journal.commit j with
+          | () -> Alcotest.failf "%s: the commit did not fail" spec
+          | exception Spamlab_fault.Injected _ -> ());
+      check_int (spec ^ ": records stay buffered exactly once") buffered
+        (Journal.buffered j))
+    fault;
+  Journal.commit j;
+  check_int "a commit leaves nothing buffered" 0 (Journal.buffered j);
+  Journal.close j;
+  In_channel.with_open_bin path In_channel.input_all
+
+let journal_tests =
+  [
+    test_case "a commit failing at write or fsync retries to the same bytes"
+      (fun () ->
+        let clean = journal_bytes () in
+        List.iter
+          (fun spec ->
+            check_string (spec ^ ": journal bytes after the retry") clean
+              (journal_bytes ~fault:spec ()))
+          [ "journal.write:fatal@1"; "journal.fsync:fatal@1" ]);
+  ]
+
 let () =
   Alcotest.run "store"
     [
+      ("journal", journal_tests);
       ("differential", differential_tests);
       ("segment", segment_tests);
       ("id form", id_form_tests);
