@@ -159,7 +159,7 @@ let run_ingest lab ~jobs =
       SB.Intern.freeze ();
       let options = SB.Filter.options filter in
       let db = SB.Filter.db filter in
-      let chunks = SB.Ingest.raw_message_chunks text in
+      let chunks = Spamlab_email.Mbox.chunks text in
       let engine = SB.Classify.engine options db in
       let legacy () =
         let msgs, _ = Spamlab_email.Mbox.parse_lenient text in
@@ -1226,7 +1226,6 @@ let main () =
   let cli = parse_args () in
   (match cli.trace with Some path -> Obs.start_trace ~path | None -> ());
   if cli.metrics then Obs.enable_metrics ();
-  Obs.configure_from_env ();
   Printf.printf
     "spamlab bench harness | seed %d | scale %.2f of paper Table 1 | jobs %d\n\n"
     cli.seed cli.scale cli.jobs;

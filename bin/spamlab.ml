@@ -175,7 +175,7 @@ let train_cmd =
               match Ingest.unique_ids_raw tokenizer text ~off ~len with
               | Some (ids, _raw) -> Token_db.train_ids (Filter.db filter) label ids
               | None -> incr quarantined)
-            (Ingest.raw_message_chunks text)
+            (Mbox.chunks text)
         in
         train_mbox Label.Ham ham_text;
         train_mbox Label.Spam spam_text;
@@ -692,7 +692,6 @@ let experiment_cmd =
     | Ok (), Ok ck ->
         (match trace with Some path -> Obs.start_trace ~path | None -> ());
         if metrics then Obs.enable_metrics ();
-        Obs.configure_from_env ();
         let lab = Eval.Lab.create ~seed ~scale ?jobs ?checkpoint:ck () in
         let finish result =
           Eval.Lab.shutdown lab;
@@ -824,7 +823,6 @@ let tenants_cmd =
         | Error e -> fail "%s" e
         | Ok ck -> (
             if metrics then Obs.enable_metrics ();
-            Obs.configure_from_env ();
             let lab = Eval.Lab.create ~seed ~scale ?jobs ?checkpoint:ck () in
             let cfg =
               {
@@ -1140,7 +1138,6 @@ let serve_cmd =
     match fault_configured with
     | Error e -> fail "%s" e
     | Ok () -> (
-        Obs.configure_from_env ();
         let default =
           Serve.Daemon.Unix_sock
             (Filename.concat (Filename.dirname db) "spamlab.sock")

@@ -1,7 +1,5 @@
 let separator = "From spamlab@localhost Thu Jan  1 00:00:00 1970"
 
-let is_separator line = Rfc2822.from_at line 0 (String.length line)
-
 (* A line needing quoting is any number of '>' followed by "From ". *)
 let needs_quoting line =
   let n = String.length line in
@@ -25,66 +23,59 @@ let print messages =
     messages;
   Buffer.contents buffer
 
-(* Group lines into chunks delimited by separator lines. *)
-let chunks_of text =
-  let lines = String.split_on_char '\n' text in
-  let rec group current chunks = function
-    | [] ->
-        (* A text ending in '\n' splits into a final "" artifact.  When
-           the last real line was a separator, that artifact is the sole
-           accumulated element — dropping it keeps "separator at EOF"
-           consistent with the mid-file case (two adjacent separators
-           yield no empty message) and with the offset-based scanner in
-           [Ingest.iter_raw_messages], which never fabricates a chunk
-           after a final separator. *)
-        let chunks =
-          match current with
-          | [] | [ "" ] -> chunks
-          | _ -> List.rev current :: chunks
-        in
-        List.rev chunks
-    | line :: rest ->
-        if is_separator line then
-          let chunks =
-            if current = [] then chunks else List.rev current :: chunks
-          in
-          group [] chunks rest
-        else group (line :: current) chunks rest
+(* Message chunks lie between "From " separator lines, found by
+   offsets without splitting the buffer into lines.  An all-whitespace
+   mailbox is empty; an early-exit scan avoids [String.trim]'s copy of
+   the buffer. *)
+let chunks ?(off = 0) ?len buf =
+  let n = match len with Some len -> off + len | None -> String.length buf in
+  if off < 0 || off > n || n > String.length buf then invalid_arg "Mbox.chunks";
+  let acc = ref [] in
+  let flush start stop = if stop > start then acc := (start, stop - start) :: !acc in
+  let rec go line_start chunk_start =
+    if line_start >= n then flush chunk_start n
+    else begin
+      let nl = Rfc2822.line_end buf line_start n in
+      if Rfc2822.from_at buf line_start n then begin
+        flush chunk_start line_start;
+        if nl < n then go (nl + 1) (nl + 1)
+      end
+      else if nl < n then go (nl + 1) chunk_start
+      else flush chunk_start n
+    end
   in
-  group [] [] lines
+  let is_ws c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012' in
+  let rec blank i = i >= n || (is_ws buf.[i] && blank (i + 1)) in
+  if not (blank off) then go off off;
+  Array.of_list (List.rev !acc)
 
-let parse_chunk chunk =
-  (* Drop the trailing blank line print added after each body. *)
-  let chunk =
-    match List.rev chunk with "" :: rest -> List.rev rest | _ -> chunk
-  in
-  Rfc2822.parse ~unquote:true (String.concat "\n" chunk)
+(* The newline [print] adds after each body is not the message's. *)
+let chunk_end buf off len =
+  if len > 0 && buf.[off + len - 1] = '\n' then off + len - 1 else off + len
+
+let chunk_message buf (off, len) =
+  Rfc2822.parse ~unquote:true (String.sub buf off (chunk_end buf off len - off))
 
 let parse text =
-  if String.trim text = "" then Ok []
-  else
-    match chunks_of text with
-    | [] -> Error "mbox: no message separator found"
-    | chunks ->
-        let rec all acc = function
-          | [] -> Ok (List.rev acc)
-          | chunk :: rest -> (
-              match parse_chunk chunk with
-              | Ok m -> all (m :: acc) rest
-              | Error e -> Error e)
-        in
-        all [] chunks
+  match chunks text with
+  | [||] when String.trim text <> "" -> Error "mbox: no message separator found"
+  | cs ->
+      let rec all acc i =
+        if i = Array.length cs then Ok (List.rev acc)
+        else Result.bind (chunk_message text cs.(i)) (fun m -> all (m :: acc) (i + 1))
+      in
+      all [] 0
 
 let parse_lenient text =
-  if String.trim text = "" then ([], 0)
-  else
-    List.fold_left
-      (fun (acc, dropped) chunk ->
-        match parse_chunk chunk with
-        | Ok m -> (m :: acc, dropped)
-        | Error _ -> (acc, dropped + 1))
-      ([], 0) (chunks_of text)
-    |> fun (acc, dropped) -> (List.rev acc, dropped)
+  let kept, dropped =
+    Array.fold_left
+      (fun (kept, dropped) c ->
+        match chunk_message text c with
+        | Ok m -> (m :: kept, dropped)
+        | Error _ -> (kept, dropped + 1))
+      ([], 0) (chunks text)
+  in
+  (List.rev kept, dropped)
 
 let write_file path messages =
   let oc = open_out path in

@@ -33,7 +33,8 @@ let known_sites =
       "between a db fold's rename and its journal reset (the journal is \
        stale)" );
     ("db.save.rename", "before the atomic rename of a token-db save");
-    ("db.save.write", "before each write syscall of a token-db save");
+    ( "db.save.write",
+      "once per token-db save, with half the bytes in the temp file" );
     ("intern.grow", "before the intern table grows (fires pre-mutation)");
     ("journal.fsync", "before an op journal's commit fsyncs");
     ("journal.write", "before each write syscall of an op journal");

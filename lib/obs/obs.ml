@@ -11,7 +11,6 @@ type span_stat = {
    [mutex].  The counters are one {!Metrics} registry. *)
 let tracing_flag = Atomic.make false
 let metrics_flag = Atomic.make false
-let detail_flag = Atomic.make false
 let mutex = Mutex.create ()
 let registry = Metrics.create ()
 let span_stats : (string * int, span_stat) Hashtbl.t = Hashtbl.create 64
@@ -22,7 +21,6 @@ let origin_ns = ref None
 let tracing () = Atomic.get tracing_flag
 let metrics () = Atomic.get metrics_flag
 let enabled () = Atomic.get tracing_flag || Atomic.get metrics_flag
-let detail () = Atomic.get detail_flag && enabled ()
 
 let locked f =
   Mutex.lock mutex;
@@ -63,13 +61,6 @@ let start_trace ~path =
 let enable_metrics () =
   locked (fun () -> ignore (ensure_origin_locked ()));
   Atomic.set metrics_flag true
-
-let enable_detail () = Atomic.set detail_flag true
-
-let configure_from_env () =
-  match Sys.getenv_opt "SPAMLAB_OBS_DETAIL" with
-  | Some ("1" | "true" | "yes") -> enable_detail ()
-  | Some _ | None -> ()
 
 let counter name = Metrics.counter registry name
 let add c n = if enabled () then Metrics.add c n
@@ -172,8 +163,7 @@ let stop () =
           close_out oc;
           sink := None);
   Atomic.set tracing_flag false;
-  Atomic.set metrics_flag false;
-  Atomic.set detail_flag false
+  Atomic.set metrics_flag false
 
 let reset () =
   Metrics.reset registry;

@@ -58,11 +58,6 @@ val metrics : unit -> bool
 val enabled : unit -> bool
 (** [tracing () || metrics ()] — the master gate on all recording. *)
 
-val detail : unit -> bool
-(** True only when detail instrumentation was opted into {e and}
-    {!enabled} — gates per-message classification timing, which is too
-    hot to record by default even in traced runs. *)
-
 val start_trace : path:string -> unit
 (** Open [path] as the JSONL sink (truncating) and enable tracing.
     @raise Sys_error if the file cannot be opened.
@@ -72,15 +67,9 @@ val enable_metrics : unit -> unit
 (** Enable in-memory aggregation for {!dump_metrics} (independent of
     tracing). *)
 
-val enable_detail : unit -> unit
-
-val configure_from_env : unit -> unit
-(** Honour [SPAMLAB_OBS_DETAIL=1] (see {!enable_detail}).  Called by
-    the CLI entry points after flag parsing. *)
-
 val stop : unit -> unit
 (** Flush final counter values to the sink, close it, and disable all
-    recording (tracing, metrics, detail).  Aggregated data survives —
+    recording (tracing, metrics).  Aggregated data survives —
     {!dump_metrics} reads the registry, not the flags — so call it
     after [stop].  Idempotent. *)
 

@@ -8,6 +8,7 @@ module Token_db = Spamlab_spambayes.Token_db
 module Prob_cache = Spamlab_spambayes.Prob_cache
 module Tokenizer = Spamlab_tokenizer.Tokenizer
 module Fault = Spamlab_fault
+module Mbox = Spamlab_email.Mbox
 module Obs = Spamlab_obs.Obs
 module Metrics = Spamlab_obs.Metrics
 module Clock = Spamlab_obs.Clock
@@ -322,7 +323,7 @@ let target_of t user =
    the connection's buffer: chunks are offsets into it, and nothing
    kept outlives the request (scoring keeps no token). *)
 let classify t target ({ buf; off; len } : Spamlab_io.slice) =
-  let chunks = Ingest.raw_message_chunks ~off ~len buf in
+  let chunks = Mbox.chunks ~off ~len buf in
   let score engine =
     Pool.map_array t.pool
       (fun (off, len) ->
@@ -411,7 +412,7 @@ let mutate t target kind cls ({ buf; off; len } : Spamlab_io.slice) =
         | None ->
             incr dropped;
             None)
-      (Array.to_list (Ingest.raw_message_chunks ~off ~len buf))
+      (Array.to_list (Mbox.chunks ~off ~len buf))
   in
   let applied = ref [] in
   (match

@@ -271,7 +271,7 @@ let fsync_dir dir =
         ~finally:(fun () -> Unix.close dirfd)
         (fun () -> try Unix.fsync dirfd with Unix.Unix_error _ -> ())
 
-let atomic_write path write =
+let atomic_write ?rename_site path write =
   let tmp = path ^ ".tmp" in
   let write () =
     let oc =
@@ -289,5 +289,6 @@ let atomic_write path write =
   | exception exn ->
       (try Sys.remove tmp with Sys_error _ -> ());
       raise exn);
+  Option.iter Fault.check rename_site;
   Sys.rename tmp path;
   fsync_dir (Filename.dirname path)

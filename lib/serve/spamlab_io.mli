@@ -1,7 +1,7 @@
 (** EINTR- and short-transfer-safe file-descriptor I/O, shared by the
-    daemon/client wire protocol ({!Spamlab_serve}) and the crash-safe
-    token-DB save path ([Filter.save_file]), plus the crash-safe file
-    replacement behind store segments and journal resets.
+    daemon/client wire protocol ({!Spamlab_serve}) and the op journals'
+    writes, plus the crash-safe file replacement behind token-db saves
+    and folds, store segments and journal resets.
 
     [Unix.read] and [Unix.write] are allowed to transfer fewer bytes
     than asked — pipes and sockets do this routinely under load — and
@@ -71,13 +71,16 @@ val fsync_dir : string -> unit
     portable everywhere, so failing to open or sync [dir] is not an
     error — the renamed file itself is already synced. *)
 
-val atomic_write : string -> (out_channel -> unit) -> unit
+val atomic_write : ?rename_site:string -> string -> (out_channel -> unit) -> unit
 (** [atomic_write path write] replaces [path] crash-safely: [write]
     puts the contents on a channel to [path ^ ".tmp"], which is
     fsynced and renamed over [path], then the directory is synced.  A
     crash at any point leaves the old file or the new one, never a
     torn half-write; a failed write removes the temp file and
-    re-raises. *)
+    re-raises.  [rename_site] names a fault site checked once the temp
+    file is durable, just before the rename; a fault there leaves the
+    temp file behind, as a crash would.  The one routine in [lib/]
+    that renames a file into place. *)
 
 (** {1 Buffered line/frame reading}
 

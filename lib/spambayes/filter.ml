@@ -30,15 +30,7 @@ let train_tokens t label tokens =
 
 let train t label msg = train_tokens t label (features t msg)
 
-(* Per-message timing is detail-level: this is the hot path, and even
-   with tracing on, a span per classified message would dominate the
-   trace.  [Obs.detail] is a single flag read when observability is off,
-   and only opted into via SPAMLAB_OBS_DETAIL=1. *)
-let classify_ids t ids =
-  if Spamlab_obs.Obs.detail () then
-    Spamlab_obs.Obs.span "spambayes.classify" (fun () ->
-        Classify.score_engine (engine t) ids)
-  else Classify.score_engine (engine t) ids
+let classify_ids t ids = Classify.score_engine (engine t) ids
 
 (* Messages and raw mbox bytes ride the ingest path, scoring through
    the filter's cache; neither interns under options that keep unseen
@@ -47,38 +39,18 @@ let classify_ids t ids =
 let classify t msg = Ingest.explain_message_engine (engine t) t.tokenizer msg
 let classify_mbox t buf = Ingest.classify_mbox_engine (engine t) t.tokenizer buf
 
-(* Crash-safe persistence: serialize, write to a sibling temp file,
-   fsync, then atomically rename over the destination.  A crash at any
-   point leaves either the old file or the new one — never a torn
-   half-write — and the fsync-before-rename ordering means the rename
-   can't land before the data it names.  The two fault sites bracket
-   the vulnerable window: [db.save.write] fires mid-write (simulating
-   a torn write to the temp file), [db.save.rename] fires after the
-   temp file is durable but before it is published. *)
+(* Crash-safe persistence through [Spamlab_io.atomic_write].  The two
+   fault sites bracket the vulnerable window: [db.save.write] fires
+   once, with the first half of the bytes in the temp file (a torn
+   write), and [db.save.rename] after the temp file is durable but
+   before it is published. *)
 let write_db data path =
-  let tmp = path ^ ".tmp" in
-  let write () =
-    let fd = Unix.openfile tmp [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
-    Fun.protect
-      ~finally:(fun () -> Unix.close fd)
-      (fun () ->
-        (* Raw-descriptor writes through the shared short-write/EINTR
-           loop; the two halves keep the db.save.write fault site in
-           the middle of the byte stream. *)
-        let half = String.length data / 2 in
-        Spamlab_io.really_write_string fd data 0 half;
-        Spamlab_fault.check "db.save.write";
-        Spamlab_io.really_write_string fd data half (String.length data - half);
-        Unix.fsync fd)
-  in
-  (match write () with
-  | () -> ()
-  | exception exn ->
-      (try Sys.remove tmp with Sys_error _ -> ());
-      raise exn);
-  Spamlab_fault.check "db.save.rename";
-  Sys.rename tmp path;
-  Spamlab_io.fsync_dir (Filename.dirname path)
+  Spamlab_io.atomic_write ~rename_site:"db.save.rename" path (fun oc ->
+      let half = String.length data / 2 in
+      output_substring oc data 0 half;
+      flush oc;
+      Spamlab_fault.check "db.save.write";
+      output_substring oc data half (String.length data - half))
 
 let save_file t path = write_db (Token_db.to_string t.db) path
 
@@ -91,42 +63,38 @@ let journal_path path = path ^ ".journal"
 let journal_ident = "spamlab-db-journal 1 db_crc"
 let base_crc data = Option.value ~default:0 (Token_db.footer_crc data)
 
+exception Bad_record of string
 
-(* Apply the committed prefix of a journal matching [base_crc]; a
-   stale, empty or header-torn journal is ignored, as the writer's
-   open would discard it. *)
+(* Apply one committed record, the line [data.[off .. off+len-1]]. *)
+let apply_record db data ~off ~len =
+  match Journal.parse_sub data off len with
+  | `Op (_, op) -> (
+      try Journal.apply db (Journal.intern op)
+      with Invalid_argument e -> raise (Bad_record e))
+  | `Commit | `Bad _ -> raise (Bad_record "unreadable record")
+
+(* Apply the committed prefix of a journal matching [base_crc], read
+   only; a stale, empty or header-torn journal is ignored, as the
+   writer's open would discard it. *)
 let apply_journal db path ~base_crc =
   match Spamlab_io.read_file (journal_path path) with
   | Error _ -> Ok ()
   | Ok data -> (
-      let failed = ref None in
-      let on_op _ ~off ~len =
-        if !failed = None then
-          match Journal.parse_sub data off len with
-          | `Op (_, op) -> (
-              try Journal.apply db (Journal.intern op)
-              with Invalid_argument e -> failed := Some e)
-          | `Commit | `Bad _ -> failed := Some "unreadable record"
-      in
       match
-        Journal.scan ~ident:journal_ident ~base_crc:(Some base_crc) ~on_op data
+        Journal.scan ~ident:journal_ident ~base_crc:(Some base_crc)
+          ~on_op:(fun _ ~off ~len -> apply_record db data ~off ~len)
+          data
       with
-      | `Headless | `Stale -> Ok ()
-      | `Scanned _ when !failed = None -> Ok ()
-      | `Scanned _ -> Error (journal_path path ^ ": " ^ Option.get !failed)
-      | `Corrupt e -> Error (journal_path path ^ ": " ^ e))
-
-let load_data ~options ~tokenizer path data =
-  match Token_db.of_string data with
-  | Error e -> Error e
-  | Ok db ->
-      Result.map
-        (fun () -> make options tokenizer db)
-        (apply_journal db path ~base_crc:(base_crc data))
+      | `Headless | `Stale | `Scanned _ -> Ok ()
+      | `Corrupt e | (exception Bad_record e) -> Error (journal_path path ^ ": " ^ e))
 
 let load_file ?(options = Options.default)
     ?(tokenizer = Spamlab_tokenizer.Tokenizer.spambayes) path =
-  Result.bind (Spamlab_io.read_file path) (load_data ~options ~tokenizer path)
+  let ( let* ) = Result.bind in
+  let* data = Spamlab_io.read_file path in
+  let* db = Token_db.of_string data in
+  let* () = apply_journal db path ~base_crc:(base_crc data) in
+  Ok (make options tokenizer db)
 
 let verify_journal path =
   match Spamlab_io.read_file (journal_path path) with
@@ -147,6 +115,8 @@ type journal = {
   mutable published : bool; (* a commit point has passed *)
 }
 
+(* One read and one scan of the journal: [Journal.open_] hands each
+   committed record to [apply_record] as it goes. *)
 let open_journal ?(options = Options.default)
     ?(tokenizer = Spamlab_tokenizer.Tokenizer.spambayes) path =
   let ( let* ) = Result.bind in
@@ -154,22 +124,17 @@ let open_journal ?(options = Options.default)
     if Sys.file_exists path then Result.map Option.some (Spamlab_io.read_file path)
     else Ok None
   in
-  let* t =
-    match data with
-    | Some data -> load_data ~options ~tokenizer path data
-    | None ->
-        let t = create ~options ~tokenizer () in
-        Result.map (fun () -> t) (apply_journal t.db path ~base_crc:0)
-  in
+  let* db = Option.fold ~none:(Ok (Token_db.create ())) ~some:Token_db.of_string data in
   let crc = Option.fold ~none:0 ~some:base_crc data in
   match
     Journal.open_ ~create:false ~ident:journal_ident ~base_crc:crc
+      ~on_op:(fun jdata _ ~off ~len -> apply_record db jdata ~off ~len)
       (journal_path path)
   with
-  | Error e -> Error (journal_path path ^ ": " ^ e)
-  | Ok (j, _) ->
+  | Error e | (exception Bad_record e) -> Error (journal_path path ^ ": " ^ e)
+  | Ok j ->
       let db_bytes = if crc = 0 then 0 else String.length (Option.get data) in
-      Ok (t, { j; db_path = path; db_bytes; published = false })
+      Ok (make options tokenizer db, { j; db_path = path; db_bytes; published = false })
 
 let journal_op jr kind label ids =
   ignore (Journal.append jr.j ~user:"" (Journal.of_ids kind label ids))

@@ -64,13 +64,12 @@ val classify_mbox : t -> string -> Classify.result option array
 
 val save_file : t -> string -> unit
 (** Persist the token database as a v3 file (options and tokenizer
-    choice are code, not data).  Crash-safe: the bytes are written to
-    [path ^ ".tmp"], fsynced, and atomically renamed over [path], so an
-    interrupted save leaves the previous file intact rather than a torn
-    half-write.  A journal beside [path] no longer matches the new
+    choice are code, not data), through [Spamlab_io.atomic_write]:
+    an interrupted save leaves the previous file intact rather than a
+    torn half-write.  A journal beside [path] no longer matches the new
     file's CRC, so {!load_file} ignores it and {!open_journal} resets
-    it.  Fault sites: [db.save.write] (mid-write to the temp file) and
-    [db.save.rename] (durable temp, not yet published). *)
+    it.  Fault sites: [db.save.write] (once, with half the bytes in the
+    temp file) and [db.save.rename] (durable temp, not yet renamed). *)
 
 val load_file :
   ?options:Options.t ->
@@ -113,10 +112,13 @@ val open_journal :
   ?tokenizer:Spamlab_tokenizer.Tokenizer.t ->
   string ->
   (t * journal, string) result
-(** {!load_file} for the writer, then open the journal for appending:
-    a torn tail is truncated to its last commit and a stale journal is
-    reset.  A missing db is the empty filter (at CRC 0 and size 0); a
-    missing journal stays missing until a commit writes it. *)
+(** {!load_file} for the writer, in one read of the journal: its
+    committed records are applied as {!Journal.open_} scans them, and
+    then a torn tail is truncated to its last commit and a stale
+    journal is reset.  A committed record that does not apply is an
+    [Error] naming the journal, with the file untouched.  A missing db
+    is the empty filter (at CRC 0 and size 0); a missing journal stays
+    missing until a commit writes it. *)
 
 val journal_op : journal -> Journal.kind -> Label.gold -> int array -> unit
 (** Buffer the record of one op already applied to the filter (in

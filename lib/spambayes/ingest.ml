@@ -2,6 +2,7 @@ module Tok = Spamlab_tokenizer.Tokenizer
 module Message = Spamlab_email.Message
 module Header = Spamlab_email.Header
 module Rfc2822 = Spamlab_email.Rfc2822
+module Mbox = Spamlab_email.Mbox
 module Obs = Spamlab_obs.Obs
 
 let ingest_msgs = Obs.counter "ingest.msgs"
@@ -127,38 +128,7 @@ let ignored_slice s off len = ignored_in s off len ignored_headers
 
 let ignored_header name = ignored_slice name 0 (String.length name)
 
-(* ------------------------------------------------------------------ *)
-(* Raw mbox scanning by offsets: message chunks are delimited by
-   "From " separator lines, exactly as [Mbox.chunks_of] groups them,
-   without splitting the buffer into line strings. *)
-
-let iter_raw_messages ?(off = 0) ?len buf f =
-  let n = match len with Some len -> off + len | None -> String.length buf in
-  if off < 0 || off > n || n > String.length buf then
-    invalid_arg "Ingest.iter_raw_messages";
-  let flush start stop = if stop > start then f ~off:start ~len:(stop - start) in
-  let rec go line_start chunk_start =
-    if line_start >= n then flush chunk_start n
-    else begin
-      let nl = Rfc2822.line_end buf line_start n in
-      if Rfc2822.from_at buf line_start n then begin
-        flush chunk_start line_start;
-        if nl < n then go (nl + 1) (nl + 1)
-      end
-      else if nl < n then go (nl + 1) chunk_start
-      else flush chunk_start n
-    end
-  in
-  (* [Mbox.parse_lenient] treats an all-whitespace mbox as empty; an
-     early-exit scan avoids [String.trim]'s copy of the buffer. *)
-  let is_ws c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012' in
-  let rec blank i = i >= n || (is_ws buf.[i] && blank (i + 1)) in
-  if not (blank off) then go off off
-
-let raw_message_chunks ?off ?len buf =
-  let acc = ref [] in
-  iter_raw_messages ?off ?len buf (fun ~off ~len -> acc := (off, len) :: !acc);
-  Array.of_list (List.rev !acc)
+let raw_message_chunks = Mbox.chunks
 
 (* A fixed-up body goes to a per-domain scratch, so only a chunk with a
    line to fix is copied. *)
@@ -166,14 +136,13 @@ let fixup_scratch : Bytes.t ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref Bytes.empty)
 
 (* The raw chunk [buf.[off .. off+len-1]] (one mbox message, separator
-   excluded) read as [Mbox.parse_lenient] reads it: one trailing blank
-   line dropped, the header block as [Rfc2822.scan_headers] reads it
+   excluded) read as [Mbox.parse_lenient] reads it: up to its
+   [Mbox.chunk_end], the header block as [Rfc2822.scan_headers] reads it
    (suppressed fields cost no string; a malformed block drops the
    message), and the body handed to the tokenizer in place, or as its
    fixed-up copy when a line needs a fixup. *)
 let iter_raw_spans tokenizer buf ~off ~len ~span ~token =
-  (* Drop the trailing newline [Mbox.print] adds after each body. *)
-  let stop = if len > 0 && buf.[off + len - 1] = '\n' then off + len - 1 else off + len in
+  let stop = Mbox.chunk_end buf off len in
   let fields = ref [] in
   let bstart =
     Rfc2822.scan_headers buf off stop
@@ -231,4 +200,4 @@ let explain_message_engine e tokenizer msg =
 let classify_mbox_engine e tokenizer buf =
   Array.map
     (fun (off, len) -> classify_raw_engine e tokenizer buf ~off ~len)
-    (raw_message_chunks buf)
+    (Mbox.chunks buf)

@@ -51,8 +51,9 @@
     {2 Raw mail}
 
     The [_raw] entry points consume full raw mbox bytes without
-    building [Message.t] values: chunks are delimited by offsets
-    ({!iter_raw_messages}, mirroring [Mbox.chunks_of]), headers are
+    building [Message.t] values: chunks are the offsets
+    [Mbox.chunks] cuts, read up to their [Mbox.chunk_end] as
+    [Mbox.parse] reads them, headers are
     read by offsets ([Rfc2822.scan_headers]) with SpamAssassin-style
     [$IGNORED_HDRS] suppression ({!ignored_header}), and the body goes
     to the tokenizer in place.  Only a body with a line to fix (a CR
@@ -106,21 +107,9 @@ val ignored_header : string -> bool
     (Subject, From, To, Reply-To, Received, Content-Type,
     Content-Transfer-Encoding) are never suppressed. *)
 
-val iter_raw_messages :
-  ?off:int -> ?len:int -> string -> (off:int -> len:int -> unit) -> unit
-(** Walk the message chunks of a raw mbox buffer by offsets —
-    the regions [Mbox.chunks_of] would produce, separator lines
-    excluded.  [?off] and [?len] (default: the whole buffer) make the
-    mbox a slice of [buf]; chunk offsets are offsets into [buf], and
-    no byte outside the slice is read.  An all-whitespace mbox yields
-    nothing.
-    @raise Invalid_argument if the slice is not inside [buf]. *)
-
 val raw_message_chunks : ?off:int -> ?len:int -> string -> (int * int) array
-(** Materialized [(off, len)] chunk list of a raw mbox buffer (or of
-    the slice [?off], [?len] of it, as {!iter_raw_messages}) — the
-    fan-out unit for pool workers ([Pool.map_array] over chunks, each
-    worker calling {!classify_raw_engine}). *)
+(** [Mbox.chunks], under its old name only because perfbench links
+    it; everything else calls [Mbox.chunks]. *)
 
 val iter_raw_spans :
   Spamlab_tokenizer.Tokenizer.t ->
@@ -178,5 +167,4 @@ val classify_mbox_engine :
   Classify.result option array
 (** Classify every message of a raw mbox buffer in order, through an
     explicit engine ([None] for malformed chunks).  Single-domain; for
-    pool fan-out compose {!raw_message_chunks} with
-    {!classify_raw_engine}. *)
+    pool fan-out compose [Mbox.chunks] with {!classify_raw_engine}. *)

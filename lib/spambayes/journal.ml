@@ -246,7 +246,7 @@ let reset t ~base_crc =
 
 let rebase t ~base_crc = t.base_crc <- base_crc
 
-let open_ ~create ~ident ~base_crc path =
+let open_ ~create ~ident ~base_crc ?(on_op = fun _ _ ~off:_ ~len:_ -> ()) path =
   let t =
     {
       path;
@@ -263,18 +263,13 @@ let open_ ~create ~ident ~base_crc path =
   match Io.read_file path with
   | Error _ ->
       if create then reset t ~base_crc;
-      Ok (t, [])
+      Ok t
   | Ok data -> (
-      let ops = ref [] in
-      match
-        scan ~ident ~base_crc:(Some base_crc)
-          ~on_op:(fun user ~off ~len -> ops := (user, off, len) :: !ops)
-          data
-      with
+      match scan ~ident ~base_crc:(Some base_crc) ~on_op:(on_op data) data with
       | `Corrupt e -> Error e
       | `Headless | `Stale ->
           reset t ~base_crc;
-          Ok (t, [])
+          Ok t
       | `Scanned s ->
           (* The uncommitted suffix was never acknowledged to a client,
              whose replay contract re-delivers it. *)
@@ -284,7 +279,7 @@ let open_ ~create ~ident ~base_crc path =
           t.hdr <- s.header_len;
           t.len <- s.last_commit;
           t.last_commit <- s.last_commit;
-          Ok (t, List.rev !ops))
+          Ok t)
 
 let append t ~user op =
   let blen = Buffer.length t.buf in

@@ -100,15 +100,19 @@ val open_ :
   create:bool ->
   ident:string ->
   base_crc:int ->
+  ?on_op:(string -> string -> off:int -> len:int -> unit) ->
   string ->
-  (t * (string * int * int) list, string) result
+  (t, string) result
 (** Open the journal at a path for writing over a file whose CRC is
-    [base_crc], returning its committed ops as [(user, off, len)]
-    extents.  A torn tail is truncated to the last commit; a stale,
-    empty or header-torn journal is reset to a header-only one.  A
-    missing journal is created when [create], and otherwise stays
-    missing until the first write.  [Error] on a header naming another
-    file. *)
+    [base_crc], in one read and one {!scan} of it: [on_op data user
+    ~off ~len] sees each committed op as it is scanned, in order, as
+    the line [data.[off .. off+len-1]] of the journal's bytes [data]
+    ([off] is also its file offset).  Then a torn tail is truncated to
+    the last commit; a stale, empty or header-torn journal is reset to
+    a header-only one.  A missing journal is created when [create],
+    and otherwise stays missing until the first write.  [Error] on a
+    header naming another file.  An exception from [on_op] leaves the
+    file untouched and escapes. *)
 
 val append : t -> user:string -> int op -> int * int
 (** Buffer one record; returns its file offset (once flushed) and its

@@ -57,49 +57,6 @@ let zipf ?(exponent = 1.1) n =
   categorical
     (Array.init n (fun k -> (float_of_int (k + 1)) ** -.exponent))
 
-let binomial rng ~n ~p =
-  if n < 0 then invalid_arg "Sampler.binomial: negative n";
-  if p < 0.0 || p > 1.0 then invalid_arg "Sampler.binomial: p out of [0,1]";
-  if p = 0.0 || n = 0 then 0
-  else if p = 1.0 then n
-  else if n <= 64 then (
-    (* Direct simulation: exact and fast enough at this size. *)
-    let successes = ref 0 in
-    for _ = 1 to n do
-      if Rng.bernoulli rng p then incr successes
-    done;
-    !successes)
-  else
-    (* Normal approximation with continuity correction, clamped to the
-       valid range; adequate for corpus-length draws where n is large
-       and only the bulk matters. *)
-    let mean = float_of_int n *. p in
-    let sd = sqrt (float_of_int n *. p *. (1.0 -. p)) in
-    (* Box-Muller *)
-    let u1 = Rng.float rng +. 1e-18 in
-    let u2 = Rng.float rng in
-    let z = sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2) in
-    let k = int_of_float (Float.round (mean +. (sd *. z))) in
-    max 0 (min n k)
-
-let poisson rng lambda =
-  if lambda < 0.0 then invalid_arg "Sampler.poisson: negative mean";
-  if lambda = 0.0 then 0
-  else if lambda < 64.0 then (
-    (* Knuth: multiply uniforms until below e^-lambda. *)
-    let limit = exp (-.lambda) in
-    let rec loop k product =
-      let product = product *. Rng.float rng in
-      if product <= limit then k else loop (k + 1) product
-    in
-    loop 0 1.0)
-  else
-    let sd = sqrt lambda in
-    let u1 = Rng.float rng +. 1e-18 in
-    let u2 = Rng.float rng in
-    let z = sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2) in
-    max 0 (int_of_float (Float.round (lambda +. (sd *. z))))
-
 let normal rng ~mean ~std =
   if std < 0.0 then invalid_arg "Sampler.normal: negative std";
   let u1 = Rng.float rng +. 1e-18 in
@@ -108,16 +65,3 @@ let normal rng ~mean ~std =
   mean +. (std *. z)
 
 let log_normal rng ~mu ~sigma = exp (normal rng ~mean:mu ~std:sigma)
-
-let geometric rng p =
-  if p <= 0.0 || p > 1.0 then invalid_arg "Sampler.geometric: p out of (0,1]";
-  if p = 1.0 then 0
-  else
-    let u = Rng.float rng +. 1e-18 in
-    int_of_float (Float.floor (log u /. log (1.0 -. p)))
-
-let round_stochastic rng x =
-  let lo = Float.floor x in
-  let frac = x -. lo in
-  let lo = int_of_float lo in
-  if Rng.float rng < frac then lo + 1 else lo

@@ -2,8 +2,7 @@
 
     These drive the synthetic corpus generator: Zipf-distributed token
     draws, categorical choices over vocabularies (via Walker's alias
-    method, O(1) per draw), and the small discrete distributions used for
-    message lengths and header variation. *)
+    method, O(1) per draw), and the log-normal message-length model. *)
 
 type categorical
 (** A prepared discrete distribution over [0, n). *)
@@ -29,15 +28,6 @@ val zipf : ?exponent:float -> int -> categorical
     for natural-language unigram frequencies.
     @raise Invalid_argument if [n <= 0] or [exponent <= 0]. *)
 
-val binomial : Rng.t -> n:int -> p:float -> int
-(** Number of successes among [n] Bernoulli([p]) trials.  Exact (summed)
-    for small [n]; BTPE-free inversion elsewhere — adequate for the
-    laboratory's n ≤ 10^6. *)
-
-val poisson : Rng.t -> float -> int
-(** Poisson draw; Knuth multiplication for small means, normal
-    approximation with continuity correction above mean 64. *)
-
 val normal : Rng.t -> mean:float -> std:float -> float
 (** Gaussian draw via Box–Muller.  @raise Invalid_argument if
     [std < 0]. *)
@@ -45,11 +35,3 @@ val normal : Rng.t -> mean:float -> std:float -> float
 val log_normal : Rng.t -> mu:float -> sigma:float -> float
 (** exp of a N(mu, sigma) draw — the laboratory's email-length model
     (heavy right tail, strictly positive). *)
-
-val geometric : Rng.t -> float -> int
-(** [geometric rng p] is the number of failures before the first success,
-    p in (0,1]. *)
-
-val round_stochastic : Rng.t -> float -> int
-(** [round_stochastic rng x] rounds [x] to an adjacent integer with
-    probability proportional to proximity; unbiased. *)

@@ -74,12 +74,8 @@ let next_row r pos =
 
 type extent = { e_off : int; e_len : int }
 
-type node = {
-  n_user : string;
-  n_db : Token_db.t;
-  mutable n_prev : node option;
-  mutable n_next : node option;
-}
+(* A cached overlay and the stamp of its last use. *)
+type node = { n_db : Token_db.t; mutable n_used : int }
 
 type shard = {
   sh_id : int;
@@ -94,8 +90,7 @@ type shard = {
   mutable sh_seg_crc : int; (* segment footer CRC (0 when absent) *)
   mutable sh_seg_len : int;
   sh_cache : (string, node) Hashtbl.t;
-  mutable sh_head : node option; (* most recently used *)
-  mutable sh_tail : node option;
+  mutable sh_uses : int; (* the last use stamp: one per hit or insert *)
 }
 
 type t = {
@@ -132,35 +127,14 @@ let fresh_shard id =
     sh_seg_crc = 0;
     sh_seg_len = 0;
     sh_cache = Hashtbl.create 16;
-    sh_head = None;
-    sh_tail = None;
+    sh_uses = 0;
   }
 
-(* ------------------------------------------------------------------ *)
-(* LRU plumbing (per shard, lock held). *)
-
-let lru_unlink sh n =
-  (match n.n_prev with
-  | Some p -> p.n_next <- n.n_next
-  | None -> sh.sh_head <- n.n_next);
-  (match n.n_next with
-  | Some nx -> nx.n_prev <- n.n_prev
-  | None -> sh.sh_tail <- n.n_prev);
-  n.n_prev <- None;
-  n.n_next <- None
-
-let lru_push_front sh n =
-  n.n_prev <- None;
-  n.n_next <- sh.sh_head;
-  (match sh.sh_head with Some h -> h.n_prev <- Some n | None -> ());
-  sh.sh_head <- Some n;
-  if sh.sh_tail = None then sh.sh_tail <- Some n
-
-let lru_touch sh n =
-  if sh.sh_head != Some n then begin
-    lru_unlink sh n;
-    lru_push_front sh n
-  end
+(* LRU by use stamps (shard lock held): stamps are unique within a
+   shard, so the oldest is the least recently used. *)
+let use sh =
+  sh.sh_uses <- sh.sh_uses + 1;
+  sh.sh_uses
 
 (* ------------------------------------------------------------------ *)
 (* Segment parsing (open path: build the extent index and check the
@@ -343,27 +317,26 @@ let init_shard t sh =
             sh.sh_seg_crc <- crc;
             sh.sh_seg_len <- String.length data;
             sh.sh_sfd <- Some (Unix.openfile spath [ O_RDONLY ] 0)));
+    let on_op _ user ~off ~len =
+      let r =
+        match Hashtbl.find_opt sh.sh_pending user with
+        | Some r -> r
+        | None ->
+            let r = ref [] in
+            Hashtbl.replace sh.sh_pending user r;
+            r
+      in
+      r := { e_off = off; e_len = len } :: !r
+    in
     match
       Journal.open_ ~create:true
         ~ident:(jrn_ident ~shard:sh.sh_id ~nshards:t.t_nshards)
-        ~base_crc:sh.sh_seg_crc (jrn_path dir sh.sh_id)
+        ~base_crc:sh.sh_seg_crc ~on_op (jrn_path dir sh.sh_id)
     with
     | Error e ->
         raise
           (Sys_error (Printf.sprintf "store shard %d journal: %s" sh.sh_id e))
-    | Ok (j, ops) ->
-        List.iter
-          (fun (user, off, len) ->
-            let r =
-              match Hashtbl.find_opt sh.sh_pending user with
-              | Some r -> r
-              | None ->
-                  let r = ref [] in
-                  Hashtbl.replace sh.sh_pending user r;
-                  r
-            in
-            r := { e_off = off; e_len = len } :: !r)
-          ops;
+    | Ok j ->
         sh.sh_jrn <- Some j;
         sh.sh_inited <- true
   end
@@ -404,28 +377,33 @@ let materialize t sh user =
   db
 
 let evict_one t sh =
-  match sh.sh_tail with
+  let oldest = ref None and stamp = ref max_int in
+  Hashtbl.iter
+    (fun user n ->
+      if n.n_used < !stamp then begin
+        stamp := n.n_used;
+        oldest := Some user
+      end)
+    sh.sh_cache;
+  match !oldest with
   | None -> ()
-  | Some n ->
+  | Some user ->
       Fault.check "store.evict";
-      lru_unlink sh n;
-      Hashtbl.remove sh.sh_cache n.n_user;
+      Hashtbl.remove sh.sh_cache user;
       count t "store.evictions" 1
 
 (* The cached overlay for [user], shard lock held. *)
 let overlay t sh user =
   match Hashtbl.find_opt sh.sh_cache user with
   | Some n ->
-      lru_touch sh n;
+      n.n_used <- use sh;
       count t "store.overlay_hits" 1;
       n.n_db
   | None ->
       count t "store.overlay_misses" 1;
       let db = materialize t sh user in
       if Hashtbl.length sh.sh_cache >= t.cache_per_shard then evict_one t sh;
-      let n = { n_user = user; n_db = db; n_prev = None; n_next = None } in
-      Hashtbl.replace sh.sh_cache user n;
-      lru_push_front sh n;
+      Hashtbl.replace sh.sh_cache user { n_db = db; n_used = use sh };
       db
 
 (* ------------------------------------------------------------------ *)
@@ -755,10 +733,7 @@ let evict_all t =
   Mutex.protect t.mem_lock (fun () -> Hashtbl.reset t.mem);
   Array.iter
     (fun sh ->
-      Mutex.protect sh.sh_lock (fun () ->
-          Hashtbl.reset sh.sh_cache;
-          sh.sh_head <- None;
-          sh.sh_tail <- None))
+      Mutex.protect sh.sh_lock (fun () -> Hashtbl.reset sh.sh_cache))
     t.shards
 
 let close t =

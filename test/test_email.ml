@@ -295,7 +295,27 @@ let mbox_tests =
             | Error e -> Alcotest.fail e));
     test_case "garbage is an error" (fun () ->
         check_bool "error" true
-          (Result.is_error (Mbox.parse "no separator here")));
+          (Result.is_error (Mbox.parse "no separator here"));
+        check_bool "separators only" true
+          (Mbox.parse "From a@b\nFrom c@d\n"
+          = Error "mbox: no message separator found"));
+    test_case "a body keeps its last newline at every position" (fun () ->
+        (* 8-bit bytes make the body's length show in the spambayes
+           tokenizer's 8bit% token. *)
+        let m =
+          Message.make
+            ~headers:(Header.of_list [ ("Subject", "accents") ])
+            "\xc3\xa9t\xc3\xa9 words\n"
+        in
+        let text = Mbox.print [ m; m ] in
+        let check_copies what msgs =
+          check_int (what ^ " count") 2 (List.length msgs);
+          List.iter (fun m' -> check_bool (what ^ " equal") true (Message.equal m m')) msgs
+        in
+        (match Mbox.parse text with
+        | Ok msgs -> check_copies "parse" msgs
+        | Error e -> Alcotest.fail e);
+        check_copies "parse_lenient" (fst (Mbox.parse_lenient text)));
   ]
 
 let () =

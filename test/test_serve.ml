@@ -1111,7 +1111,7 @@ let write_path_tests =
         List.iter
           (fun (name, tokenizer) ->
             let want =
-              match Ingest.raw_message_chunks body with
+              match Mbox.chunks body with
               | [| (off, len) |] -> (
                   match Ingest.unique_ids_raw tokenizer body ~off ~len with
                   | Some (ids, _raw) ->

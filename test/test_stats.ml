@@ -418,60 +418,6 @@ let sampler_tests =
         Alcotest.check_raises "n=0"
           (Invalid_argument "Sampler.zipf: n must be positive") (fun () ->
             ignore (Sampler.zipf 0)));
-    test_case "binomial bounds and extremes" (fun () ->
-        let rng = Rng.create 9 in
-        check_int "p=0" 0 (Sampler.binomial rng ~n:10 ~p:0.0);
-        check_int "p=1" 10 (Sampler.binomial rng ~n:10 ~p:1.0);
-        for _ = 1 to 200 do
-          let k = Sampler.binomial rng ~n:20 ~p:0.3 in
-          check_bool "in range" true (k >= 0 && k <= 20)
-        done);
-    test_case "binomial mean approximately np" (fun () ->
-        let rng = Rng.create 77 in
-        let total = ref 0 in
-        let reps = 5_000 in
-        for _ = 1 to reps do
-          total := !total + Sampler.binomial rng ~n:40 ~p:0.25
-        done;
-        let mean = float_of_int !total /. float_of_int reps in
-        check_bool "near 10" true (Float.abs (mean -. 10.0) < 0.3));
-    test_case "poisson small and large means" (fun () ->
-        let rng = Rng.create 13 in
-        check_int "lambda 0" 0 (Sampler.poisson rng 0.0);
-        let total = ref 0 in
-        for _ = 1 to 3000 do
-          total := !total + Sampler.poisson rng 4.0
-        done;
-        let mean = float_of_int !total /. 3000.0 in
-        check_bool "near 4" true (Float.abs (mean -. 4.0) < 0.3);
-        let big = Sampler.poisson rng 500.0 in
-        check_bool "large sane" true (big > 300 && big < 700));
-    test_case "geometric p=1 is 0" (fun () ->
-        let rng = Rng.create 2 in
-        for _ = 1 to 20 do
-          check_int "zero" 0 (Sampler.geometric rng 1.0)
-        done);
-    test_case "geometric mean near (1-p)/p" (fun () ->
-        let rng = Rng.create 3 in
-        let total = ref 0 in
-        for _ = 1 to 5000 do
-          total := !total + Sampler.geometric rng 0.25
-        done;
-        let mean = float_of_int !total /. 5000.0 in
-        check_bool "near 3" true (Float.abs (mean -. 3.0) < 0.3));
-    test_case "round_stochastic on integers" (fun () ->
-        let rng = Rng.create 4 in
-        for _ = 1 to 20 do
-          check_int "exact" 7 (Sampler.round_stochastic rng 7.0)
-        done);
-    test_case "round_stochastic unbiased" (fun () ->
-        let rng = Rng.create 6 in
-        let total = ref 0 in
-        for _ = 1 to 10_000 do
-          total := !total + Sampler.round_stochastic rng 2.3
-        done;
-        let mean = float_of_int !total /. 10_000.0 in
-        check_bool "near 2.3" true (Float.abs (mean -. 2.3) < 0.05));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -743,6 +743,21 @@ let semantics_tests =
         check_bool "ops journaled" true (s.Store.journal_ops >= 8);
         check_bool "bytes journaled" true (s.Store.journal_bytes > 0);
         check_bool "evictions under pressure" true (s.Store.evictions > 0));
+    test_case "eviction drops the least recently used overlay" (fun () ->
+        with_tmp_dir @@ fun dir ->
+        let cfg = { (sharded_config dir) with Store.shards = 1 } in
+        let sh = open_exn ~prior:(make_prior ()) cfg in
+        Fun.protect ~finally:(fun () -> Store.close sh) @@ fun () ->
+        let touch u = ignore (snapshot sh u) in
+        (* a and b fill the 2-slot cache; a's hit makes b the oldest, so
+           c evicts b, not a. *)
+        List.iter touch [ "a"; "b"; "a"; "c"; "a" ];
+        let s = Store.stats sh in
+        check_int "hits" 2 s.Store.hits;
+        check_int "misses" 3 s.Store.misses;
+        check_int "evictions" 1 s.Store.evictions;
+        touch "b";
+        check_int "b was evicted" 4 (Store.stats sh).Store.misses);
     test_case "duplicate tokens collapse in order; journal bytes pinned"
       (fun () ->
         with_tmp_dir @@ fun dir ->
@@ -889,7 +904,7 @@ module Journal = Spamlab_spambayes.Journal
 let journal_bytes ?fault () =
   with_tmp_dir @@ fun dir ->
   let path = Filename.concat dir "shard.journal" in
-  let j, _ =
+  let j =
     Result.get_ok
       (Journal.open_ ~create:true ~ident:"spamlab-test-journal 1" ~base_crc:7 path)
   in
