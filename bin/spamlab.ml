@@ -1064,15 +1064,6 @@ let serve_cmd =
       & opt int Spamlab_store.Store.default_config.cache
       & info [ "store-cache" ] ~docv:"N" ~doc)
   in
-  let store_compact_arg =
-    let doc =
-      "Compact a shard when its journal exceeds this ratio of its segment."
-    in
-    Arg.(
-      value
-      & opt float Spamlab_store.Store.default_config.compact_ratio
-      & info [ "store-compact-ratio" ] ~docv:"R" ~doc)
-  in
   let timeout_read_arg =
     let doc =
       "Absolute budget in seconds for reading one request frame; a peer \
@@ -1126,7 +1117,7 @@ let serve_cmd =
     Arg.(value & opt int 0 & info [ "degraded-after" ] ~docv:"N" ~doc)
   in
   let run seed db socket tcp publish_every max_body jobs tokenizer fault_spec
-      store_dir store_shards store_cache store_compact timeout_read
+      store_dir store_shards store_cache timeout_read
       timeout_write timeout_idle max_conns max_inflight drain degraded_after ()
       =
     setup_logs ();
@@ -1152,7 +1143,8 @@ let serve_cmd =
                     Spamlab_store.Store.backend = `Sharded dir;
                     shards = store_shards;
                     cache = store_cache;
-                    compact_ratio = store_compact;
+                    compact_ratio =
+                      Spamlab_store.Store.default_config.compact_ratio;
                   })
                 store_dir
             in
@@ -1212,7 +1204,7 @@ let serve_cmd =
     Term.(
       const run $ seed_arg $ db_arg $ socket_arg $ tcp_arg $ publish_every_arg
       $ max_body_arg $ jobs_arg $ tokenizer_arg $ fault_spec_arg
-      $ store_dir_arg $ store_shards_arg $ store_cache_arg $ store_compact_arg
+      $ store_dir_arg $ store_shards_arg $ store_cache_arg
       $ timeout_read_arg $ timeout_write_arg $ timeout_idle_arg $ max_conns_arg
       $ max_inflight_arg $ drain_arg $ degraded_after_arg)
 

@@ -6,7 +6,6 @@ let make ~name ~words =
   { name; words }
 
 let name t = t.name
-let words t = t.words
 let word_count t = Array.length t.words
 
 let taxonomy = Taxonomy.dictionary_attack
@@ -23,10 +22,3 @@ let raw_token_count tokenizer t =
     ~span:(fun _ _ _ -> incr n)
     ~token:(fun _ -> incr n);
   !n
-
-let train filter tokenizer t ~count =
-  let module Spambayes = Spamlab_spambayes in
-  Spambayes.Token_db.train_many_ids (Spambayes.Filter.db filter)
-    Spambayes.Label.Spam
-    (Spambayes.Intern.intern_array (payload tokenizer t))
-    count

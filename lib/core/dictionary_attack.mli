@@ -18,7 +18,6 @@ val make : name:string -> words:string array -> t
 (** @raise Invalid_argument on an empty word list. *)
 
 val name : t -> string
-val words : t -> string array
 val word_count : t -> int
 
 val taxonomy : Taxonomy.t
@@ -37,9 +36,3 @@ val payload : Spamlab_tokenizer.Tokenizer.t -> t -> string array
 val raw_token_count : Spamlab_tokenizer.Tokenizer.t -> t -> int
 (** Stream length (non-deduplicated) of one attack email — the
     token-volume statistic of §4.2. *)
-
-val train :
-  Spamlab_spambayes.Filter.t -> Spamlab_tokenizer.Tokenizer.t -> t ->
-  count:int -> unit
-(** Poison a filter with [count] copies of the attack email, trained as
-    spam (O(word list), not O(count × word list)). *)

@@ -2,29 +2,8 @@ module Dataset = Spamlab_corpus.Dataset
 module Filter = Spamlab_spambayes.Filter
 module Label = Spamlab_spambayes.Label
 module Classify = Spamlab_spambayes.Classify
-module Options = Spamlab_spambayes.Options
 
 type config = { quantile : float }
-
-let config_05 = { quantile = 0.05 }
-let config_10 = { quantile = 0.10 }
-
-(* Boundary convention mirrors [Classify.verdict_of_indicator]: a score
-   exactly at the threshold is classified with the more severe class, so
-   a ham scoring exactly t counts as misclassified (N_H,>= not N_H,>)
-   and a spam scoring exactly t is caught (strict <). *)
-let utility ~scores t =
-  let spam_below, ham_above =
-    Array.fold_left
-      (fun (sb, ha) (score, gold) ->
-        match gold with
-        | Label.Spam when score < t -> (sb + 1, ha)
-        | Label.Ham when score >= t -> (sb, ha + 1)
-        | Label.Spam | Label.Ham -> (sb, ha))
-      (0, 0) scores
-  in
-  if spam_below + ham_above = 0 then 0.5
-  else float_of_int spam_below /. float_of_int (spam_below + ham_above)
 
 (* Evaluate g at every candidate threshold in one sorted pass.  With the
    scored set sorted ascending, placing t between positions i-1 and i
@@ -124,7 +103,7 @@ let lowest_with_utility_at_least target table =
     table;
   match !best with Some (t, _) -> t | None -> closest_to target table
 
-let thresholds_of_scores ?(config = config_05) scores =
+let thresholds_of_scores ~config scores =
   if Array.length scores = 0 then
     invalid_arg "Dynamic_threshold.thresholds_of_scores: no scores";
   if Array.for_all (fun (_, _, w) -> w <= 0) scores then
@@ -137,7 +116,7 @@ let thresholds_of_scores ?(config = config_05) scores =
   if theta1 > theta0 then (theta0, theta1)
   else (theta0, Float.min 1.0 (theta0 +. 1e-6))
 
-let thresholds ?(config = config_05) rng examples =
+let thresholds ~config rng examples =
   if Array.length examples < 4 then
     invalid_arg "Dynamic_threshold.thresholds: training set too small";
   let half_a, half_b = Dataset.split rng 0.5 examples in
@@ -150,8 +129,3 @@ let thresholds ?(config = config_05) rng examples =
       half_b
   in
   thresholds_of_scores ~config scores
-
-let harden ?(config = config_05) rng filter examples =
-  let theta0, theta1 = thresholds ~config rng examples in
-  Filter.set_options filter
-    (Options.with_cutoffs (Filter.options filter) ~ham:theta0 ~spam:theta1)

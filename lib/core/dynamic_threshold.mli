@@ -17,16 +17,8 @@ type config = {
   quantile : float;  (** q above; the paper tests 0.05 and 0.10. *)
 }
 
-val config_05 : config
-val config_10 : config
-
-val utility :
-  scores:(float * Spamlab_spambayes.Label.gold) array -> float -> float
-(** g(t) over a scored validation set; 0.5 when no email is on either
-    side (no evidence). *)
-
 val thresholds_of_scores :
-  ?config:config ->
+  config:config ->
   (float * Spamlab_spambayes.Label.gold * int) array ->
   float * float
 (** [(θ0, θ1)] from an already-scored validation set; the [int] is a
@@ -35,19 +27,10 @@ val thresholds_of_scores :
     set. *)
 
 val thresholds :
-  ?config:config ->
+  config:config ->
   Spamlab_stats.Rng.t ->
   Spamlab_corpus.Dataset.example array ->
   float * float
 (** [(θ0, θ1)] derived from a training set as described above.
     Guarantees 0 ≤ θ0 < θ1 ≤ 1.  @raise Invalid_argument on a training
     set with fewer than 4 examples. *)
-
-val harden :
-  ?config:config ->
-  Spamlab_stats.Rng.t ->
-  Spamlab_spambayes.Filter.t ->
-  Spamlab_corpus.Dataset.example array ->
-  Spamlab_spambayes.Filter.t
-(** A filter equal to the input but carrying data-derived cutoffs
-    (shares the token database). *)

@@ -2,8 +2,6 @@ open Spamlab_stats
 module Message = Spamlab_email.Message
 module Text = Spamlab_tokenizer.Text
 
-let taxonomy = Taxonomy.focused_attack
-
 let target_words target =
   let subject = Option.value ~default:"" (Message.subject target) in
   let raw = Text.words subject @ Text.words (Message.body target) in

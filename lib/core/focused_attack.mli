@@ -15,8 +15,6 @@ type plan = {
   emails : Spamlab_email.Message.t list;
 }
 
-val taxonomy : Taxonomy.t
-
 val target_words : Spamlab_email.Message.t -> string list
 (** The attacker-visible words of the target: subject and body words as
     plain text (header metadata like addresses is not guessable body

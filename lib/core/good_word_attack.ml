@@ -4,13 +4,6 @@ module Classify = Spamlab_spambayes.Classify
 module Label = Spamlab_spambayes.Label
 module Message = Spamlab_email.Message
 
-let taxonomy =
-  {
-    Taxonomy.influence = Taxonomy.Exploratory;
-    violation = Taxonomy.Integrity;
-    specificity = Taxonomy.Targeted;
-  }
-
 (* Tokens the attacker can inject through a body: plain words the
    tokenizer would reproduce.  Prefixed tokens (subject:, from:..., url:,
    skip:, email ...) contain characters a body word never yields. *)

@@ -8,9 +8,6 @@
     Influence axis and the two attack families can be compared under
     identical conditions. *)
 
-val taxonomy : Taxonomy.t
-(** Exploratory / Integrity / Targeted. *)
-
 val hammiest_tokens : Spamlab_spambayes.Filter.t -> limit:int -> string list
 (** The [limit] known tokens with the lowest f(w) — the attacker's "good
     words".  Only plain body-insertable tokens qualify (tokens carrying

@@ -42,5 +42,3 @@ let estimate_from_sample rng ~sample ~messages ~tokenizer =
       document_frequency []
   in
   Array.of_list out
-
-let attack ~name ~words = Dictionary_attack.make ~name ~words

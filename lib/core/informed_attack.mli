@@ -38,8 +38,3 @@ val estimate_from_sample :
     from [messages] observed victim messages (e.g. scraped mailing-list
     posts).  Returns per-token document frequencies.
     @raise Invalid_argument if [messages <= 0]. *)
-
-val attack :
-  name:string -> words:string array -> Dictionary_attack.t
-(** Package the selection as a dictionary-style attack (empty header,
-    one email repeated). *)

@@ -6,13 +6,6 @@ type plan = {
   emails : Spamlab_email.Message.t list;
 }
 
-let taxonomy =
-  {
-    Taxonomy.influence = Taxonomy.Causative;
-    violation = Taxonomy.Integrity;
-    specificity = Taxonomy.Targeted;
-  }
-
 let craft rng ~campaign ~camouflage ~camouflage_fraction ~count =
   if Array.length campaign = 0 then
     invalid_arg "Pseudospam_attack.craft: empty campaign vocabulary";
@@ -37,9 +30,3 @@ let craft rng ~campaign ~camouflage ~camouflage_fraction ~count =
   let words = campaign_words @ camouflage_words in
   let emails = List.init count (fun _ -> Attack_email.make ~words) in
   { campaign_words; camouflage_words; emails }
-
-let train filter plan =
-  List.iter
-    (fun email ->
-      Spamlab_spambayes.Filter.train filter Spamlab_spambayes.Label.Ham email)
-    plan.emails

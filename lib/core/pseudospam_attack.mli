@@ -18,9 +18,6 @@ type plan = {
   emails : Spamlab_email.Message.t list;
 }
 
-val taxonomy : Taxonomy.t
-(** Causative / Integrity / Targeted. *)
-
 val craft :
   Spamlab_stats.Rng.t ->
   campaign:string array ->
@@ -34,5 +31,3 @@ val craft :
     [camouflage_fraction] of each email.  @raise Invalid_argument if
     the campaign is empty, the fraction is outside [0,1), or [count < 0]. *)
 
-val train : Spamlab_spambayes.Filter.t -> plan -> unit
-(** Train every attack email as {e ham} — the poisoned-label premise. *)

@@ -116,21 +116,3 @@ let assess ?(config = default_config) rng ~pool ~candidate =
     per_trial;
     rejected = mean_ham_impact > config.threshold;
   }
-
-(* Candidates are independent, so screening fans out over the domain
-   pool when one is supplied.  Each candidate derives its own named RNG
-   stream from [rng]'s seed {e before} the fan-out, making the result a
-   pure function of (seed, config, pool, stream) — identical at every
-   jobs value, including the sequential path.  (This derivation is also
-   used when [domains] is absent, so sequential and parallel screening
-   agree exactly.) *)
-let screen ?(config = default_config) ?domains rng ~pool ~stream =
-  let assess_nth i candidate =
-    let rng_i = Rng.split_named rng (Printf.sprintf "roni-screen/%d" i) in
-    (candidate, assess ~config rng_i ~pool ~candidate)
-  in
-  let indexed = Array.mapi (fun i candidate -> (i, candidate)) stream in
-  let task (i, candidate) = assess_nth i candidate in
-  match domains with
-  | Some p -> Spamlab_parallel.Pool.map_array p task indexed
-  | None -> Array.map task indexed

@@ -49,17 +49,3 @@ val assess :
     tokens.  The pool must contain at least
     [train_size + validation_size] examples and at least one ham
     example.  @raise Invalid_argument otherwise. *)
-
-val screen :
-  ?config:config ->
-  ?domains:Spamlab_parallel.Pool.t ->
-  Spamlab_stats.Rng.t ->
-  pool:Spamlab_corpus.Dataset.example array ->
-  stream:int array array ->
-  (int array * assessment) array
-(** Assess a whole stream of incoming messages; pairs each candidate
-    with its assessment.  Candidates are independent: pass [domains] to
-    fan them over the domain pool.  Each candidate's trials draw from
-    an RNG stream derived by name from [rng]'s seed (not from [rng]'s
-    consumption position), so the result is identical with and without
-    [domains], at every pool width. *)

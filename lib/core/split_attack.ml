@@ -8,10 +8,6 @@ let chunks ~words ~chunk_size =
   Array.iteri (fun i w -> buckets.(i mod count) <- w :: buckets.(i mod count)) words;
   Array.map (fun bucket -> Array.of_list (List.rev bucket)) buckets
 
-let emails ~words ~chunk_size =
-  Array.to_list (chunks ~words ~chunk_size)
-  |> List.map (fun chunk -> Attack_email.make ~words:(Array.to_list chunk))
-
 let train filter tokenizer ~words ~chunk_size ~copies =
   let module Spambayes = Spamlab_spambayes in
   Array.iter

@@ -19,10 +19,6 @@ val chunks : words:string array -> chunk_size:int -> string array array
     @raise Invalid_argument if [chunk_size <= 0] or the word list is
     empty. *)
 
-val emails :
-  words:string array -> chunk_size:int -> Spamlab_email.Message.t list
-(** One empty-header attack email per chunk. *)
-
 val train :
   Spamlab_spambayes.Filter.t ->
   Spamlab_tokenizer.Tokenizer.t ->

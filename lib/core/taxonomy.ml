@@ -12,9 +12,6 @@ let dictionary_attack =
   { influence = Causative; violation = Availability;
     specificity = Indiscriminate }
 
-let focused_attack =
-  { influence = Causative; violation = Availability; specificity = Targeted }
-
 let influence_to_string = function
   | Causative -> "Causative"
   | Exploratory -> "Exploratory"
@@ -32,18 +29,3 @@ let describe t =
     (influence_to_string t.influence)
     (violation_to_string t.violation)
     (specificity_to_string t.specificity)
-
-let pp fmt t = Format.pp_print_string fmt (describe t)
-
-let equal (a : t) b = a = b
-
-let all =
-  List.concat_map
-    (fun influence ->
-      List.concat_map
-        (fun violation ->
-          List.map
-            (fun specificity -> { influence; violation; specificity })
-            [ Targeted; Indiscriminate ])
-        [ Integrity; Availability ])
-    [ Causative; Exploratory ]

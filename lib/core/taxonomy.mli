@@ -26,14 +26,4 @@ type t = {
 val dictionary_attack : t
 (** Causative / Availability / Indiscriminate. *)
 
-val focused_attack : t
-(** Causative / Availability / Targeted. *)
-
 val describe : t -> string
-
-val pp : Format.formatter -> t -> unit
-
-val equal : t -> t -> bool
-
-val all : t list
-(** The eight cells of the taxonomy. *)

@@ -88,23 +88,3 @@ let split rng frac arr =
 
 let total_raw_tokens examples =
   Array.fold_left (fun acc e -> acc + e.raw_token_count) 0 examples
-
-let filter_label label examples =
-  let n =
-    Array.fold_left
-      (fun n e -> if e.label = label then n + 1 else n)
-      0 examples
-  in
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n examples.(0) in
-    let j = ref 0 in
-    Array.iter
-      (fun e ->
-        if e.label = label then begin
-          out.(!j) <- e;
-          incr j
-        end)
-      examples;
-    out
-  end

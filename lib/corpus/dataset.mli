@@ -68,6 +68,3 @@ val split : Spamlab_stats.Rng.t -> float -> 'a array -> 'a array * 'a array
     [frac × length]. *)
 
 val total_raw_tokens : example array -> int
-
-val filter_label :
-  Spamlab_spambayes.Label.gold -> example array -> example array

@@ -19,10 +19,6 @@ val aspell : ?size:int -> Vocabulary.t -> string array
     dictionary doesn't know slang or the victim's project jargon).
     @raise Invalid_argument if [size <= 0]. *)
 
-val contains : string array -> string -> bool
-(** Membership test; builds a hash set on first partial application:
-    [let mem = contains words in ... mem w]. *)
-
 val overlap_count : string array -> string array -> int
 (** Number of words the two lists share (for the Usenet/aspell overlap
     statistic reported in §4.2). *)

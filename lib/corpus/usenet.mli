@@ -14,13 +14,12 @@
 val default_total : int
 (** 90,000 — the paper's "top ranked words from the Usenet corpus". *)
 
-val default_dictionary_overlap : int
-(** 61,000 — the approximate aspell/Usenet overlap reported in §4.2. *)
-
 val ranked :
   ?total:int -> ?dictionary_overlap:int -> Vocabulary.t -> string array
 (** The full ranked list, truncated to [total] if the components exceed
-    it.  @raise Invalid_argument if [total <= 0]. *)
+    it.  [dictionary_overlap] defaults to 61,000, the approximate
+    aspell/Usenet overlap reported in §4.2.
+    @raise Invalid_argument if [total <= 0]. *)
 
 val top : string array -> int -> string array
 (** [top ranked n] is the [n] highest-ranked words (clamped to the list

@@ -90,30 +90,3 @@ let create ?(sizes = default_sizes) ~seed () =
 
 let standard_words t =
   Array.concat [ t.shared; t.ham_specific; t.spam_specific ]
-
-let all_words t =
-  Array.concat
-    [
-      t.shared; t.ham_specific; t.spam_specific; t.colloquial;
-      t.rare_standard; t.rare_nonstandard;
-    ]
-
-let mem_of arrays =
-  let table = Hashtbl.create 1024 in
-  List.iter (Array.iter (fun w -> Hashtbl.replace table w ())) arrays;
-  table
-
-let mem_standard t =
-  let table =
-    mem_of [ t.shared; t.ham_specific; t.spam_specific; t.rare_standard ]
-  in
-  fun w -> Hashtbl.mem table w
-
-let mem_colloquial t =
-  let table = mem_of [ t.colloquial ] in
-  fun w -> Hashtbl.mem table w
-
-let total t =
-  Array.length t.shared + Array.length t.ham_specific
-  + Array.length t.spam_specific + Array.length t.colloquial
-  + Array.length t.rare_standard + Array.length t.rare_nonstandard

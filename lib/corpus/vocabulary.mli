@@ -40,9 +40,6 @@ type sizes = {
   rare_nonstandard : int;
 }
 
-val default_sizes : sizes
-(** 8000 / 6000 / 4000 / 3000 / 60000 / 180000. *)
-
 type t = private {
   shared : string array;
   ham_specific : string array;
@@ -56,20 +53,10 @@ type t = private {
 }
 
 val create : ?sizes:sizes -> seed:int -> unit -> t
-(** Deterministic in [seed].  @raise Invalid_argument if any size is
+(** Deterministic in [seed].  [sizes] defaults to 8000 / 6000 / 4000 /
+    3000 / 60000 / 180000.  @raise Invalid_argument if any size is
     negative or [shared] is zero (misspellings need a source). *)
 
 val standard_words : t -> string array
 (** shared ∪ ham-specific ∪ spam-specific (concatenated) — the common
     part of an aspell-style dictionary. *)
-
-val all_words : t -> string array
-(** Every category concatenated. *)
-
-val mem_standard : t -> string -> bool
-(** Membership in shared/ham/spam/rare_standard.  Builds its hash set on
-    first partial application: [let mem = mem_standard v in ...]. *)
-
-val mem_colloquial : t -> string -> bool
-
-val total : t -> int

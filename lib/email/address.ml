@@ -45,8 +45,3 @@ let to_string t =
   match t.display_name with
   | None -> address_spec t
   | Some name -> Printf.sprintf "%s <%s>" name (address_spec t)
-
-let equal a b =
-  a.display_name = b.display_name
-  && a.local = b.local
-  && String.lowercase_ascii a.domain = String.lowercase_ascii b.domain

@@ -18,10 +18,3 @@ val of_string : string -> (t, string) result
 
 val to_string : t -> string
 (** Round-trips through {!of_string}. *)
-
-val address_spec : t -> string
-(** Just [local@domain]. *)
-
-val equal : t -> t -> bool
-(** Case-insensitive on the domain, case-sensitive on the local part
-    (conservative per RFC). *)

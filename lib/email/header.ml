@@ -8,10 +8,6 @@ let empty = []
 
 let of_list fields = fields
 
-let to_list t = t
-
-let add t name value = t @ [ (name, value) ]
-
 (* Case-insensitive name equality without lowercasing either side:
    lookups run per message in every tokenizer, and raw-mail readers
    compare name slices, so neither allocates. *)
@@ -41,15 +37,9 @@ let rec find_all t name =
   | (n, v) :: rest ->
       if same_name n name then v :: find_all rest name else find_all rest name
 
-let mem t name = Option.is_some (find t name)
-
 let remove t name = List.filter (fun (n, _) -> not (same_name n name)) t
 
-let replace t name value = add (remove t name) name value
-
-let length = List.length
-
-let is_empty t = t = []
+let replace t name value = remove t name @ [ (name, value) ]
 
 let iter f t = List.iter (fun (n, v) -> f n v) t
 

@@ -9,28 +9,17 @@ val empty : t
 val of_list : (string * string) list -> t
 (** Field order is preserved.  Names may repeat (e.g. [Received]). *)
 
-val to_list : t -> (string * string) list
-
-val add : t -> string -> string -> t
-(** [add t name value] appends a field. *)
-
 val find : t -> string -> string option
 (** First field with the given name, case-insensitively. *)
 
 val find_all : t -> string -> string list
 (** All fields with the given name, in order. *)
 
-val mem : t -> string -> bool
-
 val remove : t -> string -> t
 (** Removes every field with the given name. *)
 
 val replace : t -> string -> string -> t
 (** [replace t name value] removes all [name] fields then appends one. *)
-
-val length : t -> int
-
-val is_empty : t -> bool
 
 val iter : (string -> string -> unit) -> t -> unit
 

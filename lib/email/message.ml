@@ -7,14 +7,6 @@ let body t = t.body
 
 let subject t = Header.find t.headers "subject"
 
-let address_of_field t name =
-  match Header.find t.headers name with
-  | None -> None
-  | Some v -> Result.to_option (Address.of_string v)
-
-let from_address t = address_of_field t "from"
-let to_address t = address_of_field t "to"
-
 let with_body t body = { t with body }
 
 let size_bytes t =

@@ -15,8 +15,6 @@ val headers : t -> Header.t
 val body : t -> string
 
 val subject : t -> string option
-val from_address : t -> Address.t option
-val to_address : t -> Address.t option
 
 val with_body : t -> string -> t
 

@@ -121,8 +121,3 @@ let parse ?(unquote = false) text =
     let fixed = fixup_body ~unquote text body n ~room in
     let body = if fixed < 0 then String.sub text body (n - body) else Bytes.sub_string !out 0 fixed in
     Ok (Message.make ~headers:(Header.of_list (List.rev !fields)) body)
-
-let parse_exn text =
-  match parse text with
-  | Ok m -> m
-  | Error e -> failwith ("Rfc2822.parse: " ^ e)

@@ -13,9 +13,6 @@ val parse : ?unquote:bool -> string -> (Message.t, string) result
     drops one ['>'] from each mboxrd-quoted body line, as {!Mbox} reads
     a chunk. *)
 
-val parse_exn : string -> Message.t
-(** @raise Failure on malformed input. *)
-
 (** {1 Wire text by offsets}, for raw-mail ingest and MIME parts. *)
 
 val scan_headers :

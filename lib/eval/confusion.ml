@@ -50,7 +50,6 @@ let count t gold verdict = t.counts.(gold_index gold).(verdict_index verdict)
 let row_total t g = Array.fold_left ( + ) 0 t.counts.(g)
 let total_ham t = row_total t 0
 let total_spam t = row_total t 1
-let total t = total_ham t + total_spam t
 
 let rate numerator denominator =
   if denominator = 0 then 0.0
@@ -67,13 +66,3 @@ let spam_as_unsure_rate t = rate t.counts.(1).(1) (total_spam t)
 
 let spam_misclassified_rate t =
   rate (t.counts.(1).(0) + t.counts.(1).(1)) (total_spam t)
-
-let accuracy t = rate (t.counts.(0).(0) + t.counts.(1).(2)) (total t)
-
-let pp fmt t =
-  Format.fprintf fmt
-    "@[<v>            ham  unsure    spam@,\
-     gold ham  %5d   %5d   %5d@,\
-     gold spam %5d   %5d   %5d@]"
-    t.counts.(0).(0) t.counts.(0).(1) t.counts.(0).(2)
-    t.counts.(1).(0) t.counts.(1).(1) t.counts.(1).(2)

@@ -26,10 +26,6 @@ val of_cells : int array -> t option
 val count :
   t -> Spamlab_spambayes.Label.gold -> Spamlab_spambayes.Label.verdict -> int
 
-val total : t -> int
-val total_ham : t -> int
-val total_spam : t -> int
-
 val ham_as_spam_rate : t -> float
 (** Fraction of ham classified spam; 0 when no ham was seen. *)
 
@@ -40,8 +36,3 @@ val ham_misclassified_rate : t -> float
 val spam_as_ham_rate : t -> float
 val spam_as_unsure_rate : t -> float
 val spam_misclassified_rate : t -> float
-
-val accuracy : t -> float
-(** Exact-agreement rate over everything seen. *)
-
-val pp : Format.formatter -> t -> unit

@@ -51,10 +51,7 @@ let create ?(seed = 42) ?(scale = 1.0) ?jobs ?checkpoint () =
     checkpoint;
   }
 
-let seed t = t.seed
 let scale t = t.scale
-let jobs t = t.jobs
-let checkpoint t = t.checkpoint
 let config t = t.config
 let tokenizer t = t.tokenizer
 

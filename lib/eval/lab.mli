@@ -16,11 +16,7 @@ val create :
     makes {!checkpointed_map} fan-outs resumable; a lab without one
     behaves exactly as before. *)
 
-val seed : t -> int
 val scale : t -> float
-val jobs : t -> int
-
-val checkpoint : t -> Checkpoint.t option
 val config : t -> Spamlab_corpus.Generator.config
 val tokenizer : t -> Spamlab_tokenizer.Tokenizer.t
 

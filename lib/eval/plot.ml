@@ -60,25 +60,6 @@ let line_chart ?(width = 60) ?(height = 20) ?y_max ~x_label ~y_label series =
     Buffer.contents buffer
   end
 
-let bar_chart ?(width = 50) ~title entries =
-  let peak =
-    List.fold_left (fun acc (_, v) -> Float.max acc v) 1e-9 entries
-  in
-  let label_width =
-    List.fold_left (fun acc (k, _) -> max acc (String.length k)) 0 entries
-  in
-  let buffer = Buffer.create 1024 in
-  Buffer.add_string buffer (title ^ "\n");
-  List.iter
-    (fun (k, v) ->
-      let bar = int_of_float (v /. peak *. float_of_int width) in
-      Buffer.add_string buffer
-        (Printf.sprintf "  %-*s |%-*s %.1f\n" label_width k width
-           (String.make (max 0 bar) '#')
-           v))
-    entries;
-  Buffer.contents buffer
-
 let stacked_bars ~title ~segments rows =
   let strip_width = 50 in
   let buffer = Buffer.create 1024 in

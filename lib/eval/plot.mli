@@ -14,13 +14,6 @@ val line_chart :
     legend maps glyphs to names.  X and Y ranges fit the data ([y_max]
     forces the top of the y range, e.g. 100 for percentages). *)
 
-val bar_chart :
-  ?width:int ->
-  title:string ->
-  (string * float) list ->
-  string
-(** Horizontal bars scaled to the maximum value. *)
-
 val stacked_bars :
   title:string ->
   segments:string list ->

@@ -36,18 +36,4 @@ let render ~header ~rows =
   List.iter emit rows;
   Buffer.contents buffer
 
-let render_kv pairs =
-  let width =
-    List.fold_left (fun acc (k, _) -> max acc (String.length k)) 0 pairs
-  in
-  String.concat ""
-    (List.map
-       (fun (k, v) ->
-         Printf.sprintf "%s%s  %s\n" k
-           (String.make (width - String.length k) ' ')
-           v)
-       pairs)
-
-let pct r = Printf.sprintf "%.1f" (100.0 *. r)
-
 let f2 = Printf.sprintf "%.2f"

@@ -5,12 +5,5 @@ val render : header:string list -> rows:string list list -> string
     Rows shorter than the header are padded with empty cells.
     @raise Invalid_argument on an empty header. *)
 
-val render_kv : (string * string) list -> string
-(** Two-column key/value block. *)
-
-val pct : float -> string
-(** Format a [0,1] rate as a percentage with one decimal: [0.363] ->
-    ["36.3"]. *)
-
 val f2 : float -> string
 (** Two-decimal float. *)

@@ -18,7 +18,6 @@ type config = {
   store_dir : string option;
   shards : int;
   cache : int;
-  compact_ratio : float;
 }
 
 let default_config =
@@ -32,7 +31,6 @@ let default_config =
     store_dir = None;
     shards = Store.default_config.shards;
     cache = Store.default_config.cache;
-    compact_ratio = Store.default_config.compact_ratio;
   }
 
 (* Aggregated per-user outcomes of one chunk of the user space: ham
@@ -173,7 +171,7 @@ let open_store cfg ~options ~nusers ~prior =
       Store.backend;
       shards = cfg.shards;
       cache = cfg.cache;
-      compact_ratio = cfg.compact_ratio;
+      compact_ratio = Store.default_config.compact_ratio;
     }
 
 (* One user's life: sample a community and training slice, train them

@@ -32,7 +32,6 @@ type config = {
           runs on the in-memory backend. *)
   shards : int;
   cache : int;
-  compact_ratio : float;
 }
 
 val default_config : config

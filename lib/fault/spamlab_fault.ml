@@ -174,8 +174,6 @@ let configure_env ?seed () =
   | None | Some "" -> Ok ()
   | Some spec -> configure ?seed spec
 
-let enabled () = Atomic.get sites <> None
-
 let fire site kind occurrence =
   Obs.incr injected;
   match kind with

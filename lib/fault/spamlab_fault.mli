@@ -63,9 +63,6 @@ val configure_env : ?seed:int -> unit -> (unit, string) result
 val disable : unit -> unit
 (** Disarm all sites.  Testing hook; also what a spec-free run is. *)
 
-val enabled : unit -> bool
-(** True when any site is armed. *)
-
 val check : string -> unit
 (** [check site] — the probe placed at a fault site.  Counts the
     occurrence and, when the armed selector fires: [Transient]/[Fatal]
@@ -76,10 +73,6 @@ val check : string -> unit
 val is_transient : exn -> bool
 (** True exactly for [Injected {kind = Transient; _}] — the
     classification the pool's retry supervision keys on. *)
-
-val grammar : string
-(** One-line description of the spec grammar, for CLI help and error
-    messages. *)
 
 val known_sites : (string * string) list
 (** Every fault site compiled into the tree, as [(name, description)]

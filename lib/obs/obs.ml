@@ -18,8 +18,6 @@ let sink : out_channel option ref = ref None
 let next_span_id = Atomic.make 0
 let origin_ns = ref None
 
-let tracing () = Atomic.get tracing_flag
-let metrics () = Atomic.get metrics_flag
 let enabled () = Atomic.get tracing_flag || Atomic.get metrics_flag
 
 let locked f =
@@ -138,12 +136,6 @@ let tick name =
 let counters_snapshot () = Metrics.counters registry
 
 let counter_value name = Metrics.value registry name
-
-let span_count name =
-  locked (fun () ->
-      Hashtbl.fold
-        (fun (n, _) s acc -> if n = name then acc + s.count else acc)
-        span_stats 0)
 
 let stop () =
   locked (fun () ->

@@ -52,11 +52,9 @@ type counter
 
 (** {1 State} *)
 
-val tracing : unit -> bool
-val metrics : unit -> bool
-
 val enabled : unit -> bool
-(** [tracing () || metrics ()] — the master gate on all recording. *)
+(** Whether tracing or metrics are on — the master gate on all
+    recording. *)
 
 val start_trace : path:string -> unit
 (** Open [path] as the JSONL sink (truncating) and enable tracing.
@@ -112,9 +110,6 @@ val counter_value : string -> int
 
 val counters_snapshot : unit -> (string * int) list
 (** All counters with non-zero values, sorted by name. *)
-
-val span_count : string -> int
-(** Times a span [name] closed (summed over domains). *)
 
 val reset : unit -> unit
 (** Zero all counters and span statistics (keeps registered counter

@@ -273,7 +273,3 @@ module Pool = struct
 
   let map_list t f l = Array.to_list (map_array t f (Array.of_list l))
 end
-
-let run ~jobs f =
-  let pool = Pool.create ~jobs in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)

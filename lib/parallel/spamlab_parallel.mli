@@ -29,10 +29,6 @@ exception Task_failed of { site : string; attempts : int }
     count; propagates from {!Pool.map_array} via the usual
     lowest-raising-index rule. *)
 
-val max_attempts : int
-(** Total attempts per element under supervision (first run plus
-    retries); currently 3. *)
-
 module Pool : sig
   type t
 
@@ -54,8 +50,8 @@ module Pool : sig
       {!Spamlab_fault} site ["pool.task"] is checked before each
       attempt, and faults classified transient
       ({!Spamlab_fault.is_transient}) are retried with a deterministic
-      [Domain.cpu_relax] backoff, up to {!max_attempts} total attempts
-      — each retry bumps the [fault.retried] obs counter.  An element
+      [Domain.cpu_relax] backoff, up to 3 total attempts (the first run
+      plus two retries) — each retry bumps the [fault.retried] obs counter.  An element
       still failing transiently after the last attempt raises
       {!Task_failed}.  Supervision applies identically on the
       sequential fallback path, so retried runs remain
@@ -73,7 +69,3 @@ module Pool : sig
   val shutdown : t -> unit
   (** Stop and join the workers.  Maps submitted afterwards raise. *)
 end
-
-val run : jobs:int -> (Pool.t -> 'a) -> 'a
-(** [run ~jobs f] creates a pool, applies [f], and shuts the pool down
-    (also on exception). *)

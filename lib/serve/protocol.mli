@@ -69,9 +69,6 @@ val default_max_body : int
     the cap is a framing error before any body byte is read, so an
     attacker cannot make the daemon allocate unboundedly. *)
 
-val max_line : int
-(** Cap on any protocol line (verb or header) — 1 KiB. *)
-
 val render_request : request -> string
 (** Wire bytes of a request (CRLF line endings). *)
 

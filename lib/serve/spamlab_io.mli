@@ -48,11 +48,6 @@ val really_read :
     @raise End_of_file if the descriptor is exhausted first.
     @raise Invalid_argument on a bad range. *)
 
-val read_some :
-  ?site:string -> ?deadline:float -> Unix.file_descr -> bytes -> int -> int -> int
-(** One [Unix.read] with [EINTR]/transient retry: the number of bytes
-    read (at least 1), or 0 at end of stream. *)
-
 val really_write_string :
   ?site:string -> ?deadline:float -> Unix.file_descr -> string -> int -> int -> unit
 (** [really_write_string fd s pos len] writes all [len] bytes, looping
@@ -65,11 +60,6 @@ val read_file : string -> (string, string) result
     unreadable one. *)
 
 (** {1 Crash-safe file replacement} *)
-
-val fsync_dir : string -> unit
-(** Make a rename inside [dir] durable.  Directory fsync is not
-    portable everywhere, so failing to open or sync [dir] is not an
-    error — the renamed file itself is already synced. *)
 
 val atomic_write : ?rename_site:string -> string -> (out_channel -> unit) -> unit
 (** [atomic_write path write] replaces [path] crash-safely: [write]

@@ -19,7 +19,6 @@ let create ?(options = Options.default)
 
 let options t = t.options
 let set_options t options = make options t.tokenizer t.db
-let tokenizer t = t.tokenizer
 let db t = t.db
 let copy t = make t.options t.tokenizer (Token_db.copy t.db)
 let engine t = Classify.engine_cached t.cache

@@ -12,7 +12,6 @@ val set_options : t -> Options.t -> t
 (** Functional update (shares the token database) — used by the
     dynamic-threshold defense to retarget cutoffs without retraining. *)
 
-val tokenizer : t -> Spamlab_tokenizer.Tokenizer.t
 val db : t -> Token_db.t
 (** The live database; mutating it mutates the filter. *)
 

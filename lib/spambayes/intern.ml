@@ -204,17 +204,6 @@ let intern_locked h s off len ~copy =
 let check_slice fn s off len =
   if off < 0 || len < 0 || off + len > String.length s then invalid_arg fn
 
-let id s =
-  let len = String.length s in
-  let h = hash_sub s 0 len in
-  match probe_frozen (Atomic.get frozen) h s 0 len with
-  | id when id >= 0 -> id
-  | _ ->
-      Mutex.protect st.mutex (fun () ->
-          let id = intern_locked h s 0 len ~copy:false in
-          refresh_locked ();
-          id)
-
 let intern_sub s off len =
   check_slice "Intern.intern_sub" s off len;
   let h = hash_sub s off len in
@@ -429,19 +418,17 @@ let lookup k =
     Mutex.protect st.mutex (fun () -> live_misses_locked k probe_live_locked);
   k.ids
 
-let find_sub s off len =
-  check_slice "Intern.find_sub" s off len;
-  let h = hash_sub s off len in
+let find s =
+  let len = String.length s in
+  let h = hash_sub s 0 len in
   let snap = Atomic.get frozen in
-  match probe_frozen snap h s off len with
+  match probe_frozen snap h s 0 len with
   | id when id >= 0 -> Some id
   | _ when not (grown_since snap) -> None
   | _ -> (
-      match Mutex.protect st.mutex (fun () -> probe_live_locked h s off len) with
+      match Mutex.protect st.mutex (fun () -> probe_live_locked h s 0 len) with
       | id when id >= 0 -> Some id
       | _ -> None)
-
-let find s = find_sub s 0 (String.length s)
 
 let to_string id =
   let names = st.names in

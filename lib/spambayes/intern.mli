@@ -36,9 +36,9 @@
 
     {2 Who grows the table}
 
-    Only the interning entry points ({!id}, {!intern_sub}, {!bulk_sub},
-    {!intern_array}, {!resolve}) add strings.  Every lookup-only entry
-    point ({!lookup}, {!find}, {!find_sub}) shares one miss rule: a key
+    Only the interning entry points ({!intern_sub}, {!bulk_sub},
+    {!intern_array}, {!resolve}) add strings.  Both lookup-only entry
+    points ({!lookup}, {!find}) share one miss rule: a key
     the snapshot lacks is looked for in the live table under the lock
     only when the table has grown since the snapshot was taken, and is
     otherwise absent.  The snapshot records the table size it copied,
@@ -80,14 +80,11 @@
     directly.  Nothing downstream may compare or order raw ids across
     runs. *)
 
-val id : string -> int
-(** Intern one string (assigning a fresh id on first sight). *)
-
 val intern_sub : string -> int -> int -> int
-(** [intern_sub buf off len] is [id (String.sub buf off len)] without
-    the substring: the slice is hashed and compared in place, and the
-    token string is materialized only when the slice has never been
-    seen before.
+(** [intern_sub buf off len] interns the slice [buf.[off .. off+len-1]]
+    (assigning a fresh id on first sight) without the substring: the
+    slice is hashed and compared in place, and the token string is
+    materialized only when the slice has never been seen before.
     @raise Invalid_argument if [off]/[len] do not denote a slice of
     [buf]. *)
 
@@ -170,11 +167,6 @@ val find : string -> int option
     only when the table has grown since the snapshot, so read-only
     paths (e.g. a report's count lookup of an arbitrary string) stay
     contention-free. *)
-
-val find_sub : string -> int -> int -> int option
-(** Slice lookup without interning; agrees with
-    [find (String.sub buf off len)] allocation-free.
-    @raise Invalid_argument on a bad slice. *)
 
 val to_string : int -> string
 (** The string for an assigned id.

@@ -13,12 +13,6 @@ let gold_of_string = function
   | "spam" -> Ok Spam
   | s -> Error (Printf.sprintf "unknown gold label %S" s)
 
-let verdict_of_verdict_string = function
-  | "ham" -> Ok Ham_v
-  | "unsure" -> Ok Unsure_v
-  | "spam" -> Ok Spam_v
-  | s -> Error (Printf.sprintf "unknown verdict %S" s)
-
 let verdict_agrees gold verdict =
   match (gold, verdict) with
   | Ham, Ham_v | Spam, Spam_v -> true

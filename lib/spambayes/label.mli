@@ -15,7 +15,6 @@ type verdict = Ham_v | Unsure_v | Spam_v
 val gold_to_string : gold -> string
 val verdict_to_string : verdict -> string
 val gold_of_string : string -> (gold, string) result
-val verdict_of_verdict_string : string -> (verdict, string) result
 
 val verdict_agrees : gold -> verdict -> bool
 (** True when the verdict matches the gold label exactly (unsure never

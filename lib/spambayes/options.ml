@@ -38,9 +38,3 @@ let with_cutoffs t ~ham ~spam =
   match validate { t with ham_cutoff = ham; spam_cutoff = spam } with
   | Ok t -> t
   | Error e -> invalid_arg ("Options.with_cutoffs: " ^ e)
-
-let pp fmt t =
-  Format.fprintf fmt
-    "@[<v>x=%.3f s=%.3f theta0=%.3f theta1=%.3f max_disc=%d min_strength=%.3f@]"
-    t.unknown_word_prob t.unknown_word_strength t.ham_cutoff t.spam_cutoff
-    t.max_discriminators t.minimum_prob_strength

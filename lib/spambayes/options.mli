@@ -16,10 +16,6 @@ type t = {
 
 val default : t
 
-val validate : t -> (t, string) result
-(** Checks 0 ≤ x ≤ 1, s > 0, 0 ≤ θ0 < θ1 ≤ 1, positive discriminator
-    cap, 0 ≤ min strength ≤ 0.5. *)
-
 val unknown_word_is_clue : t -> bool
 (** Whether a token with no counts can enter δ(E): it scores exactly
     [unknown_word_prob], so this is |x − 0.5| ≥ [minimum_prob_strength],
@@ -29,6 +25,6 @@ val unknown_word_is_clue : t -> bool
 
 val with_cutoffs : t -> ham:float -> spam:float -> t
 (** Used by the dynamic-threshold defense to install data-driven
-    thresholds.  @raise Invalid_argument if not 0 ≤ ham < spam ≤ 1. *)
-
-val pp : Format.formatter -> t -> unit
+    thresholds.  Validates the whole result: 0 ≤ x ≤ 1, s > 0,
+    0 ≤ θ0 < θ1 ≤ 1, a positive discriminator cap and
+    0 ≤ min strength ≤ 0.5.  @raise Invalid_argument otherwise. *)

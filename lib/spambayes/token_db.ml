@@ -465,8 +465,6 @@ let to_string t =
     (Printf.sprintf "%scrc32=%08x entries=%d\n" footer_prefix crc entries);
   Buffer.contents buf
 
-let save oc t = output_string oc (to_string t)
-
 (* ------------------------------------------------------------------ *)
 (* The row scanner.  Every reader of the row grammar — the db loader,
    strict and salvage, and the store's tenant blocks and segment
@@ -833,7 +831,3 @@ let footer_crc s =
     in
     Option.map fst (parse_footer (String.sub s start (n - 1 - start)))
 
-let load ic =
-  match In_channel.input_all ic with
-  | s -> of_string s
-  | exception Sys_error e -> Error e

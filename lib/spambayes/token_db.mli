@@ -23,7 +23,7 @@
 
     One representational consequence: an entry whose counts return to
     0/0 (or is loaded as 0/0) is indistinguishable from an absent one.
-    {!distinct_tokens}, {!fold} and {!save} all treat such
+    {!distinct_tokens}, {!fold} and {!to_string} all treat such
     entries as absent, exactly as the previous implementation removed
     emptied tokens from its table. *)
 
@@ -148,11 +148,6 @@ val to_string : t -> string
     covered by the last {!Intern.freeze} are ordered by their int
     {!Intern.rank}, and only ids interned since cost byte compares. *)
 
-val save : out_channel -> t -> unit
-(** [output_string oc (to_string t)].  For atomic on-disk persistence
-    use {!Filter.save_file}, which writes to a temp file, fsyncs, and
-    renames. *)
-
 val of_string : string -> (t, string) result
 (** Strict parse of versions 1 (legacy, verbatim tokens), 2 (escaped),
     and 3 (escaped + checksum footer).  Returns [Error] — never a
@@ -177,10 +172,6 @@ val footer_crc : string -> int option
 (** The CRC-32 a v3 file's footer records, read from the last line of
     its bytes without re-checking it; [None] for a pre-v3 file or bytes
     that do not end in a footer. *)
-
-val load : in_channel -> (t, string) result
-(** {!of_string} on the channel's remaining contents.  I/O errors
-    become [Error]; this function never raises. *)
 
 type verify_report = {
   version : int;

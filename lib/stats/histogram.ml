@@ -3,14 +3,13 @@ type t = {
   hi : float;
   width : float;
   counts : int array;
-  mutable total : int;
 }
 
 let create ?(bins = 20) ~lo ~hi () =
   if bins <= 0 then invalid_arg "Histogram.create: bins must be positive";
   if hi <= lo then invalid_arg "Histogram.create: hi must exceed lo";
   { lo; hi; width = (hi -. lo) /. float_of_int bins;
-    counts = Array.make bins 0; total = 0 }
+    counts = Array.make bins 0 }
 
 let bin_of t x =
   let n = Array.length t.counts in
@@ -18,35 +17,15 @@ let bin_of t x =
   else if x >= t.hi then n - 1
   else min (n - 1) (int_of_float ((x -. t.lo) /. t.width))
 
-let add t x =
-  t.counts.(bin_of t x) <- t.counts.(bin_of t x) + 1;
-  t.total <- t.total + 1
-
-let add_all t xs = Array.iter (add t) xs
-
-let count t = t.total
-
-let bins t = Array.length t.counts
-
-let bin_count t i =
-  if i < 0 || i >= Array.length t.counts then
-    invalid_arg "Histogram.bin_count: index out of range";
-  t.counts.(i)
-
-let bin_edges t i =
-  if i < 0 || i >= Array.length t.counts then
-    invalid_arg "Histogram.bin_edges: index out of range";
-  let lo = t.lo +. (float_of_int i *. t.width) in
-  (lo, lo +. t.width)
-
-let counts t = Array.copy t.counts
+let add t x = t.counts.(bin_of t x) <- t.counts.(bin_of t x) + 1
 
 let render ?(width = 40) t =
   let peak = Array.fold_left max 1 t.counts in
   let buffer = Buffer.create 256 in
   Array.iteri
     (fun i c ->
-      let lo, hi = bin_edges t i in
+      let lo = t.lo +. (float_of_int i *. t.width) in
+      let hi = lo +. t.width in
       let bar = c * width / peak in
       Buffer.add_string buffer
         (Printf.sprintf "%6.3f..%6.3f | %-*s %d\n" lo hi width

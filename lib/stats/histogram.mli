@@ -10,19 +10,7 @@ val create : ?bins:int -> lo:float -> hi:float -> unit -> t
     [hi <= lo]. *)
 
 val add : t -> float -> unit
-val add_all : t -> float array -> unit
-val count : t -> int
-(** Total number of values added. *)
-
-val bin_count : t -> int -> int
-(** Count in bin [i].  @raise Invalid_argument if out of range. *)
-
-val bins : t -> int
-val bin_edges : t -> int -> float * float
-(** Inclusive-exclusive edges of bin [i] (last bin is inclusive). *)
-
-val counts : t -> int array
-(** Copy of the per-bin counts. *)
 
 val render : ?width:int -> t -> string
-(** ASCII rendering, one line per bin: [lo..hi | ####### n]. *)
+(** ASCII rendering, one line per bin: [lo..hi | ####### n], where bin
+    [i] spans [lo + i·w, lo + (i+1)·w) (the last bin is inclusive). *)

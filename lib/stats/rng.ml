@@ -57,7 +57,6 @@ let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let bernoulli t p = float t < p
 
@@ -86,5 +85,3 @@ let sample_without_replacement t k arr =
 let choose t arr =
   if Array.length arr = 0 then invalid_arg "Rng.choose: empty array";
   arr.(int t (Array.length arr))
-
-let seed_of t = t.seed

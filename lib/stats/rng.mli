@@ -56,7 +56,6 @@ val int_in : t -> int -> int -> int
 val float : t -> float
 (** Uniform on [0,1) with 53 bits of precision. *)
 
-val bool : t -> bool
 
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
@@ -73,5 +72,3 @@ val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array.
     @raise Invalid_argument on an empty array. *)
 
-val seed_of : t -> int
-(** The seed the generator was created from (for logging). *)

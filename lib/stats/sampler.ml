@@ -44,8 +44,6 @@ let categorical_draw c rng =
   let i = Rng.int rng n in
   if Rng.float rng < c.alias_prob.(i) then i else c.alias_index.(i)
 
-let categorical_support c = Array.length c.probabilities
-
 let categorical_prob c i =
   if i < 0 || i >= Array.length c.probabilities then
     invalid_arg "Sampler.categorical_prob: index out of range";

@@ -15,9 +15,6 @@ val categorical : float array -> categorical
 val categorical_draw : categorical -> Rng.t -> int
 (** O(1) draw of an index distributed as the prepared weights. *)
 
-val categorical_support : categorical -> int
-(** Number of categories. *)
-
 val categorical_prob : categorical -> int -> float
 (** [categorical_prob c i] is the normalized probability of category [i]
     (for tests and analytical attack planning). *)
@@ -27,10 +24,6 @@ val zipf : ?exponent:float -> int -> categorical
     P(k) ∝ 1/(k+1)^exponent.  Default [exponent] is 1.1, a standard fit
     for natural-language unigram frequencies.
     @raise Invalid_argument if [n <= 0] or [exponent <= 0]. *)
-
-val normal : Rng.t -> mean:float -> std:float -> float
-(** Gaussian draw via Box–Muller.  @raise Invalid_argument if
-    [std < 0]. *)
 
 val log_normal : Rng.t -> mu:float -> sigma:float -> float
 (** exp of a N(mu, sigma) draw — the laboratory's email-length model

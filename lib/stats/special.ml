@@ -86,10 +86,6 @@ let gamma_q a x =
   else if x < a +. 1.0 then 1.0 -. gamma_p_series a x
   else gamma_q_continued_fraction a x
 
-let chi2_cdf ~df x =
-  if df <= 0 then invalid_arg "Special.chi2_cdf: requires df > 0";
-  if x <= 0.0 then 0.0 else gamma_p (float_of_int df /. 2.0) (x /. 2.0)
-
 let chi2_sf ~df x =
   if df <= 0 then invalid_arg "Special.chi2_sf: requires df > 0";
   if x <= 0.0 then 1.0 else gamma_q (float_of_int df /. 2.0) (x /. 2.0)

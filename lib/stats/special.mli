@@ -23,11 +23,8 @@ val gamma_q : float -> float -> float
     function, computed directly (not as [1. -. gamma_p]) where that is
     more accurate. *)
 
-val chi2_cdf : df:int -> float -> float
-(** [chi2_cdf ~df x] is the chi-square cumulative distribution function
-    with [df] degrees of freedom evaluated at [x]; 0 for [x <= 0].
-    @raise Invalid_argument if [df <= 0]. *)
-
 val chi2_sf : df:int -> float -> float
-(** Survival function 1 − CDF, computed to full relative accuracy in the
-    upper tail. *)
+(** [chi2_sf ~df x] is the chi-square survival function 1 − CDF with
+    [df] degrees of freedom evaluated at [x], computed to full relative
+    accuracy in the upper tail; 1 for [x <= 0].
+    @raise Invalid_argument if [df <= 0]. *)

@@ -3,11 +3,10 @@
 val mean : float array -> float
 (** Arithmetic mean.  @raise Invalid_argument on an empty array. *)
 
-val variance : float array -> float
-(** Unbiased sample variance (n−1 denominator); 0 for arrays of length
-    1.  @raise Invalid_argument on an empty array. *)
-
 val std_dev : float array -> float
+(** Square root of the unbiased sample variance (n−1 denominator); 0
+    for arrays of length 1.  @raise Invalid_argument on an empty
+    array. *)
 
 val median : float array -> float
 (** Median (average of middle two for even lengths).  Does not modify the

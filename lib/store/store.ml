@@ -111,7 +111,6 @@ type t = {
 }
 
 let prior t = t.t_prior
-let nshards t = t.t_nshards
 let metrics t = t.metrics
 let count t name n = Metrics.add (Metrics.counter t.metrics name) n
 

@@ -115,8 +115,6 @@ val close : t -> unit
 val prior : t -> Token_db.t
 (** The shared global prior.  Must not be mutated. *)
 
-val nshards : t -> int
-
 val with_user : t -> string -> (Token_db.t -> 'a) -> 'a
 (** [with_user t user f] runs [f] on [user]'s overlay database under
     the shard lock — the read path (classify, score inspection).  [f]

@@ -111,8 +111,6 @@ let words s =
       acc := String.sub buf off len :: !acc);
   List.rev !acc
 
-let has_high_bit s = String.exists (fun c -> Char.code c >= 0x80) s
-
 (* Bytes >= 0x80 in a slice: 8-bit accounting over a raw body without
    materializing it. *)
 let count_high_sub s off len =
@@ -121,6 +119,3 @@ let count_high_sub s off len =
     if Char.code (String.unsafe_get s i) >= 0x80 then incr acc
   done;
   !acc
-
-let count_occurrences c s =
-  String.fold_left (fun acc ch -> if ch = c then acc + 1 else acc) 0 s

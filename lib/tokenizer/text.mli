@@ -37,12 +37,6 @@ val words : string -> string list
 (** Every word of a string, in order, as fresh strings:
     {!iter_word_spans} collected. *)
 
-val has_high_bit : string -> bool
-(** True if any byte is >= 0x80 (8-bit character heuristic used by
-    SpamBayes to flag likely non-English/binary content). *)
-
-val count_occurrences : char -> string -> int
-
 val count_high_sub : string -> int -> int -> int
 (** Number of bytes >= 0x80 in the slice — the span path's 8-bit
     accounting without materializing the body. *)

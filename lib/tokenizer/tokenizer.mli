@@ -8,8 +8,8 @@
 
     A tokenizer is written once, as a span pass ({!S.iter_spans}) over
     header fields and a body slice.
-    The string-level API below ({!iter_tokens}, {!tokenize},
-    {!unique_tokens}, {!unique_counted_tokens}) is derived from it here,
+    The string-level API below ({!tokenize}, {!unique_tokens},
+    {!unique_counted_tokens}) is derived from it here,
     generically, so every consumer — interning ingest, feature
     extraction, attack construction, corpus statistics — sees the same
     token stream. *)
@@ -58,18 +58,15 @@ val iter_message :
 (** {!iter_spans} over a message's headers and whole body: the one
     helper every [Message.t] entry point below goes through. *)
 
-val iter_tokens : t -> Spamlab_email.Message.t -> (string -> unit) -> unit
-(** {!iter_message} as strings: each slice is copied out with
-    [String.sub], meta tokens pass through unchanged.  Same tokens,
-    same order.  Nothing is interned. *)
-
 val tokenize : t -> Spamlab_email.Message.t -> string list
-(** {!iter_tokens} collected into a list. *)
+(** {!iter_message} as a list of strings: each slice is copied out
+    with [String.sub], meta tokens pass through unchanged.  Same
+    tokens, same order.  Nothing is interned. *)
 
 val unique_counted_tokens : t -> Spamlab_email.Message.t -> string array * int
 (** [unique_counted_tokens t msg] is the distinct tokens of
     [tokenize t msg], sorted, and the length of that stream — without
-    building the list: {!iter_tokens} streams into a per-domain
+    building the list: the string stream goes into a per-domain
     reusable buffer which is sorted and deduplicated in place.  Safe
     to call from pool workers. *)
 
@@ -79,8 +76,7 @@ val unique_tokens : t -> Spamlab_email.Message.t -> string array
     canonical feature extraction. *)
 
 val spambayes : t
-val bogofilter : t
-val spamassassin : t
+(** The default tokenizer; the others are reached by name. *)
 
 val all : (string * t) list
 (** Registered tokenizers by name. *)

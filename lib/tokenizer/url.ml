@@ -38,11 +38,6 @@ let looks_like_url_at s off len ~colon =
   && known_scheme_at s off colon known_schemes)
   || (len > 4 && eq_at s off "www.")
 
-let looks_like_url w =
-  let w = String.lowercase_ascii w in
-  let colon = Option.value (String.index_opt w ':') ~default:(String.length w) in
-  looks_like_url_at w 0 (String.length w) ~colon
-
 let split_on_chars chars s =
   let is_sep c = List.mem c chars in
   let n = String.length s in

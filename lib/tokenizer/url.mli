@@ -11,9 +11,6 @@ val looks_like_url_at : string -> int -> int -> colon:int -> bool
     host.  Allocates nothing; assumes the slice is already lowercased
     (the word iterator guarantees this). *)
 
-val looks_like_url : string -> bool
-(** {!looks_like_url_at} on a whole string, case-insensitively. *)
-
 val crack : string -> string list
 (** [crack w] is the token list for a URL-like word; [w] itself
     (lowercased) is not included.  Returns [[]] if [w] is not URL-like. *)

@@ -1,6 +1,6 @@
 (* Tests for the attack implementations: taxonomy, attack-email
-   construction, dictionary and focused attacks, expected-score
-   machinery. *)
+   construction, dictionary and focused attacks, and the §3.4 expected
+   score under attack. *)
 
 open Spamlab_core
 open Spamlab_stats
@@ -25,6 +25,15 @@ let qtest ?(count = 100) name gen prop =
 let spam_count = Spamlab_oracle.By_string.spam_count
 let ham_count = Spamlab_oracle.By_string.ham_count
 
+(* A copy of [filter] poisoned with [count] copies of [attack]'s email,
+   as the dictionary experiments train it ([Poison.poisoned] over the
+   attack's payload). *)
+let dictionary_poisoned filter attack ~count =
+  Spamlab_eval.Poison.poisoned filter ~count
+    ~payload:
+      (Spamlab_spambayes.Intern.intern_array
+         (Dictionary_attack.payload Tokenizer.spambayes attack))
+
 (* f(w) of a token string under a filter's options and db. *)
 let token_score filter w =
   Spamlab_oracle.By_string.smoothed (Filter.options filter) (Filter.db filter) w
@@ -40,23 +49,10 @@ let taxonomy_tests =
         check_bool "availability" true
           (d.Taxonomy.violation = Taxonomy.Availability);
         check_bool "indiscriminate" true
-          (d.Taxonomy.specificity = Taxonomy.Indiscriminate);
-        let f = Taxonomy.focused_attack in
-        check_bool "targeted" true (f.Taxonomy.specificity = Taxonomy.Targeted));
+          (d.Taxonomy.specificity = Taxonomy.Indiscriminate));
     test_case "describe" (fun () ->
         check_str "dictionary" "Causative Availability Indiscriminate attack"
-          (Taxonomy.describe Taxonomy.dictionary_attack);
-        check_str "focused" "Causative Availability Targeted attack"
-          (Taxonomy.describe Taxonomy.focused_attack));
-    test_case "all eight cells, all distinct" (fun () ->
-        check_int "count" 8 (List.length Taxonomy.all);
-        let distinct = List.sort_uniq compare Taxonomy.all in
-        check_int "distinct" 8 (List.length distinct));
-    test_case "equal" (fun () ->
-        check_bool "refl" true
-          (Taxonomy.equal Taxonomy.focused_attack Taxonomy.focused_attack);
-        check_bool "diff" false
-          (Taxonomy.equal Taxonomy.focused_attack Taxonomy.dictionary_attack));
+          (Taxonomy.describe Taxonomy.dictionary_attack));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -74,7 +70,8 @@ let attack_email_tests =
           tokens);
     test_case "empty header on plain attack emails" (fun () ->
         let msg = Attack_email.make ~words:[ "abc" ] in
-        check_int "no headers" 0 (Header.length (Message.headers msg)));
+        check_bool "no headers" true
+          (Header.equal Header.empty (Message.headers msg)));
     test_case "lines wrap at the configured width" (fun () ->
         let words = List.init 200 (fun i -> "word" ^ string_of_int i) in
         let body = Attack_email.body_of_words words in
@@ -112,7 +109,7 @@ let dictionary_tests =
         check_str "name" "test" (Dictionary_attack.name a);
         check_int "count" 2 (Dictionary_attack.word_count a);
         check_bool "taxonomy" true
-          (Taxonomy.equal Dictionary_attack.taxonomy Taxonomy.dictionary_attack));
+          (Dictionary_attack.taxonomy = Taxonomy.dictionary_attack));
     test_case "payload covers the whole word list" (fun () ->
         let words = Spamlab_corpus.Wordgen.words 0 500 in
         let a = Dictionary_attack.make ~name:"t" ~words in
@@ -123,14 +120,14 @@ let dictionary_tests =
         match Dictionary_attack.emails a ~count:3 with
         | [ m1; m2; m3 ] ->
             check_bool "equal" true (Message.equal m1 m2 && Message.equal m2 m3);
-            check_int "no headers" 0 (Header.length (Message.headers m1))
+            check_bool "no headers" true
+              (Header.equal Header.empty (Message.headers m1))
         | _ -> Alcotest.fail "wrong count");
     test_case "train adds count spam messages in one pass" (fun () ->
         let filter = Filter.create () in
         Filter.train_tokens filter Label.Ham [| "abc" |];
         let a = Dictionary_attack.make ~name:"t" ~words:[| "abc"; "def" |] in
-        Dictionary_attack.train filter Tokenizer.spambayes a ~count:25;
-        let db = Filter.db filter in
+        let db = Filter.db (dictionary_poisoned filter a ~count:25) in
         check_int "nspam" 25 (Token_db.nspam db);
         check_int "abc spam count" 25 (spam_count db "abc");
         check_int "abc ham count" 1 (ham_count db "abc"));
@@ -144,8 +141,9 @@ let dictionary_tests =
         let a =
           Dictionary_attack.make ~name:"t" ~words:[| "meeting"; "budget" |]
         in
-        Dictionary_attack.train filter Tokenizer.spambayes a ~count:10;
-        let after = token_score filter "meeting" in
+        let after =
+          token_score (dictionary_poisoned filter a ~count:10) "meeting"
+        in
         check_bool "score rose" true (after > before));
     test_case "raw_token_count counts the stream" (fun () ->
         let a = Dictionary_attack.make ~name:"t" ~words:[| "abc"; "def"; "ghi" |] in
@@ -372,9 +370,6 @@ let informed_tests =
               (Informed_attack.estimate_from_sample (Rng.create 1)
                  ~sample:(fun _ -> Spamlab_email.Message.make "x")
                  ~messages:0 ~tokenizer:Tokenizer.spambayes)));
-    test_case "attack packages a dictionary attack" (fun () ->
-        let a = Informed_attack.attack ~name:"informed" ~words:[| "abc" |] in
-        check_int "words" 1 (Dictionary_attack.word_count a));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -414,10 +409,11 @@ let split_tests =
         let split_filter = Filter.create () in
         Split_attack.train split_filter Tokenizer.spambayes ~words
           ~chunk_size:20 ~copies:4;
-        let unsplit_filter = Filter.create () in
-        Dictionary_attack.train unsplit_filter Tokenizer.spambayes
-          (Dictionary_attack.make ~name:"u" ~words)
-          ~count:4;
+        let unsplit_filter =
+          dictionary_poisoned (Filter.create ())
+            (Dictionary_attack.make ~name:"u" ~words)
+            ~count:4
+        in
         (* Every word trained the same number of times; only the message
            count differs (12 chunks vs 4 full emails). *)
         Array.iter
@@ -442,30 +438,27 @@ let split_tests =
 (* ------------------------------------------------------------------ *)
 (* Expected score                                                      *)
 
+(* The §3.4 objective E_{m∼p}[I(m)]: the mean indicator of [messages]
+   under [filter]. *)
+let mean_indicator filter messages =
+  List.fold_left
+    (fun acc m -> acc +. (Filter.classify filter m).Classify.indicator)
+    0.0 messages
+  /. float_of_int (List.length messages)
+
+(* A copy of [filter] poisoned with [count] spam-trained emails carrying
+   [words]; [filter] itself is not modified. *)
+let poisoned filter ~words ~count =
+  let copy = Filter.copy filter in
+  let email = Attack_email.make ~words in
+  for _ = 1 to count do
+    Filter.train copy Label.Spam email
+  done;
+  copy
+
 let expected_score_tests =
+  let messages = List.init 20 (fun _ -> Message.make "meeting budget agenda") in
   [
-    test_case "estimate is bounded and deterministic per rng" (fun () ->
-        let filter = Filter.create () in
-        for _ = 1 to 5 do
-          Filter.train_tokens filter Label.Ham [| "alpha"; "beta" |];
-          Filter.train_tokens filter Label.Spam [| "gamma"; "delta" |]
-        done;
-        let sample rng =
-          let words = if Rng.bool rng then "alpha beta" else "gamma delta" in
-          Message.make words
-        in
-        let e1 = Expected_score.estimate filter ~sample ~samples:50 (Rng.create 1) in
-        let e2 = Expected_score.estimate filter ~sample ~samples:50 (Rng.create 1) in
-        check_bool "bounded" true (e1 >= 0.0 && e1 <= 1.0);
-        Alcotest.(check (float 1e-12)) "deterministic" e1 e2);
-    test_case "estimate rejects zero samples" (fun () ->
-        let filter = Filter.create () in
-        Alcotest.check_raises "zero"
-          (Invalid_argument "Expected_score.estimate: samples <= 0") (fun () ->
-            ignore
-              (Expected_score.estimate filter
-                 ~sample:(fun _ -> Message.make "x")
-                 ~samples:0 (Rng.create 1))));
     test_case "attack raises the expected score (Section 3.4)" (fun () ->
         let filter = Filter.create () in
         for i = 1 to 30 do
@@ -473,20 +466,16 @@ let expected_score_tests =
             [| "meeting"; "budget"; "plan" ^ string_of_int i |];
           Filter.train_tokens filter Label.Spam [| "pills"; "cheap" |]
         done;
-        let sample _rng = Message.make "meeting budget agenda" in
-        let clean =
-          Expected_score.estimate filter ~sample ~samples:20 (Rng.create 2)
-        in
+        let clean = mean_indicator filter messages in
         let attacked =
-          Expected_score.estimate_under_attack ~baseline:filter
-            ~attack_words:[| "meeting"; "budget"; "agenda" |] ~attack_count:30
-            ~sample ~samples:20 (Rng.create 2)
+          mean_indicator
+            (poisoned filter ~words:[ "meeting"; "budget"; "agenda" ] ~count:30)
+            messages
         in
         check_bool "raised" true (attacked > clean);
         (* And the baseline filter must be untouched. *)
         Alcotest.(check (float 1e-12))
-          "baseline intact" clean
-          (Expected_score.estimate filter ~sample ~samples:20 (Rng.create 2)));
+          "baseline intact" clean (mean_indicator filter messages));
     test_case "more attack words never hurt (monotonicity)" (fun () ->
         let filter = Filter.create () in
         for i = 1 to 30 do
@@ -494,16 +483,13 @@ let expected_score_tests =
             [| "meeting"; "budget"; "agenda"; "plan" ^ string_of_int i |];
           Filter.train_tokens filter Label.Spam [| "pills" |]
         done;
-        let sample _rng = Message.make "meeting budget agenda" in
         let small =
-          Expected_score.estimate_under_attack ~baseline:filter
-            ~attack_words:[| "meeting" |] ~attack_count:30 ~sample ~samples:20
-            (Rng.create 3)
+          mean_indicator (poisoned filter ~words:[ "meeting" ] ~count:30) messages
         in
         let large =
-          Expected_score.estimate_under_attack ~baseline:filter
-            ~attack_words:[| "meeting"; "budget"; "agenda" |] ~attack_count:30
-            ~sample ~samples:20 (Rng.create 3)
+          mean_indicator
+            (poisoned filter ~words:[ "meeting"; "budget"; "agenda" ] ~count:30)
+            messages
         in
         check_bool "superset at least as strong" true (large >= small -. 1e-12));
   ]
@@ -515,10 +501,6 @@ let pseudospam_tests =
   let campaign = Spamlab_corpus.Wordgen.words 1000 50 in
   let camouflage = Spamlab_corpus.Wordgen.words 5000 500 in
   [
-    test_case "taxonomy is Causative Integrity" (fun () ->
-        let t = Pseudospam_attack.taxonomy in
-        check_bool "causative" true (t.Taxonomy.influence = Taxonomy.Causative);
-        check_bool "integrity" true (t.Taxonomy.violation = Taxonomy.Integrity));
     test_case "craft validates" (fun () ->
         let rng = Rng.create 1 in
         Alcotest.check_raises "empty campaign"
@@ -567,7 +549,7 @@ let pseudospam_tests =
           Pseudospam_attack.craft rng ~campaign ~camouflage
             ~camouflage_fraction:0.3 ~count:30
         in
-        Pseudospam_attack.train filter plan;
+        List.iter (Filter.train filter Label.Ham) plan.Pseudospam_attack.emails;
         let after = token_score filter probe in
         check_bool "hammy after" true (after < before);
         check_int "nham grew" 50 (Token_db.nham (Filter.db filter)));
@@ -588,11 +570,6 @@ let good_word_tests =
     filter
   in
   [
-    test_case "taxonomy is Exploratory Integrity" (fun () ->
-        let t = Good_word_attack.taxonomy in
-        check_bool "exploratory" true
-          (t.Taxonomy.influence = Taxonomy.Exploratory);
-        check_bool "integrity" true (t.Taxonomy.violation = Taxonomy.Integrity));
     test_case "hammiest tokens are the recurring ham words" (fun () ->
         let filter = trained_filter () in
         let good = Good_word_attack.hammiest_tokens filter ~limit:3 in

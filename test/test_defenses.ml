@@ -94,15 +94,6 @@ let roni_tests =
         Alcotest.check_raises "no ham"
           (Invalid_argument "Roni.assess: pool contains no ham") (fun () ->
             ignore (Roni.assess rng ~pool:spam_only ~candidate:ordinary_spam)));
-    test_case "screen assesses a whole stream" (fun () ->
-        let rng = Rng.create 7 in
-        let stream = [| ordinary_spam; ham_covering_attack |] in
-        let results = Roni.screen rng ~pool ~stream in
-        check_int "two results" 2 (Array.length results);
-        let _, benign = results.(0) in
-        let _, attack = results.(1) in
-        check_bool "benign passes" false benign.Roni.rejected;
-        check_bool "attack caught" true attack.Roni.rejected);
     test_case "assessment is deterministic given the rng seed" (fun () ->
         let a1 = Roni.assess (Rng.create 8) ~pool ~candidate:ordinary_spam in
         let a2 = Roni.assess (Rng.create 8) ~pool ~candidate:ordinary_spam in
@@ -172,30 +163,13 @@ let scored_separable =
       if i < 50 then (0.01 +. (0.002 *. float_of_int i), Label.Ham, 1)
       else (0.85 +. (0.003 *. float_of_int (i - 50)), Label.Spam, 1))
 
+let config = { Dynamic_threshold.quantile = 0.05 }
+
 let threshold_tests =
   [
-    test_case "utility g is 0 below everything, 1 above" (fun () ->
-        let scores =
-          Array.map (fun (s, g, _) -> (s, g)) scored_separable
-        in
-        Alcotest.(check (float 1e-9))
-          "low t" 0.0
-          (Dynamic_threshold.utility ~scores 0.0);
-        Alcotest.(check (float 1e-9))
-          "high t" 1.0
-          (Dynamic_threshold.utility ~scores 1.0));
-    test_case "utility is monotone in t" (fun () ->
-        let scores = Array.map (fun (s, g, _) -> (s, g)) scored_separable in
-        let prev = ref (-1.0) in
-        for i = 0 to 20 do
-          let t = float_of_int i /. 20.0 in
-          let g = Dynamic_threshold.utility ~scores t in
-          check_bool "nondecreasing" true (g >= !prev);
-          prev := g
-        done);
     test_case "thresholds_of_scores separates the separable case" (fun () ->
         let theta0, theta1 =
-          Dynamic_threshold.thresholds_of_scores scored_separable
+          Dynamic_threshold.thresholds_of_scores ~config scored_separable
         in
         check_bool "ordered" true (theta0 < theta1);
         (* All ham sits below theta0's region top, all spam above. *)
@@ -211,38 +185,24 @@ let threshold_tests =
             (0.9, Label.Spam, 1); (0.9, Label.Spam, 1); (0.5, Label.Ham, 1);
           |]
         in
-        let t0w, t1w = Dynamic_threshold.thresholds_of_scores weighted in
-        let t0d, t1d = Dynamic_threshold.thresholds_of_scores duplicated in
+        let t0w, t1w = Dynamic_threshold.thresholds_of_scores ~config weighted in
+        let t0d, t1d = Dynamic_threshold.thresholds_of_scores ~config duplicated in
         Alcotest.(check (float 1e-12)) "theta0" t0d t0w;
         Alcotest.(check (float 1e-12)) "theta1" t1d t1w);
     test_case "thresholds_of_scores rejects empty input" (fun () ->
         Alcotest.check_raises "empty"
           (Invalid_argument "Dynamic_threshold.thresholds_of_scores: no scores")
-          (fun () -> ignore (Dynamic_threshold.thresholds_of_scores [||])));
+          (fun () -> ignore (Dynamic_threshold.thresholds_of_scores ~config [||])));
     test_case "thresholds from a clean training set behave" (fun () ->
         let rng = Rng.create 11 in
-        let theta0, theta1 = Dynamic_threshold.thresholds rng pool in
+        let theta0, theta1 = Dynamic_threshold.thresholds ~config rng pool in
         check_bool "ordered" true (0.0 <= theta0 && theta0 < theta1 && theta1 <= 1.0));
     test_case "thresholds rejects a tiny training set" (fun () ->
         Alcotest.check_raises "small"
           (Invalid_argument "Dynamic_threshold.thresholds: training set too small")
           (fun () ->
             ignore
-              (Dynamic_threshold.thresholds (Rng.create 1) (Array.sub pool 0 2))));
-    test_case "harden installs derived cutoffs and shares the db" (fun () ->
-        let filter = Filter.create () in
-        Dataset.train_filter filter pool;
-        let rng = Rng.create 12 in
-        let hardened = Dynamic_threshold.harden rng filter pool in
-        check_bool "same db" true (Filter.db hardened == Filter.db filter);
-        let o = Filter.options hardened in
-        check_bool "cutoffs ordered" true
-          (o.Options.ham_cutoff < o.Options.spam_cutoff));
-    test_case "config quantiles" (fun () ->
-        Alcotest.(check (float 1e-12))
-          "05" 0.05 Dynamic_threshold.config_05.Dynamic_threshold.quantile;
-        Alcotest.(check (float 1e-12))
-          "10" 0.10 Dynamic_threshold.config_10.Dynamic_threshold.quantile);
+              (Dynamic_threshold.thresholds ~config (Rng.create 1) (Array.sub pool 0 2))));
     qtest "thresholds always ordered on random score sets"
       QCheck2.Gen.(
         list_size (int_range 4 60)
@@ -255,7 +215,7 @@ let threshold_tests =
                  (s, (if is_spam then Label.Spam else Label.Ham), 1))
                scored)
         in
-        let theta0, theta1 = Dynamic_threshold.thresholds_of_scores scores in
+        let theta0, theta1 = Dynamic_threshold.thresholds_of_scores ~config scores in
         0.0 <= theta0 && theta0 < theta1 && theta1 <= 1.0);
   ]
 

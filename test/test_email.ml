@@ -27,17 +27,10 @@ let header_tests =
         Alcotest.(check (list string))
           "all" [ "a"; "b" ]
           (Header.find_all h "received"));
-    test_case "add preserves order" (fun () ->
-        let h = Header.add (Header.add Header.empty "A" "1") "B" "2" in
-        Alcotest.(check (list (pair string string)))
-          "order"
-          [ ("A", "1"); ("B", "2") ]
-          (Header.to_list h));
     test_case "remove deletes all occurrences" (fun () ->
         let h = Header.of_list [ ("X", "1"); ("Y", "2"); ("x", "3") ] in
         let h = Header.remove h "x" in
-        check_int "length" 1 (Header.length h);
-        check_bool "y remains" true (Header.mem h "y"));
+        check_bool "one left" true (Header.equal h (Header.of_list [ ("Y", "2") ])));
     test_case "replace keeps a single field" (fun () ->
         let h = Header.of_list [ ("X", "1"); ("X", "2") ] in
         let h = Header.replace h "X" "3" in
@@ -59,10 +52,6 @@ let header_tests =
         let h = Header.of_list [ ("A", "1"); ("B", "2") ] in
         check_str "concat" "A=1;B=2;"
           (Header.fold (fun acc n v -> acc ^ n ^ "=" ^ v ^ ";") "" h));
-    test_case "is_empty" (fun () ->
-        check_bool "empty" true (Header.is_empty Header.empty);
-        check_bool "non-empty" false
-          (Header.is_empty (Header.of_list [ ("a", "b") ])));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -81,7 +70,8 @@ let address_tests =
         match Address.of_string "Alice Smith <alice@example.com>" with
         | Ok a ->
             check_opt_str "name" (Some "Alice Smith") a.Address.display_name;
-            check_str "spec" "alice@example.com" (Address.address_spec a)
+            check_str "local" "alice" a.Address.local;
+            check_str "domain" "example.com" a.Address.domain
         | Error e -> Alcotest.fail e);
     test_case "parse angle without name" (fun () ->
         match Address.of_string "<bob@host.net>" with
@@ -102,12 +92,6 @@ let address_tests =
         Alcotest.check_raises "space in local"
           (Invalid_argument "Address.make: bad local part") (fun () ->
             ignore (Address.make ~local:"a b" ~domain:"c" ())));
-    test_case "equal: domain case-insensitive, local sensitive" (fun () ->
-        let a = Address.make ~local:"x" ~domain:"EXAMPLE.com" () in
-        let b = Address.make ~local:"x" ~domain:"example.COM" () in
-        let c = Address.make ~local:"X" ~domain:"example.com" () in
-        check_bool "domains fold" true (Address.equal a b);
-        check_bool "locals don't" false (Address.equal a c));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -124,10 +108,9 @@ let message_tests =
             "body text"
         in
         check_opt_str "subject" (Some "greetings") (Message.subject msg);
-        (match Message.from_address msg with
-        | Some a -> check_str "from" "b@c.d" (Address.address_spec a)
-        | None -> Alcotest.fail "expected from");
-        check_bool "no to" true (Message.to_address msg = None);
+        check_opt_str "from" (Some "Bob <b@c.d>")
+          (Header.find (Message.headers msg) "from");
+        check_opt_str "no to" None (Header.find (Message.headers msg) "to");
         check_str "body" "body text" (Message.body msg));
     test_case "with_body and with_headers" (fun () ->
         let msg = Message.make "a" in
@@ -180,7 +163,8 @@ let rfc2822_tests =
     test_case "no headers at all" (fun () ->
         match Rfc2822.parse "\njust a body" with
         | Ok msg ->
-            check_int "no headers" 0 (Header.length (Message.headers msg));
+            check_bool "no headers" true
+              (Header.equal Header.empty (Message.headers msg));
             check_str "body" "just a body" (Message.body msg)
         | Error e -> Alcotest.fail e);
     test_case "rejects header line without colon" (fun () ->
@@ -189,12 +173,6 @@ let rfc2822_tests =
     test_case "rejects leading continuation" (fun () ->
         check_bool "error" true
           (Result.is_error (Rfc2822.parse " continuation\n\nbody")));
-    test_case "parse_exn raises on bad input" (fun () ->
-        check_bool "raises" true
-          (try
-             ignore (Rfc2822.parse_exn "bad line\n\n");
-             false
-           with Failure _ -> true));
     test_case "embedded newline in value is folded on print" (fun () ->
         let msg = Message.make ~headers:(Header.of_list [ ("X", "one\ntwo") ]) "" in
         let wire = Rfc2822.print msg in

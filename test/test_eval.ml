@@ -27,20 +27,18 @@ let confusion_tests =
         Confusion.add c Label.Ham Label.Spam_v;
         Confusion.add c Label.Spam Label.Spam_v;
         Confusion.add c Label.Spam Label.Ham_v;
-        check_int "total" 6 (Confusion.total c);
-        check_int "ham row" 4 (Confusion.total_ham c);
-        check_int "spam row" 2 (Confusion.total_spam c);
+        Alcotest.(check (array int))
+          "cells" [| 1; 1; 2; 1; 0; 1 |] (Confusion.cells c);
         check_int "ham as spam" 2 (Confusion.count c Label.Ham Label.Spam_v);
         check_float "ham->spam rate" 0.5 (Confusion.ham_as_spam_rate c);
         check_float "ham->unsure rate" 0.25 (Confusion.ham_as_unsure_rate c);
         check_float "ham misclassified" 0.75 (Confusion.ham_misclassified_rate c);
         check_float "spam->ham rate" 0.5 (Confusion.spam_as_ham_rate c);
-        check_float "spam->unsure" 0.0 (Confusion.spam_as_unsure_rate c);
-        check_float "accuracy" (2.0 /. 6.0) (Confusion.accuracy c));
+        check_float "spam->unsure" 0.0 (Confusion.spam_as_unsure_rate c));
     test_case "empty matrix rates are 0" (fun () ->
         let c = Confusion.create () in
         check_float "ham rate" 0.0 (Confusion.ham_as_spam_rate c);
-        check_float "accuracy" 0.0 (Confusion.accuracy c));
+        check_float "spam rate" 0.0 (Confusion.spam_misclassified_rate c));
     test_case "merge sums cell-wise" (fun () ->
         let a = Confusion.create () in
         let b = Confusion.create () in
@@ -52,11 +50,6 @@ let confusion_tests =
         check_int "spam-unsure" 1 (Confusion.count m Label.Spam Label.Unsure_v);
         (* Inputs are untouched. *)
         check_int "a intact" 1 (Confusion.count a Label.Ham Label.Ham_v));
-    test_case "pp renders" (fun () ->
-        let c = Confusion.create () in
-        Confusion.add c Label.Ham Label.Ham_v;
-        let s = Format.asprintf "%a" Confusion.pp c in
-        check_bool "mentions gold" true (String.length s > 10));
     test_case "cells/of_cells round-trip" (fun () ->
         let c = Confusion.create () in
         Confusion.add c Label.Ham Label.Ham_v;
@@ -105,13 +98,7 @@ let table_tests =
         Alcotest.check_raises "empty"
           (Invalid_argument "Table.render: empty header") (fun () ->
             ignore (Table.render ~header:[] ~rows:[])));
-    test_case "render_kv aligns keys" (fun () ->
-        let s = Table.render_kv [ ("k", "v"); ("longer", "w") ] in
-        check_bool "has both" true
-          (String.length s > 10 && String.contains s 'w'));
-    test_case "pct and f2" (fun () ->
-        check_str "pct" "36.3" (Table.pct 0.363);
-        check_str "f2" "1.50" (Table.f2 1.5));
+    test_case "f2" (fun () -> check_str "f2" "1.50" (Table.f2 1.5));
   ]
 
 let plot_tests =
@@ -132,15 +119,6 @@ let plot_tests =
     test_case "line_chart with no data" (fun () ->
         check_str "empty" "(no data)\n"
           (Plot.line_chart ~x_label:"x" ~y_label:"y" [ ("e", []) ]));
-    test_case "bar_chart lengths scale with values" (fun () ->
-        let s = Plot.bar_chart ~title:"t" [ ("a", 10.0); ("b", 5.0) ] in
-        let count line =
-          String.fold_left (fun acc c -> if c = '#' then acc + 1 else acc) 0 line
-        in
-        match String.split_on_char '\n' s with
-        | _title :: a :: b :: _ ->
-            check_bool "a longer" true (count a > count b)
-        | _ -> Alcotest.fail "unexpected shape");
     test_case "stacked_bars emits one row per entry" (fun () ->
         let s =
           Plot.stacked_bars ~title:"t" ~segments:[ "spam"; "unsure"; "ham" ]
@@ -285,9 +263,13 @@ let poison_tests =
         let scores = Poison.score_examples base tiny_examples in
         check_int "one score per example" 40 (Array.length scores);
         let c = Poison.confusion_of_scores Options.default scores in
-        check_int "total" 40 (Confusion.total c);
+        check_int "total" 40 (Array.fold_left ( + ) 0 (Confusion.cells c));
         (* On its own training data the filter separates the classes. *)
-        check_bool "accuracy high" true (Confusion.accuracy c > 0.9));
+        let agree =
+          Confusion.count c Label.Ham Label.Ham_v
+          + Confusion.count c Label.Spam Label.Spam_v
+        in
+        check_bool "accuracy high" true (float_of_int agree /. 40.0 > 0.9));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -313,7 +295,6 @@ let lab_tests =
           (Array.length (Lab.optimal_words lab) > 10_000));
     test_case "accessors" (fun () ->
         let lab = Lab.create ~seed:9 ~scale:0.3 () in
-        check_int "seed" 9 (Lab.seed lab);
         Alcotest.(check (float 1e-12)) "scale" 0.3 (Lab.scale lab));
     test_case "corpus cache hit returns the same examples" (fun () ->
         let module Obs = Spamlab_obs.Obs in

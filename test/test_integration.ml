@@ -209,7 +209,10 @@ let defense_tests =
             [| ((Filter.classify_ids derivation payload).Classify.indicator,
                 Label.Spam, count - (count / 2)) |]
         in
-        let theta0, theta1 = Dynamic_threshold.thresholds_of_scores scores in
+        let theta0, theta1 =
+          Dynamic_threshold.thresholds_of_scores
+            ~config:{ Dynamic_threshold.quantile = 0.05 } scores
+        in
         let options = Options.with_cutoffs Options.default ~ham:theta0 ~spam:theta1 in
         let undefended =
           Poison.confusion_of_scores Options.default

@@ -21,19 +21,10 @@ let ham_count = Spamlab_oracle.By_string.ham_count
 
 (* Fixture tokens, interned as the id entry points take them. *)
 let ids_of = Intern.intern_array
+(* Intern one whole string, through the slice entry point ingest uses. *)
+let intern_id s = Intern.intern_sub s 0 (String.length s)
 
-let save_string db =
-  let path = Filename.temp_file "spamlab" ".db" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      Token_db.save oc db;
-      close_out oc;
-      let ic = open_in path in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      s)
+let save_string = Token_db.to_string
 
 (* ------------------------------------------------------------------ *)
 (* Intern table                                                        *)
@@ -41,24 +32,24 @@ let save_string db =
 let intern_tests =
   [
     test_case "same string, same id; to_string round-trips" (fun () ->
-        let a1 = Intern.id "intern-test-alpha" in
-        let a2 = Intern.id "intern-test-alpha" in
-        let b = Intern.id "intern-test-beta" in
+        let a1 = intern_id "intern-test-alpha" in
+        let a2 = intern_id "intern-test-alpha" in
+        let b = intern_id "intern-test-beta" in
         check_int "stable" a1 a2;
         check_bool "distinct strings, distinct ids" true (a1 <> b);
         check_str "round-trip a" "intern-test-alpha" (Intern.to_string a1);
         check_str "round-trip b" "intern-test-beta" (Intern.to_string b));
     test_case "empty string is a real token" (fun () ->
-        let e = Intern.id "" in
+        let e = intern_id "" in
         check_str "round-trip" "" (Intern.to_string e);
-        check_int "stable" e (Intern.id ""));
+        check_int "stable" e (intern_id ""));
     test_case "find never interns" (fun () ->
         let probe = "intern-test-never-interned-gamma" in
         check_bool "absent" true (Intern.find probe = None);
         let before = Intern.size () in
         check_bool "still absent" true (Intern.find probe = None);
         check_int "size unchanged" before (Intern.size ());
-        let id = Intern.id probe in
+        let id = intern_id probe in
         check_bool "found after intern" true (Intern.find probe = Some id));
     test_case "intern_array agrees with id, elementwise" (fun () ->
         let tokens =
@@ -67,19 +58,19 @@ let intern_tests =
         let ids = Intern.intern_array tokens in
         check_int "length" (Array.length tokens) (Array.length ids);
         Array.iteri
-          (fun i tok -> check_int tok (Intern.id tok) ids.(i))
+          (fun i tok -> check_int tok (intern_id tok) ids.(i))
           tokens;
         check_int "duplicates share an id" ids.(0) ids.(2));
     test_case "freeze keeps lookups working and is idempotent" (fun () ->
-        let pre = Intern.id "intern-test-pre-freeze" in
+        let pre = intern_id "intern-test-pre-freeze" in
         Intern.freeze ();
         check_int "pre-freeze id survives" pre
-          (Intern.id "intern-test-pre-freeze");
-        let post = Intern.id "intern-test-post-freeze" in
+          (intern_id "intern-test-pre-freeze");
+        let post = intern_id "intern-test-post-freeze" in
         Intern.freeze ();
         Intern.freeze ();
         check_int "post-freeze id survives" post
-          (Intern.id "intern-test-post-freeze");
+          (intern_id "intern-test-post-freeze");
         check_str "to_string after freeze" "intern-test-post-freeze"
           (Intern.to_string post));
     test_case "freeze snapshots only when the table grew" (fun () ->
@@ -186,7 +177,7 @@ let rank_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Batched lookup: Intern.resolve against Intern.id                    *)
+(* Batched lookup: Intern.resolve against intern_id                    *)
 
 module Fault = Spamlab_fault
 
@@ -218,7 +209,7 @@ let resolved keys =
   List.iter (Intern.add k) keys;
   Array.sub (Intern.resolve k) 0 (Intern.key_count k)
 
-(* Every key resolves to [Intern.id] of its string, and the keys the
+(* Every key resolves to [intern_id] of its string, and the keys the
    table had never seen get [size_before], [size_before + 1], ... in
    the order of their first occurrence. *)
 let check_resolved ~size_before ~is_fresh keys ids =
@@ -231,9 +222,9 @@ let check_resolved ~size_before ~is_fresh keys ids =
           Alcotest.failf "fresh key %S: id %d, want %d" key ids.(i) !next;
         incr next
       end;
-      if ids.(i) <> Intern.id key then
-        Alcotest.failf "key %S: resolved %d, Intern.id %d" key ids.(i)
-          (Intern.id key))
+      if ids.(i) <> intern_id key then
+        Alcotest.failf "key %S: resolved %d, intern_id %d" key ids.(i)
+          (intern_id key))
     keys;
   check_int "table grew by the fresh keys" !next (Intern.size ())
 
@@ -252,12 +243,12 @@ let resolve_tests =
             (List.nth tails (i mod List.length tails))
         in
         let pre_keys = List.map (key "pre" pre) (List.init (List.length pre) Fun.id) in
-        List.iter (fun k -> ignore (Intern.id k)) ("" :: pre_keys);
+        List.iter (fun k -> ignore (intern_id k)) ("" :: pre_keys);
         Intern.freeze ();
         (* Interned after the freeze: the live table holds these, the
            snapshot (barring an automatic refresh) does not. *)
         List.iter
-          (fun i -> ignore (Intern.id (key "post" post i)))
+          (fun i -> ignore (intern_id (key "post" post i)))
           (List.init (List.length post) Fun.id);
         (* A batch the snapshot holds whole never takes the live path,
            not even for keys whose home slot holds another key: it
@@ -270,7 +261,7 @@ let resolve_tests =
           empty words;
         let pre_ids = Intern.resolve k in
         List.iteri
-          (fun i key -> check_int key (Intern.id key) pre_ids.(i))
+          (fun i key -> check_int key (intern_id key) pre_ids.(i))
           pre_keys;
         let keys =
           List.map
@@ -294,7 +285,7 @@ let resolve_tests =
           Printf.sprintf "lookup-%s-%d-%s" cat !batch_run
             (List.nth tails (i mod List.length tails))
         in
-        List.iteri (fun i _ -> ignore (Intern.id (key "pre" pre i))) pre;
+        List.iteri (fun i _ -> ignore (intern_id (key "pre" pre i))) pre;
         Intern.freeze ();
         (* Nothing interned since the snapshot: a miss is an absence,
            decided without the lock (which would cost a closure). *)
@@ -305,7 +296,7 @@ let resolve_tests =
         Alcotest.(check (float 0.)) "minor words looking up absent keys" empty words;
         (* Interned after the freeze: the live table holds these, the
            snapshot (barring an automatic refresh) does not. *)
-        List.iteri (fun i _ -> ignore (Intern.id (key "post" post i))) post;
+        List.iteri (fun i _ -> ignore (intern_id (key "post" post i))) post;
         let keys =
           List.map
             (function
@@ -328,10 +319,10 @@ let resolve_tests =
     test_case "a resolve that grows the table retries to the same ids"
       (fun () ->
         let pre = List.init 50 (Printf.sprintf "grow-pre-%d\000") in
-        List.iter (fun k -> ignore (Intern.id k)) pre;
+        List.iter (fun k -> ignore (intern_id k)) pre;
         Intern.freeze ();
         let post = List.init 50 (Printf.sprintf "grow-post-%d\xff") in
-        List.iter (fun k -> ignore (Intern.id k)) post;
+        List.iter (fun k -> ignore (intern_id k)) post;
         (* Past the next doubling of the slot table, whatever its size:
            it holds at most half as many keys as slots, and has at
            least 2^17 slots. *)
@@ -346,7 +337,7 @@ let resolve_tests =
               pre;
             ]
         in
-        ignore (Intern.id "");
+        ignore (intern_id "");
         let size_before = Intern.size () in
         let k = Intern.keys () in
         List.iter (Intern.add k) keys;
@@ -592,7 +583,7 @@ module Ref_db = struct
     !c lxor 0xffffffff
 
   (* An independent rendering of the v3 text format, for byte-level
-     comparison against [Token_db.save]. *)
+     comparison against [Token_db.to_string]. *)
   let save_string t =
     let buf = Buffer.create 256 in
     Printf.bprintf buf "spamlab-token-db 3 %d %d\n" t.nspam t.nham;
@@ -645,10 +636,10 @@ let scattered_universe =
   Array.mapi
     (fun i tok ->
       for j = 0 to 999 do
-        ignore (Intern.id (Printf.sprintf "scatter-filler-%d-%d" i j))
+        ignore (intern_id (Printf.sprintf "scatter-filler-%d-%d" i j))
       done;
       let tok = tok ^ "\x02scattered" in
-      ignore (Intern.id tok);
+      ignore (intern_id tok);
       tok)
     universe
 
@@ -823,19 +814,9 @@ let differential_tests =
       (fun ops ->
         let db = Token_db.create () and rdb = Ref_db.create () in
         apply_trace ops db rdb;
-        let path = Filename.temp_file "spamlab" ".db" in
-        Fun.protect
-          ~finally:(fun () -> Sys.remove path)
-          (fun () ->
-            let oc = open_out path in
-            Token_db.save oc db;
-            close_out oc;
-            let ic = open_in path in
-            let loaded = Token_db.load ic in
-            close_in ic;
-            match loaded with
-            | Error _ -> false
-            | Ok loaded -> save_string loaded = save_string db));
+        match Token_db.of_string (save_string db) with
+        | Error _ -> false
+        | Ok loaded -> save_string loaded = save_string db);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -85,8 +85,6 @@ let rng_tests =
         let r = Rng.create 1 in
         Alcotest.check_raises "empty" (Invalid_argument "Rng.choose: empty array")
           (fun () -> ignore (Rng.choose r ([||] : int array))));
-    test_case "seed_of" (fun () ->
-        check_int "seed" 42 (Rng.seed_of (Rng.create 42)));
     qtest "float in [0,1)" QCheck2.Gen.int (fun seed ->
         let r = Rng.create seed in
         let x = Rng.float r in
@@ -139,18 +137,16 @@ let special_tests =
     test_case "chi2 df=2 matches closed form" (fun () ->
         List.iter
           (fun x ->
-            check_close 1e-10 "cdf" (1.0 -. exp (-.x /. 2.0))
-              (Special.chi2_cdf ~df:2 x);
             check_close 1e-10 "sf" (exp (-.x /. 2.0))
               (Special.chi2_sf ~df:2 x))
           [ 0.1; 1.0; 3.0; 10.0; 40.0 ]);
     test_case "chi2 df=4 closed form" (fun () ->
-        (* CDF_4(x) = 1 - e^{-x/2}(1 + x/2) *)
+        (* SF_4(x) = e^{-x/2}(1 + x/2) *)
         List.iter
           (fun x ->
-            check_close 1e-10 "cdf"
-              (1.0 -. (exp (-.x /. 2.0) *. (1.0 +. (x /. 2.0))))
-              (Special.chi2_cdf ~df:4 x))
+            check_close 1e-10 "sf"
+              (exp (-.x /. 2.0) *. (1.0 +. (x /. 2.0)))
+              (Special.chi2_sf ~df:4 x))
           [ 0.5; 2.0; 8.0 ]);
     test_case "chi2 median near df" (fun () ->
         (* median of chi2_k is about k(1 - 2/(9k))^3 *)
@@ -159,20 +155,19 @@ let special_tests =
           float_of_int df
           *. ((1.0 -. (2.0 /. (9.0 *. float_of_int df))) ** 3.0)
         in
-        check_close 1e-3 "cdf at median" 0.5 (Special.chi2_cdf ~df median));
+        check_close 1e-3 "sf at median" 0.5 (Special.chi2_sf ~df median));
     test_case "chi2 negative x" (fun () ->
-        check_float "cdf" 0.0 (Special.chi2_cdf ~df:3 (-1.0));
         check_float "sf" 1.0 (Special.chi2_sf ~df:3 (-1.0)));
     test_case "chi2 rejects df<=0" (fun () ->
         Alcotest.check_raises "df 0"
-          (Invalid_argument "Special.chi2_cdf: requires df > 0") (fun () ->
-            ignore (Special.chi2_cdf ~df:0 1.0)));
+          (Invalid_argument "Special.chi2_sf: requires df > 0") (fun () ->
+            ignore (Special.chi2_sf ~df:0 1.0)));
     test_case "chi2 monotone in x" (fun () ->
-        let prev = ref (-1.0) in
+        let prev = ref 2.0 in
         for i = 0 to 50 do
           let x = float_of_int i *. 0.7 in
-          let c = Special.chi2_cdf ~df:7 x in
-          check_bool "non-decreasing" true (c >= !prev);
+          let c = Special.chi2_sf ~df:7 x in
+          check_bool "non-increasing" true (c <= !prev);
           prev := c
         done);
     test_case "chi2_sf keeps its bits on a (df, x) grid" (fun () ->
@@ -390,8 +385,7 @@ let sampler_tests =
     test_case "categorical_prob normalizes" (fun () ->
         let c = Sampler.categorical [| 2.0; 6.0 |] in
         check_close 1e-12 "p0" 0.25 (Sampler.categorical_prob c 0);
-        check_close 1e-12 "p1" 0.75 (Sampler.categorical_prob c 1);
-        check_int "support" 2 (Sampler.categorical_support c));
+        check_close 1e-12 "p1" 0.75 (Sampler.categorical_prob c 1));
     test_case "categorical draw matches weights" (fun () ->
         let c = Sampler.categorical [| 1.0; 3.0 |] in
         let rng = Rng.create 123 in
@@ -428,8 +422,8 @@ let summary_tests =
     test_case "mean and variance" (fun () ->
         let xs = [| 1.0; 2.0; 3.0; 4.0 |] in
         check_float "mean" 2.5 (Summary.mean xs);
-        check_close 1e-12 "variance" (5.0 /. 3.0) (Summary.variance xs);
-        check_float "single variance" 0.0 (Summary.variance [| 5.0 |]));
+        check_close 1e-12 "variance" (5.0 /. 3.0) (Summary.std_dev xs ** 2.0);
+        check_float "single variance" 0.0 (Summary.std_dev [| 5.0 |]));
     test_case "empty arrays rejected" (fun () ->
         Alcotest.check_raises "mean"
           (Invalid_argument "Summary.mean: empty array") (fun () ->
@@ -460,24 +454,29 @@ let summary_tests =
         v >= lo -. 1e-9 && v <= hi +. 1e-9);
   ]
 
+(* [(lo, hi, count)] of each bin, read back from its rendered line. *)
+let rendered_bins h =
+  String.split_on_char '\n' (Histogram.render h)
+  |> List.filter (fun l -> l <> "")
+  |> List.map (fun l ->
+         Scanf.sscanf l " %f.. %f | %[#] %d" (fun lo hi _ n -> (lo, hi, n)))
+
+let rendered_counts h = List.map (fun (_, _, n) -> n) (rendered_bins h)
+
 let histogram_tests =
   [
     test_case "counts land in bins" (fun () ->
         let h = Histogram.create ~bins:4 ~lo:0.0 ~hi:4.0 () in
-        Histogram.add_all h [| 0.5; 1.5; 1.6; 3.9 |];
-        check_int "total" 4 (Histogram.count h);
-        check_int "bin0" 1 (Histogram.bin_count h 0);
-        check_int "bin1" 2 (Histogram.bin_count h 1);
-        check_int "bin3" 1 (Histogram.bin_count h 3));
+        Array.iter (Histogram.add h) [| 0.5; 1.5; 1.6; 3.9 |];
+        Alcotest.(check (list int)) "per bin" [ 1; 2; 0; 1 ] (rendered_counts h));
     test_case "out-of-range clamps to edges" (fun () ->
         let h = Histogram.create ~bins:2 ~lo:0.0 ~hi:1.0 () in
         Histogram.add h (-5.0);
         Histogram.add h 5.0;
-        check_int "low edge" 1 (Histogram.bin_count h 0);
-        check_int "high edge" 1 (Histogram.bin_count h 1));
+        Alcotest.(check (list int)) "edges" [ 1; 1 ] (rendered_counts h));
     test_case "edges" (fun () ->
         let h = Histogram.create ~bins:2 ~lo:0.0 ~hi:1.0 () in
-        let lo, hi = Histogram.bin_edges h 1 in
+        let lo, hi, _ = List.nth (rendered_bins h) 1 in
         check_float "lo" 0.5 lo;
         check_float "hi" 1.0 hi);
     test_case "invalid construction" (fun () ->
@@ -495,12 +494,6 @@ let histogram_tests =
           |> List.filter (fun l -> l <> "")
         in
         check_int "lines" 5 (List.length lines));
-    test_case "counts returns a copy" (fun () ->
-        let h = Histogram.create ~bins:2 ~lo:0.0 ~hi:1.0 () in
-        Histogram.add h 0.1;
-        let c = Histogram.counts h in
-        c.(0) <- 99;
-        check_int "original intact" 1 (Histogram.bin_count h 0));
   ]
 
 let () =

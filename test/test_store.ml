@@ -22,6 +22,8 @@ let ham_count = Spamlab_oracle.By_string.ham_count
 
 (* Fixture tokens, interned as the id entry points take them. *)
 let ids_of = Intern.intern_array
+(* Intern one whole string, through the slice entry point ingest uses. *)
+let intern_id s = Intern.intern_sub s 0 (String.length s)
 
 (* ------------------------------------------------------------------ *)
 (* Scaffolding. *)
@@ -883,7 +885,7 @@ let block_tests =
              (fun (nspam, nham) -> Token_db.set_message_counts want_db ~nspam ~nham)
              !totals;
            List.iter
-             (fun (tok, spam, ham) -> Token_db.set_counts_id want_db (Intern.id tok) ~spam ~ham)
+             (fun (tok, spam, ham) -> Token_db.set_counts_id want_db (intern_id tok) ~spam ~ham)
              (List.rev !rows);
            (match (want, got) with
            | Ok (), Ok () -> ()
