@@ -165,9 +165,9 @@ let run_ingest lab ~jobs =
         let msgs, _ = Spamlab_email.Mbox.parse_lenient text in
         List.iter
           (fun m ->
-            let tokens, _ = Tok.unique_counted_tokens tokenizer m in
             ignore
-              (SB.Classify.score_engine engine (SB.Intern.intern_array tokens)))
+              (SB.Classify.score_engine engine
+                 (SB.Intern.intern_array (Tok.unique_tokens tokenizer m))))
           msgs
       in
       let zerocopy () =
@@ -190,8 +190,7 @@ let run_ingest lab ~jobs =
         let msgs, _ = Spamlab_email.Mbox.parse_lenient text in
         List.iter
           (fun m ->
-            let tokens, _ = Tok.unique_counted_tokens tokenizer m in
-            ignore (SB.Intern.intern_array tokens))
+            ignore (SB.Intern.intern_array (Tok.unique_tokens tokenizer m)))
           msgs
       in
       let zerocopy_ids () =
@@ -425,7 +424,7 @@ let run_store lab ~jobs =
   let train_user st i =
     for k = 0 to 1 do
       let ex = examples.(((2 * i) + k) mod nex) in
-      Store.train st ~user:(user i) ex.Dataset.label ex.Dataset.tokens
+      Store.train_ids st ~user:(user i) ex.Dataset.label ex.Dataset.ids
     done
   in
   let classify_user st i =
@@ -668,10 +667,10 @@ let run_classify lab ~jobs =
   | Error e -> failwith ("classify bench: " ^ e)
   | Ok st ->
       Fun.protect ~finally:(fun () -> Store.close st) @@ fun () ->
-      Store.train st ~user:"tenant-trained" train.(0).Dataset.label
-        train.(0).Dataset.tokens;
-      Store.train st ~user:"tenant-trained" train.(1).Dataset.label
-        train.(1).Dataset.tokens;
+      Store.train_ids st ~user:"tenant-trained" train.(0).Dataset.label
+        train.(0).Dataset.ids;
+      Store.train_ids st ~user:"tenant-trained" train.(1).Dataset.label
+        train.(1).Dataset.ids;
       let tenant name user =
         ignore
           (measure name ~fanned:false (fun i ->
@@ -1041,9 +1040,10 @@ let perf_tests () =
   let filter = Poison.base_filter tokenizer examples in
   let tokens = Spamlab_tokenizer.Tokenizer.unique_tokens tokenizer message in
   let aspell = Lab.aspell lab ~size:20_000 in
+  (* The payload as strings: the groups below time its interning. *)
   let payload =
-    Spamlab_core.Dictionary_attack.(
-      payload tokenizer (make ~name:"perf" ~words:aspell))
+    Spamlab_tokenizer.Tokenizer.unique_tokens tokenizer
+      Spamlab_core.Dictionary_attack.(email (make ~name:"perf" ~words:aspell))
   in
   let ids = Spamlab_spambayes.Intern.intern_array tokens in
   [
@@ -1126,9 +1126,9 @@ let harness_tests ~jobs () =
     Array.length (Poison.score_examples base test)
   in
   let payload =
-    Spamlab_core.Dictionary_attack.(
-      payload tokenizer
-        (make ~name:"perf" ~words:(Lab.aspell lab ~size:20_000)))
+    Spamlab_tokenizer.Tokenizer.unique_tokens tokenizer
+      Spamlab_core.Dictionary_attack.(
+        email (make ~name:"perf" ~words:(Lab.aspell lab ~size:20_000)))
   in
   (* Both sweeps intern the payload inside the timed closure, as the
      attack's first training would. *)

@@ -114,8 +114,53 @@ let read_message_file path =
         ~finally:(fun () -> close_in ic)
         (fun () -> Spamlab_email.Rfc2822.parse (In_channel.input_all ic))
 
-let load_labeled ~ham ~spam =
-  Corpus.Trec.of_mbox_files ~ham_path:ham ~spam_path:spam
+(* Every command that reads a --ham/--spam mailbox pair ingests it as
+   daemon TRAIN does: raw chunks straight to distinct ids, ignored
+   headers suppressed ([Ingest.with_unique_ids_raw]), ham before spam,
+   each in file order.  So `train` writes the db a daemon publishes
+   after TRAINing the same mail, and `stats`, `roni` and `thresholds`
+   read the tokens that db holds.  A malformed chunk is quarantined:
+   skipped, counted and reported. *)
+let quarantined_counter = Obs.counter "train.quarantined"
+
+let read_mbox what path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | text -> Ok text
+  | exception Sys_error e -> Error (what ^ " mbox: " ^ e)
+
+(* [f label ids raw] per message: its distinct token ids and stream
+   length. *)
+let iter_labeled_mail ~ham ~spam tokenizer f =
+  match (read_mbox "ham" ham, read_mbox "spam" spam) with
+  | Error e, _ | _, Error e -> Error e
+  | Ok ham_text, Ok spam_text ->
+      let quarantined = ref 0 in
+      let ingest label text =
+        Array.iter
+          (fun (off, len) ->
+            match
+              Ingest.with_unique_ids_raw tokenizer text ~off ~len
+                (fun ids n raw -> f label (Array.sub ids 0 n) raw)
+            with
+            | Some () -> ()
+            | None -> incr quarantined)
+          (Mbox.chunks text)
+      in
+      ingest Label.Ham ham_text;
+      ingest Label.Spam spam_text;
+      if !quarantined > 0 then begin
+        Obs.add quarantined_counter !quarantined;
+        Logs.warn (fun m ->
+            m "quarantined %d unparseable message(s); training on the rest"
+              !quarantined)
+      end;
+      Ok ()
+
+let load_labeled ~ham ~spam tokenizer =
+  let examples = ref [] in
+  iter_labeled_mail ~ham ~spam tokenizer (fun label ids raw_token_count ->
+      examples := { Corpus.Dataset.label; ids; raw_token_count } :: !examples)
+  |> Result.map (fun () -> Array.of_list (List.rev !examples))
 
 (* --------------------------------------------------------------- *)
 (* corpus                                                           *)
@@ -150,41 +195,16 @@ let corpus_cmd =
 (* --------------------------------------------------------------- *)
 (* train                                                            *)
 
-(* Offline training ingests each mbox exactly as daemon TRAIN does: raw
-   chunks straight to distinct ids, ignored headers suppressed
-   ([Ingest.unique_ids_raw]), so the db written here is the one a
-   daemon publishes after TRAINing the same mail.  A malformed chunk is
-   quarantined: skipped and counted. *)
 let train_cmd =
-  let quarantined_counter = Obs.counter "train.quarantined" in
-  let read_mbox what path =
-    match In_channel.with_open_bin path In_channel.input_all with
-    | text -> Ok text
-    | exception Sys_error e -> Error (what ^ " mbox: " ^ e)
-  in
   let run ham spam db tokenizer () =
     setup_logs ();
-    match (read_mbox "ham" ham, read_mbox "spam" spam) with
-    | Error e, _ | _, Error e -> fail "%s" e
-    | Ok ham_text, Ok spam_text ->
-        let filter = Filter.create ~tokenizer () in
-        let quarantined = ref 0 in
-        let train_mbox label text =
-          Array.iter
-            (fun (off, len) ->
-              match Ingest.unique_ids_raw tokenizer text ~off ~len with
-              | Some (ids, _raw) -> Token_db.train_ids (Filter.db filter) label ids
-              | None -> incr quarantined)
-            (Mbox.chunks text)
-        in
-        train_mbox Label.Ham ham_text;
-        train_mbox Label.Spam spam_text;
-        if !quarantined > 0 then begin
-          Obs.add quarantined_counter !quarantined;
-          Logs.warn (fun m ->
-              m "quarantined %d unparseable message(s); training on the rest"
-                !quarantined)
-        end;
+    let filter = Filter.create ~tokenizer () in
+    match
+      iter_labeled_mail ~ham ~spam tokenizer (fun label ids _raw ->
+          Token_db.train_ids (Filter.db filter) label ids)
+    with
+    | Error e -> fail "%s" e
+    | Ok () ->
         Filter.save_file filter db;
         let dbv = Filter.db filter in
         Logs.info (fun m ->
@@ -546,11 +566,10 @@ let roni_cmd =
   in
   let run seed ham spam candidate threshold tokenizer () =
     setup_logs ();
-    match (load_labeled ~ham ~spam, read_message_file candidate) with
+    match (load_labeled ~ham ~spam tokenizer, read_message_file candidate) with
     | Error e, _ -> fail "%s" e
     | _, Error e -> fail "cannot parse candidate: %s" e
-    | Ok corpus, Ok msg ->
-        let pool = Corpus.Dataset.of_labeled tokenizer corpus in
+    | Ok pool, Ok msg ->
         let candidate = fst (Corpus.Dataset.tokenize_ids tokenizer msg) in
         let config =
           { Spamlab_core.Roni.default_config with Spamlab_core.Roni.threshold }
@@ -581,10 +600,9 @@ let thresholds_cmd =
   in
   let run seed ham spam quantile tokenizer () =
     setup_logs ();
-    match load_labeled ~ham ~spam with
+    match load_labeled ~ham ~spam tokenizer with
     | Error e -> fail "%s" e
-    | Ok corpus ->
-        let examples = Corpus.Dataset.of_labeled tokenizer corpus in
+    | Ok examples ->
         let theta0, theta1 =
           Spamlab_core.Dynamic_threshold.thresholds
             ~config:{ Spamlab_core.Dynamic_threshold.quantile }
@@ -606,12 +624,11 @@ let thresholds_cmd =
 let stats_cmd =
   let run ham spam tokenizer () =
     setup_logs ();
-    match load_labeled ~ham ~spam with
+    match load_labeled ~ham ~spam tokenizer with
     | Error e -> fail "%s" e
-    | Ok corpus ->
+    | Ok examples ->
         print_string
-          (Corpus.Corpus_stats.render
-             (Corpus.Corpus_stats.measure tokenizer corpus));
+          (Corpus.Corpus_stats.render (Corpus.Corpus_stats.measure examples));
         `Ok ()
   in
   guarded

@@ -162,11 +162,13 @@ say "cross-jobs determinism"
 # domain count can never leak into results.  fig1 exercises the
 # dictionary-attack path through the zero-copy ingest pipeline, fig2
 # the focused-attack path, fig5 the dynamic-threshold path (the second
-# Poison.sweep caller), roni the defense path.
+# Poison.sweep caller), roni the defense path; corpus, tokens and
+# tokenizers count and poison through example ids, whose values follow
+# the pool's schedule.
 j1=$(mktemp /tmp/spamlab-ci-jobs1.XXXXXX.txt)
 j4=$(mktemp /tmp/spamlab-ci-jobs4.XXXXXX.txt)
 trap 'rm -f "$trace" "$timings" "$j1" "$j4"' EXIT
-for exp in fig1 fig2 fig5 roni; do
+for exp in fig1 fig2 fig5 roni corpus tokens tokenizers; do
   ./_build/default/bin/spamlab.exe experiment "$exp" \
     --scale 0.05 --jobs 1 > "$j1"
   ./_build/default/bin/spamlab.exe experiment "$exp" \
@@ -383,7 +385,9 @@ say "offline train == daemon publish; a failed UNTRAIN applies nothing"
 # mining would expose any suppressed header the offline path learned.
 # Before the publish, an UNTRAIN of every trained ham message followed
 # by one never-trained message must answer ERR and apply nothing: the
-# same byte comparison proves no message was untrained.
+# same byte comparison proves no message was untrained.  `spamlab
+# stats` reads the same mboxes the same way, so the distinct tokens it
+# counts are the entries of the db `train` wrote.
 "$spamlab" corpus --size 200 --ham "$sdir/otr.ham.mbox" \
   --spam "$sdir/otr.spam.mbox" 2> /dev/null
 { cat "$sdir/otr.ham.mbox"
@@ -394,6 +398,12 @@ for tok in spambayes bogofilter spamassassin; do
   "$spamlab" train --tokenizer "$tok" --ham "$sdir/otr.ham.mbox" \
     --spam "$sdir/otr.spam.mbox" --db "$sdir/otr-$tok.offline.db" 2> /dev/null \
     || { echo "FAIL: offline $tok train failed"; exit 1; }
+  counted=$("$spamlab" stats --tokenizer "$tok" --ham "$sdir/otr.ham.mbox" \
+    --spam "$sdir/otr.spam.mbox" | sed -n 's/^distinct tokens *//p')
+  entries=$("$spamlab" db verify "$sdir/otr-$tok.offline.db" \
+    | sed -n 's/^  entries: *\([0-9]*\) tokens$/\1/p')
+  [ -n "$counted" ] && [ "$counted" = "$entries" ] \
+    || { echo "FAIL: $tok stats counts '$counted' distinct tokens, train's db holds '$entries'"; exit 1; }
   start_daemon "otr-$tok" 1 --tokenizer "$tok" --publish-every 0
   for class in ham spam; do
     "$spamlab" client train --socket "$sdir/otr-$tok.sock" --class "$class" \
@@ -419,7 +429,7 @@ if grep -n -e '^date:' -e '^message-id:' "$sdir/otr-bogofilter.offline.db" \
     | head -5 | grep .; then
   echo "FAIL: offline bogofilter db holds suppressed-header rows (above)"; exit 1
 fi
-echo "offline train == daemon publish (spambayes, bogofilter, spamassassin); no date:/message-id: rows; failed UNTRAIN applied nothing"
+echo "offline train == daemon publish (spambayes, bogofilter, spamassassin); stats distinct tokens == db entries; no date:/message-id: rows; failed UNTRAIN applied nothing"
 
 say "read traffic does not grow the vocabulary"
 # CLASSIFY looks tokens up without interning them.  Scoring the paper's

@@ -57,9 +57,7 @@ let () =
       let count =
         Poison.attack_count ~train_size:(Array.length train) ~fraction
       in
-      let payload =
-        Spamlab_spambayes.Intern.intern_array (Attack.payload tokenizer attack)
-      in
+      let payload = Attack.payload tokenizer attack in
       let poisoned = Poison.poisoned base ~payload ~count in
       report
         (Printf.sprintf "%4.1f%% control (%d emails)" (100.0 *. fraction)

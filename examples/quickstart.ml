@@ -9,7 +9,6 @@ module Trec = Spamlab_corpus.Trec
 module Filter = Spamlab_spambayes.Filter
 module Label = Spamlab_spambayes.Label
 module Classify = Spamlab_spambayes.Classify
-module Message = Spamlab_email.Message
 
 let () =
   (* Everything in spamlab is deterministic in a seed. *)

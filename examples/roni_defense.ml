@@ -54,10 +54,7 @@ let () =
   in
   List.iter
     (fun (label, words) ->
-      let payload =
-        Spamlab_spambayes.Intern.intern_array
-          (Attack.payload tokenizer (Attack.make ~name:label ~words))
-      in
+      let payload = Attack.payload tokenizer (Attack.make ~name:label ~words) in
       ignore (assess label payload))
     attacks;
 

@@ -29,9 +29,8 @@ let () =
 
   (* Poison the training set with a 2% usenet dictionary attack. *)
   let payload =
-    Spamlab_spambayes.Intern.intern_array
-      (Attack.payload tokenizer
-         (Attack.make ~name:"usenet" ~words:(Lab.usenet_top lab ~size:25_000)))
+    Attack.payload tokenizer
+      (Attack.make ~name:"usenet" ~words:(Lab.usenet_top lab ~size:25_000))
   in
   let count =
     Poison.attack_count ~train_size:(Array.length train) ~fraction:0.02

@@ -27,8 +27,8 @@ let () =
       (Attack.make ~name:"usenet" ~words:(Lab.usenet_top lab ~size:19_000))
   in
   let attack_example =
-    Dataset.of_tokens Label.Spam payload
-      ~raw_token_count:(Array.length payload)
+    { Dataset.label = Label.Spam; ids = payload;
+      raw_token_count = Array.length payload }
   in
   let week i =
     let clean =

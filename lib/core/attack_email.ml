@@ -27,6 +27,3 @@ let make ~words = Spamlab_email.Message.make (body_of_words words)
 
 let make_with_header ~header ~words =
   Spamlab_email.Message.make ~headers:header (body_of_words words)
-
-let payload_tokens tokenizer msg =
-  Spamlab_tokenizer.Tokenizer.unique_tokens tokenizer msg

@@ -19,10 +19,3 @@ val make_with_header :
   header:Spamlab_email.Header.t -> words:string list ->
   Spamlab_email.Message.t
 (** Attack message wearing a stolen header. *)
-
-val payload_tokens :
-  Spamlab_tokenizer.Tokenizer.t ->
-  Spamlab_email.Message.t ->
-  string array
-(** Distinct tokens the filter will extract from an attack message —
-    what actually lands in the token database when the victim trains. *)

@@ -14,11 +14,8 @@ let email t = Attack_email.make ~words:(Array.to_list t.words)
 
 let emails t ~count = List.init count (fun _ -> email t)
 
-let payload tokenizer t = Attack_email.payload_tokens tokenizer (email t)
+let payload tokenizer t =
+  fst (Spamlab_corpus.Dataset.tokenize_ids tokenizer (email t))
 
 let raw_token_count tokenizer t =
-  let n = ref 0 in
-  Spamlab_tokenizer.Tokenizer.iter_message tokenizer (email t)
-    ~span:(fun _ _ _ -> incr n)
-    ~token:(fun _ -> incr n);
-  !n
+  snd (Spamlab_corpus.Dataset.tokenize_ids tokenizer (email t))

@@ -29,9 +29,11 @@ val email : t -> Spamlab_email.Message.t
 
 val emails : t -> count:int -> Spamlab_email.Message.t list
 
-val payload : Spamlab_tokenizer.Tokenizer.t -> t -> string array
-(** Distinct trained tokens of one attack email (cached per tokenizer
-    would be the caller's job; this recomputes). *)
+val payload : Spamlab_tokenizer.Tokenizer.t -> t -> int array
+(** Distinct token ids of one attack email
+    ({!Spamlab_corpus.Dataset.tokenize_ids}) — what lands in the token
+    database when the victim trains it.  Interns the words; caching
+    per tokenizer is the caller's job, this recomputes. *)
 
 val raw_token_count : Spamlab_tokenizer.Tokenizer.t -> t -> int
 (** Stream length (non-deduplicated) of one attack email — the

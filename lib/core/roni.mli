@@ -39,8 +39,8 @@ val assess :
   candidate:int array ->
   assessment
 (** [assess rng ~pool ~candidate] measures the candidate's distinct
-    token ids (see {!Spamlab_spambayes.Intern.intern_array}; always
-    trained as spam, per the contamination assumption)
+    token ids (as {!Spamlab_corpus.Dataset.tokenize_ids} gives them;
+    always trained as spam, per the contamination assumption)
     against train/validation splits sampled from [pool].  The
     with-candidate side is scored arithmetically from the baseline's
     counts (one spam training shifts candidate members' spam counts and

@@ -12,14 +12,12 @@ let train filter tokenizer ~words ~chunk_size ~copies =
   let module Spambayes = Spamlab_spambayes in
   Array.iter
     (fun chunk ->
-      let payload =
-        Attack_email.payload_tokens tokenizer
+      let payload, _ =
+        Spamlab_corpus.Dataset.tokenize_ids tokenizer
           (Attack_email.make ~words:(Array.to_list chunk))
       in
       Spambayes.Token_db.train_many_ids (Spambayes.Filter.db filter)
-        Spambayes.Label.Spam
-        (Spambayes.Intern.intern_array payload)
-        copies)
+        Spambayes.Label.Spam payload copies)
     (chunks ~words ~chunk_size)
 
 let size_percentile ~corpus_sizes size =

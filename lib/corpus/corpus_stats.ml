@@ -1,5 +1,4 @@
 module Label = Spamlab_spambayes.Label
-module Tokenizer = Spamlab_tokenizer.Tokenizer
 
 type t = {
   messages : int;
@@ -24,10 +23,10 @@ type token_info = {
   mutable in_spam : bool;
 }
 
-let measure tokenizer corpus =
-  let n = Array.length corpus in
+let measure (examples : Dataset.example array) =
+  let n = Array.length examples in
   if n = 0 then invalid_arg "Corpus_stats.measure: empty corpus";
-  let table : (string, token_info) Hashtbl.t = Hashtbl.create 65536 in
+  let table : (int, token_info) Hashtbl.t = Hashtbl.create 65536 in
   let raw_tokens = ref 0 in
   let ham = ref 0 in
   let spam = ref 0 in
@@ -35,33 +34,30 @@ let measure tokenizer corpus =
   let checkpoint_every = max 1 (n / 10) in
   let heaps = ref [] in
   Array.iteri
-    (fun i (label, msg) ->
-      (match label with
+    (fun i (e : Dataset.example) ->
+      (match e.label with
       | Label.Ham -> incr ham
       | Label.Spam -> incr spam);
-      let uniques, stream_length =
-        Tokenizer.unique_counted_tokens tokenizer msg
-      in
-      raw_tokens := !raw_tokens + stream_length;
-      lengths.(i) <- float_of_int stream_length;
+      raw_tokens := !raw_tokens + e.raw_token_count;
+      lengths.(i) <- float_of_int e.raw_token_count;
       Array.iter
-        (fun token ->
+        (fun id ->
           let info =
-            match Hashtbl.find_opt table token with
+            match Hashtbl.find_opt table id with
             | Some info -> info
             | None ->
                 let info = { documents = 0; in_ham = false; in_spam = false } in
-                Hashtbl.replace table token info;
+                Hashtbl.replace table id info;
                 info
           in
           info.documents <- info.documents + 1;
-          match label with
+          match e.label with
           | Label.Ham -> info.in_ham <- true
           | Label.Spam -> info.in_spam <- true)
-        uniques;
+        e.ids;
       if (i + 1) mod checkpoint_every = 0 || i + 1 = n then
         heaps := (i + 1, Hashtbl.length table) :: !heaps)
-    corpus;
+    examples;
   let distinct = Hashtbl.length table in
   let singletons = ref 0 in
   let rare = ref 0 in

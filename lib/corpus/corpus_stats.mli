@@ -35,9 +35,9 @@ type t = {
           checkpoints. *)
 }
 
-val measure :
-  Spamlab_tokenizer.Tokenizer.t -> Trec.labeled array -> t
-(** Single pass over the corpus.  @raise Invalid_argument on an empty
-    corpus. *)
+val measure : Dataset.example array -> t
+(** Single pass over the tokenized corpus, counting token ids: a
+    token's document frequency and classes are those of its id.
+    @raise Invalid_argument on an empty corpus. *)
 
 val render : t -> string

@@ -1,54 +1,48 @@
 (** Tokenized datasets and resampling: the bridge between generated
-    messages and the learner.  Messages are tokenized once into
-    {!example}s; training, attacks and evaluation then operate on token
-    arrays (the fast path for cross-validated sweeps). *)
+    messages and the learner.  SpamBayes learns from the {e set} of
+    tokens in a message, so a message is tokenized once into an
+    {!example} that holds that set as interned ids; training, attacks
+    and evaluation then operate on id arrays (the fast path for
+    cross-validated sweeps). *)
 
 type example = {
   label : Spamlab_spambayes.Label.gold;
-  tokens : string array;  (** Distinct tokens, sorted. *)
   ids : int array;
-      (** [tokens] interned elementwise ({!Spamlab_spambayes.Intern}) —
-          same length, same order.  Training and classification run on
-          these; the strings remain for attacks, reporting and
-          persistence. *)
+      (** Distinct token ids ({!Spamlab_spambayes.Intern}), ascending.
+          Id values follow interning order, which is
+          schedule-dependent: compare token strings
+          ({!Spamlab_spambayes.Intern.to_string}), never ids, across
+          runs. *)
   raw_token_count : int;  (** Stream length before dedup (token-volume
                               accounting, §4.2). *)
 }
 
-val of_labeled :
-  ?pool:Spamlab_parallel.Pool.t ->
-  Spamlab_tokenizer.Tokenizer.t ->
-  Trec.labeled array ->
-  example array
-(** Tokenize every message; with [?pool] the per-message work fans over
-    the domain pool (pure per message, so jobs-invariant up to intern
-    id assignment — compare [tokens], never [ids], across runs). *)
+val tokenize_ids :
+  Spamlab_tokenizer.Tokenizer.t -> Spamlab_email.Message.t -> int array * int
+(** [tokenize_ids t msg] is the message's distinct token ids, in
+    ascending id order, and its token-stream length: how an
+    experiment's [Message.t] — generated and attack mail alike —
+    becomes ids.
+    Tokenizers push byte slices which intern in place
+    ({!Spamlab_spambayes.Ingest.with_unique_ids}), so no token string
+    is allocated for a token already interned.  Safe to call from pool
+    workers. *)
 
 val of_message :
   Spamlab_tokenizer.Tokenizer.t ->
   Spamlab_spambayes.Label.gold ->
   Spamlab_email.Message.t ->
   example
-(** Zero-copy message → example: tokenizers push byte slices which
-    intern in place ({!Spamlab_spambayes.Ingest.with_unique_ids}); the
-    distinct tokens are materialized as strings shared with the intern
-    table, sorted, and paired with their ids — the same [tokens] as
-    {!Spamlab_tokenizer.Tokenizer.unique_tokens}, without per-token
-    allocation. *)
+(** {!tokenize_ids} with its label. *)
 
-val tokenize_ids :
-  Spamlab_tokenizer.Tokenizer.t -> Spamlab_email.Message.t -> int array * int
-(** [tokenize_ids t msg] is the id half of {!of_message}: the sorted
-    deduplicated interned ids plus the raw stream length, for callers
-    that never need the strings. *)
-
-val of_tokens :
-  Spamlab_spambayes.Label.gold ->
-  string array ->
-  raw_token_count:int ->
-  example
-(** Build an example from an already-deduplicated token array (attack
-    payloads, synthetic fixtures); interns the ids. *)
+val of_labeled :
+  ?pool:Spamlab_parallel.Pool.t ->
+  Spamlab_tokenizer.Tokenizer.t ->
+  Trec.labeled array ->
+  example array
+(** {!of_message} over every message; with [?pool] the per-message
+    work fans over the domain pool (pure per message, so jobs-invariant
+    up to intern id assignment). *)
 
 val train_filter : Spamlab_spambayes.Filter.t -> example array -> unit
 (** Train every example into the filter. *)

@@ -65,16 +65,3 @@ let to_mbox_files ~ham_path ~spam_path corpus =
     (Array.to_list (ham_only corpus));
   Spamlab_email.Mbox.write_file spam_path
     (Array.to_list (spam_only corpus))
-
-let of_mbox_files ~ham_path ~spam_path =
-  match
-    ( Spamlab_email.Mbox.read_file ham_path,
-      Spamlab_email.Mbox.read_file spam_path )
-  with
-  | Ok hams, Ok spams ->
-      Ok
-        (Array.append
-           (Array.of_list (List.map (fun m -> (Label.Ham, m)) hams))
-           (Array.of_list (List.map (fun m -> (Label.Spam, m)) spams)))
-  | Error e, _ -> Error ("ham mbox: " ^ e)
-  | _, Error e -> Error ("spam mbox: " ^ e)

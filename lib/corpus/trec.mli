@@ -33,6 +33,3 @@ val to_mbox_files :
   ham_path:string -> spam_path:string -> labeled array -> unit
 (** Persist a corpus as two mbox files (the layout TREC tooling and the
     CLI use). *)
-
-val of_mbox_files :
-  ham_path:string -> spam_path:string -> (labeled array, string) result

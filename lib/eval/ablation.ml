@@ -1,6 +1,5 @@
 open Spamlab_stats
 module Options = Spamlab_spambayes.Options
-module Intern = Spamlab_spambayes.Intern
 module Attack = Spamlab_core.Dictionary_attack
 
 type row = {
@@ -31,8 +30,7 @@ let make_env lab =
   let base = Poison.base_filter (Lab.tokenizer lab) train in
   let payload =
     let words = Lab.usenet_top lab ~size:(max 19_000 (Array.length train * 9)) in
-    Intern.intern_array
-      (Attack.payload (Lab.tokenizer lab) (Attack.make ~name:"usenet" ~words))
+    Attack.payload (Lab.tokenizer lab) (Attack.make ~name:"usenet" ~words)
   in
   let count = Poison.attack_count ~train_size:size ~fraction:0.01 in
   let poisoned = Poison.poisoned base ~payload ~count in
@@ -126,9 +124,7 @@ let coverage_sweep lab =
             (Spamlab_corpus.Wordgen.words 50_000_000 (total - known))
       in
       let payload =
-        Intern.intern_array
-          (Attack.payload (Lab.tokenizer lab)
-             (Attack.make ~name:"coverage" ~words))
+        Attack.payload (Lab.tokenizer lab) (Attack.make ~name:"coverage" ~words)
       in
       let poisoned = Poison.poisoned base ~payload ~count in
       let confusion =

@@ -1,6 +1,5 @@
 module Dataset = Spamlab_corpus.Dataset
 module Dictionary = Spamlab_corpus.Dictionary
-module Filter = Spamlab_spambayes.Filter
 module Intern = Spamlab_spambayes.Intern
 module Options = Spamlab_spambayes.Options
 module Attack = Spamlab_core.Dictionary_attack
@@ -45,10 +44,7 @@ let run lab (params : Params.dictionary) =
   let folds = Dataset.kfold ~k:params.folds examples in
   let attacks = variants lab params in
   let payloads =
-    List.map
-      (fun attack ->
-        (attack, Intern.intern_array (Attack.payload tokenizer attack)))
-      attacks
+    List.map (fun attack -> (attack, Attack.payload tokenizer attack)) attacks
   in
   (* Corpus and payloads are fully interned by now; freezing makes the
      in-task id lookups lock-free. *)

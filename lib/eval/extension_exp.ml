@@ -5,10 +5,8 @@ module Vocabulary = Spamlab_corpus.Vocabulary
 module Message = Spamlab_email.Message
 module Filter = Spamlab_spambayes.Filter
 module Token_db = Spamlab_spambayes.Token_db
-module Intern = Spamlab_spambayes.Intern
 module Label = Spamlab_spambayes.Label
 module Options = Spamlab_spambayes.Options
-module Classify = Spamlab_spambayes.Classify
 module Pseudospam = Spamlab_core.Pseudospam_attack
 module Good_word = Spamlab_core.Good_word_attack
 module Attack = Spamlab_core.Dictionary_attack
@@ -72,9 +70,7 @@ let pseudospam lab =
   in
   let payload =
     match plan.Pseudospam.emails with
-    | email :: _ ->
-        Intern.intern_array
-          (Spamlab_tokenizer.Tokenizer.unique_tokens tokenizer email)
+    | email :: _ -> fst (Dataset.tokenize_ids tokenizer email)
     | [] -> assert false
   in
   List.map
@@ -247,11 +243,10 @@ let stealth lab =
       let sample_count = min 5 (Array.length chunk_list) in
       let rejected = ref 0 in
       for i = 0 to sample_count - 1 do
-        let payload =
-          Intern.intern_array
-            (Spamlab_core.Attack_email.payload_tokens tokenizer
-               (Spamlab_core.Attack_email.make
-                  ~words:(Array.to_list chunk_list.(i))))
+        let payload, _ =
+          Dataset.tokenize_ids tokenizer
+            (Spamlab_core.Attack_email.make
+               ~words:(Array.to_list chunk_list.(i)))
         in
         if
           (Spamlab_core.Roni.assess rng ~pool:train ~candidate:payload)
@@ -344,8 +339,7 @@ let information_value lab =
       List.map
         (fun (source, words) ->
           let payload =
-            Intern.intern_array
-              (Attack.payload tokenizer (Attack.make ~name:source ~words))
+            Attack.payload tokenizer (Attack.make ~name:source ~words)
           in
           let poisoned = Poison.poisoned base ~payload ~count in
           let confusion =
@@ -404,9 +398,7 @@ let tokenizer_comparison lab =
       let test = Dataset.of_labeled tokenizer test_messages in
       let base = Poison.base_filter tokenizer train in
       let payload =
-        Intern.intern_array
-          (Attack.payload tokenizer
-             (Attack.make ~name:"usenet" ~words:attack_words))
+        Attack.payload tokenizer (Attack.make ~name:"usenet" ~words:attack_words)
       in
       let poisoned = Poison.poisoned base ~payload ~count in
       let clean =
@@ -466,9 +458,8 @@ let roni_sweep lab =
   let tokenizer = Lab.tokenizer lab in
   let pool = Lab.corpus lab ~name:"roni-sweep/pool" ~size ~spam_fraction:0.5 in
   let payload =
-    Intern.intern_array
-      (Attack.payload tokenizer
-         (Attack.make ~name:"usenet" ~words:(Lab.usenet_top lab ~size:19_000)))
+    Attack.payload tokenizer
+      (Attack.make ~name:"usenet" ~words:(Lab.usenet_top lab ~size:19_000))
   in
   let benign =
     Array.init 20 (fun _ ->

@@ -5,7 +5,6 @@ module Obs = Spamlab_obs.Obs
 type corpus_key = { name : string; size : int; spam_fraction : float }
 
 type t = {
-  seed : int;
   scale : float;
   jobs : int;
   config : Corpus.Generator.config;
@@ -36,7 +35,6 @@ let create ?(seed = 42) ?(scale = 1.0) ?jobs ?checkpoint () =
     | None -> Spamlab_parallel.default_jobs ()
   in
   {
-    seed;
     scale;
     jobs;
     config = Corpus.Generator.default_config ~seed ();

@@ -4,7 +4,6 @@ module Label = Spamlab_spambayes.Label
 module Classify = Spamlab_spambayes.Classify
 module Token_db = Spamlab_spambayes.Token_db
 module Prob_cache = Spamlab_spambayes.Prob_cache
-module Options = Spamlab_spambayes.Options
 module Obs = Spamlab_obs.Obs
 
 (* Work counters for the observability layer.  They are bumped with
@@ -40,7 +39,7 @@ let score_examples filter examples =
   Array.map
     (fun (e : Dataset.example) ->
       Obs.incr messages_classified;
-      Obs.add tokens_scored (Array.length e.Dataset.tokens);
+      Obs.add tokens_scored (Array.length e.ids);
       ((Dataset.classify filter e).Classify.indicator, e.label))
     examples
 

@@ -17,8 +17,8 @@ val poisoned :
   Spamlab_spambayes.Filter.t -> payload:int array -> count:int ->
   Spamlab_spambayes.Filter.t
 (** Copy the filter and train [count] identical spam messages with the
-    given payload, its distinct token ids (see
-    {!Spamlab_spambayes.Intern.intern_array}). *)
+    given payload, its distinct token ids (as
+    {!Spamlab_core.Dictionary_attack.payload} gives them). *)
 
 val score_examples :
   Spamlab_spambayes.Filter.t ->

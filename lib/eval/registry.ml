@@ -234,11 +234,9 @@ let corpus_stats =
     run =
       (fun lab ->
         let size = max 500 (int_of_float (5_000.0 *. Lab.scale lab)) in
-        let corpus =
-          Lab.corpus_messages lab ~name:"corpus-stats" ~size ~spam_fraction:0.5
-        in
         Spamlab_corpus.Corpus_stats.render
-          (Spamlab_corpus.Corpus_stats.measure (Lab.tokenizer lab) corpus));
+          (Spamlab_corpus.Corpus_stats.measure
+             (Lab.corpus lab ~name:"corpus-stats" ~size ~spam_fraction:0.5)));
   }
 
 let stealth =

@@ -95,9 +95,7 @@ let run lab (params : Params.roni) =
           Generator.spam (Lab.config lab)
             (Lab.rng lab (stream ^ "/message"))
         in
-        assess_ids stream
-          (Intern.intern_array
-             (Spamlab_tokenizer.Tokenizer.unique_tokens tokenizer msg)))
+        assess_ids stream (fst (Dataset.tokenize_ids tokenizer msg)))
       (Array.init params.non_attack_queries (fun i -> i))
   in
   let non_attack =
@@ -116,9 +114,7 @@ let run lab (params : Params.roni) =
     payloads :=
       Array.of_list
         (List.map
-           (fun attack ->
-             ( Attack.name attack,
-               Intern.intern_array (Attack.payload tokenizer attack) ))
+           (fun attack -> (Attack.name attack, Attack.payload tokenizer attack))
            variants);
     Intern.freeze ()
   in

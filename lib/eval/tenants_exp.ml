@@ -141,8 +141,7 @@ let build_world lab cfg =
   in
   let payload =
     let words = Lab.aspell lab ~size:(pool_size lab 1000) in
-    Spamlab_spambayes.Intern.intern_array
-      (Attack.payload tokenizer (Attack.make ~name:"aspell" ~words))
+    Attack.payload tokenizer (Attack.make ~name:"aspell" ~words)
   in
   { options = Options.default; payload; train_pools; eval_pools }
 

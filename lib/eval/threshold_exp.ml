@@ -66,7 +66,7 @@ let run lab (params : Params.threshold) =
         (Lab.usenet_top lab
            ~size:(Params.dictionary ~scale:(Lab.scale lab) ()).Params.usenet_size)
   in
-  let payload = Intern.intern_array (Attack.payload tokenizer attack) in
+  let payload = Attack.payload tokenizer attack in
   let folds = Dataset.kfold ~k:params.folds examples in
   (* Corpus and payload are fully interned; freeze before the fan-out
      so in-task id lookups are lock-free. *)

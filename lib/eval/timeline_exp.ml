@@ -27,8 +27,11 @@ let build_rounds lab rng ~round_size ~attack_payload =
       if List.mem round_index attack_rounds then begin
         let attack_count = max 2 (round_size / 20) in
         let attack_example =
-          Dataset.of_tokens Label.Spam attack_payload
-            ~raw_token_count:(Array.length attack_payload)
+          {
+            Dataset.label = Label.Spam;
+            ids = attack_payload;
+            raw_token_count = Array.length attack_payload;
+          }
         in
         let injected =
           Array.append clean (Array.make attack_count attack_example)

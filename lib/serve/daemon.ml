@@ -133,7 +133,6 @@ type t = {
   metrics : Metrics.t;
 }
 
-let publish_seq t = t.seq
 let count t name n = Metrics.add (Metrics.counter t.metrics name) n
 
 (* ------------------------------------------------------------------ *)

@@ -220,12 +220,6 @@ val serve_frame :
     stream, a framing error or a deadline, answered [ERR] where the
     peer can still read it, or a failed write). *)
 
-val stats_payload : t -> string
-(** The [STATS] payload, rendered from the current counters. *)
-
-val publish_seq : t -> int
-(** Number of publishes so far (0 before the first). *)
-
 val run :
   ?ready:(Unix.sockaddr -> unit) ->
   ?stop:(unit -> bool) ->

@@ -25,8 +25,9 @@ val copy : t -> t
     to {!db} ({!Token_db.train_ids}, {!Token_db.train_many_ids},
     {!Token_db.untrain_ids}), and a filter scores through {!classify},
     {!classify_ids} and {!classify_mbox}.  Strings become ids once, where
-    they enter: messages through the tokenizer and {!Ingest}, attack
-    payloads and fixtures through {!Intern.intern_array}.  {!features},
+    they enter: messages, attack mail included, through the tokenizer
+    and {!Ingest}, and test fixtures through {!Intern.intern_array}.
+    {!features},
     {!train} and {!train_tokens} are kept as one line each over that
     path for the perfbench harness. *)
 

@@ -43,10 +43,10 @@
     scoring, only a snapshot miss after the table has grown since the
     snapshot).
 
-    Ids come out sorted by {e id value}, a set representation; this is
-    deliberately not the string-sorted order of [Dataset.example]
-    (nothing downstream of this path orders tokens, and id order is
-    schedule-dependent — see {!Intern}).
+    Ids come out sorted by {e id value}, a set representation, which
+    [Dataset.example] keeps as it is (nothing downstream orders tokens
+    by their ids, and id order is schedule-dependent — see
+    {!Intern}).
 
     {2 Raw mail}
 

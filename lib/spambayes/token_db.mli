@@ -79,7 +79,8 @@ val generation : t -> int
 
 val train_ids : t -> Label.gold -> int array -> unit
 (** [train_ids t label ids] records one message of class [label] whose
-    distinct tokens are [ids] (see {!Intern.intern_array}). *)
+    distinct tokens are [ids] (as {!Ingest.with_unique_ids} gives
+    them). *)
 
 val train_many_ids : t -> Label.gold -> int array -> int -> unit
 (** [train_many_ids t label ids k] records [k] identical messages in

@@ -1,7 +1,6 @@
 module Sb = Spamlab_spambayes
 module Token_db = Sb.Token_db
 module Intern = Sb.Intern
-module Label = Sb.Label
 module Options = Sb.Options
 module Classify = Sb.Classify
 module Prob_cache = Sb.Prob_cache

@@ -26,8 +26,8 @@ let iter_message (module T : S) msg ~span ~token =
   T.iter_spans (Message.headers msg) body 0 (String.length body) ~span ~token
 
 (* The string API, for every tokenizer at once: a slice becomes its
-   string, a meta token passes through.  No interning — feature
-   extraction and attack payloads must not grow the intern table. *)
+   string, a meta token passes through.  No interning: string feature
+   extraction must not grow the intern table. *)
 let iter_tokens t msg f =
   iter_message t msg ~span:(fun buf off len -> f (String.sub buf off len)) ~token:f
 
@@ -43,7 +43,7 @@ let tokenize t msg =
 let scratch : string array ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref (Array.make 1024 ""))
 
-let unique_counted_tokens t msg =
+let unique_tokens t msg =
   let buf = Domain.DLS.get scratch in
   let n = ref 0 in
   iter_tokens t msg (fun tok ->
@@ -57,7 +57,7 @@ let unique_counted_tokens t msg =
       !buf.(!n) <- tok;
       incr n);
   let raw = !n in
-  if raw = 0 then ([||], 0)
+  if raw = 0 then [||]
   else begin
     let arr = Array.sub !buf 0 raw in
     Array.sort String.compare arr;
@@ -68,10 +68,8 @@ let unique_counted_tokens t msg =
         incr w
       end
     done;
-    ((if !w = raw then arr else Array.sub arr 0 !w), raw)
+    if !w = raw then arr else Array.sub arr 0 !w
   end
-
-let unique_tokens t msg = fst (unique_counted_tokens t msg)
 
 let spambayes : t = (module Spambayes_tok)
 let bogofilter : t = (module Bogofilter_tok)

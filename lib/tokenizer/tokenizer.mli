@@ -8,11 +8,9 @@
 
     A tokenizer is written once, as a span pass ({!S.iter_spans}) over
     header fields and a body slice.
-    The string-level API below ({!tokenize}, {!unique_tokens},
-    {!unique_counted_tokens}) is derived from it here,
-    generically, so every consumer — interning ingest, feature
-    extraction, attack construction, corpus statistics — sees the same
-    token stream. *)
+    The string-level API below ({!tokenize}, {!unique_tokens}) is
+    derived from it here, generically, so interning ingest and string
+    feature extraction see the same token stream. *)
 
 module type S = sig
   val name : string
@@ -63,17 +61,12 @@ val tokenize : t -> Spamlab_email.Message.t -> string list
     with [String.sub], meta tokens pass through unchanged.  Same
     tokens, same order.  Nothing is interned. *)
 
-val unique_counted_tokens : t -> Spamlab_email.Message.t -> string array * int
-(** [unique_counted_tokens t msg] is the distinct tokens of
-    [tokenize t msg], sorted, and the length of that stream — without
-    building the list: the string stream goes into a per-domain
-    reusable buffer which is sorted and deduplicated in place.  Safe
-    to call from pool workers. *)
-
 val unique_tokens : t -> Spamlab_email.Message.t -> string array
-(** Distinct tokens of a message, sorted.  SpamBayes both trains and
-    classifies on the {e set} of tokens in a message, so this is the
-    canonical feature extraction. *)
+(** The distinct tokens of [tokenize t msg], sorted — without building
+    the list: the string stream goes into a per-domain reusable buffer
+    which is sorted and deduplicated in place.  Safe to call from pool
+    workers.  Interns nothing; the id form of the same set is
+    [Dataset.tokenize_ids]. *)
 
 val spambayes : t
 (** The default tokenizer; the others are reached by name. *)

@@ -803,8 +803,8 @@ let tokenize tokenizer msg =
   (List.assoc (Spamlab_tokenizer.Tokenizer.name tokenizer) all) msg
 
 (* [unique_counted stream] is the sorted distinct tokens of [stream]
-   and its length: the list pipeline [Tokenizer.unique_counted_tokens]
-   must agree with. *)
+   and its length: what [Tokenizer.unique_tokens] and
+   [Dataset.tokenize_ids] must agree with. *)
 let unique_counted tokens =
   (Array.of_list (List.sort_uniq String.compare tokens), List.length tokens)
 

@@ -30,9 +30,7 @@ let ham_count = Spamlab_oracle.By_string.ham_count
    attack's payload). *)
 let dictionary_poisoned filter attack ~count =
   Spamlab_eval.Poison.poisoned filter ~count
-    ~payload:
-      (Spamlab_spambayes.Intern.intern_array
-         (Dictionary_attack.payload Tokenizer.spambayes attack))
+    ~payload:(Dictionary_attack.payload Tokenizer.spambayes attack)
 
 (* f(w) of a token string under a filter's options and db. *)
 let token_score filter w =
@@ -63,7 +61,7 @@ let attack_email_tests =
     test_case "body tokenizes back to exactly the payload words" (fun () ->
         let words = [ "alpha"; "beta"; "gamma"; "longishword" ] in
         let msg = Attack_email.make ~words in
-        let tokens = Attack_email.payload_tokens Tokenizer.spambayes msg in
+        let tokens = Tokenizer.unique_tokens Tokenizer.spambayes msg in
         Alcotest.(check (array string))
           "tokens"
           (Array.of_list (List.sort_uniq compare words))
@@ -89,8 +87,57 @@ let attack_email_tests =
       (fun indices ->
         let words = List.map Spamlab_corpus.Wordgen.word indices in
         let msg = Attack_email.make ~words in
-        let tokens = Attack_email.payload_tokens Tokenizer.spambayes msg in
+        let tokens = Tokenizer.unique_tokens Tokenizer.spambayes msg in
         Array.to_list tokens = List.sort_uniq compare words);
+    test_case "attack payload ids are the interned tokens of the attack mail"
+      (fun () ->
+        let module Intern = Spamlab_spambayes.Intern in
+        let id_set ids = List.sort_uniq compare (Array.to_list ids) in
+        let reference tokenizer msg =
+          id_set (Intern.intern_array (Tokenizer.unique_tokens tokenizer msg))
+        in
+        let words = Spamlab_corpus.Wordgen.words 0 300 in
+        List.iter
+          (fun (name, tokenizer) ->
+            let a = Dictionary_attack.make ~name:"t" ~words in
+            Alcotest.(check (list int))
+              (name ^ " dictionary")
+              (reference tokenizer (Dictionary_attack.email a))
+              (id_set (Dictionary_attack.payload tokenizer a));
+            (* Split mail trains each chunk's ids [copies] times. *)
+            let expected = Hashtbl.create 512 in
+            Array.iter
+              (fun chunk ->
+                List.iter
+                  (fun id ->
+                    let n = Option.value ~default:0 (Hashtbl.find_opt expected id) in
+                    Hashtbl.replace expected id (n + 3))
+                  (reference tokenizer
+                     (Attack_email.make ~words:(Array.to_list chunk))))
+              (Split_attack.chunks ~words ~chunk_size:40);
+            let filter = Filter.create () in
+            Split_attack.train filter tokenizer ~words ~chunk_size:40 ~copies:3;
+            Alcotest.(check (list (pair int int)))
+              (name ^ " split")
+              (List.sort compare
+                 (Hashtbl.fold (fun id n acc -> (id, n) :: acc) expected []))
+              (List.sort compare
+                 (Token_db.fold
+                    (fun acc id ~spam ~ham:_ -> (id, spam) :: acc)
+                    [] (Filter.db filter)));
+            let plan =
+              Pseudospam_attack.craft (Rng.create 5)
+                ~campaign:(Array.sub words 0 50)
+                ~camouflage:(Array.sub words 50 100) ~camouflage_fraction:0.5
+                ~count:1
+            in
+            let email = List.hd plan.Pseudospam_attack.emails in
+            Alcotest.(check (list int))
+              (name ^ " pseudospam")
+              (reference tokenizer email)
+              (id_set
+                 (fst (Spamlab_corpus.Dataset.tokenize_ids tokenizer email))))
+          Tokenizer.all);
   ]
 
 (* ------------------------------------------------------------------ *)

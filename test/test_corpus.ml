@@ -453,13 +453,18 @@ let trec_tests =
             Sys.remove spam_path)
           (fun () ->
             Trec.to_mbox_files ~ham_path ~spam_path corpus;
-            match Trec.of_mbox_files ~ham_path ~spam_path with
-            | Error e -> Alcotest.fail e
-            | Ok loaded ->
-                check_int "size" 20 (Array.length loaded);
-                let ham, spam = Trec.counts loaded in
-                check_int "ham" 10 ham;
-                check_int "spam" 10 spam));
+            match
+              ( Spamlab_email.Mbox.read_file ham_path,
+                Spamlab_email.Mbox.read_file spam_path )
+            with
+            | Error e, _ | _, Error e -> Alcotest.fail e
+            | Ok hams, Ok spams ->
+                let same what expected loaded =
+                  check_bool what true
+                    (List.equal Message.equal (Array.to_list expected) loaded)
+                in
+                same "ham" (Trec.ham_only corpus) hams;
+                same "spam" (Trec.spam_only corpus) spams));
   ]
 
 let dataset_tests =
@@ -472,9 +477,9 @@ let dataset_tests =
         check_int "size" 30 (Array.length examples);
         Array.iter
           (fun (e : Dataset.example) ->
-            check_bool "has tokens" true (Array.length e.Dataset.tokens > 0);
+            check_bool "has tokens" true (Array.length e.Dataset.ids > 0);
             check_bool "raw >= unique" true
-              (e.Dataset.raw_token_count >= Array.length e.Dataset.tokens))
+              (e.Dataset.raw_token_count >= Array.length e.Dataset.ids))
           examples);
     test_case "kfold partitions without overlap" (fun () ->
         let arr = Array.init 25 (fun i -> i) in
@@ -589,13 +594,15 @@ let substrate_tests =
             let tokens, raw_ref =
               Oracle.unique_counted (Oracle.Spambayes.tokenize msg)
             in
+            (* The same set: [ids] ascends by id value. *)
             let ids_ref = Spamlab_spambayes.Intern.intern_array tokens in
+            Array.sort compare ids_ref;
             check_int (Printf.sprintf "raw count %d" i) raw_ref raw;
             Alcotest.(check (array int))
               (Printf.sprintf "ids %d" i)
               ids_ref ids)
           messages);
-    qtest "unique_counted_tokens = unique_counted o tokenize" ~count:60
+    qtest "unique_tokens = unique_counted o tokenize" ~count:60
       QCheck2.Gen.(int_range 0 10_000)
       (fun n ->
         let rng = Rng.create n in
@@ -603,11 +610,8 @@ let substrate_tests =
           if n mod 2 = 0 then Generator.ham config rng
           else Generator.spam config rng
         in
-        let fused, raw = Tokenizer.unique_counted_tokens Tokenizer.spambayes msg in
-        let listed, raw_ref =
-          Oracle.unique_counted (Oracle.Spambayes.tokenize msg)
-        in
-        raw = raw_ref && fused = listed);
+        Tokenizer.unique_tokens Tokenizer.spambayes msg
+        = fst (Oracle.unique_counted (Oracle.Spambayes.tokenize msg)));
     test_case "word_prob is safe and consistent under domains" (fun () ->
         (* Regression for the unsynchronized prob_index memoization:
            four domains racing the first build must all see the same
@@ -631,13 +635,79 @@ let substrate_tests =
 (* ------------------------------------------------------------------ *)
 (* Corpus statistics                                                   *)
 
+(* [Corpus_stats.measure] counted by token string, one message at a
+   time: the reference the id-keyed count must equal. *)
+let string_keyed_measure tokenizer corpus =
+  let n = Array.length corpus in
+  let documents = Hashtbl.create 4096 in
+  let bump table token =
+    Hashtbl.replace table token
+      (1 + Option.value ~default:0 (Hashtbl.find_opt table token))
+  in
+  let in_ham = Hashtbl.create 4096 and in_spam = Hashtbl.create 4096 in
+  let heaps = ref [] in
+  let streams =
+    Array.mapi
+      (fun i (label, msg) ->
+        let seen = if label = Label.Ham then in_ham else in_spam in
+        Array.iter
+          (fun token ->
+            bump documents token;
+            Hashtbl.replace seen token ())
+          (Tokenizer.unique_tokens tokenizer msg);
+        if (i + 1) mod max 1 (n / 10) = 0 || i + 1 = n then
+          heaps := (i + 1, Hashtbl.length documents) :: !heaps;
+        List.length (Tokenizer.tokenize tokenizer msg))
+      corpus
+  in
+  let lengths = Array.map float_of_int streams in
+  let distinct = Hashtbl.length documents in
+  let tokens_with p =
+    Hashtbl.fold
+      (fun token d acc -> if p token d then acc + 1 else acc)
+      documents 0
+  in
+  let fraction k = float_of_int k /. float_of_int distinct in
+  let ham, spam = Trec.counts corpus in
+  {
+    Corpus_stats.messages = n;
+    ham;
+    spam;
+    raw_tokens = Array.fold_left ( + ) 0 streams;
+    distinct_tokens = distinct;
+    mean_tokens_per_message = Summary.mean lengths;
+    median_tokens_per_message = Summary.median lengths;
+    p95_tokens_per_message = Summary.quantile lengths 0.95;
+    singleton_fraction = fraction (tokens_with (fun _ d -> d = 1));
+    rare_fraction = fraction (tokens_with (fun _ d -> d <= 3));
+    ham_vocabulary = Hashtbl.length in_ham;
+    spam_vocabulary = Hashtbl.length in_spam;
+    shared_vocabulary =
+      tokens_with (fun t _ -> Hashtbl.mem in_ham t && Hashtbl.mem in_spam t);
+    heaps_curve = List.rev !heaps;
+  }
+
+let measure corpus =
+  Corpus_stats.measure (Dataset.of_labeled Tokenizer.spambayes corpus)
+
 let stats_tests =
   [
+    test_case "measure counts ids as the string-keyed reference counts tokens"
+      (fun () ->
+        let corpus =
+          Trec.generate config (Rng.create 60) ~size:90 ~spam_fraction:0.5
+        in
+        List.iter
+          (fun (name, tokenizer) ->
+            check_bool name true
+              (Corpus_stats.measure (Dataset.of_labeled tokenizer corpus)
+              = string_keyed_measure tokenizer corpus))
+          Tokenizer.all);
     test_case "measure reports consistent counts" (fun () ->
         let corpus =
           Trec.generate config (Rng.create 61) ~size:120 ~spam_fraction:0.5
         in
-        let s = Corpus_stats.measure Tokenizer.spambayes corpus in
+        let s = measure corpus in
         check_int "messages" 120 s.Corpus_stats.messages;
         check_int "ham" 60 s.Corpus_stats.ham;
         check_int "spam" 60 s.Corpus_stats.spam;
@@ -651,7 +721,7 @@ let stats_tests =
         let corpus =
           Trec.generate config (Rng.create 62) ~size:300 ~spam_fraction:0.5
         in
-        let s = Corpus_stats.measure Tokenizer.spambayes corpus in
+        let s = measure corpus in
         check_bool "median below mean" true
           (s.Corpus_stats.median_tokens_per_message
           < s.Corpus_stats.mean_tokens_per_message);
@@ -662,14 +732,14 @@ let stats_tests =
         let corpus =
           Trec.generate config (Rng.create 63) ~size:200 ~spam_fraction:0.5
         in
-        let s = Corpus_stats.measure Tokenizer.spambayes corpus in
+        let s = measure corpus in
         check_bool "singletons" true (s.Corpus_stats.singleton_fraction > 0.1);
         check_bool "bounded" true (s.Corpus_stats.singleton_fraction <= 1.0));
     test_case "heaps curve is monotone and sub-linear" (fun () ->
         let corpus =
           Trec.generate config (Rng.create 64) ~size:400 ~spam_fraction:0.5
         in
-        let s = Corpus_stats.measure Tokenizer.spambayes corpus in
+        let s = measure corpus in
         let curve = s.Corpus_stats.heaps_curve in
         check_bool "enough checkpoints" true (List.length curve >= 5);
         let rec monotone = function
@@ -689,14 +759,12 @@ let stats_tests =
     test_case "measure rejects an empty corpus" (fun () ->
         Alcotest.check_raises "empty"
           (Invalid_argument "Corpus_stats.measure: empty corpus") (fun () ->
-            ignore (Corpus_stats.measure Tokenizer.spambayes [||])));
+            ignore (Corpus_stats.measure [||])));
     test_case "render mentions the key facts" (fun () ->
         let corpus =
           Trec.generate config (Rng.create 65) ~size:60 ~spam_fraction:0.5
         in
-        let out =
-          Corpus_stats.render (Corpus_stats.measure Tokenizer.spambayes corpus)
-        in
+        let out = Corpus_stats.render (measure corpus) in
         check_bool "mentions heaps" true (String.length out > 300));
   ]
 

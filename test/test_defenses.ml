@@ -4,7 +4,6 @@ open Spamlab_core
 open Spamlab_stats
 module Label = Spamlab_spambayes.Label
 module Filter = Spamlab_spambayes.Filter
-module Options = Spamlab_spambayes.Options
 module Dataset = Spamlab_corpus.Dataset
 module Tokenizer = Spamlab_tokenizer.Tokenizer
 
@@ -228,8 +227,11 @@ let pipeline_tests =
   let clean_round = Array.sub pool 120 60 in
   let attack_round =
     let attack_example =
-      Dataset.of_tokens Label.Spam ham_covering_words
-        ~raw_token_count:(Array.length ham_covering_words)
+      {
+        Dataset.label = Label.Spam;
+        ids = ham_covering_attack;
+        raw_token_count = Array.length ham_covering_words;
+      }
     in
     Array.append (Array.sub pool 120 60) (Array.make 5 attack_example)
   in

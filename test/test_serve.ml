@@ -641,6 +641,22 @@ let converse addr raw =
 
 let ping = { Protocol.verb = Protocol.Ping; body = ""; user = None }
 
+let stat_line payload name =
+  List.find_opt
+    (String.starts_with ~prefix:(name ^ " "))
+    (String.split_on_char '\n' payload)
+
+(* The publish.seq gauge of a running daemon, read by a STATS round
+   trip: the publishes so far (0 before the first). *)
+let publish_seq addr =
+  let payload =
+    ok_payload
+      (Client.roundtrip addr { Protocol.verb = Stats; body = ""; user = None })
+  in
+  match stat_line payload "publish.seq" with
+  | Some l -> Scanf.sscanf l "publish.seq %d" Fun.id
+  | None -> Alcotest.fail "STATS has no publish.seq"
+
 let connection_tests =
   [
     test_case "malformed frame: exactly one ERR line, then close" (fun () ->
@@ -701,7 +717,7 @@ let connection_tests =
 let e2e_tests =
   [
     test_case "ping, train, publish, classify, stats" (fun () ->
-        with_daemon @@ fun addr t db_path ->
+        with_daemon @@ fun addr _ db_path ->
         check_string "pong" "pong\n"
           (ok_payload (Client.roundtrip addr { Protocol.verb = Ping; body = ""; user = None }));
         let ack =
@@ -713,12 +729,12 @@ let e2e_tests =
           (String.length ack > 0 && String.sub ack 0 8 = "trained=");
         (* publish_every is 4: 3 trains leave the delta unpublished and
            invisible to classify. *)
-        check_int "not yet published" 0 (Daemon.publish_seq t);
+        check_int "not yet published" 0 (publish_seq addr);
         check_bool "db not yet on disk" false (Sys.file_exists db_path);
         ignore
           (ok_payload
              (Client.roundtrip addr { Protocol.verb = Publish; body = ""; user = None }));
-        check_int "published" 1 (Daemon.publish_seq t);
+        check_int "published" 1 (publish_seq addr);
         check_bool "db on disk" true (Sys.file_exists db_path);
         let verdicts =
           ok_payload
@@ -742,12 +758,12 @@ let e2e_tests =
           (ok_payload
              (Client.roundtrip addr { Protocol.verb = Classify; body = ""; user = None })));
     test_case "auto-publish at publish-every, counted in seq" (fun () ->
-        with_daemon ~publish_every:2 @@ fun addr t _ ->
+        with_daemon ~publish_every:2 @@ fun addr _ _ ->
         ignore
           (ok_payload
              (Client.roundtrip addr
                 { Protocol.verb = Train Label.Spam; body = spam_mbox 5; user = None }));
-        check_int "one auto publish" 1 (Daemon.publish_seq t);
+        check_int "one auto publish" 1 (publish_seq addr);
         let ack =
           ok_payload
             (Client.roundtrip addr
@@ -780,7 +796,7 @@ let e2e_tests =
             | _ -> Alcotest.fail "connection should survive a semantic ERR"));
     test_case "transient publish fault degrades to ERR, next publish works"
       (fun () ->
-        with_daemon @@ fun addr t _ ->
+        with_daemon @@ fun addr _ _ ->
         (match Fault.configure "serve.publish:transient@1" with
         | Ok () -> ()
         | Error e -> Alcotest.fail e);
@@ -790,11 +806,11 @@ let e2e_tests =
         | Ok _ -> Alcotest.fail "injected publish should fail"
         | Error e ->
             Alcotest.failf "transport error: %s" (Client.error_message e));
-        check_int "nothing published" 0 (Daemon.publish_seq t);
+        check_int "nothing published" 0 (publish_seq addr);
         ignore
           (ok_payload
              (Client.roundtrip addr { Protocol.verb = Publish; body = ""; user = None }));
-        check_int "recovered" 1 (Daemon.publish_seq t));
+        check_int "recovered" 1 (publish_seq addr));
     test_case "restart from the published store serves the same verdicts"
       (fun () ->
         with_temp_dir @@ fun dir ->
@@ -1050,6 +1066,10 @@ let local_ok t ?user verb body =
   | Protocol.Err e -> Alcotest.failf "daemon error: %s" e
   | Protocol.Busy -> Alcotest.fail "unexpected BUSY"
 
+(* STATS read in process, as a client reads it: one more STATS
+   request, counted in requests.stats like any other. *)
+let stats t = local_ok t Protocol.Stats ""
+
 (* Headers SpamAssassin's Bayes ignores (delivery bookkeeping, another
    filter's verdict) beside the ones the tokenizers mine. *)
 let bookkeeping_mail =
@@ -1076,11 +1096,6 @@ let db_rows db_path =
         (Token_db.fold
            (fun acc id ~spam ~ham -> (Intern.to_string id, spam, ham) :: acc)
            [] (Filter.db f))
-
-let stat_line payload name =
-  List.find_opt
-    (String.starts_with ~prefix:(name ^ " "))
-    (String.split_on_char '\n' payload)
 
 let dir_files dir =
   Sys.readdir dir |> Array.to_list |> List.sort compare
@@ -1153,7 +1168,7 @@ let write_path_tests =
         with_daemon_state ~publish_every:0 ~store:true @@ fun t _dir ->
         let body = mbox [ msg "zzunseenqa zzunseenqb zzunseenqc\nzzunseenqd" ] in
         let size = Intern.size () in
-        let stat () = stat_line (Daemon.stats_payload t) "intern.size" in
+        let stat () = stat_line (stats t) "intern.size" in
         ignore (local_ok t Protocol.Classify body);
         ignore (local_ok t ~user:"frank" Protocol.Classify body);
         check_int "shared and tenant CLASSIFY" size (Intern.size ());
@@ -1186,7 +1201,7 @@ let write_path_tests =
         let untouched = run ignore in
         let faulted =
           run (fun t ->
-              let stats () = Daemon.stats_payload t in
+              let stats () = stats t in
               let classify () = local_ok t ~user Protocol.Classify eval in
               let stats_before = stats () and verdicts_before = classify () in
               (match Fault.configure "store.journal.append:fatal@3" with
@@ -1218,7 +1233,7 @@ let write_path_tests =
           (fun user ->
             with_daemon_state ~publish_every:0 ~store:true @@ fun t _dir ->
             ignore (local_ok t ?user (Protocol.Train Label.Spam) (mbox [ trained ]));
-            let stats_before = Daemon.stats_payload t in
+            let stats_before = stats t in
             (match local t ?user (Protocol.Untrain Label.Spam) (mbox [ trained; never ]) with
             | Protocol.Err _ -> ()
             | _ -> Alcotest.fail "UNTRAIN of a never-trained message must answer ERR");
@@ -1227,7 +1242,7 @@ let write_path_tests =
                 Alcotest.(check (option string))
                   name
                   (stat_line stats_before name)
-                  (stat_line (Daemon.stats_payload t) name))
+                  (stat_line (stats t) name))
               [ "untrain.messages"; "train.pending" ];
             ignore (local_ok t ?user (Protocol.Untrain Label.Spam) (mbox [ trained ])))
           [ None; Some "grace" ]);
@@ -1297,7 +1312,7 @@ let publish_tests =
         ignore (local_ok t (Protocol.Train Label.Ham) (ham_mbox 4));
         ignore (local_ok t Protocol.Publish "");
         let compactions () =
-          stat_line (Daemon.stats_payload t) "store.compactions"
+          stat_line (stats t) "store.compactions"
         in
         let before = tree_files dir and compacted = compactions () in
         check_bool "the shared journal exists" true
@@ -1630,9 +1645,10 @@ let stats_sections payload =
 
 let line_name l = List.hd (String.split_on_char ' ' l)
 
-(* One fixed stream of in-process requests, then STATS and the intern
-   table's size: with a store, the TRAIN of ham, a CLASSIFY and the
-   UNTRAIN address tenant "ivy".  Every verb runs, a chunk with a
+(* One fixed stream of in-process requests, then a second STATS (so
+   requests.stats reads 2) and the intern table's size: with a store,
+   the TRAIN of ham, a CLASSIFY and the UNTRAIN address tenant
+   "ivy".  Every verb runs, a chunk with a
    malformed header block rides along with TRAIN and CLASSIFY, an
    impossible UNTRAIN answers ERR, and one automatic publish fires. *)
 let stats_after_stream ~store =
@@ -1650,7 +1666,7 @@ let stats_after_stream ~store =
   List.iter
     (fun verb -> ignore (local_ok t verb ""))
     Protocol.[ Publish; Ping; Health; Stats ];
-  (Daemon.stats_payload t, Intern.size ())
+  (stats t, Intern.size ())
 
 let stats_tests =
   let golden ~store det_lines extra_names =
@@ -1688,7 +1704,7 @@ let stats_tests =
             "body.bytes 1458"; "classify.malformed 1"; "classify.messages 5";
             "connections 0"; "intern.size"; "io.errors 0"; "protocol.errors 0";
             "publish.seq 2"; "requests.classify 2"; "requests.health 1";
-            "requests.ping 1"; "requests.publish 1"; "requests.stats 1";
+            "requests.ping 1"; "requests.publish 1"; "requests.stats 2";
             "requests.train 2"; "requests.untrain 2"; "train.malformed 1";
             "train.messages 7"; "train.pending 0"; "untrain.malformed 0";
             "untrain.messages 1"; "verdicts.ham 3"; "verdicts.spam 2";
@@ -1701,7 +1717,7 @@ let stats_tests =
             "body.bytes 1458"; "classify.malformed 1"; "classify.messages 5";
             "connections 0"; "intern.size"; "io.errors 0"; "protocol.errors 0";
             "publish.seq 2"; "requests.classify 2"; "requests.health 1";
-            "requests.ping 1"; "requests.publish 1"; "requests.stats 1";
+            "requests.ping 1"; "requests.publish 1"; "requests.stats 2";
             "requests.train 2"; "requests.untrain 2"; "train.malformed 1";
             "train.messages 7"; "train.pending 0"; "untrain.malformed 0";
             "untrain.messages 1"; "verdicts.ham 1"; "verdicts.spam 2";
@@ -1813,7 +1829,7 @@ let frame_tests =
         in
         check_bool "connection closed" true (outcome = `Close);
         check_string "one ERR" "SPAMLAB/1.0 ERR injected read fault\r\n" (read_file out);
-        let stats = Daemon.stats_payload t in
+        let stats = stats t in
         check_bool "nothing executed" true (contains stats "requests.classify 0\n");
         check_bool "counted as an I/O error" true (contains stats "io.errors 1\n"));
     qtest ~count:25 "pipelined frames up to 2.5 MiB read in place through grows and shrinks"
